@@ -4,7 +4,7 @@
 //! The workload is the `table2` binary's: the printed cells of Table 2
 //! (22 setting-1 cells across α ∈ {10,15,20,25}% and six β:γ ratios; with
 //! `--full`, also the four setting-2 cells at α = 25%), each solved for the
-//! maximal relative revenue u1 by bisection over ρ with warm-started inner
+//! maximal relative revenue u1 by a secant search over ρ with warm-started inner
 //! RVI solves. The nested baseline sweeps through
 //! `bvc_repro::parallel_map`; the compiled path runs through the resilient
 //! sweep runner (`bvc_repro::sweep::run_sweep`) exactly as the table
@@ -99,7 +99,7 @@ fn build(cell: &SweepCell) -> AttackModel {
 }
 
 /// The ratio-solver options `SolveOptions::default()` maps to, duplicated
-/// here so the nested baseline bisects with identical numerics.
+/// here so the nested baseline searches with identical numerics.
 fn ratio_opts() -> RatioOptions {
     let defaults = SolveOptions::default();
     RatioOptions {

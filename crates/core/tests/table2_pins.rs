@@ -2,8 +2,8 @@
 //!
 //! `AttackModel::optimal_relative_revenue` routes through
 //! `bvc_mdp::solve::maximize_ratio`, which compiles the model once and runs
-//! the warm-started, in-place-re-scalarized bisection. These pins hold the
-//! published values fixed across layout/solver changes: if a future
+//! the warm-started, in-place-re-scalarized secant search on ρ. These pins
+//! hold the published values fixed across layout/solver changes: if a future
 //! "optimization" of the compiled kernels perturbs any of them, tier-1
 //! fails here rather than in a table diff nobody reads.
 //!

@@ -28,7 +28,7 @@ use crate::error::MdpError;
 ///
 /// Cloning is cheap (the cancel flag is shared through an [`Arc`]), so one
 /// budget can be handed to several solver calls that should live and die
-/// together — e.g. all bisection steps of a ratio solve, or every solve
+/// together — e.g. all inner solves of a ratio solve, or every solve
 /// belonging to one sweep cell.
 #[derive(Debug, Clone, Default)]
 pub struct SolveBudget {

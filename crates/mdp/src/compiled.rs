@@ -20,7 +20,7 @@
 //! Solvers then run branch-light passes over flat slices. Reward vectors are
 //! collapsed to scalars **once per sweep** by [`CompiledMdp::scalarize`]
 //! (per-arm *expected* immediate reward, since every solver only ever needs
-//! `Σ_t p_t · ⟨w, r_t⟩`), and the ratio solver's per-bisection-step
+//! `Σ_t p_t · ⟨w, r_t⟩`), and the ratio solver's per-probe
 //! re-scalarization is a fused multiply-add over two precomputed arrays
 //! ([`CompiledMdp::combine_scalarized_into`]) — it never re-reads the
 //! `rewards` buffer.
@@ -327,7 +327,7 @@ impl CompiledMdp {
         out
     }
 
-    /// The ratio solver's per-bisection-step re-scalarization, in place:
+    /// The ratio solver's per-probe re-scalarization, in place:
     /// `out[a] = exp_num[a] − ρ · exp_den[a]`. Scalarization is linear in
     /// the objective, so once the two component arrays exist, moving ρ costs
     /// O(arms) and never touches the `rewards` buffer again.

@@ -14,8 +14,8 @@
 //! * [`solve::relative_value_iteration`] — undiscounted average-reward
 //!   solving (the paper's "undiscounted average reward MDP").
 //! * [`solve::maximize_ratio`] — maximizes `E[N]/E[D]` objectives such as
-//!   *relative revenue* (Eq. 1 of the paper) via bisection over transformed
-//!   rewards.
+//!   *relative revenue* (Eq. 1 of the paper) via a safeguarded secant search
+//!   on ρ over transformed rewards.
 //! * [`solve::evaluate_policy`] — exact long-run component rates of a fixed
 //!   policy, for reporting every utility of one optimal strategy and for
 //!   Monte Carlo cross-validation.

@@ -1,6 +1,6 @@
 //! Solvers: discounted (value/policy iteration), average-reward (relative
-//! value iteration), ratio objectives (bisection over transformed rewards),
-//! and fixed-policy evaluation.
+//! value iteration), ratio objectives (secant search on ρ over transformed
+//! rewards), and fixed-policy evaluation.
 //!
 //! The production solvers run on the CSR-flattened
 //! [`CompiledMdp`](crate::compiled::CompiledMdp); [`reference`] keeps the

@@ -18,19 +18,37 @@
 //!   (with `avg(N) = avg(D) = 0`) exist, e.g. a strategy that never mines.
 //!
 //! `rho*` — the optimal ratio — is therefore the left edge of the set
-//! `{rho : g(rho) <= eps}`, found by bisection.
+//! `{rho : g(rho) <= eps}`.
+//!
+//! ## The search on rho
+//!
+//! A doubling phase brackets the crossing: `g(lo) > eps >= g(hi)`. A
+//! safeguarded secant search (`next_probe`) then shrinks the bracket until it
+//! is narrower than [`RatioOptions::tolerance`]. Because `g` is convex, a
+//! secant through two probes on the *same* side of the crossing lies below
+//! `g` outside the segment between them, so its root is a lower estimate of
+//! the crossing; once both probes sit on the optimal policy's line the
+//! estimate is exact. Each probe aims a quarter tolerance short of its
+//! estimate, so an exact one lands just above the crossing, and the clamped
+//! step after it closes the bracket. Without a same-side pair the step is
+//! the chord root between `lo` and `hi`, capped at the midpoint (the cap
+//! keeps Table 4's null-policy plateau, where `g(hi) ≈ 0`, from stalling the
+//! chord at `hi`). The midpoint is also the safeguard: it is taken whenever
+//! an estimate is not finite or the last three probes shrank the bracket
+//! less than 4×, so the search never needs more than about twice
+//! bisection's probes, and on the paper's tables it needs about a third of
+//! them.
 //!
 //! ## The compiled fast path
 //!
 //! The model is compiled to CSR form **once**. Scalarization is linear in the
 //! objective, so the per-arm expected rewards of `w_rho` are
-//! `exp_num[a] − rho · exp_den[a]`: each bisection step re-scalarizes *in
-//! place* with one O(arms) vector combine
-//! ([`CompiledMdp::combine_scalarized_into`]) and never re-reads the
-//! per-transition reward buffer. Every inner solve runs [`rvi_kernel`] inside
-//! one persistent set of buffers, warm-starting from the previous step's bias
-//! vector — after setup, the whole bisection performs no heap allocation
-//! except recording a new incumbent policy.
+//! `exp_num[a] − rho · exp_den[a]`: each probe re-scalarizes *in place* with
+//! one O(arms) vector combine ([`CompiledMdp::combine_scalarized_into`]) and
+//! never re-reads the per-transition reward buffer. Every inner solve runs
+//! [`rvi_kernel`] inside one persistent set of buffers, warm-starting from
+//! the previous probe's bias vector — after setup, the whole search performs
+//! no heap allocation except recording a new incumbent policy.
 
 use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
@@ -40,12 +58,13 @@ use crate::solve::rvi::{rvi_kernel, RviOptions};
 /// Options for [`maximize_ratio`].
 #[derive(Debug, Clone)]
 pub struct RatioOptions {
-    /// Bisection stops when the bracketing interval is narrower than this.
-    /// The paper's stated precision is `1e-4`; we default one decade tighter.
+    /// The search on rho stops when the bracketing interval is narrower than
+    /// this. The paper's stated precision is `1e-4`; we default one decade
+    /// tighter.
     pub tolerance: f64,
     /// Inner average-reward solver options. Warm starts are managed
-    /// internally across bisection steps; any user-provided warm start seeds
-    /// only the first step.
+    /// internally across probes; any user-provided warm start seeds only the
+    /// first probe.
     pub rvi: RviOptions,
     /// Initial upper bound for the ratio. Doubled until `g(hi) <= 0` holds,
     /// so this is a hint, not a hard cap.
@@ -69,6 +88,158 @@ pub struct RatioSolution {
     pub policy: Policy,
     /// Number of inner average-reward solves performed.
     pub inner_solves: usize,
+    /// Relative value iterations summed over all inner solves.
+    pub inner_iterations: usize,
+}
+
+/// The gain level whose crossing the search locates. The inner gain must be
+/// resolved finer than the outer tolerance times the denominator scale; one
+/// decade finer works for the unit-rate denominators used throughout this
+/// project.
+pub(crate) fn crossing_level(opts: &RatioOptions) -> f64 {
+    opts.tolerance * 0.1
+}
+
+/// Up to two probes `(rho, g(rho))` on one side of the crossing, most recent
+/// first.
+#[derive(Debug, Clone, Copy, Default)]
+struct Side {
+    probes: [(f64, f64); 2],
+    len: usize,
+}
+
+impl Side {
+    fn push(&mut self, probe: (f64, f64)) {
+        self.probes[1] = self.probes[0];
+        self.probes[0] = probe;
+        self.len = (self.len + 1).min(2);
+    }
+
+    /// The root of the secant through this side's two probes, if it has two.
+    fn secant_root(&self, level: f64) -> Option<f64> {
+        (self.len == 2).then(|| line_root(self.probes[1], self.probes[0], level))
+    }
+}
+
+/// Where the line through `a` and `b` reaches gain `level` (not finite when
+/// the line is flat).
+fn line_root((r1, g1): (f64, f64), (r2, g2): (f64, f64), level: f64) -> f64 {
+    r2 + (level - g2) * (r2 - r1) / (g2 - g1)
+}
+
+/// The search state on rho: the last two probes on each side of the crossing
+/// of `g = eps`, and the bracket widths after the last three probes. All of
+/// it lives in fixed-size arrays, so recording a probe never allocates.
+///
+/// Because every probe lies strictly inside the bracket, the most recent
+/// probe above the crossing is the lower bracket end and the most recent one
+/// below it is the upper end.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Bracket {
+    eps: f64,
+    /// Probes with `g > eps`.
+    above: Side,
+    /// Probes with `g <= eps`.
+    below: Side,
+    /// Bracket widths, current first, back to the width three probes ago.
+    widths: [f64; 4],
+    /// How many entries of `widths` are filled.
+    n_widths: usize,
+}
+
+impl Bracket {
+    pub(crate) fn new(eps: f64) -> Self {
+        Bracket { eps, ..Bracket::default() }
+    }
+
+    /// Records `g(rho) = gain`; returns whether the probe lies above the
+    /// crossing (and so became the lower bracket end).
+    pub(crate) fn record(&mut self, rho: f64, gain: f64) -> bool {
+        let above = gain > self.eps;
+        if above {
+            self.above.push((rho, gain));
+        } else {
+            self.below.push((rho, gain));
+        }
+        if self.above.len > 0 && self.below.len > 0 {
+            self.widths.copy_within(0..3, 1);
+            self.widths[0] = self.hi() - self.lo();
+            self.n_widths = (self.n_widths + 1).min(4);
+        }
+        above
+    }
+
+    /// The lower bracket end (`g > eps`); meaningful once a probe above the
+    /// crossing is recorded.
+    pub(crate) fn lo(&self) -> f64 {
+        self.above.probes[0].0
+    }
+
+    /// The upper bracket end (`g <= eps`); meaningful once a probe below the
+    /// crossing is recorded.
+    pub(crate) fn hi(&self) -> f64 {
+        self.below.probes[0].0
+    }
+}
+
+/// The next rho to probe, a pure function of the bracket. Requires a
+/// bracket (a probe on each side) wider than `tolerance`; the result lies in
+/// `[lo + tolerance / 2, hi - tolerance / 2]`.
+///
+/// The estimate is the larger same-side secant root inside the bracket, or
+/// else the chord root between the bracket ends capped at the midpoint; the
+/// probe aims a quarter tolerance short of it. The midpoint replaces the
+/// probe when the estimate is not finite or when the last three probes
+/// shrank the bracket less than 4×.
+pub(crate) fn next_probe(b: &Bracket, tolerance: f64) -> f64 {
+    let (lo, hi) = (b.lo(), b.hi());
+    let mid = 0.5 * (lo + hi);
+    if b.n_widths == 4 && b.widths[3] < 4.0 * b.widths[0] {
+        return mid;
+    }
+    let estimate = [b.above.secant_root(b.eps), b.below.secant_root(b.eps)]
+        .into_iter()
+        .flatten()
+        .filter(|&r| lo <= r && r <= hi)
+        .reduce(f64::max)
+        .unwrap_or_else(|| line_root(b.above.probes[0], b.below.probes[0], b.eps).min(mid));
+    if !estimate.is_finite() {
+        return mid;
+    }
+    // Aim a quarter tolerance short of the estimate. An exact estimate then
+    // lands clearly above the crossing instead of on it, where last-bit
+    // differences in the gain would pick the side, and the clamped step after
+    // it closes the bracket.
+    (estimate - 0.25 * tolerance).max(lo + 0.5 * tolerance).min(hi - 0.5 * tolerance)
+}
+
+/// Locates the crossing of `g = eps`, calling `probe(rho)` for each `g(rho)`:
+/// `g(0)`, then doubling `hi` from [`RatioOptions::initial_hi`] until
+/// `g(hi) <= eps`, then [`next_probe`] until the bracket is narrower than the
+/// tolerance. Returns `None` when `g(0) <= eps` (the ratio is zero), else the
+/// final bracket's midpoint. A probe with `g > eps` became the lower bracket
+/// end, whose policy the caller keeps.
+pub(crate) fn search_crossing(
+    opts: &RatioOptions,
+    mut probe: impl FnMut(f64) -> Result<f64, MdpError>,
+) -> Result<Option<f64>, MdpError> {
+    let mut bracket = Bracket::new(crossing_level(opts));
+    if !bracket.record(0.0, probe(0.0)?) {
+        // Even at rho = 0 the best achievable N-rate is ~0: the ratio is 0.
+        return Ok(None);
+    }
+    let mut hi = opts.initial_hi.max(opts.tolerance);
+    while bracket.record(hi, probe(hi)?) {
+        hi *= 2.0;
+        if hi >= 1e12 {
+            return Err(MdpError::UnboundedRatio { reached: hi });
+        }
+    }
+    while bracket.hi() - bracket.lo() > opts.tolerance {
+        let rho = next_probe(&bracket, opts.tolerance);
+        bracket.record(rho, probe(rho)?);
+    }
+    Ok(Some(0.5 * (bracket.lo() + bracket.hi())))
 }
 
 /// Maximizes `E[N]/E[D]` where `N` and `D` are linear functionals of the
@@ -98,10 +269,7 @@ pub fn maximize_ratio_compiled(
     denominator: &Objective,
     opts: &RatioOptions,
 ) -> Result<RatioSolution, MdpError> {
-    // The inner gain must be resolved finer than the bisection step times the
-    // denominator scale; one decade finer than the outer tolerance works for
-    // the unit-rate denominators used throughout this project.
-    let eps = opts.tolerance * 0.1;
+    let eps = crossing_level(opts);
     let n = compiled.num_states();
 
     // Scalarize both functionals once; every rho after this is a vector
@@ -114,9 +282,9 @@ pub fn maximize_ratio_compiled(
     compiled.scalarize_into_threaded(denominator, &mut exp_den, solve_threads);
     let mut exp_w = vec![0.0f64; compiled.num_arms()];
 
-    // Persistent solver state. `h` carries the bias across bisection steps
-    // (warm start); nearby rho values have nearby bias vectors, so each
-    // inner solve converges in a fraction of a cold start's iterations.
+    // Persistent solver state. `h` carries the bias across probes (warm
+    // start); nearby rho values have nearby bias vectors, so each inner
+    // solve converges in a fraction of a cold start's iterations.
     let mut h: Vec<f64> = match &opts.rvi.warm_start {
         Some(w) => {
             if w.len() != n {
@@ -128,63 +296,34 @@ pub fn maximize_ratio_compiled(
     };
     let mut h_next = vec![0.0f64; n];
     let mut policy = Policy::zeros(n);
+    let mut lo_policy = Policy::zeros(n);
     let inner_opts = RviOptions { warm_start: None, ..opts.rvi.clone() };
     let mut inner_solves = 0usize;
+    let mut inner_iterations = 0usize;
 
-    let mut solve_at = |rho: f64,
-                        exp_w: &mut Vec<f64>,
-                        h: &mut Vec<f64>,
-                        h_next: &mut Vec<f64>,
-                        policy: &mut Policy|
-     -> Result<f64, MdpError> {
+    let found = search_crossing(opts, |rho| {
         CompiledMdp::combine_scalarized_into_threaded(
             &exp_num,
             &exp_den,
             rho,
-            exp_w,
+            &mut exp_w,
             solve_threads,
         );
-        let (gain, _iters) = rvi_kernel(compiled, exp_w, h, h_next, policy, &inner_opts)?;
+        let (gain, iters) =
+            rvi_kernel(compiled, &exp_w, &mut h, &mut h_next, &mut policy, &inner_opts)?;
         inner_solves += 1;
-        Ok(gain)
-    };
-
-    // Establish the bracket [lo, hi] with g(lo) > eps (if any) and
-    // g(hi) <= eps.
-    let mut lo = 0.0f64;
-    let gain0 = solve_at(0.0, &mut exp_w, &mut h, &mut h_next, &mut policy)?;
-    if gain0 <= eps {
-        // Even at rho = 0 the best achievable N-rate is ~0: the ratio is 0.
-        return Ok(RatioSolution { value: 0.0, policy, inner_solves });
-    }
-    let mut lo_policy = policy.clone();
-
-    let mut hi = opts.initial_hi.max(opts.tolerance);
-    loop {
-        let gain = solve_at(hi, &mut exp_w, &mut h, &mut h_next, &mut policy)?;
-        if gain <= eps {
-            break;
-        }
-        lo = hi;
-        lo_policy.clone_from(&policy);
-        hi *= 2.0;
-        if hi >= 1e12 {
-            return Err(MdpError::UnboundedRatio { reached: hi });
-        }
-    }
-
-    while hi - lo > opts.tolerance {
-        let mid = 0.5 * (lo + hi);
-        let gain = solve_at(mid, &mut exp_w, &mut h, &mut h_next, &mut policy)?;
+        inner_iterations += iters;
         if gain > eps {
-            lo = mid;
             lo_policy.clone_from(&policy);
-        } else {
-            hi = mid;
         }
-    }
+        Ok(gain)
+    })?;
 
-    Ok(RatioSolution { value: 0.5 * (lo + hi), policy: lo_policy, inner_solves })
+    let (value, policy) = match found {
+        Some(value) => (value, lo_policy),
+        None => (0.0, policy),
+    };
+    Ok(RatioSolution { value, policy, inner_solves, inner_iterations })
 }
 
 #[cfg(test)]
@@ -208,7 +347,7 @@ mod tests {
     }
 
     /// With a null action (N = D = 0) present, g(rho) plateaus at zero; the
-    /// bisection must still locate the active arm's ratio.
+    /// search must still locate the active arm's ratio.
     #[test]
     fn null_policy_plateau_is_handled() {
         let mut m = Mdp::new(2);
@@ -233,6 +372,7 @@ mod tests {
         let sol = maximize_ratio(&m, &n, &d, &RatioOptions::default()).unwrap();
         assert_eq!(sol.value, 0.0);
         assert_eq!(sol.inner_solves, 1);
+        assert!(sol.inner_iterations >= 1);
     }
 
     /// Ratio larger than the default initial bracket: the doubling phase
@@ -277,9 +417,9 @@ mod tests {
     }
 
     /// The budget threads through `RatioOptions::rvi` into every inner
-    /// solve, so a raised cancel flag aborts the whole bisection.
+    /// solve, so a raised cancel flag aborts the whole search.
     #[test]
-    fn cancel_flag_aborts_bisection() {
+    fn cancel_flag_aborts_ratio_search() {
         use crate::budget::SolveBudget;
         use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
@@ -314,5 +454,167 @@ mod tests {
             assert!((fast.value - front.value).abs() < 1e-12);
             assert_eq!(fast.policy, front.policy);
         }
+    }
+
+    // -----------------------------------------------------------------
+    // The probe rule on synthetic gain curves, with bisection as oracle.
+    // -----------------------------------------------------------------
+
+    /// Deterministic noise in `[-amp, amp]` keyed by `rho`, standing in for
+    /// the inner solver's gain error.
+    fn noise(rho: f64, amp: f64) -> f64 {
+        let mut x = rho.to_bits() ^ 0x9e37_79b9_7f4a_7c15;
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^= x >> 31;
+        amp * (2.0 * (x >> 11) as f64 / (1u64 << 53) as f64 - 1.0)
+    }
+
+    /// The convex piecewise-linear `max` of lines `(intercept, slope)`.
+    fn hull(lines: &[(f64, f64)], rho: f64) -> f64 {
+        lines.iter().map(|&(a, b)| a - b * rho).fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// Plain bisection from the same bracket: the oracle's probe count.
+    fn bisection_probes(g: &dyn Fn(f64) -> f64, opts: &RatioOptions) -> usize {
+        let eps = crossing_level(opts);
+        let (mut lo, mut hi, mut probes) = (0.0, opts.initial_hi, 2);
+        assert!(g(lo) > eps);
+        while g(hi) > eps {
+            lo = hi;
+            hi *= 2.0;
+            probes += 1;
+        }
+        while hi - lo > opts.tolerance {
+            let mid = 0.5 * (lo + hi);
+            if g(mid) > eps {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+            probes += 1;
+        }
+        probes
+    }
+
+    /// Drives [`next_probe`] over `g` by hand, checking before every probe
+    /// that the bracket invariant holds and the probe lies strictly inside
+    /// it; then checks termination, the probe-count bound against
+    /// bisection, and that [`search_crossing`] takes the same path. Returns
+    /// the value and the probe count.
+    fn check_search(g: &dyn Fn(f64) -> f64) -> (f64, usize) {
+        let opts = RatioOptions::default();
+        let (eps, tol) = (crossing_level(&opts), opts.tolerance);
+        let mut b = Bracket::new(eps);
+        assert!(b.record(0.0, g(0.0)));
+        let mut probes = 1;
+        let mut hi = opts.initial_hi;
+        while b.record(hi, g(hi)) {
+            hi *= 2.0;
+            probes += 1;
+        }
+        probes += 1;
+        while b.hi() - b.lo() > tol {
+            assert!(g(b.lo()) > eps && g(b.hi()) <= eps, "bracket [{}, {}]", b.lo(), b.hi());
+            let rho = next_probe(&b, tol);
+            assert!(
+                b.lo() + 0.5 * tol <= rho && rho <= b.hi() - 0.5 * tol,
+                "probe {rho} outside [{}, {}]",
+                b.lo(),
+                b.hi()
+            );
+            b.record(rho, g(rho));
+            probes += 1;
+            assert!(probes < 200, "search does not terminate");
+        }
+        assert!(g(b.lo()) > eps && g(b.hi()) <= eps);
+        let bisection = bisection_probes(g, &opts);
+        assert!(probes <= 3 * bisection, "{probes} probes vs bisection's {bisection}");
+
+        let mut calls = 0;
+        let value = search_crossing(&opts, |rho| {
+            calls += 1;
+            Ok(g(rho))
+        })
+        .unwrap()
+        .unwrap();
+        assert_eq!(calls, probes);
+        assert_eq!(value.to_bits(), (0.5 * (b.lo() + b.hi())).to_bits());
+        (value, probes)
+    }
+
+    #[test]
+    fn secant_on_a_single_line_is_exact() {
+        let opts = RatioOptions::default();
+        let root = 0.3 - crossing_level(&opts);
+        let (value, probes) = check_search(&|rho| 0.3 - rho);
+        assert!((value - root).abs() <= 0.5 * opts.tolerance, "value {value}");
+        // g(0) and g(1) bracket; the chord root lies on the line, and a
+        // half-tolerance step past it closes the bracket.
+        assert!(probes <= 4, "{probes} probes");
+    }
+
+    #[test]
+    fn secant_handles_a_kink_next_to_the_root() {
+        // Two lines meet at rho = 0.25 where g = 1e-4; the shallow one
+        // crosses zero just right of the kink, at 0.2502.
+        let lines = [(0.25 * 3.0 + 1e-4, 3.0), (0.25 * 0.5 + 1e-4, 0.5)];
+        let (value, probes) = check_search(&|rho| hull(&lines, rho));
+        let root = 0.2502 - crossing_level(&RatioOptions::default()) / 0.5;
+        assert!((value - root).abs() <= 0.5e-5, "value {value} vs {root}");
+        assert!(probes <= 10, "{probes} probes");
+    }
+
+    #[test]
+    fn secant_handles_a_zero_plateau_right_of_the_root() {
+        // Table 4's shape: a null policy holds g at exactly 0 past rho*.
+        let lines = [(0.0, 0.0), (0.2, 0.5), (0.26, 0.8)];
+        let (value, probes) = check_search(&|rho| hull(&lines, rho));
+        let root = 0.4 - crossing_level(&RatioOptions::default()) / 0.5;
+        assert!((value - root).abs() <= 0.5e-5, "value {value} vs {root}");
+        assert!(probes <= 10, "{probes} probes");
+    }
+
+    #[test]
+    fn secant_tolerates_gain_noise() {
+        let curves: [&[(f64, f64)]; 3] =
+            [&[(0.3, 1.0)], &[(0.0, 0.0), (0.2, 0.5)], &[(0.25 * 3.0 + 1e-4, 3.0), (0.1251, 0.5)]];
+        for lines in curves {
+            let eps = crossing_level(&RatioOptions::default());
+            let (value, _) = check_search(&|rho| hull(lines, rho) + noise(rho, 5e-8));
+            // The noisy crossing is within 5e-8 / slope of the exact one.
+            let slope =
+                lines.iter().map(|l| l.1).filter(|&b| b > 0.0).fold(f64::INFINITY, f64::min);
+            let root = lines
+                .iter()
+                .filter(|l| l.1 > 0.0)
+                .map(|&(a, b)| (a - eps) / b)
+                .fold(f64::NEG_INFINITY, f64::max);
+            assert!((value - root).abs() <= 0.5e-5 + 5e-8 / slope, "value {value} vs {root}");
+        }
+    }
+
+    #[test]
+    fn flat_pair_falls_back_to_the_capped_chord() {
+        let mut b = Bracket::new(1e-6);
+        b.record(0.0, 1.0);
+        b.record(1.0, 0.0);
+        // A flat pair below the crossing has no root; the chord root is
+        // capped at the midpoint, and the probe aims a quarter tolerance
+        // short of it.
+        b.record(0.5, 0.0);
+        assert_eq!(next_probe(&b, 1e-5), 0.25 - 0.25 * 1e-5);
+    }
+
+    #[test]
+    fn slow_shrinking_forces_the_midpoint() {
+        let mut b = Bracket::new(1e-6);
+        b.record(0.0, 1.0);
+        b.record(1.0, -1.0);
+        // Three probes that each shrink the bracket by 1%.
+        for rho in [0.01, 0.02, 0.03] {
+            b.record(rho, 1.0 - rho);
+        }
+        assert_eq!(next_probe(&b, 1e-5), 0.5 * (0.03 + 1.0));
     }
 }

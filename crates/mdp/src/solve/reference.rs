@@ -22,7 +22,7 @@
 use crate::error::MdpError;
 use crate::model::{Mdp, Objective, Policy};
 use crate::solve::eval::{EvalOptions, PolicyEvaluation};
-use crate::solve::ratio::{RatioOptions, RatioSolution};
+use crate::solve::ratio::{crossing_level, search_crossing, RatioOptions, RatioSolution};
 use crate::solve::rvi::{RviOptions, RviSolution};
 use crate::solve::value_iteration::{ViOptions, ViSolution};
 
@@ -220,9 +220,9 @@ pub fn evaluate_policy_nested(
 }
 
 /// Nested-layout ratio maximization (see
-/// [`maximize_ratio`](crate::solve::ratio::maximize_ratio)): every bisection
-/// step rebuilds the transformed objective and re-scalarizes all rewards
-/// inside the inner solver.
+/// [`maximize_ratio`](crate::solve::ratio::maximize_ratio)): the same search
+/// on rho, but every probe rebuilds the transformed objective and
+/// re-scalarizes all rewards inside the inner solver.
 pub fn maximize_ratio_nested(
     mdp: &Mdp,
     numerator: &Objective,
@@ -233,52 +233,29 @@ pub fn maximize_ratio_nested(
     numerator.validate(mdp)?;
     denominator.validate(mdp)?;
 
-    let eps = opts.tolerance * 0.1;
-    let inner_opts = opts.rvi.clone();
+    let eps = crossing_level(opts);
+    let mut inner_opts = opts.rvi.clone();
     let mut inner_solves = 0usize;
-    let mut warm: Option<Vec<f64>> = inner_opts.warm_start.clone();
+    let mut inner_iterations = 0usize;
+    let mut last_policy = Policy::zeros(mdp.num_states());
+    let mut lo_policy = Policy::zeros(mdp.num_states());
 
-    let solve_at = |rho: f64, warm: &mut Option<Vec<f64>>, solves: &mut usize| {
+    let found = search_crossing(opts, |rho| {
         let w = numerator.minus_scaled(denominator, rho);
-        let mut o = inner_opts.clone();
-        o.warm_start = warm.clone();
-        let sol = relative_value_iteration_nested(mdp, &w, &o)?;
-        *warm = Some(sol.bias.clone());
-        *solves += 1;
-        Ok::<_, MdpError>(sol)
-    };
-
-    let mut lo = 0.0f64;
-    let sol0 = solve_at(0.0, &mut warm, &mut inner_solves)?;
-    if sol0.gain <= eps {
-        return Ok(RatioSolution { value: 0.0, policy: sol0.policy, inner_solves });
-    }
-    let mut lo_policy = sol0.policy;
-
-    let mut hi = opts.initial_hi.max(opts.tolerance);
-    loop {
-        let sol = solve_at(hi, &mut warm, &mut inner_solves)?;
-        if sol.gain <= eps {
-            break;
-        }
-        lo = hi;
-        lo_policy = sol.policy;
-        hi *= 2.0;
-        if hi >= 1e12 {
-            return Err(MdpError::UnboundedRatio { reached: hi });
-        }
-    }
-
-    while hi - lo > opts.tolerance {
-        let mid = 0.5 * (lo + hi);
-        let sol = solve_at(mid, &mut warm, &mut inner_solves)?;
+        let sol = relative_value_iteration_nested(mdp, &w, &inner_opts)?;
+        inner_opts.warm_start = Some(sol.bias);
+        inner_solves += 1;
+        inner_iterations += sol.iterations;
         if sol.gain > eps {
-            lo = mid;
-            lo_policy = sol.policy;
-        } else {
-            hi = mid;
+            lo_policy.clone_from(&sol.policy);
         }
-    }
+        last_policy = sol.policy;
+        Ok(sol.gain)
+    })?;
 
-    Ok(RatioSolution { value: 0.5 * (lo + hi), policy: lo_policy, inner_solves })
+    let (value, policy) = match found {
+        Some(value) => (value, lo_policy),
+        None => (0.0, last_policy),
+    };
+    Ok(RatioSolution { value, policy, inner_solves, inner_iterations })
 }

@@ -17,7 +17,7 @@
 //! inner loop walks flat probability/destination arrays. The low-level
 //! [`rvi_kernel`] works entirely in caller-owned buffers — zero heap
 //! allocation per iteration *and* per solve — which is what lets the ratio
-//! solver warm-start dozens of bisection steps in place.
+//! solver warm-start every probe of its search on ρ in place.
 //!
 //! ## Execution modes
 //!

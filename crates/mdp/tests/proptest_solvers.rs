@@ -287,8 +287,9 @@ proptest! {
     }
 
     /// The compiled ratio solver (in-place re-scalarization + warm-started
-    /// kernel) and the nested one (objective rebuilt per bisection step)
-    /// agree on the optimal ratio and the attaining policy.
+    /// kernel) and the nested one (objective rebuilt per probe) take the
+    /// same probes, spend the same inner iterations, and agree on the
+    /// optimal ratio and the attaining policy.
     #[test]
     fn compiled_ratio_matches_nested(model in random_model()) {
         let m = model.build();
@@ -302,7 +303,72 @@ proptest! {
                 prop_assert!((f.value - s.value).abs() < 1e-9,
                     "ratio: compiled {} vs nested {}", f.value, s.value);
                 prop_assert_eq!(f.inner_solves, s.inner_solves);
+                prop_assert_eq!(f.inner_iterations, s.inner_iterations);
                 prop_assert_eq!(&f.policy.choices, &s.policy.choices);
+            }
+            (Err(_), Err(_)) => {}
+            (f, s) => prop_assert!(false, "one path failed: {:?} vs {:?}", f.is_ok(), s.is_ok()),
+        }
+    }
+}
+
+/// Plain bisection on rho over nested RVI solves of `N - rho * D`, warm
+/// started like the production search: the oracle for the secant search.
+/// Returns the value and the number of inner solves.
+fn bisection_oracle(
+    m: &Mdp,
+    num: &Objective,
+    den: &Objective,
+    opts: &RatioOptions,
+) -> Result<(f64, usize), bvc_mdp::MdpError> {
+    let eps = opts.tolerance * 0.1;
+    let mut rvi = opts.rvi.clone();
+    let mut solves = 0;
+    let mut gain_at = |rho: f64| {
+        let sol = relative_value_iteration_nested(m, &num.minus_scaled(den, rho), &rvi)?;
+        rvi.warm_start = Some(sol.bias);
+        solves += 1;
+        Ok::<_, bvc_mdp::MdpError>(sol.gain)
+    };
+    if gain_at(0.0)? <= eps {
+        return Ok((0.0, solves));
+    }
+    let (mut lo, mut hi) = (0.0, opts.initial_hi);
+    while gain_at(hi)? > eps {
+        lo = hi;
+        hi *= 2.0;
+        if hi >= 1e12 {
+            return Err(bvc_mdp::MdpError::UnboundedRatio { reached: hi });
+        }
+    }
+    while hi - lo > opts.tolerance {
+        let mid = 0.5 * (lo + hi);
+        if gain_at(mid)? > eps {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Ok((0.5 * (lo + hi), solves))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The secant search on rho lands within the tolerance of plain
+    /// bisection's answer, with at most three times its inner solves.
+    #[test]
+    fn ratio_search_matches_bisection_oracle(model in random_model()) {
+        let m = model.build();
+        let num = Objective::component(0, 2);
+        let den = Objective::new(vec![0.0, 1.0]);
+        let opts = RatioOptions::default();
+        match (maximize_ratio(&m, &num, &den, &opts), bisection_oracle(&m, &num, &den, &opts)) {
+            (Ok(sol), Ok((value, solves))) => {
+                prop_assert!((sol.value - value).abs() <= opts.tolerance,
+                    "ratio: secant {} vs bisection {}", sol.value, value);
+                prop_assert!(sol.inner_solves <= 3 * solves,
+                    "{} inner solves vs bisection's {}", sol.inner_solves, solves);
             }
             (Err(_), Err(_)) => {}
             (f, s) => prop_assert!(false, "one path failed: {:?} vs {:?}", f.is_ok(), s.is_ok()),

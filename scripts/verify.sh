@@ -41,6 +41,19 @@ cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
     sharded_rvi_bit_identical_across_thread_counts threaded_rvi_matches_reference
 cargo test -q --offline -p bvc-bu --test table2_pins
 
+echo "==> ratio-search gate (secant search vs nested reference and bisection oracle)"
+# The secant search on rho must take the same probes and inner iterations on
+# the compiled and nested paths, and land within the tolerance of plain
+# bisection with at most three times its inner solves.
+cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
+    compiled_ratio_matches_nested ratio_search_matches_bisection_oracle
+
+echo "==> benchmark self-tests (exact counts repeat, decomposition is bit-exact)"
+# The benchmark is its own Cargo workspace, so the workspace test run above
+# does not reach it; its decomposition check requires run_jobs and the
+# layer-by-layer solve to agree bit for bit.
+cargo test -q --release --offline --manifest-path bvcbench/Cargo.toml
+
 if [[ "${1:-}" != "--no-smoke" ]]; then
     echo "==> sweep_timing smoke (Table 2, quick column)"
     cargo run --release --offline -p bvc-bench --bin sweep_timing -- --quick
