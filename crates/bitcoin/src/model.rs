@@ -6,7 +6,7 @@
 //! when the common ancestor of the two chains advances past them (locked)
 //! or when they land strictly off the winning chain (orphaned).
 
-use bvc_mdp::{explore, ActionSpec, Explored, MdpError};
+use bvc_mdp::{explore, ActionOutcomes, Expansion, Explored, MdpError};
 
 use crate::state::{Fork, SmAction, SmState};
 
@@ -71,99 +71,94 @@ impl BitcoinConfig {
     }
 }
 
-fn zero() -> Vec<f64> {
-    vec![0.0; COMPONENTS]
-}
+/// One event's reward vector.
+type Reward = [f64; COMPONENTS];
 
-/// One raw event: successor, probability, reward.
-type Event = (SmState, f64, Vec<f64>);
+/// The empty reward.
+const ZERO: Reward = [0.0; COMPONENTS];
 
-/// The block-discovery events following a *structural* move that left the
-/// system in `(a, h, fork)` with pending per-event rewards `base`.
-fn discovery(cfg: &BitcoinConfig, a: u8, h: u8, fork: Fork, base: &[f64]) -> Vec<Event> {
+/// Writes the block-discovery events following a *structural* move that left
+/// the system in `(a, h, fork)` with pending per-event rewards `base`.
+fn discovery(
+    cfg: &BitcoinConfig,
+    a: u8,
+    h: u8,
+    fork: Fork,
+    base: Reward,
+    arm: &mut ActionOutcomes<'_, SmState>,
+) {
     let al = cfg.alpha;
     match fork {
         Fork::Active => {
             // Network split: γ of honest power mines on the attacker's
             // published branch of length h.
-            let mut events = Vec::with_capacity(3);
             // Attacker extends her private chain.
-            events.push((SmState { a: a + 1, h, fork: Fork::Active }, al, base.to_vec()));
+            arm.outcome(SmState { a: a + 1, h, fork: Fork::Active }, al, &base);
             // Honest miner extends the attacker's published branch: her h
             // published blocks lock, the honest h blocks are orphaned, and
             // the race restarts behind the fresh honest block.
-            let mut r = base.to_vec();
+            let mut r = base;
             r[RA] += f64::from(h);
             r[OOTHERS] += f64::from(h);
             r[DS] += cfg.ds_payout(h);
-            events.push((
+            arm.outcome(
                 SmState { a: a - h, h: 1, fork: Fork::Relevant },
                 cfg.gamma * (1.0 - al),
-                r,
-            ));
+                &r,
+            );
             // Honest miner extends the honest branch.
-            events.push((
+            arm.outcome(
                 SmState { a, h: h + 1, fork: Fork::Relevant },
                 (1.0 - cfg.gamma) * (1.0 - al),
-                base.to_vec(),
-            ));
-            events
+                &base,
+            );
         }
-        _ => vec![
-            (SmState { a: a + 1, h, fork: Fork::Irrelevant }, al, base.to_vec()),
-            (SmState { a, h: h + 1, fork: Fork::Relevant }, 1.0 - al, base.to_vec()),
-        ],
+        _ => {
+            arm.outcome(SmState { a: a + 1, h, fork: Fork::Irrelevant }, al, &base);
+            arm.outcome(SmState { a, h: h + 1, fork: Fork::Relevant }, 1.0 - al, &base);
+        }
     }
 }
 
-/// The available actions in `s` (with truncation forcing resolution at the
-/// cap boundary).
-pub fn available_actions(cfg: &BitcoinConfig, s: &SmState) -> Vec<SmAction> {
-    let mut actions = Vec::with_capacity(4);
-    if s.h >= 1 {
-        actions.push(SmAction::Adopt);
-    }
-    if s.a > s.h {
-        actions.push(SmAction::Override);
-    }
+/// Whether `action` is available in `s` (with truncation forcing resolution
+/// at the cap boundary).
+pub fn is_available(cfg: &BitcoinConfig, s: &SmState, action: SmAction) -> bool {
     let at_cap = s.a >= cfg.cap || s.h >= cfg.cap;
-    if !at_cap {
-        if s.fork == Fork::Relevant && s.a >= s.h && s.h >= 1 {
-            actions.push(SmAction::Match);
-        }
-        actions.push(SmAction::Wait);
+    match action {
+        SmAction::Adopt => s.h >= 1,
+        SmAction::Override => s.a > s.h,
+        SmAction::Match => !at_cap && s.fork == Fork::Relevant && s.a >= s.h && s.h >= 1,
+        SmAction::Wait => !at_cap,
     }
-    debug_assert!(!actions.is_empty(), "no action available in {s}");
-    actions
 }
 
-/// Expands one state into merged action specifications.
-pub fn expand(cfg: &BitcoinConfig, s: &SmState) -> Vec<ActionSpec<SmState>> {
-    available_actions(cfg, s)
-        .into_iter()
-        .map(|action| {
-            let events = match action {
-                SmAction::Adopt => {
-                    // Honest chain locks; the attacker's private blocks die.
-                    let mut base = zero();
-                    base[ROTHERS] += f64::from(s.h);
-                    base[OA] += f64::from(s.a);
-                    discovery(cfg, 0, 0, Fork::Irrelevant, &base)
-                }
-                SmAction::Override => {
-                    // Publish h + 1 blocks: they lock, honest h blocks die.
-                    let mut base = zero();
-                    base[RA] += f64::from(s.h + 1);
-                    base[OOTHERS] += f64::from(s.h);
-                    base[DS] += cfg.ds_payout(s.h);
-                    discovery(cfg, s.a - s.h - 1, 0, Fork::Irrelevant, &base)
-                }
-                SmAction::Match => discovery(cfg, s.a, s.h, Fork::Active, &zero()),
-                SmAction::Wait => discovery(cfg, s.a, s.h, s.fork, &zero()),
-            };
-            ActionSpec { label: action.label(), outcomes: events }
-        })
-        .collect()
+/// Expands one state into its actions, written into `sink`.
+pub fn expand(cfg: &BitcoinConfig, s: &SmState, sink: &mut Expansion<SmState>) {
+    for action in [SmAction::Adopt, SmAction::Override, SmAction::Match, SmAction::Wait] {
+        if !is_available(cfg, s, action) {
+            continue;
+        }
+        let mut arm = sink.action(action.label());
+        match action {
+            SmAction::Adopt => {
+                // Honest chain locks; the attacker's private blocks die.
+                let mut base = ZERO;
+                base[ROTHERS] += f64::from(s.h);
+                base[OA] += f64::from(s.a);
+                discovery(cfg, 0, 0, Fork::Irrelevant, base, &mut arm);
+            }
+            SmAction::Override => {
+                // Publish h + 1 blocks: they lock, honest h blocks die.
+                let mut base = ZERO;
+                base[RA] += f64::from(s.h + 1);
+                base[OOTHERS] += f64::from(s.h);
+                base[DS] += cfg.ds_payout(s.h);
+                discovery(cfg, s.a - s.h - 1, 0, Fork::Irrelevant, base, &mut arm);
+            }
+            SmAction::Match => discovery(cfg, s.a, s.h, Fork::Active, ZERO, &mut arm),
+            SmAction::Wait => discovery(cfg, s.a, s.h, s.fork, ZERO, &mut arm),
+        }
+    }
 }
 
 /// A fully built Bitcoin baseline model.
@@ -176,8 +171,7 @@ impl BitcoinModel {
     /// Builds the reachable state space from the start state.
     pub fn build(cfg: BitcoinConfig) -> Result<Self, MdpError> {
         cfg.validate();
-        let cfg2 = cfg.clone();
-        let explored = explore(COMPONENTS, [SmState::START], move |s| expand(&cfg2, s))?;
+        let explored = explore(COMPONENTS, [SmState::START], |s, sink| expand(&cfg, s, sink))?;
         let model = BitcoinModel { cfg, explored };
         debug_assert!(
             model.audit().passed(),
@@ -222,6 +216,12 @@ impl BitcoinModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bvc_mdp::{expand_one, CollectedAction};
+
+    /// One state's actions as `(label, outcomes)` rows.
+    fn rows(cfg: &BitcoinConfig, s: &SmState) -> Vec<CollectedAction<SmState>> {
+        expand_one(COMPONENTS, s, |s, sink| expand(cfg, s, sink)).unwrap()
+    }
 
     #[test]
     fn builds_and_validates() {
@@ -239,33 +239,33 @@ mod tests {
     fn match_only_when_relevant_and_leading() {
         let cfg = BitcoinConfig::selfish_mining(0.3, 0.5);
         let s = SmState { a: 2, h: 2, fork: Fork::Relevant };
-        assert!(available_actions(&cfg, &s).contains(&SmAction::Match));
+        assert!(is_available(&cfg, &s, SmAction::Match));
         let s = SmState { a: 2, h: 2, fork: Fork::Irrelevant };
-        assert!(!available_actions(&cfg, &s).contains(&SmAction::Match));
+        assert!(!is_available(&cfg, &s, SmAction::Match));
         let s = SmState { a: 1, h: 2, fork: Fork::Relevant };
-        assert!(!available_actions(&cfg, &s).contains(&SmAction::Match));
+        assert!(!is_available(&cfg, &s, SmAction::Match));
     }
 
     #[test]
     fn override_requires_strict_lead() {
         let cfg = BitcoinConfig::selfish_mining(0.3, 0.5);
         let s = SmState { a: 3, h: 2, fork: Fork::Irrelevant };
-        assert!(available_actions(&cfg, &s).contains(&SmAction::Override));
+        assert!(is_available(&cfg, &s, SmAction::Override));
         let s = SmState { a: 2, h: 2, fork: Fork::Irrelevant };
-        assert!(!available_actions(&cfg, &s).contains(&SmAction::Override));
+        assert!(!is_available(&cfg, &s, SmAction::Override));
     }
 
     #[test]
     fn override_rewards_and_ds() {
         let cfg = BitcoinConfig::smds(0.3, 0.5);
         let s = SmState { a: 6, h: 5, fork: Fork::Irrelevant };
-        let specs = expand(&cfg, &s);
-        let ov = specs
+        let actions = rows(&cfg, &s);
+        let (_, ov) = actions
             .iter()
-            .find(|sp| sp.label == SmAction::Override.label())
+            .find(|(label, _)| *label == SmAction::Override.label())
             .expect("override available");
         // Both discovery outcomes carry the override's base reward.
-        for (next, _, r) in &ov.outcomes {
+        for (next, _, r) in ov {
             assert_eq!(r[RA], 6.0, "h+1 attacker blocks lock");
             assert_eq!(r[OOTHERS], 5.0);
             assert_eq!(r[DS], 20.0, "(5 - 3) * 10");
@@ -278,14 +278,12 @@ mod tests {
     fn active_branch_win_grants_published_blocks() {
         let cfg = BitcoinConfig::smds(0.3, 0.5);
         let s = SmState { a: 5, h: 4, fork: Fork::Active };
-        let specs = expand(&cfg, &s);
-        let wait =
-            specs.iter().find(|sp| sp.label == SmAction::Wait.label()).expect("wait available");
-        let win = wait
-            .outcomes
+        let actions = rows(&cfg, &s);
+        let (_, wait) = actions
             .iter()
-            .find(|(n, _, _)| n.h == 1 && n.a == 1)
-            .expect("branch-win outcome");
+            .find(|(label, _)| *label == SmAction::Wait.label())
+            .expect("wait available");
+        let win = wait.iter().find(|(n, _, _)| n.h == 1 && n.a == 1).expect("branch-win outcome");
         assert!((win.1 - 0.5 * 0.7).abs() < 1e-12);
         assert_eq!(win.2[RA], 4.0);
         assert_eq!(win.2[OOTHERS], 4.0);
@@ -296,8 +294,7 @@ mod tests {
     fn cap_forces_resolution() {
         let cfg = BitcoinConfig { cap: 6, ..BitcoinConfig::selfish_mining(0.3, 0.5) };
         let s = SmState { a: 6, h: 2, fork: Fork::Irrelevant };
-        let acts = available_actions(&cfg, &s);
-        assert!(!acts.contains(&SmAction::Wait));
-        assert!(acts.contains(&SmAction::Override));
+        assert!(!is_available(&cfg, &s, SmAction::Wait));
+        assert!(is_available(&cfg, &s, SmAction::Override));
     }
 }

@@ -22,14 +22,41 @@
 //!   (phase 3), which the model collapses straight back to the base state,
 //!   per the paper.
 
-use bvc_mdp::{explore, ActionSpec, Explored, MdpError};
+use bvc_mdp::{explore, Expansion, Explored, MdpError};
 
 use crate::config::{AttackConfig, IncentiveModel, Setting};
-use crate::rewards::{self, COMPONENTS, DS, OA, OOTHERS, RA, ROTHERS};
+use crate::rewards::{COMPONENTS, DS, OA, OOTHERS, RA, ROTHERS};
 use crate::state::{Action, AttackState};
 
-/// One raw event before merging: successor, probability, reward.
-type Event = (AttackState, f64, Vec<f64>);
+/// One event's reward vector.
+type Reward = [f64; COMPONENTS];
+
+/// The empty reward.
+const ZERO: Reward = [0.0; COMPONENTS];
+
+/// One raw event: successor, probability, reward.
+type Event = (AttackState, f64, Reward);
+
+/// The raw events of one action — at most three, one per miner.
+struct Events {
+    len: usize,
+    buf: [Event; 3],
+}
+
+impl Events {
+    fn new() -> Self {
+        Events { len: 0, buf: [(AttackState::BASE, 0.0, ZERO); 3] }
+    }
+
+    fn push(&mut self, (next, reward): (AttackState, Reward), prob: f64) {
+        self.buf[self.len] = (next, prob, reward);
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[Event] {
+        &self.buf[..self.len]
+    }
+}
 
 /// The double-spend payout for orphaning `k` blocks of the losing chain in
 /// one resolution: `(k - threshold) * rds` when `k > threshold`, else zero.
@@ -49,13 +76,13 @@ fn dec_r(r: u16, n: u16) -> u16 {
 }
 
 /// The event of one more block on Chain 1 (mined by Alice iff `alice`).
-fn chain1_grow(cfg: &AttackConfig, s: AttackState, alice: bool) -> (AttackState, Vec<f64>) {
+fn chain1_grow(cfg: &AttackConfig, s: AttackState, alice: bool) -> (AttackState, Reward) {
     let l1 = s.l1 + 1;
     let a1 = s.a1 + u8::from(alice);
     if l1 > s.l2 {
         // Chain 1 outgrows Chain 2: everyone adopts Chain 1. Its blocks are
         // locked; Chain 2's are orphaned.
-        let mut reward = rewards::zero();
+        let mut reward = ZERO;
         reward[RA] = f64::from(a1);
         reward[ROTHERS] = f64::from(l1 - a1);
         reward[OA] = f64::from(s.a2);
@@ -65,12 +92,12 @@ fn chain1_grow(cfg: &AttackConfig, s: AttackState, alice: bool) -> (AttackState,
         // Bob's gate-closure countdown.
         (AttackState::base(dec_r(s.r, u16::from(l1))), reward)
     } else {
-        (AttackState { l1, a1, ..s }, rewards::zero())
+        (AttackState { l1, a1, ..s }, ZERO)
     }
 }
 
 /// The event of one more block on Chain 2 (mined by Alice iff `alice`).
-fn chain2_grow(cfg: &AttackConfig, s: AttackState, alice: bool) -> (AttackState, Vec<f64>) {
+fn chain2_grow(cfg: &AttackConfig, s: AttackState, alice: bool) -> (AttackState, Reward) {
     let l2 = s.l2 + 1;
     let a2 = s.a2 + u8::from(alice);
     // The rejecting miner's acceptance depth governs the resolution: Bob's
@@ -80,7 +107,7 @@ fn chain2_grow(cfg: &AttackConfig, s: AttackState, alice: bool) -> (AttackState,
     if l2 >= resolving_ad {
         // Chain 2 reaches the acceptance depth: the rejecting miner adopts
         // it wholesale and opens their sticky gate.
-        let mut reward = rewards::zero();
+        let mut reward = ZERO;
         reward[RA] = f64::from(a2);
         reward[ROTHERS] = f64::from(l2 - a2);
         reward[OA] = f64::from(s.a1);
@@ -98,14 +125,14 @@ fn chain2_grow(cfg: &AttackConfig, s: AttackState, alice: bool) -> (AttackState,
         };
         (next, reward)
     } else {
-        (AttackState { l2, a2, ..s }, rewards::zero())
+        (AttackState { l2, a2, ..s }, ZERO)
     }
 }
 
 /// The event of one more locked block on the common (unforked) chain.
-fn common_grow(s: AttackState, alice: bool) -> (AttackState, Vec<f64>) {
+fn common_grow(s: AttackState, alice: bool) -> (AttackState, Reward) {
     debug_assert!(!s.forked());
-    let mut reward = rewards::zero();
+    let mut reward = ZERO;
     if alice {
         reward[RA] = 1.0;
     } else {
@@ -116,14 +143,16 @@ fn common_grow(s: AttackState, alice: bool) -> (AttackState, Vec<f64>) {
 
 /// Merges events with the same successor into single transitions with
 /// probability-weighted rewards — the exact "merged row" form of the paper's
-/// Table 1.
-fn merge(events: Vec<Event>) -> Vec<(AttackState, f64, Vec<f64>)> {
-    let mut out: Vec<(AttackState, f64, Vec<f64>)> = Vec::with_capacity(events.len());
-    for (next, p, r) in events {
+/// Table 1. Works in place: the merged rows keep the order of each
+/// successor's first event, and zero-probability events are dropped.
+fn merge(events: &mut Events) {
+    let mut len = 0;
+    for i in 0..events.len {
+        let (next, p, r) = events.buf[i];
         if p == 0.0 {
             continue;
         }
-        if let Some(slot) = out.iter_mut().find(|(n, _, _)| *n == next) {
+        if let Some(slot) = events.buf[..len].iter_mut().find(|(n, _, _)| *n == next) {
             // Weighted average of rewards, conditioned on the merged event.
             let total = slot.1 + p;
             for (acc, x) in slot.2.iter_mut().zip(&r) {
@@ -131,105 +160,71 @@ fn merge(events: Vec<Event>) -> Vec<(AttackState, f64, Vec<f64>)> {
             }
             slot.1 = total;
         } else {
-            out.push((next, p, r));
+            events.buf[len] = (next, p, r);
+            len += 1;
         }
     }
-    out
+    events.len = len;
 }
 
 /// Enumerates the raw events of one action in one state.
-fn action_events(cfg: &AttackConfig, s: AttackState, action: Action) -> Vec<Event> {
+fn action_events(cfg: &AttackConfig, s: AttackState, action: Action) -> Events {
     let (alpha, beta, gamma) = (cfg.alpha, cfg.beta, cfg.gamma);
+    let mut ev = Events::new();
     if !s.forked() {
         // Common chain. OnChain2 means Alice tries to mine the fork block.
         match action {
-            Action::OnChain1 => vec![
-                {
-                    let (n, r) = common_grow(s, true);
-                    (n, alpha, r)
-                },
-                {
-                    let (n, r) = common_grow(s, false);
-                    (n, beta + gamma, r)
-                },
-            ],
-            Action::OnChain2 => {
-                vec![(AttackState { l2: 1, a2: 1, ..s }, alpha, rewards::zero()), {
-                    let (n, r) = common_grow(s, false);
-                    (n, beta + gamma, r)
-                }]
+            Action::OnChain1 => {
+                ev.push(common_grow(s, true), alpha);
+                ev.push(common_grow(s, false), beta + gamma);
             }
-            Action::Wait => vec![{
-                let (n, r) = common_grow(s, false);
-                (n, 1.0, r)
-            }],
+            Action::OnChain2 => {
+                ev.push((AttackState { l2: 1, a2: 1, ..s }, ZERO), alpha);
+                ev.push(common_grow(s, false), beta + gamma);
+            }
+            Action::Wait => ev.push(common_grow(s, false), 1.0),
         }
     } else {
         // Forked. Which compliant miner works on which chain depends on the
         // phase: in phase 1 Bob (β) defends Chain 1 and Carol (γ) extends
         // Chain 2; in phase 2 the roles are swapped.
         let (p_c1, p_c2) = if s.phase2() { (gamma, beta) } else { (beta, gamma) };
-        let others = |s: AttackState| {
-            vec![
-                {
-                    let (n, r) = chain1_grow(cfg, s, false);
-                    (n, p_c1, r)
-                },
-                {
-                    let (n, r) = chain2_grow(cfg, s, false);
-                    (n, p_c2, r)
-                },
-            ]
-        };
         match action {
-            Action::OnChain1 => {
-                let mut ev = vec![{
-                    let (n, r) = chain1_grow(cfg, s, true);
-                    (n, alpha, r)
-                }];
-                ev.extend(others(s));
-                ev
-            }
-            Action::OnChain2 => {
-                let mut ev = vec![{
-                    let (n, r) = chain2_grow(cfg, s, true);
-                    (n, alpha, r)
-                }];
-                ev.extend(others(s));
-                ev
+            Action::OnChain1 | Action::OnChain2 => {
+                let alice = if action == Action::OnChain1 {
+                    chain1_grow(cfg, s, true)
+                } else {
+                    chain2_grow(cfg, s, true)
+                };
+                ev.push(alice, alpha);
+                ev.push(chain1_grow(cfg, s, false), p_c1);
+                ev.push(chain2_grow(cfg, s, false), p_c2);
             }
             Action::Wait => {
                 let total = p_c1 + p_c2;
-                vec![
-                    {
-                        let (n, r) = chain1_grow(cfg, s, false);
-                        (n, p_c1 / total, r)
-                    },
-                    {
-                        let (n, r) = chain2_grow(cfg, s, false);
-                        (n, p_c2 / total, r)
-                    },
-                ]
+                ev.push(chain1_grow(cfg, s, false), p_c1 / total);
+                ev.push(chain2_grow(cfg, s, false), p_c2 / total);
             }
         }
     }
+    ev
 }
 
-/// The available actions in a state under a configuration.
-fn available_actions(cfg: &AttackConfig, _s: AttackState) -> Vec<Action> {
-    let mut actions = vec![Action::OnChain1, Action::OnChain2];
-    if cfg.incentive.allows_wait() {
-        actions.push(Action::Wait);
+/// Expands one state into its actions (merged rows), written into `sink`.
+pub fn expand(cfg: &AttackConfig, s: &AttackState, sink: &mut Expansion<AttackState>) {
+    let actions: &[Action] = if cfg.incentive.allows_wait() {
+        &[Action::OnChain1, Action::OnChain2, Action::Wait]
+    } else {
+        &[Action::OnChain1, Action::OnChain2]
+    };
+    for &action in actions {
+        let mut events = action_events(cfg, *s, action);
+        merge(&mut events);
+        let mut arm = sink.action(action.label());
+        for (next, p, r) in events.as_slice() {
+            arm.outcome(*next, *p, r);
+        }
     }
-    actions
-}
-
-/// Expands one state into its action specifications (merged rows).
-pub fn expand(cfg: &AttackConfig, s: &AttackState) -> Vec<ActionSpec<AttackState>> {
-    available_actions(cfg, *s)
-        .into_iter()
-        .map(|a| ActionSpec { label: a.label(), outcomes: merge(action_events(cfg, *s, a)) })
-        .collect()
 }
 
 /// A fully built attack model: the explored MDP plus its configuration.
@@ -242,8 +237,7 @@ impl AttackModel {
     /// Builds the reachable state space from the base state.
     pub fn build(cfg: AttackConfig) -> Result<Self, MdpError> {
         cfg.validate();
-        let cfg2 = cfg.clone();
-        let explored = explore(COMPONENTS, [AttackState::BASE], move |s| expand(&cfg2, s))?;
+        let explored = explore(COMPONENTS, [AttackState::BASE], |s, sink| expand(&cfg, s, sink))?;
         let model = AttackModel { cfg, explored };
         debug_assert!(
             model.audit().passed(),
@@ -445,6 +439,7 @@ mod tests {
         c.gamma = 0.3;
         let s = AttackState { l1: 0, l2: 1, a1: 0, a2: 1, r: 50 };
         let ev = action_events(&c, s, Action::OnChain1);
+        let ev = ev.as_slice();
         // Events: Alice on C1 (α), Carol on C1 (γ), Bob on C2 (β).
         let c1_other = ev
             .iter()

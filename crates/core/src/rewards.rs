@@ -22,11 +22,6 @@ pub const OOTHERS: usize = 3;
 /// (`ΣR_DS`).
 pub const DS: usize = 4;
 
-/// An empty reward vector.
-pub fn zero() -> Vec<f64> {
-    vec![0.0; COMPONENTS]
-}
-
 /// Numerator of relative revenue `u1` (Eq. 1): `ΣR_A`.
 pub fn u1_numerator() -> Objective {
     Objective::component(RA, COMPONENTS)
@@ -100,11 +95,5 @@ mod tests {
         assert_eq!(all_blocks().scalarize(&r), 15.0);
         assert_eq!(u3_numerator().scalarize(&r), 8.0);
         assert_eq!(u3_denominator().scalarize(&r), 5.0);
-    }
-
-    #[test]
-    fn zero_has_right_arity() {
-        assert_eq!(zero().len(), COMPONENTS);
-        assert!(zero().iter().all(|&x| x == 0.0));
     }
 }

@@ -21,8 +21,8 @@
 //! *exactly* those two entries.
 
 use crate::config::AttackConfig;
-use crate::model::AttackModel;
-use crate::rewards::{RA, ROTHERS};
+use crate::model::{expand, AttackModel};
+use crate::rewards::{COMPONENTS, RA, ROTHERS};
 use crate::state::{Action, AttackState};
 
 /// One outcome of a (state, action) row: successor, probability, and the
@@ -162,19 +162,21 @@ pub fn published_rows(cfg: &AttackConfig, corrected: bool) -> Vec<Row> {
     phase1_states(cfg.ad).into_iter().flat_map(|s| published_rows_for(cfg, s, corrected)).collect()
 }
 
-/// The generator's rows for the same states, extracted from a built model.
-/// States unreachable from the base state are expanded on the fly so the
-/// comparison covers the entire published table.
+/// The generator's rows for the same states, read one state at a time
+/// through the model's expansion function. States unreachable from the base
+/// state are expanded too, so the comparison covers the entire published
+/// table.
 pub fn generator_rows(model: &AttackModel) -> Vec<Row> {
     let cfg = model.config();
-    phase1_states(cfg.ad)
-        .into_iter()
-        .flat_map(|s| {
-            crate::model::expand(cfg, &s).into_iter().map(move |spec| Row {
+    let mut rows = Vec::new();
+    for s in phase1_states(cfg.ad) {
+        let actions = bvc_mdp::expand_one(COMPONENTS, &s, |s, sink| expand(cfg, s, sink))
+            .expect("the generator writes full reward vectors");
+        rows.extend(actions.into_iter().map(|(label, outcomes)| {
+            Row {
                 state: s,
-                action: Action::from_label(spec.label),
-                outcomes: spec
-                    .outcomes
+                action: Action::from_label(label),
+                outcomes: outcomes
                     .into_iter()
                     .map(|(next, prob, reward)| Outcome {
                         next,
@@ -183,9 +185,10 @@ pub fn generator_rows(model: &AttackModel) -> Vec<Row> {
                         rothers: reward[ROTHERS],
                     })
                     .collect(),
-            })
-        })
-        .collect()
+            }
+        }));
+    }
+    rows
 }
 
 /// The entries where two row sets differ beyond `tol`, as

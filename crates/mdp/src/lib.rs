@@ -10,7 +10,9 @@
 //!   locked blocks, orphan counts and double-spend payouts as separate
 //!   components, combined only at solve time by an [`Objective`].
 //! * [`indexer::explore`] — breadth-first construction of a model from a
-//!   typed domain-state expansion function, with state interning.
+//!   typed domain-state expansion function, with state interning. The
+//!   expansion writes each state's actions into a reused [`Expansion`] sink,
+//!   so building a model allocates only the model.
 //! * [`solve::relative_value_iteration`] — undiscounted average-reward
 //!   solving (the paper's "undiscounted average reward MDP").
 //! * [`solve::maximize_ratio`] — maximizes `E[N]/E[D]` objectives such as
@@ -58,7 +60,9 @@ pub use audit::{
 pub use budget::SolveBudget;
 pub use compiled::CompiledMdp;
 pub use error::MdpError;
-pub use indexer::{explore, ActionSpec, Explored, StateIndexer};
+pub use indexer::{
+    expand_one, explore, ActionOutcomes, CollectedAction, Expansion, Explored, StateIndexer,
+};
 pub use model::{ActionArm, ActionId, Mdp, Objective, Policy, StateId, Transition};
 pub use policy_table::{PolicyTable, PolicyTableError};
 pub use shard::DEFAULT_SHARD_MIN_STATES;

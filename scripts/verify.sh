@@ -48,6 +48,13 @@ echo "==> ratio-search gate (secant search vs nested reference and bisection ora
 cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
     compiled_ratio_matches_nested ratio_search_matches_bisection_oracle
 
+echo "==> model-build gate (pinned model fingerprints + Table 1 generator rows)"
+# Every BU and Bitcoin model of the pinned grids must hash to the recorded
+# fingerprint (same states, ids, transitions and reward bits), and the BU
+# generator must still reproduce the corrected Table 1 row by row.
+cargo test -q --offline -p bvc-bu -p bvc-bitcoin --test model_fingerprint
+cargo test -q --offline -p bvc-bu --lib table1
+
 echo "==> benchmark self-tests (exact counts repeat, decomposition is bit-exact)"
 # The benchmark is its own Cargo workspace, so the workspace test run above
 # does not reach it; its decomposition check requires run_jobs and the
