@@ -24,6 +24,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use bvc_journal::fnv1a64;
+
 #[cfg(not(target_has_atomic = "64"))]
 compile_error!("serve_load needs 64-bit atomics");
 
@@ -75,20 +77,10 @@ struct Flags {
     json: bool,
 }
 
-/// FNV-1a, used to derive a deterministic hot/cold request mix without an
-/// RNG (the same hash family the serve cache keys with).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The request path for the `n`-th request of client `client`: hot
 /// requests repeat one small Table 2 cell; cold requests walk distinct
-/// alphas of the same shape so every one is a new fingerprint.
+/// alphas of the same shape so every one is a new fingerprint. The mix is
+/// drawn from an FNV-1a hash of `client/n`, so it needs no RNG.
 fn request_path(client: usize, n: usize, hot_frac: f64) -> String {
     let h = fnv1a64(format!("{client}/{n}").as_bytes());
     let draw = (h % 10_000) as f64 / 10_000.0;

@@ -36,7 +36,6 @@
 use bvc_bench::timing::time_runs_cold;
 use bvc_bu::{rewards, AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions};
 use bvc_mdp::solve::reference::maximize_ratio_nested;
-use bvc_mdp::solve::{RatioOptions, RviOptions};
 use bvc_repro::parallel_map;
 use bvc_repro::sweep::{json_escape, run_sweep, SweepOptions};
 
@@ -98,17 +97,6 @@ fn build(cell: &SweepCell) -> AttackModel {
     })
 }
 
-/// The ratio-solver options `SolveOptions::default()` maps to, duplicated
-/// here so the nested baseline searches with identical numerics.
-fn ratio_opts() -> RatioOptions {
-    let defaults = SolveOptions::default();
-    RatioOptions {
-        tolerance: defaults.ratio_tolerance,
-        rvi: RviOptions { tolerance: defaults.gain_tolerance, ..Default::default() },
-        initial_hi: 1.0,
-    }
-}
-
 fn main() {
     let (mut sweep_opts, args) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
     sweep_opts.config_token = SolveOptions::default().fingerprint_token();
@@ -147,7 +135,8 @@ fn main() {
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
     );
 
-    let opts = ratio_opts();
+    // The nested baseline searches with the same numerics as the compiled path.
+    let opts = SolveOptions::default().ratio_options();
     let (num, den) = (rewards::u1_numerator(), rewards::u1_denominator());
 
     // The timed closures keep their last run's values so the two paths can
@@ -186,9 +175,7 @@ fn main() {
                 };
                 format!("s{tag} b:g={}:{} a={}%", c.ratio.0, c.ratio.1, c.alpha * 100.0)
             },
-            |&i, ctx| {
-                Ok(models[i].optimal_relative_revenue(&ctx.solve_options::<SolveOptions>())?.value)
-            },
+            |&i, ctx| Ok(models[i].optimal_relative_revenue(&ctx.solve_options())?.value),
         ));
     });
     let report = last_report.unwrap_or_else(|| {

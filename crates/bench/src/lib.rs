@@ -1,36 +1,10 @@
-//! # bvc-bench — Criterion benchmarks
+//! # bvc-bench — timing harness and benchmark binaries
 //!
-//! One benchmark group per reproduced table/figure plus substrate
-//! micro-benchmarks; see `benches/`. The library itself only hosts shared
-//! helpers.
+//! The library hosts the std-only [`timing`] harness the binaries in
+//! `src/bin/` (`sweep_timing`, `serve_load`, `scenario_scaling`,
+//! `games_scaling`, ...) measure with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod timing;
-
-use bvc_bu::{AttackConfig, AttackModel, IncentiveModel, Setting};
-
-/// Builds a small standard attack model used across benches (setting 1,
-/// α = 20%, β:γ = 1:1).
-pub fn standard_model(incentive: IncentiveModel) -> AttackModel {
-    AttackModel::build(AttackConfig::with_ratio(0.2, (1, 1), Setting::One, incentive))
-        .unwrap_or_else(|e| panic!("standard bench model failed to build: {e}"))
-}
-
-/// Builds the setting-2 variant (sticky gate enabled, 144-block countdown).
-pub fn setting2_model(incentive: IncentiveModel) -> AttackModel {
-    AttackModel::build(AttackConfig::with_ratio(0.2, (1, 1), Setting::Two, incentive))
-        .unwrap_or_else(|e| panic!("setting-2 bench model failed to build: {e}"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn helpers_build() {
-        assert!(standard_model(IncentiveModel::CompliantProfitDriven).num_states() > 10);
-        assert!(setting2_model(IncentiveModel::CompliantProfitDriven).num_states() > 1000);
-    }
-}

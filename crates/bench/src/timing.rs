@@ -1,10 +1,9 @@
 //! A minimal `std::time::Instant` micro-timing harness.
 //!
-//! Criterion is an optional, feature-gated dependency of this crate (the
-//! offline registry cannot resolve the real one), so before/after numbers
-//! for the solver work must come from std alone. This module provides the
-//! small amount of structure repeated wall-clock measurement needs: N
-//! repetitions, min/median/mean, and a one-line human-readable summary.
+//! Before/after numbers for the solver work come from std alone. This
+//! module provides the small amount of structure repeated wall-clock
+//! measurement needs: N repetitions, min/median/mean, and a one-line
+//! human-readable summary.
 //!
 //! Minimum-of-N is the headline statistic: for a CPU-bound workload the
 //! minimum is the run least disturbed by scheduling noise, and it is the

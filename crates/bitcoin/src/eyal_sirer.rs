@@ -140,8 +140,7 @@ mod tests {
     fn optimal_dominates_sm1() {
         let model = BitcoinModel::build(BitcoinConfig::selfish_mining(0.35, 0.0)).unwrap();
         let sm1 = sm1_relative_revenue(&model).unwrap();
-        let opt =
-            model.optimal_relative_revenue(&crate::solve::SolveOptions::default()).unwrap().value;
+        let opt = model.optimal_relative_revenue(&crate::SolveOptions::default()).unwrap().value;
         assert!(opt >= sm1 - 1e-5, "optimal {opt} < SM1 {sm1}");
         // And strictly dominates at this parameter point.
         assert!(opt > sm1 + 1e-4, "optimal {opt} should strictly beat SM1 {sm1}");

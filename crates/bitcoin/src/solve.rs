@@ -1,91 +1,13 @@
 //! High-level solving API for the Bitcoin baselines.
 
 use bvc_mdp::solve::{
-    evaluate_policy, maximize_ratio, relative_value_iteration, EvalOptions, RatioOptions,
-    RviOptions,
+    evaluate_policy, maximize_ratio, relative_value_iteration, EvalOptions, OptimalStrategy,
+    SolveOptions,
 };
-use bvc_mdp::{MdpError, Objective, Policy, SolveBudget};
+use bvc_mdp::{MdpError, Objective, Policy};
 
 use crate::model::{BitcoinModel, COMPONENTS, DS, RA, ROTHERS};
 use crate::state::SmAction;
-
-/// Numeric precision options (mirrors `bvc_bu::SolveOptions`).
-#[derive(Debug, Clone)]
-pub struct SolveOptions {
-    /// Outer tolerance for the relative-revenue ratio objective.
-    pub ratio_tolerance: f64,
-    /// Average-reward tolerance (also used for absolute revenue).
-    pub gain_tolerance: f64,
-    /// Iteration budget of the inner RVI solver (escalated on retry by
-    /// sweep runners).
-    pub max_iterations: usize,
-    /// Aperiodicity mixing weight of the inner RVI solver, in `[0, 1)`.
-    pub aperiodicity_tau: f64,
-    /// Wall-clock deadline / cooperative cancellation for inner solvers.
-    pub budget: SolveBudget,
-    /// When set, run the static precondition audit ([`bvc_mdp::audit`])
-    /// before solving; a model failing any check makes the solve return
-    /// [`MdpError::AuditFailed`]. Off by default.
-    pub audit: bool,
-    /// Worker threads inside each Bellman sweep; `0`/`1` mean
-    /// single-threaded. Bit-identical for every value, so excluded from
-    /// [`SolveOptions::fingerprint_token`].
-    pub solve_threads: usize,
-    /// Minimum states per intra-solve shard (see
-    /// [`bvc_mdp::DEFAULT_SHARD_MIN_STATES`]). Excluded from the token.
-    pub shard_min_states: usize,
-}
-
-impl Default for SolveOptions {
-    fn default() -> Self {
-        let rvi = RviOptions::default();
-        SolveOptions {
-            ratio_tolerance: 1e-5,
-            gain_tolerance: 1e-7,
-            max_iterations: rvi.max_iterations,
-            aperiodicity_tau: rvi.aperiodicity_tau,
-            budget: SolveBudget::unlimited(),
-            audit: false,
-            solve_threads: 1,
-            shard_min_states: bvc_mdp::DEFAULT_SHARD_MIN_STATES,
-        }
-    }
-}
-
-impl SolveOptions {
-    fn rvi_opts(&self) -> RviOptions {
-        RviOptions {
-            tolerance: self.gain_tolerance,
-            max_iterations: self.max_iterations,
-            aperiodicity_tau: self.aperiodicity_tau,
-            budget: self.budget.clone(),
-            solve_threads: self.solve_threads,
-            shard_min_states: self.shard_min_states,
-            ..Default::default()
-        }
-    }
-
-    /// Stable token over the result-affecting numeric knobs; see
-    /// `bvc_bu::SolveOptions::fingerprint_token`.
-    pub fn fingerprint_token(&self) -> String {
-        format!(
-            "rt={:016x};gt={:016x};mi={};tau={:016x}",
-            self.ratio_tolerance.to_bits(),
-            self.gain_tolerance.to_bits(),
-            self.max_iterations,
-            self.aperiodicity_tau.to_bits(),
-        )
-    }
-}
-
-/// An optimal-value result.
-#[derive(Debug, Clone)]
-pub struct OptimalStrategy {
-    /// The optimal utility value.
-    pub value: f64,
-    /// A policy attaining it.
-    pub policy: Policy,
-}
 
 fn u1_numerator() -> Objective {
     Objective::component(RA, COMPONENTS)
@@ -106,31 +28,15 @@ fn u2_objective() -> Objective {
 }
 
 impl BitcoinModel {
-    /// The opt-in pre-solve audit gate: a no-op unless `opts.audit` is set.
-    fn audit_gate(&self, opts: &SolveOptions) -> Result<(), MdpError> {
-        if opts.audit {
-            self.audit().gate()?;
-        }
-        Ok(())
-    }
-
     /// Optimal *relative revenue* (selfish mining): the largest achievable
     /// `ΣR_A / (ΣR_A + ΣR_others)`. Honest mining yields exactly α.
     pub fn optimal_relative_revenue(
         &self,
         opts: &SolveOptions,
     ) -> Result<OptimalStrategy, MdpError> {
-        self.audit_gate(opts)?;
-        let sol = maximize_ratio(
-            self.mdp(),
-            &u1_numerator(),
-            &u1_denominator(),
-            &RatioOptions {
-                tolerance: opts.ratio_tolerance,
-                rvi: opts.rvi_opts(),
-                initial_hi: 1.0,
-            },
-        )?;
+        opts.audit_gate(self.mdp())?;
+        let sol =
+            maximize_ratio(self.mdp(), &u1_numerator(), &u1_denominator(), &opts.ratio_options())?;
         Ok(OptimalStrategy { value: sol.value, policy: sol.policy })
     }
 
@@ -141,8 +47,8 @@ impl BitcoinModel {
         &self,
         opts: &SolveOptions,
     ) -> Result<OptimalStrategy, MdpError> {
-        self.audit_gate(opts)?;
-        let sol = relative_value_iteration(self.mdp(), &u2_objective(), &opts.rvi_opts())?;
+        opts.audit_gate(self.mdp())?;
+        let sol = relative_value_iteration(self.mdp(), &u2_objective(), &opts.rvi_options())?;
         Ok(OptimalStrategy { value: sol.gain, policy: sol.policy })
     }
 

@@ -10,7 +10,7 @@
 use bvc_mdp::MdpError;
 
 use crate::model::{BitcoinConfig, BitcoinModel};
-use crate::solve::SolveOptions;
+use crate::SolveOptions;
 
 /// Options for [`profitability_threshold`].
 #[derive(Debug, Clone)]

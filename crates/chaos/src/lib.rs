@@ -81,13 +81,16 @@ impl SplitMix64 {
     }
 }
 
-/// FNV-1a over the site name; mixed into the plan seed to derive per-site
-/// streams. (Duplicated from `bvc-journal` because this crate sits below
-/// every other crate in the dependency graph.)
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit hash; stable across platforms and releases, which is what
+/// a checkpoint journal (and a cache warmed from one) needs —
+/// `DefaultHasher` makes no such promise. Here it mixes site names into the
+/// plan seed to derive per-site streams; it lives in this crate because
+/// the crate sits below every other one in the dependency graph, and
+/// `bvc-journal` re-exports it for fingerprints.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
-        h ^= b as u64;
+        h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h

@@ -1,6 +1,8 @@
 //! `bvc solve` — solve the BU attack MDP for one parameter cell.
 
-use bvc_bu::{summarize, AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions};
+use bvc_bu::{
+    summarize, AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions, Utility,
+};
 
 use crate::args::{parse_ratio, ArgError, Args};
 
@@ -73,19 +75,11 @@ pub fn run(cmd: &SolveCmd) -> Result<(), String> {
     let model = AttackModel::build(cfg.clone()).map_err(|e| e.to_string())?;
     println!("state space: {} states", model.num_states());
     let opts = SolveOptions { solve_threads: cmd.solve_threads, ..SolveOptions::default() };
-    let (label, sol) = match cfg.incentive {
-        IncentiveModel::CompliantProfitDriven => (
-            "max relative revenue u1",
-            model.optimal_relative_revenue(&opts).map_err(|e| e.to_string())?,
-        ),
-        IncentiveModel::NonCompliantProfitDriven { .. } => (
-            "max absolute revenue u2 (per block)",
-            model.optimal_absolute_revenue(&opts).map_err(|e| e.to_string())?,
-        ),
-        IncentiveModel::NonProfitDriven => (
-            "max orphans per attacker block u3",
-            model.optimal_orphan_rate(&opts).map_err(|e| e.to_string())?,
-        ),
+    let sol = model.optimal(&opts).map_err(|e| e.to_string())?;
+    let label = match cfg.incentive.utility() {
+        Utility::U1 => "max relative revenue u1",
+        Utility::U2 => "max absolute revenue u2 (per block)",
+        Utility::U3 => "max orphans per attacker block u3",
     };
     println!("{label}: {:.4}", sol.value);
 

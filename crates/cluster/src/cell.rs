@@ -13,7 +13,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bvc_mdp::solve::{RatioOptions, RviOptions};
+use bvc_mdp::solve::SolveOptions;
 use bvc_mdp::{MdpError, SolveBudget};
 
 /// Why a cell has no value.
@@ -136,8 +136,8 @@ pub struct CellContext {
     pub iteration_scale: f64,
     /// Additive aperiodicity bump for this attempt (`attempt * tau_step`).
     pub tau_offset: f64,
-    /// Whether the sweep requested a pre-solve model audit;
-    /// [`TunableSolve`] impls whose options carry an audit gate forward it.
+    /// Whether the sweep requested a pre-solve model audit; forwarded into
+    /// [`CellContext::solve_options`].
     pub audit: bool,
     /// Worker threads inside each Bellman sweep (`0`/`1` = single-threaded).
     /// A pure throughput knob: results are bit-identical for every value,
@@ -150,71 +150,25 @@ pub struct CellContext {
 }
 
 impl CellContext {
-    /// Convenience: default options of type `T` with this context's budget
-    /// and escalation applied.
-    pub fn solve_options<T: TunableSolve>(&self) -> T {
-        let mut t = T::default();
-        t.tune(self);
-        t
-    }
-}
-
-/// Solver option types the runner knows how to escalate: apply the budget,
-/// scale the iteration cap, bump the aperiodicity weight.
-pub trait TunableSolve: Default {
-    /// Applies `ctx`'s budget and escalation to these options.
-    fn tune(&mut self, ctx: &CellContext);
-}
-
-fn scale_iterations(base: usize, scale: f64) -> usize {
-    ((base as f64) * scale).min(1e15) as usize
-}
-
-/// Bumped tau, clamped below 1 (0.9 cap leaves the transform meaningful).
-fn bump_tau(base: f64, offset: f64) -> f64 {
-    (base + offset).min(0.9)
-}
-
-impl TunableSolve for RviOptions {
-    fn tune(&mut self, ctx: &CellContext) {
-        self.max_iterations = scale_iterations(self.max_iterations, ctx.iteration_scale);
-        self.aperiodicity_tau = bump_tau(self.aperiodicity_tau, ctx.tau_offset);
-        self.budget = ctx.budget.clone();
-        self.solve_threads = ctx.solve_threads.max(1);
-        if ctx.shard_min_states > 0 {
-            self.shard_min_states = ctx.shard_min_states;
-        }
-    }
-}
-
-impl TunableSolve for RatioOptions {
-    fn tune(&mut self, ctx: &CellContext) {
-        self.rvi.tune(ctx);
-    }
-}
-
-impl TunableSolve for bvc_bu::SolveOptions {
-    fn tune(&mut self, ctx: &CellContext) {
-        self.max_iterations = scale_iterations(self.max_iterations, ctx.iteration_scale);
-        self.aperiodicity_tau = bump_tau(self.aperiodicity_tau, ctx.tau_offset);
-        self.budget = ctx.budget.clone();
-        self.audit = ctx.audit;
-        self.solve_threads = ctx.solve_threads.max(1);
-        if ctx.shard_min_states > 0 {
-            self.shard_min_states = ctx.shard_min_states;
-        }
-    }
-}
-
-impl TunableSolve for bvc_bitcoin::SolveOptions {
-    fn tune(&mut self, ctx: &CellContext) {
-        self.max_iterations = scale_iterations(self.max_iterations, ctx.iteration_scale);
-        self.aperiodicity_tau = bump_tau(self.aperiodicity_tau, ctx.tau_offset);
-        self.budget = ctx.budget.clone();
-        self.audit = ctx.audit;
-        self.solve_threads = ctx.solve_threads.max(1);
-        if ctx.shard_min_states > 0 {
-            self.shard_min_states = ctx.shard_min_states;
+    /// The default [`SolveOptions`] with this attempt's budget and
+    /// escalation applied: the iteration cap scaled by `iteration_scale`,
+    /// the aperiodicity weight bumped by `tau_offset` (clamped at 0.9 so
+    /// the transform stays meaningful), plus the audit flag and thread
+    /// settings. The one escalation rule for every cell kind.
+    pub fn solve_options(&self) -> SolveOptions {
+        let base = SolveOptions::default();
+        SolveOptions {
+            max_iterations: ((base.max_iterations as f64) * self.iteration_scale).min(1e15)
+                as usize,
+            aperiodicity_tau: (base.aperiodicity_tau + self.tau_offset).min(0.9),
+            budget: self.budget.clone(),
+            audit: self.audit,
+            solve_threads: self.solve_threads.max(1),
+            shard_min_states: match self.shard_min_states {
+                0 => base.shard_min_states,
+                n => n,
+            },
+            ..base
         }
     }
 }

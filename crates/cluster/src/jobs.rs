@@ -14,7 +14,7 @@
 //! without the binary.
 
 use bvc_bu::{
-    rewards, AttackConfig, AttackModel, AttackState, IncentiveModel, Setting, SolveOptions,
+    rewards, AttackConfig, AttackModel, AttackState, IncentiveModel, Setting, SolveOptions, Utility,
 };
 use bvc_chain::{BuRizunRule, ByteSize, MinerId};
 use bvc_gamesweep::{solve_frontier_cell, solve_game_cell, FrontierSpec, GameSpec};
@@ -80,18 +80,19 @@ pub const CROSSVAL_STEPS: usize = 400_000;
 /// token).
 pub const STONE_BLOCKS: usize = 20_000;
 
-/// One cross-validation cell: `(alpha, ratio, incentive, which-utility)`.
-pub type CrossvalSpec = (f64, (u32, u32), IncentiveModel, &'static str);
+/// One cross-validation cell: `(alpha, ratio, incentive)`; the incentive
+/// picks the utility checked.
+pub type CrossvalSpec = (f64, (u32, u32), IncentiveModel);
 
 /// The cross-validation cells, in binary order (MC seeds are keyed by the
 /// cell's index in this list).
 pub fn crossval_specs() -> Vec<CrossvalSpec> {
     vec![
-        (0.25, (1, 1), IncentiveModel::CompliantProfitDriven, "u1"),
-        (0.10, (1, 1), IncentiveModel::non_compliant_default(), "u2"),
-        (0.10, (1, 2), IncentiveModel::non_compliant_default(), "u2"),
-        (0.05, (1, 1), IncentiveModel::NonProfitDriven, "u3"),
-        (0.01, (2, 3), IncentiveModel::NonProfitDriven, "u3"),
+        (0.25, (1, 1), IncentiveModel::CompliantProfitDriven),
+        (0.10, (1, 1), IncentiveModel::non_compliant_default()),
+        (0.10, (1, 2), IncentiveModel::non_compliant_default()),
+        (0.05, (1, 1), IncentiveModel::NonProfitDriven),
+        (0.01, (2, 3), IncentiveModel::NonProfitDriven),
     ]
 }
 
@@ -117,12 +118,16 @@ pub fn strategy_specs() -> Vec<StrategySpec> {
     ]
 }
 
-fn setting_of(s: u8) -> Setting {
-    if s == 2 {
-        Setting::Two
-    } else {
-        Setting::One
-    }
+/// The model of a Table 2/3/4 cell: `key` names this configuration and
+/// `solve` builds it.
+fn table_config(
+    alpha: f64,
+    ratio: (u32, u32),
+    setting: u8,
+    incentive: IncentiveModel,
+) -> AttackConfig {
+    let setting = if setting == 2 { Setting::Two } else { Setting::One };
+    AttackConfig::with_ratio(alpha, ratio, setting, incentive)
 }
 
 // ---------------------------------------------------------------------------
@@ -227,22 +232,26 @@ impl JobSpec {
     pub fn key(&self) -> String {
         match self {
             JobSpec::Table2 { alpha, ratio, setting } => {
-                format!("s{setting} b:g={}:{} a={:.0}%", ratio.0, ratio.1, alpha * 100.0)
+                table_config(*alpha, *ratio, *setting, IncentiveModel::CompliantProfitDriven)
+                    .cell_key(*ratio)
             }
             JobSpec::Table3 { alpha, ratio, setting } => {
-                format!("s{setting} b:g={}:{} a={}%", ratio.0, ratio.1, alpha * 100.0)
+                table_config(*alpha, *ratio, *setting, IncentiveModel::non_compliant_default())
+                    .cell_key(*ratio)
             }
             JobSpec::Table3Bitcoin { alpha, gamma } => {
                 format!("smds a={}% tie={}%", alpha * 100.0, gamma * 100.0)
             }
             JobSpec::Table4 { ratio, setting } => {
-                format!("s{setting} b:g={}:{} a=1%", ratio.0, ratio.1)
+                table_config(0.01, *ratio, *setting, IncentiveModel::NonProfitDriven)
+                    .cell_key(*ratio)
             }
             JobSpec::AblationAd { ad } => format!("AD={ad}"),
             JobSpec::AblationGate { gate } => format!("gate={gate}"),
             JobSpec::Crossval { index } => match crossval_specs().get(*index) {
-                Some((alpha, ratio, _, which)) => format!(
-                    "#{index} {which} alpha={}%, beta:gamma={}:{}",
+                Some((alpha, ratio, incentive)) => format!(
+                    "#{index} {} alpha={}%, beta:gamma={}:{}",
+                    incentive.utility().name(),
                     alpha * 100.0,
                     ratio.0,
                     ratio.1
@@ -344,47 +353,24 @@ impl JobSpec {
     /// through.
     pub fn solve(&self, ctx: &CellContext) -> Result<Vec<f64>, MdpError> {
         match self {
-            JobSpec::Table2 { alpha, ratio, setting } => {
-                let cfg = AttackConfig::with_ratio(
-                    *alpha,
-                    *ratio,
-                    setting_of(*setting),
-                    IncentiveModel::CompliantProfitDriven,
-                );
-                let model = AttackModel::build(cfg)?;
-                let sol = model.optimal_relative_revenue(&ctx.solve_options::<SolveOptions>())?;
-                Ok(vec![sol.value])
-            }
-            JobSpec::Table3 { alpha, ratio, setting } => {
-                let cfg = AttackConfig::with_ratio(
-                    *alpha,
-                    *ratio,
-                    setting_of(*setting),
-                    IncentiveModel::non_compliant_default(),
-                );
-                let model = AttackModel::build(cfg)?;
-                let sol = model.optimal_absolute_revenue(&ctx.solve_options::<SolveOptions>())?;
-                Ok(vec![sol.value])
-            }
+            JobSpec::Table2 { alpha, ratio, setting } => solve_table_cell(
+                table_config(*alpha, *ratio, *setting, IncentiveModel::CompliantProfitDriven),
+                ctx,
+            ),
+            JobSpec::Table3 { alpha, ratio, setting } => solve_table_cell(
+                table_config(*alpha, *ratio, *setting, IncentiveModel::non_compliant_default()),
+                ctx,
+            ),
             JobSpec::Table3Bitcoin { alpha, gamma } => {
                 let model = bvc_bitcoin::BitcoinModel::build(bvc_bitcoin::BitcoinConfig::smds(
                     *alpha, *gamma,
                 ))?;
-                let sol = model
-                    .optimal_absolute_revenue(&ctx.solve_options::<bvc_bitcoin::SolveOptions>())?;
-                Ok(vec![sol.value])
+                Ok(vec![model.optimal_absolute_revenue(&ctx.solve_options())?.value])
             }
-            JobSpec::Table4 { ratio, setting } => {
-                let cfg = AttackConfig::with_ratio(
-                    0.01,
-                    *ratio,
-                    setting_of(*setting),
-                    IncentiveModel::NonProfitDriven,
-                );
-                let model = AttackModel::build(cfg)?;
-                let sol = model.optimal_orphan_rate(&ctx.solve_options::<SolveOptions>())?;
-                Ok(vec![sol.value])
-            }
+            JobSpec::Table4 { ratio, setting } => solve_table_cell(
+                table_config(0.01, *ratio, *setting, IncentiveModel::NonProfitDriven),
+                ctx,
+            ),
             JobSpec::AblationAd { ad } => ablation_ad_row(*ad, ctx),
             JobSpec::AblationGate { gate } => ablation_gate_row(*gate, ctx),
             JobSpec::Crossval { index } => {
@@ -406,22 +392,14 @@ impl JobSpec {
                     });
                 };
                 let cfg = AttackConfig::with_ratio(*alpha, *ratio, Setting::One, *incentive);
-                let model = AttackModel::build(cfg)?;
-                let sopts = ctx.solve_options::<SolveOptions>();
-                let sol = match incentive {
-                    IncentiveModel::CompliantProfitDriven => model.optimal_relative_revenue(&sopts),
-                    IncentiveModel::NonCompliantProfitDriven { .. } => {
-                        model.optimal_absolute_revenue(&sopts)
-                    }
-                    IncentiveModel::NonProfitDriven => model.optimal_orphan_rate(&sopts),
-                }?;
+                let sol = AttackModel::build(cfg)?.optimal(&ctx.solve_options())?;
                 let mut packed = Vec::with_capacity(1 + sol.policy.choices.len());
                 packed.push(sol.value);
                 packed.extend(sol.policy.choices.iter().map(|&c| c as f64));
                 Ok(packed)
             }
             JobSpec::StoneSim { scenario } => Ok(stone_simulate(*scenario)),
-            JobSpec::Scenario { spec } => run_scenario(spec, &ctx.solve_options::<SolveOptions>()),
+            JobSpec::Scenario { spec } => run_scenario(spec, &ctx.solve_options()),
             JobSpec::ScenarioCrossval { index } => {
                 let cells = bvc_scenario::crossval_cells();
                 let Some(cell) = cells.get(*index) else {
@@ -430,7 +408,7 @@ impl JobSpec {
                         value: *index as f64,
                     });
                 };
-                run_scenario(cell, &ctx.solve_options::<SolveOptions>())
+                run_scenario(cell, &ctx.solve_options())
             }
             JobSpec::Game { spec } => solve_game_cell(spec)
                 .map_err(|detail| MdpError::AuditFailed { check: "game cell spec", detail }),
@@ -443,6 +421,11 @@ impl JobSpec {
 // ---------------------------------------------------------------------------
 // The heavier cell bodies (ported verbatim from the table binaries)
 // ---------------------------------------------------------------------------
+
+/// A Table 2/3/4 cell: the optimum of the utility its incentive maximizes.
+fn solve_table_cell(cfg: AttackConfig, ctx: &CellContext) -> Result<Vec<f64>, MdpError> {
+    Ok(vec![AttackModel::build(cfg)?.optimal(&ctx.solve_options())?.value])
+}
 
 fn ablation_config(
     ad: u8,
@@ -461,7 +444,7 @@ fn ablation_config(
 /// `[u2, u3, u1, orphan_rate, deep_fork, gate_time]`, where a model whose
 /// optimal policy never opens the gate stores `NaN` for `gate_time`.
 fn ablation_ad_row(ad: u8, ctx: &CellContext) -> Result<Vec<f64>, MdpError> {
-    let opts = ctx.solve_options::<SolveOptions>();
+    let opts = ctx.solve_options();
     let m2 = AttackModel::build(ablation_config(
         ad,
         144,
@@ -505,7 +488,7 @@ fn ablation_ad_row(ad: u8, ctx: &CellContext) -> Result<Vec<f64>, MdpError> {
 /// One sticky-gate-length row packed for the journal: `[u2, u3]` at the
 /// asymmetric 1:2 ratio in setting 2.
 fn ablation_gate_row(gate: u16, ctx: &CellContext) -> Result<Vec<f64>, MdpError> {
-    let sopts = ctx.solve_options::<SolveOptions>();
+    let sopts = ctx.solve_options();
     let m2 = AttackModel::build(ablation_config(
         6,
         gate,
@@ -530,21 +513,17 @@ fn ablation_gate_row(gate: u16, ctx: &CellContext) -> Result<Vec<f64>, MdpError>
 /// (isolated to this cell) when the estimators disagree beyond sampling
 /// error.
 fn crossval_cell(i: usize, spec: &CrossvalSpec, ctx: &CellContext) -> Result<Vec<f64>, MdpError> {
-    let (alpha, ratio, incentive, which) = spec;
+    let (alpha, ratio, incentive) = spec;
     let cfg = AttackConfig::with_ratio(*alpha, *ratio, Setting::One, *incentive);
     let model = AttackModel::build(cfg)?;
-    let opts = ctx.solve_options::<SolveOptions>();
-    let sol = match *which {
-        "u1" => model.optimal_relative_revenue(&opts),
-        "u2" => model.optimal_absolute_revenue(&opts),
-        _ => model.optimal_orphan_rate(&opts),
-    }?;
+    let sol = model.optimal(&ctx.solve_options())?;
+    let utility = incentive.utility();
 
     let exact = model.evaluate(&sol.policy)?;
-    let exact_v = match *which {
-        "u1" => exact.u1,
-        "u2" => exact.u2,
-        _ => exact.u3,
+    let exact_v = match utility {
+        Utility::U1 => exact.u1,
+        Utility::U2 => exact.u2,
+        Utility::U3 => exact.u3,
     };
 
     // Monte Carlo through the MDP transitions.
@@ -554,10 +533,10 @@ fn crossval_cell(i: usize, spec: &CrossvalSpec, ctx: &CellContext) -> Result<Vec
     let path = sample_path(model.mdp(), &sol.policy, base, CROSSVAL_STEPS, &mut rng)?;
     let t = path.component_totals;
     let (ra, ro, oa, oo, ds) = (t[0], t[1], t[2], t[3], t[4]);
-    let mdp_mc = match *which {
-        "u1" => ra / (ra + ro),
-        "u2" => (ra + ds) / CROSSVAL_STEPS as f64,
-        _ => {
+    let mdp_mc = match utility {
+        Utility::U1 => ra / (ra + ro),
+        Utility::U2 => (ra + ds) / CROSSVAL_STEPS as f64,
+        Utility::U3 => {
             if ra + oa == 0.0 {
                 0.0
             } else {
@@ -569,10 +548,10 @@ fn crossval_cell(i: usize, spec: &CrossvalSpec, ctx: &CellContext) -> Result<Vec
     // Monte Carlo on the real chain substrate.
     let mut replay = AttackReplay::new(&model, &sol.policy, 2000 + i as u64);
     let report = replay.run(CROSSVAL_STEPS);
-    let chain_mc = match *which {
-        "u1" => report.u1(),
-        "u2" => report.u2(),
-        _ => report.u3(),
+    let chain_mc = match utility {
+        Utility::U1 => report.u1(),
+        Utility::U2 => report.u2(),
+        Utility::U3 => report.u3(),
     };
 
     assert!(
@@ -733,7 +712,9 @@ pub fn table4_jobs() -> Vec<JobSpec> {
     jobs
 }
 
-fn bu_token() -> String {
+/// The config token of every cell solved under the default options — BU
+/// and Bitcoin alike, since both models share one [`SolveOptions`].
+fn solve_token() -> String {
     SolveOptions::default().fingerprint_token()
 }
 
@@ -741,34 +722,30 @@ fn bu_token() -> String {
 /// [`WORKLOAD_NAMES`]).
 pub fn workload(name: &str) -> Option<Workload> {
     let (label, config_token, jobs): (&'static str, String, Vec<JobSpec>) = match name {
-        "table2-setting1" => ("table2-setting1", bu_token(), table2_setting1_jobs()),
-        "table2-setting2" => ("table2-setting2", bu_token(), table2_setting2_jobs()),
-        "table3-setting1" => ("table3-setting1", bu_token(), table3_jobs(1)),
-        "table3-setting2" => ("table3-setting2", bu_token(), table3_jobs(2)),
-        "table3-bitcoin" => (
-            "table3-bitcoin",
-            bvc_bitcoin::SolveOptions::default().fingerprint_token(),
-            table3_bitcoin_jobs(),
-        ),
-        "table4" => ("table4", bu_token(), table4_jobs()),
+        "table2-setting1" => ("table2-setting1", solve_token(), table2_setting1_jobs()),
+        "table2-setting2" => ("table2-setting2", solve_token(), table2_setting2_jobs()),
+        "table3-setting1" => ("table3-setting1", solve_token(), table3_jobs(1)),
+        "table3-setting2" => ("table3-setting2", solve_token(), table3_jobs(2)),
+        "table3-bitcoin" => ("table3-bitcoin", solve_token(), table3_bitcoin_jobs()),
+        "table4" => ("table4", solve_token(), table4_jobs()),
         "ablation-ad" => (
             "ablation-ad",
-            bu_token(),
+            solve_token(),
             ABLATION_ADS.iter().map(|&ad| JobSpec::AblationAd { ad }).collect(),
         ),
         "ablation-gate" => (
             "ablation-gate",
-            bu_token(),
+            solve_token(),
             ABLATION_GATES.iter().map(|&gate| JobSpec::AblationGate { gate }).collect(),
         ),
         "crossval" => (
             "crossval",
-            format!("{};steps={CROSSVAL_STEPS}", bu_token()),
+            format!("{};steps={CROSSVAL_STEPS}", solve_token()),
             (0..crossval_specs().len()).map(|index| JobSpec::Crossval { index }).collect(),
         ),
         "strategies" => (
             "strategies",
-            bu_token(),
+            solve_token(),
             (0..strategy_specs().len()).map(|index| JobSpec::Strategies { index }).collect(),
         ),
         "stone-sim" => (
@@ -780,14 +757,14 @@ pub fn workload(name: &str) -> Option<Workload> {
             "scenario-grid",
             // Simulation cells carry every parameter in their key; the
             // solver token still matters for the embedded MDP cell.
-            format!("{};scn-grid", bu_token()),
+            format!("{};scn-grid", solve_token()),
             bvc_scenario::grid_specs().into_iter().map(|spec| JobSpec::Scenario { spec }).collect(),
         ),
         "scenario-crossval" => (
             "scenario-crossval",
             format!(
                 "{};scn-xval blocks={} reps={}",
-                bu_token(),
+                solve_token(),
                 bvc_scenario::CROSSVAL_BLOCKS,
                 bvc_scenario::CROSSVAL_REPS
             ),
@@ -849,6 +826,16 @@ mod tests {
         }
     }
 
+    /// Every journal fingerprint and serve cache key hashes the default
+    /// solve token; both model crates' re-exported options must produce it.
+    #[test]
+    fn solve_token_is_pinned() {
+        const TOKEN: &str =
+            "rt=3ee4f8b588e368f1;gt=3e7ad7f29abcaf48;mi=2000000;tau=3fa999999999999a";
+        assert_eq!(bvc_bu::SolveOptions::default().fingerprint_token(), TOKEN);
+        assert_eq!(bvc_bitcoin::SolveOptions::default().fingerprint_token(), TOKEN);
+    }
+
     #[test]
     fn keys_match_the_binaries_exact_format() {
         assert_eq!(
@@ -865,6 +852,15 @@ mod tests {
         assert_eq!(JobSpec::AblationGate { gate: 144 }.key(), "gate=144");
         assert_eq!(JobSpec::StoneSim { scenario: 3 }.key(), "scenario3");
         assert_eq!(JobSpec::Crossval { index: 0 }.key(), "#0 u1 alpha=25%, beta:gamma=1:1");
+    }
+
+    /// Off-grid Table 2 alphas keep distinct keys: the rounded percent is
+    /// used only when it round-trips to the exact alpha.
+    #[test]
+    fn keys_keep_off_grid_table2_alphas_distinct() {
+        let key = |alpha| JobSpec::Table2 { alpha, ratio: (1, 1), setting: 1 }.key();
+        assert_eq!(key(0.12), "s1 b:g=1:1 a=12%");
+        assert_eq!(key(0.123), format!("s1 b:g=1:1 a={}%", 0.123 * 100.0));
     }
 
     #[test]

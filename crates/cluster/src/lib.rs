@@ -34,9 +34,7 @@ pub mod protocol;
 pub(crate) mod sync;
 pub mod worker;
 
-pub use cell::{
-    run_cell_attempts, CellContext, CellFailure, CellRunConfig, RetryPolicy, TunableSolve,
-};
+pub use cell::{run_cell_attempts, CellContext, CellFailure, CellRunConfig, RetryPolicy};
 pub use coordinator::{
     run_coordinator, ClusterCell, ClusterConfig, ClusterError, ClusterReport, Coordinator,
 };

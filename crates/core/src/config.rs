@@ -58,6 +58,39 @@ impl IncentiveModel {
     pub fn allows_wait(&self) -> bool {
         matches!(self, IncentiveModel::NonProfitDriven)
     }
+
+    /// The utility this incentive model maximizes (§4): compliant → `u1`
+    /// (Table 2), non-compliant → `u2` (Table 3), non-profit → `u3`
+    /// (Table 4). The one place the rule is written down.
+    pub fn utility(&self) -> Utility {
+        match self {
+            IncentiveModel::CompliantProfitDriven => Utility::U1,
+            IncentiveModel::NonCompliantProfitDriven { .. } => Utility::U2,
+            IncentiveModel::NonProfitDriven => Utility::U3,
+        }
+    }
+}
+
+/// The paper's three utilities (Eqs. 1–3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Utility {
+    /// Relative revenue `u1`.
+    U1,
+    /// Absolute revenue per block `u2`.
+    U2,
+    /// Orphans per attacker block `u3`.
+    U3,
+}
+
+impl Utility {
+    /// Short name as printed in keys and responses (`u1`, `u2`, `u3`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Utility::U1 => "u1",
+            Utility::U2 => "u2",
+            Utility::U3 => "u3",
+        }
+    }
 }
 
 /// Full configuration of the three-miner attack scenario of §4.1.1.
@@ -140,6 +173,42 @@ impl AttackConfig {
         if self.setting == Setting::Two {
             assert!(self.gate_blocks >= 1, "setting 2 requires a nonzero gate");
         }
+    }
+
+    /// The journal key of this configuration's table cell, built from the
+    /// `β:γ` ratio it was made with. Sweep journals and serve's cache share
+    /// it, so a preloaded journal answers the requests its sweep solved:
+    ///
+    /// * `u1` cells: `s{setting} b:g={b}:{g} a={alpha:.0}%` — but only when
+    ///   the rounded percent round-trips to exactly `alpha`; otherwise the
+    ///   exact `Display` form, so two distinct alphas never share a key.
+    /// * `u2`/`u3` cells: `s{setting} b:g={b}:{g} a={alpha}%` (`Display`,
+    ///   exact).
+    ///
+    /// Non-default structural parameters append explicit ` ad=`/` gate=`
+    /// (and ` rds=`/` thr=` for double-spend terms) suffixes.
+    pub fn cell_key(&self, (b, g): (u32, u32)) -> String {
+        let alpha = self.alpha;
+        let pct = alpha * 100.0;
+        let alpha_txt = (self.incentive.utility() == Utility::U1)
+            .then(|| format!("{pct:.0}"))
+            .filter(|r| r.parse::<f64>().is_ok_and(|p| (p / 100.0).to_bits() == alpha.to_bits()))
+            .unwrap_or_else(|| format!("{pct}"));
+        let setting = match self.setting {
+            Setting::One => 1,
+            Setting::Two => 2,
+        };
+        let mut key = format!("s{setting} b:g={b}:{g} a={alpha_txt}%");
+        if self.ad != 6 || self.ad_carol != 6 || self.gate_blocks != 144 {
+            key.push_str(&format!(" ad={}/{} gate={}", self.ad, self.ad_carol, self.gate_blocks));
+        }
+        if let IncentiveModel::NonCompliantProfitDriven { rds, threshold } = self.incentive {
+            const DEFAULT_RDS: f64 = 10.0;
+            if rds.to_bits() != DEFAULT_RDS.to_bits() || threshold != 3 {
+                key.push_str(&format!(" rds={rds} thr={threshold}"));
+            }
+        }
+        key
     }
 
     /// Whether this configuration satisfies the paper's standing assumption

@@ -46,11 +46,12 @@ pub mod solve;
 pub mod state;
 pub mod table1;
 
-pub use config::{AttackConfig, IncentiveModel, Setting};
+pub use bvc_mdp::solve::{OptimalStrategy, SolveOptions};
+pub use config::{AttackConfig, IncentiveModel, Setting, Utility};
 pub use model::{expand, AttackModel};
 pub use multi_eb::{EbGroup, MultiEbScenario, SplitOutcome};
 pub use policy_view::{
     policy_table, render_phase1_map, state_actions, summarize, PolicySummary, StateAction,
 };
-pub use solve::{OptimalStrategy, SolveOptions, UtilityReport};
+pub use solve::UtilityReport;
 pub use state::{Action, AttackState};

@@ -89,7 +89,7 @@ impl AttackModel {
 mod tests {
     use super::*;
     use crate::config::{AttackConfig, IncentiveModel, Setting};
-    use crate::solve::SolveOptions;
+    use crate::SolveOptions;
 
     fn build(setting: Setting) -> AttackModel {
         let mut cfg = AttackConfig::with_ratio(

@@ -17,7 +17,7 @@ use bvc_mdp::MdpError;
 
 use crate::config::{AttackConfig, IncentiveModel, Setting};
 use crate::model::AttackModel;
-use crate::solve::SolveOptions;
+use crate::SolveOptions;
 
 /// A compliant miner group signalling one EB value.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -140,7 +140,7 @@ pub fn render_phase1_map(model: &AttackModel, policy: &Policy) -> String {
 mod tests {
     use super::*;
     use crate::config::{AttackConfig, IncentiveModel, Setting};
-    use crate::solve::SolveOptions;
+    use crate::SolveOptions;
 
     fn model(alpha: f64, ratio: (u32, u32)) -> AttackModel {
         AttackModel::build(AttackConfig::with_ratio(

@@ -3,109 +3,15 @@
 //! fixed policy.
 
 use bvc_mdp::solve::{
-    evaluate_policy, maximize_ratio, relative_value_iteration, EvalOptions, RatioOptions,
-    RviOptions,
+    evaluate_policy, maximize_ratio, relative_value_iteration, EvalOptions, OptimalStrategy,
+    SolveOptions,
 };
-use bvc_mdp::{MdpError, Policy, SolveBudget};
+use bvc_mdp::{MdpError, Policy};
 
+use crate::config::Utility;
 use crate::model::AttackModel;
 use crate::rewards;
 use crate::state::Action;
-
-/// Numeric precision options for the high-level API.
-#[derive(Debug, Clone)]
-pub struct SolveOptions {
-    /// Outer tolerance for ratio objectives (`u1`, `u3`). The paper states a
-    /// maximum error of `1e-4`.
-    pub ratio_tolerance: f64,
-    /// Inner average-reward tolerance (also used directly for `u2`).
-    pub gain_tolerance: f64,
-    /// Iteration budget of the inner RVI solver. Sweep runners escalate
-    /// this on [`MdpError::NoConvergence`] retries.
-    pub max_iterations: usize,
-    /// Aperiodicity mixing weight of the inner RVI solver, in `[0, 1)`.
-    /// Sweep runners nudge this upward on retries to break periodic stalls.
-    pub aperiodicity_tau: f64,
-    /// Wall-clock deadline / cooperative cancellation, threaded through to
-    /// every inner solver iteration. Unlimited by default.
-    pub budget: SolveBudget,
-    /// When set, run the static precondition audit ([`bvc_mdp::audit`])
-    /// before solving and refuse to solve a model that fails any check
-    /// (the solve returns [`MdpError::AuditFailed`] instead of converging
-    /// to an untrustworthy number). Off by default; sweep runners enable
-    /// it with `--audit`.
-    pub audit: bool,
-    /// Worker threads *inside* each Bellman sweep (sharded Jacobi kernel).
-    /// `0` and `1` both mean single-threaded. Results are bit-identical for
-    /// every value, so this is a pure throughput knob and is deliberately
-    /// excluded from [`SolveOptions::fingerprint_token`]. Sweep runners that
-    /// already parallelize across cells should leave this at 1 (see
-    /// DESIGN.md on thread-budget arbitration).
-    pub solve_threads: usize,
-    /// Minimum states per intra-solve shard; solves smaller than
-    /// `solve_threads * shard_min_states` engage fewer threads (possibly
-    /// one) so tiny models never pay sharding overhead. Also excluded from
-    /// the fingerprint token.
-    pub shard_min_states: usize,
-}
-
-impl Default for SolveOptions {
-    fn default() -> Self {
-        let rvi = RviOptions::default();
-        SolveOptions {
-            ratio_tolerance: 1e-5,
-            gain_tolerance: 1e-7,
-            max_iterations: rvi.max_iterations,
-            aperiodicity_tau: rvi.aperiodicity_tau,
-            budget: SolveBudget::unlimited(),
-            audit: false,
-            solve_threads: 1,
-            shard_min_states: bvc_mdp::DEFAULT_SHARD_MIN_STATES,
-        }
-    }
-}
-
-impl SolveOptions {
-    fn ratio_opts(&self) -> RatioOptions {
-        RatioOptions { tolerance: self.ratio_tolerance, rvi: self.rvi_opts(), initial_hi: 1.0 }
-    }
-
-    fn rvi_opts(&self) -> RviOptions {
-        RviOptions {
-            tolerance: self.gain_tolerance,
-            max_iterations: self.max_iterations,
-            aperiodicity_tau: self.aperiodicity_tau,
-            budget: self.budget.clone(),
-            solve_threads: self.solve_threads,
-            shard_min_states: self.shard_min_states,
-            ..Default::default()
-        }
-    }
-
-    /// A stable token identifying every numeric knob that can change a
-    /// solver's *result* (budgets and deadlines are excluded: they change
-    /// whether a cell solves, never its value). Checkpoint journals key
-    /// cell fingerprints off this so stale results are re-solved.
-    pub fn fingerprint_token(&self) -> String {
-        format!(
-            "rt={:016x};gt={:016x};mi={};tau={:016x}",
-            self.ratio_tolerance.to_bits(),
-            self.gain_tolerance.to_bits(),
-            self.max_iterations,
-            self.aperiodicity_tau.to_bits(),
-        )
-    }
-}
-
-/// An optimal-value result: the utility achieved and a policy achieving it.
-#[derive(Debug, Clone)]
-pub struct OptimalStrategy {
-    /// The optimal utility value.
-    pub value: f64,
-    /// A policy attaining it (action indices per MDP state; map through
-    /// [`AttackModel::state`] and [`Action::from_label`] to read it).
-    pub policy: Policy,
-}
 
 /// Long-run behaviour of one fixed policy, reported in every utility.
 #[derive(Debug, Clone)]
@@ -122,12 +28,15 @@ pub struct UtilityReport {
 }
 
 impl AttackModel {
-    /// The opt-in pre-solve audit gate: a no-op unless `opts.audit` is set.
-    fn audit_gate(&self, opts: &SolveOptions) -> Result<(), MdpError> {
-        if opts.audit {
-            self.audit().gate()?;
+    /// The optimum of the utility this model's incentive maximizes
+    /// ([`IncentiveModel::utility`](crate::IncentiveModel::utility)): `u1`,
+    /// `u2` or `u3`, by the same solve as the named method.
+    pub fn optimal(&self, opts: &SolveOptions) -> Result<OptimalStrategy, MdpError> {
+        match self.config().incentive.utility() {
+            Utility::U1 => self.optimal_relative_revenue(opts),
+            Utility::U2 => self.optimal_absolute_revenue(opts),
+            Utility::U3 => self.optimal_orphan_rate(opts),
         }
-        Ok(())
     }
 
     /// Maximum relative revenue `u1` (Table 2). For an honest miner this is
@@ -136,12 +45,12 @@ impl AttackModel {
         &self,
         opts: &SolveOptions,
     ) -> Result<OptimalStrategy, MdpError> {
-        self.audit_gate(opts)?;
+        opts.audit_gate(self.mdp())?;
         let sol = maximize_ratio(
             self.mdp(),
             &rewards::u1_numerator(),
             &rewards::u1_denominator(),
-            &opts.ratio_opts(),
+            &opts.ratio_options(),
         )?;
         Ok(OptimalStrategy { value: sol.value, policy: sol.policy })
     }
@@ -152,20 +61,21 @@ impl AttackModel {
         &self,
         opts: &SolveOptions,
     ) -> Result<OptimalStrategy, MdpError> {
-        self.audit_gate(opts)?;
-        let sol = relative_value_iteration(self.mdp(), &rewards::u2_objective(), &opts.rvi_opts())?;
+        opts.audit_gate(self.mdp())?;
+        let sol =
+            relative_value_iteration(self.mdp(), &rewards::u2_objective(), &opts.rvi_options())?;
         Ok(OptimalStrategy { value: sol.gain, policy: sol.policy })
     }
 
     /// Maximum orphans per attacker block `u3` (Table 4). In Bitcoin this
     /// can never exceed 1; the paper's headline finding is 1.77 in BU.
     pub fn optimal_orphan_rate(&self, opts: &SolveOptions) -> Result<OptimalStrategy, MdpError> {
-        self.audit_gate(opts)?;
+        opts.audit_gate(self.mdp())?;
         let sol = maximize_ratio(
             self.mdp(),
             &rewards::u3_numerator(),
             &rewards::u3_denominator(),
-            &opts.ratio_opts(),
+            &opts.ratio_options(),
         )?;
         Ok(OptimalStrategy { value: sol.value, policy: sol.policy })
     }
@@ -205,6 +115,14 @@ mod tests {
         AttackModel::build(AttackConfig::with_ratio(alpha, ratio, Setting::One, incentive)).unwrap()
     }
 
+    /// [`AttackModel::optimal`] runs the named method of the model's
+    /// incentive: same value bits, same policy.
+    fn assert_optimal_dispatches(m: &AttackModel, named: &OptimalStrategy) {
+        let via = m.optimal(&SolveOptions::default()).unwrap();
+        assert_eq!(via.value.to_bits(), named.value.to_bits());
+        assert_eq!(via.policy.choices, named.policy.choices);
+    }
+
     #[test]
     fn honest_policy_earns_fair_share() {
         let m = model(0.2, (1, 1), IncentiveModel::CompliantProfitDriven);
@@ -223,6 +141,7 @@ mod tests {
         let m = model(0.25, (1, 1), IncentiveModel::CompliantProfitDriven);
         let sol = m.optimal_relative_revenue(&SolveOptions::default()).unwrap();
         assert!((sol.value - 0.2624).abs() < 5e-4, "expected ≈ 0.2624, got {:.4}", sol.value);
+        assert_optimal_dispatches(&m, &sol);
     }
 
     /// Table 2: when α + γ ≤ β the optimal strategy is honest (u1 = α).
@@ -258,6 +177,7 @@ mod tests {
         let m = model(0.01, (1, 4), IncentiveModel::non_compliant_default());
         let sol = m.optimal_absolute_revenue(&SolveOptions::default()).unwrap();
         assert!((sol.value - 0.013).abs() < 1e-3, "expected ≈ 0.013, got {:.4}", sol.value);
+        assert_optimal_dispatches(&m, &sol);
     }
 
     /// Analytical Result 2's qualitative core: in BU even a 1% miner earns
@@ -282,5 +202,6 @@ mod tests {
         let m = model(0.01, (2, 3), IncentiveModel::NonProfitDriven);
         let sol = m.optimal_orphan_rate(&SolveOptions::default()).unwrap();
         assert!((sol.value - 1.77).abs() < 2e-2, "expected ≈ 1.77, got {:.4}", sol.value);
+        assert_optimal_dispatches(&m, &sol);
     }
 }

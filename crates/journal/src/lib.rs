@@ -29,17 +29,7 @@ use std::path::Path;
 // Fingerprints and bit-exact f64 hex
 // ---------------------------------------------------------------------------
 
-/// FNV-1a 64-bit hash; stable across platforms and releases, which is what
-/// a checkpoint journal (and a cache warmed from one) needs —
-/// `DefaultHasher` makes no such promise.
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use bvc_chaos::fnv1a64;
 
 /// Deterministic identity of one sweep cell: the human-readable cell key
 /// joined with a token describing every solver knob that can change the

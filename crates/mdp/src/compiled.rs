@@ -52,11 +52,6 @@ pub struct CompiledMdp {
     /// transition `t` lives at `t * reward_components + c`. Length
     /// `num_transitions * reward_components`.
     rewards: Vec<f64>,
-    /// Every state exactly once, in breadth-first order from state 0
-    /// (states unreachable from it follow in index order). Length
-    /// `num_states`. Precomputed here so the prioritized Gauss-Seidel
-    /// sweep costs nothing per solve.
-    bfs_order: Vec<u32>,
 }
 
 impl CompiledMdp {
@@ -99,7 +94,6 @@ impl CompiledMdp {
             arm_offsets.push(arm_labels.len() as u32);
         }
 
-        let bfs_order = bfs_from_base(&arm_offsets, &tr_offsets, &next, n);
         Ok(CompiledMdp {
             reward_components: k,
             arm_offsets,
@@ -108,7 +102,6 @@ impl CompiledMdp {
             next,
             prob,
             rewards,
-            bfs_order,
         })
     }
 
@@ -203,14 +196,6 @@ impl CompiledMdp {
     #[inline]
     pub(crate) fn raw_rewards(&self) -> &[f64] {
         &self.rewards
-    }
-
-    /// Every state exactly once, in breadth-first order from state 0
-    /// (unreachable states follow in index order) — the sweep order of the
-    /// prioritized Gauss-Seidel solver mode.
-    #[inline]
-    pub fn bfs_order(&self) -> &[u32] {
-        &self.bfs_order
     }
 
     /// Checks that `policy` selects a valid action index for every state
@@ -384,37 +369,6 @@ impl CompiledMdp {
     }
 }
 
-/// Breadth-first order over states from state 0, following the CSR
-/// transition structure; states unreachable from the base are appended in
-/// index order so the result is a permutation of `0..n`.
-fn bfs_from_base(arm_offsets: &[u32], tr_offsets: &[u32], next: &[u32], n: usize) -> Vec<u32> {
-    let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    if n > 0 {
-        seen[0] = true;
-        order.push(0u32);
-        let mut head = 0usize;
-        while head < order.len() {
-            let s = order[head] as usize;
-            head += 1;
-            let t0 = tr_offsets[arm_offsets[s] as usize] as usize;
-            let t1 = tr_offsets[arm_offsets[s + 1] as usize] as usize;
-            for &to in &next[t0..t1] {
-                if !seen[to as usize] {
-                    seen[to as usize] = true;
-                    order.push(to);
-                }
-            }
-        }
-    }
-    for (s, was_seen) in seen.iter().enumerate() {
-        if !was_seen {
-            order.push(s as u32);
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,29 +498,6 @@ mod tests {
         // Arm 2: [0.25·0 + 0.75·1, 0.25·4 + 0.75·1] = [0.75, 1.75].
         assert!((e[4] - 0.75).abs() < 1e-15);
         assert!((e[5] - 1.75).abs() < 1e-15);
-    }
-
-    /// BFS order visits states level by level from the base state and is a
-    /// permutation of `0..n` even with unreachable states.
-    #[test]
-    fn bfs_order_is_breadth_first_permutation() {
-        // 0 -> {2, 3}, 2 -> 1, 3 -> 3 (and 1 -> 0); 4 unreachable-from-0
-        // but points somewhere valid so the model compiles.
-        let mut m = Mdp::new(1);
-        for _ in 0..5 {
-            m.add_state();
-        }
-        m.add_action(
-            0,
-            0,
-            vec![Transition::new(2, 0.5, vec![0.0]), Transition::new(3, 0.5, vec![0.0])],
-        );
-        m.add_action(1, 0, vec![Transition::new(0, 1.0, vec![0.0])]);
-        m.add_action(2, 0, vec![Transition::new(1, 1.0, vec![0.0])]);
-        m.add_action(3, 0, vec![Transition::new(3, 1.0, vec![0.0])]);
-        m.add_action(4, 0, vec![Transition::new(0, 1.0, vec![0.0])]);
-        let c = CompiledMdp::compile(&m).unwrap();
-        assert_eq!(c.bfs_order(), &[0, 2, 3, 1, 4]);
     }
 
     /// Threaded scalarization and combine are bit-identical to the serial

@@ -419,7 +419,7 @@ mod tests {
     }
 
     #[test]
-    fn ids_follow_first_seen_bfs_order_across_starts() {
+    fn ids_follow_first_seen_breadth_first_order_across_starts() {
         // s → {s + 10, s + 20}; states ≥ 10 are absorbing.
         let explored = explore(1, [3u32, 1, 3, 2, 1], |s: &u32, x: &mut Expansion<u32>| {
             let mut arm = x.action(0);

@@ -1,6 +1,7 @@
 //! Solvers: discounted (value/policy iteration), average-reward (relative
 //! value iteration), ratio objectives (secant search on ρ over transformed
-//! rewards), and fixed-policy evaluation.
+//! rewards), and fixed-policy evaluation. [`SolveOptions`] is the one
+//! options type the attack models solve under.
 //!
 //! The production solvers run on the CSR-flattened
 //! [`CompiledMdp`](crate::compiled::CompiledMdp); [`reference`] keeps the
@@ -10,6 +11,7 @@
 pub mod avg_pi;
 pub mod eval;
 pub mod hitting;
+pub mod options;
 pub mod policy_iteration;
 pub mod ratio;
 pub mod reference;
@@ -20,6 +22,7 @@ pub mod value_iteration;
 pub use avg_pi::{average_reward_policy_iteration, AvgPiOptions, AvgPiSolution};
 pub use eval::{evaluate_policy, EvalOptions, PolicyEvaluation};
 pub use hitting::{expected_hitting_time, hitting_probability, HittingOptions};
+pub use options::{OptimalStrategy, SolveOptions};
 pub use policy_iteration::{policy_iteration, PiOptions, PiSolution};
 pub use ratio::{maximize_ratio, RatioOptions, RatioSolution};
 pub use rvi::{relative_value_iteration, RviOptions, RviSolution};

@@ -21,7 +21,7 @@
 //!
 //! ## Execution modes
 //!
-//! The kernel has three sweep strategies, selected by [`RviOptions`]:
+//! The kernel has two sweep strategies, selected by [`RviOptions`]:
 //!
 //! * **Single-threaded Jacobi** (the default): one pass per iteration,
 //!   restructured for auto-vectorization — streaming cursors over the CSR
@@ -33,13 +33,6 @@
 //!   reduced with order-independent `min`/`max`. Results are **bit-identical
 //!   to the single-threaded path for every thread count** — see
 //!   `crate::shard` for the argument.
-//! * **Prioritized Gauss-Seidel** (`prioritized_sweep`): states are swept
-//!   in-place in breadth-first order from the base state
-//!   ([`CompiledMdp::bfs_order`]), propagating fresh values downstream
-//!   within one sweep. An opt-in convergence accelerator: it usually needs
-//!   fewer iterations, but its iterates (not its limit) differ from the
-//!   Jacobi paths, so it is excluded from the bit-identity guarantee and
-//!   cannot be combined with `solve_threads > 1`.
 
 use std::sync::mpsc;
 
@@ -80,12 +73,6 @@ pub struct RviOptions {
     /// barrier costs outweigh the sweep work. Lower it only in tests and
     /// smokes that must exercise the sharded path on small models.
     pub shard_min_states: usize,
-    /// Sweep states in-place in breadth-first order from the base state
-    /// (Gauss-Seidel) instead of the double-buffered Jacobi sweep. Often
-    /// converges in fewer iterations; results agree with the Jacobi paths
-    /// within solver tolerance but are *not* bit-identical to them, and the
-    /// mode cannot be combined with `solve_threads > 1`.
-    pub prioritized_sweep: bool,
 }
 
 impl Default for RviOptions {
@@ -98,7 +85,6 @@ impl Default for RviOptions {
             budget: SolveBudget::unlimited(),
             solve_threads: 1,
             shard_min_states: DEFAULT_SHARD_MIN_STATES,
-            prioritized_sweep: false,
         }
     }
 }
@@ -193,18 +179,6 @@ pub(crate) fn rvi_kernel(
         }
     }
 
-    if opts.prioritized_sweep {
-        if opts.solve_threads > 1 {
-            // The in-place sweep has loop-carried dependencies between
-            // states; sharding it would race. Surface the conflict instead
-            // of silently ignoring one of the options.
-            return Err(MdpError::BadOption {
-                what: "solve_threads with prioritized_sweep",
-                value: opts.solve_threads as f64,
-            });
-        }
-        return kernel_prioritized(compiled, exp_reward, h, policy, opts, tau);
-    }
     let threads = effective_threads(opts.solve_threads, n, opts.shard_min_states);
     if threads > 1 {
         kernel_sharded(compiled, exp_reward, h, policy, opts, tau, threads)
@@ -218,10 +192,9 @@ pub(crate) fn rvi_kernel(
 /// an arm attaining it (first wins ties), and `best - src[s]` (the span
 /// contribution).
 ///
-/// This is the only place sweep arithmetic lives: the single-threaded,
-/// sharded, and prioritized paths all monomorphize it, so every path
-/// executes the identical operation sequence — the root of the
-/// thread-count bit-identity guarantee.
+/// This is the only place sweep arithmetic lives: the single-threaded and
+/// sharded paths both monomorphize it, so every path executes the identical
+/// operation sequence — the root of the thread-count bit-identity guarantee.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn bellman_state<S: BiasRead + ?Sized>(
@@ -582,80 +555,6 @@ fn kernel_sharded(
     })
 }
 
-/// The opt-in prioritized (breadth-first order, in-place Gauss-Seidel)
-/// kernel: fresh values propagate downstream within one sweep, which
-/// typically cuts the iteration count on chain-structured models. Iterates
-/// differ from the Jacobi paths, so agreement with them is within solver
-/// tolerance, not bitwise.
-fn kernel_prioritized(
-    compiled: &CompiledMdp,
-    exp_reward: &[f64],
-    h: &mut [f64],
-    policy: &mut Policy,
-    opts: &RviOptions,
-    tau: f64,
-) -> Result<(f64, usize), MdpError> {
-    let one_minus_tau = 1.0 - tau;
-    let (arm_offsets, tr_offsets) = compiled.raw_offsets();
-    let (next, prob) = (compiled.raw_next(), compiled.raw_prob());
-    let order = compiled.bfs_order();
-
-    let mut last_residual = f64::INFINITY;
-    for iter in 0..opts.max_iterations {
-        opts.budget.check(SOLVER, iter)?;
-        // The base state leads the BFS order, so its backup (over old
-        // values only) defines the normalization offset for the whole
-        // sweep. Later states must see *normalized* fresh values — writing
-        // `best` raw and subtracting at sweep end would let downstream
-        // backups read offset-inflated upstream values, and the in-place
-        // fixed point would overshoot the gain.
-        let (best0, arm0, d0) = bellman_state(
-            0,
-            &h[..],
-            arm_offsets,
-            tr_offsets,
-            next,
-            prob,
-            exp_reward,
-            tau,
-            one_minus_tau,
-        );
-        h[0] = 0.0; // exactly best0 - best0 for a finite best0
-        policy.choices[0] = arm0;
-        let mut span_lo = d0;
-        let mut span_hi = d0;
-        for &su in &order[1..] {
-            let s = su as usize;
-            let (best, arm, d) = bellman_state(
-                s,
-                &h[..],
-                arm_offsets,
-                tr_offsets,
-                next,
-                prob,
-                exp_reward,
-                tau,
-                one_minus_tau,
-            );
-            h[s] = best - best0;
-            policy.choices[s] = arm;
-            span_lo = span_lo.min(d);
-            span_hi = span_hi.max(d);
-        }
-
-        last_residual = (span_hi - span_lo) / one_minus_tau;
-        if span_hi - span_lo < opts.tolerance * one_minus_tau {
-            let gain = 0.5 * (span_lo + span_hi) / one_minus_tau;
-            return Ok((gain, iter + 1));
-        }
-    }
-    Err(MdpError::NoConvergence {
-        solver: SOLVER,
-        iterations: opts.max_iterations,
-        residual: last_residual,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -901,33 +800,6 @@ mod tests {
         let opts = RviOptions { solve_threads: 8, ..Default::default() };
         let sol = relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap();
         assert!((sol.gain - 2.0).abs() < 1e-6);
-    }
-
-    /// The prioritized (Gauss-Seidel) sweep agrees with the Jacobi path
-    /// within tolerance and rejects the racing thread combination.
-    #[test]
-    fn prioritized_sweep_agrees_and_rejects_threads() {
-        let mut m = Mdp::new(1);
-        let a = m.add_state();
-        let b = m.add_state();
-        let c = m.add_state();
-        m.add_action(a, 0, vec![Transition::new(b, 1.0, vec![1.0])]);
-        m.add_action(b, 0, vec![Transition::new(c, 1.0, vec![2.0])]);
-        m.add_action(b, 1, vec![Transition::new(a, 1.0, vec![0.5])]);
-        m.add_action(c, 0, vec![Transition::new(a, 1.0, vec![3.0])]);
-        let obj = Objective::new(vec![1.0]);
-        let jacobi = relative_value_iteration(&m, &obj, &RviOptions::default()).unwrap();
-        let opts = RviOptions { prioritized_sweep: true, ..Default::default() };
-        let gs = relative_value_iteration(&m, &obj, &opts).unwrap();
-        assert!((gs.gain - jacobi.gain).abs() < 1e-6, "{} vs {}", gs.gain, jacobi.gain);
-        assert_eq!(gs.policy.choices, jacobi.policy.choices);
-
-        let bad = RviOptions { prioritized_sweep: true, solve_threads: 2, ..Default::default() };
-        let err = relative_value_iteration(&m, &obj, &bad).unwrap_err();
-        assert!(
-            matches!(err, MdpError::BadOption { what: "solve_threads with prioritized_sweep", .. }),
-            "{err:?}"
-        );
     }
 
     /// A pre-raised cancel flag stops a sharded solve too (the flag is

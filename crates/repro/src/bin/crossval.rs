@@ -34,9 +34,9 @@ fn main() {
     let report = run_jobs("crossval", &jobs, &opts);
 
     println!("{:<42} {:>9} {:>9} {:>9}", "cell", "exact", "MDP-MC", "chain-MC");
-    for (i, (alpha, ratio, _, which)) in specs.iter().enumerate() {
-        let label =
-            format!("{} alpha={}%, beta:gamma={}:{}", which, alpha * 100.0, ratio.0, ratio.1);
+    for (i, (alpha, ratio, incentive)) in specs.iter().enumerate() {
+        let which = incentive.utility().name();
+        let label = format!("{which} alpha={}%, beta:gamma={}:{}", alpha * 100.0, ratio.0, ratio.1);
         match report.value(i) {
             Some(row) => println!("{label:<42} {:>9.4} {:>9.4} {:>9.4}", row[0], row[1], row[2]),
             None => {

@@ -58,7 +58,7 @@ pub use bvc_journal::{
 // so cluster workers run cells through literally the same code path as
 // this local runner.
 pub use bvc_cluster::cell::{
-    run_cell_attempts, CellContext, CellFailure, CellRunConfig, RetryPolicy, TunableSolve,
+    run_cell_attempts, CellContext, CellFailure, CellRunConfig, RetryPolicy,
 };
 
 // The job registry: every table binary's cell grid as data, so the same
@@ -822,7 +822,7 @@ pub fn run_jobs(label: &str, jobs: &[JobSpec], opts: &SweepOptions) -> SweepRepo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bvc_mdp::solve::{RatioOptions, RviOptions};
+    use bvc_mdp::solve::SolveOptions;
     use bvc_mdp::SolveBudget;
     use std::sync::atomic::AtomicU32;
 
@@ -1228,7 +1228,7 @@ mod tests {
     }
 
     #[test]
-    fn tunable_solve_applies_escalation() {
+    fn solve_options_apply_escalation() {
         let ctx = CellContext {
             attempt: 1,
             budget: SolveBudget::with_timeout(Duration::from_secs(5)),
@@ -1238,31 +1238,31 @@ mod tests {
             solve_threads: 4,
             shard_min_states: 256,
         };
-        let rvi: RviOptions = ctx.solve_options();
-        let base = RviOptions::default();
+        let opts = ctx.solve_options();
+        let base = SolveOptions::default();
+        assert_eq!(opts.max_iterations, base.max_iterations * 4);
+        assert!((opts.aperiodicity_tau - (base.aperiodicity_tau + 0.05)).abs() < 1e-12);
+        assert!(!opts.budget.is_unlimited());
+        assert!(opts.audit, "audit flag must thread through to solve options");
+        assert_eq!(opts.solve_threads, 4);
+        assert_eq!(opts.shard_min_states, 256);
+
+        // A context with no shard override keeps the solver default.
+        let plain = CellContext { solve_threads: 0, shard_min_states: 0, ..ctx.clone() };
+        let opts = plain.solve_options();
+        assert_eq!(opts.solve_threads, 1);
+        assert_eq!(opts.shard_min_states, base.shard_min_states);
+
+        // The escalation reaches the inner solver through the conversion.
+        let rvi = ctx.solve_options().ratio_options().rvi;
         assert_eq!(rvi.max_iterations, base.max_iterations * 4);
         assert!((rvi.aperiodicity_tau - (base.aperiodicity_tau + 0.05)).abs() < 1e-12);
         assert!(!rvi.budget.is_unlimited());
         assert_eq!(rvi.solve_threads, 4);
         assert_eq!(rvi.shard_min_states, 256);
 
-        let bu: bvc_bu::SolveOptions = ctx.solve_options();
-        assert_eq!(bu.max_iterations, base.max_iterations * 4);
-        assert!(bu.audit, "audit flag must thread through to solve options");
-        assert_eq!(bu.solve_threads, 4);
-
-        // A context with no shard override keeps the solver default.
-        let plain = CellContext { solve_threads: 0, shard_min_states: 0, ..ctx.clone() };
-        let rvi: RviOptions = plain.solve_options();
-        assert_eq!(rvi.solve_threads, 1);
-        assert_eq!(rvi.shard_min_states, base.shard_min_states);
-
-        let ratio: RatioOptions = ctx.solve_options();
-        assert_eq!(ratio.rvi.max_iterations, base.max_iterations * 4);
-
         // Tau stays clamped away from 1 however hard escalation pushes.
         let extreme = CellContext { tau_offset: 5.0, ..ctx };
-        let rvi: RviOptions = extreme.solve_options();
-        assert!(rvi.aperiodicity_tau <= 0.9);
+        assert!(extreme.solve_options().aperiodicity_tau <= 0.9);
     }
 }

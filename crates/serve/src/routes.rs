@@ -115,40 +115,13 @@ impl Table {
             Table::T4 => "table4",
         }
     }
-
-    fn utility(self) -> Utility {
-        match self {
-            Table::T2 => Utility::U1,
-            Table::T3 => Utility::U2,
-            Table::T4 => Utility::U3,
-        }
-    }
 }
 
-/// The paper's three objectives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Utility {
-    U1,
-    U2,
-    U3,
-}
-
-impl Utility {
-    fn name(self) -> &'static str {
-        match self {
-            Utility::U1 => "u1",
-            Utility::U2 => "u2",
-            Utility::U3 => "u3",
-        }
-    }
-}
-
-/// A fully-resolved solve request: the model config, the objective, and
-/// the journal-compatible cache key.
+/// A fully-resolved solve request: the model config (whose incentive picks
+/// the objective) and the journal-compatible cache key.
 #[derive(Debug, Clone)]
 struct CellSpec {
     cfg: AttackConfig,
-    utility: Utility,
     key: String,
     token: String,
     audit: bool,
@@ -345,16 +318,11 @@ impl Service {
     fn run_cell(&self, fp: u64, spec: &CellSpec) -> Fetched {
         let opts = self.solve_options(spec.audit);
         let cfg = spec.cfg.clone();
-        let utility = spec.utility;
         self.cache.get_or_solve(fp, move || {
             let started = Instant::now();
             let model = AttackModel::build(cfg)?;
             let states = model.num_states();
-            let value = match utility {
-                Utility::U1 => model.optimal_relative_revenue(&opts)?.value,
-                Utility::U2 => model.optimal_absolute_revenue(&opts)?.value,
-                Utility::U3 => model.optimal_orphan_rate(&opts)?.value,
-            };
+            let value = model.optimal(&opts)?.value;
             Ok(CachedCell {
                 vals: vec![value],
                 solve_ms: started.elapsed().as_secs_f64() * 1e3,
@@ -383,7 +351,7 @@ impl Service {
             .str("table", table_name)
             .str("key", &spec.key)
             .str("fingerprint", &format!("{fp:016x}"))
-            .str("utility", spec.utility.name())
+            .str("utility", spec.cfg.incentive.utility().name())
             .num("value", value)
             .str("value_bits", &bvc_journal::f64_to_hex(value))
             .num("alpha", spec.cfg.alpha)
@@ -426,16 +394,11 @@ impl Service {
         let fp = cell_fingerprint(&spec.key, &spec.token);
         let opts = self.solve_options(spec.audit);
         let cfg = spec.cfg.clone();
-        let utility = spec.utility;
         let fetched = self.cache.get_or_solve(fp, move || {
             let started = Instant::now();
             let model = AttackModel::build(cfg)?;
             let states = model.num_states();
-            let strategy = match utility {
-                Utility::U1 => model.optimal_relative_revenue(&opts)?,
-                Utility::U2 => model.optimal_absolute_revenue(&opts)?,
-                Utility::U3 => model.optimal_orphan_rate(&opts)?,
-            };
+            let strategy = model.optimal(&opts)?;
             let summary = bvc_bu::summarize(&model, &strategy.policy);
             Ok(CachedCell {
                 vals: vec![
@@ -503,7 +466,7 @@ impl Service {
                 .str("table", table.name())
                 .str("key", &spec.key)
                 .str("fingerprint", &format!("{fp:016x}"))
-                .str("utility", spec.utility.name())
+                .str("utility", spec.cfg.incentive.utility().name())
                 .num("value", cell.vals[0])
                 .raw("policy", &policy)
                 .str("cache", cache)
@@ -974,14 +937,8 @@ impl RawParams {
             .with_ads(self.ad, ad_carol);
         let mut cfg = cfg;
         cfg.gate_blocks = self.gate;
-        let key = cell_key(table, &cfg, ratio, alpha);
-        Ok(CellSpec {
-            cfg,
-            utility: table.utility(),
-            key,
-            token: config_token(table.name()),
-            audit: self.audit,
-        })
+        let key = cfg.cell_key(ratio);
+        Ok(CellSpec { cfg, key, token: config_token(table.name()), audit: self.audit })
     }
 }
 
@@ -1119,7 +1076,7 @@ fn parse_solve_body(doc: &FlatJson) -> Result<CellSpec, String> {
     let mut spec = raw.resolve(table)?;
     // Generic solves get their own token namespace per utility; their keys
     // are not meant to match any sweep journal.
-    spec.token = config_token(&format!("solve-{}", spec.utility.name()));
+    spec.token = config_token(&format!("solve-{}", spec.cfg.incentive.utility().name()));
     Ok(spec)
 }
 
@@ -1450,50 +1407,6 @@ fn parse_eb_params(req: &Request) -> Result<Vec<f64>, String> {
     Ok(powers)
 }
 
-/// Builds the journal-compatible cell key. For the paper-default shape
-/// (`AD = 6/6`, 144-block gate, default double-spend terms) this is
-/// byte-identical to the key the corresponding sweep binary journals, so a
-/// preloaded journal answers the same requests the sweep solved:
-///
-/// * table2: `s{setting} b:g={b}:{g} a={alpha:.0}%` — but only when the
-///   rounded percent round-trips to exactly the requested `alpha`;
-///   otherwise the exact `Display` form is used so two distinct alphas can
-///   never collide on one key.
-/// * table3/table4: `s{setting} b:g={b}:{g} a={alpha}%` (`Display`, exact).
-///
-/// Non-default structural parameters append explicit ` ad=`/` gate=`
-/// (and ` rds=`/` thr=` for table3) suffixes.
-fn cell_key(table: Table, cfg: &AttackConfig, ratio: (u32, u32), alpha: f64) -> String {
-    let pct = alpha * 100.0;
-    let alpha_txt = match table {
-        Table::T2 => {
-            let rounded = format!("{pct:.0}");
-            let round_trips = rounded
-                .parse::<f64>()
-                .map(|p| (p / 100.0).to_bits() == alpha.to_bits())
-                .unwrap_or(false);
-            if round_trips {
-                rounded
-            } else {
-                format!("{pct}")
-            }
-        }
-        Table::T3 | Table::T4 => format!("{pct}"),
-    };
-    let (b, g) = ratio;
-    let mut key = format!("s{} b:g={b}:{g} a={alpha_txt}%", setting_tag(cfg.setting));
-    if cfg.ad != 6 || cfg.ad_carol != 6 || cfg.gate_blocks != 144 {
-        key.push_str(&format!(" ad={}/{} gate={}", cfg.ad, cfg.ad_carol, cfg.gate_blocks));
-    }
-    if let IncentiveModel::NonCompliantProfitDriven { rds, threshold } = cfg.incentive {
-        const DEFAULT_RDS: f64 = 10.0;
-        if rds.to_bits() != DEFAULT_RDS.to_bits() || threshold != 3 {
-            key.push_str(&format!(" rds={rds} thr={threshold}"));
-        }
-    }
-    key
-}
-
 fn failure_response(failure: &SolveFailure) -> Response {
     match failure {
         SolveFailure::Mdp(MdpError::AuditFailed { check, detail }) => Response::json(
@@ -1671,7 +1584,7 @@ mod tests {
         )
         .unwrap();
         let spec = parse_solve_body(&doc).unwrap();
-        assert_eq!(spec.utility.name(), "u2");
+        assert_eq!(spec.cfg.incentive.utility().name(), "u2");
         assert!(spec.token.starts_with("solve-u2;"));
         assert_eq!(spec.key, "s1 b:g=1:4 a=10%");
         let doc = FlatJson::parse("{\"alpha\":0.1,\"incentive\":\"mystery\"}").unwrap();

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate, offline-friendly.
 #
-# Everything this workspace depends on lives in-tree (the proptest/criterion
-# API shims are the path crates `crates/propcheck` / `crates/microbench`),
-# so the whole gate must pass with no registry or network access.
+# Everything this workspace depends on lives in-tree (the proptest API shim
+# is the path crate `crates/propcheck`), so the whole gate must pass with no
+# registry or network access.
 #
 #   scripts/verify.sh           # build + full workspace tests + timing smoke
 #   scripts/verify.sh --no-smoke  # skip the sweep_timing smoke run
@@ -54,6 +54,14 @@ echo "==> model-build gate (pinned model fingerprints + Table 1 generator rows)"
 # generator must still reproduce the corrected Table 1 row by row.
 cargo test -q --offline -p bvc-bu -p bvc-bitcoin --test model_fingerprint
 cargo test -q --offline -p bvc-bu --lib table1
+
+echo "==> cell-identity gate (solve token pin + cluster and serve cell keys)"
+# Every journal fingerprint and serve cache key hashes the default solve
+# token and a cell key; a drift in either orphans old journals and turns
+# preloaded serve hits into misses. Re-run the pins so such a drift fails
+# under this name.
+cargo test -q --offline -p bvc-cluster --lib -- solve_token_is_pinned keys_
+cargo test -q --offline -p bvc-serve --lib -- _key
 
 echo "==> benchmark self-tests (exact counts repeat, decomposition is bit-exact)"
 # The benchmark is its own Cargo workspace, so the workspace test run above
