@@ -4,14 +4,17 @@
 //! The workload is the `table2` binary's: the printed cells of Table 2
 //! (22 setting-1 cells across α ∈ {10,15,20,25}% and six β:γ ratios; with
 //! `--full`, also the four setting-2 cells at α = 25%), each solved for the
-//! maximal relative revenue u1 by a secant search over ρ with warm-started inner
-//! RVI solves. The nested baseline sweeps through
-//! `bvc_repro::parallel_map`; the compiled path runs through the resilient
+//! maximal relative revenue u1 by a secant search over ρ. The nested
+//! baseline sweeps through `bvc_repro::parallel_map` and probes each ρ with a
+//! warm-started RVI solve; the compiled path runs through the resilient
 //! sweep runner (`bvc_repro::sweep::run_sweep`) exactly as the table
-//! binaries do, so the timing includes the runner's per-cell isolation and
-//! retry accounting — its overhead (one `catch_unwind` frame and an atomic
-//! claim per cell) is far below the per-cell solve cost, so the comparison
-//! still isolates the solver memory layout.
+//! binaries do, and on these regenerative models probes each ρ with exact
+//! renewal passes instead. Its timing includes the runner's per-cell
+//! isolation and retry accounting (one `catch_unwind` frame and an atomic
+//! claim per cell, far below the per-cell solve cost), so the speedup is
+//! the probe engine's and the memory layout's together. The two paths
+//! differ in their probes' gain error, so the cross-check holds them to the
+//! ratio tolerance, the precision both promise.
 //!
 //! ```console
 //! $ cargo run --release -p bvc-bench --bin sweep_timing             # setting 1, 1 rep
@@ -29,13 +32,17 @@
 //! numbers meaningless — use it only to inspect runner behaviour.
 //!
 //! With `--json`, the final line is a single machine-readable timing record
-//! (`{"bench":"sweep_timing",...}`) with a per-cell breakdown (state count
-//! and wall time per cell, plus the largest cell called out) —
+//! (`{"bench":"sweep_timing",...}`) with a per-cell breakdown (state count,
+//! wall time, probe engine, probes on ρ and passes — renewal DP passes or
+//! RVI sweeps — per cell, plus the largest cell called out) —
 //! `scripts/bench_record.sh` appends it to the benchmark history.
+
+use std::sync::Mutex;
 
 use bvc_bench::timing::time_runs_cold;
 use bvc_bu::{rewards, AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions};
 use bvc_mdp::solve::reference::maximize_ratio_nested;
+use bvc_mdp::solve::ProbeEngine;
 use bvc_repro::parallel_map;
 use bvc_repro::sweep::{json_escape, run_sweep, SweepOptions};
 
@@ -135,7 +142,7 @@ fn main() {
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
     );
 
-    // The nested baseline searches with the same numerics as the compiled path.
+    // The nested baseline searches under the same options as the compiled path.
     let opts = SolveOptions::default().ratio_options();
     let (num, den) = (rewards::u1_numerator(), rewards::u1_denominator());
 
@@ -161,6 +168,8 @@ fn main() {
     };
 
     let indices: Vec<usize> = (0..n).collect();
+    // Per cell: the probe engine, probes on ρ and passes of its last solve.
+    let work: Mutex<Vec<Option<(ProbeEngine, usize, usize)>>> = Mutex::new(vec![None; n]);
     let mut last_report = None;
     let compiled = time_runs_cold(reps, || {
         last_report = Some(run_sweep(
@@ -175,7 +184,12 @@ fn main() {
                 };
                 format!("s{tag} b:g={}:{} a={}%", c.ratio.0, c.ratio.1, c.alpha * 100.0)
             },
-            |&i, ctx| Ok(models[i].optimal_relative_revenue(&ctx.solve_options())?.value),
+            |&i, ctx| {
+                let sol = models[i].optimal_relative_revenue(&ctx.solve_options())?;
+                work.lock().unwrap_or_else(|e| e.into_inner())[i] =
+                    Some((sol.engine, sol.inner_solves, sol.inner_iterations));
+                Ok(sol.value)
+            },
         ));
     });
     let report = last_report.unwrap_or_else(|| {
@@ -218,8 +232,8 @@ fn main() {
             .zip(&compiled_vals)
             .map(|(x, y)| (x - y).abs())
             .fold(0.0f64, f64::max);
-        // `<` (not `>=`) so a NaN deviation also counts as divergence.
-        let agree = max_dev < 1e-9;
+        // `<=` (not `>`) so a NaN deviation also counts as divergence.
+        let agree = max_dev <= opts.tolerance;
         if !agree {
             eprintln!("error: paths diverged: max |Δu1| = {max_dev:e}");
             std::process::exit(1);
@@ -261,12 +275,20 @@ fn main() {
             models[largest].num_states(),
             report.cells[largest].elapsed.as_secs_f64(),
         ));
+        let work = work.into_inner().unwrap_or_else(|e| e.into_inner());
         for (i, c) in report.cells.iter().enumerate() {
             if i > 0 {
                 record.push(',');
             }
+            let (engine, probes, passes) = match work[i] {
+                Some((engine, probes, passes)) => {
+                    (format!("\"{}\"", engine.name()), probes.to_string(), passes.to_string())
+                }
+                None => ("null".into(), "null".into(), "null".into()),
+            };
             record.push_str(&format!(
-                "{{\"key\":\"{}\",\"states\":{},\"elapsed_s\":{:.6}}}",
+                "{{\"key\":\"{}\",\"states\":{},\"elapsed_s\":{:.6},\
+                 \"engine\":{engine},\"probes\":{probes},\"passes\":{passes}}}",
                 json_escape(&c.key),
                 models[i].num_states(),
                 c.elapsed.as_secs_f64(),

@@ -37,7 +37,7 @@ impl BitcoinModel {
         opts.audit_gate(self.mdp())?;
         let sol =
             maximize_ratio(self.mdp(), &u1_numerator(), &u1_denominator(), &opts.ratio_options())?;
-        Ok(OptimalStrategy { value: sol.value, policy: sol.policy })
+        Ok(sol.into())
     }
 
     /// Optimal *absolute revenue per block* for the combined selfish-mining
@@ -49,7 +49,7 @@ impl BitcoinModel {
     ) -> Result<OptimalStrategy, MdpError> {
         opts.audit_gate(self.mdp())?;
         let sol = relative_value_iteration(self.mdp(), &u2_objective(), &opts.rvi_options())?;
-        Ok(OptimalStrategy { value: sol.gain, policy: sol.policy })
+        Ok(sol.into())
     }
 
     /// Evaluates a fixed policy: returns `(u1, u2, component rates)`.

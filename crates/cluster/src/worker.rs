@@ -388,15 +388,25 @@ fn run_session(addr: &str, opts: &WorkerOptions, session: u64, ws: &WorkerState)
     let progressed = AtomicBool::new(false);
 
     let end = std::thread::scope(|scope| {
+        // The first heartbeat goes out one full interval after the session
+        // starts, never at once: a thread scheduled late would otherwise find
+        // the first lease already granted and slip a heartbeat between the
+        // claim and the first `done`, so the frames a session sends would
+        // depend on thread timing.
         scope.spawn(|| {
             let mut stopped = hb_stop.lock().unwrap_or_else(|e| e.into_inner());
-            while !*stopped {
+            loop {
+                stopped = hb_cv
+                    .wait_timeout_while(stopped, hb_interval, |stopped| !*stopped)
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0;
+                if *stopped {
+                    break;
+                }
                 let lease = *current_lease.lock().unwrap_or_else(|e| e.into_inner());
                 if let Some(lease) = lease {
                     let _ = tx.send(&Frame::Heartbeat { lease }.encode());
                 }
-                stopped =
-                    hb_cv.wait_timeout(stopped, hb_interval).unwrap_or_else(|e| e.into_inner()).0;
             }
         });
         let run = (|| -> SessionEnd {

@@ -52,7 +52,7 @@ impl AttackModel {
             &rewards::u1_denominator(),
             &opts.ratio_options(),
         )?;
-        Ok(OptimalStrategy { value: sol.value, policy: sol.policy })
+        Ok(sol.into())
     }
 
     /// Maximum absolute revenue per block `u2` (Table 3): the long-run
@@ -64,7 +64,7 @@ impl AttackModel {
         opts.audit_gate(self.mdp())?;
         let sol =
             relative_value_iteration(self.mdp(), &rewards::u2_objective(), &opts.rvi_options())?;
-        Ok(OptimalStrategy { value: sol.gain, policy: sol.policy })
+        Ok(sol.into())
     }
 
     /// Maximum orphans per attacker block `u3` (Table 4). In Bitcoin this
@@ -77,7 +77,7 @@ impl AttackModel {
             &rewards::u3_denominator(),
             &opts.ratio_options(),
         )?;
-        Ok(OptimalStrategy { value: sol.value, policy: sol.policy })
+        Ok(sol.into())
     }
 
     /// Evaluates a fixed policy in all three utilities at once.

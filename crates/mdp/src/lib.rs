@@ -17,7 +17,8 @@
 //!   solving (the paper's "undiscounted average reward MDP").
 //! * [`solve::maximize_ratio`] — maximizes `E[N]/E[D]` objectives such as
 //!   *relative revenue* (Eq. 1 of the paper) via a safeguarded secant search
-//!   on ρ over transformed rewards.
+//!   on ρ over transformed rewards; each probe is exact
+//!   ([`solve::renewal`]) when state 0 is a regeneration state.
 //! * [`solve::evaluate_policy`] — exact long-run component rates of a fixed
 //!   policy, for reporting every utility of one optimal strategy and for
 //!   Monte Carlo cross-validation.

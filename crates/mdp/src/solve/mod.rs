@@ -1,7 +1,8 @@
 //! Solvers: discounted (value/policy iteration), average-reward (relative
-//! value iteration), ratio objectives (secant search on ρ over transformed
-//! rewards), and fixed-policy evaluation. [`SolveOptions`] is the one
-//! options type the attack models solve under.
+//! value iteration, and exact renewal-cycle passes on regenerative models),
+//! ratio objectives (secant search on ρ over transformed rewards), and
+//! fixed-policy evaluation. [`SolveOptions`] is the one options type the
+//! attack models solve under.
 //!
 //! The production solvers run on the CSR-flattened
 //! [`CompiledMdp`](crate::compiled::CompiledMdp); [`reference`] keeps the
@@ -15,6 +16,7 @@ pub mod options;
 pub mod policy_iteration;
 pub mod ratio;
 pub mod reference;
+pub mod renewal;
 pub mod rvi;
 pub mod simulate;
 pub mod value_iteration;
@@ -24,7 +26,7 @@ pub use eval::{evaluate_policy, EvalOptions, PolicyEvaluation};
 pub use hitting::{expected_hitting_time, hitting_probability, HittingOptions};
 pub use options::{OptimalStrategy, SolveOptions};
 pub use policy_iteration::{policy_iteration, PiOptions, PiSolution};
-pub use ratio::{maximize_ratio, RatioOptions, RatioSolution};
+pub use ratio::{maximize_ratio, ProbeEngine, RatioOptions, RatioSolution};
 pub use rvi::{relative_value_iteration, RviOptions, RviSolution};
 pub use simulate::{sample_path, PathSample, XorShift64};
 pub use value_iteration::{value_iteration, ViOptions, ViSolution};

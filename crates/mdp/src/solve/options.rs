@@ -12,7 +12,7 @@ use crate::error::MdpError;
 use crate::model::{Mdp, Policy};
 use crate::shard::DEFAULT_SHARD_MIN_STATES;
 
-use super::{RatioOptions, RviOptions};
+use super::{ProbeEngine, RatioOptions, RatioSolution, RviOptions, RviSolution};
 
 /// Numeric precision options for the model-level `optimal_*` solves.
 #[derive(Debug, Clone)]
@@ -112,7 +112,9 @@ impl SolveOptions {
     }
 }
 
-/// An optimal-value result: the utility achieved and a policy achieving it.
+/// An optimal-value result: the utility achieved, a policy achieving it,
+/// and the solver work behind it. The work fields are observability only;
+/// they never feed into a value, fingerprint or cache key.
 #[derive(Debug, Clone)]
 pub struct OptimalStrategy {
     /// The optimal utility value.
@@ -120,4 +122,37 @@ pub struct OptimalStrategy {
     /// A policy attaining it (action indices per MDP state; the model
     /// crates map them back to their domain actions).
     pub policy: Policy,
+    /// The inner solver: a ratio objective's probe engine, or
+    /// [`ProbeEngine::Rvi`] for a gain objective.
+    pub engine: ProbeEngine,
+    /// Inner solves: probes on ρ for a ratio objective, 1 for a gain
+    /// objective.
+    pub inner_solves: usize,
+    /// Inner work summed over them: RVI iterations, or DP passes on the
+    /// renewal engine.
+    pub inner_iterations: usize,
+}
+
+impl From<RatioSolution> for OptimalStrategy {
+    fn from(sol: RatioSolution) -> Self {
+        OptimalStrategy {
+            value: sol.value,
+            policy: sol.policy,
+            engine: sol.engine,
+            inner_solves: sol.inner_solves,
+            inner_iterations: sol.inner_iterations,
+        }
+    }
+}
+
+impl From<RviSolution> for OptimalStrategy {
+    fn from(sol: RviSolution) -> Self {
+        OptimalStrategy {
+            value: sol.gain,
+            policy: sol.policy,
+            engine: ProbeEngine::Rvi,
+            inner_solves: 1,
+            inner_iterations: sol.iterations,
+        }
+    }
 }

@@ -39,20 +39,40 @@
 //! bisection's probes, and on the paper's tables it needs about a third of
 //! them.
 //!
+//! ## Exact probes on regenerative models
+//!
+//! Each probe needs the optimal gain `g(rho)` of `w_rho`. When state 0 is a
+//! regeneration state — with the edges into it removed, the state graph of
+//! every arm is acyclic, which every BU attack model satisfies with state 0
+//! = `BASE` — the probe computes `g(rho)` **exactly** instead of by RVI:
+//! [`renewal`](crate::solve::renewal) finds the best cycle ratio by
+//! Dinkelbach steps, one backward DP pass over a topological order each,
+//! warm-started from the previous probe's policy. The check
+//! ([`regeneration_order`]) runs once per solve. Only
+//! [`RatioOptions::tolerance`] and the budget of [`RatioOptions::rvi`]
+//! (checked once per pass) apply on this path; the other RVI options are
+//! unused. Models with a cycle that avoids state 0 (the Bitcoin models,
+//! for one) keep the RVI probe. Either way the search on rho, its bracket
+//! and its result contract are the same; [`RatioSolution::engine`] names
+//! the probe that ran.
+//!
 //! ## The compiled fast path
 //!
 //! The model is compiled to CSR form **once**. Scalarization is linear in the
 //! objective, so the per-arm expected rewards of `w_rho` are
-//! `exp_num[a] − rho · exp_den[a]`: each probe re-scalarizes *in place* with
-//! one O(arms) vector combine ([`CompiledMdp::combine_scalarized_into`]) and
-//! never re-reads the per-transition reward buffer. Every inner solve runs
-//! [`rvi_kernel`] inside one persistent set of buffers, warm-starting from
-//! the previous probe's bias vector — after setup, the whole search performs
-//! no heap allocation except recording a new incumbent policy.
+//! `exp_num[a] − rho · exp_den[a]`: an RVI probe re-scalarizes *in place*
+//! with one O(arms) vector combine ([`CompiledMdp::combine_scalarized_into`]),
+//! and the renewal passes combine each arm's reward as they read it; neither
+//! re-reads the per-transition reward buffer. Every inner solve runs in one
+//! persistent set of buffers (the RVI probe warm-starts [`rvi_kernel`] from
+//! the previous probe's bias vector; the renewal probe keeps its cycle
+//! values there) — after setup, the whole search performs no heap
+//! allocation except recording a new incumbent policy.
 
 use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
 use crate::model::{Mdp, Objective, Policy};
+use crate::solve::renewal::{optimal_gain, regeneration_order, ArmRewards};
 use crate::solve::rvi::{rvi_kernel, RviOptions};
 
 /// Options for [`maximize_ratio`].
@@ -64,7 +84,7 @@ pub struct RatioOptions {
     pub tolerance: f64,
     /// Inner average-reward solver options. Warm starts are managed
     /// internally across probes; any user-provided warm start seeds only the
-    /// first probe.
+    /// first RVI probe. The renewal probe uses only the budget.
     pub rvi: RviOptions,
     /// Initial upper bound for the ratio. Doubled until `g(hi) <= 0` holds,
     /// so this is a hint, not a hard cap.
@@ -86,10 +106,32 @@ pub struct RatioSolution {
     /// MDP at the lower bracket (where the gain is still positive), i.e. a
     /// policy whose own ratio is within tolerance of optimal.
     pub policy: Policy,
-    /// Number of inner average-reward solves performed.
+    /// Number of inner average-reward solves performed (probes on rho).
     pub inner_solves: usize,
-    /// Relative value iterations summed over all inner solves.
+    /// Work summed over all inner solves: relative value iterations on the
+    /// RVI engine, backward DP passes on the renewal engine.
     pub inner_iterations: usize,
+    /// Which solver computed each probe's gain.
+    pub engine: ProbeEngine,
+}
+
+/// The inner solver of the search on rho (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProbeEngine {
+    /// Exact renewal-cycle DP passes: state 0 is a regeneration state.
+    Renewal,
+    /// Warm-started relative value iteration.
+    Rvi,
+}
+
+impl ProbeEngine {
+    /// Stable lowercase name, for reports and timing records.
+    pub fn name(self) -> &'static str {
+        match self {
+            ProbeEngine::Renewal => "renewal",
+            ProbeEngine::Rvi => "rvi",
+        }
+    }
 }
 
 /// The gain level whose crossing the search locates. The inner gain must be
@@ -262,7 +304,8 @@ pub fn maximize_ratio(
 }
 
 /// [`maximize_ratio`] on an already-compiled model. Use this form when
-/// solving several ratio objectives over the same model.
+/// solving several ratio objectives over the same model. The probe engine
+/// is chosen here, once per solve (see the module docs).
 pub fn maximize_ratio_compiled(
     compiled: &CompiledMdp,
     numerator: &Objective,
@@ -271,6 +314,8 @@ pub fn maximize_ratio_compiled(
 ) -> Result<RatioSolution, MdpError> {
     let eps = crossing_level(opts);
     let n = compiled.num_states();
+    let order = regeneration_order(compiled);
+    let engine = if order.is_some() { ProbeEngine::Renewal } else { ProbeEngine::Rvi };
 
     // Scalarize both functionals once; every rho after this is a vector
     // combine over these two arrays. Both passes shard across the inner
@@ -280,11 +325,18 @@ pub fn maximize_ratio_compiled(
     let mut exp_den = Vec::new();
     compiled.scalarize_into_threaded(numerator, &mut exp_num, solve_threads);
     compiled.scalarize_into_threaded(denominator, &mut exp_den, solve_threads);
-    let mut exp_w = vec![0.0f64; compiled.num_arms()];
+    // The RVI kernel reads the combined rewards from a buffer; the renewal
+    // passes combine each arm's as they read it.
+    let mut exp_w = match order {
+        Some(_) => Vec::new(),
+        None => vec![0.0f64; compiled.num_arms()],
+    };
 
-    // Persistent solver state. `h` carries the bias across probes (warm
-    // start); nearby rho values have nearby bias vectors, so each inner
-    // solve converges in a fraction of a cold start's iterations.
+    // Persistent solver state. For RVI, `h` carries the bias across probes
+    // (warm start); nearby rho values have nearby bias vectors, so each
+    // inner solve converges in a fraction of a cold start's iterations. The
+    // renewal probe reuses `h` and `h_next` for its cycle rewards and
+    // lengths, and warm-starts from `policy` instead.
     let mut h: Vec<f64> = match &opts.rvi.warm_start {
         Some(w) => {
             if w.len() != n {
@@ -302,17 +354,32 @@ pub fn maximize_ratio_compiled(
     let mut inner_iterations = 0usize;
 
     let found = search_crossing(opts, |rho| {
-        CompiledMdp::combine_scalarized_into_threaded(
-            &exp_num,
-            &exp_den,
-            rho,
-            &mut exp_w,
-            solve_threads,
-        );
-        let (gain, iters) =
-            rvi_kernel(compiled, &exp_w, &mut h, &mut h_next, &mut policy, &inner_opts)?;
+        let gain = match &order {
+            Some(order) => optimal_gain(
+                compiled,
+                order,
+                ArmRewards { num: &exp_num, den: &exp_den, rho },
+                &mut h,
+                &mut h_next,
+                &mut policy,
+                &opts.rvi.budget,
+                &mut inner_iterations,
+            )?,
+            None => {
+                CompiledMdp::combine_scalarized_into_threaded(
+                    &exp_num,
+                    &exp_den,
+                    rho,
+                    &mut exp_w,
+                    solve_threads,
+                );
+                let (gain, iters) =
+                    rvi_kernel(compiled, &exp_w, &mut h, &mut h_next, &mut policy, &inner_opts)?;
+                inner_iterations += iters;
+                gain
+            }
+        };
         inner_solves += 1;
-        inner_iterations += iters;
         if gain > eps {
             lo_policy.clone_from(&policy);
         }
@@ -323,7 +390,7 @@ pub fn maximize_ratio_compiled(
         Some(value) => (value, lo_policy),
         None => (0.0, policy),
     };
-    Ok(RatioSolution { value, policy, inner_solves, inner_iterations })
+    Ok(RatioSolution { value, policy, inner_solves, inner_iterations, engine })
 }
 
 #[cfg(test)]
@@ -432,6 +499,26 @@ mod tests {
             maximize_ratio(&m, &Objective::component(0, 2), &Objective::component(1, 2), &opts)
                 .unwrap_err();
         assert!(err.is_cancellation(), "{err:?}");
+    }
+
+    /// The probe engine follows the model's structure: renewal passes when
+    /// every cycle runs through state 0, RVI when one avoids it.
+    #[test]
+    fn engine_follows_the_model_structure() {
+        let n = Objective::component(0, 2);
+        let d = Objective::component(1, 2);
+        let mut m = Mdp::new(2);
+        let a = m.add_state();
+        let b = m.add_state();
+        m.add_action(a, 0, vec![Transition::new(b, 1.0, vec![1.0, 1.0])]);
+        m.add_action(b, 0, vec![Transition::new(a, 1.0, vec![0.0, 1.0])]);
+        let regenerative = maximize_ratio(&m, &n, &d, &RatioOptions::default()).unwrap();
+        assert_eq!(regenerative.engine, ProbeEngine::Renewal);
+        m.add_action(b, 1, vec![Transition::new(b, 1.0, vec![0.2, 1.0])]);
+        let cyclic = maximize_ratio(&m, &n, &d, &RatioOptions::default()).unwrap();
+        assert_eq!(cyclic.engine, ProbeEngine::Rvi);
+        assert!((regenerative.value - 0.5).abs() < 1e-4, "value {}", regenerative.value);
+        assert!((cyclic.value - 0.5).abs() < 1e-4, "value {}", cyclic.value);
     }
 
     /// The compiled entry point reuses one compilation across two different

@@ -22,7 +22,9 @@
 use crate::error::MdpError;
 use crate::model::{Mdp, Objective, Policy};
 use crate::solve::eval::{EvalOptions, PolicyEvaluation};
-use crate::solve::ratio::{crossing_level, search_crossing, RatioOptions, RatioSolution};
+use crate::solve::ratio::{
+    crossing_level, search_crossing, ProbeEngine, RatioOptions, RatioSolution,
+};
 use crate::solve::rvi::{RviOptions, RviSolution};
 use crate::solve::value_iteration::{ViOptions, ViSolution};
 
@@ -257,5 +259,5 @@ pub fn maximize_ratio_nested(
         Some(value) => (value, lo_policy),
         None => (0.0, last_policy),
     };
-    Ok(RatioSolution { value, policy, inner_solves, inner_iterations })
+    Ok(RatioSolution { value, policy, inner_solves, inner_iterations, engine: ProbeEngine::Rvi })
 }

@@ -4,11 +4,17 @@
 //! connected by construction (every action keeps a minimum probability of
 //! jumping to state 0), which guarantees the unichain assumption the
 //! average-reward solvers rely on.
+//!
+//! The ratio solver picks its probe engine from the model's structure: exact
+//! renewal passes when state 0 is a regeneration state, RVI otherwise. Tests
+//! that pin one engine draw from a generator that guarantees its structure:
+//! [`random_cyclic_model`] (a cycle avoids state 0: RVI) or
+//! [`RandomModel::build_regenerative`] (no such cycle: renewal).
 
 use bvc_mdp::solve::{
     average_reward_policy_iteration, evaluate_policy, maximize_ratio, policy_iteration,
-    relative_value_iteration, value_iteration, AvgPiOptions, EvalOptions, PiOptions, RatioOptions,
-    RviOptions, ViOptions,
+    relative_value_iteration, value_iteration, AvgPiOptions, EvalOptions, PiOptions, ProbeEngine,
+    RatioOptions, RviOptions, ViOptions,
 };
 use bvc_mdp::{Mdp, Objective, Transition};
 use proptest::prelude::*;
@@ -65,6 +71,78 @@ fn random_model() -> impl Strategy<Value = RandomModel> {
         proptest::collection::vec(arms, n)
             .prop_map(move |actions| RandomModel { n_states: n, actions })
     })
+}
+
+/// [`random_model`] with a self-loop added to the first arm of state 1, so
+/// some cycle always avoids state 0 and the ratio solver probes by RVI.
+fn random_cyclic_model() -> impl Strategy<Value = RandomModel> {
+    random_model().prop_map(|mut model| {
+        model.actions[1][0].push((1, 1, [0, 0]));
+        model
+    })
+}
+
+/// The smallest per-step denominator reward of
+/// [`RandomModel::build_regenerative`].
+const REGEN_MIN_DEN: f64 = 0.5;
+
+impl RandomModel {
+    /// The model with state 0 as a regeneration state: each sampled
+    /// transition is redirected to a higher-numbered state (the last state's
+    /// to state 0), next to the usual anchor to state 0. Rewards fit the
+    /// ratio solver's contract: the numerator is nonnegative and every step
+    /// pays at least [`REGEN_MIN_DEN`] to the denominator, so every policy's
+    /// ratio is finite and the crossing level's offset stays below the
+    /// tolerance.
+    fn build_regenerative(&self) -> Mdp {
+        let n = self.n_states;
+        let mut m = Mdp::new(2);
+        for _ in 0..n {
+            m.add_state();
+        }
+        for (s, arms) in self.actions.iter().enumerate() {
+            for (label, raw) in arms.iter().enumerate() {
+                let total: f64 = raw.iter().map(|(_, w, _)| *w as f64).sum::<f64>() + 1.0;
+                let mut transitions: Vec<Transition> = raw
+                    .iter()
+                    .map(|(t, w, r)| {
+                        let to = if s + 1 < n { s + 1 + t % (n - s - 1) } else { 0 };
+                        Transition::new(
+                            to,
+                            *w as f64 / total,
+                            vec![
+                                f64::from(r[0].abs()) / 8.0,
+                                REGEN_MIN_DEN + f64::from(r[1]) / 8.0,
+                            ],
+                        )
+                    })
+                    .collect();
+                transitions.push(Transition::new(0, 1.0 / total, vec![0.0, REGEN_MIN_DEN]));
+                m.add_action(s, label, transitions);
+            }
+        }
+        m
+    }
+}
+
+/// The exact cycle ratio `E[cycle N] / E[cycle D]` of `policy` from state
+/// 0 on a [`RandomModel::build_regenerative`] model: one pass from the
+/// highest state down, since every transition goes up or back to 0.
+fn cycle_ratio(m: &Mdp, policy: &bvc_mdp::Policy) -> f64 {
+    let n = m.num_states();
+    let mut num = vec![0.0; n];
+    let mut den = vec![0.0; n];
+    for s in (0..n).rev() {
+        let (mut a, mut b) = (0.0, 0.0);
+        for t in &m.actions(s)[policy.choices[s]].transitions {
+            let (na, nb) = if t.to == 0 { (0.0, 0.0) } else { (num[t.to], den[t.to]) };
+            a += t.prob * (t.reward[0] + na);
+            b += t.prob * (t.reward[1] + nb);
+        }
+        num[s] = a;
+        den[s] = b;
+    }
+    num[0] / den[0]
 }
 
 proptest! {
@@ -289,9 +367,11 @@ proptest! {
     /// The compiled ratio solver (in-place re-scalarization + warm-started
     /// kernel) and the nested one (objective rebuilt per probe) take the
     /// same probes, spend the same inner iterations, and agree on the
-    /// optimal ratio and the attaining policy.
+    /// optimal ratio and the attaining policy. The models keep a cycle that
+    /// avoids state 0, so the compiled path probes by RVI like the nested
+    /// one.
     #[test]
-    fn compiled_ratio_matches_nested(model in random_model()) {
+    fn compiled_ratio_matches_nested(model in random_cyclic_model()) {
         let m = model.build();
         let num = Objective::component(0, 2);
         let den = Objective::new(vec![0.0, 1.0]);
@@ -300,6 +380,7 @@ proptest! {
         let slow = maximize_ratio_nested(&m, &num, &den, &opts);
         match (fast, slow) {
             (Ok(f), Ok(s)) => {
+                prop_assert_eq!(f.engine, ProbeEngine::Rvi);
                 prop_assert!((f.value - s.value).abs() < 1e-9,
                     "ratio: compiled {} vs nested {}", f.value, s.value);
                 prop_assert_eq!(f.inner_solves, s.inner_solves);
@@ -373,5 +454,57 @@ proptest! {
             (Err(_), Err(_)) => {}
             (f, s) => prop_assert!(false, "one path failed: {:?} vs {:?}", f.is_ok(), s.is_ok()),
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On regenerative models (≤ 5 states, ≤ 2 arms) the renewal probes find
+    /// the best ratio over every deterministic policy, each evaluated
+    /// exactly over one cycle: the value and the returned policy's own ratio
+    /// are within the tolerance of that maximum. The value also agrees with
+    /// the nested RVI search: each search ends within half a tolerance of
+    /// its own crossing, and RVI's gain error moves the crossing by at most
+    /// its tolerance over the smallest denominator rate.
+    #[test]
+    fn renewal_ratio_matches_policy_enumeration(model in random_model()) {
+        let m = model.build_regenerative();
+        let num = Objective::component(0, 2);
+        let den = Objective::component(1, 2);
+        let opts = RatioOptions::default();
+        let sol = maximize_ratio(&m, &num, &den, &opts).unwrap();
+        prop_assert_eq!(sol.engine, ProbeEngine::Renewal);
+
+        let n = m.num_states();
+        let radices: Vec<usize> = (0..n).map(|s| m.actions(s).len()).collect();
+        let mut policy = bvc_mdp::Policy::zeros(n);
+        let mut best = f64::NEG_INFINITY;
+        loop {
+            best = best.max(cycle_ratio(&m, &policy));
+            // Mixed-radix increment; stop after wrap-around.
+            let mut carry = true;
+            for (choice, &radix) in policy.choices.iter_mut().zip(&radices) {
+                *choice += 1;
+                if *choice == radix {
+                    *choice = 0;
+                } else {
+                    carry = false;
+                    break;
+                }
+            }
+            if carry { break; }
+        }
+        prop_assert!((sol.value - best).abs() <= opts.tolerance,
+            "renewal {} vs enumerated best {}", sol.value, best);
+        let own = cycle_ratio(&m, &sol.policy);
+        prop_assert!((own - best).abs() <= opts.tolerance,
+            "returned policy's ratio {} vs enumerated best {}", own, best);
+
+        let nested = maximize_ratio_nested(&m, &num, &den, &opts).unwrap();
+        prop_assert!(
+            (sol.value - nested.value).abs()
+                <= opts.tolerance + opts.rvi.tolerance / REGEN_MIN_DEN,
+            "renewal {} vs nested {}", sol.value, nested.value);
     }
 }

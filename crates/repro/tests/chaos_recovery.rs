@@ -144,10 +144,12 @@ fn worker_reconnects_and_redelivers_unacked_results() {
     let wl = stone();
     let reference = local_journal(&wl, "reconnect-ref");
 
-    // Worker session 1 frames: hello(1), claim(2), done(3), done(4).
-    // Killing tx op 4 loses the second result mid-batch: the worker must
-    // reconnect, redeliver both pending results (the first is a dedupe on
-    // the coordinator), and finish the rest on session 2.
+    // Worker session 1 frames: hello(1), claim(2), done(3), done(4). No
+    // heartbeat interleaves: the first is due a third of the 30 s lease
+    // after the session starts. Killing tx op 4 loses the second result
+    // mid-batch: the worker must reconnect, redeliver both pending results
+    // (the first is a dedupe on the coordinator), and finish the rest on
+    // session 2.
     bvc_chaos::install_spec("seed=42,conn_drop_at=w1.s1.tx:4").expect("valid plan");
     let worker = WorkerOptions {
         site: "w1".into(),

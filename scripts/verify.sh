@@ -32,21 +32,25 @@ RUSTFLAGS="--cfg bvc_check" CARGO_TARGET_DIR=target/check \
     cargo test -q --offline -p bvc-check -p bvc-serve -p bvc-cluster -p bvc-repro \
     --test selfcheck --test model
 
-echo "==> sharded-kernel gate (bit-identity proptests + threaded Table 2 pins)"
+echo "==> sharded-kernel gate (bit-identity proptests + threaded Table 2/3 pins)"
 # Explicitly re-run the tests that pin the threaded kernel's determinism
 # contract (bit-identical gain/bias/policy for every solve_threads), so a
 # threading regression names this gate instead of drowning in the full
-# workspace test list above.
+# workspace test list above. The Table 3 pin is the one that reaches the
+# sharded kernel from a table cell (u2 is solved by RVI).
 cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
     sharded_rvi_bit_identical_across_thread_counts threaded_rvi_matches_reference
 cargo test -q --offline -p bvc-bu --test table2_pins
 
-echo "==> ratio-search gate (secant search vs nested reference and bisection oracle)"
-# The secant search on rho must take the same probes and inner iterations on
-# the compiled and nested paths, and land within the tolerance of plain
-# bisection with at most three times its inner solves.
+echo "==> ratio-search gate (secant search vs nested reference, bisection and enumeration)"
+# On models with a cycle avoiding state 0 (RVI probes) the secant search on
+# rho must take the same probes and inner iterations on the compiled and
+# nested paths; it must land within the tolerance of plain bisection with at
+# most three times its inner solves; and on regenerative models (exact
+# renewal probes) within the tolerance of the best enumerated policy.
 cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
-    compiled_ratio_matches_nested ratio_search_matches_bisection_oracle
+    compiled_ratio_matches_nested ratio_search_matches_bisection_oracle \
+    renewal_ratio_matches_policy_enumeration
 
 echo "==> model-build gate (pinned model fingerprints + Table 1 generator rows)"
 # Every BU and Bitcoin model of the pinned grids must hash to the recorded
@@ -73,15 +77,17 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
     echo "==> sweep_timing smoke (Table 2, quick column)"
     cargo run --release --offline -p bvc-bench --bin sweep_timing -- --quick
 
-    echo "==> sharded-kernel determinism diff (table2 grid, --solve-threads 4)"
+    echo "==> sharded-kernel determinism diff (table3 setting-1 grid, --solve-threads 4)"
     # The same grid solved serially and through the sharded kernel must be
     # byte-identical ('# sweep' diagnostics legitimately differ in timing).
+    # Table 3's u2 cells are RVI solves; the ratio cells of Tables 2 and 4
+    # probe by exact renewal passes and never reach the sharded kernel.
     t1=$(mktemp) t4=$(mktemp)
-    target/release/table2 --setting1-only --threads 1 | grep -v '^# sweep' > "$t1"
-    target/release/table2 --setting1-only --threads 1 \
+    target/release/table3 --setting1-only --threads 1 | grep -v '^# sweep' > "$t1"
+    target/release/table3 --setting1-only --threads 1 \
         --solve-threads 4 --shard-min-states 1 | grep -v '^# sweep' > "$t4"
     if ! diff "$t1" "$t4"; then
-        echo "VERIFY FAILED: sharded table2 grid diverged from serial" >&2
+        echo "VERIFY FAILED: sharded table3 grid diverged from serial" >&2
         rm -f "$t1" "$t4"
         exit 1
     fi
