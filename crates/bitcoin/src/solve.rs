@@ -160,4 +160,16 @@ mod tests {
         let sol = m.optimal_absolute_revenue(&SolveOptions::default()).unwrap();
         assert!((sol.value - 0.10).abs() < 5e-3, "expected ≈ 0.10, got {:.3}", sol.value);
     }
+
+    /// Every Bitcoin action includes the next block's discovery, so no step
+    /// returns to the start state (state 0) and every cycle avoids it: the
+    /// `u2` gain solve runs the RVI kernel, unlike the regenerative BU
+    /// models (`bvc-bu`'s test of the same name).
+    #[test]
+    fn u2_engine_follows_the_model_structure() {
+        let m = BitcoinModel::build(BitcoinConfig::smds(0.25, 0.5)).unwrap();
+        let sol = m.optimal_absolute_revenue(&SolveOptions::default()).unwrap();
+        assert_eq!(sol.engine, bvc_mdp::solve::ProbeEngine::Rvi);
+        assert_eq!(sol.inner_solves, 1);
+    }
 }

@@ -56,7 +56,9 @@ impl AttackModel {
     }
 
     /// Maximum absolute revenue per block `u2` (Table 3): the long-run
-    /// average of `R_A + R_DS` per block found in the network.
+    /// average of `R_A + R_DS` per block found in the network. The model is
+    /// regenerative at `BASE`, so the solve is an exact renewal one
+    /// ([`OptimalStrategy::engine`] is `Renewal`).
     pub fn optimal_absolute_revenue(
         &self,
         opts: &SolveOptions,
@@ -110,6 +112,7 @@ mod tests {
     use super::*;
     use crate::config::{AttackConfig, IncentiveModel, Setting};
     use crate::model::AttackModel;
+    use bvc_mdp::solve::ProbeEngine;
 
     fn model(alpha: f64, ratio: (u32, u32), incentive: IncentiveModel) -> AttackModel {
         AttackModel::build(AttackConfig::with_ratio(alpha, ratio, Setting::One, incentive)).unwrap()
@@ -178,6 +181,19 @@ mod tests {
         let sol = m.optimal_absolute_revenue(&SolveOptions::default()).unwrap();
         assert!((sol.value - 0.013).abs() < 1e-3, "expected ≈ 0.013, got {:.4}", sol.value);
         assert_optimal_dispatches(&m, &sol);
+    }
+
+    /// Every BU model is regenerative at `BASE` (see `bvc_mdp::solve::renewal`),
+    /// so the `u2` gain solve runs the exact renewal engine: one solve of a
+    /// few DP passes. The Bitcoin models keep RVI (`bvc-bitcoin`'s test of
+    /// the same name).
+    #[test]
+    fn u2_engine_follows_the_model_structure() {
+        let m = model(0.10, (1, 1), IncentiveModel::non_compliant_default());
+        let sol = m.optimal_absolute_revenue(&SolveOptions::default()).unwrap();
+        assert_eq!(sol.engine, ProbeEngine::Renewal);
+        assert_eq!(sol.inner_solves, 1);
+        assert!((2..=10).contains(&sol.inner_iterations), "{} passes", sol.inner_iterations);
     }
 
     /// Analytical Result 2's qualitative core: in BU even a 1% miner earns

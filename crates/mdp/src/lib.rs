@@ -14,7 +14,9 @@
 //!   expansion writes each state's actions into a reused [`Expansion`] sink,
 //!   so building a model allocates only the model.
 //! * [`solve::relative_value_iteration`] — undiscounted average-reward
-//!   solving (the paper's "undiscounted average reward MDP").
+//!   solving (the paper's "undiscounted average reward MDP"): exact
+//!   ([`solve::renewal`]) when state 0 is a regeneration state, relative
+//!   value iteration otherwise.
 //! * [`solve::maximize_ratio`] — maximizes `E[N]/E[D]` objectives such as
 //!   *relative revenue* (Eq. 1 of the paper) via a safeguarded secant search
 //!   on ρ over transformed rewards; each probe is exact

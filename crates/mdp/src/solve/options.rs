@@ -20,7 +20,8 @@ pub struct SolveOptions {
     /// Outer tolerance for ratio objectives (`u1`, `u3`). The paper states a
     /// maximum error of `1e-4`.
     pub ratio_tolerance: f64,
-    /// Inner average-reward tolerance (also used directly for `u2`).
+    /// Inner average-reward tolerance of the RVI engine (also used directly
+    /// for `u2` on models it solves; renewal solves are exact).
     pub gain_tolerance: f64,
     /// Iteration budget of the inner RVI solver. Sweep runners escalate
     /// this on [`MdpError::NoConvergence`] retries.
@@ -122,8 +123,10 @@ pub struct OptimalStrategy {
     /// A policy attaining it (action indices per MDP state; the model
     /// crates map them back to their domain actions).
     pub policy: Policy,
-    /// The inner solver: a ratio objective's probe engine, or
-    /// [`ProbeEngine::Rvi`] for a gain objective.
+    /// The inner solver: a ratio objective's probe engine, or the engine of
+    /// a gain objective's solve. Either way [`ProbeEngine::Renewal`] on
+    /// regenerative models (every BU model) and [`ProbeEngine::Rvi`]
+    /// otherwise.
     pub engine: ProbeEngine,
     /// Inner solves: probes on ρ for a ratio objective, 1 for a gain
     /// objective.
@@ -150,7 +153,7 @@ impl From<RviSolution> for OptimalStrategy {
         OptimalStrategy {
             value: sol.gain,
             policy: sol.policy,
-            engine: ProbeEngine::Rvi,
+            engine: sol.engine,
             inner_solves: 1,
             inner_iterations: sol.iterations,
         }

@@ -48,12 +48,17 @@
 //! [`renewal`](crate::solve::renewal) finds the best cycle ratio by
 //! Dinkelbach steps, one backward DP pass over a topological order each,
 //! warm-started from the previous probe's policy. The check
-//! ([`regeneration_order`]) runs once per solve. Only
-//! [`RatioOptions::tolerance`] and the budget of [`RatioOptions::rvi`]
-//! (checked once per pass) apply on this path; the other RVI options are
-//! unused. Models with a cycle that avoids state 0 (the Bitcoin models,
-//! for one) keep the RVI probe. Either way the search on rho, its bracket
-//! and its result contract are the same; [`RatioSolution::engine`] names
+//! ([`regeneration_order`](crate::solve::renewal::regeneration_order))
+//! runs once per solve, in the same place that picks the engine of a plain
+//! gain solve
+//! ([`relative_value_iteration_compiled`](crate::solve::rvi::relative_value_iteration_compiled))
+//! and validates `aperiodicity_tau` and the warm start's length for both
+//! engines. Beyond those, only [`RatioOptions::tolerance`] and the budget
+//! of [`RatioOptions::rvi`] (checked once per pass) apply on this path; the
+//! other RVI options are unused. Models with a cycle that avoids state 0
+//! (the Bitcoin models, for one) keep the RVI probe. Either way the search
+//! on rho, its bracket and its result contract are the same;
+//! [`RatioSolution::engine`] names
 //! the probe that ran.
 //!
 //! ## The compiled fast path
@@ -64,7 +69,7 @@
 //! with one O(arms) vector combine ([`CompiledMdp::combine_scalarized_into`]),
 //! and the renewal passes combine each arm's reward as they read it; neither
 //! re-reads the per-transition reward buffer. Every inner solve runs in one
-//! persistent set of buffers (the RVI probe warm-starts [`rvi_kernel`] from
+//! persistent set of buffers (the RVI probe warm-starts the RVI kernel from
 //! the previous probe's bias vector; the renewal probe keeps its cycle
 //! values there) — after setup, the whole search performs no heap
 //! allocation except recording a new incumbent policy.
@@ -72,8 +77,8 @@
 use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
 use crate::model::{Mdp, Objective, Policy};
-use crate::solve::renewal::{optimal_gain, regeneration_order, ArmRewards};
-use crate::solve::rvi::{rvi_kernel, RviOptions};
+use crate::solve::renewal::ArmRewards;
+use crate::solve::rvi::{GainEngine, RviOptions};
 
 /// Options for [`maximize_ratio`].
 #[derive(Debug, Clone)]
@@ -115,7 +120,9 @@ pub struct RatioSolution {
     pub engine: ProbeEngine,
 }
 
-/// The inner solver of the search on rho (see the module docs).
+/// The engine behind an optimal gain: each probe of the search on rho (see
+/// the module docs), or a plain gain solve
+/// ([`relative_value_iteration_compiled`](crate::solve::rvi::relative_value_iteration_compiled)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeEngine {
     /// Exact renewal-cycle DP passes: state 0 is a regeneration state.
@@ -314,71 +321,42 @@ pub fn maximize_ratio_compiled(
 ) -> Result<RatioSolution, MdpError> {
     let eps = crossing_level(opts);
     let n = compiled.num_states();
-    let order = regeneration_order(compiled);
-    let engine = if order.is_some() { ProbeEngine::Renewal } else { ProbeEngine::Rvi };
+    let engine = GainEngine::select(compiled, &opts.rvi)?;
 
     // Scalarize both functionals once; every rho after this is a vector
-    // combine over these two arrays. Both passes shard across the inner
-    // solver's thread budget on large models (bit-identical either way).
+    // combine over these two arrays (the renewal passes combine each arm's
+    // as they read it). Both passes shard across the inner solver's thread
+    // budget on large models (bit-identical either way).
     let solve_threads = opts.rvi.solve_threads;
     let mut exp_num = Vec::new();
     let mut exp_den = Vec::new();
     compiled.scalarize_into_threaded(numerator, &mut exp_num, solve_threads);
     compiled.scalarize_into_threaded(denominator, &mut exp_den, solve_threads);
-    // The RVI kernel reads the combined rewards from a buffer; the renewal
-    // passes combine each arm's as they read it.
-    let mut exp_w = match order {
-        Some(_) => Vec::new(),
-        None => vec![0.0f64; compiled.num_arms()],
-    };
+    let mut exp_w = Vec::new();
 
     // Persistent solver state. For RVI, `h` carries the bias across probes
     // (warm start); nearby rho values have nearby bias vectors, so each
     // inner solve converges in a fraction of a cold start's iterations. The
     // renewal probe reuses `h` and `h_next` for its cycle rewards and
     // lengths, and warm-starts from `policy` instead.
-    let mut h: Vec<f64> = match &opts.rvi.warm_start {
-        Some(w) => {
-            if w.len() != n {
-                return Err(MdpError::Shape { what: "warm start", found: w.len(), expected: n });
-            }
-            w.clone()
-        }
-        None => vec![0.0; n],
-    };
+    let mut h: Vec<f64> = opts.rvi.warm_start.clone().unwrap_or_else(|| vec![0.0; n]);
     let mut h_next = vec![0.0f64; n];
     let mut policy = Policy::zeros(n);
     let mut lo_policy = Policy::zeros(n);
-    let inner_opts = RviOptions { warm_start: None, ..opts.rvi.clone() };
     let mut inner_solves = 0usize;
     let mut inner_iterations = 0usize;
 
     let found = search_crossing(opts, |rho| {
-        let gain = match &order {
-            Some(order) => optimal_gain(
-                compiled,
-                order,
-                ArmRewards { num: &exp_num, den: &exp_den, rho },
-                &mut h,
-                &mut h_next,
-                &mut policy,
-                &opts.rvi.budget,
-                &mut inner_iterations,
-            )?,
-            None => {
-                CompiledMdp::combine_scalarized_into_threaded(
-                    &exp_num,
-                    &exp_den,
-                    rho,
-                    &mut exp_w,
-                    solve_threads,
-                );
-                let (gain, iters) =
-                    rvi_kernel(compiled, &exp_w, &mut h, &mut h_next, &mut policy, &inner_opts)?;
-                inner_iterations += iters;
-                gain
-            }
-        };
+        let gain = engine.solve(
+            compiled,
+            ArmRewards { num: &exp_num, den: &exp_den, rho },
+            &mut exp_w,
+            &mut h,
+            &mut h_next,
+            &mut policy,
+            &opts.rvi,
+            &mut inner_iterations,
+        )?;
         inner_solves += 1;
         if gain > eps {
             lo_policy.clone_from(&policy);
@@ -390,7 +368,7 @@ pub fn maximize_ratio_compiled(
         Some(value) => (value, lo_policy),
         None => (0.0, policy),
     };
-    Ok(RatioSolution { value, policy, inner_solves, inner_iterations, engine })
+    Ok(RatioSolution { value, policy, inner_solves, inner_iterations, engine: engine.kind() })
 }
 
 #[cfg(test)]
@@ -481,6 +459,21 @@ mod tests {
             maximize_ratio(&m, &Objective::component(0, 2), &Objective::component(1, 2), &opts)
                 .unwrap_err();
         assert_eq!(err, MdpError::Shape { what: "warm start", found: 3, expected: 1 });
+    }
+
+    /// A bad `aperiodicity_tau` is rejected on the renewal engine too, which
+    /// never reads it: both engines share one input contract.
+    #[test]
+    fn bad_tau_is_a_structured_error() {
+        let mut m = Mdp::new(2);
+        let s = m.add_state();
+        m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![1.0, 2.0])]);
+        let mut opts = RatioOptions::default();
+        opts.rvi.aperiodicity_tau = 1.0;
+        let err =
+            maximize_ratio(&m, &Objective::component(0, 2), &Objective::component(1, 2), &opts)
+                .unwrap_err();
+        assert_eq!(err, MdpError::BadOption { what: "aperiodicity_tau", value: 1.0 });
     }
 
     /// The budget threads through `RatioOptions::rvi` into every inner

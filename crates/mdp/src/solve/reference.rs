@@ -94,7 +94,13 @@ pub fn relative_value_iteration_nested(
 
         if span_hi - span_lo < opts.tolerance * (1.0 - tau) {
             let gain = 0.5 * (span_lo + span_hi) / (1.0 - tau);
-            return Ok(RviSolution { gain, bias: h, policy, iterations: iter + 1 });
+            return Ok(RviSolution {
+                gain,
+                bias: h,
+                policy,
+                iterations: iter + 1,
+                engine: ProbeEngine::Rvi,
+            });
         }
     }
     Err(MdpError::NoConvergence {

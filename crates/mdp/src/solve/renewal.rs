@@ -1,4 +1,4 @@
-//! Exact average-reward probes on regenerative models.
+//! Exact average-reward solves on regenerative models.
 //!
 //! State 0 is a *regeneration state* of a model when, with the edges into
 //! state 0 removed, the state graph of all arms together (so of every
@@ -24,8 +24,18 @@
 //! it is optimal (the policy-iteration argument on the cycle MDP). Warm
 //! started from a nearby solve's policy this takes two or three passes.
 //!
-//! [`regeneration_order`] is the precondition check. The ratio solver runs
-//! it once per solve, and [`optimal_gain`] once per probe on ρ.
+//! [`regeneration_order`] is the precondition check. One dispatch in
+//! [`rvi`](crate::solve::rvi) runs it once per solve, for both
+//! average-reward entry points:
+//!
+//! * a gain solve ([`relative_value_iteration_compiled`], Table 3's `u2`)
+//!   runs [`optimal_gain`] once, from the all-zeros policy, on the plain
+//!   per-arm rewards, and reports the policy's bias `R(s) − g·L(s)`;
+//! * the ratio solver ([`maximize_ratio_compiled`], `u1` and `u3`) runs it
+//!   once per probe on ρ, on `N − ρ·D`.
+//!
+//! [`relative_value_iteration_compiled`]: crate::solve::rvi::relative_value_iteration_compiled
+//! [`maximize_ratio_compiled`]: crate::solve::ratio::maximize_ratio_compiled
 
 use crate::budget::SolveBudget;
 use crate::compiled::CompiledMdp;
@@ -73,20 +83,27 @@ pub fn regeneration_order(compiled: &CompiledMdp) -> Option<Vec<u32>> {
     (order.len() == n).then_some(order)
 }
 
-/// A probe's per-arm expected reward `num[a] − rho · den[a]`, combined as
-/// the passes read it: the same arithmetic as
-/// [`CompiledMdp::combine_scalarized_into`], without the buffer.
+/// Per-arm expected rewards `num[a] − rho · den[a]` (a ratio probe's, or a
+/// gain solve's with [`ArmRewards::plain`]), combined as the passes read
+/// them: the same arithmetic as [`CompiledMdp::combine_scalarized_into`],
+/// without the buffer.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ArmRewards<'a> {
     /// Expected numerator reward per arm.
     pub num: &'a [f64],
     /// Expected denominator reward per arm.
     pub den: &'a [f64],
-    /// The probe's ρ.
+    /// The probe's ρ; 0 for a gain solve.
     pub rho: f64,
 }
 
-impl ArmRewards<'_> {
+impl<'a> ArmRewards<'a> {
+    /// The plain per-arm rewards of a gain solve: `r − 0·r` is exactly `r`
+    /// for every finite `r`.
+    pub(crate) fn plain(exp_reward: &'a [f64]) -> Self {
+        ArmRewards { num: exp_reward, den: exp_reward, rho: 0.0 }
+    }
+
     #[inline]
     fn at(&self, arm: usize) -> f64 {
         self.num[arm] - self.rho * self.den[arm]

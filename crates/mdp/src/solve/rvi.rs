@@ -1,13 +1,33 @@
-//! Relative value iteration for undiscounted average-reward (gain-optimal)
-//! MDPs.
+//! Average-reward (gain-optimal) solving of undiscounted MDPs: exact
+//! renewal passes on regenerative models, relative value iteration
+//! otherwise.
 //!
-//! This is the workhorse solver of the crate: the paper's mining models are
-//! unichain average-reward MDPs ("undiscounted average reward MDP" per
-//! Sapirshtein et al.), where the quantity of interest is the long-run
-//! expected reward per step (the *gain*).
+//! The paper's mining models are unichain average-reward MDPs
+//! ("undiscounted average reward MDP" per Sapirshtein et al.), where the
+//! quantity of interest is the long-run expected reward per step (the
+//! *gain*).
+//!
+//! ## Engine dispatch
+//!
+//! One place, `GainEngine`, chooses the engine, once per solve, for both
+//! [`relative_value_iteration_compiled`] (and so
+//! [`relative_value_iteration`]) and every probe of the ratio solver: it
+//! validates the shared options and checks whether state 0 is a
+//! regeneration state ([`regeneration_order`]). Every BU attack model is,
+//! with state 0 = `BASE`; their gain solves (Table 3's `u2`) then run one
+//! [`renewal`](crate::solve::renewal) Dinkelbach loop, each step one
+//! backward DP pass, and return the **exact** gain, its policy and that
+//! policy's bias. Models with a cycle that avoids state 0 (the Bitcoin
+//! baselines, for one) run the RVI kernel below. [`RviSolution::engine`]
+//! names the engine that ran. Both engines share the error contract (bad
+//! `aperiodicity_tau`, wrong-length rewards or warm start, budget and
+//! cancellation once per iteration or pass); a renewal solve ignores a
+//! correctly sized warm start and never reports `NoConvergence`.
+//!
+//! ## The RVI kernel
 //!
 //! To guarantee convergence on periodic chains (common in mining models,
-//! where deterministic reset cycles occur), the solver applies the standard
+//! where deterministic reset cycles occur), the kernel applies the standard
 //! aperiodicity transform: each action is mixed with a probability-`tau`
 //! self-loop of zero reward. The transform scales the gain by `(1 - tau)`
 //! and leaves optimal policies unchanged; the reported gain is rescaled back.
@@ -17,7 +37,7 @@
 //! inner loop walks flat probability/destination arrays. The low-level
 //! [`rvi_kernel`] works entirely in caller-owned buffers — zero heap
 //! allocation per iteration *and* per solve — which is what lets the ratio
-//! solver warm-start every probe of its search on ρ in place.
+//! solver warm-start every RVI probe of its search on ρ in place.
 //!
 //! ## Execution modes
 //!
@@ -44,6 +64,8 @@ use crate::shard::{
     effective_threads, shard_ranges, AtomicBias, BiasRead, CANCEL_POLL_CHUNK,
     DEFAULT_SHARD_MIN_STATES,
 };
+use crate::solve::ratio::ProbeEngine;
+use crate::solve::renewal::{optimal_gain, regeneration_order, ArmRewards};
 
 /// Options for [`relative_value_iteration`].
 #[derive(Debug, Clone)]
@@ -95,12 +117,17 @@ pub struct RviSolution {
     /// Optimal long-run average reward per step (identical for every start
     /// state under the unichain assumption).
     pub gain: f64,
-    /// Relative (bias) values, normalized so `bias[0] == 0`.
+    /// Relative (bias) values, normalized so `bias[0] == 0`. On the renewal
+    /// engine, the returned policy's `R(s) − gain·L(s)`: its cycle reward
+    /// minus the gain times its cycle length, from `s` back to state 0.
     pub bias: Vec<f64>,
     /// A gain-optimal policy.
     pub policy: Policy,
-    /// Iterations performed.
+    /// Work performed: Bellman sweeps on the RVI engine, backward DP passes
+    /// on the renewal engine.
     pub iterations: usize,
+    /// Which engine solved the model (see the module docs).
+    pub engine: ProbeEngine,
 }
 
 /// Computes the optimal gain of a unichain average-reward MDP.
@@ -124,37 +151,136 @@ pub fn relative_value_iteration_compiled(
     exp_reward: &[f64],
     opts: &RviOptions,
 ) -> Result<RviSolution, MdpError> {
+    let arms = compiled.num_arms();
+    if exp_reward.len() != arms {
+        return Err(MdpError::Shape {
+            what: "exp_reward",
+            found: exp_reward.len(),
+            expected: arms,
+        });
+    }
+    let engine = GainEngine::select(compiled, opts)?;
     let n = compiled.num_states();
-    let mut h: Vec<f64> = match &opts.warm_start {
-        Some(w) => {
-            if w.len() != n {
-                return Err(MdpError::Shape { what: "warm start", found: w.len(), expected: n });
-            }
-            w.clone()
-        }
-        None => vec![0.0; n],
-    };
+    let mut h = opts.warm_start.clone().unwrap_or_else(|| vec![0.0; n]);
     let mut h_next = vec![0.0f64; n];
     let mut policy = Policy::zeros(n);
-    let (gain, iterations) =
-        rvi_kernel(compiled, exp_reward, &mut h, &mut h_next, &mut policy, opts)?;
-    Ok(RviSolution { gain, bias: h, policy, iterations })
+    let mut iterations = 0;
+    let gain = engine.solve(
+        compiled,
+        ArmRewards::plain(exp_reward),
+        &mut Vec::new(),
+        &mut h,
+        &mut h_next,
+        &mut policy,
+        opts,
+        &mut iterations,
+    )?;
+    if let GainEngine::Renewal(_) = engine {
+        // The passes left the policy's cycle rewards R in `h` and lengths L
+        // in `h_next`. Its bias is R − g·L; state 0's entries of R and L
+        // are zero, so h[0] = 0.
+        for (r, l) in h.iter_mut().zip(&h_next) {
+            *r -= gain * l;
+        }
+    }
+    Ok(RviSolution { gain, bias: h, policy, iterations, engine: engine.kind() })
 }
 
 /// Name the budget and error paths report for this solver.
 const SOLVER: &str = "relative_value_iteration";
 
+/// The engine of a model's average-reward solves, chosen once per solve
+/// from the model's structure (see the module docs). Plain gain solves and
+/// every probe of the ratio solver run through it.
+pub(crate) enum GainEngine {
+    /// State 0 is a regeneration state: exact DP passes in this order.
+    Renewal(Vec<u32>),
+    /// Some cycle avoids state 0: the RVI kernel.
+    Rvi,
+}
+
+impl GainEngine {
+    /// Validates the options both engines share — `aperiodicity_tau` in
+    /// `[0, 1)`, a warm start of one entry per state — and picks the engine.
+    pub(crate) fn select(compiled: &CompiledMdp, opts: &RviOptions) -> Result<Self, MdpError> {
+        let tau = opts.aperiodicity_tau;
+        if !(0.0..1.0).contains(&tau) {
+            return Err(MdpError::BadOption { what: "aperiodicity_tau", value: tau });
+        }
+        let n = compiled.num_states();
+        if let Some(w) = &opts.warm_start {
+            if w.len() != n {
+                return Err(MdpError::Shape { what: "warm start", found: w.len(), expected: n });
+            }
+        }
+        Ok(match regeneration_order(compiled) {
+            Some(order) => GainEngine::Renewal(order),
+            None => GainEngine::Rvi,
+        })
+    }
+
+    /// The engine's name in solutions and reports.
+    pub(crate) fn kind(&self) -> ProbeEngine {
+        match self {
+            GainEngine::Renewal(_) => ProbeEngine::Renewal,
+            GainEngine::Rvi => ProbeEngine::Rvi,
+        }
+    }
+
+    /// The optimal gain of the per-arm rewards `rewards`, solved in the
+    /// caller's buffers (`h`, `h_next` and `policy` hold one entry per
+    /// state). Leaves a gain-optimal policy in `policy` and adds the work
+    /// done — DP passes or RVI sweeps — to `work`.
+    ///
+    /// The renewal passes warm-start from the incoming `policy` and leave
+    /// its cycle rewards in `h` and cycle lengths in `h_next`. The RVI kernel
+    /// combines the rewards into `exp_w` (resized to one entry per arm),
+    /// warm-starts from the bias in `h` and leaves the final bias there.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn solve(
+        &self,
+        compiled: &CompiledMdp,
+        rewards: ArmRewards<'_>,
+        exp_w: &mut Vec<f64>,
+        h: &mut Vec<f64>,
+        h_next: &mut Vec<f64>,
+        policy: &mut Policy,
+        opts: &RviOptions,
+        work: &mut usize,
+    ) -> Result<f64, MdpError> {
+        match self {
+            GainEngine::Renewal(order) => {
+                optimal_gain(compiled, order, rewards, h, h_next, policy, &opts.budget, work)
+            }
+            GainEngine::Rvi => {
+                exp_w.resize(compiled.num_arms(), 0.0);
+                CompiledMdp::combine_scalarized_into_threaded(
+                    rewards.num,
+                    rewards.den,
+                    rewards.rho,
+                    exp_w,
+                    opts.solve_threads,
+                );
+                let (gain, sweeps) = rvi_kernel(compiled, exp_w, h, h_next, policy, opts)?;
+                *work += sweeps;
+                Ok(gain)
+            }
+        }
+    }
+}
+
 /// The allocation-light RVI core: runs Bellman sweeps inside the
 /// caller-owned buffers `h` (bias in/out — pre-fill for a warm start),
 /// `h_next` (scratch) and `policy` (out). All three must have one entry per
-/// state; `exp_reward` one entry per global arm. On success `h` holds the
-/// final bias normalized to `h[0] == 0`.
+/// state; `exp_reward` one entry per global arm, and `opts` is already
+/// validated ([`GainEngine::select`]). On success `h` holds the final bias
+/// normalized to `h[0] == 0`.
 ///
 /// `opts.warm_start` is ignored here — the warm start *is* the incoming
 /// content of `h`. With `solve_threads > 1` the sweeps shard across a
 /// scoped worker pool that lives for this one call (the only allocations
 /// past setup); results are bit-identical to the single-threaded path.
-pub(crate) fn rvi_kernel(
+fn rvi_kernel(
     compiled: &CompiledMdp,
     exp_reward: &[f64],
     h: &mut Vec<f64>,
@@ -163,16 +289,11 @@ pub(crate) fn rvi_kernel(
     opts: &RviOptions,
 ) -> Result<(f64, usize), MdpError> {
     let tau = opts.aperiodicity_tau;
-    if !(0.0..1.0).contains(&tau) {
-        return Err(MdpError::BadOption { what: "aperiodicity_tau", value: tau });
-    }
     let n = compiled.num_states();
-    let arms = compiled.num_arms();
     for (what, found, expected) in [
         ("bias buffer", h.len(), n),
         ("scratch buffer", h_next.len(), n),
         ("policy buffer", policy.choices.len(), n),
-        ("exp_reward", exp_reward.len(), arms),
     ] {
         if found != expected {
             return Err(MdpError::Shape { what, found, expected });
@@ -564,6 +685,22 @@ mod tests {
         relative_value_iteration(m, &Objective::new(w), &RviOptions::default()).unwrap()
     }
 
+    /// State 0 steps to state 1 (reward 1), which loops on itself or returns
+    /// (reward 3 either way): the self-loop is a cycle avoiding state 0, so
+    /// solves of this model run the RVI kernel. Gain 1/3 · 1 + 2/3 · 3 = 7/3.
+    fn cyclic_pair() -> Mdp {
+        let mut m = Mdp::new(1);
+        let a = m.add_state();
+        let b = m.add_state();
+        m.add_action(a, 0, vec![Transition::new(b, 1.0, vec![1.0])]);
+        m.add_action(
+            b,
+            0,
+            vec![Transition::new(b, 0.5, vec![3.0]), Transition::new(a, 0.5, vec![3.0])],
+        );
+        m
+    }
+
     #[test]
     fn self_loop_gain_is_reward() {
         let mut m = Mdp::new(1);
@@ -573,23 +710,70 @@ mod tests {
         assert!((sol.gain - 3.5).abs() < 1e-6, "gain {}", sol.gain);
     }
 
-    /// A deterministic 2-cycle with rewards 1 and 3 has gain 2. Without the
-    /// aperiodicity transform plain RVI oscillates on this chain.
+    /// State 0 steps into the deterministic 2-cycle 1 → 2 → 1 with rewards
+    /// 1 and 3 (gain 2). The cycle avoids state 0, so the solve runs the RVI
+    /// kernel.
+    fn periodic_chain() -> Mdp {
+        let mut m = Mdp::new(1);
+        let s: Vec<_> = (0..3).map(|_| m.add_state()).collect();
+        m.add_action(s[0], 0, vec![Transition::new(s[1], 1.0, vec![0.0])]);
+        m.add_action(s[1], 0, vec![Transition::new(s[2], 1.0, vec![1.0])]);
+        m.add_action(s[2], 0, vec![Transition::new(s[1], 1.0, vec![3.0])]);
+        m
+    }
+
+    /// Without the aperiodicity transform plain RVI oscillates on the
+    /// period-2 cycle of [`periodic_chain`] (its span stays 2); with it the
+    /// kernel converges to the gain.
     #[test]
     fn periodic_two_cycle_converges() {
+        let m = periodic_chain();
+        let sol = solve(&m, vec![1.0]);
+        assert_eq!(sol.engine, ProbeEngine::Rvi);
+        assert!((sol.gain - 2.0).abs() < 1e-6, "gain {}", sol.gain);
+
+        let plain =
+            RviOptions { aperiodicity_tau: 0.0, max_iterations: 1000, ..Default::default() };
+        match relative_value_iteration(&m, &Objective::new(vec![1.0]), &plain) {
+            Err(MdpError::NoConvergence { residual, .. }) => assert_eq!(residual, 2.0),
+            other => panic!("expected NoConvergence, got {other:?}"),
+        }
+
+        // The same cycle through state 0 (0 → 1 → 0) is regenerative: the
+        // renewal engine solves it exactly, transform or not.
         let mut m = Mdp::new(1);
         let a = m.add_state();
         let b = m.add_state();
         m.add_action(a, 0, vec![Transition::new(b, 1.0, vec![1.0])]);
         m.add_action(b, 0, vec![Transition::new(a, 1.0, vec![3.0])]);
         let sol = solve(&m, vec![1.0]);
-        assert!((sol.gain - 2.0).abs() < 1e-6, "gain {}", sol.gain);
+        assert_eq!(sol.engine, ProbeEngine::Renewal);
+        assert_eq!(sol.gain, 2.0);
     }
 
-    /// Choice between a 1-reward self-loop and entering a 2-cycle with
-    /// average 2.5: the optimal policy takes the cycle.
+    /// From state 1, a choice between a 1-reward self-loop and entering a
+    /// 2-cycle with average 2.5: the optimal policy takes the cycle. Both
+    /// cycles avoid state 0, so the solve runs the RVI kernel.
     #[test]
     fn prefers_higher_average_cycle() {
+        let mut m = Mdp::new(1);
+        let s: Vec<_> = (0..3).map(|_| m.add_state()).collect();
+        m.add_action(s[0], 0, vec![Transition::new(s[1], 1.0, vec![0.0])]);
+        m.add_action(s[1], 0, vec![Transition::new(s[1], 1.0, vec![1.0])]);
+        m.add_action(s[1], 1, vec![Transition::new(s[2], 1.0, vec![2.0])]);
+        m.add_action(s[2], 0, vec![Transition::new(s[1], 1.0, vec![3.0])]);
+        let sol = solve(&m, vec![1.0]);
+        assert_eq!(sol.engine, ProbeEngine::Rvi);
+        assert_eq!(sol.policy.choices[s[1]], 1);
+        assert!((sol.gain - 2.5).abs() < 1e-6, "gain {}", sol.gain);
+    }
+
+    /// On a regenerative model the solve runs the renewal engine: the exact
+    /// gain, and the bias `R − g·L` of the policy (here the 2-cycle through
+    /// state 0, `R(c) = 3`, `L(c) = 1`), which solves the average-reward
+    /// equations `g + h(s) = r + h(next)`.
+    #[test]
+    fn regenerative_model_solves_exactly_by_renewal() {
         let mut m = Mdp::new(1);
         let s = m.add_state();
         let c = m.add_state();
@@ -597,8 +781,17 @@ mod tests {
         m.add_action(s, 1, vec![Transition::new(c, 1.0, vec![2.0])]);
         m.add_action(c, 0, vec![Transition::new(s, 1.0, vec![3.0])]);
         let sol = solve(&m, vec![1.0]);
-        assert_eq!(sol.policy.choices[s], 1);
-        assert!((sol.gain - 2.5).abs() < 1e-6, "gain {}", sol.gain);
+        assert_eq!(sol.engine, ProbeEngine::Renewal);
+        assert_eq!(sol.gain, 2.5);
+        assert_eq!(sol.policy.choices, vec![1, 0]);
+        assert_eq!(sol.bias, vec![0.0, 0.5]);
+        // Evaluate the self-loop, step to the cycle, confirm it.
+        assert_eq!(sol.iterations, 3);
+
+        // A cycle avoiding state 0 keeps the RVI kernel.
+        let sol = solve(&cyclic_pair(), vec![1.0]);
+        assert_eq!(sol.engine, ProbeEngine::Rvi);
+        assert!((sol.gain - 7.0 / 3.0).abs() < 1e-6, "gain {}", sol.gain);
     }
 
     /// Two-state chain with symmetric switching: stationary distribution is
@@ -620,6 +813,7 @@ mod tests {
             vec![Transition::new(b, 0.8, vec![0.0]), Transition::new(a, 0.2, vec![0.0])],
         );
         let sol = solve(&m, vec![1.0]);
+        assert_eq!(sol.engine, ProbeEngine::Rvi);
         assert!((sol.gain - 4.0).abs() < 1e-5, "gain {}", sol.gain);
     }
 
@@ -636,51 +830,66 @@ mod tests {
 
     #[test]
     fn warm_start_accepted_and_converges() {
-        let mut m = Mdp::new(1);
-        let a = m.add_state();
-        let b = m.add_state();
-        m.add_action(a, 0, vec![Transition::new(b, 1.0, vec![1.0])]);
-        m.add_action(b, 0, vec![Transition::new(a, 1.0, vec![3.0])]);
+        let m = cyclic_pair();
         let cold = solve(&m, vec![1.0]);
         let opts = RviOptions { warm_start: Some(cold.bias.clone()), ..Default::default() };
         let warm = relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap();
-        assert!((warm.gain - 2.0).abs() < 1e-6);
+        assert_eq!(warm.engine, ProbeEngine::Rvi);
+        assert!((warm.gain - 7.0 / 3.0).abs() < 1e-6);
         assert!(warm.iterations <= cold.iterations);
     }
 
+    /// The kernel's bias is normalized to `h[0] = 0` and, the transform
+    /// leaving it unscaled, solves `g + h(s) = r + h(next)` on
+    /// [`periodic_chain`]: `h = [0, 2, 3]`.
     #[test]
     fn bias_is_normalized_to_reference_state() {
-        let mut m = Mdp::new(1);
-        let a = m.add_state();
-        let b = m.add_state();
-        m.add_action(a, 0, vec![Transition::new(b, 1.0, vec![0.0])]);
-        m.add_action(b, 0, vec![Transition::new(a, 1.0, vec![2.0])]);
-        let sol = solve(&m, vec![1.0]);
+        let sol = solve(&periodic_chain(), vec![1.0]);
+        assert_eq!(sol.engine, ProbeEngine::Rvi);
         assert_eq!(sol.bias[0], 0.0);
+        for (h, want) in sol.bias.iter().zip([0.0, 2.0, 3.0]) {
+            assert!((h - want).abs() < 1e-5, "bias {:?}", sol.bias);
+        }
     }
 
-    #[test]
-    fn wrong_length_warm_start_is_a_shape_error() {
+    /// A one-state self-loop (renewal engine) and [`cyclic_pair`] (RVI).
+    fn one_model_per_engine() -> [Mdp; 2] {
         let mut m = Mdp::new(1);
         let s = m.add_state();
         m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![1.0])]);
-        let opts = RviOptions { warm_start: Some(vec![0.0; 5]), ..Default::default() };
-        let err = relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap_err();
-        assert_eq!(err, MdpError::Shape { what: "warm start", found: 5, expected: 1 });
+        [m, cyclic_pair()]
+    }
+
+    /// Wrong-length warm starts and per-arm rewards are shape errors on both
+    /// engines.
+    #[test]
+    fn wrong_length_warm_start_is_a_shape_error() {
+        for m in one_model_per_engine() {
+            let n = m.num_states();
+            let opts = RviOptions { warm_start: Some(vec![0.0; 5]), ..Default::default() };
+            let err = relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap_err();
+            assert_eq!(err, MdpError::Shape { what: "warm start", found: 5, expected: n });
+
+            let compiled = CompiledMdp::compile(&m).unwrap();
+            let err =
+                relative_value_iteration_compiled(&compiled, &[0.0; 7], &RviOptions::default())
+                    .unwrap_err();
+            assert_eq!(err, MdpError::Shape { what: "exp_reward", found: 7, expected: n });
+        }
     }
 
     #[test]
     fn bad_tau_is_a_structured_error() {
-        let mut m = Mdp::new(1);
-        let s = m.add_state();
-        m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![1.0])]);
-        for tau in [-0.1, 1.0, 1.5, f64::NAN] {
-            let opts = RviOptions { aperiodicity_tau: tau, ..Default::default() };
-            let err = relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap_err();
-            assert!(
-                matches!(err, MdpError::BadOption { what: "aperiodicity_tau", .. }),
-                "tau={tau}: {err:?}"
-            );
+        for m in one_model_per_engine() {
+            for tau in [-0.1, 1.0, 1.5, f64::NAN] {
+                let opts = RviOptions { aperiodicity_tau: tau, ..Default::default() };
+                let err =
+                    relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap_err();
+                assert!(
+                    matches!(err, MdpError::BadOption { what: "aperiodicity_tau", .. }),
+                    "tau={tau}: {err:?}"
+                );
+            }
         }
     }
 
@@ -688,11 +897,7 @@ mod tests {
     /// residual, not NaN (the retry policy keys its escalation off it).
     #[test]
     fn no_convergence_carries_finite_residual() {
-        let mut m = Mdp::new(1);
-        let a = m.add_state();
-        let b = m.add_state();
-        m.add_action(a, 0, vec![Transition::new(b, 1.0, vec![1.0])]);
-        m.add_action(b, 0, vec![Transition::new(a, 1.0, vec![3.0])]);
+        let m = cyclic_pair();
         let opts = RviOptions { max_iterations: 3, ..Default::default() };
         let err = relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap_err();
         match err {
@@ -706,32 +911,30 @@ mod tests {
 
     #[test]
     fn pre_expired_deadline_stops_the_solve() {
-        use crate::budget::SolveBudget;
-        let mut m = Mdp::new(1);
-        let s = m.add_state();
-        m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![1.0])]);
-        let opts = RviOptions {
-            budget: SolveBudget::with_timeout(std::time::Duration::ZERO),
-            ..Default::default()
-        };
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let err = relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap_err();
-        assert!(matches!(err, MdpError::DeadlineExceeded { .. }), "{err:?}");
+        for m in one_model_per_engine() {
+            let opts = RviOptions {
+                budget: SolveBudget::with_timeout(std::time::Duration::ZERO),
+                ..Default::default()
+            };
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            let err = relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap_err();
+            assert!(matches!(err, MdpError::DeadlineExceeded { .. }), "{err:?}");
+        }
     }
 
     #[test]
     fn raised_cancel_flag_stops_the_solve() {
-        use crate::budget::SolveBudget;
         use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
-        let mut m = Mdp::new(1);
-        let s = m.add_state();
-        m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![1.0])]);
-        let flag = Arc::new(AtomicBool::new(true));
-        let opts =
-            RviOptions { budget: SolveBudget::unlimited().with_cancel(flag), ..Default::default() };
-        let err = relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap_err();
-        assert!(err.is_cancellation(), "{err:?}");
+        for m in one_model_per_engine() {
+            let flag = Arc::new(AtomicBool::new(true));
+            let opts = RviOptions {
+                budget: SolveBudget::unlimited().with_cancel(flag),
+                ..Default::default()
+            };
+            let err = relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap_err();
+            assert!(err.is_cancellation(), "{err:?}");
+        }
     }
 
     /// The compiled entry point solves the same model under two objectives
@@ -758,13 +961,14 @@ mod tests {
 
     /// A 4-state chain solved with every thread count (the shard threshold
     /// lowered so sharding actually engages): gain, bias, and policy must
-    /// be bit-identical across all of them.
+    /// be bit-identical across all of them. The cycle 1 → 2 → 3 → 1 avoids
+    /// state 0, so every solve reaches the kernel.
     #[test]
     fn sharded_solve_is_bit_identical_across_thread_counts() {
         let mut m = Mdp::new(1);
         let states: Vec<_> = (0..4).map(|_| m.add_state()).collect();
         for (i, &s) in states.iter().enumerate() {
-            let to = states[(i + 1) % 4];
+            let to = states[i % 3 + 1];
             m.add_action(s, 0, vec![Transition::new(to, 1.0, vec![i as f64])]);
             m.add_action(
                 s,
@@ -777,6 +981,7 @@ mod tests {
         }
         let obj = Objective::new(vec![1.0]);
         let base = relative_value_iteration(&m, &obj, &RviOptions::default()).unwrap();
+        assert_eq!(base.engine, ProbeEngine::Rvi);
         for threads in [2usize, 3, 4, 7] {
             let opts =
                 RviOptions { solve_threads: threads, shard_min_states: 1, ..Default::default() };
@@ -791,15 +996,19 @@ mod tests {
     }
 
     /// Above-threshold thread requests are capped by the state count, so a
-    /// tiny model never pays sharding overhead.
+    /// tiny model never pays sharding overhead: the kernel solves
+    /// [`cyclic_pair`] exactly as with one thread.
     #[test]
     fn small_models_stay_single_threaded() {
-        let mut m = Mdp::new(1);
-        let s = m.add_state();
-        m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![2.0])]);
+        let m = cyclic_pair();
+        let obj = Objective::new(vec![1.0]);
+        let serial = relative_value_iteration(&m, &obj, &RviOptions::default()).unwrap();
         let opts = RviOptions { solve_threads: 8, ..Default::default() };
-        let sol = relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap();
-        assert!((sol.gain - 2.0).abs() < 1e-6);
+        let sol = relative_value_iteration(&m, &obj, &opts).unwrap();
+        assert_eq!(sol.engine, ProbeEngine::Rvi);
+        assert_eq!(sol.gain.to_bits(), serial.gain.to_bits());
+        assert_eq!(sol.iterations, serial.iterations);
+        assert!((sol.gain - 7.0 / 3.0).abs() < 1e-6);
     }
 
     /// A pre-raised cancel flag stops a sharded solve too (the flag is
@@ -808,11 +1017,7 @@ mod tests {
     fn sharded_solve_honours_cancellation() {
         use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
-        let mut m = Mdp::new(1);
-        let a = m.add_state();
-        let b = m.add_state();
-        m.add_action(a, 0, vec![Transition::new(b, 1.0, vec![1.0])]);
-        m.add_action(b, 0, vec![Transition::new(a, 1.0, vec![3.0])]);
+        let m = cyclic_pair();
         let flag = Arc::new(AtomicBool::new(true));
         let opts = RviOptions {
             solve_threads: 2,
@@ -827,7 +1032,8 @@ mod tests {
     /// A cancel flag raised *while* a sharded solve is running must stop
     /// it from inside the shard workers (the chunk-granularity poll), not
     /// only at the next iteration boundary. `tolerance: 0.0` makes
-    /// convergence impossible, so cancellation is the only way out.
+    /// convergence impossible, so cancellation is the only way out. The ring
+    /// closes at state 1, not 0, so the solve reaches the kernel.
     #[test]
     fn sharded_solve_cancels_mid_solve() {
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -842,7 +1048,7 @@ mod tests {
                 s,
                 0,
                 vec![
-                    Transition::new((s + 1) % n, 0.9, vec![(s % 7) as f64]),
+                    Transition::new(s % (n - 1) + 1, 0.9, vec![(s % 7) as f64]),
                     Transition::new(0, 0.1, vec![0.0]),
                 ],
             );

@@ -5,11 +5,13 @@
 //! jumping to state 0), which guarantees the unichain assumption the
 //! average-reward solvers rely on.
 //!
-//! The ratio solver picks its probe engine from the model's structure: exact
-//! renewal passes when state 0 is a regeneration state, RVI otherwise. Tests
-//! that pin one engine draw from a generator that guarantees its structure:
+//! The average-reward solves (gain solves and the ratio solver's probes)
+//! pick their engine from the model's structure: exact renewal passes when
+//! state 0 is a regeneration state, RVI otherwise. Tests that pin one engine
+//! draw from a generator that guarantees its structure:
 //! [`random_cyclic_model`] (a cycle avoids state 0: RVI) or
-//! [`RandomModel::build_regenerative`] (no such cycle: renewal).
+//! [`RandomModel::build_regenerative`] (no such cycle: renewal). The RVI
+//! kernel's own tests all draw from [`random_cyclic_model`].
 
 use bvc_mdp::solve::{
     average_reward_policy_iteration, evaluate_policy, maximize_ratio, policy_iteration,
@@ -125,24 +127,63 @@ impl RandomModel {
     }
 }
 
-/// The exact cycle ratio `E[cycle N] / E[cycle D]` of `policy` from state
-/// 0 on a [`RandomModel::build_regenerative`] model: one pass from the
-/// highest state down, since every transition goes up or back to 0.
-fn cycle_ratio(m: &Mdp, policy: &bvc_mdp::Policy) -> f64 {
+/// The exact expected totals `[N, D, steps]` of `policy` over one cycle
+/// from state 0 back to it on a [`RandomModel::build_regenerative`] model:
+/// one pass from the highest state down, since every transition goes up or
+/// back to 0.
+fn cycle_totals(m: &Mdp, policy: &bvc_mdp::Policy) -> [f64; 3] {
     let n = m.num_states();
-    let mut num = vec![0.0; n];
-    let mut den = vec![0.0; n];
+    let mut totals = vec![[0.0; 3]; n];
     for s in (0..n).rev() {
-        let (mut a, mut b) = (0.0, 0.0);
+        let mut acc = [0.0; 3];
         for t in &m.actions(s)[policy.choices[s]].transitions {
-            let (na, nb) = if t.to == 0 { (0.0, 0.0) } else { (num[t.to], den[t.to]) };
-            a += t.prob * (t.reward[0] + na);
-            b += t.prob * (t.reward[1] + nb);
+            let next = if t.to == 0 { [0.0; 3] } else { totals[t.to] };
+            for (k, step) in [t.reward[0], t.reward[1], 1.0].into_iter().enumerate() {
+                acc[k] += t.prob * (step + next[k]);
+            }
         }
-        num[s] = a;
-        den[s] = b;
+        totals[s] = acc;
     }
-    num[0] / den[0]
+    totals[0]
+}
+
+/// The exact cycle ratio `E[cycle N] / E[cycle D]` of `policy`.
+fn cycle_ratio(m: &Mdp, policy: &bvc_mdp::Policy) -> f64 {
+    let [num, den, _] = cycle_totals(m, policy);
+    num / den
+}
+
+/// The exact gain of `policy` under `obj`: its cycle reward over its cycle
+/// length.
+fn cycle_gain(m: &Mdp, policy: &bvc_mdp::Policy, obj: &Objective) -> f64 {
+    let [num, den, steps] = cycle_totals(m, policy);
+    (obj.weights[0] * num + obj.weights[1] * den) / steps
+}
+
+/// Every deterministic stationary policy of `m`, by mixed-radix counting
+/// from the all-zeros policy.
+fn all_policies(m: &Mdp) -> Vec<bvc_mdp::Policy> {
+    let n = m.num_states();
+    let radices: Vec<usize> = (0..n).map(|s| m.actions(s).len()).collect();
+    let mut policy = bvc_mdp::Policy::zeros(n);
+    let mut all = Vec::new();
+    loop {
+        all.push(policy.clone());
+        // Increment; stop after wrap-around.
+        let mut carry = true;
+        for (choice, &radix) in policy.choices.iter_mut().zip(&radices) {
+            *choice += 1;
+            if *choice == radix {
+                *choice = 0;
+            } else {
+                carry = false;
+                break;
+            }
+        }
+        if carry {
+            return all;
+        }
+    }
 }
 
 proptest! {
@@ -151,7 +192,7 @@ proptest! {
     /// The gain reported by RVI equals the exact long-run rate of the policy
     /// it returns — i.e. the solver's certificate is self-consistent.
     #[test]
-    fn rvi_gain_matches_policy_evaluation(model in random_model()) {
+    fn rvi_gain_matches_policy_evaluation(model in random_cyclic_model()) {
         let m = model.build();
         let obj = Objective::new(vec![1.0, 0.5]);
         let sol = relative_value_iteration(&m, &obj, &RviOptions::default()).unwrap();
@@ -164,30 +205,15 @@ proptest! {
     /// stationary policy we can cheaply enumerate (first 64 policies by
     /// mixed-radix counting).
     #[test]
-    fn rvi_dominates_enumerated_policies(model in random_model()) {
+    fn rvi_dominates_enumerated_policies(model in random_cyclic_model()) {
         let m = model.build();
         let obj = Objective::new(vec![1.0, 0.0]);
         let sol = relative_value_iteration(&m, &obj, &RviOptions::default()).unwrap();
-        let n = m.num_states();
-        let radices: Vec<usize> = (0..n).map(|s| m.actions(s).len()).collect();
-        let mut policy = bvc_mdp::Policy::zeros(n);
-        for _ in 0..64 {
-            let ev = evaluate_policy(&m, &policy, &EvalOptions::default()).unwrap();
+        for policy in all_policies(&m).iter().take(64) {
+            let ev = evaluate_policy(&m, policy, &EvalOptions::default()).unwrap();
             prop_assert!(ev.rate(&obj.weights) <= sol.gain + 1e-5,
                 "policy {:?} beats optimal: {} > {}", policy.choices,
                 ev.rate(&obj.weights), sol.gain);
-            // Increment the mixed-radix counter; stop after wrap-around.
-            let mut carry = true;
-            for (choice, &radix) in policy.choices.iter_mut().zip(&radices) {
-                if !carry { break; }
-                *choice += 1;
-                if *choice == radix {
-                    *choice = 0;
-                } else {
-                    carry = false;
-                }
-            }
-            if carry { break; }
         }
     }
 
@@ -234,7 +260,7 @@ proptest! {
     /// Average-reward policy iteration and relative value iteration are
     /// two very different algorithms; they must agree on the optimal gain.
     #[test]
-    fn avg_pi_agrees_with_rvi(model in random_model()) {
+    fn avg_pi_agrees_with_rvi(model in random_cyclic_model()) {
         let m = model.build();
         let obj = Objective::new(vec![1.0, 0.25]);
         let rvi = relative_value_iteration(&m, &obj, &RviOptions::default()).unwrap();
@@ -273,12 +299,13 @@ proptest! {
 
     /// Compiled RVI and nested RVI return the same gain, bias and policy.
     #[test]
-    fn compiled_rvi_matches_nested(model in random_model()) {
+    fn compiled_rvi_matches_nested(model in random_cyclic_model()) {
         let m = model.build();
         let obj = Objective::new(vec![1.0, 0.5]);
         let opts = RviOptions::default();
         let fast = relative_value_iteration(&m, &obj, &opts).unwrap();
         let slow = relative_value_iteration_nested(&m, &obj, &opts).unwrap();
+        prop_assert_eq!(fast.engine, ProbeEngine::Rvi);
         prop_assert!((fast.gain - slow.gain).abs() < 1e-9,
             "gain: compiled {} vs nested {}", fast.gain, slow.gain);
         prop_assert_eq!(&fast.policy.choices, &slow.policy.choices);
@@ -325,10 +352,11 @@ proptest! {
     /// the state count (7 threads on ≤ 6 states) — the edge cases a real
     /// sweep never exercises.
     #[test]
-    fn sharded_rvi_bit_identical_across_thread_counts(model in random_model()) {
+    fn sharded_rvi_bit_identical_across_thread_counts(model in random_cyclic_model()) {
         let m = model.build();
         let obj = Objective::new(vec![1.0, 0.5]);
         let base = relative_value_iteration(&m, &obj, &RviOptions::default()).unwrap();
+        prop_assert_eq!(base.engine, ProbeEngine::Rvi);
         for threads in [2usize, 4, 7] {
             let opts =
                 RviOptions { solve_threads: threads, shard_min_states: 1, ..Default::default() };
@@ -350,7 +378,7 @@ proptest! {
     /// to 1e-9 — the same bound the single-threaded differential test
     /// enforces, so sharding adds no numeric drift against the reference.
     #[test]
-    fn threaded_rvi_matches_reference(model in random_model()) {
+    fn threaded_rvi_matches_reference(model in random_cyclic_model()) {
         let m = model.build();
         let obj = Objective::new(vec![1.0, 0.5]);
         let opts = RviOptions { solve_threads: 4, shard_min_states: 1, ..Default::default() };
@@ -476,25 +504,10 @@ proptest! {
         let sol = maximize_ratio(&m, &num, &den, &opts).unwrap();
         prop_assert_eq!(sol.engine, ProbeEngine::Renewal);
 
-        let n = m.num_states();
-        let radices: Vec<usize> = (0..n).map(|s| m.actions(s).len()).collect();
-        let mut policy = bvc_mdp::Policy::zeros(n);
-        let mut best = f64::NEG_INFINITY;
-        loop {
-            best = best.max(cycle_ratio(&m, &policy));
-            // Mixed-radix increment; stop after wrap-around.
-            let mut carry = true;
-            for (choice, &radix) in policy.choices.iter_mut().zip(&radices) {
-                *choice += 1;
-                if *choice == radix {
-                    *choice = 0;
-                } else {
-                    carry = false;
-                    break;
-                }
-            }
-            if carry { break; }
-        }
+        let best = all_policies(&m)
+            .iter()
+            .map(|p| cycle_ratio(&m, p))
+            .fold(f64::NEG_INFINITY, f64::max);
         prop_assert!((sol.value - best).abs() <= opts.tolerance,
             "renewal {} vs enumerated best {}", sol.value, best);
         let own = cycle_ratio(&m, &sol.policy);
@@ -506,5 +519,48 @@ proptest! {
             (sol.value - nested.value).abs()
                 <= opts.tolerance + opts.rvi.tolerance / REGEN_MIN_DEN,
             "renewal {} vs nested {}", sol.value, nested.value);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On regenerative models a gain solve runs the renewal engine and its
+    /// gain is exact: equal (to rounding) to the best gain over every
+    /// deterministic policy, each evaluated exactly over one cycle, and to
+    /// the returned policy's own; within 1e-6 of nested RVI (whose
+    /// tolerance is 1e-7). The bias solves the policy's average-reward
+    /// equations `g + h(s) = r(s, π(s)) + Σ p·h` with `h(0) = 0`.
+    #[test]
+    fn renewal_gain_matches_rvi_and_enumeration(model in random_model()) {
+        let m = model.build_regenerative();
+        let obj = Objective::new(vec![1.0, -0.25]);
+        let sol = relative_value_iteration(&m, &obj, &RviOptions::default()).unwrap();
+        prop_assert_eq!(sol.engine, ProbeEngine::Renewal);
+
+        let best = all_policies(&m)
+            .iter()
+            .map(|p| cycle_gain(&m, p, &obj))
+            .fold(f64::NEG_INFINITY, f64::max);
+        prop_assert!((sol.gain - best).abs() <= 1e-12,
+            "renewal {} vs enumerated best {}", sol.gain, best);
+        let own = cycle_gain(&m, &sol.policy, &obj);
+        prop_assert!((own - sol.gain).abs() <= 1e-12,
+            "returned policy's gain {} vs reported {}", own, sol.gain);
+        let nested = relative_value_iteration_nested(&m, &obj, &RviOptions::default()).unwrap();
+        prop_assert!((sol.gain - nested.gain).abs() <= 1e-6,
+            "renewal {} vs nested RVI {}", sol.gain, nested.gain);
+
+        prop_assert_eq!(sol.bias[0], 0.0);
+        for s in 0..m.num_states() {
+            let arm = &m.actions(s)[sol.policy.choices[s]];
+            let rhs: f64 = arm
+                .transitions
+                .iter()
+                .map(|t| t.prob * (obj.scalarize(&t.reward) + sol.bias[t.to]))
+                .sum();
+            prop_assert!((sol.gain + sol.bias[s] - rhs).abs() <= 1e-9,
+                "state {}: g + h = {} vs r + Ph = {}", s, sol.gain + sol.bias[s], rhs);
+        }
     }
 }

@@ -32,15 +32,17 @@ RUSTFLAGS="--cfg bvc_check" CARGO_TARGET_DIR=target/check \
     cargo test -q --offline -p bvc-check -p bvc-serve -p bvc-cluster -p bvc-repro \
     --test selfcheck --test model
 
-echo "==> sharded-kernel gate (bit-identity proptests + threaded Table 2/3 pins)"
+echo "==> sharded-kernel gate (bit-identity proptests + threaded Table 2 and Bitcoin Table 3 pins)"
 # Explicitly re-run the tests that pin the threaded kernel's determinism
 # contract (bit-identical gain/bias/policy for every solve_threads), so a
 # threading regression names this gate instead of drowning in the full
-# workspace test list above. The Table 3 pin is the one that reaches the
-# sharded kernel from a table cell (u2 is solved by RVI).
+# workspace test list above. The Bitcoin Table 3 pin is the one that
+# reaches the sharded kernel from a table cell: every BU cell solves by
+# exact renewal passes, the Bitcoin models by RVI.
 cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
     sharded_rvi_bit_identical_across_thread_counts threaded_rvi_matches_reference
 cargo test -q --offline -p bvc-bu --test table2_pins
+cargo test -q --offline -p bvc-bitcoin --test table3_pins
 
 echo "==> ratio-search gate (secant search vs nested reference, bisection and enumeration)"
 # On models with a cycle avoiding state 0 (RVI probes) the secant search on
@@ -77,21 +79,21 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
     echo "==> sweep_timing smoke (Table 2, quick column)"
     cargo run --release --offline -p bvc-bench --bin sweep_timing -- --quick
 
-    echo "==> sharded-kernel determinism diff (table3 setting-1 grid, --solve-threads 4)"
-    # The same grid solved serially and through the sharded kernel must be
-    # byte-identical ('# sweep' diagnostics legitimately differ in timing).
-    # Table 3's u2 cells are RVI solves; the ratio cells of Tables 2 and 4
-    # probe by exact renewal passes and never reach the sharded kernel.
-    t1=$(mktemp) t4=$(mktemp)
-    target/release/table3 --setting1-only --threads 1 | grep -v '^# sweep' > "$t1"
-    target/release/table3 --setting1-only --threads 1 \
-        --solve-threads 4 --shard-min-states 1 | grep -v '^# sweep' > "$t4"
-    if ! diff "$t1" "$t4"; then
-        echo "VERIFY FAILED: sharded table3 grid diverged from serial" >&2
-        rm -f "$t1" "$t4"
+    echo "==> sharded-kernel determinism diff (Bitcoin Table 3 grid, --solve-threads 4)"
+    # The same grid solved serially and through the sharded kernel must
+    # write cmp-identical journals (every value's full f64 bits). The
+    # Bitcoin models are the table cells still solved by RVI; every BU cell
+    # solves by exact renewal passes and never reaches the sharded kernel.
+    jdir=$(mktemp -d)
+    target/release/table3_bitcoin --threads 1 --journal "$jdir/serial.jnl" > /dev/null
+    target/release/table3_bitcoin --threads 1 --solve-threads 4 --shard-min-states 1 \
+        --journal "$jdir/sharded.jnl" > /dev/null
+    if ! cmp "$jdir/serial.jnl" "$jdir/sharded.jnl"; then
+        echo "VERIFY FAILED: sharded Bitcoin table3 journal diverged from serial" >&2
+        rm -rf "$jdir"
         exit 1
     fi
-    rm -f "$t1" "$t4"
+    rm -rf "$jdir"
 
     echo "==> sweep-runner fault-injection smoke (panic/no-conv/resume)"
     TABLE2_BIN=target/release/table2 scripts/fault_smoke.sh
