@@ -26,7 +26,7 @@
 //! state machine, the reward accounting, and the stationary-distribution
 //! solver at once.
 
-use bvc_mdp::solve::{evaluate_policy, EvalOptions};
+use bvc_mdp::solve::evaluate_policy;
 use bvc_mdp::{MdpError, Policy};
 
 use crate::model::{BitcoinModel, RA, ROTHERS};
@@ -87,7 +87,7 @@ pub fn sm1_policy(model: &BitcoinModel) -> Policy {
 /// Evaluates SM1's relative revenue exactly on a built model.
 pub fn sm1_relative_revenue(model: &BitcoinModel) -> Result<f64, MdpError> {
     let policy = sm1_policy(model);
-    let ev = evaluate_policy(model.mdp(), &policy, &EvalOptions::default())?;
+    let ev = evaluate_policy(model.mdp(), &policy)?;
     let ra = ev.component_rates[RA];
     let ro = ev.component_rates[ROTHERS];
     Ok(ra / (ra + ro))

@@ -1,8 +1,7 @@
 //! High-level solving API for the Bitcoin baselines.
 
 use bvc_mdp::solve::{
-    evaluate_policy, maximize_ratio, relative_value_iteration, EvalOptions, OptimalStrategy,
-    SolveOptions,
+    evaluate_policy, maximize_ratio, relative_value_iteration, OptimalStrategy, SolveOptions,
 };
 use bvc_mdp::{MdpError, Objective, Policy};
 
@@ -54,7 +53,7 @@ impl BitcoinModel {
 
     /// Evaluates a fixed policy: returns `(u1, u2, component rates)`.
     pub fn evaluate(&self, policy: &Policy) -> Result<(f64, f64, Vec<f64>), MdpError> {
-        let ev = evaluate_policy(self.mdp(), policy, &EvalOptions::default())?;
+        let ev = evaluate_policy(self.mdp(), policy)?;
         let u1 = ev.ratio(&u1_numerator().weights, &u1_denominator().weights);
         let u2 = ev.rate(&u2_objective().weights);
         Ok((u1, u2, ev.component_rates))

@@ -9,7 +9,7 @@
 
 use std::collections::HashSet;
 
-use bvc_mdp::solve::{expected_hitting_time, hitting_probability, HittingOptions};
+use bvc_mdp::solve::{expected_hitting_time, hitting_probability};
 use bvc_mdp::{MdpError, Policy};
 
 use crate::model::AttackModel;
@@ -42,8 +42,7 @@ impl AttackModel {
         if targets.is_empty() {
             return Ok(0.0);
         }
-        let p =
-            hitting_probability(self.mdp(), policy, &targets, &avoid, &HittingOptions::default())?;
+        let p = hitting_probability(self.mdp(), policy, &targets, &avoid)?;
         Ok(p[start_id])
     }
 
@@ -70,17 +69,11 @@ impl AttackModel {
         // check first via the probability solver (with an empty avoid set,
         // absorbing probabilities are 1 exactly on states that can reach
         // the target).
-        let reach = hitting_probability(
-            self.mdp(),
-            policy,
-            &targets,
-            &HashSet::new(),
-            &HittingOptions::default(),
-        )?;
+        let reach = hitting_probability(self.mdp(), policy, &targets, &HashSet::new())?;
         if reach[base] < 1.0 - 1e-6 {
             return Ok(None);
         }
-        let h = expected_hitting_time(self.mdp(), policy, &targets, &HittingOptions::default())?;
+        let h = expected_hitting_time(self.mdp(), policy, &targets)?;
         Ok(Some(h[base]))
     }
 }

@@ -3,8 +3,7 @@
 //! fixed policy.
 
 use bvc_mdp::solve::{
-    evaluate_policy, maximize_ratio, relative_value_iteration, EvalOptions, OptimalStrategy,
-    SolveOptions,
+    evaluate_policy, maximize_ratio, relative_value_iteration, OptimalStrategy, SolveOptions,
 };
 use bvc_mdp::{MdpError, Policy};
 
@@ -84,7 +83,7 @@ impl AttackModel {
 
     /// Evaluates a fixed policy in all three utilities at once.
     pub fn evaluate(&self, policy: &Policy) -> Result<UtilityReport, MdpError> {
-        let ev = evaluate_policy(self.mdp(), policy, &EvalOptions::default())?;
+        let ev = evaluate_policy(self.mdp(), policy)?;
         Ok(UtilityReport {
             u1: ev.ratio(&rewards::u1_numerator().weights, &rewards::u1_denominator().weights),
             u2: ev.rate(&rewards::u2_objective().weights),

@@ -108,17 +108,19 @@ pub enum MdpError {
         expected: usize,
     },
     /// A caller-supplied buffer or vector (warm start, scratch space,
-    /// pre-scalarized rewards) has the wrong length for the model.
+    /// pre-scalarized rewards) has the wrong length for the model, or a
+    /// caller-supplied state id (a hitting target) is not below the state
+    /// count.
     Shape {
-        /// Which buffer is malformed.
+        /// Which buffer or id is malformed.
         what: &'static str,
-        /// Length found.
+        /// Length (or id) found.
         found: usize,
-        /// Length the model requires.
+        /// Length the model requires (for an id, the state count).
         expected: usize,
     },
     /// A numeric solver option is outside its valid range (e.g. an
-    /// aperiodicity mixing weight or discount factor not in `[0, 1)`).
+    /// aperiodicity mixing weight not in `[0, 1)`).
     BadOption {
         /// Which option is out of range.
         what: &'static str,

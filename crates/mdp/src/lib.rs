@@ -21,9 +21,10 @@
 //!   *relative revenue* (Eq. 1 of the paper) via a safeguarded secant search
 //!   on ρ over transformed rewards; each probe is exact
 //!   ([`solve::renewal`]) when state 0 is a regeneration state.
-//! * [`solve::evaluate_policy`] — exact long-run component rates of a fixed
-//!   policy, for reporting every utility of one optimal strategy and for
-//!   Monte Carlo cross-validation.
+//! * [`solve::evaluate_policy`] — long-run component rates of a fixed
+//!   policy by a damped power method (to a 1e-12 L1 tolerance), for
+//!   reporting every utility of one optimal strategy and for Monte Carlo
+//!   cross-validation.
 //!
 //! ## Quick example
 //!

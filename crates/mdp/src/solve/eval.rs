@@ -1,10 +1,14 @@
-//! Exact evaluation of a *fixed* policy: stationary distribution and
-//! long-run accumulation rate of every reward component.
+//! Evaluation of a *fixed* policy: stationary distribution and long-run
+//! accumulation rate of every reward component.
 //!
 //! Used to report all of the paper's utility functions (`u1`, `u2`, `u3`)
 //! for a single optimal policy, and to cross-check optimizing solvers: the
 //! gain reported by [`crate::solve::rvi`] must equal the scalarized
 //! component rates of the policy it returns.
+//!
+//! The stationary distribution comes from a damped power method run until
+//! the L1 change of the iterate falls below `TOLERANCE` (1e-12), so the
+//! rates are accurate to about that tolerance, not exact.
 //!
 //! Not sharded across threads (unlike the RVI kernel): the power-method
 //! step `pi <- pi P` is a *scatter* — each state writes probability mass
@@ -17,25 +21,14 @@ use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
 use crate::model::{Mdp, Policy};
 
-/// Options for [`evaluate_policy`].
-#[derive(Debug, Clone)]
-pub struct EvalOptions {
-    /// Stop when the L1 change of the stationary distribution iterate falls
-    /// below this.
-    pub tolerance: f64,
-    /// Iteration budget for the damped power method.
-    pub max_iterations: usize,
-    /// Damping weight: each step applies `pi <- (1-d) * pi P + d * pi`,
-    /// which is the aperiodicity transform for Markov chains. Must be in
-    /// `[0, 1)`.
-    pub damping: f64,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions { tolerance: 1e-12, max_iterations: 5_000_000, damping: 0.05 }
-    }
-}
+/// The power method stops when the L1 change of the stationary iterate
+/// falls below this.
+pub(crate) const TOLERANCE: f64 = 1e-12;
+/// Iteration budget of the power method.
+pub(crate) const MAX_ITERATIONS: usize = 5_000_000;
+/// Damping weight: each step applies `pi <- (1-d) * pi P + d * pi`, the
+/// aperiodicity transform for Markov chains.
+pub(crate) const DAMPING: f64 = 0.05;
 
 /// Result of [`evaluate_policy`].
 #[derive(Debug, Clone)]
@@ -74,18 +67,15 @@ impl PolicyEvaluation {
 }
 
 /// Computes the stationary distribution and per-component accumulation rates
-/// of the Markov chain induced by `policy`.
+/// of the Markov chain induced by `policy`, by the damped power method (see
+/// the module docs for its accuracy).
 ///
 /// The chain is assumed unichain (single recurrent class); the paper's
 /// models satisfy this because every strategy returns to the base state in a
 /// bounded number of steps.
-pub fn evaluate_policy(
-    mdp: &Mdp,
-    policy: &Policy,
-    opts: &EvalOptions,
-) -> Result<PolicyEvaluation, MdpError> {
+pub fn evaluate_policy(mdp: &Mdp, policy: &Policy) -> Result<PolicyEvaluation, MdpError> {
     let compiled = CompiledMdp::compile(mdp)?;
-    evaluate_policy_compiled(&compiled, policy, opts)
+    evaluate_policy_compiled(&compiled, policy)
 }
 
 /// [`evaluate_policy`] on an already-compiled model. The power-method sweep
@@ -96,23 +86,19 @@ pub fn evaluate_policy(
 pub fn evaluate_policy_compiled(
     compiled: &CompiledMdp,
     policy: &Policy,
-    opts: &EvalOptions,
 ) -> Result<PolicyEvaluation, MdpError> {
     compiled.validate_policy(policy)?;
-    if !(0.0..1.0).contains(&opts.damping) {
-        return Err(MdpError::BadOption { what: "damping", value: opts.damping });
-    }
 
     let n = compiled.num_states();
     let mut pi = vec![1.0 / n as f64; n];
     let mut pi_next = vec![0.0f64; n];
-    let d = opts.damping;
+    let d = DAMPING;
 
     // Resolve the policy to one global arm per state, once.
     let chosen: Vec<usize> = (0..n).map(|s| compiled.policy_arm(policy, s)).collect();
 
     let mut iterations = 0;
-    for iter in 0..opts.max_iterations {
+    for iter in 0..MAX_ITERATIONS {
         iterations = iter + 1;
         for x in pi_next.iter_mut() {
             *x = 0.0;
@@ -131,13 +117,13 @@ pub fn evaluate_policy_compiled(
         }
         let delta: f64 = pi.iter().zip(&pi_next).map(|(a, b)| (a - b).abs()).sum();
         std::mem::swap(&mut pi, &mut pi_next);
-        if delta < opts.tolerance {
+        if delta < TOLERANCE {
             break;
         }
-        if iter + 1 == opts.max_iterations {
+        if iter + 1 == MAX_ITERATIONS {
             return Err(MdpError::NoConvergence {
                 solver: "evaluate_policy",
-                iterations: opts.max_iterations,
+                iterations: MAX_ITERATIONS,
                 residual: delta,
             });
         }
@@ -185,7 +171,7 @@ mod tests {
             0,
             vec![Transition::new(b, 0.8, vec![0.0]), Transition::new(a, 0.2, vec![0.0])],
         );
-        let ev = evaluate_policy(&m, &Policy::zeros(2), &EvalOptions::default()).unwrap();
+        let ev = evaluate_policy(&m, &Policy::zeros(2)).unwrap();
         assert!((ev.stationary[a] - 2.0 / 3.0).abs() < 1e-9);
         assert!((ev.stationary[b] - 1.0 / 3.0).abs() < 1e-9);
         assert!((ev.component_rates[0] - 2.0 / 3.0).abs() < 1e-9);
@@ -198,7 +184,7 @@ mod tests {
         let b = m.add_state();
         m.add_action(a, 0, vec![Transition::new(b, 1.0, vec![1.0])]);
         m.add_action(b, 0, vec![Transition::new(a, 1.0, vec![3.0])]);
-        let ev = evaluate_policy(&m, &Policy::zeros(2), &EvalOptions::default()).unwrap();
+        let ev = evaluate_policy(&m, &Policy::zeros(2)).unwrap();
         assert!((ev.component_rates[0] - 2.0).abs() < 1e-9);
     }
 
@@ -207,7 +193,7 @@ mod tests {
         let mut m = Mdp::new(2);
         let s = m.add_state();
         m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![0.0, 0.0])]);
-        let ev = evaluate_policy(&m, &Policy::zeros(1), &EvalOptions::default()).unwrap();
+        let ev = evaluate_policy(&m, &Policy::zeros(1)).unwrap();
         assert_eq!(ev.ratio(&[1.0, 0.0], &[0.0, 1.0]), 0.0);
     }
 
@@ -222,7 +208,7 @@ mod tests {
         m.add_action(c, 0, vec![Transition::new(s, 1.0, vec![3.0])]);
         let obj = Objective::new(vec![1.0]);
         let sol = relative_value_iteration(&m, &obj, &RviOptions::default()).unwrap();
-        let ev = evaluate_policy(&m, &sol.policy, &EvalOptions::default()).unwrap();
+        let ev = evaluate_policy(&m, &sol.policy).unwrap();
         assert!((ev.rate(&obj.weights) - sol.gain).abs() < 1e-6);
     }
 }

@@ -12,19 +12,19 @@ use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
 use crate::model::{Mdp, Policy, StateId};
 
-/// Options for the hitting solvers.
-#[derive(Debug, Clone)]
-pub struct HittingOptions {
-    /// Gauss–Seidel sweeps stop when the max-norm update falls below this.
-    pub tolerance: f64,
-    /// Sweep budget.
-    pub max_sweeps: usize,
-}
+/// Gauss–Seidel sweeps stop when the max-norm update falls below this.
+const TOLERANCE: f64 = 1e-12;
+/// Sweep budget of both hitting solvers.
+const MAX_SWEEPS: usize = 1_000_000;
 
-impl Default for HittingOptions {
-    fn default() -> Self {
-        HittingOptions { tolerance: 1e-12, max_sweeps: 1_000_000 }
+/// A membership mask over the `n` states for a caller-supplied id set;
+/// an id outside the model is a [`MdpError::Shape`] error naming `what`.
+fn state_mask(ids: &HashSet<StateId>, n: usize, what: &'static str) -> Result<Vec<bool>, MdpError> {
+    let mut mask = vec![false; n];
+    for &s in ids {
+        *mask.get_mut(s).ok_or(MdpError::Shape { what, found: s, expected: n })? = true;
     }
+    Ok(mask)
 }
 
 /// For every state, the probability that the chain induced by `policy`
@@ -34,30 +34,27 @@ impl Default for HittingOptions {
 /// anywhere else the standard first-step equations are solved by
 /// Gauss–Seidel sweeps. States that can reach neither set keep value 0
 /// (they never hit the target).
+///
+/// An id in either set that is not a state of the model is an
+/// [`MdpError::Shape`] error.
 pub fn hitting_probability(
     mdp: &Mdp,
     policy: &Policy,
     targets: &HashSet<StateId>,
     avoid: &HashSet<StateId>,
-    opts: &HittingOptions,
 ) -> Result<Vec<f64>, MdpError> {
     let compiled = CompiledMdp::compile(mdp)?;
     compiled.validate_policy(policy)?;
     let n = compiled.num_states();
     // Absorbing-state membership as flat masks: sweeps test a bool per state
     // instead of hashing into the sets.
-    let mut frozen = vec![false; n];
-    let mut p = vec![0.0f64; n];
-    for &t in targets {
-        p[t] = 1.0;
-        frozen[t] = true;
-    }
-    for &a in avoid {
-        frozen[a] = true;
-    }
+    let is_target = state_mask(targets, n, "hitting target state")?;
+    let is_avoid = state_mask(avoid, n, "hitting avoid state")?;
+    let frozen: Vec<bool> = is_target.iter().zip(&is_avoid).map(|(&t, &a)| t || a).collect();
+    let mut p: Vec<f64> = is_target.iter().map(|&t| if t { 1.0 } else { 0.0 }).collect();
     let chosen: Vec<usize> = (0..n).map(|s| compiled.policy_arm(policy, s)).collect();
     let mut last_delta = f64::INFINITY;
-    for sweep in 0..opts.max_sweeps {
+    for sweep in 0..MAX_SWEEPS {
         let mut delta = 0.0f64;
         for s in 0..n {
             if frozen[s] {
@@ -72,16 +69,16 @@ pub fn hitting_probability(
             p[s] = x;
         }
         last_delta = delta;
-        if delta < opts.tolerance {
+        if delta < TOLERANCE {
             return Ok(p);
         }
-        if sweep + 1 == opts.max_sweeps {
+        if sweep + 1 == MAX_SWEEPS {
             break;
         }
     }
     Err(MdpError::NoConvergence {
         solver: "hitting_probability",
-        iterations: opts.max_sweeps,
+        iterations: MAX_SWEEPS,
         residual: last_delta,
     })
 }
@@ -93,22 +90,22 @@ pub fn hitting_probability(
 /// `targets` at all (its expected time is infinite); callers should restrict
 /// to models where the target set is reachable from everywhere, which holds
 /// for the recurrent base states of the mining models.
+///
+/// A target id that is not a state of the model is an [`MdpError::Shape`]
+/// error.
 pub fn expected_hitting_time(
     mdp: &Mdp,
     policy: &Policy,
     targets: &HashSet<StateId>,
-    opts: &HittingOptions,
 ) -> Result<Vec<f64>, MdpError> {
     let compiled = CompiledMdp::compile(mdp)?;
     compiled.validate_policy(policy)?;
     let n = compiled.num_states();
+    let is_target = state_mask(targets, n, "hitting target state")?;
     let chosen: Vec<usize> = (0..n).map(|s| compiled.policy_arm(policy, s)).collect();
 
     // Reachability pre-check: every state must reach the target set.
-    let mut reaches = vec![false; n];
-    for &t in targets {
-        reaches[t] = true;
-    }
+    let mut reaches = is_target.clone();
     loop {
         let mut changed = false;
         for s in 0..n {
@@ -129,13 +126,9 @@ pub fn expected_hitting_time(
         return Err(MdpError::UnreachableTarget { state });
     }
 
-    let mut is_target = vec![false; n];
-    for &t in targets {
-        is_target[t] = true;
-    }
     let mut h = vec![0.0f64; n];
     let mut last_delta = f64::INFINITY;
-    for sweep in 0..opts.max_sweeps {
+    for sweep in 0..MAX_SWEEPS {
         let mut delta = 0.0f64;
         for s in 0..n {
             if is_target[s] {
@@ -150,16 +143,16 @@ pub fn expected_hitting_time(
             h[s] = x;
         }
         last_delta = delta;
-        if delta < opts.tolerance {
+        if delta < TOLERANCE {
             return Ok(h);
         }
-        if sweep + 1 == opts.max_sweeps {
+        if sweep + 1 == MAX_SWEEPS {
             break;
         }
     }
     Err(MdpError::NoConvergence {
         solver: "expected_hitting_time",
-        iterations: opts.max_sweeps,
+        iterations: MAX_SWEEPS,
         residual: last_delta,
     })
 }
@@ -200,8 +193,7 @@ mod tests {
         let policy = Policy::zeros(n + 1);
         let targets: HashSet<_> = [n].into_iter().collect();
         let avoid: HashSet<_> = [0].into_iter().collect();
-        let p =
-            hitting_probability(&m, &policy, &targets, &avoid, &HittingOptions::default()).unwrap();
+        let p = hitting_probability(&m, &policy, &targets, &avoid).unwrap();
         for (i, &pi) in p.iter().enumerate() {
             let expected = i as f64 / n as f64;
             assert!((pi - expected).abs() < 1e-9, "i={i}: {pi} vs {expected}");
@@ -216,8 +208,7 @@ mod tests {
         let policy = Policy::zeros(n + 1);
         let targets: HashSet<_> = [n].into_iter().collect();
         let avoid: HashSet<_> = [0].into_iter().collect();
-        let p =
-            hitting_probability(&m, &policy, &targets, &avoid, &HittingOptions::default()).unwrap();
+        let p = hitting_probability(&m, &policy, &targets, &avoid).unwrap();
         let r = (1.0 - p_up) / p_up;
         for (i, &pi) in p.iter().enumerate().take(n).skip(1) {
             let expected = (1.0 - r.powi(i as i32)) / (1.0 - r.powi(n as i32));
@@ -232,7 +223,7 @@ mod tests {
         let policy = Policy::zeros(n + 1);
         // Expected time to hit {0, N} from i is i (N - i).
         let targets: HashSet<_> = [0, n].into_iter().collect();
-        let h = expected_hitting_time(&m, &policy, &targets, &HittingOptions::default()).unwrap();
+        let h = expected_hitting_time(&m, &policy, &targets).unwrap();
         for (i, &hi) in h.iter().enumerate() {
             let expected = (i * (n - i)) as f64;
             assert!((hi - expected).abs() < 1e-6, "i={i}: {hi} vs {expected}");
@@ -248,9 +239,28 @@ mod tests {
         m.add_action(a, 0, vec![Transition::new(a, 1.0, vec![0.0])]);
         m.add_action(b, 0, vec![Transition::new(b, 1.0, vec![0.0])]);
         let targets: HashSet<_> = [b].into_iter().collect();
-        let err =
-            expected_hitting_time(&m, &Policy::zeros(2), &targets, &HittingOptions::default())
-                .unwrap_err();
+        let err = expected_hitting_time(&m, &Policy::zeros(2), &targets).unwrap_err();
         assert_eq!(err, MdpError::UnreachableTarget { state: a });
+    }
+
+    #[test]
+    fn out_of_range_ids_are_shape_errors() {
+        let m = gamblers_ruin(4, 0.5);
+        let policy = Policy::zeros(5);
+        let inside: HashSet<_> = [4].into_iter().collect();
+        let outside: HashSet<_> = [4, 9].into_iter().collect();
+        let shape = |what| MdpError::Shape { what, found: 9, expected: 5 };
+        assert_eq!(
+            hitting_probability(&m, &policy, &outside, &inside).unwrap_err(),
+            shape("hitting target state")
+        );
+        assert_eq!(
+            hitting_probability(&m, &policy, &inside, &outside).unwrap_err(),
+            shape("hitting avoid state")
+        );
+        assert_eq!(
+            expected_hitting_time(&m, &policy, &outside).unwrap_err(),
+            shape("hitting target state")
+        );
     }
 }

@@ -1,16 +1,15 @@
 //! Nested-layout reference solvers.
 //!
-//! These are the original implementations of the main solvers, operating
-//! directly on the builder-facing [`Mdp`] representation (`Vec<Vec<ActionArm>>`
-//! with per-transition reward vectors). The production solvers in
-//! [`rvi`](crate::solve::rvi), [`ratio`](crate::solve::ratio),
-//! [`value_iteration`](crate::solve::value_iteration) and
-//! [`eval`](crate::solve::eval) now run on the CSR-flattened
-//! [`CompiledMdp`](crate::compiled::CompiledMdp); the nested versions are kept
-//! for two jobs:
+//! These are the original implementations of RVI, the ratio search and
+//! fixed-policy evaluation, operating directly on the builder-facing [`Mdp`]
+//! representation (`Vec<Vec<ActionArm>>` with per-transition reward vectors).
+//! The production solvers in [`rvi`](crate::solve::rvi),
+//! [`ratio`](crate::solve::ratio) and [`eval`](crate::solve::eval) run on the
+//! CSR-flattened [`CompiledMdp`](crate::compiled::CompiledMdp); the nested
+//! versions are kept for two jobs:
 //!
 //! 1. **Differential testing** — the property tests assert that compiled and
-//!    nested solvers agree on gains, values, rates and ratios to tight
+//!    nested solvers agree on gains, biases, rates and ratios to tight
 //!    tolerances on randomly generated models.
 //! 2. **Baseline timing** — `bvc-bench`'s `sweep_timing` binary measures the
 //!    compiled path's speedup against these as the before/after comparison.
@@ -21,12 +20,11 @@
 
 use crate::error::MdpError;
 use crate::model::{Mdp, Objective, Policy};
-use crate::solve::eval::{EvalOptions, PolicyEvaluation};
+use crate::solve::eval::{PolicyEvaluation, DAMPING, MAX_ITERATIONS, TOLERANCE};
 use crate::solve::ratio::{
     crossing_level, search_crossing, ProbeEngine, RatioOptions, RatioSolution,
 };
 use crate::solve::rvi::{RviOptions, RviSolution};
-use crate::solve::value_iteration::{ViOptions, ViSolution};
 
 /// Nested-layout relative value iteration (see
 /// [`relative_value_iteration`](crate::solve::rvi::relative_value_iteration)).
@@ -110,75 +108,19 @@ pub fn relative_value_iteration_nested(
     })
 }
 
-/// Nested-layout discounted value iteration (see
-/// [`value_iteration`](crate::solve::value_iteration::value_iteration)).
-pub fn value_iteration_nested(
-    mdp: &Mdp,
-    objective: &Objective,
-    opts: &ViOptions,
-) -> Result<ViSolution, MdpError> {
-    mdp.validate()?;
-    objective.validate(mdp)?;
-    assert!(
-        opts.discount > 0.0 && opts.discount < 1.0,
-        "discount must be in (0,1), got {}",
-        opts.discount
-    );
-
-    let n = mdp.num_states();
-    let mut v = vec![0.0f64; n];
-    let mut v_next = vec![0.0f64; n];
-    let mut policy = Policy::zeros(n);
-
-    for iter in 0..opts.max_iterations {
-        let mut delta = 0.0f64;
-        for s in 0..n {
-            let mut best = f64::NEG_INFINITY;
-            let mut best_a = 0;
-            for (a, arm) in mdp.actions(s).iter().enumerate() {
-                let mut q = 0.0;
-                for t in &arm.transitions {
-                    q += t.prob * (objective.scalarize(&t.reward) + opts.discount * v[t.to]);
-                }
-                if q > best {
-                    best = q;
-                    best_a = a;
-                }
-            }
-            v_next[s] = best;
-            policy.choices[s] = best_a;
-            delta = delta.max((best - v[s]).abs());
-        }
-        std::mem::swap(&mut v, &mut v_next);
-        if delta < opts.tolerance {
-            return Ok(ViSolution { values: v, policy, iterations: iter + 1 });
-        }
-    }
-    Err(MdpError::NoConvergence {
-        solver: "value_iteration_nested",
-        iterations: opts.max_iterations,
-        residual: f64::NAN,
-    })
-}
-
 /// Nested-layout fixed-policy evaluation (see
 /// [`evaluate_policy`](crate::solve::eval::evaluate_policy)).
-pub fn evaluate_policy_nested(
-    mdp: &Mdp,
-    policy: &Policy,
-    opts: &EvalOptions,
-) -> Result<PolicyEvaluation, MdpError> {
+pub fn evaluate_policy_nested(mdp: &Mdp, policy: &Policy) -> Result<PolicyEvaluation, MdpError> {
     mdp.validate()?;
     mdp.validate_policy(policy)?;
-    assert!((0.0..1.0).contains(&opts.damping), "damping must be in [0,1)");
 
     let n = mdp.num_states();
     let mut pi = vec![1.0 / n as f64; n];
     let mut pi_next = vec![0.0f64; n];
-    let d = opts.damping;
+    let d = DAMPING;
 
     let mut iterations = 0;
-    for iter in 0..opts.max_iterations {
+    for iter in 0..MAX_ITERATIONS {
         iterations = iter + 1;
         for x in pi_next.iter_mut() {
             *x = 0.0;
@@ -196,13 +138,13 @@ pub fn evaluate_policy_nested(
         }
         let delta: f64 = pi.iter().zip(&pi_next).map(|(a, b)| (a - b).abs()).sum();
         std::mem::swap(&mut pi, &mut pi_next);
-        if delta < opts.tolerance {
+        if delta < TOLERANCE {
             break;
         }
-        if iter + 1 == opts.max_iterations {
+        if iter + 1 == MAX_ITERATIONS {
             return Err(MdpError::NoConvergence {
                 solver: "evaluate_policy_nested",
-                iterations: opts.max_iterations,
+                iterations: MAX_ITERATIONS,
                 residual: delta,
             });
         }

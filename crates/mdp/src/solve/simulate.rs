@@ -89,7 +89,7 @@ pub fn sample_path(
 mod tests {
     use super::*;
     use crate::model::Transition;
-    use crate::solve::eval::{evaluate_policy, EvalOptions};
+    use crate::solve::eval::evaluate_policy;
 
     #[test]
     fn rng_is_uniformish() {
@@ -116,7 +116,7 @@ mod tests {
             vec![Transition::new(b, 0.5, vec![0.0, 2.0]), Transition::new(a, 0.5, vec![0.0, 2.0])],
         );
         let policy = Policy::zeros(2);
-        let exact = evaluate_policy(&m, &policy, &EvalOptions::default()).unwrap();
+        let exact = evaluate_policy(&m, &policy).unwrap();
         let mut rng = XorShift64::new(7);
         let sample = sample_path(&m, &policy, a, 400_000, &mut rng).unwrap();
         let rates = sample.component_rates();

@@ -54,6 +54,15 @@ cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
     compiled_ratio_matches_nested ratio_search_matches_bisection_oracle \
     renewal_ratio_matches_policy_enumeration
 
+echo "==> gain-oracle gate (RVI gain vs every enumerated policy, nested RVI and renewal)"
+# RVI's gain must be the best deterministic policy's rate: no enumerated
+# policy beats it (all of them, at most 32 per random model) and its own
+# policy attains it. RVI must also match the nested reference, and on
+# regenerative models the renewal gain must match RVI and enumeration.
+cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
+    rvi_gain_matches_policy_evaluation rvi_dominates_enumerated_policies \
+    compiled_rvi_matches_nested renewal_gain_matches_rvi_and_enumeration
+
 echo "==> model-build gate (pinned model fingerprints + Table 1 generator rows)"
 # Every BU and Bitcoin model of the pinned grids must hash to the recorded
 # fingerprint (same states, ids, transitions and reward bits), and the BU
