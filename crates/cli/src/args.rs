@@ -20,6 +20,12 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
+impl From<String> for ArgError {
+    fn from(message: String) -> Self {
+        ArgError(message)
+    }
+}
+
 /// Parsed command-line arguments.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
@@ -76,6 +82,12 @@ impl Args {
         self.flags.contains_key(key)
     }
 
+    /// A flag's raw text, if given: the `name → text` lookup the cell
+    /// parameter schemas (`ScenarioSpec::from_params`, ...) read.
+    pub fn value(&self, key: &str) -> Option<&str> {
+        self.flags.get(key).map(String::as_str)
+    }
+
     /// A required typed flag.
     pub fn get<T: FromStr>(&self, key: &str) -> Result<T, ArgError>
     where
@@ -101,16 +113,10 @@ impl Args {
     }
 }
 
-/// Parses a `B:C` ratio such as `1:2` into `(1, 2)`.
+/// Parses a `B:C` ratio such as `1:2` into `(1, 2)` ([`bvc_bu::parse_ratio`]:
+/// both parts in `[1, 64]`).
 pub fn parse_ratio(raw: &str) -> Result<(u32, u32), ArgError> {
-    let (b, c) =
-        raw.split_once(':').ok_or_else(|| ArgError(format!("expected B:C ratio, got {raw:?}")))?;
-    let b: u32 = b.parse().map_err(|_| ArgError(format!("invalid ratio part {b:?} in {raw:?}")))?;
-    let c: u32 = c.parse().map_err(|_| ArgError(format!("invalid ratio part {c:?} in {raw:?}")))?;
-    if b == 0 || c == 0 {
-        return Err(ArgError("ratio parts must be positive".into()));
-    }
-    Ok((b, c))
+    bvc_bu::parse_ratio(raw).map_err(ArgError)
 }
 
 /// Parses a comma-separated list of floats such as `0.2,0.3,0.5`.

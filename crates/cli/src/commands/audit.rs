@@ -106,6 +106,16 @@ mod tests {
         }
     }
 
+    /// `bvc audit --alpha 0` (or `-0`, or `--ad 1`) used to panic in
+    /// `AttackConfig::validate`; the shared model flags now reject them.
+    #[test]
+    fn out_of_range_model_flags_are_rejected() {
+        for tokens in [&["--alpha", "0"][..], &["--alpha", "-0"], &["--alpha", "0.2", "--ad", "1"]]
+        {
+            assert!(parse(&args(tokens)).is_err(), "{tokens:?} must be rejected");
+        }
+    }
+
     #[test]
     fn parses_demo_targets_without_alpha() {
         let cmd = parse(&args(&["--demo", "multichain"])).unwrap();

@@ -5,12 +5,11 @@
 
 use bvc_games::{BlockSizeIncreasingGame, EbChoosingGame, MinerGroup};
 use bvc_gamesweep::{
-    frontier_cells, games_grid_specs, solve_frontier_cell, solve_game_cell, EconSpec, FrontierSpec,
-    GameSpec, PerturbSpec, PowerDist, FRONTIER_METRIC_ARITY, GAMES_SEED, GAME_METRIC_ARITY,
-    NO_CARTEL,
+    frontier_cells, games_grid_specs, solve_frontier_cell, solve_game_cell, FrontierSpec, GameSpec,
+    FRONTIER_METRIC_ARITY, GAME_METRIC_ARITY, NO_CARTEL,
 };
 
-use crate::args::{parse_f64_list, ArgError, Args};
+use crate::args::{ArgError, Args};
 
 /// Which game to run, with its inputs.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,51 +45,6 @@ pub enum GamesCmd {
     List,
 }
 
-/// Parses the shared equilibrium-map flags into a validated [`GameSpec`];
-/// defaults mirror the pinned Figure 4 cell.
-fn parse_game_spec(args: &Args) -> Result<GameSpec, ArgError> {
-    let power = match args.get_or("power", "zipf".to_string())?.as_str() {
-        "uniform" => PowerDist::Uniform,
-        "zipf" => PowerDist::Zipf { s: args.get_or("zipf-s", -1.0)? },
-        "measured" => PowerDist::Measured,
-        "adversarial" => PowerDist::Adversarial { top: args.get_or("adv-top", 0.45)? },
-        other => {
-            return Err(ArgError(format!(
-                "--power must be uniform, zipf, measured or adversarial, got {other:?}"
-            )))
-        }
-    };
-    let econ = match args.get_or("econ", "ladder".to_string())?.as_str() {
-        "ladder" => EconSpec::Ladder,
-        "fee" => EconSpec::FeeMarket {
-            fee_per_mb: args.get_or("fee", 0.05)?,
-            bw_lo: args.get_or("bw-lo", 20.0)?,
-            bw_hi: args.get_or("bw-hi", 300.0)?,
-            latency: args.get_or("latency", 0.01)?,
-            cost: args.get_or("cost", 0.2)?,
-        },
-        other => return Err(ArgError(format!("--econ must be ladder or fee, got {other:?}"))),
-    };
-    let perturb = match args.get_or("perturb", "none".to_string())?.as_str() {
-        "none" => PerturbSpec::None,
-        "random" => PerturbSpec::Random {
-            trials: args.get_or("trials", 100u32)?,
-            kmax: args.get_or("kmax", 4u32)?,
-        },
-        other => return Err(ArgError(format!("--perturb must be none or random, got {other:?}"))),
-    };
-    let spec = GameSpec {
-        miners: args.get_or("miners", 4u32)?,
-        power,
-        econ,
-        threshold: args.get_or("threshold", 0.5)?,
-        perturb,
-        seed: args.get_or("seed", GAMES_SEED)?,
-    };
-    spec.validate().map_err(ArgError)?;
-    Ok(spec)
-}
-
 /// Parses the subcommand (`eb`, `bsig`, `map` or `frontier` as the next
 /// positional, or `--list`).
 pub fn parse(args: &Args) -> Result<GamesCmd, ArgError> {
@@ -101,21 +55,12 @@ pub fn parse(args: &Args) -> Result<GamesCmd, ArgError> {
         .positional()
         .get(1)
         .ok_or_else(|| ArgError("expected a game: `eb`, `bsig`, `map` or `frontier`".into()))?;
+    let get = |name: &str| args.value(name);
     match which.as_str() {
-        "eb" => {
-            let powers = parse_f64_list(&args.get::<String>("powers")?)?;
-            Ok(GamesCmd::Eb { powers })
-        }
-        "map" => Ok(GamesCmd::Map { spec: parse_game_spec(args)?, json: args.has("json") }),
+        "eb" => Ok(GamesCmd::Eb { powers: EbChoosingGame::shares_from_params(get)? }),
+        "map" => Ok(GamesCmd::Map { spec: GameSpec::from_params(get)?, json: args.has("json") }),
         "frontier" => {
-            let spec = FrontierSpec {
-                spec: parse_game_spec(args)?,
-                size: args.get::<u32>("size")?,
-                shard: args.get_or("shard", 0u32)?,
-                shards: args.get_or("shards", 1u32)?,
-            };
-            spec.validate().map_err(ArgError)?;
-            Ok(GamesCmd::Frontier { spec, json: args.has("json") })
+            Ok(GamesCmd::Frontier { spec: FrontierSpec::from_params(get)?, json: args.has("json") })
         }
         "bsig" => {
             let raw = args.get::<String>("groups")?;
@@ -132,7 +77,11 @@ pub fn parse(args: &Args) -> Result<GamesCmd, ArgError> {
                     .map_err(|_| ArgError(format!("invalid power {power:?}")))?;
                 groups.push((mpb, power));
             }
-            Ok(GamesCmd::Bsig { groups, threshold: args.get_or("threshold", 0.5)? })
+            let threshold = args.get_or("threshold", 0.5)?;
+            let miner_groups: Vec<MinerGroup> =
+                groups.iter().map(|&(mpb, power)| MinerGroup { mpb, power }).collect();
+            BlockSizeIncreasingGame::check(&miner_groups, threshold)?;
+            Ok(GamesCmd::Bsig { groups, threshold })
         }
         other => Err(ArgError(format!(
             "unknown game {other:?}; expected `eb`, `bsig`, `map` or `frontier`"
@@ -295,6 +244,61 @@ mod tests {
             cmd,
             GamesCmd::Bsig { groups: vec![(1.0, 0.1), (2.0, 0.4), (8.0, 0.5)], threshold: 0.9 }
         );
+    }
+
+    fn rejection(tokens: &[&str]) -> String {
+        match parse(&args(tokens)) {
+            Ok(cmd) => panic!("{tokens:?} parsed to {cmd:?}"),
+            Err(ArgError(message)) => message,
+        }
+    }
+
+    /// Each of these used to panic in `BlockSizeIncreasingGame::with_threshold`.
+    #[test]
+    fn bsig_rejects_powers_not_summing_to_one() {
+        let message = rejection(&["games", "bsig", "--groups", "1:0.1,2:0.2"]);
+        assert!(message.contains("powers must sum to 1"), "{message}");
+    }
+
+    #[test]
+    fn bsig_rejects_a_non_positive_power() {
+        let message = rejection(&["games", "bsig", "--groups", "1:-0.1,2:1.1"]);
+        assert!(message.contains("powers must be positive"), "{message}");
+    }
+
+    #[test]
+    fn bsig_rejects_a_threshold_outside_the_unit_interval() {
+        for threshold in ["1.5", "-0.1"] {
+            let message =
+                rejection(&["games", "bsig", "--groups", "1:0.5,2:0.5", "--threshold", threshold]);
+            assert!(message.contains("pass threshold must be a fraction"), "{message}");
+        }
+    }
+
+    #[test]
+    fn bsig_rejects_repeated_or_non_finite_mpbs() {
+        for groups in ["1:0.5,1:0.5", "nan:0.5,1:0.5"] {
+            assert!(rejection(&["games", "bsig", "--groups", groups]).contains("MPBs must be"));
+        }
+    }
+
+    /// These used to panic in `EbChoosingGame::new`; serve answered 400.
+    #[test]
+    fn eb_rejects_shares_not_summing_to_one() {
+        let message = rejection(&["games", "eb", "--powers", "0.2,0.3"]);
+        assert!(message.contains("powers must sum to 1"), "{message}");
+    }
+
+    #[test]
+    fn eb_rejects_a_negative_share() {
+        let message = rejection(&["games", "eb", "--powers", "0.5,-0.1,0.6"]);
+        assert!(message.contains("powers must be positive and finite"), "{message}");
+    }
+
+    #[test]
+    fn map_rejects_sub_parameters_of_unchosen_variants() {
+        let message = rejection(&["games", "map", "--power", "uniform", "--zipf-s", "1"]);
+        assert!(message.contains("zipf-s only applies with power=zipf"), "{message}");
     }
 
     #[test]

@@ -6,11 +6,10 @@
 
 use bvc_bu::SolveOptions;
 use bvc_scenario::{
-    crossval_cells, grid_specs, run_scenario, AttackerSpec, DelaySpec, HashDist, RuleKind,
-    ScenarioSpec, GRID_SEED, METRIC_ARITY,
+    crossval_cells, grid_specs, run_scenario, AttackerSpec, ScenarioSpec, METRIC_ARITY,
 };
 
-use crate::args::{parse_ratio, ArgError, Args};
+use crate::args::{ArgError, Args};
 
 /// Parsed configuration of the `scenario` subcommand.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,7 +22,8 @@ pub struct ScenarioCmd {
     pub json: bool,
 }
 
-/// Parses the subcommand's flags into a validated [`ScenarioSpec`].
+/// Parses the subcommand's flags into a validated [`ScenarioSpec`]
+/// through the scenario schema ([`ScenarioSpec::from_params`]).
 pub fn parse(args: &Args) -> Result<ScenarioCmd, ArgError> {
     let list = args.has("list");
     let json = args.has("json");
@@ -31,73 +31,7 @@ pub fn parse(args: &Args) -> Result<ScenarioCmd, ArgError> {
         return Ok(ScenarioCmd { spec: None, list, json });
     }
 
-    let hash = match args.get_or("hash", "uniform".to_string())?.as_str() {
-        "uniform" => HashDist::Uniform,
-        "zipf" => HashDist::Zipf { s: args.get_or("zipf-s", 1.0)? },
-        "measured" => HashDist::Measured,
-        other => {
-            return Err(ArgError(format!(
-                "--hash must be uniform, zipf or measured, got {other:?}"
-            )))
-        }
-    };
-    let delay = match args.get_or("delay", "zero".to_string())?.as_str() {
-        "zero" => DelaySpec::Zero,
-        "constant" => DelaySpec::Constant { d: args.get_or("delay-d", 0.05)? },
-        "uniform" => DelaySpec::Uniform {
-            min: args.get_or("delay-min", 0.0)?,
-            max: args.get_or("delay-max", 0.2)?,
-        },
-        "ring" => DelaySpec::Ring { per_hop: args.get_or("per-hop", 0.01)? },
-        other => {
-            return Err(ArgError(format!(
-                "--delay must be zero, constant, uniform or ring, got {other:?}"
-            )))
-        }
-    };
-    let attacker = match args.get_or("attacker", "honest".to_string())?.as_str() {
-        "honest" => AttackerSpec::Honest,
-        "lead-k" => {
-            AttackerSpec::LeadK { alpha: args.get::<f64>("alpha")?, k: args.get_or("k", 2u32)? }
-        }
-        "mdp" => AttackerSpec::Mdp {
-            alpha: args.get::<f64>("alpha")?,
-            ratio: parse_ratio(&args.get_or("ratio", "1:1".to_string())?)?,
-        },
-        other => {
-            return Err(ArgError(format!(
-                "--attacker must be honest, lead-k or mdp, got {other:?}"
-            )))
-        }
-    };
-    // An MDP replay is only defined for the paper's setting-1 semantics;
-    // default its rule accordingly so the obvious invocation works.
-    let rule_default =
-        if matches!(attacker, AttackerSpec::Mdp { .. }) { "rizun-nogate" } else { "rizun" };
-    let rule = match args.get_or("rule", rule_default.to_string())?.as_str() {
-        "rizun" => RuleKind::Rizun { sticky: true },
-        "rizun-nogate" => RuleKind::Rizun { sticky: false },
-        "srccode" => RuleKind::SourceCode,
-        other => {
-            return Err(ArgError(format!(
-                "--rule must be rizun, rizun-nogate or srccode, got {other:?}"
-            )))
-        }
-    };
-    let spec = ScenarioSpec {
-        nodes: args.get_or("nodes", 40u32)?,
-        hash,
-        eb_small_mb: args.get_or("eb-small", 1u32)?,
-        eb_large_mb: args.get_or("eb-large", 16u32)?,
-        ad: args.get_or("ad", 6u8)?,
-        large_frac: args.get_or("large-frac", 0.4)?,
-        delay,
-        rule,
-        attacker,
-        blocks: args.get_or("blocks", 1_500u32)?,
-        seed: args.get_or("seed", GRID_SEED)?,
-    };
-    spec.validate().map_err(ArgError)?;
+    let spec = ScenarioSpec::from_params(|name| args.value(name))?;
     Ok(ScenarioCmd { spec: Some(spec), list, json })
 }
 
@@ -152,6 +86,7 @@ pub fn run(cmd: &ScenarioCmd) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bvc_scenario::{RuleKind, GRID_SEED};
 
     fn args(tokens: &[&str]) -> Args {
         Args::parse(tokens.iter().copied()).unwrap()
@@ -191,6 +126,8 @@ mod tests {
         assert!(parse(&args(&["--nodes", "1"])).is_err());
         assert!(parse(&args(&["--hash", "bogus"])).is_err());
         assert!(parse(&args(&["--attacker", "lead-k"])).is_err(), "lead-k needs --alpha");
+        // Serve's sub-parameter rule: zipf-s without hash=zipf is a typo.
+        assert!(parse(&args(&["--zipf-s", "1.2"])).is_err());
     }
 
     #[test]

@@ -30,10 +30,12 @@ pub fn parse(args: &Args) -> Result<SolveCmd, ArgError> {
 
 /// Parses the model-defining flags shared by `bvc solve` and `bvc audit`
 /// (`--alpha`, `--beta-gamma`, `--setting`, `--incentive`, `--ad`,
-/// `--ad-carol`, `--gate`).
+/// `--ad-carol`, `--gate`, and `--rds`/`--confirmations` for double-spend
+/// cells) under the ranges serve applies to the same cells, so no flag
+/// value reaches [`AttackConfig::validate`]'s assertions.
 pub fn parse_attack_config(args: &Args) -> Result<AttackConfig, ArgError> {
     let alpha: f64 = args.get("alpha")?;
-    if !(0.0..0.5).contains(&alpha) {
+    if !(alpha > 0.0 && alpha < 0.5) {
         return Err(ArgError(format!("--alpha must be in (0, 0.5), got {alpha}")));
     }
     let ratio = parse_ratio(&args.get_or("beta-gamma", "1:1".to_string())?)?;
@@ -44,10 +46,14 @@ pub fn parse_attack_config(args: &Args) -> Result<AttackConfig, ArgError> {
     };
     let incentive = match args.get_or("incentive", "compliant".to_string())?.as_str() {
         "compliant" => IncentiveModel::CompliantProfitDriven,
-        "double-spend" => IncentiveModel::NonCompliantProfitDriven {
-            rds: args.get_or("rds", 10.0)?,
-            threshold: args.get_or("confirmations", 4u8)?.saturating_sub(1),
-        },
+        "double-spend" => {
+            let rds: f64 = args.get_or("rds", 10.0)?;
+            if rds.is_nan() || rds < 0.0 {
+                return Err(ArgError(format!("--rds must be nonnegative, got {rds}")));
+            }
+            let confirmations = in_range(args, "confirmations", 4u8, 1, 16)?;
+            IncentiveModel::NonCompliantProfitDriven { rds, threshold: confirmations - 1 }
+        }
         "vandal" => IncentiveModel::NonProfitDriven,
         other => {
             return Err(ArgError(format!(
@@ -56,10 +62,23 @@ pub fn parse_attack_config(args: &Args) -> Result<AttackConfig, ArgError> {
         }
     };
     let mut config = AttackConfig::with_ratio(alpha, ratio, setting, incentive);
-    config.ad = args.get_or("ad", 6u8)?;
-    config.ad_carol = args.get_or("ad-carol", config.ad)?;
-    config.gate_blocks = args.get_or("gate", 144u16)?;
+    config.ad = in_range(args, "ad", 6u8, 2, 24)?;
+    config.ad_carol = in_range(args, "ad-carol", config.ad, 2, 24)?;
+    config.gate_blocks = in_range(args, "gate", 144u16, 1, 4096)?;
     Ok(config)
+}
+
+/// An optional integer flag with a default, bounded to `[lo, hi]`.
+fn in_range<T>(args: &Args, key: &str, default: T, lo: T, hi: T) -> Result<T, ArgError>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+    T::Err: std::fmt::Display,
+{
+    let v = args.get_or(key, default)?;
+    if v < lo || v > hi {
+        return Err(ArgError(format!("--{key} must be in [{lo}, {hi}], got {v}")));
+    }
+    Ok(v)
 }
 
 /// Runs the subcommand.
@@ -156,6 +175,52 @@ mod tests {
         assert!(parse(&args(&["--alpha", "0.2", "--setting", "3"])).is_err());
         assert!(parse(&args(&["--alpha", "0.2", "--incentive", "bogus"])).is_err());
         assert!(parse(&args(&[])).is_err());
+    }
+
+    fn rejection(tokens: &[&str]) -> String {
+        match parse(&args(tokens)) {
+            Ok(cmd) => panic!("{tokens:?} parsed to {:?}", cmd.config),
+            Err(ArgError(message)) => message,
+        }
+    }
+
+    /// `--alpha 0` and `--alpha -0` used to pass the half-open range check
+    /// and panic in `AttackConfig::validate`; alpha is exclusive at both
+    /// ends, as in serve.
+    #[test]
+    fn zero_alpha_is_rejected() {
+        for alpha in ["0", "-0", "0.5"] {
+            assert!(rejection(&["--alpha", alpha]).contains("--alpha must be in (0, 0.5)"));
+        }
+    }
+
+    /// `--ad 1` (and `--ad-carol 1`) used to panic in
+    /// `AttackConfig::validate`; both depths take serve's [2, 24].
+    #[test]
+    fn acceptance_depth_below_two_is_rejected() {
+        assert!(rejection(&["--alpha", "0.2", "--ad", "1"]).contains("--ad must be in [2, 24]"));
+        assert!(rejection(&["--alpha", "0.2", "--ad-carol", "1"]).contains("--ad-carol must be in"));
+        assert!(rejection(&["--alpha", "0.2", "--ad", "25"]).contains("--ad must be in"));
+    }
+
+    /// `--setting 2 --gate 0` used to panic in `AttackConfig::validate`.
+    #[test]
+    fn zero_gate_is_rejected() {
+        let message = rejection(&["--alpha", "0.2", "--setting", "2", "--gate", "0"]);
+        assert!(message.contains("--gate must be in [1, 4096]"), "{message}");
+    }
+
+    #[test]
+    fn double_spend_terms_take_serve_ranges() {
+        let ds = ["--alpha", "0.2", "--incentive", "double-spend"];
+        for (flag, value, needle) in [
+            ("--confirmations", "0", "--confirmations must be in [1, 16]"),
+            ("--confirmations", "17", "--confirmations must be in [1, 16]"),
+            ("--rds", "-1", "--rds must be nonnegative"),
+        ] {
+            let tokens: Vec<&str> = ds.iter().copied().chain([flag, value]).collect();
+            assert!(rejection(&tokens).contains(needle), "{flag} {value}");
+        }
     }
 
     #[test]

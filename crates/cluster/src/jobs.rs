@@ -929,6 +929,32 @@ mod tests {
         assert!(matches!(bad.solve(&ctx), Err(MdpError::AuditFailed { .. })));
     }
 
+    /// Every prefix of every registry cell's wire form, and every
+    /// single-byte replacement of it by a separator, a dash, a letter or
+    /// NUL, must decode to `Some` or `None` without panicking: workers
+    /// decode whatever bytes arrive on the socket.
+    #[test]
+    fn decode_never_panics_on_truncated_or_corrupted_wire() {
+        for name in WORKLOAD_NAMES {
+            for job in workload(name).unwrap().jobs {
+                let wire = job.encode();
+                for end in 0..=wire.len() {
+                    let _ = JobSpec::decode(&wire[..end]);
+                }
+                for at in 0..wire.len() {
+                    for byte in [b';', b'-', b'x', 0u8] {
+                        let mut bytes = wire.clone().into_bytes();
+                        bytes[at] = byte;
+                        let text = String::from_utf8(bytes).expect("wire forms are ASCII");
+                        if let Some(decoded) = JobSpec::decode(&text) {
+                            let _ = decoded.key();
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn undecodable_specs_return_none() {
         for junk in ["", "zz;1", "t2;nothex;1;1;1", "t2;3fb999999999999a;1;1", "cv;x"] {

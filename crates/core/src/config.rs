@@ -120,6 +120,20 @@ pub struct AttackConfig {
     pub incentive: IncentiveModel,
 }
 
+/// Parses a `B:C` power ratio such as `1:2` into `(1, 2)`: the `β : γ`
+/// split of [`AttackConfig::with_ratio`], as serve, the CLI and the
+/// scenario schema read it. Both parts must be integers in `[1, 64]`.
+pub fn parse_ratio(raw: &str) -> Result<(u32, u32), String> {
+    let (b, c) = raw.split_once(':').ok_or_else(|| format!("expected B:C ratio, got {raw:?}"))?;
+    let part = |text: &str| {
+        text.parse::<u32>()
+            .ok()
+            .filter(|v| (1..=64).contains(v))
+            .ok_or_else(|| format!("ratio parts must be integers in [1, 64], got {raw:?}"))
+    };
+    Ok((part(b)?, part(c)?))
+}
+
 impl AttackConfig {
     /// A configuration with the paper's defaults (`AD = 6`, 144-block gate)
     /// for a given power split. `beta_to_gamma` is the `β : γ` ratio used in

@@ -47,7 +47,7 @@ pub mod state;
 pub mod table1;
 
 pub use bvc_mdp::solve::{OptimalStrategy, SolveOptions};
-pub use config::{AttackConfig, IncentiveModel, Setting, Utility};
+pub use config::{parse_ratio, AttackConfig, IncentiveModel, Setting, Utility};
 pub use model::{expand, AttackModel};
 pub use multi_eb::{EbGroup, MultiEbScenario, SplitOutcome};
 pub use policy_view::{

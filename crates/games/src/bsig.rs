@@ -71,18 +71,44 @@ impl BlockSizeIncreasingGame {
     /// supermajority rules such as the §6.3 countermeasure, where a raise
     /// needs ≥ 75% support *and* ≤ 10% opposition — equivalent to a 0.9
     /// threshold when every miner votes.
+    ///
+    /// # Panics
+    /// Panics when [`BlockSizeIncreasingGame::check`] rejects the inputs.
     pub fn with_threshold(mut groups: Vec<MinerGroup>, pass_threshold: f64) -> Self {
-        assert!(!groups.is_empty(), "need at least one group");
-        assert!(groups.iter().all(|g| g.power > 0.0), "powers must be positive");
-        let sum: f64 = groups.iter().map(|g| g.power).sum();
-        assert!((sum - 1.0).abs() < 1e-9, "powers must sum to 1, got {sum}");
-        assert!((0.0..=1.0).contains(&pass_threshold), "pass threshold must be a fraction");
-        assert!(groups.iter().all(|g| g.mpb.is_finite()), "MPBs must be finite");
-        groups.sort_by(|a, b| a.mpb.total_cmp(&b.mpb));
-        for w in groups.windows(2) {
-            assert!(w[0].mpb < w[1].mpb, "MPBs must be distinct");
+        if let Err(why) = Self::check(&groups, pass_threshold) {
+            panic!("{why}");
         }
+        groups.sort_by(|a, b| a.mpb.total_cmp(&b.mpb));
         BlockSizeIncreasingGame { groups, pass_threshold }
+    }
+
+    /// The constructor's preconditions, for front ends that must answer
+    /// bad input with an error instead of a panic: at least one group,
+    /// positive powers summing to 1, finite distinct MPBs, and a pass
+    /// threshold in `[0, 1]`.
+    pub fn check(groups: &[MinerGroup], pass_threshold: f64) -> Result<(), String> {
+        if groups.is_empty() {
+            return Err("need at least one group".to_string());
+        }
+        if !groups.iter().all(|g| g.power > 0.0) {
+            return Err("powers must be positive".to_string());
+        }
+        let sum: f64 = groups.iter().map(|g| g.power).sum();
+        if (sum - 1.0).abs() >= 1e-9 {
+            return Err(format!("powers must sum to 1, got {sum}"));
+        }
+        if !(0.0..=1.0).contains(&pass_threshold) {
+            return Err(format!("pass threshold must be a fraction, got {pass_threshold}"));
+        }
+        if !groups.iter().all(|g| g.mpb.is_finite()) {
+            return Err("MPBs must be finite".to_string());
+        }
+        let mut mpbs: Vec<f64> = groups.iter().map(|g| g.mpb).collect();
+        mpbs.sort_by(f64::total_cmp);
+        if mpbs.windows(2).any(|w| w[0] >= w[1]) {
+            return Err("MPBs must be distinct".to_string());
+        }
+        Ok(())
     }
 
     /// The groups, sorted by MPB.

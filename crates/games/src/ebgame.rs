@@ -71,6 +71,37 @@ pub enum Outcome {
 }
 
 impl EbChoosingGame {
+    /// Every parameter name [`EbChoosingGame::shares_from_params`] reads.
+    pub const PARAMS: [&'static str; 1] = ["powers"];
+
+    /// The EB-share schema of serve's `GET /v1/games/eb` and `bvc games
+    /// eb`: the required comma-separated `powers` list, each share
+    /// positive and finite, summing to 1 within `1e-6`, and renormalized
+    /// so well-formed shares can never trip [`EbChoosingGame::new`]'s
+    /// exact-sum assertion. The share count is the caller's cap.
+    pub fn shares_from_params<'a>(
+        get: impl Fn(&str) -> Option<&'a str>,
+    ) -> Result<Vec<f64>, String> {
+        let raw = get("powers").ok_or("powers is required (comma-separated shares)")?;
+        let mut powers = Vec::new();
+        for part in raw.split(',') {
+            let text = part.trim();
+            let p: f64 = text.parse().map_err(|_| format!("invalid number {text:?} for powers"))?;
+            if p <= 0.0 || !p.is_finite() {
+                return Err(format!("powers must be positive and finite, got {part:?}"));
+            }
+            powers.push(p);
+        }
+        let sum: f64 = powers.iter().sum();
+        if (sum - 1.0).abs() > 1e-6 {
+            return Err(format!("powers must sum to 1 (got {sum})"));
+        }
+        for p in &mut powers {
+            *p /= sum;
+        }
+        Ok(powers)
+    }
+
     /// Creates the game.
     ///
     /// # Panics

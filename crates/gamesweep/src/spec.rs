@@ -4,7 +4,9 @@
 //! keys, compact wire encodings, and the per-cell seeding discipline that
 //! makes every cell replay bit-identically at any thread or worker count.
 
-use bvc_journal::{f64_from_hex, f64_to_hex, fnv1a64};
+use bvc_journal::{f64_from_hex, f64_to_hex, fnv1a64, param_f64, param_int};
+
+use crate::grid::GAMES_SEED;
 
 /// How mining power is distributed across the `n` miners. Miner index is
 /// the *MPB rank*: miner `i` has the `i`-th smallest maximum profitable
@@ -125,6 +127,106 @@ pub struct GameSpec {
 }
 
 impl GameSpec {
+    /// Every parameter name [`GameSpec::from_params`] reads: serve's
+    /// `GET /v1/games/map` query names and the `bvc games map` flags.
+    pub const PARAMS: [&'static str; 15] = [
+        "miners",
+        "power",
+        "zipf-s",
+        "adv-top",
+        "econ",
+        "fee",
+        "bw-lo",
+        "bw-hi",
+        "latency",
+        "cost",
+        "threshold",
+        "perturb",
+        "trials",
+        "kmax",
+        "seed",
+    ];
+
+    /// The game parameter schema: builds a validated spec from a
+    /// `name → text` lookup (serve's query string, the CLI's flags).
+    /// Defaults reproduce the paper's Figure 4 cell (4 miners at
+    /// 10/20/30/40, ladder MPBs, majority rule, no perturbation, seed
+    /// [`GAMES_SEED`]); sub-parameters of an enum choice are rejected when
+    /// the choice does not use them.
+    pub fn from_params<'a>(get: impl Fn(&str) -> Option<&'a str>) -> Result<Self, String> {
+        let float = |name: &str| get(name).map(|v| param_f64(v, name)).transpose();
+        let int = |name: &str, default: &str, lo: u64, hi: u64| {
+            param_int(get(name).unwrap_or(default), name, lo, hi)
+        };
+
+        let power_kind = get("power").unwrap_or("zipf");
+        if get("zipf-s").is_some() && power_kind != "zipf" {
+            return Err("zipf-s only applies with power=zipf".to_string());
+        }
+        if get("adv-top").is_some() && power_kind != "adversarial" {
+            return Err("adv-top only applies with power=adversarial".to_string());
+        }
+        let power = match power_kind {
+            "uniform" => PowerDist::Uniform,
+            "zipf" => PowerDist::Zipf { s: float("zipf-s")?.unwrap_or(-1.0) },
+            "measured" => PowerDist::Measured,
+            "adversarial" => PowerDist::Adversarial { top: float("adv-top")?.unwrap_or(0.45) },
+            other => {
+                return Err(format!(
+                    "power must be uniform, zipf, measured or adversarial, got {other:?}"
+                ))
+            }
+        };
+
+        let econ_kind = get("econ").unwrap_or("ladder");
+        for name in ["fee", "bw-lo", "bw-hi", "latency", "cost"] {
+            if get(name).is_some() && econ_kind != "fee" {
+                return Err(format!("{name} only applies with econ=fee"));
+            }
+        }
+        let econ = match econ_kind {
+            "ladder" => EconSpec::Ladder,
+            "fee" => EconSpec::FeeMarket {
+                fee_per_mb: float("fee")?.unwrap_or(0.05),
+                bw_lo: float("bw-lo")?.unwrap_or(20.0),
+                bw_hi: float("bw-hi")?.unwrap_or(300.0),
+                latency: float("latency")?.unwrap_or(0.01),
+                cost: float("cost")?.unwrap_or(0.2),
+            },
+            other => return Err(format!("econ must be ladder or fee, got {other:?}")),
+        };
+
+        let perturb_kind = get("perturb").unwrap_or("none");
+        for name in ["trials", "kmax"] {
+            if get(name).is_some() && perturb_kind != "random" {
+                return Err(format!("{name} only applies with perturb=random"));
+            }
+        }
+        let miners = int("miners", "4", 2, 512)? as u32;
+        let perturb = match perturb_kind {
+            "none" => PerturbSpec::None,
+            "random" => PerturbSpec::Random {
+                trials: int("trials", "100", 1, 100_000)? as u32,
+                kmax: int("kmax", "4", 1, u64::from(miners))? as u32,
+            },
+            other => return Err(format!("perturb must be none or random, got {other:?}")),
+        };
+
+        let spec = GameSpec {
+            miners,
+            power,
+            econ,
+            threshold: float("threshold")?.unwrap_or(0.5),
+            perturb,
+            seed: get("seed")
+                .map(|v| param_int(v, "seed", 0, u64::MAX))
+                .transpose()?
+                .unwrap_or(GAMES_SEED),
+        };
+        spec.validate()?;
+        Ok(spec)
+    }
+
     /// Human-readable cell key; unique per spec, stable across versions
     /// (it is the journal key game fingerprints derive from).
     pub fn key(&self) -> String {
@@ -352,6 +454,32 @@ pub fn binomial(n: u64, k: u64) -> u64 {
 }
 
 impl FrontierSpec {
+    /// The shard coordinates [`FrontierSpec::from_params`] reads on top of
+    /// [`GameSpec::PARAMS`].
+    pub const PARAMS: [&'static str; 3] = ["size", "shard", "shards"];
+
+    /// The frontier parameter schema: the game parameters
+    /// ([`GameSpec::from_params`]) plus the shard coordinates (`size`
+    /// required; `shard`/`shards` default to the unsharded layer), then
+    /// [`FrontierSpec::validate`].
+    pub fn from_params<'a>(get: impl Fn(&str) -> Option<&'a str>) -> Result<Self, String> {
+        let spec = GameSpec::from_params(&get)?;
+        let shards =
+            get("shards").map(|v| param_int(v, "shards", 1, 1 << 20)).transpose()?.unwrap_or(1);
+        let size = get("size").ok_or("frontier requests need size (coalition size k)")?;
+        let frontier = FrontierSpec {
+            size: param_int(size, "size", 1, 23)? as u32,
+            shard: get("shard")
+                .map(|v| param_int(v, "shard", 0, shards - 1))
+                .transpose()?
+                .unwrap_or(0) as u32,
+            shards: shards as u32,
+            spec,
+        };
+        frontier.validate()?;
+        Ok(frontier)
+    }
+
     /// Human-readable cell key (extends the game key).
     pub fn key(&self) -> String {
         format!("{} frontier k={} shard={}/{}", self.spec.key(), self.size, self.shard, self.shards)
@@ -457,6 +585,32 @@ mod tests {
                 ..base
             },
         ]
+    }
+
+    /// Serve's unknown-name check trusts `PARAMS`: the schemas must never
+    /// read a name outside them, on any enum branch.
+    #[test]
+    fn from_params_reads_only_its_exported_names() {
+        let queries: [&[(&str, &str)]; 3] = [
+            &[("size", "1")],
+            &[("power", "adversarial"), ("econ", "fee"), ("size", "1")],
+            &[("perturb", "random"), ("size", "2"), ("shards", "2")],
+        ];
+        for query in queries {
+            let asked = std::cell::RefCell::new(Vec::new());
+            let _ = FrontierSpec::from_params(|name| {
+                asked.borrow_mut().push(name.to_string());
+                query.iter().find(|(k, _)| *k == name).map(|(_, v)| *v)
+            });
+            for name in asked.into_inner() {
+                assert!(
+                    GameSpec::PARAMS.contains(&name.as_str())
+                        || FrontierSpec::PARAMS.contains(&name.as_str()),
+                    "{name} not exported"
+                );
+            }
+        }
+        assert_eq!(GameSpec::from_params(|_| None), Ok(crate::figure4_spec()));
     }
 
     #[test]

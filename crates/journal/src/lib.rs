@@ -14,7 +14,10 @@
 //!
 //! This crate is the single source of truth for that format: FNV-1a cell
 //! fingerprints, bit-exact `f64` hex encoding, the line codec, and the
-//! maintenance operations behind `bvc journal compact|stat`.
+//! maintenance operations behind `bvc journal compact|stat`. It also holds
+//! the two scalar readers ([`param_f64`], [`param_int`]) the cell
+//! parameter schemas share, so every front end words a bad cell parameter
+//! the same way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,6 +57,28 @@ pub fn f64_to_hex(v: f64) -> String {
 /// malformed input instead of guessing.
 pub fn f64_from_hex(s: &str) -> Option<f64> {
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
+}
+
+// ---------------------------------------------------------------------------
+// Named cell parameters
+// ---------------------------------------------------------------------------
+
+/// Parses the text of the named cell parameter `name` as an `f64`. The
+/// cell schemas (`ScenarioSpec::from_params`, `GameSpec::from_params`) and
+/// serve's table parser read every number through this and
+/// [`param_int`], so serve and the CLI report the same wording.
+pub fn param_f64(raw: &str, name: &str) -> Result<f64, String> {
+    raw.parse::<f64>().map_err(|_| format!("invalid number {raw:?} for {name}"))
+}
+
+/// Parses the text of the named cell parameter `name` as an integer in
+/// `[lo, hi]`.
+pub fn param_int(raw: &str, name: &str, lo: u64, hi: u64) -> Result<u64, String> {
+    let v = raw.parse::<u64>().map_err(|_| format!("invalid integer {raw:?} for {name}"))?;
+    if v < lo || v > hi {
+        return Err(format!("{name} must be in [{lo}, {hi}], got {v}"));
+    }
+    Ok(v)
 }
 
 // ---------------------------------------------------------------------------

@@ -702,120 +702,73 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Executors: local threads or a cluster coordinator
+// Execution: local threads or a cluster coordinator
 // ---------------------------------------------------------------------------
 
-/// Where a job-registry sweep executes. The table binaries build their
-/// grids as [`JobSpec`] lists and hand them to an executor, so the same
-/// binary can solve in-process ([`LocalExecutor`]) or shard cells across
-/// worker processes ([`ClusterExecutor`], selected by `--cluster`).
-pub trait CellExecutor {
-    /// Runs `jobs` under `opts`, returning one report entry per job in
-    /// input order. `Err` is an infrastructure failure (bind error,
-    /// journal error, determinism conflict), not a cell failure — cell
-    /// failures are reported inside the `Ok` report.
-    fn execute(
-        &self,
-        label: &str,
-        jobs: &[JobSpec],
-        opts: &SweepOptions,
-    ) -> Result<SweepReport<Vec<f64>>, String>;
-}
-
-/// Solves every cell in-process via [`run_sweep`].
-pub struct LocalExecutor;
-
-impl CellExecutor for LocalExecutor {
-    fn execute(
-        &self,
-        label: &str,
-        jobs: &[JobSpec],
-        opts: &SweepOptions,
-    ) -> Result<SweepReport<Vec<f64>>, String> {
-        Ok(run_sweep(label, jobs, opts, JobSpec::key, |job, ctx| job.solve(ctx)))
-    }
-}
-
-/// Binds a `bvc-cluster` coordinator and shards the cells across
-/// connecting workers. The journal, fingerprints, retry schedule and
-/// fail-fast semantics all come from the same [`SweepOptions`] a local
-/// run uses, so the resulting journal is byte-identical to a local
-/// `--threads 1` run over the same cells.
-pub struct ClusterExecutor {
-    /// Listen address (`host:port`; port 0 binds ephemeral).
-    pub addr: String,
-    /// Lease duration for worker batches.
-    pub lease: Duration,
-    /// Claim batch size suggested to workers.
-    pub batch: u32,
-}
-
-impl CellExecutor for ClusterExecutor {
-    fn execute(
-        &self,
-        label: &str,
-        jobs: &[JobSpec],
-        opts: &SweepOptions,
-    ) -> Result<SweepReport<Vec<f64>>, String> {
-        let cfg = ClusterConfig {
-            config_token: opts.config_token.clone(),
-            journal: opts.journal.clone(),
-            cell: CellRunConfig {
-                retry: opts.retry.clone(),
-                cell_deadline: opts.cell_deadline,
-                audit: opts.audit,
-                // Never shipped over the wire: each worker applies its own
-                // local --solve-threads (see CellRunConfig docs).
-                solve_threads: 1,
-                shard_min_states: 0,
-                inject_panic: opts.inject_panic.clone(),
-                inject_noconv: opts.inject_noconv.clone(),
-            },
-            lease: self.lease,
-            batch: self.batch,
-            fail_fast: opts.fail_fast,
-            durability: opts.durability,
-            ..ClusterConfig::default()
-        };
-        let report = run_coordinator(&self.addr, label, jobs, cfg).map_err(|e| e.to_string())?;
-        for line in report.stats.lines() {
-            eprintln!("# {line}");
-        }
-        Ok(SweepReport {
-            label: report.label,
-            cells: report
-                .cells
-                .into_iter()
-                .map(|c| CellResult {
-                    key: c.key,
-                    outcome: c.outcome,
-                    attempts: c.attempts,
-                    replayed: c.replayed,
-                    elapsed: c.elapsed,
-                })
-                .collect(),
-            wall: report.wall,
-        })
-    }
-}
-
-/// Runs a job-registry sweep through the executor `opts` selects:
-/// [`ClusterExecutor`] when `--cluster` was given, [`LocalExecutor`]
-/// otherwise. Infrastructure failures print and exit 2 (matching the
-/// malformed-flag convention); cell failures are reported in the report.
+/// Runs a job-registry sweep in-process via [`run_sweep`], or, when
+/// `--cluster` was given, through a `bvc-cluster` coordinator that shards
+/// the cells across connecting workers. Infrastructure failures (bind
+/// error, journal error, determinism conflict) print and exit 2 (matching
+/// the malformed-flag convention); cell failures are reported in the
+/// report.
 pub fn run_jobs(label: &str, jobs: &[JobSpec], opts: &SweepOptions) -> SweepReport<Vec<f64>> {
-    let result = match &opts.cluster {
-        Some(addr) => ClusterExecutor {
-            addr: addr.clone(),
-            lease: opts.lease.unwrap_or(Duration::from_secs(30)),
-            batch: opts.cluster_batch.unwrap_or(4),
-        }
-        .execute(label, jobs, opts),
-        None => LocalExecutor.execute(label, jobs, opts),
+    match &opts.cluster {
+        None => run_sweep(label, jobs, opts, JobSpec::key, |job, ctx| job.solve(ctx)),
+        Some(addr) => run_coordinated(addr, label, jobs, opts).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }),
+    }
+}
+
+/// The `--cluster` branch of [`run_jobs`]. The journal, fingerprints,
+/// retry schedule and fail-fast semantics all come from the same
+/// [`SweepOptions`] a local run uses, so the resulting journal is
+/// byte-identical to a local `--threads 1` run over the same cells.
+fn run_coordinated(
+    addr: &str,
+    label: &str,
+    jobs: &[JobSpec],
+    opts: &SweepOptions,
+) -> Result<SweepReport<Vec<f64>>, String> {
+    let cfg = ClusterConfig {
+        config_token: opts.config_token.clone(),
+        journal: opts.journal.clone(),
+        cell: CellRunConfig {
+            retry: opts.retry.clone(),
+            cell_deadline: opts.cell_deadline,
+            audit: opts.audit,
+            // Never shipped over the wire: each worker applies its own
+            // local --solve-threads (see CellRunConfig docs).
+            solve_threads: 1,
+            shard_min_states: 0,
+            inject_panic: opts.inject_panic.clone(),
+            inject_noconv: opts.inject_noconv.clone(),
+        },
+        lease: opts.lease.unwrap_or(Duration::from_secs(30)),
+        batch: opts.cluster_batch.unwrap_or(4),
+        fail_fast: opts.fail_fast,
+        durability: opts.durability,
+        ..ClusterConfig::default()
     };
-    result.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
+    let report = run_coordinator(addr, label, jobs, cfg).map_err(|e| e.to_string())?;
+    for line in report.stats.lines() {
+        eprintln!("# {line}");
+    }
+    Ok(SweepReport {
+        label: report.label,
+        cells: report
+            .cells
+            .into_iter()
+            .map(|c| CellResult {
+                key: c.key,
+                outcome: c.outcome,
+                attempts: c.attempts,
+                replayed: c.replayed,
+                elapsed: c.elapsed,
+            })
+            .collect(),
+        wall: report.wall,
     })
 }
 

@@ -3,7 +3,9 @@
 //! encoding, and the per-cell seeding discipline that makes every cell
 //! replay bit-identically at any thread or worker count.
 
-use bvc_journal::{f64_from_hex, f64_to_hex, fnv1a64};
+use bvc_journal::{f64_from_hex, f64_to_hex, fnv1a64, param_f64, param_int};
+
+use crate::grid::GRID_SEED;
 
 /// How mining power is distributed across the compliant nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,6 +145,133 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
+    /// Every parameter name [`ScenarioSpec::from_params`] reads: serve's
+    /// `GET /v1/scenario` query names and the `bvc scenario` flags.
+    pub const PARAMS: [&'static str; 19] = [
+        "nodes",
+        "blocks",
+        "seed",
+        "hash",
+        "zipf-s",
+        "eb-small",
+        "eb-large",
+        "ad",
+        "large-frac",
+        "delay",
+        "delay-d",
+        "delay-min",
+        "delay-max",
+        "per-hop",
+        "rule",
+        "attacker",
+        "alpha",
+        "k",
+        "ratio",
+    ];
+
+    /// The scenario parameter schema: builds a validated spec from a
+    /// `name → text` lookup (serve's query string, the CLI's flags).
+    /// Defaults mirror the grid's base cell (40 uniform nodes, `EB` 1/16
+    /// MB, `AD` 6, zero delay, sticky Rizun rule, honest miners, 1500
+    /// blocks, seed [`GRID_SEED`]); sub-parameters of an enum choice are
+    /// rejected when the choice does not use them, so typos fail loudly
+    /// instead of being ignored. An `attacker=mdp` cell defaults `rule` to
+    /// `rizun-nogate` (the only rule the replay is defined for).
+    pub fn from_params<'a>(get: impl Fn(&str) -> Option<&'a str>) -> Result<Self, String> {
+        let float = |name: &str| get(name).map(|v| param_f64(v, name)).transpose();
+        let int = |name: &str, default: &str, lo: u64, hi: u64| {
+            param_int(get(name).unwrap_or(default), name, lo, hi)
+        };
+
+        let hash_kind = get("hash").unwrap_or("uniform");
+        if get("zipf-s").is_some() && hash_kind != "zipf" {
+            return Err("zipf-s only applies with hash=zipf".to_string());
+        }
+        let hash = match hash_kind {
+            "uniform" => HashDist::Uniform,
+            "zipf" => HashDist::Zipf { s: float("zipf-s")?.unwrap_or(1.0) },
+            "measured" => HashDist::Measured,
+            other => return Err(format!("hash must be uniform, zipf or measured, got {other:?}")),
+        };
+
+        let delay_kind = get("delay").unwrap_or("zero");
+        for (name, needs) in [
+            ("delay-d", "constant"),
+            ("delay-min", "uniform"),
+            ("delay-max", "uniform"),
+            ("per-hop", "ring"),
+        ] {
+            if get(name).is_some() && delay_kind != needs {
+                return Err(format!("{name} only applies with delay={needs}"));
+            }
+        }
+        let delay = match delay_kind {
+            "zero" => DelaySpec::Zero,
+            "constant" => DelaySpec::Constant { d: float("delay-d")?.unwrap_or(0.05) },
+            "uniform" => DelaySpec::Uniform {
+                min: float("delay-min")?.unwrap_or(0.0),
+                max: float("delay-max")?.unwrap_or(0.2),
+            },
+            "ring" => DelaySpec::Ring { per_hop: float("per-hop")?.unwrap_or(0.01) },
+            other => {
+                return Err(format!("delay must be zero, constant, uniform or ring, got {other:?}"))
+            }
+        };
+
+        let atk_kind = get("attacker").unwrap_or("honest");
+        if atk_kind == "honest" && get("alpha").is_some() {
+            return Err("alpha only applies with attacker=lead-k or attacker=mdp".to_string());
+        }
+        if get("k").is_some() && atk_kind != "lead-k" {
+            return Err("k only applies with attacker=lead-k".to_string());
+        }
+        if get("ratio").is_some() && atk_kind != "mdp" {
+            return Err("ratio only applies with attacker=mdp".to_string());
+        }
+        let attacker = match atk_kind {
+            "honest" => AttackerSpec::Honest,
+            "lead-k" => AttackerSpec::LeadK {
+                alpha: float("alpha")?.ok_or("attacker=lead-k needs alpha")?,
+                k: int("k", "2", 1, 64)? as u32,
+            },
+            "mdp" => AttackerSpec::Mdp {
+                alpha: float("alpha")?.ok_or("attacker=mdp needs alpha")?,
+                ratio: bvc_bu::parse_ratio(get("ratio").unwrap_or("1:1"))?,
+            },
+            other => return Err(format!("attacker must be honest, lead-k or mdp, got {other:?}")),
+        };
+
+        let rule_default =
+            if matches!(attacker, AttackerSpec::Mdp { .. }) { "rizun-nogate" } else { "rizun" };
+        let rule = match get("rule").unwrap_or(rule_default) {
+            "rizun" => RuleKind::Rizun { sticky: true },
+            "rizun-nogate" => RuleKind::Rizun { sticky: false },
+            "srccode" => RuleKind::SourceCode,
+            other => {
+                return Err(format!("rule must be rizun, rizun-nogate or srccode, got {other:?}"))
+            }
+        };
+
+        let spec = ScenarioSpec {
+            nodes: int("nodes", "40", 2, 10_000)? as u32,
+            hash,
+            eb_small_mb: int("eb-small", "1", 1, 32)? as u32,
+            eb_large_mb: int("eb-large", "16", 1, 32)? as u32,
+            ad: int("ad", "6", 1, 24)? as u8,
+            large_frac: float("large-frac")?.unwrap_or(0.4),
+            delay,
+            rule,
+            attacker,
+            blocks: int("blocks", "1500", 1, u64::from(u32::MAX))? as u32,
+            seed: get("seed")
+                .map(|v| param_int(v, "seed", 0, u64::MAX))
+                .transpose()?
+                .unwrap_or(GRID_SEED),
+        };
+        spec.validate()?;
+        Ok(spec)
+    }
+
     /// Human-readable cell key; unique per spec, stable across versions
     /// (it is the journal key scenario fingerprints derive from).
     pub fn key(&self) -> String {
@@ -412,6 +541,28 @@ mod tests {
                 ..base
             },
         ]
+    }
+
+    /// Serve's unknown-name check trusts `PARAMS`: the schema must never
+    /// read a name outside it, on any enum branch.
+    #[test]
+    fn from_params_reads_only_its_exported_names() {
+        let queries: [&[(&str, &str)]; 4] = [
+            &[],
+            &[("hash", "zipf"), ("delay", "uniform")],
+            &[("attacker", "lead-k"), ("alpha", "0.2"), ("delay", "ring")],
+            &[("attacker", "mdp"), ("alpha", "0.25"), ("delay", "constant")],
+        ];
+        for query in queries {
+            let asked = std::cell::RefCell::new(Vec::new());
+            let _ = ScenarioSpec::from_params(|name| {
+                asked.borrow_mut().push(name.to_string());
+                query.iter().find(|(k, _)| *k == name).map(|(_, v)| *v)
+            });
+            for name in asked.into_inner() {
+                assert!(ScenarioSpec::PARAMS.contains(&name.as_str()), "{name} not exported");
+            }
+        }
     }
 
     #[test]

@@ -29,20 +29,18 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use bvc_bu::{Action, AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions};
+use bvc_bu::{
+    parse_ratio, Action, AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions,
+};
 use bvc_games::EbChoosingGame;
 use bvc_gamesweep::{
-    frontier_config_token, grid_config_token, solve_frontier_cell, solve_game_cell, EconSpec,
-    FrontierSpec, GameSpec, PerturbSpec, PowerDist, FRONTIER_METRIC_ARITY, GAMES_SEED,
-    GAME_METRIC_ARITY, NO_CARTEL,
+    frontier_config_token, grid_config_token, solve_frontier_cell, solve_game_cell, FrontierSpec,
+    GameSpec, PerturbSpec, FRONTIER_METRIC_ARITY, GAME_METRIC_ARITY, NO_CARTEL,
 };
-use bvc_journal::cell_fingerprint;
+use bvc_journal::{cell_fingerprint, param_f64, param_int};
 use bvc_mdp::audit::{demo_multichain, demo_unreachable};
 use bvc_mdp::{audit_mdp, AuditOptions, MdpError, SolveBudget};
-use bvc_scenario::{
-    run_scenario, AttackerSpec, DelaySpec, HashDist, RuleKind, ScenarioSpec, GRID_SEED,
-    METRIC_ARITY,
-};
+use bvc_scenario::{run_scenario, AttackerSpec, ScenarioSpec, METRIC_ARITY};
 
 use crate::cache::{CachedCell, Fetched, SolveCache, SolveFailure};
 use crate::http::{self, HttpConfig, Request, Response, Server};
@@ -254,27 +252,43 @@ impl Service {
         }
     }
 
-    // --- table cells ---
+    // --- the cached-cell path ---
 
-    fn table_route(&self, req: &Request, table: Table) -> Response {
-        let spec = match parse_table_params(req, table) {
-            Ok(spec) => spec,
-            Err(detail) => return bad_request(&detail),
-        };
-        self.serve_cell(&spec, table.name())
-    }
-
-    fn serve_cell(&self, spec: &CellSpec, table_name: &str) -> Response {
-        let fp = cell_fingerprint(&spec.key, &spec.token);
-        let fetched = self.run_cell(fp, spec);
+    /// The one cached-cell path of every solving route. Fingerprints
+    /// `key` under `token`, then serves the cached cell or runs `solve`
+    /// under single-flight and admission. `solve` returns the values and
+    /// the model state count (0 when there is no model), and its wall time
+    /// is recorded in the cell. Hits, misses, flight joins, solve errors
+    /// and sheds are counted. A hit or a miss renders through
+    /// `render(fp, cell, cache, leader)`, where `cache` is `"hit"` or
+    /// `"miss"` and `leader` is `Some` on a miss. A failure maps through
+    /// [`failure_response`]; a shed answers 429 with jittered retry hints.
+    fn cached_cell(
+        &self,
+        key: &str,
+        token: &str,
+        solve: impl FnOnce() -> Result<(Vec<f64>, usize), MdpError>,
+        render: impl FnOnce(u64, &CachedCell, &str, Option<bool>) -> Response,
+    ) -> Response {
+        let fp = cell_fingerprint(key, token);
+        let fetched = self.cache.get_or_solve(fp, || {
+            let started = Instant::now();
+            let (vals, states) = solve()?;
+            Ok(CachedCell {
+                vals,
+                solve_ms: started.elapsed().as_secs_f64() * 1e3,
+                states,
+                preloaded: false,
+            })
+        });
         match fetched {
             Fetched::Hit(cell) => {
                 self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed); // ordering: independent monotonic counter
-                self.cell_response(spec, table_name, fp, &cell, "hit", None)
+                render(fp, &cell, "hit", None)
             }
             Fetched::Solved { cell, leader } => {
                 self.note_miss(leader, false);
-                self.cell_response(spec, table_name, fp, &cell, "miss", Some(leader))
+                render(fp, &cell, "miss", Some(leader))
             }
             Fetched::Failed { failure, leader } => {
                 self.note_miss(leader, true);
@@ -315,20 +329,24 @@ impl Service {
         SolveOptions { audit, budget, solve_threads: self.solve_threads, ..SolveOptions::default() }
     }
 
-    fn run_cell(&self, fp: u64, spec: &CellSpec) -> Fetched {
-        let opts = self.solve_options(spec.audit);
-        let cfg = spec.cfg.clone();
-        self.cache.get_or_solve(fp, move || {
-            let started = Instant::now();
-            let model = AttackModel::build(cfg)?;
-            let states = model.num_states();
-            let value = model.optimal(&opts)?.value;
-            Ok(CachedCell {
-                vals: vec![value],
-                solve_ms: started.elapsed().as_secs_f64() * 1e3,
-                states,
-                preloaded: false,
-            })
+    // --- table cells ---
+
+    fn table_route(&self, req: &Request, table: Table) -> Response {
+        let spec = match parse_table_params(req, table) {
+            Ok(spec) => spec,
+            Err(detail) => return bad_request(&detail),
+        };
+        self.serve_cell(&spec, table.name())
+    }
+
+    fn serve_cell(&self, spec: &CellSpec, table_name: &str) -> Response {
+        let solve = || {
+            let model = AttackModel::build(spec.cfg.clone())?;
+            let value = model.optimal(&self.solve_options(spec.audit))?.value;
+            Ok((vec![value], model.num_states()))
+        };
+        self.cached_cell(&spec.key, &spec.token, solve, |fp, cell, cache, leader| {
+            self.cell_response(spec, table_name, fp, cell, cache, leader)
         })
     }
 
@@ -391,51 +409,24 @@ impl Service {
         // preloaded journals.
         spec.token = config_token(&format!("policy-{}", table.name()));
 
-        let fp = cell_fingerprint(&spec.key, &spec.token);
-        let opts = self.solve_options(spec.audit);
-        let cfg = spec.cfg.clone();
-        let fetched = self.cache.get_or_solve(fp, move || {
-            let started = Instant::now();
-            let model = AttackModel::build(cfg)?;
-            let states = model.num_states();
-            let strategy = model.optimal(&opts)?;
+        let solve = || {
+            let model = AttackModel::build(spec.cfg.clone())?;
+            let strategy = model.optimal(&self.solve_options(spec.audit))?;
             let summary = bvc_bu::summarize(&model, &strategy.policy);
-            Ok(CachedCell {
-                vals: vec![
-                    strategy.value,
-                    action_code(summary.base_action),
-                    summary.on_chain1 as f64,
-                    summary.on_chain2 as f64,
-                    summary.waits as f64,
-                    summary.with_stronger_group as f64,
-                    summary.phase1_fork_states as f64,
-                ],
-                solve_ms: started.elapsed().as_secs_f64() * 1e3,
-                states,
-                preloaded: false,
-            })
-        });
-        match fetched {
-            Fetched::Hit(cell) => {
-                self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed); // ordering: independent monotonic counter
-                self.policy_response(&spec, table, fp, &cell, "hit")
-            }
-            Fetched::Solved { cell, leader } => {
-                self.note_miss(leader, false);
-                self.policy_response(&spec, table, fp, &cell, "miss")
-            }
-            Fetched::Failed { failure, leader } => {
-                self.note_miss(leader, true);
-                failure_response(&failure)
-            }
-            Fetched::Shed => {
-                self.metrics.sheds.fetch_add(1, Ordering::Relaxed); // ordering: independent monotonic counter
-                self.shed_retry_headers(Response::json(
-                    429,
-                    "{\"error\":\"overloaded\",\"detail\":\"solve queue is full\"}".to_string(),
-                ))
-            }
-        }
+            let vals = vec![
+                strategy.value,
+                action_code(summary.base_action),
+                summary.on_chain1 as f64,
+                summary.on_chain2 as f64,
+                summary.waits as f64,
+                summary.with_stronger_group as f64,
+                summary.phase1_fork_states as f64,
+            ];
+            Ok((vals, model.num_states()))
+        };
+        self.cached_cell(&spec.key, &spec.token, solve, |fp, cell, cache, _| {
+            self.policy_response(&spec, table, fp, cell, cache)
+        })
     }
 
     fn policy_response(
@@ -477,10 +468,10 @@ impl Service {
     // --- scenario cells ---
 
     /// `GET /v1/scenario`: runs (or serves from cache) one `bvc-scenario`
-    /// network cell. Parameters mirror [`ScenarioSpec`]; the response
-    /// carries the cell's six metrics named by kind (simulation vs
-    /// MDP-replay). Work is capped well below the spec's structural limit
-    /// so a single request cannot monopolize a worker — larger cells
+    /// network cell. Parameters are [`ScenarioSpec::from_params`]'s; the
+    /// response carries the cell's six metrics named by kind (simulation
+    /// vs MDP-replay). Work is capped well below the spec's structural
+    /// limit so a single request cannot monopolize a worker — larger cells
     /// belong in the sweep binaries.
     fn scenario_route(&self, req: &Request) -> Response {
         let spec = match parse_scenario_params(req) {
@@ -490,45 +481,17 @@ impl Service {
         // Scenario cells cache under their own token namespace: the
         // six-value payload must never collide with table cells or
         // preloaded journals.
-        let fp = cell_fingerprint(&spec.key(), &config_token("scenario"));
-        let opts = self.solve_options(false);
-        let cell_spec = spec.clone();
-        let fetched = self.cache.get_or_solve(fp, move || {
-            let started = Instant::now();
-            let vals = run_scenario(&cell_spec, &opts)?;
-            Ok(CachedCell {
-                vals,
-                solve_ms: started.elapsed().as_secs_f64() * 1e3,
-                states: 0,
-                preloaded: false,
-            })
-        });
-        match fetched {
-            Fetched::Hit(cell) => {
-                self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed); // ordering: independent monotonic counter
-                self.scenario_response(&spec, fp, &cell, "hit")
-            }
-            Fetched::Solved { cell, leader } => {
-                self.note_miss(leader, false);
-                self.scenario_response(&spec, fp, &cell, "miss")
-            }
-            Fetched::Failed { failure, leader } => {
-                self.note_miss(leader, true);
-                failure_response(&failure)
-            }
-            Fetched::Shed => {
-                self.metrics.sheds.fetch_add(1, Ordering::Relaxed); // ordering: independent monotonic counter
-                self.shed_retry_headers(Response::json(
-                    429,
-                    "{\"error\":\"overloaded\",\"detail\":\"solve queue is full\"}".to_string(),
-                ))
-            }
-        }
+        let key = spec.key();
+        let solve = || Ok((run_scenario(&spec, &self.solve_options(false))?, 0));
+        self.cached_cell(&key, &config_token("scenario"), solve, |fp, cell, cache, _| {
+            self.scenario_response(&spec, &key, fp, cell, cache)
+        })
     }
 
     fn scenario_response(
         &self,
         spec: &ScenarioSpec,
+        key: &str,
         fp: u64,
         cell: &CachedCell,
         cache: &str,
@@ -561,7 +524,7 @@ impl Service {
                 .finish()
         };
         let mut obj = JsonObject::new()
-            .str("key", &spec.key())
+            .str("key", key)
             .str("fingerprint", &format!("{fp:016x}"))
             .str("kind", if mdp { "mdp-replay" } else { "simulation" })
             .int("nodes", u64::from(spec.nodes))
@@ -583,24 +546,19 @@ impl Service {
     /// under the exact `games-grid` workload token, so a preloaded sweep
     /// journal answers the same requests the sweep solved.
     fn games_map_route(&self, req: &Request) -> Response {
-        let spec = match parse_games_params(req, &[]) {
+        let spec = match parse_games_params(req) {
             Ok(spec) => spec,
             Err(detail) => return bad_request(&detail),
         };
-        let fp = cell_fingerprint(&spec.key(), &grid_config_token());
-        let cell_spec = spec.clone();
-        let fetched = self.cache.get_or_solve(fp, move || {
-            let started = Instant::now();
-            let vals = solve_game_cell(&cell_spec)
+        let key = spec.key();
+        let solve = || {
+            let vals = solve_game_cell(&spec)
                 .map_err(|detail| MdpError::AuditFailed { check: "game cell spec", detail })?;
-            Ok(CachedCell {
-                vals,
-                solve_ms: started.elapsed().as_secs_f64() * 1e3,
-                states: 0,
-                preloaded: false,
-            })
-        });
-        self.games_fetched(fetched, fp, |cell, cache| self.games_map_response(&spec, cell, cache))
+            Ok((vals, 0))
+        };
+        self.cached_cell(&key, &grid_config_token(), solve, |fp, cell, cache, _| {
+            self.games_map_response(&spec, &key, fp, cell, cache)
+        })
     }
 
     /// `GET /v1/games/frontier`: one committed-coalition frontier shard of
@@ -612,21 +570,14 @@ impl Service {
             Ok(spec) => spec,
             Err(detail) => return bad_request(&detail),
         };
-        let fp = cell_fingerprint(&spec.key(), &frontier_config_token());
-        let cell_spec = spec.clone();
-        let fetched = self.cache.get_or_solve(fp, move || {
-            let started = Instant::now();
-            let vals = solve_frontier_cell(&cell_spec)
+        let key = spec.key();
+        let solve = || {
+            let vals = solve_frontier_cell(&spec)
                 .map_err(|detail| MdpError::AuditFailed { check: "frontier cell spec", detail })?;
-            Ok(CachedCell {
-                vals,
-                solve_ms: started.elapsed().as_secs_f64() * 1e3,
-                states: 0,
-                preloaded: false,
-            })
-        });
-        self.games_fetched(fetched, fp, |cell, cache| {
-            self.games_frontier_response(&spec, cell, cache)
+            Ok((vals, 0))
+        };
+        self.cached_cell(&key, &frontier_config_token(), solve, |fp, cell, cache, _| {
+            self.games_frontier_response(&spec, &key, fp, cell, cache)
         })
     }
 
@@ -643,11 +594,8 @@ impl Service {
             "eb powers={}",
             powers.iter().map(|p| format!("{p}")).collect::<Vec<_>>().join(",")
         );
-        let fp = cell_fingerprint(&key, &config_token("games-eb"));
-        let cell_powers = powers.clone();
-        let fetched = self.cache.get_or_solve(fp, move || {
-            let started = Instant::now();
-            let game = EbChoosingGame::new(cell_powers);
+        let solve = || {
+            let game = EbChoosingGame::new(powers);
             let nash = game
                 .enumerate_equilibria()
                 .map_err(|err| MdpError::AuditFailed {
@@ -667,14 +615,9 @@ impl Service {
                 Some(c) => c.iter().map(|&i| game.powers()[i]).sum(),
                 None => -1.0,
             };
-            Ok(CachedCell {
-                vals: vec![game.num_miners() as f64, nash as f64, flip, flip_power, exact],
-                solve_ms: started.elapsed().as_secs_f64() * 1e3,
-                states: 0,
-                preloaded: false,
-            })
-        });
-        self.games_fetched(fetched, fp, |cell, cache| {
+            Ok((vec![game.num_miners() as f64, nash as f64, flip, flip_power, exact], 0))
+        };
+        self.cached_cell(&key, &config_token("games-eb"), solve, |fp, cell, cache, _| {
             if cell.vals.len() != 5 {
                 return Response::json(
                     500,
@@ -699,38 +642,14 @@ impl Service {
         })
     }
 
-    /// Shared fetch plumbing of the three games routes: metrics counters
-    /// plus the hit/miss/fail/shed mapping around a per-route renderer.
-    fn games_fetched(
+    fn games_map_response(
         &self,
-        fetched: Fetched,
-        _fp: u64,
-        render: impl Fn(&CachedCell, &str) -> Response,
+        spec: &GameSpec,
+        key: &str,
+        fp: u64,
+        cell: &CachedCell,
+        cache: &str,
     ) -> Response {
-        match fetched {
-            Fetched::Hit(cell) => {
-                self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed); // ordering: independent monotonic counter
-                render(&cell, "hit")
-            }
-            Fetched::Solved { cell, leader } => {
-                self.note_miss(leader, false);
-                render(&cell, "miss")
-            }
-            Fetched::Failed { failure, leader } => {
-                self.note_miss(leader, true);
-                failure_response(&failure)
-            }
-            Fetched::Shed => {
-                self.metrics.sheds.fetch_add(1, Ordering::Relaxed); // ordering: independent monotonic counter
-                self.shed_retry_headers(Response::json(
-                    429,
-                    "{\"error\":\"overloaded\",\"detail\":\"solve queue is full\"}".to_string(),
-                ))
-            }
-        }
-    }
-
-    fn games_map_response(&self, spec: &GameSpec, cell: &CachedCell, cache: &str) -> Response {
         if cell.vals.len() != GAME_METRIC_ARITY {
             return Response::json(
                 500,
@@ -751,11 +670,8 @@ impl Service {
             .int("perturb_trials", v[9] as u64)
             .finish();
         let mut obj = JsonObject::new()
-            .str("key", &spec.key())
-            .str(
-                "fingerprint",
-                &format!("{:016x}", cell_fingerprint(&spec.key(), &grid_config_token())),
-            )
+            .str("key", key)
+            .str("fingerprint", &format!("{fp:016x}"))
             .int("miners", u64::from(spec.miners))
             .raw("metrics", &metrics)
             .str("cache", cache)
@@ -769,6 +685,8 @@ impl Service {
     fn games_frontier_response(
         &self,
         spec: &FrontierSpec,
+        key: &str,
+        fp: u64,
         cell: &CachedCell,
         cache: &str,
     ) -> Response {
@@ -792,11 +710,8 @@ impl Service {
         }
         let metrics = metrics.finish();
         let mut obj = JsonObject::new()
-            .str("key", &spec.key())
-            .str(
-                "fingerprint",
-                &format!("{:016x}", cell_fingerprint(&spec.key(), &frontier_config_token())),
-            )
+            .str("key", key)
+            .str("fingerprint", &format!("{fp:016x}"))
             .int("size", u64::from(spec.size))
             .int("shard", u64::from(spec.shard))
             .int("shards", u64::from(spec.shards))
@@ -878,18 +793,6 @@ fn action_name(code: f64) -> &'static str {
     }
 }
 
-fn parse_f64(raw: &str, name: &str) -> Result<f64, String> {
-    raw.parse::<f64>().map_err(|_| format!("invalid number {raw:?} for {name}"))
-}
-
-fn parse_int(raw: &str, name: &str, lo: u64, hi: u64) -> Result<u64, String> {
-    let v = raw.parse::<u64>().map_err(|_| format!("invalid integer {raw:?} for {name}"))?;
-    if v < lo || v > hi {
-        return Err(format!("{name} must be in [{lo}, {hi}], got {v}"));
-    }
-    Ok(v)
-}
-
 /// Shared scalar inputs of the table/policy/solve routes.
 struct RawParams {
     alpha: Option<f64>,
@@ -951,36 +854,29 @@ fn parse_table_params_inner(
     table: Table,
     extra_allowed: &[&str],
 ) -> Result<CellSpec, String> {
-    let mut allowed: Vec<&str> =
-        vec!["alpha", "ratio", "eb", "setting", "ad", "ad-carol", "gate", "audit"];
-    if table == Table::T3 {
-        allowed.extend(["rds", "confirmations"]);
-    }
-    allowed.extend(extra_allowed);
-    for (name, _) in &req.query {
-        if !allowed.contains(&name.as_str()) {
-            return Err(format!("unknown parameter {name:?} (allowed: {})", allowed.join(", ")));
-        }
-    }
+    const ALLOWED: [&str; 8] =
+        ["alpha", "ratio", "eb", "setting", "ad", "ad-carol", "gate", "audit"];
+    let t3: &[&str] = if table == Table::T3 { &["rds", "confirmations"] } else { &[] };
+    check_names(req, &[&ALLOWED, t3, extra_allowed])?;
     let get = |name: &str| req.query_param(name);
     let raw = RawParams {
-        alpha: get("alpha").map(|v| parse_f64(v, "alpha")).transpose()?,
+        alpha: get("alpha").map(|v| param_f64(v, "alpha")).transpose()?,
         ratio: get("ratio").map(parse_ratio).transpose()?,
-        eb: get("eb").map(|v| parse_int(v, "eb", 1, 64)).transpose()?,
+        eb: get("eb").map(|v| param_int(v, "eb", 1, 64)).transpose()?,
         setting: match get("setting").unwrap_or("1") {
             "1" => Setting::One,
             "2" => Setting::Two,
             other => return Err(format!("setting must be 1 or 2, got {other:?}")),
         },
-        ad: get("ad").map(|v| parse_int(v, "ad", 2, 24)).transpose()?.unwrap_or(6) as u8,
+        ad: get("ad").map(|v| param_int(v, "ad", 2, 24)).transpose()?.unwrap_or(6) as u8,
         ad_carol: get("ad-carol")
-            .map(|v| parse_int(v, "ad-carol", 2, 24))
+            .map(|v| param_int(v, "ad-carol", 2, 24))
             .transpose()?
             .map(|v| v as u8),
-        gate: get("gate").map(|v| parse_int(v, "gate", 1, 4096)).transpose()?.unwrap_or(144) as u16,
-        rds: get("rds").map(|v| parse_f64(v, "rds")).transpose()?.unwrap_or(10.0),
+        gate: get("gate").map(|v| param_int(v, "gate", 1, 4096)).transpose()?.unwrap_or(144) as u16,
+        rds: get("rds").map(|v| param_f64(v, "rds")).transpose()?.unwrap_or(10.0),
         confirmations: get("confirmations")
-            .map(|v| parse_int(v, "confirmations", 1, 16))
+            .map(|v| param_int(v, "confirmations", 1, 16))
             .transpose()?
             .unwrap_or(4) as u8,
         audit: matches!(get("audit"), Some("1" | "true" | "")),
@@ -989,17 +885,6 @@ fn parse_table_params_inner(
         return Err(format!("rds must be nonnegative, got {}", raw.rds));
     }
     raw.resolve(table)
-}
-
-fn parse_ratio(raw: &str) -> Result<(u32, u32), String> {
-    let (b, c) = raw.split_once(':').ok_or_else(|| format!("expected B:C ratio, got {raw:?}"))?;
-    let parse = |part: &str| {
-        part.parse::<u32>()
-            .ok()
-            .filter(|&v| (1..=64).contains(&v))
-            .ok_or_else(|| format!("ratio parts must be integers in [1, 64], got {raw:?}"))
-    };
-    Ok((parse(b)?, parse(c)?))
 }
 
 fn parse_solve_body(doc: &FlatJson) -> Result<CellSpec, String> {
@@ -1080,133 +965,29 @@ fn parse_solve_body(doc: &FlatJson) -> Result<CellSpec, String> {
     Ok(spec)
 }
 
+/// Rejects a query parameter that is in none of the route's name lists
+/// (the owning schemas' exported `PARAMS`, plus route extras).
+fn check_names(req: &Request, lists: &[&[&str]]) -> Result<(), String> {
+    for (name, _) in &req.query {
+        if !lists.iter().any(|list| list.contains(&name.as_str())) {
+            let allowed = lists.concat().join(", ");
+            return Err(format!("unknown parameter {name:?} (allowed: {allowed})"));
+        }
+    }
+    Ok(())
+}
+
 /// Serve-side cap on `nodes * blocks` for one scenario request. Far below
 /// [`ScenarioSpec::validate`]'s structural 50e6 limit: an interactive
 /// route must answer in seconds, not minutes — larger cells belong in the
 /// `scenario-grid` / `scenario-crossval` sweep workloads.
 const SCENARIO_WORK_CAP: u64 = 5_000_000;
 
-/// Parses `GET /v1/scenario` query parameters into a validated
-/// [`ScenarioSpec`]. Defaults mirror the grid's base cell (40 uniform
-/// nodes, `EB` 1/16 MB, `AD` 6, zero delay, sticky Rizun rule, honest
-/// miners, 1500 blocks, seed [`GRID_SEED`]); sub-parameters of an enum
-/// choice are rejected when the choice does not use them, so typos fail
-/// loudly instead of being ignored. An `attacker=mdp` request defaults
-/// `rule` to `rizun-nogate` (the only rule the replay is defined for).
+/// Parses `GET /v1/scenario` query parameters through the scenario schema
+/// ([`ScenarioSpec::from_params`]) under the serve work cap.
 fn parse_scenario_params(req: &Request) -> Result<ScenarioSpec, String> {
-    const ALLOWED: [&str; 19] = [
-        "nodes",
-        "blocks",
-        "seed",
-        "hash",
-        "zipf-s",
-        "eb-small",
-        "eb-large",
-        "ad",
-        "large-frac",
-        "delay",
-        "delay-d",
-        "delay-min",
-        "delay-max",
-        "per-hop",
-        "rule",
-        "attacker",
-        "alpha",
-        "k",
-        "ratio",
-    ];
-    for (name, _) in &req.query {
-        if !ALLOWED.contains(&name.as_str()) {
-            return Err(format!("unknown parameter {name:?} (allowed: {})", ALLOWED.join(", ")));
-        }
-    }
-    let get = |name: &str| req.query_param(name);
-    let float = |name: &str| get(name).map(|v| parse_f64(v, name)).transpose();
-
-    let hash_kind = get("hash").unwrap_or("uniform");
-    if get("zipf-s").is_some() && hash_kind != "zipf" {
-        return Err("zipf-s only applies with hash=zipf".to_string());
-    }
-    let hash = match hash_kind {
-        "uniform" => HashDist::Uniform,
-        "zipf" => HashDist::Zipf { s: float("zipf-s")?.unwrap_or(1.0) },
-        "measured" => HashDist::Measured,
-        other => return Err(format!("hash must be uniform, zipf or measured, got {other:?}")),
-    };
-
-    let delay_kind = get("delay").unwrap_or("zero");
-    for (name, needs) in [
-        ("delay-d", "constant"),
-        ("delay-min", "uniform"),
-        ("delay-max", "uniform"),
-        ("per-hop", "ring"),
-    ] {
-        if get(name).is_some() && delay_kind != needs {
-            return Err(format!("{name} only applies with delay={needs}"));
-        }
-    }
-    let delay = match delay_kind {
-        "zero" => DelaySpec::Zero,
-        "constant" => DelaySpec::Constant { d: float("delay-d")?.unwrap_or(0.05) },
-        "uniform" => DelaySpec::Uniform {
-            min: float("delay-min")?.unwrap_or(0.0),
-            max: float("delay-max")?.unwrap_or(0.2),
-        },
-        "ring" => DelaySpec::Ring { per_hop: float("per-hop")?.unwrap_or(0.01) },
-        other => {
-            return Err(format!("delay must be zero, constant, uniform or ring, got {other:?}"))
-        }
-    };
-
-    let atk_kind = get("attacker").unwrap_or("honest");
-    if atk_kind == "honest" && get("alpha").is_some() {
-        return Err("alpha only applies with attacker=lead-k or attacker=mdp".to_string());
-    }
-    if get("k").is_some() && atk_kind != "lead-k" {
-        return Err("k only applies with attacker=lead-k".to_string());
-    }
-    if get("ratio").is_some() && atk_kind != "mdp" {
-        return Err("ratio only applies with attacker=mdp".to_string());
-    }
-    let attacker = match atk_kind {
-        "honest" => AttackerSpec::Honest,
-        "lead-k" => AttackerSpec::LeadK {
-            alpha: float("alpha")?.ok_or("attacker=lead-k needs alpha")?,
-            k: get("k").map(|v| parse_int(v, "k", 1, 64)).transpose()?.unwrap_or(2) as u32,
-        },
-        "mdp" => AttackerSpec::Mdp {
-            alpha: float("alpha")?.ok_or("attacker=mdp needs alpha")?,
-            ratio: get("ratio").map(parse_ratio).transpose()?.unwrap_or((1, 1)),
-        },
-        other => return Err(format!("attacker must be honest, lead-k or mdp, got {other:?}")),
-    };
-
-    let rule_default =
-        if matches!(attacker, AttackerSpec::Mdp { .. }) { "rizun-nogate" } else { "rizun" };
-    let rule = match get("rule").unwrap_or(rule_default) {
-        "rizun" => RuleKind::Rizun { sticky: true },
-        "rizun-nogate" => RuleKind::Rizun { sticky: false },
-        "srccode" => RuleKind::SourceCode,
-        other => return Err(format!("rule must be rizun, rizun-nogate or srccode, got {other:?}")),
-    };
-
-    let spec = ScenarioSpec {
-        nodes: parse_int(get("nodes").unwrap_or("40"), "nodes", 2, 10_000)? as u32,
-        hash,
-        eb_small_mb: parse_int(get("eb-small").unwrap_or("1"), "eb-small", 1, 32)? as u32,
-        eb_large_mb: parse_int(get("eb-large").unwrap_or("16"), "eb-large", 1, 32)? as u32,
-        ad: parse_int(get("ad").unwrap_or("6"), "ad", 1, 24)? as u8,
-        large_frac: float("large-frac")?.unwrap_or(0.4),
-        delay,
-        rule,
-        attacker,
-        blocks: parse_int(get("blocks").unwrap_or("1500"), "blocks", 1, u64::from(u32::MAX))?
-            as u32,
-        seed: get("seed")
-            .map(|v| parse_int(v, "seed", 0, u64::MAX))
-            .transpose()?
-            .unwrap_or(GRID_SEED),
-    };
+    check_names(req, &[&ScenarioSpec::PARAMS])?;
+    let spec = ScenarioSpec::from_params(|name| req.query_param(name))?;
     let work = u64::from(spec.nodes) * u64::from(spec.blocks);
     if work > SCENARIO_WORK_CAP {
         return Err(format!(
@@ -1214,7 +995,6 @@ fn parse_scenario_params(req: &Request) -> Result<ScenarioSpec, String> {
              larger cells through the scenario sweep workloads"
         ));
     }
-    spec.validate()?;
     Ok(spec)
 }
 
@@ -1229,104 +1009,7 @@ const GAMES_WORK_CAP: u64 = 2_000_000;
 /// `games-frontier` sweep workload, sharded across workers.
 const GAMES_FRONTIER_WORK_CAP: u64 = 100_000;
 
-/// Parses the shared game parameters of `GET /v1/games/map` and
-/// `GET /v1/games/frontier` into a validated [`GameSpec`]. Defaults
-/// reproduce the paper's Figure 4 cell (4 miners at 10/20/30/40, ladder
-/// MPBs, majority rule, no perturbation, the canonical seed); like the
-/// scenario route, sub-parameters of an enum choice are rejected when the
-/// choice does not use them.
-fn parse_games_params(req: &Request, extra: &[&str]) -> Result<GameSpec, String> {
-    const ALLOWED: [&str; 15] = [
-        "miners",
-        "power",
-        "zipf-s",
-        "adv-top",
-        "econ",
-        "fee",
-        "bw-lo",
-        "bw-hi",
-        "latency",
-        "cost",
-        "threshold",
-        "perturb",
-        "trials",
-        "kmax",
-        "seed",
-    ];
-    for (name, _) in &req.query {
-        if !ALLOWED.contains(&name.as_str()) && !extra.contains(&name.as_str()) {
-            let mut allowed: Vec<&str> = ALLOWED.to_vec();
-            allowed.extend_from_slice(extra);
-            return Err(format!("unknown parameter {name:?} (allowed: {})", allowed.join(", ")));
-        }
-    }
-    let get = |name: &str| req.query_param(name);
-    let float = |name: &str| get(name).map(|v| parse_f64(v, name)).transpose();
-
-    let power_kind = get("power").unwrap_or("zipf");
-    if get("zipf-s").is_some() && power_kind != "zipf" {
-        return Err("zipf-s only applies with power=zipf".to_string());
-    }
-    if get("adv-top").is_some() && power_kind != "adversarial" {
-        return Err("adv-top only applies with power=adversarial".to_string());
-    }
-    let power = match power_kind {
-        "uniform" => PowerDist::Uniform,
-        "zipf" => PowerDist::Zipf { s: float("zipf-s")?.unwrap_or(-1.0) },
-        "measured" => PowerDist::Measured,
-        "adversarial" => PowerDist::Adversarial { top: float("adv-top")?.unwrap_or(0.45) },
-        other => {
-            return Err(format!(
-                "power must be uniform, zipf, measured or adversarial, got {other:?}"
-            ))
-        }
-    };
-
-    let econ_kind = get("econ").unwrap_or("ladder");
-    for name in ["fee", "bw-lo", "bw-hi", "latency", "cost"] {
-        if get(name).is_some() && econ_kind != "fee" {
-            return Err(format!("{name} only applies with econ=fee"));
-        }
-    }
-    let econ = match econ_kind {
-        "ladder" => EconSpec::Ladder,
-        "fee" => EconSpec::FeeMarket {
-            fee_per_mb: float("fee")?.unwrap_or(0.05),
-            bw_lo: float("bw-lo")?.unwrap_or(20.0),
-            bw_hi: float("bw-hi")?.unwrap_or(300.0),
-            latency: float("latency")?.unwrap_or(0.01),
-            cost: float("cost")?.unwrap_or(0.2),
-        },
-        other => return Err(format!("econ must be ladder or fee, got {other:?}")),
-    };
-
-    let perturb_kind = get("perturb").unwrap_or("none");
-    for name in ["trials", "kmax"] {
-        if get(name).is_some() && perturb_kind != "random" {
-            return Err(format!("{name} only applies with perturb=random"));
-        }
-    }
-    let miners = parse_int(get("miners").unwrap_or("4"), "miners", 2, 512)? as u32;
-    let perturb = match perturb_kind {
-        "none" => PerturbSpec::None,
-        "random" => PerturbSpec::Random {
-            trials: parse_int(get("trials").unwrap_or("100"), "trials", 1, 100_000)? as u32,
-            kmax: parse_int(get("kmax").unwrap_or("4"), "kmax", 1, u64::from(miners))? as u32,
-        },
-        other => return Err(format!("perturb must be none or random, got {other:?}")),
-    };
-
-    let spec = GameSpec {
-        miners,
-        power,
-        econ,
-        threshold: float("threshold")?.unwrap_or(0.5),
-        perturb,
-        seed: get("seed")
-            .map(|v| parse_int(v, "seed", 0, u64::MAX))
-            .transpose()?
-            .unwrap_or(GAMES_SEED),
-    };
+fn check_games_work(spec: &GameSpec) -> Result<(), String> {
     if let PerturbSpec::Random { trials, .. } = spec.perturb {
         let work = u64::from(trials) * u64::from(spec.miners) * u64::from(spec.miners);
         if work > GAMES_WORK_CAP {
@@ -1336,31 +1019,24 @@ fn parse_games_params(req: &Request, extra: &[&str]) -> Result<GameSpec, String>
             ));
         }
     }
-    spec.validate()?;
+    Ok(())
+}
+
+/// Parses `GET /v1/games/map` through the game schema
+/// ([`GameSpec::from_params`]) under the serve work cap.
+fn parse_games_params(req: &Request) -> Result<GameSpec, String> {
+    check_names(req, &[&GameSpec::PARAMS])?;
+    let spec = GameSpec::from_params(|name| req.query_param(name))?;
+    check_games_work(&spec)?;
     Ok(spec)
 }
 
-/// Parses `GET /v1/games/frontier` parameters: the shared game parameters
-/// plus the shard coordinates (`size` required; `shard`/`shards` default
-/// to the unsharded layer).
+/// Parses `GET /v1/games/frontier` through the frontier schema
+/// ([`FrontierSpec::from_params`]) under both games work caps.
 fn parse_frontier_params(req: &Request) -> Result<FrontierSpec, String> {
-    let spec = parse_games_params(req, &["size", "shard", "shards"])?;
-    let get = |name: &str| req.query_param(name);
-    let shards =
-        get("shards").map(|v| parse_int(v, "shards", 1, 1 << 20)).transpose()?.unwrap_or(1);
-    let frontier = FrontierSpec {
-        size: parse_int(
-            get("size").ok_or("frontier requests need size (coalition size k)")?,
-            "size",
-            1,
-            23,
-        )? as u32,
-        shard: get("shard").map(|v| parse_int(v, "shard", 0, shards - 1)).transpose()?.unwrap_or(0)
-            as u32,
-        shards: shards as u32,
-        spec,
-    };
-    frontier.validate()?;
+    check_names(req, &[&GameSpec::PARAMS, &FrontierSpec::PARAMS])?;
+    let frontier = FrontierSpec::from_params(|name| req.query_param(name))?;
+    check_games_work(&frontier.spec)?;
     let (lo, hi) = frontier.rank_range();
     if hi - lo > GAMES_FRONTIER_WORK_CAP {
         return Err(format!(
@@ -1372,37 +1048,18 @@ fn parse_frontier_params(req: &Request) -> Result<FrontierSpec, String> {
     Ok(frontier)
 }
 
-/// Parses `GET /v1/games/eb`: an explicit comma-separated `powers` list,
-/// bounded by the enumeration cap and renormalized so well-formed shares
-/// can never trip the game constructor's exact-sum assertion.
+/// Parses `GET /v1/games/eb` through the EB-share schema
+/// ([`EbChoosingGame::shares_from_params`]), bounded by the enumeration
+/// cap.
 fn parse_eb_params(req: &Request) -> Result<Vec<f64>, String> {
-    for (name, _) in &req.query {
-        if name != "powers" {
-            return Err(format!("unknown parameter {name:?} (allowed: powers)"));
-        }
-    }
-    let raw = req.query_param("powers").ok_or("powers is required (comma-separated shares)")?;
-    let mut powers = Vec::new();
-    for part in raw.split(',') {
-        let p = parse_f64(part.trim(), "powers")?;
-        if p <= 0.0 || !p.is_finite() {
-            return Err(format!("powers must be positive and finite, got {part:?}"));
-        }
-        powers.push(p);
-    }
+    check_names(req, &[&EbChoosingGame::PARAMS])?;
+    let powers = EbChoosingGame::shares_from_params(|name| req.query_param(name))?;
     if powers.len() < 2 || powers.len() > bvc_games::ENUM_CAP {
         return Err(format!(
             "powers needs 2..={} shares (got {}); larger games belong in /v1/games/map",
             bvc_games::ENUM_CAP,
             powers.len()
         ));
-    }
-    let sum: f64 = powers.iter().sum();
-    if (sum - 1.0).abs() > 1e-6 {
-        return Err(format!("powers must sum to 1 (got {sum})"));
-    }
-    for p in &mut powers {
-        *p /= sum;
     }
     Ok(powers)
 }
@@ -1510,6 +1167,7 @@ pub fn start(config: ServeConfig) -> io::Result<RunningServer> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bvc_scenario::{RuleKind, GRID_SEED};
 
     fn get(path_and_query: &str) -> Request {
         let (path, query) = match path_and_query.split_once('?') {

@@ -115,11 +115,11 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
 
     echo "==> scenario smoke (SIGKILL resume + killed worker, byte-identical journals)"
     BVC_BIN=target/release/bvc SCENARIO_BIN=target/release/scenario_crossval \
-        scripts/scenario_smoke.sh
+        scripts/workload_smoke.sh scenario
 
     echo "==> games smoke (frontier SIGKILL resume + killed worker, byte-identical journals)"
     BVC_BIN=target/release/bvc GAMES_BIN=target/release/games_map \
-        scripts/games_smoke.sh
+        scripts/workload_smoke.sh games
 
     echo "==> chaos soak (in-process fault matrix: churn, drops, torn appends)"
     cargo run --release --offline -q -p bvc-bench --bin chaos_soak
