@@ -178,11 +178,8 @@ fn main() {
             &sweep_opts,
             |&i| {
                 let c = &cells[i];
-                let tag = match c.setting {
-                    Setting::One => 1,
-                    Setting::Two => 2,
-                };
-                format!("s{tag} b:g={}:{} a={}%", c.ratio.0, c.ratio.1, c.alpha * 100.0)
+                let (tag, (b, g)) = (c.setting as u8, c.ratio);
+                format!("s{tag} b:g={b}:{g} a={}%", c.alpha * 100.0)
             },
             |&i, ctx| {
                 let sol = models[i].optimal_relative_revenue(&ctx.solve_options())?;

@@ -55,10 +55,26 @@ impl BitcoinConfig {
         BitcoinConfig { alpha, gamma, cap: 40, rds: 10.0, threshold: 3 }
     }
 
+    /// The model's preconditions, for front ends that must answer bad
+    /// input with an error instead of a panic: `alpha` in `(0, 0.5)`,
+    /// `gamma` in `[0, 1]` and a truncation `cap` of at least 4.
+    pub fn check(&self) -> Result<(), String> {
+        if !(self.alpha > 0.0 && self.alpha < 0.5) {
+            return Err(format!("alpha must be in (0, 0.5), got {}", self.alpha));
+        }
+        if !(0.0..=1.0).contains(&self.gamma) {
+            return Err(format!("gamma must be in [0, 1], got {}", self.gamma));
+        }
+        if self.cap < 4 {
+            return Err(format!("cap must be at least 4 to express the model, got {}", self.cap));
+        }
+        Ok(())
+    }
+
     fn validate(&self) {
-        assert!(self.alpha > 0.0 && self.alpha < 0.5, "alpha must be in (0, 0.5)");
-        assert!((0.0..=1.0).contains(&self.gamma), "gamma must be in [0, 1]");
-        assert!(self.cap >= 4, "cap too small to express the model");
+        if let Err(why) = self.check() {
+            panic!("{why}");
+        }
     }
 
     /// Payout for orphaning `k` honest blocks in one race resolution.

@@ -88,6 +88,15 @@ impl Args {
         self.flags.get(key).map(String::as_str)
     }
 
+    /// Rejects a flag outside `lists` (the subcommand's schema `PARAMS`
+    /// plus its own flags) in serve's wording, so a misspelled flag fails
+    /// instead of leaving its default in place.
+    pub fn check_names(&self, lists: &[&[&str]]) -> Result<(), ArgError> {
+        let mut names: Vec<&str> = self.flags.keys().map(String::as_str).collect();
+        names.sort_unstable();
+        Ok(bvc_journal::check_param_names(names, lists)?)
+    }
+
     /// A required typed flag.
     pub fn get<T: FromStr>(&self, key: &str) -> Result<T, ArgError>
     where
@@ -111,12 +120,6 @@ impl Args {
             Ok(default)
         }
     }
-}
-
-/// Parses a `B:C` ratio such as `1:2` into `(1, 2)` ([`bvc_bu::parse_ratio`]:
-/// both parts in `[1, 64]`).
-pub fn parse_ratio(raw: &str) -> Result<(u32, u32), ArgError> {
-    bvc_bu::parse_ratio(raw).map_err(ArgError)
 }
 
 /// Parses a comma-separated list of floats such as `0.2,0.3,0.5`.
@@ -180,15 +183,6 @@ mod tests {
         let a = parse(&["--sticky", "--alpha", "0.1"]);
         assert!(a.get::<bool>("sticky").unwrap());
         assert_eq!(a.get::<f64>("alpha").unwrap(), 0.1);
-    }
-
-    #[test]
-    fn ratio_parsing() {
-        assert_eq!(parse_ratio("1:2").unwrap(), (1, 2));
-        assert_eq!(parse_ratio("10:3").unwrap(), (10, 3));
-        assert!(parse_ratio("1-2").is_err());
-        assert!(parse_ratio("0:2").is_err());
-        assert!(parse_ratio("a:2").is_err());
     }
 
     #[test]

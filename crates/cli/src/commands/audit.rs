@@ -36,6 +36,7 @@ pub struct AuditCmd {
 
 /// Parses the subcommand's flags.
 pub fn parse(args: &Args) -> Result<AuditCmd, ArgError> {
+    args.check_names(&[&AttackConfig::PARAMS, &["demo", "json"]])?;
     let target = match args.get_or("demo", String::new())?.as_str() {
         "" => AuditTarget::Model(Box::new(super::solve::parse_attack_config(args)?)),
         "multichain" => AuditTarget::DemoMultichain,
@@ -114,6 +115,13 @@ mod tests {
         {
             assert!(parse(&args(tokens)).is_err(), "{tokens:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let message = parse(&args(&["--alpha", "0.2", "--beta-gamma", "1:2"])).unwrap_err().0;
+        assert!(message.starts_with("unknown parameter \"beta-gamma\""), "{message}");
+        assert!(message.ends_with("confirmations, demo, json)"), "{message}");
     }
 
     #[test]

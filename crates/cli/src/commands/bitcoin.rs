@@ -24,23 +24,19 @@ pub struct BitcoinCmd {
     pub threshold: bool,
 }
 
-/// Parses the subcommand's flags.
+/// Parses the subcommand's flags, checked by [`BitcoinConfig::check`].
 pub fn parse(args: &Args) -> Result<BitcoinCmd, ArgError> {
-    let alpha: f64 = args.get("alpha")?;
-    if !(0.0..0.5).contains(&alpha) {
-        return Err(ArgError(format!("--alpha must be in (0, 0.5), got {alpha}")));
-    }
-    let gamma: f64 = args.get_or("gamma", 0.5)?;
-    if !(0.0..=1.0).contains(&gamma) {
-        return Err(ArgError(format!("--gamma must be in [0, 1], got {gamma}")));
-    }
-    Ok(BitcoinCmd {
-        alpha,
-        gamma,
+    args.check_names(&[&["alpha", "gamma", "cap", "double-spend", "threshold"]])?;
+    let cmd = BitcoinCmd {
+        alpha: args.get("alpha")?,
+        gamma: args.get_or("gamma", 0.5)?,
         cap: args.get_or("cap", 40u8)?,
         double_spend: args.has("double-spend"),
         threshold: args.has("threshold"),
-    })
+    };
+    BitcoinConfig { cap: cmd.cap, ..BitcoinConfig::selfish_mining(cmd.alpha, cmd.gamma) }
+        .check()?;
+    Ok(cmd)
 }
 
 /// Runs the subcommand.
@@ -94,6 +90,31 @@ mod tests {
         assert!(!cmd.threshold);
         assert!(parse(&args(&["--alpha", "0.6"])).is_err());
         assert!(parse(&args(&["--alpha", "0.3", "--gamma", "1.5"])).is_err());
+    }
+
+    /// Each of these used to panic in `BitcoinConfig::validate` (exit 101).
+    #[test]
+    fn model_preconditions_are_errors_not_panics() {
+        for (tokens, needle) in [
+            (&["--alpha", "0"][..], "alpha must be"),
+            (&["--alpha", "-0"], "alpha must be"),
+            (&["--alpha", "NaN"], "alpha must be"),
+            (&["--alpha", "0.2", "--gamma", "NaN"], "gamma must be in [0, 1]"),
+            (&["--alpha", "0.2", "--cap", "0"], "cap must be at least 4"),
+            (&["--alpha", "0.2", "--cap", "1"], "cap must be at least 4"),
+            (&["--alpha", "0.2", "--cap", "2"], "cap must be at least 4"),
+            (&["--alpha", "0.2", "--cap", "3"], "cap must be at least 4"),
+        ] {
+            let ArgError(message) = parse(&args(tokens)).unwrap_err();
+            assert!(message.contains(needle), "{tokens:?}: {message}");
+        }
+        assert_eq!(parse(&args(&["--alpha", "0.2", "--cap", "4"])).unwrap().cap, 4);
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let ArgError(message) = parse(&args(&["--alpha", "0.2", "--gama", "1"])).unwrap_err();
+        assert!(message.starts_with("unknown parameter \"gama\" (allowed: alpha, gamma"));
     }
 
     #[test]

@@ -37,8 +37,9 @@ pub enum ClusterCmd {
         max_dispatch: u32,
         /// Per-cell solve deadline in seconds (`--cell-deadline`, 0 = none).
         cell_deadline_s: f64,
-        /// Attempts per cell on the worker (`--retries`, first try included).
-        retries: u32,
+        /// Retry schedule per cell on the worker (`--retries N`: `N` extra
+        /// attempts after the first, default 2).
+        retry: RetryPolicy,
         /// Run the static model audit before each solve (`--audit`).
         audit: bool,
         /// Stop dispatching after the first failed cell (`--fail-fast`).
@@ -115,6 +116,10 @@ pub fn parse(args: &Args) -> Result<ClusterCmd, ArgError> {
         .ok_or_else(|| ArgError("cluster needs a verb: coordinate, work or workloads".into()))?;
     match verb.as_str() {
         "coordinate" => {
+            args.check_names(&[
+                &["workload", "addr", "journal", "lease", "batch", "max-dispatch", "cell-deadline"],
+                &["retries", "audit", "fail-fast", "quiet", "durability", "chaos"],
+            ])?;
             let name: String = args.get("workload")?;
             if workload(&name).is_none() {
                 return Err(ArgError(format!(
@@ -131,10 +136,6 @@ pub fn parse(args: &Args) -> Result<ClusterCmd, ArgError> {
                     "--cell-deadline must be nonnegative seconds, got {cell_deadline_s}"
                 )));
             }
-            let retries: u32 = args.get_or("retries", 3u32)?;
-            if retries == 0 {
-                return Err(ArgError("--retries must be at least 1".into()));
-            }
             Ok(ClusterCmd::Coordinate {
                 workload: name,
                 addr: args.get_or("addr", "127.0.0.1:9090".to_string())?,
@@ -147,7 +148,7 @@ pub fn parse(args: &Args) -> Result<ClusterCmd, ArgError> {
                 batch: args.get_or("batch", 4u32)?.max(1),
                 max_dispatch: args.get_or("max-dispatch", 3u32)?.max(1),
                 cell_deadline_s,
-                retries,
+                retry: RetryPolicy::with_retries(args.get_or("retries", 2u32)?),
                 audit: args.has("audit"),
                 fail_fast: args.has("fail-fast"),
                 quiet: args.has("quiet"),
@@ -156,6 +157,10 @@ pub fn parse(args: &Args) -> Result<ClusterCmd, ArgError> {
             })
         }
         "work" => {
+            args.check_names(&[
+                &["connect", "threads", "solve-threads", "shard-min-states", "batch", "die-after"],
+                &["die-mode", "quiet", "reconnect", "chaos", "chaos-site"],
+            ])?;
             let die_mode = match args.get_or("die-mode", "hang".to_string())?.as_str() {
                 "hang" => DieMode::Hang,
                 "disconnect" => DieMode::Disconnect,
@@ -183,7 +188,10 @@ pub fn parse(args: &Args) -> Result<ClusterCmd, ArgError> {
                 chaos_site: args.get_or("chaos-site", "worker".to_string())?,
             })
         }
-        "workloads" => Ok(ClusterCmd::Workloads),
+        "workloads" => {
+            args.check_names(&[])?;
+            Ok(ClusterCmd::Workloads)
+        }
         other => Err(ArgError(format!(
             "unknown cluster verb {other:?}; expected coordinate, work or workloads"
         ))),
@@ -201,7 +209,7 @@ pub fn run(cmd: &ClusterCmd) -> Result<(), String> {
             batch,
             max_dispatch,
             cell_deadline_s,
-            retries,
+            retry,
             audit,
             fail_fast,
             quiet,
@@ -221,7 +229,7 @@ pub fn run(cmd: &ClusterCmd) -> Result<(), String> {
                 durability: *durability,
                 ..ClusterConfig::default()
             };
-            cfg.cell.retry = RetryPolicy { max_attempts: *retries, ..RetryPolicy::default() };
+            cfg.cell.retry = retry.clone();
             cfg.cell.cell_deadline = if *cell_deadline_s > 0.0 {
                 Some(Duration::from_secs_f64(*cell_deadline_s))
             } else {
@@ -434,6 +442,44 @@ mod tests {
         assert!(
             parse_cmd(&["cluster", "work", "--connect", "h:1", "--die-mode", "explode"]).is_err()
         );
+    }
+
+    /// A misspelled flag used to be ignored, leaving its default in place.
+    #[test]
+    fn unknown_flags_are_rejected() {
+        for raw in [
+            &["cluster", "coordinate", "--workload", "table4", "--retry", "5"][..],
+            &["cluster", "work", "--connect", "h:1", "--thread", "4"],
+            &["cluster", "workloads", "--json"],
+        ] {
+            let ArgError(message) = parse_cmd(raw).unwrap_err();
+            assert!(message.starts_with("unknown parameter"), "{raw:?}: {message}");
+        }
+    }
+
+    /// `--retries N` is `N` extra attempts in the coordinator as in the
+    /// sweep binaries (the coordinator used to read `N` as total attempts),
+    /// and both default to the default policy's 3 attempts.
+    #[test]
+    fn retries_map_to_the_sweep_binaries_policy() {
+        let coordinate = |extra: &[&str]| {
+            let mut raw = vec!["cluster", "coordinate", "--workload", "table4"];
+            raw.extend_from_slice(extra);
+            match parse_cmd(&raw).unwrap() {
+                ClusterCmd::Coordinate { retry, .. } => retry,
+                other => panic!("expected coordinate, got {other:?}"),
+            }
+        };
+        for n in ["0", "1", "2", "5", "4294967295"] {
+            let (sweep, _) =
+                bvc_repro::sweep::SweepOptions::from_cli(["--retries", n].map(String::from))
+                    .unwrap();
+            assert_eq!(coordinate(&["--retries", n]), sweep.retry, "--retries {n}");
+        }
+        assert_eq!(coordinate(&["--retries", "0"]).max_attempts, 1);
+        let sweep_default = bvc_repro::sweep::SweepOptions::default().retry;
+        assert_eq!(coordinate(&[]), sweep_default);
+        assert_eq!(sweep_default.max_attempts, 3);
     }
 
     #[test]

@@ -49,6 +49,7 @@ pub enum GamesCmd {
 /// positional, or `--list`).
 pub fn parse(args: &Args) -> Result<GamesCmd, ArgError> {
     if args.has("list") {
+        args.check_names(&[&["list"]])?;
         return Ok(GamesCmd::List);
     }
     let which = args
@@ -56,13 +57,25 @@ pub fn parse(args: &Args) -> Result<GamesCmd, ArgError> {
         .get(1)
         .ok_or_else(|| ArgError("expected a game: `eb`, `bsig`, `map` or `frontier`".into()))?;
     let get = |name: &str| args.value(name);
+    let names: &[&[&str]] = match which.as_str() {
+        "eb" => &[&EbChoosingGame::PARAMS],
+        "map" => &[&GameSpec::PARAMS, &["json"]],
+        "frontier" => &[&GameSpec::PARAMS, &FrontierSpec::PARAMS, &["json"]],
+        "bsig" => &[&["groups", "threshold"]],
+        other => {
+            return Err(ArgError(format!(
+                "unknown game {other:?}; expected `eb`, `bsig`, `map` or `frontier`"
+            )))
+        }
+    };
+    args.check_names(names)?;
     match which.as_str() {
         "eb" => Ok(GamesCmd::Eb { powers: EbChoosingGame::shares_from_params(get)? }),
         "map" => Ok(GamesCmd::Map { spec: GameSpec::from_params(get)?, json: args.has("json") }),
         "frontier" => {
             Ok(GamesCmd::Frontier { spec: FrontierSpec::from_params(get)?, json: args.has("json") })
         }
-        "bsig" => {
+        _ => {
             let raw = args.get::<String>("groups")?;
             let mut groups = Vec::new();
             for part in raw.split(',') {
@@ -83,9 +96,6 @@ pub fn parse(args: &Args) -> Result<GamesCmd, ArgError> {
             BlockSizeIncreasingGame::check(&miner_groups, threshold)?;
             Ok(GamesCmd::Bsig { groups, threshold })
         }
-        other => Err(ArgError(format!(
-            "unknown game {other:?}; expected `eb`, `bsig`, `map` or `frontier`"
-        ))),
     }
 }
 
@@ -299,6 +309,21 @@ mod tests {
     fn map_rejects_sub_parameters_of_unchosen_variants() {
         let message = rejection(&["games", "map", "--power", "uniform", "--zipf-s", "1"]);
         assert!(message.contains("zipf-s only applies with power=zipf"), "{message}");
+    }
+
+    /// A misspelled flag used to be ignored, leaving its default in place.
+    #[test]
+    fn unknown_flags_are_rejected() {
+        for (tokens, name) in [
+            (&["games", "map", "--trails", "5"][..], "trails"),
+            (&["games", "frontier", "--size", "1", "--shard-count", "2"], "shard-count"),
+            (&["games", "eb", "--power", "0.5,0.5"], "power"),
+            (&["games", "bsig", "--groups", "1:0.5,2:0.5", "--treshold", "0.9"], "treshold"),
+            (&["games", "--list", "--json"], "json"),
+        ] {
+            let message = rejection(tokens);
+            assert!(message.starts_with(&format!("unknown parameter {name:?}")), "{message}");
+        }
     }
 
     #[test]

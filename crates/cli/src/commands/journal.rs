@@ -38,8 +38,12 @@ pub fn parse(args: &Args) -> Result<JournalCmd, ArgError> {
         .ok_or_else(|| ArgError("journal needs a verb: stat or compact".into()))?;
     let path = || -> Result<PathBuf, ArgError> { Ok(PathBuf::from(args.get::<String>("path")?)) };
     match verb.as_str() {
-        "stat" => Ok(JournalCmd::Stat { path: path()?, json: args.has("json") }),
+        "stat" => {
+            args.check_names(&[&["path", "json"]])?;
+            Ok(JournalCmd::Stat { path: path()?, json: args.has("json") })
+        }
         "compact" => {
+            args.check_names(&[&["path", "out", "in-place"]])?;
             let in_place = args.has("in-place");
             let out = if args.has("out") {
                 if in_place {
@@ -157,6 +161,17 @@ mod tests {
                 in_place: false
             }
         );
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        for raw in [
+            &["journal", "stat", "--path", "j.jsonl", "--jsn"][..],
+            &["journal", "compact", "--path", "j.jsonl", "--inplace"],
+        ] {
+            let ArgError(message) = parse_cmd(raw).unwrap_err();
+            assert!(message.starts_with("unknown parameter"), "{raw:?}: {message}");
+        }
     }
 
     #[test]

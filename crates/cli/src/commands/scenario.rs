@@ -25,6 +25,7 @@ pub struct ScenarioCmd {
 /// Parses the subcommand's flags into a validated [`ScenarioSpec`]
 /// through the scenario schema ([`ScenarioSpec::from_params`]).
 pub fn parse(args: &Args) -> Result<ScenarioCmd, ArgError> {
+    args.check_names(&[&ScenarioSpec::PARAMS, &["list", "json"]])?;
     let list = args.has("list");
     let json = args.has("json");
     if list {
@@ -128,6 +129,12 @@ mod tests {
         assert!(parse(&args(&["--attacker", "lead-k"])).is_err(), "lead-k needs --alpha");
         // Serve's sub-parameter rule: zipf-s without hash=zipf is a typo.
         assert!(parse(&args(&["--zipf-s", "1.2"])).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let message = parse(&args(&["--hash", "zipf", "--zipff-s", "2"])).unwrap_err().0;
+        assert!(message.starts_with("unknown parameter \"zipff-s\" (allowed: nodes"), "{message}");
     }
 
     #[test]

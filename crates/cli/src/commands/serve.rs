@@ -39,6 +39,10 @@ pub struct ServeCmd {
 
 /// Parses the subcommand's flags.
 pub fn parse(args: &Args) -> Result<ServeCmd, ArgError> {
+    args.check_names(&[
+        &["addr", "workers", "cache-cells", "queue-cap", "deadline-s", "preload", "solve-threads"],
+        &["retry-after-ms"],
+    ])?;
     let workers: usize = args.get_or("workers", 4usize)?;
     if workers == 0 {
         return Err(ArgError("--workers must be at least 1".into()));
@@ -159,6 +163,13 @@ mod tests {
         assert_eq!(cmd.preload.len(), 2);
         assert_eq!(cmd.preload[0].0, "table2");
         assert_eq!(cmd.preload[1].1, PathBuf::from("b.jsonl"));
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let ArgError(message) =
+            parse_cmd(&["serve", "--queue-cap", "0", "--worker", "2"]).unwrap_err();
+        assert!(message.starts_with("unknown parameter \"worker\" (allowed: addr"), "{message}");
     }
 
     #[test]

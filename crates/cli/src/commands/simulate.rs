@@ -33,6 +33,10 @@ pub struct SimulateCmd {
 
 /// Parses the subcommand's flags.
 pub fn parse(args: &Args) -> Result<SimulateCmd, ArgError> {
+    args.check_names(&[
+        &["attacker-power", "honest-powers", "large-eb-miners", "eb-small", "eb-large", "ad"],
+        &["delay", "blocks", "seed"],
+    ])?;
     let attacker_power: f64 = args.get_or("attacker-power", 0.1)?;
     let honest_powers = parse_f64_list(&args.get_or("honest-powers", "0.45,0.45".to_string())?)?;
     let total: f64 = attacker_power + honest_powers.iter().sum::<f64>();
@@ -140,6 +144,12 @@ mod tests {
     #[test]
     fn rejects_bad_power_sum() {
         assert!(parse(&args(&["--attacker-power", "0.5"])).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let ArgError(message) = parse(&args(&["--attacker-powr", "0.2"])).unwrap_err();
+        assert!(message.starts_with("unknown parameter \"attacker-powr\""), "{message}");
     }
 
     #[test]

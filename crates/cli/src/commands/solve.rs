@@ -1,10 +1,8 @@
 //! `bvc solve` — solve the BU attack MDP for one parameter cell.
 
-use bvc_bu::{
-    summarize, AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions, Utility,
-};
+use bvc_bu::{summarize, AttackConfig, AttackModel, SolveOptions, Utility};
 
-use crate::args::{parse_ratio, ArgError, Args};
+use crate::args::{ArgError, Args};
 
 /// Parsed configuration of the `solve` subcommand (kept separate from the
 /// execution so parsing is unit-testable).
@@ -21,6 +19,7 @@ pub struct SolveCmd {
 
 /// Parses the subcommand's flags.
 pub fn parse(args: &Args) -> Result<SolveCmd, ArgError> {
+    args.check_names(&[&AttackConfig::PARAMS, &["show-policy", "solve-threads"]])?;
     Ok(SolveCmd {
         config: parse_attack_config(args)?,
         show_policy: args.has("show-policy"),
@@ -28,57 +27,11 @@ pub fn parse(args: &Args) -> Result<SolveCmd, ArgError> {
     })
 }
 
-/// Parses the model-defining flags shared by `bvc solve` and `bvc audit`
-/// (`--alpha`, `--beta-gamma`, `--setting`, `--incentive`, `--ad`,
-/// `--ad-carol`, `--gate`, and `--rds`/`--confirmations` for double-spend
-/// cells) under the ranges serve applies to the same cells, so no flag
-/// value reaches [`AttackConfig::validate`]'s assertions.
+/// Reads the model-defining flags shared by `bvc solve` and `bvc audit`
+/// through the table-cell schema ([`AttackConfig::from_params`]): the
+/// names, defaults and ranges serve applies to the same cells.
 pub fn parse_attack_config(args: &Args) -> Result<AttackConfig, ArgError> {
-    let alpha: f64 = args.get("alpha")?;
-    if !(alpha > 0.0 && alpha < 0.5) {
-        return Err(ArgError(format!("--alpha must be in (0, 0.5), got {alpha}")));
-    }
-    let ratio = parse_ratio(&args.get_or("beta-gamma", "1:1".to_string())?)?;
-    let setting = match args.get_or("setting", 1u8)? {
-        1 => Setting::One,
-        2 => Setting::Two,
-        other => return Err(ArgError(format!("--setting must be 1 or 2, got {other}"))),
-    };
-    let incentive = match args.get_or("incentive", "compliant".to_string())?.as_str() {
-        "compliant" => IncentiveModel::CompliantProfitDriven,
-        "double-spend" => {
-            let rds: f64 = args.get_or("rds", 10.0)?;
-            if rds.is_nan() || rds < 0.0 {
-                return Err(ArgError(format!("--rds must be nonnegative, got {rds}")));
-            }
-            let confirmations = in_range(args, "confirmations", 4u8, 1, 16)?;
-            IncentiveModel::NonCompliantProfitDriven { rds, threshold: confirmations - 1 }
-        }
-        "vandal" => IncentiveModel::NonProfitDriven,
-        other => {
-            return Err(ArgError(format!(
-                "--incentive must be compliant, double-spend or vandal, got {other:?}"
-            )))
-        }
-    };
-    let mut config = AttackConfig::with_ratio(alpha, ratio, setting, incentive);
-    config.ad = in_range(args, "ad", 6u8, 2, 24)?;
-    config.ad_carol = in_range(args, "ad-carol", config.ad, 2, 24)?;
-    config.gate_blocks = in_range(args, "gate", 144u16, 1, 4096)?;
-    Ok(config)
-}
-
-/// An optional integer flag with a default, bounded to `[lo, hi]`.
-fn in_range<T>(args: &Args, key: &str, default: T, lo: T, hi: T) -> Result<T, ArgError>
-where
-    T: std::str::FromStr + PartialOrd + std::fmt::Display,
-    T::Err: std::fmt::Display,
-{
-    let v = args.get_or(key, default)?;
-    if v < lo || v > hi {
-        return Err(ArgError(format!("--{key} must be in [{lo}, {hi}], got {v}")));
-    }
-    Ok(v)
+    Ok(AttackConfig::from_params(|name| args.value(name))?.0)
 }
 
 /// Runs the subcommand.
@@ -122,6 +75,7 @@ pub fn run(cmd: &SolveCmd) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bvc_bu::{IncentiveModel, Setting};
 
     fn args(tokens: &[&str]) -> Args {
         Args::parse(tokens.iter().copied()).unwrap()
@@ -132,7 +86,7 @@ mod tests {
         let cmd = parse(&args(&[
             "--alpha",
             "0.1",
-            "--beta-gamma",
+            "--ratio",
             "2:3",
             "--setting",
             "2",
@@ -190,36 +144,50 @@ mod tests {
     #[test]
     fn zero_alpha_is_rejected() {
         for alpha in ["0", "-0", "0.5"] {
-            assert!(rejection(&["--alpha", alpha]).contains("--alpha must be in (0, 0.5)"));
+            assert!(rejection(&["--alpha", alpha]).contains("alpha must be"));
         }
     }
 
     /// `--ad 1` (and `--ad-carol 1`) used to panic in
-    /// `AttackConfig::validate`; both depths take serve's [2, 24].
+    /// `AttackConfig::validate`; both depths take the schema's range.
     #[test]
     fn acceptance_depth_below_two_is_rejected() {
-        assert!(rejection(&["--alpha", "0.2", "--ad", "1"]).contains("--ad must be in [2, 24]"));
-        assert!(rejection(&["--alpha", "0.2", "--ad-carol", "1"]).contains("--ad-carol must be in"));
-        assert!(rejection(&["--alpha", "0.2", "--ad", "25"]).contains("--ad must be in"));
+        assert!(rejection(&["--alpha", "0.2", "--ad", "1"]).contains("ad must be"));
+        assert!(rejection(&["--alpha", "0.2", "--ad-carol", "1"]).contains("ad-carol must be"));
+        assert!(rejection(&["--alpha", "0.2", "--ad", "25"]).contains("ad must be"));
     }
 
     /// `--setting 2 --gate 0` used to panic in `AttackConfig::validate`.
     #[test]
     fn zero_gate_is_rejected() {
         let message = rejection(&["--alpha", "0.2", "--setting", "2", "--gate", "0"]);
-        assert!(message.contains("--gate must be in [1, 4096]"), "{message}");
+        assert!(message.contains("gate must be"), "{message}");
     }
 
     #[test]
     fn double_spend_terms_take_serve_ranges() {
         let ds = ["--alpha", "0.2", "--incentive", "double-spend"];
         for (flag, value, needle) in [
-            ("--confirmations", "0", "--confirmations must be in [1, 16]"),
-            ("--confirmations", "17", "--confirmations must be in [1, 16]"),
-            ("--rds", "-1", "--rds must be nonnegative"),
+            ("--confirmations", "0", "confirmations must be"),
+            ("--confirmations", "17", "confirmations must be"),
+            ("--rds", "-1", "rds must be"),
+            ("--rds", "inf", "rds must be"),
+            ("--rds", "NaN", "rds must be"),
         ] {
             let tokens: Vec<&str> = ds.iter().copied().chain([flag, value]).collect();
             assert!(rejection(&tokens).contains(needle), "{flag} {value}");
+        }
+    }
+
+    /// A misspelled or renamed flag used to be ignored, solving the default
+    /// cell; it is rejected in serve's wording, naming the allowed flags.
+    #[test]
+    fn unknown_flags_are_rejected() {
+        for flag in ["--ad-carrol", "--beta-gamma"] {
+            let message = rejection(&["--alpha", "0.1", flag, "20"]);
+            let name = flag.trim_start_matches("--");
+            assert!(message.starts_with(&format!("unknown parameter {name:?} (allowed: ")));
+            assert!(message.ends_with("show-policy, solve-threads)"), "{message}");
         }
     }
 
@@ -238,6 +206,175 @@ mod tests {
             cmd.config.incentive,
             IncentiveModel::NonCompliantProfitDriven { threshold: 5, .. }
         ));
+    }
+
+    /// Whether `message` names the parameter `name` as a whole word.
+    fn names(message: &str, name: &str) -> bool {
+        message.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).any(|w| w == name)
+    }
+
+    /// The table-cell contract: one table of parameters, read by serve's
+    /// `GET /v1/table{2,3,4}` query parser (the route fixing `incentive`),
+    /// by its `POST /v1/solve` body parser and by `bvc solve`'s flags. All
+    /// three must give the same config with bit-equal alpha, or all three
+    /// must reject the row naming the same parameter.
+    #[test]
+    fn table_cell_parsers_agree() {
+        use bvc_serve::json::FlatJson;
+        use bvc_serve::{parse_cell_request, Request};
+
+        let cell = |alpha: f64, ratio, setting, incentive| {
+            AttackConfig::with_ratio(alpha, ratio, setting, incentive)
+        };
+        let compliant = IncentiveModel::CompliantProfitDriven;
+        let ds = |rds, threshold| IncentiveModel::NonCompliantProfitDriven { rds, threshold };
+        let vandal = IncentiveModel::NonProfitDriven;
+        let shaped = AttackConfig {
+            gate_blocks: 24,
+            ..cell(0.333, (3, 2), Setting::Two, compliant).with_ads(4, 20)
+        };
+        // (parameters, the config they name or the parameter they are rejected for)
+        type Row = (&'static [(&'static str, &'static str)], Result<AttackConfig, &'static str>);
+        let rows: Vec<Row> = vec![
+            (&[("alpha", "0.25")], Ok(cell(0.25, (1, 1), Setting::One, compliant))),
+            (
+                &[("alpha", "0.333"), ("ratio", "3:2"), ("setting", "2"), ("ad", "4")],
+                Ok(cell(0.333, (3, 2), Setting::Two, compliant).with_ads(4, 4)),
+            ),
+            (
+                &[
+                    ("alpha", "0.333"),
+                    ("ratio", "3:2"),
+                    ("setting", "2"),
+                    ("ad", "4"),
+                    ("ad-carol", "20"),
+                    ("gate", "24"),
+                ],
+                Ok(shaped),
+            ),
+            (
+                &[("incentive", "compliant"), ("alpha", "0.1"), ("eb", "64")],
+                Ok(cell(0.1, (1, 64), Setting::One, compliant)),
+            ),
+            (
+                &[("incentive", "double-spend"), ("alpha", "0.1")],
+                Ok(cell(0.1, (1, 1), Setting::One, ds(10.0, 3))),
+            ),
+            (
+                &[
+                    ("incentive", "double-spend"),
+                    ("alpha", "0.025"),
+                    ("ratio", "4:1"),
+                    ("rds", "5"),
+                    ("confirmations", "3"),
+                ],
+                Ok(cell(0.025, (4, 1), Setting::One, ds(5.0, 2))),
+            ),
+            (
+                &[("incentive", "double-spend"), ("alpha", "0.49999999999999994"), ("rds", "1e6")],
+                Ok(cell(0.49999999999999994, (1, 1), Setting::One, ds(1e6, 3))),
+            ),
+            (&[("incentive", "vandal")], Ok(cell(0.01, (1, 1), Setting::One, vandal))),
+            (
+                &[("incentive", "vandal"), ("alpha", "0.3"), ("eb", "2")],
+                Ok(cell(0.3, (1, 2), Setting::One, vandal)),
+            ),
+            (&[], Err("alpha")),
+            (&[("incentive", "double-spend")], Err("alpha")),
+            (&[("alpha", "0")], Err("alpha")),
+            (&[("alpha", "-0")], Err("alpha")),
+            (&[("alpha", "0.5")], Err("alpha")),
+            (&[("alpha", "NaN")], Err("alpha")),
+            (&[("alpha", "abc")], Err("alpha")),
+            (&[("alpha", "0.2"), ("ratio", "1:2"), ("eb", "2")], Err("ratio")),
+            (&[("alpha", "0.2"), ("ratio", "0:1")], Err("ratio")),
+            (&[("alpha", "0.2"), ("ratio", "65:1")], Err("ratio")),
+            (&[("alpha", "0.2"), ("eb", "65")], Err("eb")),
+            (&[("alpha", "0.2"), ("eb", "2.5")], Err("eb")),
+            (&[("alpha", "0.2"), ("setting", "3")], Err("setting")),
+            (&[("alpha", "0.2"), ("ad", "1")], Err("ad")),
+            (&[("alpha", "0.2"), ("ad", "25")], Err("ad")),
+            (&[("alpha", "0.2"), ("ad-carol", "25")], Err("ad-carol")),
+            (&[("alpha", "0.2"), ("gate", "0")], Err("gate")),
+            (&[("alpha", "0.2"), ("gate", "4097")], Err("gate")),
+            (&[("alpha", "0.2"), ("rds", "5")], Err("rds")),
+            (&[("incentive", "vandal"), ("confirmations", "4")], Err("confirmations")),
+            (&[("incentive", "double-spend"), ("alpha", "0.2"), ("rds", "NaN")], Err("rds")),
+            (&[("incentive", "double-spend"), ("alpha", "0.2"), ("rds", "inf")], Err("rds")),
+            (&[("incentive", "double-spend"), ("alpha", "0.2"), ("rds", "1e308")], Err("rds")),
+            (&[("incentive", "double-spend"), ("alpha", "0.2"), ("rds", "1e400")], Err("rds")),
+            (&[("incentive", "double-spend"), ("alpha", "0.2"), ("rds", "-1")], Err("rds")),
+            (
+                &[("incentive", "double-spend"), ("alpha", "0.2"), ("confirmations", "0")],
+                Err("confirmations"),
+            ),
+            (
+                &[("incentive", "double-spend"), ("alpha", "0.2"), ("confirmations", "17")],
+                Err("confirmations"),
+            ),
+            (&[("incentive", "bogus"), ("alpha", "0.2")], Err("incentive")),
+        ];
+
+        let request = |method: &str, path: &str, query, body: String| Request {
+            method: method.to_string(),
+            path: path.to_string(),
+            query,
+            headers: Vec::new(),
+            body: body.into_bytes(),
+            wants_close: false,
+        };
+        for (params, expected) in rows {
+            // GET: the incentive picks the route; one no route fixes stays
+            // in the query, where it is an unknown parameter.
+            let incentive = params.iter().find(|(k, _)| *k == "incentive").map(|(_, v)| *v);
+            let (path, fixed) = match incentive {
+                None | Some("compliant") => ("/v1/table2", true),
+                Some("double-spend") => ("/v1/table3", true),
+                Some("vandal") => ("/v1/table4", true),
+                Some(_) => ("/v1/table2", false),
+            };
+            let query = params
+                .iter()
+                .filter(|(k, _)| !fixed || *k != "incentive")
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            let get = parse_cell_request(&request("GET", path, query, String::new()));
+            // POST: a value that is a JSON number literal goes in raw.
+            let fields: Vec<String> = params
+                .iter()
+                .map(|(k, v)| match FlatJson::parse(&format!("{{\"x\":{v}}}")) {
+                    Ok(_) => format!("\"{k}\":{v}"),
+                    Err(_) => format!("\"{k}\":\"{v}\""),
+                })
+                .collect();
+            let body = format!("{{{}}}", fields.join(","));
+            let post = parse_cell_request(&request("POST", "/v1/solve", Vec::new(), body));
+            // CLI: `bvc solve --name=value ...`.
+            let flags = params.iter().map(|(k, v)| format!("--{k}={v}"));
+            let cli = parse(&Args::parse(flags).unwrap()).map(|cmd| cmd.config).map_err(|e| e.0);
+
+            match expected {
+                Ok(want) => {
+                    for (front, got) in [("GET", &get), ("POST", &post), ("CLI", &cli)] {
+                        let got =
+                            got.as_ref().unwrap_or_else(|e| panic!("{front} {params:?}: {e}"));
+                        assert_eq!(got, &want, "{front} {params:?}");
+                        assert_eq!(got.alpha.to_bits(), want.alpha.to_bits(), "{front} {params:?}");
+                    }
+                }
+                Err(name) => {
+                    for (front, got) in [("GET", &get), ("POST", &post), ("CLI", &cli)] {
+                        let message = got.as_ref().expect_err(&format!("{front} {params:?}"));
+                        assert!(names(message, name), "{front} {params:?}: {message}");
+                    }
+                    // Where the route can carry the row, the wording is one.
+                    assert_eq!(post, cli, "{params:?}");
+                    if fixed {
+                        assert_eq!(get, cli, "{params:?}");
+                    }
+                }
+            }
+        }
     }
 
     /// End-to-end smoke test of the runner on a tiny cell.

@@ -80,7 +80,7 @@ impl CellFailure {
 /// Escalation schedule for retryable solver failures
 /// ([`MdpError::is_retryable`], i.e. `NoConvergence`). Panics and
 /// non-retryable errors are never retried.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per cell (first try included).
     pub max_attempts: u32,
@@ -100,6 +100,14 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// The policy `--retries N` asks for: `N` extra attempts after the
+    /// first, default escalation otherwise. The sweep binaries and `bvc
+    /// cluster coordinate` both read the flag through this; the default
+    /// policy's 3 attempts are `--retries 2`.
+    pub fn with_retries(retries: u32) -> Self {
+        RetryPolicy { max_attempts: retries.saturating_add(1), ..RetryPolicy::default() }
+    }
+
     /// The backoff sleep before retry number `attempt` (1-based like the
     /// attempt loop): `backoff * 2^attempt`, saturating, capped at
     /// `max_backoff`.

@@ -3,24 +3,25 @@
 
 use std::fmt;
 
-/// Which phases of the attack are reachable (§4.1.1).
+use bvc_journal::{param_f64, param_int};
+
+/// Which phases of the attack are reachable (§4.1.1). The discriminant is
+/// the setting's number (`setting as u8`), as keys and responses print it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum Setting {
     /// Setting 1: the sticky gate is disabled (BUIP038), so only phase 1 is
     /// permitted. Equivalently, the attacker only launches the attack in
     /// phase 1.
-    One,
+    One = 1,
     /// Setting 2: the sticky gate is enabled; both phase 1 and phase 2 are
     /// permitted.
-    Two,
+    Two = 2,
 }
 
 impl fmt::Display for Setting {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Setting::One => write!(f, "setting 1"),
-            Setting::Two => write!(f, "setting 2"),
-        }
+        write!(f, "setting {}", *self as u8)
     }
 }
 
@@ -135,6 +136,95 @@ pub fn parse_ratio(raw: &str) -> Result<(u32, u32), String> {
 }
 
 impl AttackConfig {
+    /// Every parameter name [`AttackConfig::from_params`] reads: serve's
+    /// table-cell query names and `POST /v1/solve` body fields, and the
+    /// `bvc solve`/`bvc audit` flags. A table route fixes the first,
+    /// `incentive`, so its query takes only the rest.
+    pub const PARAMS: [&'static str; 10] = [
+        "incentive",
+        "alpha",
+        "ratio",
+        "eb",
+        "setting",
+        "ad",
+        "ad-carol",
+        "gate",
+        "rds",
+        "confirmations",
+    ];
+
+    /// The table-cell parameter schema: builds a validated configuration,
+    /// and the `β:γ` ratio [`AttackConfig::cell_key`] takes, from a `name
+    /// → text` lookup (a query string, a JSON body, the CLI's flags).
+    ///
+    /// `incentive` is `compliant` (default, `u1`), `double-spend` (`u2`,
+    /// with `rds` default 10 and `confirmations` default 4) or `vandal`
+    /// (`u3`, where `alpha` defaults to Table 4's 1% attacker). The power
+    /// split is `ratio=B:C` or `eb=N` (`1:N`), default `1:1`. `ad`
+    /// defaults to 6, `ad-carol` to `ad`, `gate` to 144, `setting` to 1.
+    /// `rds` and `confirmations` are rejected without
+    /// `incentive=double-spend`, so a misplaced term fails loudly instead
+    /// of being ignored. Every accepted value passes
+    /// [`AttackConfig::validate`] and keeps every reward finite.
+    pub fn from_params<'a>(
+        get: impl Fn(&str) -> Option<&'a str>,
+    ) -> Result<(Self, (u32, u32)), String> {
+        /// Largest double-spend payout, in block rewards (the paper uses
+        /// 10); far above any useful value and far below overflow.
+        const MAX_RDS: f64 = 1e6;
+        let float = |name: &str| get(name).map(|v| param_f64(v, name)).transpose();
+        let int = |name: &str, default: &str, lo: u64, hi: u64| {
+            param_int(get(name).unwrap_or(default), name, lo, hi)
+        };
+
+        let incentive_kind = get("incentive").unwrap_or("compliant");
+        for name in ["rds", "confirmations"] {
+            if get(name).is_some() && incentive_kind != "double-spend" {
+                return Err(format!("{name} only applies with incentive=double-spend"));
+            }
+        }
+        let incentive = match incentive_kind {
+            "compliant" => IncentiveModel::CompliantProfitDriven,
+            "double-spend" => {
+                let rds = float("rds")?.unwrap_or(10.0);
+                if !(0.0..=MAX_RDS).contains(&rds) {
+                    return Err(format!("rds must be in [0, {MAX_RDS}], got {rds}"));
+                }
+                let confirmations = int("confirmations", "4", 1, 16)? as u8;
+                IncentiveModel::NonCompliantProfitDriven { rds, threshold: confirmations - 1 }
+            }
+            "vandal" => IncentiveModel::NonProfitDriven,
+            other => {
+                return Err(format!(
+                    "incentive must be compliant, double-spend or vandal, got {other:?}"
+                ))
+            }
+        };
+
+        let alpha = match float("alpha")? {
+            Some(alpha) => alpha,
+            // Table 4 is published for a fixed 1% attacker.
+            None if incentive == IncentiveModel::NonProfitDriven => 0.01,
+            None => return Err("missing required parameter alpha".to_string()),
+        };
+        if !(alpha > 0.0 && alpha < 0.5) {
+            return Err(format!("alpha must be in (0, 0.5), got {alpha}"));
+        }
+        let ratio = match (get("ratio"), get("eb")) {
+            (Some(_), Some(_)) => return Err("give either ratio or eb, not both".to_string()),
+            (Some(ratio), None) => parse_ratio(ratio)?,
+            // `eb=N` weights the large-EB group (Carol) N-fold: β:γ = 1:N.
+            (None, Some(eb)) => (1, param_int(eb, "eb", 1, 64)? as u32),
+            (None, None) => (1, 1),
+        };
+        let setting = if int("setting", "1", 1, 2)? == 1 { Setting::One } else { Setting::Two };
+        let ad = get("ad").unwrap_or("6");
+        let mut cfg = AttackConfig::with_ratio(alpha, ratio, setting, incentive)
+            .with_ads(param_int(ad, "ad", 2, 24)? as u8, int("ad-carol", ad, 2, 24)? as u8);
+        cfg.gate_blocks = int("gate", "144", 1, 4096)? as u16;
+        Ok((cfg, ratio))
+    }
+
     /// A configuration with the paper's defaults (`AD = 6`, 144-block gate)
     /// for a given power split. `beta_to_gamma` is the `β : γ` ratio used in
     /// the paper's tables; the remaining power `1 − α` is divided
@@ -208,11 +298,7 @@ impl AttackConfig {
             .then(|| format!("{pct:.0}"))
             .filter(|r| r.parse::<f64>().is_ok_and(|p| (p / 100.0).to_bits() == alpha.to_bits()))
             .unwrap_or_else(|| format!("{pct}"));
-        let setting = match self.setting {
-            Setting::One => 1,
-            Setting::Two => 2,
-        };
-        let mut key = format!("s{setting} b:g={b}:{g} a={alpha_txt}%");
+        let mut key = format!("s{} b:g={b}:{g} a={alpha_txt}%", self.setting as u8);
         if self.ad != 6 || self.ad_carol != 6 || self.gate_blocks != 144 {
             key.push_str(&format!(" ad={}/{} gate={}", self.ad, self.ad_carol, self.gate_blocks));
         }
@@ -281,6 +367,108 @@ mod tests {
             incentive: IncentiveModel::CompliantProfitDriven,
         };
         c.validate();
+    }
+
+    #[test]
+    fn ratio_parsing() {
+        assert_eq!(parse_ratio("1:2").unwrap(), (1, 2));
+        assert_eq!(parse_ratio("10:3").unwrap(), (10, 3));
+        assert!(parse_ratio("1-2").is_err());
+        assert!(parse_ratio("0:2").is_err());
+        assert!(parse_ratio("a:2").is_err());
+        assert!(parse_ratio("1:65").is_err());
+    }
+
+    fn from_query(query: &[(&str, &str)]) -> Result<(AttackConfig, (u32, u32)), String> {
+        AttackConfig::from_params(|name| query.iter().find(|(k, _)| *k == name).map(|(_, v)| *v))
+    }
+
+    #[test]
+    fn from_params_defaults_to_the_paper_cell() {
+        let (cfg, ratio) = from_query(&[("alpha", "0.25")]).unwrap();
+        let paper = AttackConfig::with_ratio(
+            0.25,
+            (1, 1),
+            Setting::One,
+            IncentiveModel::CompliantProfitDriven,
+        );
+        assert_eq!((cfg, ratio), (paper, (1, 1)));
+        let (cfg, _) = from_query(&[("incentive", "double-spend"), ("alpha", "0.1")]).unwrap();
+        assert_eq!(cfg.incentive, IncentiveModel::non_compliant_default());
+        // Table 4's fixed 1% attacker; every other incentive needs alpha.
+        let (cfg, _) = from_query(&[("incentive", "vandal")]).unwrap();
+        assert_eq!(cfg.alpha, 0.01);
+        assert!(from_query(&[]).unwrap_err().contains("missing required parameter alpha"));
+        let (cfg, ratio) = from_query(&[("alpha", "0.2"), ("eb", "4"), ("ad", "3")]).unwrap();
+        assert_eq!((ratio, cfg.ad, cfg.ad_carol), ((1, 4), 3, 3));
+    }
+
+    /// Every `rds` that is non-finite or above the bound used to reach the
+    /// solver and fail there with a non-finite reward.
+    #[test]
+    fn from_params_rejects_unbounded_double_spend_payouts() {
+        for rds in ["NaN", "inf", "-inf", "1e308", "1000001", "-1"] {
+            let err = from_query(&[("incentive", "double-spend"), ("alpha", "0.2"), ("rds", rds)])
+                .unwrap_err();
+            assert!(err.starts_with("rds must be in [0, 1000000]"), "{rds}: {err}");
+        }
+        let (cfg, _) =
+            from_query(&[("incentive", "double-spend"), ("alpha", "0.2"), ("rds", "1e6")]).unwrap();
+        assert!(
+            matches!(cfg.incentive, IncentiveModel::NonCompliantProfitDriven { rds, .. } if rds == 1e6)
+        );
+    }
+
+    #[test]
+    fn from_params_rejects_out_of_range_values() {
+        for (query, want) in [
+            (&[("alpha", "0")][..], "alpha must be in (0, 0.5), got 0"),
+            (&[("alpha", "-0")], "alpha must be in (0, 0.5), got -0"),
+            (&[("alpha", "0.5")], "alpha must be in (0, 0.5), got 0.5"),
+            (&[("alpha", "0.2"), ("setting", "3")], "setting must be in [1, 2], got 3"),
+            (&[("alpha", "0.2"), ("ad", "1")], "ad must be in [2, 24], got 1"),
+            (&[("alpha", "0.2"), ("ad", "25")], "ad must be in [2, 24], got 25"),
+            (&[("alpha", "0.2"), ("ad-carol", "1")], "ad-carol must be in [2, 24], got 1"),
+            (&[("alpha", "0.2"), ("gate", "0")], "gate must be in [1, 4096], got 0"),
+            (&[("alpha", "0.2"), ("eb", "65")], "eb must be in [1, 64], got 65"),
+            (
+                &[("incentive", "double-spend"), ("alpha", "0.2"), ("confirmations", "17")],
+                "confirmations must be in [1, 16], got 17",
+            ),
+        ] {
+            assert_eq!(from_query(query).unwrap_err(), want);
+        }
+    }
+
+    #[test]
+    fn from_params_rejects_double_spend_terms_elsewhere() {
+        for incentive in ["compliant", "vandal"] {
+            for name in ["rds", "confirmations"] {
+                let err = from_query(&[("incentive", incentive), ("alpha", "0.2"), (name, "4")])
+                    .unwrap_err();
+                assert_eq!(err, format!("{name} only applies with incentive=double-spend"));
+            }
+        }
+    }
+
+    /// Serve's and the CLI's unknown-name checks trust `PARAMS`: the schema
+    /// must never read a name outside it, on any incentive branch.
+    #[test]
+    fn from_params_reads_only_its_exported_names() {
+        for incentive in ["compliant", "double-spend", "vandal"] {
+            let asked = std::cell::RefCell::new(Vec::new());
+            let _ = AttackConfig::from_params(|name| {
+                asked.borrow_mut().push(name.to_string());
+                match name {
+                    "incentive" => Some(incentive),
+                    "alpha" => Some("0.2"),
+                    _ => None,
+                }
+            });
+            for name in asked.into_inner() {
+                assert!(AttackConfig::PARAMS.contains(&name.as_str()), "{name} not exported");
+            }
+        }
     }
 
     #[test]

@@ -64,8 +64,8 @@ pub fn f64_from_hex(s: &str) -> Option<f64> {
 // ---------------------------------------------------------------------------
 
 /// Parses the text of the named cell parameter `name` as an `f64`. The
-/// cell schemas (`ScenarioSpec::from_params`, `GameSpec::from_params`) and
-/// serve's table parser read every number through this and
+/// cell schemas (`AttackConfig::from_params`, `ScenarioSpec::from_params`,
+/// `GameSpec::from_params`, ...) read every number through this and
 /// [`param_int`], so serve and the CLI report the same wording.
 pub fn param_f64(raw: &str, name: &str) -> Result<f64, String> {
     raw.parse::<f64>().map_err(|_| format!("invalid number {raw:?} for {name}"))
@@ -79,6 +79,22 @@ pub fn param_int(raw: &str, name: &str, lo: u64, hi: u64) -> Result<u64, String>
         return Err(format!("{name} must be in [{lo}, {hi}], got {v}"));
     }
     Ok(v)
+}
+
+/// Rejects the first of `names` that is in none of `lists` (the owning
+/// schemas' exported `PARAMS`, plus the caller's own names): serve's check
+/// of query names and body fields, and the CLI's check of flags.
+pub fn check_param_names<'a>(
+    names: impl IntoIterator<Item = &'a str>,
+    lists: &[&[&str]],
+) -> Result<(), String> {
+    for name in names {
+        if !lists.iter().any(|list| list.contains(&name)) {
+            let allowed = lists.concat().join(", ");
+            return Err(format!("unknown parameter {name:?} (allowed: {allowed})"));
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------

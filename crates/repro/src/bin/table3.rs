@@ -45,10 +45,7 @@ const PAPER_S2: [[Option<f64>; 5]; 7] = [
 ];
 
 fn panel(setting: Setting, paper: &[[Option<f64>; 5]; 7], opts: &SweepOptions) -> (String, i32) {
-    let tag = match setting {
-        Setting::One => 1u8,
-        Setting::Two => 2,
-    };
+    let tag = setting as u8;
     let jobs = bvc_cluster::jobs::table3_jobs(tag);
     let report = run_jobs(&format!("table3-setting{tag}"), &jobs, opts);
     let cells: Vec<Vec<GridEntry>> = paper

@@ -433,7 +433,7 @@ impl SweepOptions {
                 }
                 "--retries" => {
                     let n: u32 = parse(value(&mut it, "--retries")?, "--retries takes a count")?;
-                    opts.retry.max_attempts = n + 1;
+                    opts.retry = RetryPolicy::with_retries(n);
                 }
                 "--threads" => {
                     let n: usize = parse(value(&mut it, "--threads")?, "--threads takes a count")?;

@@ -4,6 +4,7 @@
 //! no serde — this mirrors the style of the sweep journal codec in
 //! `bvc_journal`.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Escapes a string for embedding in a JSON literal (no surrounding
@@ -109,6 +110,21 @@ pub enum JsonValue {
     Null,
 }
 
+impl JsonValue {
+    /// The value as parameter text, for a `name → text` schema lookup: a
+    /// string as is, a number as its `Display` form (shortest round-trip,
+    /// so it parses back to the same bits), `true`/`false`/`null` as
+    /// written.
+    pub fn text(&self) -> Cow<'_, str> {
+        match self {
+            JsonValue::Str(s) => Cow::Borrowed(s),
+            JsonValue::Num(n) => Cow::Owned(n.to_string()),
+            JsonValue::Bool(b) => Cow::Borrowed(if *b { "true" } else { "false" }),
+            JsonValue::Null => Cow::Borrowed("null"),
+        }
+    }
+}
+
 /// A parsed flat JSON object: string keys mapping to scalar values.
 #[derive(Debug, Clone, Default)]
 pub struct FlatJson {
@@ -155,9 +171,9 @@ impl FlatJson {
         self.fields.iter().any(|(key, _)| key == k)
     }
 
-    /// The field names, in document order.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.fields.iter().map(|(k, _)| k.as_str())
+    /// The fields, in document order.
+    pub fn fields(&self) -> impl Iterator<Item = (&str, &JsonValue)> {
+        self.fields.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// A string field's value, if present and a string.
@@ -322,7 +338,7 @@ mod tests {
 
     #[test]
     fn parser_accepts_whitespace_and_empty() {
-        assert!(FlatJson::parse("{}").unwrap().keys().next().is_none());
+        assert!(FlatJson::parse("{}").unwrap().fields().next().is_none());
         let p = FlatJson::parse(" { \"a\" : 1 , \"b\" : \"x\" } ").unwrap();
         assert_eq!(p.get_num("a"), Some(1.0));
         assert_eq!(p.get_str("b"), Some("x"));

@@ -28,4 +28,4 @@ pub(crate) mod sync;
 pub use cache::{CachedCell, Fetched, SolveCache, SolveFailure};
 pub use http::{HttpConfig, Request, Response};
 pub use metrics::Metrics;
-pub use routes::{config_token, start, RunningServer, ServeConfig, Service};
+pub use routes::{config_token, parse_cell_request, start, RunningServer, ServeConfig, Service};

@@ -22,6 +22,7 @@
 //! check, deadline/cancellation → 503, admission shed → 429 with
 //! `Retry-After`, solver bug → 500.
 
+use std::borrow::Cow;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -29,15 +30,13 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use bvc_bu::{
-    parse_ratio, Action, AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions,
-};
+use bvc_bu::{Action, AttackConfig, AttackModel, SolveOptions};
 use bvc_games::EbChoosingGame;
 use bvc_gamesweep::{
     frontier_config_token, grid_config_token, solve_frontier_cell, solve_game_cell, FrontierSpec,
     GameSpec, PerturbSpec, FRONTIER_METRIC_ARITY, GAME_METRIC_ARITY, NO_CARTEL,
 };
-use bvc_journal::{cell_fingerprint, param_f64, param_int};
+use bvc_journal::{cell_fingerprint, check_param_names};
 use bvc_mdp::audit::{demo_multichain, demo_unreachable};
 use bvc_mdp::{audit_mdp, AuditOptions, MdpError, SolveBudget};
 use bvc_scenario::{run_scenario, AttackerSpec, ScenarioSpec, METRIC_ARITY};
@@ -97,22 +96,18 @@ impl Default for ServeConfig {
     }
 }
 
-/// Which published table a request addresses.
+/// A published table a request addresses: its name and the `incentive` it
+/// fixes (the incentive's utility is the table's).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Table {
-    T2,
-    T3,
-    T4,
+struct Table {
+    name: &'static str,
+    incentive: &'static str,
 }
 
 impl Table {
-    fn name(self) -> &'static str {
-        match self {
-            Table::T2 => "table2",
-            Table::T3 => "table3",
-            Table::T4 => "table4",
-        }
-    }
+    const T2: Table = Table { name: "table2", incentive: "compliant" };
+    const T3: Table = Table { name: "table3", incentive: "double-spend" };
+    const T4: Table = Table { name: "table4", incentive: "vandal" };
 }
 
 /// A fully-resolved solve request: the model config (whose incentive picks
@@ -336,7 +331,7 @@ impl Service {
             Ok(spec) => spec,
             Err(detail) => return bad_request(&detail),
         };
-        self.serve_cell(&spec, table.name())
+        self.serve_cell(&spec, table.name)
     }
 
     fn serve_cell(&self, spec: &CellSpec, table_name: &str) -> Response {
@@ -375,7 +370,7 @@ impl Service {
             .num("alpha", spec.cfg.alpha)
             .num("beta", spec.cfg.beta)
             .num("gamma", spec.cfg.gamma)
-            .int("setting", setting_tag(spec.cfg.setting) as u64)
+            .int("setting", spec.cfg.setting as u64)
             .str("cache", cache)
             .bool("preloaded", cell.preloaded);
         if cell.states > 0 {
@@ -407,7 +402,7 @@ impl Service {
         // payload (7 packed values) differs from the table routes' single
         // value, so the fingerprints must not collide with table cells or
         // preloaded journals.
-        spec.token = config_token(&format!("policy-{}", table.name()));
+        spec.token = config_token(&format!("policy-{}", table.name));
 
         let solve = || {
             let model = AttackModel::build(spec.cfg.clone())?;
@@ -454,7 +449,7 @@ impl Service {
         Response::json(
             200,
             JsonObject::new()
-                .str("table", table.name())
+                .str("table", table.name)
                 .str("key", &spec.key)
                 .str("fingerprint", &format!("{fp:016x}"))
                 .str("utility", spec.cfg.incentive.utility().name())
@@ -727,13 +722,9 @@ impl Service {
     // --- generic solves ---
 
     fn solve_route(&self, req: &Request) -> Response {
-        let body = match std::str::from_utf8(&req.body) {
-            Ok(text) => text,
-            Err(_) => return bad_request("body is not valid UTF-8"),
-        };
-        let doc = match FlatJson::parse(body) {
+        let doc = match parse_body(req) {
             Ok(doc) => doc,
-            Err(detail) => return bad_request(&format!("invalid JSON body: {detail}")),
+            Err(detail) => return bad_request(&detail),
         };
         if let Some(demo) = doc.get_str("demo") {
             // The broken demo models show the audit gate end to end: they
@@ -770,13 +761,6 @@ fn bad_request(detail: &str) -> Response {
     )
 }
 
-fn setting_tag(setting: Setting) -> u8 {
-    match setting {
-        Setting::One => 1,
-        Setting::Two => 2,
-    }
-}
-
 fn action_code(action: Action) -> f64 {
     match action {
         Action::Wait => 0.0,
@@ -793,188 +777,79 @@ fn action_name(code: f64) -> &'static str {
     }
 }
 
-/// Shared scalar inputs of the table/policy/solve routes.
-struct RawParams {
-    alpha: Option<f64>,
-    ratio: Option<(u32, u32)>,
-    eb: Option<u64>,
-    setting: Setting,
-    ad: u8,
-    ad_carol: Option<u8>,
-    gate: u16,
-    rds: f64,
-    confirmations: u8,
-    audit: bool,
-}
-
-impl RawParams {
-    fn resolve(self, table: Table) -> Result<CellSpec, String> {
-        let alpha = match (self.alpha, table) {
-            (Some(a), _) => a,
-            // Table 4 is published for a fixed 1% attacker.
-            (None, Table::T4) => 0.01,
-            (None, _) => return Err("missing required parameter alpha".to_string()),
-        };
-        if !(alpha > 0.0 && alpha < 0.5) {
-            return Err(format!("alpha must be in (0, 0.5), got {alpha}"));
-        }
-        let ratio = match (self.ratio, self.eb) {
-            (Some(_), Some(_)) => {
-                return Err("give either ratio or eb, not both".to_string());
-            }
-            (Some(r), None) => r,
-            // `eb=N` weights the large-EB group (Carol) N-fold: β:γ = 1:N.
-            (None, Some(eb)) => (1, eb as u32),
-            (None, None) => (1, 1),
-        };
-        let incentive = match table {
-            Table::T2 => IncentiveModel::CompliantProfitDriven,
-            Table::T3 => IncentiveModel::NonCompliantProfitDriven {
-                rds: self.rds,
-                threshold: self.confirmations - 1,
-            },
-            Table::T4 => IncentiveModel::NonProfitDriven,
-        };
-        let ad_carol = self.ad_carol.unwrap_or(self.ad);
-        let cfg = AttackConfig::with_ratio(alpha, ratio, self.setting, incentive)
-            .with_ads(self.ad, ad_carol);
-        let mut cfg = cfg;
-        cfg.gate_blocks = self.gate;
-        let key = cfg.cell_key(ratio);
-        Ok(CellSpec { cfg, key, token: config_token(table.name()), audit: self.audit })
-    }
-}
-
 fn parse_table_params(req: &Request, table: Table) -> Result<CellSpec, String> {
     parse_table_params_inner(req, table, &[])
 }
 
+/// Parses a table or policy query through the table-cell schema
+/// ([`AttackConfig::from_params`]) with the incentive fixed by `table`;
+/// `extra_allowed` names the route's own parameters besides `audit`.
 fn parse_table_params_inner(
     req: &Request,
     table: Table,
     extra_allowed: &[&str],
 ) -> Result<CellSpec, String> {
-    const ALLOWED: [&str; 8] =
-        ["alpha", "ratio", "eb", "setting", "ad", "ad-carol", "gate", "audit"];
-    let t3: &[&str] = if table == Table::T3 { &["rds", "confirmations"] } else { &[] };
-    check_names(req, &[&ALLOWED, t3, extra_allowed])?;
-    let get = |name: &str| req.query_param(name);
-    let raw = RawParams {
-        alpha: get("alpha").map(|v| param_f64(v, "alpha")).transpose()?,
-        ratio: get("ratio").map(parse_ratio).transpose()?,
-        eb: get("eb").map(|v| param_int(v, "eb", 1, 64)).transpose()?,
-        setting: match get("setting").unwrap_or("1") {
-            "1" => Setting::One,
-            "2" => Setting::Two,
-            other => return Err(format!("setting must be 1 or 2, got {other:?}")),
-        },
-        ad: get("ad").map(|v| param_int(v, "ad", 2, 24)).transpose()?.unwrap_or(6) as u8,
-        ad_carol: get("ad-carol")
-            .map(|v| param_int(v, "ad-carol", 2, 24))
-            .transpose()?
-            .map(|v| v as u8),
-        gate: get("gate").map(|v| param_int(v, "gate", 1, 4096)).transpose()?.unwrap_or(144) as u16,
-        rds: get("rds").map(|v| param_f64(v, "rds")).transpose()?.unwrap_or(10.0),
-        confirmations: get("confirmations")
-            .map(|v| param_int(v, "confirmations", 1, 16))
-            .transpose()?
-            .unwrap_or(4) as u8,
-        audit: matches!(get("audit"), Some("1" | "true" | "")),
-    };
-    if raw.rds < 0.0 {
-        return Err(format!("rds must be nonnegative, got {}", raw.rds));
-    }
-    raw.resolve(table)
+    // The route fixes the schema's first parameter, `incentive`.
+    check_names(req, &[&AttackConfig::PARAMS[1..], &["audit"], extra_allowed])?;
+    let (cfg, ratio) = AttackConfig::from_params(|name| match name {
+        "incentive" => Some(table.incentive),
+        _ => req.query_param(name),
+    })?;
+    Ok(CellSpec {
+        key: cfg.cell_key(ratio),
+        cfg,
+        token: config_token(table.name),
+        audit: matches!(req.query_param("audit"), Some("1" | "true" | "")),
+    })
 }
 
+fn parse_body(req: &Request) -> Result<FlatJson, String> {
+    let body = std::str::from_utf8(&req.body).map_err(|_| "body is not valid UTF-8")?;
+    FlatJson::parse(body).map_err(|detail| format!("invalid JSON body: {detail}"))
+}
+
+/// Parses a `POST /v1/solve` body through the table-cell schema. Each
+/// field is passed as text, a number as its exact `Display` form, so alpha
+/// reaches the model bit for bit.
 fn parse_solve_body(doc: &FlatJson) -> Result<CellSpec, String> {
-    const ALLOWED: [&str; 12] = [
-        "alpha",
-        "ratio",
-        "eb",
-        "setting",
-        "ad",
-        "ad_carol",
-        "gate",
-        "rds",
-        "confirmations",
-        "audit",
-        "incentive",
-        "demo",
-    ];
-    for key in doc.keys() {
-        if !ALLOWED.contains(&key) {
-            return Err(format!("unknown field {key:?} (allowed: {})", ALLOWED.join(", ")));
-        }
-    }
-    let int = |name: &str, lo: u64, hi: u64| -> Result<Option<u64>, String> {
-        match doc.get_num(name) {
-            None => {
-                if doc.has(name) {
-                    Err(format!("{name} must be a number"))
-                } else {
-                    Ok(None)
-                }
-            }
-            Some(v) if v == v.trunc() && v >= lo as f64 && v <= hi as f64 => Ok(Some(v as u64)),
-            Some(v) => Err(format!("{name} must be an integer in [{lo}, {hi}], got {v}")),
-        }
-    };
-    // The incentive picks the table-shaped objective the same way the CLI
-    // does: compliant → u1, double-spend → u2, vandal → u3.
-    let table = match doc.get_str("incentive").unwrap_or("compliant") {
-        "compliant" => Table::T2,
-        "double-spend" => Table::T3,
-        "vandal" => Table::T4,
-        other => {
-            return Err(format!(
-                "incentive must be compliant, double-spend or vandal, got {other:?}"
-            ))
-        }
-    };
-    let ratio = match doc.get_str("ratio") {
-        Some(raw) => Some(parse_ratio(raw)?),
-        None if doc.has("ratio") => return Err("ratio must be a \"B:C\" string".to_string()),
-        None => None,
-    };
-    let raw = RawParams {
-        alpha: doc.get_num("alpha"),
-        ratio,
-        eb: int("eb", 1, 64)?,
-        setting: match int("setting", 1, 2)?.unwrap_or(1) {
-            2 => Setting::Two,
-            _ => Setting::One,
-        },
-        ad: int("ad", 2, 24)?.unwrap_or(6) as u8,
-        ad_carol: int("ad_carol", 2, 24)?.map(|v| v as u8),
-        gate: int("gate", 1, 4096)?.unwrap_or(144) as u16,
-        rds: doc.get_num("rds").unwrap_or(10.0),
-        confirmations: int("confirmations", 1, 16)?.unwrap_or(4) as u8,
-        audit: doc.get_bool("audit").unwrap_or(false),
-    };
-    if raw.rds < 0.0 {
-        return Err(format!("rds must be nonnegative, got {}", raw.rds));
-    }
-    if doc.has("alpha") && raw.alpha.is_none() {
-        return Err("alpha must be a number".to_string());
-    }
-    let mut spec = raw.resolve(table)?;
+    let fields: Vec<(&str, Cow<str>)> = doc.fields().map(|(name, v)| (name, v.text())).collect();
+    check_param_names(
+        fields.iter().map(|(name, _)| *name),
+        &[&AttackConfig::PARAMS, &["audit", "demo"]],
+    )?;
+    let (cfg, ratio) = AttackConfig::from_params(|name| {
+        fields.iter().find(|(field, _)| *field == name).map(|(_, text)| text.as_ref())
+    })?;
     // Generic solves get their own token namespace per utility; their keys
     // are not meant to match any sweep journal.
-    spec.token = config_token(&format!("solve-{}", spec.cfg.incentive.utility().name()));
-    Ok(spec)
+    let token = config_token(&format!("solve-{}", cfg.incentive.utility().name()));
+    Ok(CellSpec {
+        key: cfg.cell_key(ratio),
+        cfg,
+        token,
+        audit: doc.get_bool("audit").unwrap_or(false),
+    })
+}
+
+/// The model configuration a table-cell request names, parsed exactly as
+/// its route parses it before the cache lookup: a `GET /v1/table{2,3,4}`
+/// query or a `POST /v1/solve` body (front ends that read the same cells,
+/// like the CLI, test their parsers against this).
+pub fn parse_cell_request(req: &Request) -> Result<AttackConfig, String> {
+    let spec = match req.path.as_str() {
+        "/v1/table2" => parse_table_params(req, Table::T2),
+        "/v1/table3" => parse_table_params(req, Table::T3),
+        "/v1/table4" => parse_table_params(req, Table::T4),
+        "/v1/solve" => parse_solve_body(&parse_body(req)?),
+        other => Err(format!("{other} names no table cell")),
+    }?;
+    Ok(spec.cfg)
 }
 
 /// Rejects a query parameter that is in none of the route's name lists
 /// (the owning schemas' exported `PARAMS`, plus route extras).
 fn check_names(req: &Request, lists: &[&[&str]]) -> Result<(), String> {
-    for (name, _) in &req.query {
-        if !lists.iter().any(|list| list.contains(&name.as_str())) {
-            let allowed = lists.concat().join(", ");
-            return Err(format!("unknown parameter {name:?} (allowed: {allowed})"));
-        }
-    }
-    Ok(())
+    check_param_names(req.query.iter().map(|(name, _)| name.as_str()), lists)
 }
 
 /// Serve-side cap on `nodes * blocks` for one scenario request. Far below
@@ -1249,6 +1124,25 @@ mod tests {
         assert!(parse_solve_body(&doc).unwrap_err().contains("incentive"));
         let doc = FlatJson::parse("{\"alpha\":0.1,\"eb\":2.5}").unwrap();
         assert!(parse_solve_body(&doc).unwrap_err().contains("eb"));
+    }
+
+    /// A non-finite or unbounded `rds` used to reach the solver and answer
+    /// 500 `solve_failed` (a non-finite reward); it is a bad request.
+    #[test]
+    fn unbounded_rds_is_a_bad_request() {
+        let service = Service::new(&ServeConfig::default());
+        for rds in ["NaN", "inf", "1e308"] {
+            let resp = service.handle(&get(&format!("/v1/table3?alpha=0.2&rds={rds}")));
+            assert_eq!(resp.status, 400, "rds={rds}");
+            assert!(String::from_utf8(resp.body).unwrap().contains("rds must be in"), "rds={rds}");
+        }
+        let mut post = get("/v1/solve");
+        post.method = "POST".to_string();
+        post.body = b"{\"alpha\":0.2,\"incentive\":\"double-spend\",\"rds\":1e400}".to_vec();
+        let resp = service.handle(&post);
+        assert_eq!(resp.status, 400);
+        assert!(String::from_utf8(resp.body).unwrap().contains("rds must be in"));
+        assert_eq!(service.metrics.solve_errors.load(Ordering::Relaxed), 0);
     }
 
     #[test]

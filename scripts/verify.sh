@@ -70,13 +70,16 @@ echo "==> model-build gate (pinned model fingerprints + Table 1 generator rows)"
 cargo test -q --offline -p bvc-bu -p bvc-bitcoin --test model_fingerprint
 cargo test -q --offline -p bvc-bu --lib table1
 
-echo "==> cell-identity gate (solve token pin + cluster and serve cell keys)"
+echo "==> cell-identity gate (solve token pin + cluster and serve cell keys + table-cell parsers)"
 # Every journal fingerprint and serve cache key hashes the default solve
 # token and a cell key; a drift in either orphans old journals and turns
 # preloaded serve hits into misses. Re-run the pins so such a drift fails
-# under this name.
+# under this name. The table-cell contract runs one parameter table through
+# serve's GET query and POST body parsers and `bvc solve`'s flags: the same
+# config (bit-equal alpha) or the same rejected parameter from all three.
 cargo test -q --offline -p bvc-cluster --lib -- solve_token_is_pinned keys_
 cargo test -q --offline -p bvc-serve --lib -- _key
+cargo test -q --offline -p bvc-cli -- table_cell_parsers_agree
 
 echo "==> benchmark self-tests (exact counts repeat, decomposition is bit-exact)"
 # The benchmark is its own Cargo workspace, so the workspace test run above
