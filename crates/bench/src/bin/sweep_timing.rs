@@ -1,10 +1,11 @@
-//! Times the Table 2 sweep on the compiled CSR solver path against the
-//! nested-layout reference baseline and prints cells/sec plus the speedup.
+//! Times the Table 2 sweep on the production solver path against the
+//! reference baseline (`bvc_mdp::solve::reference`) and prints cells/sec
+//! plus the speedup.
 //!
 //! The workload is the `table2` binary's: the printed cells of Table 2
 //! (22 setting-1 cells across α ∈ {10,15,20,25}% and six β:γ ratios; with
 //! `--full`, also the four setting-2 cells at α = 25%), each solved for the
-//! maximal relative revenue u1 by a secant search over ρ. The nested
+//! maximal relative revenue u1 by a secant search over ρ. The reference
 //! baseline sweeps through `bvc_repro::parallel_map` and probes each ρ with a
 //! warm-started RVI solve; the compiled path runs through the resilient
 //! sweep runner (`bvc_repro::sweep::run_sweep`) exactly as the table
@@ -12,7 +13,7 @@
 //! renewal passes instead. Its timing includes the runner's per-cell
 //! isolation and retry accounting (one `catch_unwind` frame and an atomic
 //! claim per cell, far below the per-cell solve cost), so the speedup is
-//! the probe engine's and the memory layout's together. The two paths
+//! the probe engine's and the kernels' together. The two paths
 //! differ in their probes' gain error, so the cross-check holds them to the
 //! ratio tolerance, the precision both promise.
 //!
@@ -23,7 +24,7 @@
 //! $ cargo run --release -p bvc-bench --bin sweep_timing -- --full --no-baseline --solve-threads 4
 //! ```
 //!
-//! `--no-baseline` skips the nested-layout reference sweep (and with it
+//! `--no-baseline` skips the reference sweep (and with it
 //! the cross-check and speedup line) — the full-grid baseline costs ~10
 //! minutes on a laptop-class core, which swamps iteration on the compiled
 //! path. Also accepts the standard sweep-runner flags (see
@@ -34,14 +35,15 @@
 //! With `--json`, the final line is a single machine-readable timing record
 //! (`{"bench":"sweep_timing",...}`) with a per-cell breakdown (state count,
 //! wall time, probe engine, probes on ρ and passes — renewal DP passes or
-//! RVI sweeps — per cell, plus the largest cell called out) —
+//! RVI sweeps — per cell, plus the largest cell called out; the baseline's
+//! time keeps its historical key `nested_min_s`) —
 //! `scripts/bench_record.sh` appends it to the benchmark history.
 
 use std::sync::Mutex;
 
 use bvc_bench::timing::time_runs_cold;
 use bvc_bu::{rewards, AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions};
-use bvc_mdp::solve::reference::maximize_ratio_nested;
+use bvc_mdp::solve::reference::maximize_ratio_reference;
 use bvc_mdp::solve::ProbeEngine;
 use bvc_repro::parallel_map;
 use bvc_repro::sweep::{json_escape, run_sweep, SweepOptions};
@@ -130,7 +132,7 @@ fn main() {
 
     let cells = table2_cells(quick, full);
     // Models are built once, outside the clock: both paths consume the same
-    // nested `Mdp`, and construction cost is identical for both.
+    // `CompiledMdp`, and construction cost is identical for both.
     let models = parallel_map(cells.clone(), build);
     let n = models.len();
     let states: usize = models.iter().map(|m| m.num_states()).sum();
@@ -142,22 +144,22 @@ fn main() {
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
     );
 
-    // The nested baseline searches under the same options as the compiled path.
+    // The reference baseline searches under the same options as the compiled path.
     let opts = SolveOptions::default().ratio_options();
     let (num, den) = (rewards::u1_numerator(), rewards::u1_denominator());
 
     // The timed closures keep their last run's values so the two paths can
     // be cross-checked below without paying for extra sweeps. With
-    // `--no-baseline` the nested sweep (and its cross-check) is skipped.
+    // `--no-baseline` the reference sweep (and its cross-check) is skipped.
     let mut nested_vals = Vec::new();
     let nested = if no_baseline {
         None
     } else {
         let t = time_runs_cold(reps, || {
             nested_vals = parallel_map(models.iter().collect(), |m| {
-                maximize_ratio_nested(m.mdp(), &num, &den, &opts)
+                maximize_ratio_reference(m.mdp(), &num, &den, &opts)
                     .unwrap_or_else(|e| {
-                        eprintln!("error: nested baseline solver failed: {e}");
+                        eprintln!("error: reference baseline solver failed: {e}");
                         std::process::exit(1);
                     })
                     .value

@@ -65,23 +65,17 @@ pub fn sm1_action(s: &SmState) -> SmAction {
 /// legal action when SM1's choice is unavailable (e.g. at the truncation
 /// boundary, where `Wait` is withdrawn and SM1 overrides/adopts).
 pub fn sm1_policy(model: &BitcoinModel) -> Policy {
-    let mut policy = Policy::zeros(model.num_states());
-    for (id, arms) in model.mdp().iter_states() {
-        let s = model.state(id);
-        let want = sm1_action(&s);
-        let pick = arms
-            .iter()
-            .position(|arm| arm.label == want.label())
-            .or_else(|| {
-                // Truncation fallback: prefer Override, then Adopt.
-                arms.iter()
-                    .position(|arm| arm.label == SmAction::Override.label())
-                    .or_else(|| arms.iter().position(|arm| arm.label == SmAction::Adopt.label()))
-            })
-            .expect("a legal action exists");
-        policy.choices[id] = pick;
-    }
-    policy
+    let mdp = model.mdp();
+    let choices = (0..model.num_states())
+        .map(|id| {
+            // Truncation fallback: prefer Override, then Adopt.
+            [sm1_action(&model.state(id)), SmAction::Override, SmAction::Adopt]
+                .into_iter()
+                .find_map(|want| mdp.action_with_label(id, want.label()))
+                .expect("a legal action exists")
+        })
+        .collect();
+    Policy { choices }
 }
 
 /// Evaluates SM1's relative revenue exactly on a built model.

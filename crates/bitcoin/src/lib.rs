@@ -36,6 +36,6 @@ pub mod threshold;
 
 pub use bvc_mdp::solve::{OptimalStrategy, SolveOptions};
 pub use eyal_sirer::{closed_form_revenue, sm1_policy, sm1_relative_revenue};
-pub use model::{expand, BitcoinConfig, BitcoinModel};
+pub use model::{expand, BitcoinConfig, BitcoinModel, MAX_CAP};
 pub use state::{Fork, SmAction, SmState};
 pub use threshold::{is_profitable, profitability_threshold, ThresholdOptions};

@@ -43,6 +43,11 @@ pub struct BitcoinConfig {
     pub threshold: u8,
 }
 
+/// The largest truncation bound [`BitcoinConfig::check`] accepts: the work
+/// cap of one Bitcoin cell. A model has about 2.5·cap² states — ~4k at the
+/// default cap of 40, ~16k at this bound — and solve time grows faster.
+pub const MAX_CAP: u8 = 80;
+
 impl BitcoinConfig {
     /// Plain selfish mining (no double-spend rewards).
     pub fn selfish_mining(alpha: f64, gamma: f64) -> Self {
@@ -57,7 +62,8 @@ impl BitcoinConfig {
 
     /// The model's preconditions, for front ends that must answer bad
     /// input with an error instead of a panic: `alpha` in `(0, 0.5)`,
-    /// `gamma` in `[0, 1]` and a truncation `cap` of at least 4.
+    /// `gamma` in `[0, 1]` and a truncation `cap` of at least 4 and at most
+    /// [`MAX_CAP`].
     pub fn check(&self) -> Result<(), String> {
         if !(self.alpha > 0.0 && self.alpha < 0.5) {
             return Err(format!("alpha must be in (0, 0.5), got {}", self.alpha));
@@ -67,6 +73,12 @@ impl BitcoinConfig {
         }
         if self.cap < 4 {
             return Err(format!("cap must be at least 4 to express the model, got {}", self.cap));
+        }
+        if self.cap > MAX_CAP {
+            return Err(format!(
+                "cap must be at most {MAX_CAP} (the work cap: a model has ~2.5·cap² states), got {}",
+                self.cap
+            ));
         }
         Ok(())
     }
@@ -200,7 +212,7 @@ impl BitcoinModel {
     /// Runs the static precondition audit over this model (see
     /// [`bvc_mdp::audit`]). The BFS-explored start state is MDP state 0.
     pub fn audit(&self) -> bvc_mdp::AuditReport {
-        bvc_mdp::audit_mdp(self.mdp(), &bvc_mdp::AuditOptions::default())
+        bvc_mdp::audit_compiled(self.mdp(), &bvc_mdp::AuditOptions::default())
     }
 
     /// The configuration this model was built from.
@@ -209,7 +221,7 @@ impl BitcoinModel {
     }
 
     /// The underlying MDP.
-    pub fn mdp(&self) -> &bvc_mdp::Mdp {
+    pub fn mdp(&self) -> &bvc_mdp::CompiledMdp {
         &self.explored.mdp
     }
 
@@ -242,7 +254,7 @@ mod tests {
     #[test]
     fn builds_and_validates() {
         let m = BitcoinModel::build(BitcoinConfig::selfish_mining(0.3, 0.5)).unwrap();
-        m.mdp().validate().unwrap();
+        assert!(m.audit().passed(), "{}", m.audit().render_text());
         assert!(m.num_states() > 100);
         // Truncation: no state beyond the cap.
         for id in 0..m.num_states() {

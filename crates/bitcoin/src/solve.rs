@@ -67,7 +67,7 @@ impl BitcoinModel {
     /// overriding/adopting at the first opportunity.
     pub fn honest_policy(&self) -> Policy {
         let mut p = Policy::zeros(self.num_states());
-        for (id, arms) in self.mdp().iter_states() {
+        for id in 0..self.num_states() {
             let s = self.state(id);
             // Prefer Override when strictly ahead (publishes everything),
             // Adopt when behind or tied with the honest chain, Wait only at
@@ -79,10 +79,8 @@ impl BitcoinModel {
             } else {
                 SmAction::Wait
             };
-            p.choices[id] = arms
-                .iter()
-                .position(|arm| arm.label == want.label())
-                .expect("honest action available");
+            p.choices[id] =
+                self.mdp().action_with_label(id, want.label()).expect("honest action available");
         }
         p
     }

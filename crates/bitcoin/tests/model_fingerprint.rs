@@ -9,23 +9,28 @@
 
 use bvc_bitcoin::{BitcoinConfig, BitcoinModel};
 use bvc_journal::fnv1a64;
-use bvc_mdp::Mdp;
+use bvc_mdp::{audit_compiled, AuditOptions, AuditStatus, CompiledMdp};
 
 fn push(bytes: &mut Vec<u8>, v: u64) {
     bytes.extend_from_slice(&v.to_le_bytes());
 }
 
-fn serialize(bytes: &mut Vec<u8>, mdp: &Mdp) {
+/// Serializes `mdp` into the fingerprint stream, after asserting that its
+/// CSR arrays pass the audit's layout check.
+fn serialize(bytes: &mut Vec<u8>, mdp: &CompiledMdp) {
+    let layout = audit_compiled(mdp, &AuditOptions::default());
+    let layout = layout.check("csr-layout").expect("layout check runs");
+    assert_eq!(layout.status, AuditStatus::Pass, "{}", layout.detail);
     push(bytes, mdp.num_states() as u64);
-    for (_, arms) in mdp.iter_states() {
-        push(bytes, arms.len() as u64);
-        for arm in arms {
-            push(bytes, arm.label as u64);
-            push(bytes, arm.transitions.len() as u64);
-            for t in &arm.transitions {
-                push(bytes, t.to as u64);
-                push(bytes, t.prob.to_bits());
-                for r in &t.reward {
+    for s in 0..mdp.num_states() {
+        push(bytes, mdp.num_arms_of(s) as u64);
+        for arm in mdp.arm_range(s) {
+            push(bytes, mdp.arm_label(arm) as u64);
+            push(bytes, mdp.transition_range(arm).len() as u64);
+            for (to, prob, reward) in mdp.transitions(arm) {
+                push(bytes, to as u64);
+                push(bytes, prob.to_bits());
+                for r in reward {
                     push(bytes, r.to_bits());
                 }
             }

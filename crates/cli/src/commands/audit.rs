@@ -10,7 +10,7 @@
 
 use bvc_bu::{AttackConfig, AttackModel};
 use bvc_mdp::audit::{audit_policy, demo_multichain, demo_unreachable};
-use bvc_mdp::{audit_mdp, AuditOptions, AuditReport};
+use bvc_mdp::{audit_compiled, AuditOptions, AuditReport};
 
 use crate::args::{ArgError, Args};
 
@@ -83,8 +83,8 @@ fn build_report(cmd: &AuditCmd) -> Result<AuditReport, String> {
             report.push_check(audit_policy(model.mdp(), &model.honest_policy(), &opts));
             Ok(report)
         }
-        AuditTarget::DemoMultichain => Ok(audit_mdp(&demo_multichain(), &opts)),
-        AuditTarget::DemoUnreachable => Ok(audit_mdp(&demo_unreachable(), &opts)),
+        AuditTarget::DemoMultichain => Ok(audit_compiled(&demo_multichain(), &opts)),
+        AuditTarget::DemoUnreachable => Ok(audit_compiled(&demo_unreachable(), &opts)),
     }
 }
 
@@ -141,9 +141,9 @@ mod tests {
 
     #[test]
     fn demo_models_fail_their_intended_checks() {
-        let report = audit_mdp(&demo_multichain(), &AuditOptions::default());
+        let report = audit_compiled(&demo_multichain(), &AuditOptions::default());
         assert_eq!(report.check("unichain").map(|c| c.status), Some(AuditStatus::Fail));
-        let report = audit_mdp(&demo_unreachable(), &AuditOptions::default());
+        let report = audit_compiled(&demo_unreachable(), &AuditOptions::default());
         assert_eq!(report.check("reachable").map(|c| c.status), Some(AuditStatus::Fail));
 
         assert!(run(&AuditCmd { target: AuditTarget::DemoMultichain, json: false }).is_err());

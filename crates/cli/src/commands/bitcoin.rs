@@ -111,6 +111,16 @@ mod tests {
         assert_eq!(parse(&args(&["--alpha", "0.2", "--cap", "4"])).unwrap().cap, 4);
     }
 
+    /// A cap past the work cap is refused at parse time, before any model
+    /// is built (the CLI exits 2 at once instead of solving for minutes).
+    #[test]
+    fn cap_above_the_work_cap_is_rejected() {
+        let ArgError(message) = parse(&args(&["--alpha", "0.45", "--cap", "255"])).unwrap_err();
+        assert!(message.starts_with("cap must be at most 80"), "{message}");
+        assert_eq!(parse(&args(&["--alpha", "0.2", "--cap", "80"])).unwrap().cap, 80);
+        assert!(parse(&args(&["--alpha", "0.2", "--cap", "81"])).is_err());
+    }
+
     #[test]
     fn unknown_flags_are_rejected() {
         let ArgError(message) = parse(&args(&["--alpha", "0.2", "--gama", "1"])).unwrap_err();

@@ -3,6 +3,7 @@
 //! propagation delay, seed and length.
 
 use bvc_chain::{BuRizunRule, ByteSize, MinerId};
+use bvc_journal::param_int;
 use bvc_sim::{DelayModel, HonestStrategy, MinerSpec, Simulation, SplitterStrategy};
 
 use crate::args::{parse_f64_list, ArgError, Args};
@@ -49,14 +50,20 @@ pub fn parse(args: &Args) -> Result<SimulateCmd, ArgError> {
     if large_eb_miners > honest_powers.len() {
         return Err(ArgError("--large-eb-miners exceeds the honest miner count".into()));
     }
+    // The same ranges and wording as the scenario schema's `ad` and `delay`.
+    let ad = param_int(args.value("ad").unwrap_or("6"), "ad", 1, 24).map_err(ArgError)?;
+    let delay: f64 = args.get_or("delay", 0.0)?;
+    if !(delay.is_finite() && delay >= 0.0) {
+        return Err(ArgError(format!("delay must be finite and >= 0, got {delay}")));
+    }
     Ok(SimulateCmd {
         attacker_power,
         honest_powers,
         large_eb_miners,
         eb_small_mb: args.get_or("eb-small", 1u64)?,
         eb_large_mb: args.get_or("eb-large", 16u64)?,
-        ad: args.get_or("ad", 6u64)?,
-        delay: args.get_or("delay", 0.0)?,
+        ad,
+        delay,
         blocks: args.get_or("blocks", 10_000usize)?,
         seed: args.get_or("seed", 42u64)?,
     })
@@ -144,6 +151,31 @@ mod tests {
     #[test]
     fn rejects_bad_power_sum() {
         assert!(parse(&args(&["--attacker-power", "0.5"])).is_err());
+    }
+
+    #[test]
+    fn rejects_negative_delay() {
+        let ArgError(message) = parse(&args(&["--delay", "-1"])).unwrap_err();
+        assert_eq!(message, "delay must be finite and >= 0, got -1");
+    }
+
+    #[test]
+    fn rejects_nan_delay() {
+        let ArgError(message) = parse(&args(&["--delay", "NaN"])).unwrap_err();
+        assert_eq!(message, "delay must be finite and >= 0, got NaN");
+    }
+
+    #[test]
+    fn rejects_infinite_delay() {
+        let ArgError(message) = parse(&args(&["--delay", "inf"])).unwrap_err();
+        assert_eq!(message, "delay must be finite and >= 0, got inf");
+    }
+
+    #[test]
+    fn rejects_ad_zero() {
+        let ArgError(message) = parse(&args(&["--ad", "0"])).unwrap_err();
+        assert_eq!(message, "ad must be in [1, 24], got 0");
+        assert_eq!(parse(&args(&["--ad", "1", "--delay", "0.5"])).unwrap().ad, 1);
     }
 
     #[test]

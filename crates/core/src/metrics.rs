@@ -30,7 +30,7 @@ impl AttackModel {
         };
         let mut targets = HashSet::new();
         let mut avoid = HashSet::new();
-        for (id, _) in self.mdp().iter_states() {
+        for id in 0..self.num_states() {
             let s = self.state(id);
             if s.forked() && s.l2 >= depth {
                 targets.insert(id);
@@ -55,12 +55,8 @@ impl AttackModel {
         policy: &Policy,
     ) -> Result<Option<f64>, MdpError> {
         let base = self.id_of(&AttackState::BASE).expect("base is reachable");
-        let targets: HashSet<_> = self
-            .mdp()
-            .iter_states()
-            .filter(|(id, _)| self.state(*id).phase2())
-            .map(|(id, _)| id)
-            .collect();
+        let targets: HashSet<_> =
+            (0..self.num_states()).filter(|&id| self.state(id).phase2()).collect();
         if targets.is_empty() {
             return Ok(None);
         }

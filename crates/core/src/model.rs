@@ -251,7 +251,7 @@ impl AttackModel {
     /// invariants, reachability, unichain certification — see
     /// [`bvc_mdp::audit`]). The BFS-explored base state is MDP state 0.
     pub fn audit(&self) -> bvc_mdp::AuditReport {
-        bvc_mdp::audit_mdp(self.mdp(), &bvc_mdp::AuditOptions::default())
+        bvc_mdp::audit_compiled(self.mdp(), &bvc_mdp::AuditOptions::default())
     }
 
     /// The configuration this model was built from.
@@ -260,7 +260,7 @@ impl AttackModel {
     }
 
     /// The underlying MDP.
-    pub fn mdp(&self) -> &bvc_mdp::Mdp {
+    pub fn mdp(&self) -> &bvc_mdp::CompiledMdp {
         &self.explored.mdp
     }
 
@@ -279,9 +279,10 @@ impl AttackModel {
         self.explored.mdp.num_states()
     }
 
-    /// Iterates `(state, &[ActionArm])` over the whole model.
-    pub fn iter(&self) -> impl Iterator<Item = (AttackState, &[bvc_mdp::ActionArm])> + '_ {
-        self.explored.mdp.iter_states().map(|(id, arms)| (*self.explored.indexer.state(id), arms))
+    /// Iterates `(state, global arm indices)` over the whole model, in id
+    /// order (see [`bvc_mdp::CompiledMdp::arm_range`]).
+    pub fn iter(&self) -> impl Iterator<Item = (AttackState, std::ops::Range<usize>)> + '_ {
+        self.explored.indexer.iter().map(|(id, s)| (*s, self.explored.mdp.arm_range(id)))
     }
 }
 
@@ -342,11 +343,11 @@ mod tests {
     fn wait_action_present_only_for_non_profit() {
         let m = AttackModel::build(cfg(Setting::One, IncentiveModel::NonProfitDriven)).unwrap();
         let base = m.id_of(&AttackState::BASE).unwrap();
-        assert_eq!(m.mdp().actions(base).len(), 3);
+        assert_eq!(m.mdp().num_arms_of(base), 3);
         let m2 =
             AttackModel::build(cfg(Setting::One, IncentiveModel::CompliantProfitDriven)).unwrap();
         let base2 = m2.id_of(&AttackState::BASE).unwrap();
-        assert_eq!(m2.mdp().actions(base2).len(), 2);
+        assert_eq!(m2.mdp().num_arms_of(base2), 2);
     }
 
     #[test]
@@ -356,13 +357,14 @@ mod tests {
         let c = cfg(Setting::One, IncentiveModel::CompliantProfitDriven);
         let m = AttackModel::build(c.clone()).unwrap();
         let base = m.id_of(&AttackState::BASE).unwrap();
-        let arm = &m.mdp().actions(base)[Action::OnChain1.label()];
-        assert_eq!(arm.transitions.len(), 1);
-        let t = &arm.transitions[0];
-        assert_eq!(m.state(t.to), AttackState::BASE);
-        assert!((t.prob - 1.0).abs() < 1e-12);
-        assert!((t.reward[RA] - c.alpha).abs() < 1e-12);
-        assert!((t.reward[ROTHERS] - (c.beta + c.gamma)).abs() < 1e-12);
+        let arm = m.mdp().arm_range(base).start + Action::OnChain1.label();
+        let transitions: Vec<_> = m.mdp().transitions(arm).collect();
+        assert_eq!(transitions.len(), 1);
+        let (to, prob, reward) = transitions[0];
+        assert_eq!(m.state(to), AttackState::BASE);
+        assert!((prob - 1.0).abs() < 1e-12);
+        assert!((reward[RA] - c.alpha).abs() < 1e-12);
+        assert!((reward[ROTHERS] - (c.beta + c.gamma)).abs() < 1e-12);
     }
 
     #[test]
@@ -370,15 +372,15 @@ mod tests {
         let c = cfg(Setting::One, IncentiveModel::CompliantProfitDriven);
         let m = AttackModel::build(c.clone()).unwrap();
         let base = m.id_of(&AttackState::BASE).unwrap();
-        let arm = &m.mdp().actions(base)[Action::OnChain2.label()];
-        assert_eq!(arm.transitions.len(), 2);
-        let fork = arm
-            .transitions
-            .iter()
-            .find(|t| m.state(t.to) == AttackState { l1: 0, l2: 1, a1: 0, a2: 1, r: 0 })
+        let arm = m.mdp().arm_range(base).start + Action::OnChain2.label();
+        assert_eq!(m.mdp().transition_range(arm).len(), 2);
+        let (_, prob, reward) = m
+            .mdp()
+            .transitions(arm)
+            .find(|&(to, _, _)| m.state(to) == AttackState { l1: 0, l2: 1, a1: 0, a2: 1, r: 0 })
             .expect("fork transition");
-        assert!((fork.prob - c.alpha).abs() < 1e-12);
-        assert!(fork.reward.iter().all(|&x| x == 0.0));
+        assert!((prob - c.alpha).abs() < 1e-12);
+        assert!(reward.iter().all(|&x| x == 0.0));
     }
 
     #[test]
@@ -454,7 +456,13 @@ mod tests {
     fn probabilities_sum_to_one_everywhere() {
         for setting in [Setting::One, Setting::Two] {
             let m = AttackModel::build(cfg(setting, IncentiveModel::NonProfitDriven)).unwrap();
-            m.mdp().validate().unwrap();
+            for arm in 0..m.mdp().num_arms() {
+                let sum: f64 = m.mdp().transitions(arm).map(|(_, p, _)| p).sum();
+                assert!(
+                    (sum - 1.0).abs() <= bvc_mdp::model::PROB_SUM_TOLERANCE,
+                    "arm {arm}: {sum}"
+                );
+            }
         }
     }
 }

@@ -45,10 +45,8 @@ pub struct PolicySummary {
 
 /// Extracts `(state, action)` pairs for every reachable state.
 pub fn state_actions(model: &AttackModel, policy: &Policy) -> Vec<StateAction> {
-    model
-        .mdp()
-        .iter_states()
-        .map(|(id, _)| StateAction {
+    (0..model.num_states())
+        .map(|id| StateAction {
             state: model.state(id),
             action: Action::from_label(policy.label(model.mdp(), id)),
         })
@@ -162,7 +160,7 @@ mod tests {
         assert_eq!(table.len(), m.num_states());
         let back = PolicyTable::decode(&table.encode()).unwrap();
         assert_eq!(back, table);
-        for (id, _) in m.mdp().iter_states() {
+        for id in 0..m.num_states() {
             let state = m.state(id);
             let expect = sol.policy.label(m.mdp(), id);
             assert_eq!(

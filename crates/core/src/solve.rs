@@ -94,15 +94,14 @@ impl AttackModel {
 
     /// The always-honest policy: mine on Chain 1 everywhere.
     pub fn honest_policy(&self) -> Policy {
-        let mut p = Policy::zeros(self.num_states());
-        for (id, arms) in self.mdp().iter_states() {
-            let a = arms
-                .iter()
-                .position(|arm| arm.label == Action::OnChain1.label())
-                .expect("OnChain1 is always available");
-            p.choices[id] = a;
-        }
-        p
+        let mdp = self.mdp();
+        let choices = (0..mdp.num_states())
+            .map(|s| {
+                mdp.action_with_label(s, Action::OnChain1.label())
+                    .expect("OnChain1 is always available")
+            })
+            .collect();
+        Policy { choices }
     }
 }
 

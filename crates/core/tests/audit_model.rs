@@ -7,7 +7,7 @@
 //! own models would be useless, so the certification itself is pinned here.
 
 use bvc_bu::{AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions};
-use bvc_mdp::{audit_compiled, audit_policy, AuditOptions, AuditStatus, CompiledMdp};
+use bvc_mdp::{audit_policy, AuditOptions, AuditStatus};
 
 fn setting1_model(alpha: f64, ratio: (u32, u32), incentive: IncentiveModel) -> AttackModel {
     let cfg = AttackConfig::with_ratio(alpha, ratio, Setting::One, incentive);
@@ -25,7 +25,7 @@ fn table2_setting1_model_is_certified_clean() {
         "Table 2 setting-1 model must pass every audit check:\n{}",
         report.render_text()
     );
-    for name in ["structure", "prob-finite", "prob-mass", "reward-finite", "reachable", "unichain"]
+    for name in ["csr-layout", "prob-finite", "prob-mass", "reward-finite", "reachable", "unichain"]
     {
         assert_eq!(
             report.check(name).map(|c| c.status),
@@ -35,17 +35,6 @@ fn table2_setting1_model_is_certified_clean() {
         );
     }
     assert!(report.gate().is_ok());
-}
-
-/// The compiled CSR layout of the same model is certified by the
-/// compiled-side auditor (csr-layout instead of structure).
-#[test]
-fn table2_setting1_compiled_model_is_certified_clean() {
-    let model = setting1_model(0.25, (1, 1), IncentiveModel::CompliantProfitDriven);
-    let compiled = CompiledMdp::compile(model.mdp()).expect("compiles");
-    let report = audit_compiled(&compiled, &AuditOptions::default());
-    assert!(report.clean(), "compiled audit must be clean:\n{}", report.render_text());
-    assert_eq!(report.check("csr-layout").map(|c| c.status), Some(AuditStatus::Pass));
 }
 
 /// The honest policy of a certified model induces a single recurrent class.

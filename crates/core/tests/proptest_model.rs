@@ -30,15 +30,15 @@ fn config(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every generated model validates (probabilities sum to one, no
-    /// dangling states) and satisfies the state-geometry invariants.
+    /// Every generated model builds — its writer checks that probabilities
+    /// sum to one and every state has an action — and satisfies the
+    /// state-geometry invariants.
     #[test]
     fn model_is_well_formed(split in power_split(), ad in 2u8..8,
                             setting_two in proptest::bool::ANY) {
         let setting = if setting_two { Setting::Two } else { Setting::One };
         let cfg = config(split, ad, setting, IncentiveModel::NonProfitDriven);
         let model = AttackModel::build(cfg).unwrap();
-        model.mdp().validate().unwrap();
         for (s, _) in model.iter() {
             prop_assert!(s.l1 <= s.l2);
             prop_assert!(s.l2 < ad);
@@ -138,10 +138,11 @@ proptest! {
         // Reverse reachability from base over per-action supports.
         let base = model.id_of(&AttackState::BASE).unwrap();
         let mut incoming: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (id, arms) in model.mdp().iter_states() {
-            for arm in arms {
-                for t in &arm.transitions {
-                    incoming[t.to].push(id);
+        let mdp = model.mdp();
+        for id in 0..n {
+            for arm in mdp.arm_range(id) {
+                for (to, _, _) in mdp.transitions(arm) {
+                    incoming[to].push(id);
                 }
             }
         }
@@ -171,8 +172,8 @@ fn action_labels_roundtrip_in_model() {
     let model = AttackModel::build(cfg).unwrap();
     for (_, arms) in model.iter() {
         for arm in arms {
-            let a = Action::from_label(arm.label);
-            assert_eq!(a.label(), arm.label);
+            let label = model.mdp().arm_label(arm);
+            assert_eq!(Action::from_label(label).label(), label);
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Regression pins for Table 2 cells solved through the compiled CSR path.
 //!
 //! `AttackModel::optimal_relative_revenue` routes through
-//! `bvc_mdp::solve::maximize_ratio`, which compiles the model once and runs
-//! the in-place-re-scalarized secant search on ρ. These pins hold the
+//! `bvc_mdp::solve::maximize_ratio`, which scalarizes the CSR model once and
+//! runs the in-place-re-scalarized secant search on ρ. These pins hold the
 //! published values fixed across layout/solver changes: if a future
 //! "optimization" of the compiled kernels perturbs any of them, tier-1
 //! fails here rather than in a table diff nobody reads.

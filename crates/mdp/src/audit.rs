@@ -11,9 +11,10 @@
 //!
 //! This module is a static analysis pass that runs **without solving**:
 //!
-//! * **Numeric invariants** — per-arm probability mass within tolerance, no
-//!   negative/NaN/infinite probabilities or rewards, CSR offset
-//!   monotonicity and index bounds (for [`CompiledMdp`]).
+//! * **Layout and numeric invariants** — CSR offset monotonicity, every
+//!   state with an action and every arm with a transition, index bounds,
+//!   per-arm probability mass within tolerance, no negative/NaN/infinite
+//!   probabilities or rewards.
 //! * **Graph analysis** — Tarjan SCC over the full transition graph and
 //!   over policy-closed subgraphs, maximal end-component (MEC)
 //!   decomposition, forward reachability from a start state, and
@@ -274,29 +275,9 @@ fn json_escape(s: &str) -> String {
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Audits a builder-facing [`Mdp`] without compiling (and therefore without
-/// requiring it to pass [`Mdp::validate`] first — broken models produce
-/// failing checks, not errors).
-pub fn audit_mdp(mdp: &Mdp, opts: &AuditOptions) -> AuditReport {
-    let mut report = AuditReport {
-        num_states: mdp.num_states(),
-        num_arms: mdp.num_state_actions(),
-        num_transitions: mdp.num_transitions(),
-        checks: Vec::new(),
-    };
-    let structural = structure_check_mdp(mdp, opts, &mut report.checks);
-    numeric_checks(NumericView::Nested(mdp), opts, &mut report.checks);
-    if structural {
-        let graph = AuditGraph::from_mdp(mdp);
-        graph_checks(&graph, opts, &mut report.checks);
-    } else {
-        skip_graph_checks(&mut report.checks);
-    }
-    report
-}
-
-/// Audits a [`CompiledMdp`], including the CSR layout invariants the flat
-/// solvers rely on.
+/// Audits a [`CompiledMdp`]: the CSR layout invariants the flat solvers
+/// rely on, the numeric invariants of every arm, then (when the layout is
+/// sound) the graph analysis.
 pub fn audit_compiled(c: &CompiledMdp, opts: &AuditOptions) -> AuditReport {
     let mut report = AuditReport {
         num_states: c.num_states(),
@@ -305,7 +286,7 @@ pub fn audit_compiled(c: &CompiledMdp, opts: &AuditOptions) -> AuditReport {
         checks: Vec::new(),
     };
     let structural = csr_layout_check(c, opts, &mut report.checks);
-    numeric_checks(NumericView::Compiled(c), opts, &mut report.checks);
+    numeric_checks(c, opts, &mut report.checks);
     if structural {
         let graph = AuditGraph::from_compiled(c);
         graph_checks(&graph, opts, &mut report.checks);
@@ -319,16 +300,16 @@ pub fn audit_compiled(c: &CompiledMdp, opts: &AuditOptions) -> AuditReport {
 /// SCC over the policy-closed subgraph, counting recurrent (closed)
 /// classes. Returns a `policy-unichain` check: Pass iff the induced chain
 /// has exactly one recurrent class.
-pub fn audit_policy(mdp: &Mdp, policy: &Policy, opts: &AuditOptions) -> CheckResult {
+pub fn audit_policy(mdp: &CompiledMdp, policy: &Policy, opts: &AuditOptions) -> CheckResult {
     const NAME: &str = "policy-unichain";
-    if mdp.validate().is_err() || mdp.validate_policy(policy).is_err() {
+    if mdp.validate_policy(policy).is_err() {
         return CheckResult::fail(
             NAME,
-            "model or policy is structurally invalid; cannot analyze the induced chain",
+            "policy does not fit the model; cannot analyze the induced chain",
             Vec::new(),
         );
     }
-    let graph = AuditGraph::from_mdp(mdp);
+    let graph = AuditGraph::from_compiled(mdp);
     let (adj_off, adj) = graph.policy_adjacency(policy);
     let scc = tarjan_scc(&adj_off, &adj);
     let closed = closed_components(&scc, &adj_off, &adj);
@@ -367,73 +348,10 @@ fn push_offender(offenders: &mut Vec<usize>, id: usize, cap: usize) {
     }
 }
 
-/// Structure of a nested model: nonempty, every state has arms, every arm
-/// has transitions, all targets in range. Returns whether the graph passes
-/// can run safely.
-fn structure_check_mdp(mdp: &Mdp, opts: &AuditOptions, checks: &mut Vec<CheckResult>) -> bool {
-    const NAME: &str = "structure";
-    if mdp.num_states() == 0 {
-        checks.push(CheckResult::fail(NAME, "model has no states", Vec::new()));
-        return false;
-    }
-    let n = mdp.num_states();
-    let mut offenders = Vec::new();
-    let mut bad = 0usize;
-    let mut details: Vec<&str> = Vec::new();
-    let mut no_actions = false;
-    let mut empty_arm = false;
-    let mut dangling = false;
-    for (s, arms) in mdp.iter_states() {
-        let mut state_bad = false;
-        if arms.is_empty() {
-            no_actions = true;
-            state_bad = true;
-        }
-        for arm in arms {
-            if arm.transitions.is_empty() {
-                empty_arm = true;
-                state_bad = true;
-            }
-            for t in &arm.transitions {
-                if t.to >= n {
-                    dangling = true;
-                    state_bad = true;
-                }
-            }
-        }
-        if state_bad {
-            bad += 1;
-            push_offender(&mut offenders, s, opts.max_offenders);
-        }
-    }
-    if no_actions {
-        details.push("state(s) without actions");
-    }
-    if empty_arm {
-        details.push("arm(s) with no transitions");
-    }
-    if dangling {
-        details.push("transition target(s) out of range");
-    }
-    if bad == 0 {
-        checks.push(CheckResult::pass(
-            NAME,
-            "every state has ≥1 action, every arm ≥1 transition, all targets in range",
-        ));
-        true
-    } else {
-        checks.push(CheckResult::fail(
-            NAME,
-            format!("{bad} structurally broken state(s): {}", details.join(", ")),
-            offenders,
-        ));
-        false
-    }
-}
-
-/// CSR layout invariants of a compiled model: offset arrays monotone
-/// non-decreasing, anchored at zero, ending at the buffer lengths; all
-/// destination indices in range.
+/// CSR layout invariants of a model: offset arrays anchored at zero,
+/// strictly increasing (every state has an action, every arm a
+/// transition), ending at the buffer lengths; all destination indices in
+/// range. Returns whether the graph passes can run safely.
 fn csr_layout_check(c: &CompiledMdp, opts: &AuditOptions, checks: &mut Vec<CheckResult>) -> bool {
     const NAME: &str = "csr-layout";
     let (arm_offsets, tr_offsets) = c.raw_offsets();
@@ -447,6 +365,14 @@ fn csr_layout_check(c: &CompiledMdp, opts: &AuditOptions, checks: &mut Vec<Check
     }
     if tr_offsets.windows(2).any(|w| w[0] > w[1]) {
         problems.push("transition offsets not monotone".to_string());
+    }
+    let no_actions = arm_offsets.windows(2).filter(|w| w[0] == w[1]).count();
+    if no_actions > 0 {
+        problems.push(format!("{no_actions} state(s) without actions"));
+    }
+    let empty_arms = tr_offsets.windows(2).filter(|w| w[0] == w[1]).count();
+    if empty_arms > 0 {
+        problems.push(format!("{empty_arms} arm(s) with no transitions"));
     }
     if arm_offsets.last().copied().unwrap_or(0) as usize != c.num_arms() {
         problems.push("arm offsets do not cover the arm buffer".to_string());
@@ -470,8 +396,11 @@ fn csr_layout_check(c: &CompiledMdp, opts: &AuditOptions, checks: &mut Vec<Check
         problems.push(format!("{out_of_range} destination index(es) out of range"));
     }
     if problems.is_empty() && c.num_states() > 0 {
-        checks
-            .push(CheckResult::pass(NAME, "offsets monotone and anchored; all indices in bounds"));
+        checks.push(CheckResult::pass(
+            NAME,
+            "every state has >=1 action, every arm >=1 transition; offsets anchored, \
+             all indices in bounds",
+        ));
         true
     } else {
         if c.num_states() == 0 {
@@ -486,47 +415,8 @@ fn csr_layout_check(c: &CompiledMdp, opts: &AuditOptions, checks: &mut Vec<Check
 // Numeric checks
 // ---------------------------------------------------------------------------
 
-/// Uniform iteration over both model representations, so the numeric
-/// invariants are written once.
-enum NumericView<'a> {
-    Nested(&'a Mdp),
-    Compiled(&'a CompiledMdp),
-}
-
-impl NumericView<'_> {
-    /// Calls `f(state, global_arm_index, probs, reward_component_iter)` for
-    /// every arm.
-    fn for_each_arm(
-        &self,
-        mut f: impl FnMut(usize, usize, &mut dyn Iterator<Item = (f64, &[f64])>),
-    ) {
-        match self {
-            NumericView::Nested(mdp) => {
-                let mut arm_idx = 0usize;
-                for (s, arms) in mdp.iter_states() {
-                    for arm in arms {
-                        let mut it = arm.transitions.iter().map(|t| (t.prob, t.reward.as_slice()));
-                        f(s, arm_idx, &mut it);
-                        arm_idx += 1;
-                    }
-                }
-            }
-            NumericView::Compiled(c) => {
-                for s in 0..c.num_states() {
-                    for arm in c.arm_range(s) {
-                        let mut it = c
-                            .transition_range(arm)
-                            .map(|t| (c.raw_prob()[t], c.transition_rewards(t)));
-                        f(s, arm, &mut it);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Probability range/finiteness, per-arm mass, reward finiteness.
-fn numeric_checks(view: NumericView<'_>, opts: &AuditOptions, checks: &mut Vec<CheckResult>) {
+fn numeric_checks(c: &CompiledMdp, opts: &AuditOptions, checks: &mut Vec<CheckResult>) {
     let mut bad_prob_arms = Vec::new();
     let mut bad_prob_count = 0usize;
     let mut bad_mass_arms = Vec::new();
@@ -535,12 +425,12 @@ fn numeric_checks(view: NumericView<'_>, opts: &AuditOptions, checks: &mut Vec<C
     let mut bad_reward_arms = Vec::new();
     let mut bad_reward_count = 0usize;
 
-    view.for_each_arm(|_s, arm, transitions| {
+    for arm in 0..c.num_arms() {
         let mut mass = 0.0f64;
         let mut arm_bad_prob = false;
         let mut arm_bad_reward = false;
         let mut any = false;
-        for (p, reward) in transitions {
+        for (_, p, reward) in c.transitions(arm) {
             any = true;
             if !p.is_finite() || p < 0.0 || p > 1.0 + opts.prob_tolerance {
                 arm_bad_prob = true;
@@ -570,7 +460,7 @@ fn numeric_checks(view: NumericView<'_>, opts: &AuditOptions, checks: &mut Vec<C
             bad_reward_count += 1;
             push_offender(&mut bad_reward_arms, arm, opts.max_offenders);
         }
-    });
+    }
 
     checks.push(if bad_prob_count == 0 {
         CheckResult::pass("prob-finite", "all probabilities finite and within [0, 1]")
@@ -613,7 +503,7 @@ fn numeric_checks(view: NumericView<'_>, opts: &AuditOptions, checks: &mut Vec<C
 
 /// The model's transition structure with probabilities erased: per-arm
 /// positive-probability target lists in CSR form. All graph checks operate
-/// on this view, whichever representation it was built from.
+/// on this view.
 struct AuditGraph {
     /// `arm_offsets[s]..arm_offsets[s+1]` indexes state `s`'s arms.
     arm_offsets: Vec<usize>,
@@ -624,26 +514,6 @@ struct AuditGraph {
 }
 
 impl AuditGraph {
-    fn from_mdp(mdp: &Mdp) -> Self {
-        let mut arm_offsets = Vec::with_capacity(mdp.num_states() + 1);
-        let mut tr_offsets = Vec::with_capacity(mdp.num_state_actions() + 1);
-        let mut to = Vec::with_capacity(mdp.num_transitions());
-        arm_offsets.push(0);
-        tr_offsets.push(0);
-        for (_, arms) in mdp.iter_states() {
-            for arm in arms {
-                for t in &arm.transitions {
-                    if t.prob > 0.0 {
-                        to.push(t.to);
-                    }
-                }
-                tr_offsets.push(to.len());
-            }
-            arm_offsets.push(tr_offsets.len() - 1);
-        }
-        AuditGraph { arm_offsets, tr_offsets, to }
-    }
-
     fn from_compiled(c: &CompiledMdp) -> Self {
         let mut arm_offsets = Vec::with_capacity(c.num_states() + 1);
         let mut tr_offsets = Vec::with_capacity(c.num_arms() + 1);
@@ -1095,7 +965,7 @@ fn graph_checks(g: &AuditGraph, opts: &AuditOptions, checks: &mut Vec<CheckResul
 /// solver precondition forbids. Auditing it fails the `unichain` check.
 /// Used by `bvc audit --demo multichain` and the serve API to show what a
 /// failing report looks like.
-pub fn demo_multichain() -> Mdp {
+pub fn demo_multichain() -> CompiledMdp {
     let mut m = Mdp::new(1);
     let start = m.add_state();
     let left = m.add_state();
@@ -1107,12 +977,12 @@ pub fn demo_multichain() -> Mdp {
     );
     m.add_action(left, 0, vec![Transition::new(left, 1.0, vec![1.0])]);
     m.add_action(right, 0, vec![Transition::new(right, 1.0, vec![0.0])]);
-    m
+    CompiledMdp::compile(&m).expect("the demo model is well-formed")
 }
 
 /// A healthy two-state cycle plus a state nothing transitions into.
 /// Auditing it fails the `reachable` check.
-pub fn demo_unreachable() -> Mdp {
+pub fn demo_unreachable() -> CompiledMdp {
     let mut m = Mdp::new(1);
     let a = m.add_state();
     let b = m.add_state();
@@ -1120,13 +990,18 @@ pub fn demo_unreachable() -> Mdp {
     m.add_action(a, 0, vec![Transition::new(b, 1.0, vec![1.0])]);
     m.add_action(b, 0, vec![Transition::new(a, 1.0, vec![0.0])]);
     m.add_action(orphan, 0, vec![Transition::new(a, 1.0, vec![0.0])]);
-    m
+    CompiledMdp::compile(&m).expect("the demo model is well-formed")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Transition;
+
+    /// Audits a hand-built model as written, checks skipped, so broken
+    /// models reach the auditor.
+    fn audit(m: &Mdp, opts: &AuditOptions) -> AuditReport {
+        audit_compiled(&CompiledMdp::compile_unchecked(m), opts)
+    }
 
     /// Two states cycling deterministically: irreducible, unichain.
     fn cycle2() -> Mdp {
@@ -1157,24 +1032,25 @@ mod tests {
 
     #[test]
     fn clean_model_passes_everything() {
-        let report = audit_mdp(&cycle2(), &AuditOptions::default());
+        let report = audit(&cycle2(), &AuditOptions::default());
         assert!(report.clean(), "{}", report.render_text());
         assert_eq!(report.check("unichain").map(|c| c.status), Some(AuditStatus::Pass));
         report.gate().expect("clean model gates through");
     }
 
     #[test]
-    fn compiled_audit_matches_nested() {
-        let m = cycle2();
-        let c = CompiledMdp::compile(&m).expect("compiles");
-        let report = audit_compiled(&c, &AuditOptions::default());
-        assert!(report.clean(), "{}", report.render_text());
-        assert!(report.check("csr-layout").is_some());
+    fn demo_models_fail_their_named_check() {
+        let opts = AuditOptions::default();
+        let multichain = audit_compiled(&demo_multichain(), &opts);
+        assert_eq!(multichain.check("unichain").map(|c| c.status), Some(AuditStatus::Fail));
+        let unreachable = audit_compiled(&demo_unreachable(), &opts);
+        assert_eq!(unreachable.check("reachable").map(|c| c.status), Some(AuditStatus::Fail));
+        assert_eq!(unreachable.check("csr-layout").map(|c| c.status), Some(AuditStatus::Pass));
     }
 
     #[test]
     fn multichain_model_fails_unichain_and_end_components() {
-        let report = audit_mdp(&two_traps(), &AuditOptions::default());
+        let report = audit(&two_traps(), &AuditOptions::default());
         assert!(!report.passed(), "{}", report.render_text());
         let ec = report.check("end-components").expect("check exists");
         assert_eq!(ec.status, AuditStatus::Fail);
@@ -1190,7 +1066,7 @@ mod tests {
         let mut m = cycle2();
         let orphan = m.add_state();
         m.add_action(orphan, 0, vec![Transition::new(0, 1.0, vec![0.0])]);
-        let report = audit_mdp(&m, &AuditOptions::default());
+        let report = audit(&m, &AuditOptions::default());
         let r = report.check("reachable").expect("check exists");
         assert_eq!(r.status, AuditStatus::Fail);
         assert_eq!(r.offenders, vec![orphan]);
@@ -1208,7 +1084,7 @@ mod tests {
                 Transition::new(s, 1.0, vec![f64::INFINITY]),
             ],
         );
-        let report = audit_mdp(&m, &AuditOptions::default());
+        let report = audit(&m, &AuditOptions::default());
         assert_eq!(report.check("prob-finite").map(|c| c.status), Some(AuditStatus::Fail));
         assert_eq!(report.check("prob-mass").map(|c| c.status), Some(AuditStatus::Fail));
         assert_eq!(report.check("reward-finite").map(|c| c.status), Some(AuditStatus::Fail));
@@ -1219,7 +1095,7 @@ mod tests {
         let mut m = Mdp::new(1);
         let s = m.add_state();
         m.add_action(s, 0, vec![Transition::new(s, 0.5, vec![0.0])]);
-        let report = audit_mdp(&m, &AuditOptions::default());
+        let report = audit(&m, &AuditOptions::default());
         assert_eq!(report.check("prob-mass").map(|c| c.status), Some(AuditStatus::Fail));
         assert_eq!(report.check("prob-finite").map(|c| c.status), Some(AuditStatus::Pass));
     }
@@ -1228,9 +1104,17 @@ mod tests {
     fn structural_breakage_skips_graph_analysis() {
         let mut m = Mdp::new(1);
         m.add_state(); // no actions at all
-        let report = audit_mdp(&m, &AuditOptions::default());
-        assert_eq!(report.check("structure").map(|c| c.status), Some(AuditStatus::Fail));
+        let report = audit(&m, &AuditOptions::default());
+        let layout = report.check("csr-layout").expect("check exists");
+        assert_eq!(layout.status, AuditStatus::Fail);
+        assert!(layout.detail.contains("1 state(s) without actions"), "{}", layout.detail);
         assert_eq!(report.check("unichain").map(|c| c.status), Some(AuditStatus::Warn));
+
+        let mut m = Mdp::new(1);
+        let s = m.add_state();
+        m.add_action(s, 0, vec![]);
+        let layout = audit(&m, &AuditOptions::default()).check("csr-layout").cloned();
+        assert!(layout.is_some_and(|c| c.detail.contains("1 arm(s) with no transitions")));
     }
 
     #[test]
@@ -1246,14 +1130,15 @@ mod tests {
         m.add_action(c, 0, vec![Transition::new(b, 1.0, vec![0.0])]);
         let opts = AuditOptions::default();
         // Staying policy: {0} and {1,2} are both recurrent → multichain.
-        let split = audit_policy(&m, &Policy { choices: vec![0, 0, 0] }, &opts);
+        let c = CompiledMdp::compile(&m).unwrap();
+        let split = audit_policy(&c, &Policy { choices: vec![0, 0, 0] }, &opts);
         assert_eq!(split.status, AuditStatus::Fail);
         assert_eq!(split.offenders.len(), 2);
         // Joining policy: only {1,2} recurrent → unichain.
-        let joined = audit_policy(&m, &Policy { choices: vec![1, 0, 0] }, &opts);
+        let joined = audit_policy(&c, &Policy { choices: vec![1, 0, 0] }, &opts);
         assert_eq!(joined.status, AuditStatus::Pass, "{}", joined.detail);
         // The *model* is multichain (the staying policy witnesses it).
-        let report = audit_mdp(&m, &opts);
+        let report = audit(&m, &opts);
         assert_eq!(report.check("unichain").map(|c| c.status), Some(AuditStatus::Fail));
     }
 
@@ -1267,7 +1152,7 @@ mod tests {
         m.add_action(a, 0, vec![Transition::new(a, 1.0, vec![0.0])]);
         m.add_action(a, 1, vec![Transition::new(b, 1.0, vec![0.0])]);
         m.add_action(b, 0, vec![Transition::new(b, 1.0, vec![0.0])]);
-        let report = audit_mdp(&m, &AuditOptions::default());
+        let report = audit(&m, &AuditOptions::default());
         let ec = report.check("end-components").expect("exists");
         assert_eq!(ec.status, AuditStatus::Fail, "{}", ec.detail);
         assert!(ec.detail.contains("2 disjoint"), "{}", ec.detail);
@@ -1281,7 +1166,7 @@ mod tests {
         let b = m.add_state();
         m.add_action(a, 0, vec![Transition::new(b, 1.0, vec![0.0])]);
         m.add_action(b, 0, vec![Transition::new(b, 1.0, vec![0.0])]);
-        let report = audit_mdp(&m, &AuditOptions::default());
+        let report = audit(&m, &AuditOptions::default());
         assert_eq!(report.check("unichain").map(|c| c.status), Some(AuditStatus::Pass));
         assert_eq!(report.check("absorbing").map(|c| c.status), Some(AuditStatus::Warn));
         assert!(report.passed());
@@ -1300,14 +1185,14 @@ mod tests {
             0,
             vec![Transition::new(a, 0.0, vec![0.0]), Transition::new(b, 1.0, vec![0.0])],
         );
-        let report = audit_mdp(&m, &AuditOptions::default());
+        let report = audit(&m, &AuditOptions::default());
         assert_eq!(report.check("absorbing").map(|c| c.status), Some(AuditStatus::Warn));
         assert_eq!(report.check("unichain").map(|c| c.status), Some(AuditStatus::Pass));
     }
 
     #[test]
     fn render_text_and_json_are_well_formed() {
-        let report = audit_mdp(&two_traps(), &AuditOptions::default());
+        let report = audit(&two_traps(), &AuditOptions::default());
         let text = report.render_text();
         assert!(text.contains("[FAIL]"), "{text}");
         assert!(text.contains("verdict: FAIL"), "{text}");
@@ -1336,7 +1221,7 @@ mod tests {
             m.add_action(o, 0, vec![Transition::new(hub, 1.0, vec![0.0])]);
         }
         let opts = AuditOptions { max_offenders: 4, ..Default::default() };
-        let report = audit_mdp(&m, &opts);
+        let report = audit(&m, &opts);
         let r = report.check("reachable").expect("exists");
         assert_eq!(r.status, AuditStatus::Fail);
         assert_eq!(r.offenders.len(), 4);

@@ -1,11 +1,5 @@
-//! CSR-style compiled execution layer for [`Mdp`] models.
-//!
-//! The builder-facing [`Mdp`] stores `Vec<Vec<ActionArm>>` with one
-//! heap-allocated reward vector per transition — convenient to construct,
-//! hostile to solver inner loops: every Bellman backup chases three levels
-//! of pointers and the reward dot product touches a separate allocation per
-//! transition. A [`CompiledMdp`] flattens the same model into contiguous
-//! arrays in compressed-sparse-row style:
+//! The one MDP representation every solver, audit and reader works on:
+//! flat arrays in compressed-sparse-row (CSR) style.
 //!
 //! ```text
 //! states:       0 ───────┐ 1 ──┐  ...                (implicit)
@@ -17,6 +11,15 @@
 //! rewards:      [r00 r01 .. r0k | r10 r11 .. r1k | …] len T·k, transition-major
 //! ```
 //!
+//! Models are written straight into these arrays, one state at a time, in
+//! id order: [`explore`](crate::indexer::explore) appends each state's arms
+//! as it expands the state, and [`CompiledMdp::compile`] copies a
+//! hand-written nested [`Mdp`] (the builder for small and random test
+//! models). Both writers run the same checks on every arm as they append it
+//! — nonnegative finite probabilities summing to one, targets in range,
+//! rewards of the declared arity and finite, at least one action per state
+//! — and report the first failure in (state, action, transition) order.
+//!
 //! Solvers then run branch-light passes over flat slices. Reward vectors are
 //! collapsed to scalars **once per sweep** by [`CompiledMdp::scalarize`]
 //! (per-arm *expected* immediate reward, since every solver only ever needs
@@ -24,15 +27,12 @@
 //! re-scalarization is a fused multiply-add over two precomputed arrays
 //! ([`CompiledMdp::combine_scalarized_into`]) — it never re-reads the
 //! `rewards` buffer.
-//!
-//! The nested [`Mdp`] stays the construction front-end; compile once with
-//! [`CompiledMdp::compile`] (which validates) and solve many objectives.
 
 use crate::error::MdpError;
-use crate::model::{Mdp, Objective, Policy, StateId};
+use crate::model::{ActionId, Mdp, Objective, Policy, StateId, PROB_SUM_TOLERANCE};
 use crate::shard::{effective_threads, run_chunked, SCALARIZE_MIN_ARMS};
 
-/// A validated, flattened, solver-ready MDP (see the module docs).
+/// A validated, flat, solver-ready MDP (see the module docs).
 #[derive(Debug, Clone)]
 pub struct CompiledMdp {
     reward_components: usize,
@@ -54,55 +54,166 @@ pub struct CompiledMdp {
     rewards: Vec<f64>,
 }
 
+/// What [`CompiledMdp::compile`] accepts: a nested builder model, which it
+/// checks and flattens, or a [`CompiledMdp`], which it copies.
+///
+/// The copy exists only so the benchmark's traced decomposition, which
+/// times `CompiledMdp::compile(model.mdp())` as its own layer, keeps
+/// building; delete that impl together with that call.
+pub trait Compile {
+    /// The model as a [`CompiledMdp`].
+    fn to_compiled(&self) -> Result<CompiledMdp, MdpError>;
+}
+
+impl Compile for Mdp {
+    fn to_compiled(&self) -> Result<CompiledMdp, MdpError> {
+        let (compiled, first_error) = CompiledMdp::write_nested(self);
+        match first_error {
+            Some(e) => Err(e),
+            None => Ok(compiled),
+        }
+    }
+}
+
+impl Compile for CompiledMdp {
+    fn to_compiled(&self) -> Result<CompiledMdp, MdpError> {
+        Ok(self.clone())
+    }
+}
+
 impl CompiledMdp {
-    /// Validates `mdp` and flattens it into CSR form.
+    /// Checks a nested [`Mdp`] and writes it into CSR form (see
+    /// [`Compile`] for the other accepted input).
     ///
     /// # Panics
     /// Panics if the model exceeds `u32` index space (4 billion states,
     /// arms, or transitions) — far beyond what the dense solvers could
     /// process anyway.
-    pub fn compile(mdp: &Mdp) -> Result<Self, MdpError> {
-        mdp.validate()?;
+    pub fn compile(model: &impl Compile) -> Result<Self, MdpError> {
+        model.to_compiled()
+    }
+
+    /// Writes every arm of `mdp`, checked, and returns the model with the
+    /// first failed check (an empty model fails with [`MdpError::Empty`]).
+    fn write_nested(mdp: &Mdp) -> (Self, Option<MdpError>) {
         let n = mdp.num_states();
-        let num_arms = mdp.num_state_actions();
-        let num_tr = mdp.num_transitions();
+        let mut out = CompiledMdp::with_capacity(mdp.reward_components(), (0, 0, 0));
+        let mut first_error = (n == 0).then_some(MdpError::Empty);
+        for (s, arms) in mdp.iter_states() {
+            for (a, arm) in arms.iter().enumerate() {
+                let transitions = arm.transitions.iter().map(|t| (t.to, t.prob, &t.reward[..]));
+                if let Err(e) = out.push_arm(s, a, arm.label, n, transitions) {
+                    first_error.get_or_insert(e);
+                }
+            }
+            if let Err(e) = out.end_state(s) {
+                first_error.get_or_insert(e);
+            }
+        }
+        (out, first_error)
+    }
+
+    /// [`CompiledMdp::compile`] without the checks, so audit tests can build
+    /// the broken models a checked writer refuses.
+    #[cfg(test)]
+    pub(crate) fn compile_unchecked(mdp: &Mdp) -> Self {
+        Self::write_nested(mdp).0
+    }
+
+    /// Compiles a hand-built test model that must be well-formed.
+    #[cfg(test)]
+    pub(crate) fn of(mdp: &Mdp) -> Self {
+        Self::compile(mdp).expect("well-formed test model")
+    }
+
+    /// A model with no states yet, for the writers to append to, with room
+    /// for `(states, arms, transitions)`.
+    pub(crate) fn with_capacity(
+        reward_components: usize,
+        (states, arms, transitions): (usize, usize, usize),
+    ) -> Self {
+        let mut arm_offsets = Vec::with_capacity(states + 1);
+        arm_offsets.push(0);
+        let mut tr_offsets = Vec::with_capacity(arms + 1);
+        tr_offsets.push(0);
+        CompiledMdp {
+            reward_components,
+            arm_offsets,
+            arm_labels: Vec::with_capacity(arms),
+            tr_offsets,
+            next: Vec::with_capacity(transitions),
+            prob: Vec::with_capacity(transitions),
+            rewards: Vec::with_capacity(transitions * reward_components),
+        }
+    }
+
+    /// Appends action `action` (domain label `label`) of `state`, the state
+    /// being written, with its `(target, probability, reward)` transitions.
+    ///
+    /// The arm is always stored; the result is its first failed check, in
+    /// the order they run per transition — negative probability,
+    /// non-finite probability, target not below `num_states`, reward arity,
+    /// non-finite reward — then the probability sum. A reward of the wrong
+    /// arity is stored as `reward_components` NaNs.
+    pub(crate) fn push_arm<'r>(
+        &mut self,
+        state: StateId,
+        action: ActionId,
+        label: usize,
+        num_states: usize,
+        transitions: impl IntoIterator<Item = (StateId, f64, &'r [f64])>,
+    ) -> Result<(), MdpError> {
+        let k = self.reward_components;
+        let mut first_error = None;
+        let mut fail = |e: MdpError| {
+            first_error.get_or_insert(e);
+        };
+        let mut sum = 0.0;
+        self.arm_labels.push(label as u32);
+        for (to, prob, reward) in transitions {
+            if prob < 0.0 {
+                fail(MdpError::NegativeProbability { state, action, prob });
+            } else if !prob.is_finite() {
+                fail(MdpError::NonFiniteProbability { state, action, prob });
+            } else if to >= num_states {
+                fail(MdpError::DanglingTarget { state, action, target: to });
+            } else if reward.len() != k {
+                fail(MdpError::RewardArity { state, action, found: reward.len(), expected: k });
+            } else if let Some(c) = reward.iter().position(|r| !r.is_finite()) {
+                fail(MdpError::NonFiniteReward { state, action, component: c, value: reward[c] });
+            }
+            sum += prob;
+            self.next.push(to as u32);
+            self.prob.push(prob);
+            if reward.len() == k {
+                self.rewards.extend_from_slice(reward);
+            } else {
+                self.rewards.resize(self.rewards.len() + k, f64::NAN);
+            }
+        }
+        self.tr_offsets.push(self.next.len() as u32);
+        if (sum - 1.0).abs() > PROB_SUM_TOLERANCE {
+            fail(MdpError::BadProbabilitySum { state, action, sum });
+        }
+        first_error.map_or(Ok(()), Err)
+    }
+
+    /// Closes `state`, whose arms were just pushed: [`MdpError::NoActions`]
+    /// when it has none.
+    ///
+    /// # Panics
+    /// Panics if the model has outgrown `u32` index space.
+    pub(crate) fn end_state(&mut self, state: StateId) -> Result<(), MdpError> {
         assert!(
-            n < u32::MAX as usize && num_arms < u32::MAX as usize && num_tr < u32::MAX as usize,
+            self.next.len() < u32::MAX as usize && self.arm_labels.len() < u32::MAX as usize,
             "model exceeds u32 index space"
         );
-        let k = mdp.reward_components();
-
-        let mut arm_offsets = Vec::with_capacity(n + 1);
-        let mut arm_labels = Vec::with_capacity(num_arms);
-        let mut tr_offsets = Vec::with_capacity(num_arms + 1);
-        let mut next = Vec::with_capacity(num_tr);
-        let mut prob = Vec::with_capacity(num_tr);
-        let mut rewards = Vec::with_capacity(num_tr * k);
-
-        arm_offsets.push(0);
-        tr_offsets.push(0);
-        for (_, arms) in mdp.iter_states() {
-            for arm in arms {
-                arm_labels.push(arm.label as u32);
-                for t in &arm.transitions {
-                    next.push(t.to as u32);
-                    prob.push(t.prob);
-                    rewards.extend_from_slice(&t.reward);
-                }
-                tr_offsets.push(next.len() as u32);
-            }
-            arm_offsets.push(arm_labels.len() as u32);
+        let last = *self.arm_offsets.last().expect("anchored at 0");
+        self.arm_offsets.push(self.arm_labels.len() as u32);
+        if self.arm_labels.len() as u32 == last {
+            return Err(MdpError::NoActions { state });
         }
-
-        Ok(CompiledMdp {
-            reward_components: k,
-            arm_offsets,
-            arm_labels,
-            tr_offsets,
-            next,
-            prob,
-            rewards,
-        })
+        Ok(())
     }
 
     /// Number of states.
@@ -161,11 +272,28 @@ impl CompiledMdp {
         (&self.prob[r.clone()], &self.next[r])
     }
 
-    /// Domain label of the local action `a` of state `s` (the compiled
-    /// equivalent of [`Policy::label`]).
+    /// Domain label of the local action `a` of state `s`.
     #[inline]
-    pub fn label(&self, s: StateId, a: usize) -> usize {
-        self.arm_labels[self.arm_offsets[s] as usize + a] as usize
+    pub fn label(&self, s: StateId, a: ActionId) -> usize {
+        self.arm_label(self.arm_offsets[s] as usize + a)
+    }
+
+    /// Domain label of global arm `arm`.
+    #[inline]
+    pub fn arm_label(&self, arm: usize) -> usize {
+        self.arm_labels[arm] as usize
+    }
+
+    /// The local action of state `s` whose domain label is `label`, if any.
+    pub fn action_with_label(&self, s: StateId, label: usize) -> Option<ActionId> {
+        self.arm_range(s).position(|arm| self.arm_label(arm) == label)
+    }
+
+    /// `(target, probability, reward components)` of every transition of
+    /// global arm `arm`, in stored order.
+    pub fn transitions(&self, arm: usize) -> impl Iterator<Item = (StateId, f64, &[f64])> + '_ {
+        self.transition_range(arm)
+            .map(|t| (self.next[t] as usize, self.prob[t], self.transition_rewards(t)))
     }
 
     /// Reward components of transition `t` (strided view).
@@ -198,8 +326,7 @@ impl CompiledMdp {
         &self.rewards
     }
 
-    /// Checks that `policy` selects a valid action index for every state
-    /// (compiled counterpart of [`Mdp::validate_policy`]).
+    /// Checks that `policy` selects a valid action index for every state.
     pub fn validate_policy(&self, policy: &Policy) -> Result<(), MdpError> {
         if policy.choices.len() != self.num_states() {
             return Err(MdpError::BadPolicy { state: self.num_states() });
@@ -409,52 +536,101 @@ mod tests {
 
     #[test]
     fn labels_roundtrip() {
-        let m = sample_mdp();
-        let c = CompiledMdp::compile(&m).unwrap();
+        let c = CompiledMdp::compile(&sample_mdp()).unwrap();
         assert_eq!(c.label(0, 0), 7);
         assert_eq!(c.label(0, 1), 9);
         assert_eq!(c.label(1, 0), 4);
     }
 
-    #[test]
-    fn rejects_invalid_models() {
-        let mut m = Mdp::new(1);
+    /// One state with one arm of the given transitions.
+    fn one_arm(components: usize, transitions: Vec<Transition>) -> Mdp {
+        let mut m = Mdp::new(components);
         let s = m.add_state();
-        m.add_action(s, 0, vec![Transition::new(s, 0.5, vec![0.0])]);
-        assert!(matches!(CompiledMdp::compile(&m), Err(MdpError::BadProbabilitySum { .. })));
+        m.add_action(s, 0, transitions);
+        m
     }
 
-    /// Every malformed-model shape turns into a structured error — compile
-    /// never panics.
-    #[test]
-    fn rejects_broken_models_without_panicking() {
-        // Out-of-range target state id.
-        let mut m = Mdp::new(1);
-        let s = m.add_state();
-        m.add_action(s, 0, vec![Transition::new(42, 1.0, vec![0.0])]);
-        assert!(matches!(
-            CompiledMdp::compile(&m),
-            Err(MdpError::DanglingTarget { target: 42, .. })
-        ));
+    fn compile_err(m: &Mdp) -> MdpError {
+        CompiledMdp::compile(m).expect_err("the model is malformed")
+    }
 
-        // A state with an empty action list.
+    #[test]
+    fn rejects_empty_model_and_state_without_actions() {
+        assert_eq!(compile_err(&Mdp::new(1)), MdpError::Empty);
         let mut m = Mdp::new(1);
         let a = m.add_state();
         let b = m.add_state();
         m.add_action(a, 0, vec![Transition::new(b, 1.0, vec![0.0])]);
-        assert!(matches!(CompiledMdp::compile(&m), Err(MdpError::NoActions { state: 1 })));
+        assert_eq!(compile_err(&m), MdpError::NoActions { state: 1 });
+    }
 
-        // NaN reward.
-        let mut m = Mdp::new(1);
-        let s = m.add_state();
-        m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![f64::NAN])]);
-        assert!(matches!(CompiledMdp::compile(&m), Err(MdpError::NonFiniteReward { .. })));
+    /// Every malformed-arm shape turns into a structured error naming its
+    /// state and action — compile never panics.
+    #[test]
+    fn rejects_malformed_arms() {
+        let m = one_arm(1, vec![Transition::new(0, 0.5, vec![0.0])]);
+        assert_eq!(compile_err(&m), MdpError::BadProbabilitySum { state: 0, action: 0, sum: 0.5 });
+        let m = one_arm(1, vec![]);
+        assert_eq!(compile_err(&m), MdpError::BadProbabilitySum { state: 0, action: 0, sum: 0.0 });
+        let m = one_arm(
+            1,
+            vec![Transition::new(0, -0.5, vec![0.0]), Transition::new(0, 1.5, vec![0.0])],
+        );
+        assert_eq!(
+            compile_err(&m),
+            MdpError::NegativeProbability { state: 0, action: 0, prob: -0.5 }
+        );
+        let m = one_arm(1, vec![Transition::new(0, f64::NEG_INFINITY, vec![0.0])]);
+        assert!(matches!(compile_err(&m), MdpError::NegativeProbability { .. }));
+        for bad in [f64::NAN, f64::INFINITY] {
+            let m = one_arm(1, vec![Transition::new(0, bad, vec![0.0])]);
+            assert!(matches!(
+                compile_err(&m),
+                MdpError::NonFiniteProbability { state: 0, action: 0, .. }
+            ));
+        }
+        let m = one_arm(1, vec![Transition::new(42, 1.0, vec![0.0])]);
+        assert_eq!(compile_err(&m), MdpError::DanglingTarget { state: 0, action: 0, target: 42 });
+        let m = one_arm(2, vec![Transition::new(0, 1.0, vec![0.0])]);
+        assert_eq!(
+            compile_err(&m),
+            MdpError::RewardArity { state: 0, action: 0, found: 1, expected: 2 }
+        );
+        let m = one_arm(2, vec![Transition::new(0, 1.0, vec![0.0, f64::NAN])]);
+        assert!(matches!(
+            compile_err(&m),
+            MdpError::NonFiniteReward { state: 0, action: 0, component: 1, value } if value.is_nan()
+        ));
+    }
 
-        // NaN probability.
+    /// The first failure in (state, action) order is the one reported.
+    #[test]
+    fn reports_the_first_malformed_arm() {
         let mut m = Mdp::new(1);
-        let s = m.add_state();
-        m.add_action(s, 0, vec![Transition::new(s, f64::NAN, vec![0.0])]);
-        assert!(matches!(CompiledMdp::compile(&m), Err(MdpError::NonFiniteProbability { .. })));
+        let a = m.add_state();
+        let b = m.add_state();
+        m.add_action(a, 0, vec![Transition::new(b, 1.0, vec![0.0])]);
+        m.add_action(a, 1, vec![Transition::new(b, 0.5, vec![0.0])]);
+        m.add_action(b, 0, vec![Transition::new(a, f64::NAN, vec![0.0])]);
+        assert_eq!(compile_err(&m), MdpError::BadProbabilitySum { state: 0, action: 1, sum: 0.5 });
+    }
+
+    /// Compiling a compiled model copies it.
+    #[test]
+    fn compile_copies_a_compiled_model() {
+        let c = CompiledMdp::compile(&sample_mdp()).unwrap();
+        let copy = CompiledMdp::compile(&c).unwrap();
+        assert_eq!(format!("{c:?}"), format!("{copy:?}"));
+    }
+
+    #[test]
+    fn transitions_and_label_lookup() {
+        let c = CompiledMdp::compile(&sample_mdp()).unwrap();
+        let t: Vec<_> = c.transitions(2).collect();
+        assert_eq!(t, vec![(0, 0.25, &[0.0, 4.0][..]), (1, 0.75, &[1.0, 1.0][..])]);
+        assert_eq!(c.arm_label(1), 9);
+        assert_eq!(c.action_with_label(0, 9), Some(1));
+        assert_eq!(c.action_with_label(1, 9), None);
     }
 
     #[test]

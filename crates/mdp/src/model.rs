@@ -1,23 +1,26 @@
-//! Sparse finite Markov decision process representation.
+//! The nested model builder, and the policy and objective types every
+//! solver shares.
 //!
-//! An [`Mdp`] stores, for every state, a list of available actions; each
-//! action owns a sparse list of [`Transition`]s. Every transition carries a
-//! *reward vector* rather than a scalar: the same model can then be solved
-//! under several objectives (e.g. the attacker's locked blocks, the other
-//! miners' locked blocks, orphan counts, and double-spend payouts are all
-//! separate components, combined into scalars only at solve time by an
-//! [`Objective`]).
+//! An [`Mdp`] stores, for every state, a list of actions, each owning a list
+//! of [`Transition`]s. It is the builder for small hand-written and random
+//! test models, finished by [`CompiledMdp::compile`]; the solvers read only
+//! the compiled form (and [`crate::indexer::explore`] writes domain models
+//! straight into it). Every transition carries a *reward vector* rather than
+//! a scalar: the same model can then be solved under several objectives
+//! (e.g. the attacker's locked blocks, the other miners' locked blocks,
+//! orphan counts, and double-spend payouts are all separate components,
+//! combined into scalars only at solve time by an [`Objective`]).
 
-use crate::error::MdpError;
+use crate::compiled::CompiledMdp;
 
-/// Index of a state inside an [`Mdp`].
+/// Index of a state inside a model.
 pub type StateId = usize;
 
 /// Index of an action inside a state's action list.
 ///
 /// Action indices are *local* to a state: action `0` of state `s` and action
 /// `0` of state `t` need not represent the same domain action. Domain crates
-/// attach meaning via [`ActionArm::label`].
+/// attach meaning via the action's label ([`CompiledMdp::label`]).
 pub type ActionId = usize;
 
 /// A single probabilistic transition of one action.
@@ -41,23 +44,22 @@ impl Transition {
 
 /// One action available in one state: a label plus its outgoing transitions.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ActionArm {
-    /// Domain-level action identifier (e.g. `OnChain1 = 0`). Labels are
-    /// carried through solving so a computed [`Policy`] can be
-    /// mapped back to domain actions.
-    pub label: usize,
-    /// Sparse outgoing transition distribution. Probabilities must sum to 1.
-    pub transitions: Vec<Transition>,
+pub(crate) struct ActionArm {
+    /// Domain-level action identifier, carried into the compiled model.
+    pub(crate) label: usize,
+    /// Sparse outgoing transition distribution.
+    pub(crate) transitions: Vec<Transition>,
 }
 
-/// Sparse finite MDP with vector-valued rewards.
+/// Nested builder for a sparse finite MDP with vector-valued rewards. It is
+/// checked only when [`CompiledMdp::compile`] writes it out.
 #[derive(Debug, Clone)]
 pub struct Mdp {
     reward_components: usize,
     actions: Vec<Vec<ActionArm>>,
 }
 
-/// How tightly probability sums are checked during [`Mdp::validate`].
+/// How far an action's probabilities may sum from one.
 pub const PROB_SUM_TOLERANCE: f64 = 1e-9;
 
 impl Mdp {
@@ -77,34 +79,16 @@ impl Mdp {
         self.actions.len()
     }
 
-    /// Total number of (state, action) pairs.
-    pub fn num_state_actions(&self) -> usize {
-        self.actions.iter().map(Vec::len).sum()
-    }
-
-    /// Total number of stored transitions.
-    pub fn num_transitions(&self) -> usize {
-        self.actions.iter().flat_map(|arms| arms.iter().map(|a| a.transitions.len())).sum()
-    }
-
     /// Appends a new state with no actions yet and returns its id.
     pub fn add_state(&mut self) -> StateId {
         self.actions.push(Vec::new());
         self.actions.len() - 1
     }
 
-    /// Ensures states `0..=id` exist.
-    pub fn ensure_state(&mut self, id: StateId) {
-        while self.actions.len() <= id {
-            self.actions.push(Vec::new());
-        }
-    }
-
     /// Adds an action to `state` and returns its local [`ActionId`].
     ///
     /// # Panics
-    /// Panics if `state` does not exist. Use [`Mdp::ensure_state`] first when
-    /// building out of order.
+    /// Panics if `state` does not exist.
     pub fn add_action(
         &mut self,
         state: StateId,
@@ -115,84 +99,9 @@ impl Mdp {
         self.actions[state].len() - 1
     }
 
-    /// The actions available in `state`.
-    pub fn actions(&self, state: StateId) -> &[ActionArm] {
-        &self.actions[state]
-    }
-
-    /// Iterates over all states as `(StateId, &[ActionArm])`.
-    pub fn iter_states(&self) -> impl Iterator<Item = (StateId, &[ActionArm])> {
+    /// Iterates over all states' action lists, in id order.
+    pub(crate) fn iter_states(&self) -> impl Iterator<Item = (StateId, &[ActionArm])> {
         self.actions.iter().enumerate().map(|(i, a)| (i, a.as_slice()))
-    }
-
-    /// Checks structural well-formedness: at least one state, at least one
-    /// action per state, probabilities nonnegative and summing to one, all
-    /// targets in range, all reward vectors of the declared arity.
-    pub fn validate(&self) -> Result<(), MdpError> {
-        if self.actions.is_empty() {
-            return Err(MdpError::Empty);
-        }
-        for (s, arms) in self.actions.iter().enumerate() {
-            if arms.is_empty() {
-                return Err(MdpError::NoActions { state: s });
-            }
-            for (a, arm) in arms.iter().enumerate() {
-                let mut sum = 0.0;
-                for t in &arm.transitions {
-                    if t.prob < 0.0 {
-                        return Err(MdpError::NegativeProbability {
-                            state: s,
-                            action: a,
-                            prob: t.prob,
-                        });
-                    }
-                    if !t.prob.is_finite() {
-                        return Err(MdpError::NonFiniteProbability {
-                            state: s,
-                            action: a,
-                            prob: t.prob,
-                        });
-                    }
-                    if t.to >= self.actions.len() {
-                        return Err(MdpError::DanglingTarget { state: s, action: a, target: t.to });
-                    }
-                    if t.reward.len() != self.reward_components {
-                        return Err(MdpError::RewardArity {
-                            state: s,
-                            action: a,
-                            found: t.reward.len(),
-                            expected: self.reward_components,
-                        });
-                    }
-                    if let Some(c) = t.reward.iter().position(|r| !r.is_finite()) {
-                        return Err(MdpError::NonFiniteReward {
-                            state: s,
-                            action: a,
-                            component: c,
-                            value: t.reward[c],
-                        });
-                    }
-                    sum += t.prob;
-                }
-                if (sum - 1.0).abs() > PROB_SUM_TOLERANCE {
-                    return Err(MdpError::BadProbabilitySum { state: s, action: a, sum });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks that `policy` selects a valid action index for every state.
-    pub fn validate_policy(&self, policy: &Policy) -> Result<(), MdpError> {
-        if policy.choices.len() != self.num_states() {
-            return Err(MdpError::BadPolicy { state: self.num_states() });
-        }
-        for (s, &a) in policy.choices.iter().enumerate() {
-            if a >= self.actions[s].len() {
-                return Err(MdpError::BadPolicy { state: s });
-            }
-        }
-        Ok(())
     }
 }
 
@@ -211,8 +120,8 @@ impl Policy {
     }
 
     /// The domain label of the action this policy picks in `state`.
-    pub fn label(&self, mdp: &Mdp, state: StateId) -> usize {
-        mdp.actions(state)[self.choices[state]].label
+    pub fn label(&self, mdp: &CompiledMdp, state: StateId) -> usize {
+        mdp.label(state, self.choices[state])
     }
 }
 
@@ -237,17 +146,6 @@ impl Objective {
         Objective { weights }
     }
 
-    /// Checks the weight vector's arity against a model.
-    pub fn validate(&self, mdp: &Mdp) -> Result<(), MdpError> {
-        if self.weights.len() != mdp.reward_components() {
-            return Err(MdpError::ObjectiveArity {
-                found: self.weights.len(),
-                expected: mdp.reward_components(),
-            });
-        }
-        Ok(())
-    }
-
     /// Scalarizes one reward vector.
     #[inline]
     pub fn scalarize(&self, reward: &[f64]) -> f64 {
@@ -265,123 +163,24 @@ impl Objective {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::MdpError;
 
-    fn two_state_chain() -> Mdp {
+    fn two_state_chain() -> CompiledMdp {
         // 0 --a--> 1 (reward [1,0]); 1 --a--> 0 (reward [0,1]).
         let mut m = Mdp::new(2);
         let s0 = m.add_state();
         let s1 = m.add_state();
         m.add_action(s0, 7, vec![Transition::new(s1, 1.0, vec![1.0, 0.0])]);
         m.add_action(s1, 8, vec![Transition::new(s0, 1.0, vec![0.0, 1.0])]);
-        m
+        CompiledMdp::compile(&m).expect("well-formed")
     }
 
     #[test]
-    fn validates_well_formed_model() {
+    fn builds_well_formed_model() {
         let m = two_state_chain();
         assert_eq!(m.num_states(), 2);
-        assert_eq!(m.num_state_actions(), 2);
+        assert_eq!(m.num_arms(), 2);
         assert_eq!(m.num_transitions(), 2);
-        m.validate().expect("well-formed");
-    }
-
-    #[test]
-    fn rejects_empty_model() {
-        let m = Mdp::new(1);
-        assert_eq!(m.validate(), Err(MdpError::Empty));
-    }
-
-    #[test]
-    fn rejects_state_without_actions() {
-        let mut m = Mdp::new(1);
-        m.add_state();
-        assert_eq!(m.validate(), Err(MdpError::NoActions { state: 0 }));
-    }
-
-    #[test]
-    fn rejects_bad_probability_sum() {
-        let mut m = Mdp::new(1);
-        let s = m.add_state();
-        m.add_action(s, 0, vec![Transition::new(s, 0.5, vec![0.0])]);
-        match m.validate() {
-            Err(MdpError::BadProbabilitySum { state: 0, action: 0, sum }) => {
-                assert!((sum - 0.5).abs() < 1e-12);
-            }
-            other => panic!("expected BadProbabilitySum, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn rejects_negative_probability() {
-        let mut m = Mdp::new(1);
-        let s = m.add_state();
-        m.add_action(
-            s,
-            0,
-            vec![Transition::new(s, -0.5, vec![0.0]), Transition::new(s, 1.5, vec![0.0])],
-        );
-        assert!(matches!(m.validate(), Err(MdpError::NegativeProbability { .. })));
-    }
-
-    #[test]
-    fn rejects_dangling_target() {
-        let mut m = Mdp::new(1);
-        let s = m.add_state();
-        m.add_action(s, 0, vec![Transition::new(99, 1.0, vec![0.0])]);
-        assert!(matches!(m.validate(), Err(MdpError::DanglingTarget { target: 99, .. })));
-    }
-
-    #[test]
-    fn rejects_wrong_reward_arity() {
-        let mut m = Mdp::new(2);
-        let s = m.add_state();
-        m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![0.0])]);
-        assert!(matches!(m.validate(), Err(MdpError::RewardArity { found: 1, expected: 2, .. })));
-    }
-
-    #[test]
-    fn rejects_nan_probability() {
-        let mut m = Mdp::new(1);
-        let s = m.add_state();
-        m.add_action(
-            s,
-            0,
-            vec![Transition::new(s, f64::NAN, vec![0.0]), Transition::new(s, 1.0, vec![0.0])],
-        );
-        assert!(matches!(
-            m.validate(),
-            Err(MdpError::NonFiniteProbability { state: 0, action: 0, .. })
-        ));
-    }
-
-    #[test]
-    fn rejects_infinite_probability() {
-        let mut m = Mdp::new(1);
-        let s = m.add_state();
-        m.add_action(s, 0, vec![Transition::new(s, f64::INFINITY, vec![0.0])]);
-        assert!(matches!(m.validate(), Err(MdpError::NonFiniteProbability { .. })));
-    }
-
-    #[test]
-    fn rejects_nan_reward() {
-        let mut m = Mdp::new(2);
-        let s = m.add_state();
-        m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![0.0, f64::NAN])]);
-        match m.validate() {
-            Err(MdpError::NonFiniteReward { state: 0, action: 0, component: 1, value }) => {
-                assert!(value.is_nan());
-            }
-            other => panic!("expected NonFiniteReward, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn ensure_state_grows_model() {
-        let mut m = Mdp::new(1);
-        m.ensure_state(4);
-        assert_eq!(m.num_states(), 5);
-        m.ensure_state(2); // no shrink
-        assert_eq!(m.num_states(), 5);
     }
 
     #[test]
@@ -418,8 +217,8 @@ mod tests {
     #[test]
     fn objective_arity_checked() {
         let m = two_state_chain();
-        assert!(Objective::new(vec![1.0]).validate(&m).is_err());
-        assert!(Objective::new(vec![1.0, 0.0]).validate(&m).is_ok());
+        assert!(m.validate_objective(&Objective::new(vec![1.0])).is_err());
+        assert!(m.validate_objective(&Objective::new(vec![1.0, 0.0])).is_ok());
     }
 
     #[test]

@@ -10,14 +10,15 @@
 //! stable state key to the action's domain label, with a line-oriented
 //! text encoding that round-trips bit-exactly.
 //!
-//! The table deliberately stores the *label* ([`crate::ActionArm::label`]),
+//! The table deliberately stores the *label* ([`CompiledMdp::label`]),
 //! not the state-local action index: labels are the stable cross-crate
 //! vocabulary (e.g. `bvc_bu::Action::label`), while local indices change
 //! whenever a state's action list is reordered.
 
 use std::fmt;
 
-use crate::model::{Mdp, Policy, StateId};
+use crate::compiled::CompiledMdp;
+use crate::model::{Policy, StateId};
 
 /// Errors from building, encoding, or decoding a [`PolicyTable`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,7 +79,11 @@ impl PolicyTable {
     /// `key_of` must be injective over the model's states and produce keys
     /// free of tabs and newlines; violations surface as errors rather than
     /// silently dropped states.
-    pub fn from_policy<F>(mdp: &Mdp, policy: &Policy, key_of: F) -> Result<Self, PolicyTableError>
+    pub fn from_policy<F>(
+        mdp: &CompiledMdp,
+        policy: &Policy,
+        key_of: F,
+    ) -> Result<Self, PolicyTableError>
     where
         F: Fn(StateId) -> String,
     {
@@ -176,11 +181,11 @@ impl PolicyTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Transition;
+    use crate::model::{Mdp, Transition};
 
     /// A 3-state chain where every state has two actions with labels 10
     /// and 20; the policy picks 20 in state 1 and 10 elsewhere.
-    fn tiny() -> (Mdp, Policy) {
+    fn tiny() -> (CompiledMdp, Policy) {
         let mut mdp = Mdp::new(1);
         for _ in 0..3 {
             mdp.add_state();
@@ -192,7 +197,7 @@ mod tests {
         }
         let mut policy = Policy::zeros(3);
         policy.choices[1] = 1;
-        (mdp, policy)
+        (CompiledMdp::compile(&mdp).unwrap(), policy)
     }
 
     #[test]

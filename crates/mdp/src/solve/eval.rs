@@ -19,7 +19,7 @@
 
 use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
-use crate::model::{Mdp, Policy};
+use crate::model::Policy;
 
 /// The power method stops when the L1 change of the stationary iterate
 /// falls below this.
@@ -73,17 +73,12 @@ impl PolicyEvaluation {
 /// The chain is assumed unichain (single recurrent class); the paper's
 /// models satisfy this because every strategy returns to the base state in a
 /// bounded number of steps.
-pub fn evaluate_policy(mdp: &Mdp, policy: &Policy) -> Result<PolicyEvaluation, MdpError> {
-    let compiled = CompiledMdp::compile(mdp)?;
-    evaluate_policy_compiled(&compiled, policy)
-}
-
-/// [`evaluate_policy`] on an already-compiled model. The power-method sweep
-/// scatters mass along the chosen arm's flat transition slices; component
-/// rates come from the per-arm expected component rewards
-/// ([`CompiledMdp::expected_component_rewards`]) instead of re-walking
-/// per-transition reward vectors.
-pub fn evaluate_policy_compiled(
+///
+/// The power-method sweep scatters mass along the chosen arm's flat
+/// transition slices; component rates come from the per-arm expected
+/// component rewards ([`CompiledMdp::expected_component_rewards`]) instead
+/// of re-walking per-transition reward vectors.
+pub fn evaluate_policy(
     compiled: &CompiledMdp,
     policy: &Policy,
 ) -> Result<PolicyEvaluation, MdpError> {
@@ -152,7 +147,7 @@ pub fn evaluate_policy_compiled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Objective, Transition};
+    use crate::model::{Mdp, Objective, Transition};
     use crate::solve::rvi::{relative_value_iteration, RviOptions};
 
     #[test]
@@ -171,7 +166,7 @@ mod tests {
             0,
             vec![Transition::new(b, 0.8, vec![0.0]), Transition::new(a, 0.2, vec![0.0])],
         );
-        let ev = evaluate_policy(&m, &Policy::zeros(2)).unwrap();
+        let ev = evaluate_policy(&CompiledMdp::of(&m), &Policy::zeros(2)).unwrap();
         assert!((ev.stationary[a] - 2.0 / 3.0).abs() < 1e-9);
         assert!((ev.stationary[b] - 1.0 / 3.0).abs() < 1e-9);
         assert!((ev.component_rates[0] - 2.0 / 3.0).abs() < 1e-9);
@@ -184,7 +179,7 @@ mod tests {
         let b = m.add_state();
         m.add_action(a, 0, vec![Transition::new(b, 1.0, vec![1.0])]);
         m.add_action(b, 0, vec![Transition::new(a, 1.0, vec![3.0])]);
-        let ev = evaluate_policy(&m, &Policy::zeros(2)).unwrap();
+        let ev = evaluate_policy(&CompiledMdp::of(&m), &Policy::zeros(2)).unwrap();
         assert!((ev.component_rates[0] - 2.0).abs() < 1e-9);
     }
 
@@ -193,7 +188,7 @@ mod tests {
         let mut m = Mdp::new(2);
         let s = m.add_state();
         m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![0.0, 0.0])]);
-        let ev = evaluate_policy(&m, &Policy::zeros(1)).unwrap();
+        let ev = evaluate_policy(&CompiledMdp::of(&m), &Policy::zeros(1)).unwrap();
         assert_eq!(ev.ratio(&[1.0, 0.0], &[0.0, 1.0]), 0.0);
     }
 
@@ -207,8 +202,9 @@ mod tests {
         m.add_action(s, 1, vec![Transition::new(c, 1.0, vec![2.0])]);
         m.add_action(c, 0, vec![Transition::new(s, 1.0, vec![3.0])]);
         let obj = Objective::new(vec![1.0]);
-        let sol = relative_value_iteration(&m, &obj, &RviOptions::default()).unwrap();
-        let ev = evaluate_policy(&m, &sol.policy).unwrap();
+        let sol =
+            relative_value_iteration(&CompiledMdp::of(&m), &obj, &RviOptions::default()).unwrap();
+        let ev = evaluate_policy(&CompiledMdp::of(&m), &sol.policy).unwrap();
         assert!((ev.rate(&obj.weights) - sol.gain).abs() < 1e-6);
     }
 }

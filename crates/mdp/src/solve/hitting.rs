@@ -10,7 +10,7 @@ use std::collections::HashSet;
 
 use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
-use crate::model::{Mdp, Policy, StateId};
+use crate::model::{Policy, StateId};
 
 /// Gauss–Seidel sweeps stop when the max-norm update falls below this.
 const TOLERANCE: f64 = 1e-12;
@@ -38,12 +38,11 @@ fn state_mask(ids: &HashSet<StateId>, n: usize, what: &'static str) -> Result<Ve
 /// An id in either set that is not a state of the model is an
 /// [`MdpError::Shape`] error.
 pub fn hitting_probability(
-    mdp: &Mdp,
+    compiled: &CompiledMdp,
     policy: &Policy,
     targets: &HashSet<StateId>,
     avoid: &HashSet<StateId>,
 ) -> Result<Vec<f64>, MdpError> {
-    let compiled = CompiledMdp::compile(mdp)?;
     compiled.validate_policy(policy)?;
     let n = compiled.num_states();
     // Absorbing-state membership as flat masks: sweeps test a bool per state
@@ -94,11 +93,10 @@ pub fn hitting_probability(
 /// A target id that is not a state of the model is an [`MdpError::Shape`]
 /// error.
 pub fn expected_hitting_time(
-    mdp: &Mdp,
+    compiled: &CompiledMdp,
     policy: &Policy,
     targets: &HashSet<StateId>,
 ) -> Result<Vec<f64>, MdpError> {
-    let compiled = CompiledMdp::compile(mdp)?;
     compiled.validate_policy(policy)?;
     let n = compiled.num_states();
     let is_target = state_mask(targets, n, "hitting target state")?;
@@ -160,7 +158,7 @@ pub fn expected_hitting_time(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Transition;
+    use crate::model::{Mdp, Transition};
 
     /// Gambler's ruin on {0..=N} with fair coin: P(hit N before 0 | start
     /// i) = i/N; expected absorption time = i (N − i).
@@ -193,7 +191,7 @@ mod tests {
         let policy = Policy::zeros(n + 1);
         let targets: HashSet<_> = [n].into_iter().collect();
         let avoid: HashSet<_> = [0].into_iter().collect();
-        let p = hitting_probability(&m, &policy, &targets, &avoid).unwrap();
+        let p = hitting_probability(&CompiledMdp::of(&m), &policy, &targets, &avoid).unwrap();
         for (i, &pi) in p.iter().enumerate() {
             let expected = i as f64 / n as f64;
             assert!((pi - expected).abs() < 1e-9, "i={i}: {pi} vs {expected}");
@@ -208,7 +206,7 @@ mod tests {
         let policy = Policy::zeros(n + 1);
         let targets: HashSet<_> = [n].into_iter().collect();
         let avoid: HashSet<_> = [0].into_iter().collect();
-        let p = hitting_probability(&m, &policy, &targets, &avoid).unwrap();
+        let p = hitting_probability(&CompiledMdp::of(&m), &policy, &targets, &avoid).unwrap();
         let r = (1.0 - p_up) / p_up;
         for (i, &pi) in p.iter().enumerate().take(n).skip(1) {
             let expected = (1.0 - r.powi(i as i32)) / (1.0 - r.powi(n as i32));
@@ -223,7 +221,7 @@ mod tests {
         let policy = Policy::zeros(n + 1);
         // Expected time to hit {0, N} from i is i (N - i).
         let targets: HashSet<_> = [0, n].into_iter().collect();
-        let h = expected_hitting_time(&m, &policy, &targets).unwrap();
+        let h = expected_hitting_time(&CompiledMdp::of(&m), &policy, &targets).unwrap();
         for (i, &hi) in h.iter().enumerate() {
             let expected = (i * (n - i)) as f64;
             assert!((hi - expected).abs() < 1e-6, "i={i}: {hi} vs {expected}");
@@ -239,7 +237,8 @@ mod tests {
         m.add_action(a, 0, vec![Transition::new(a, 1.0, vec![0.0])]);
         m.add_action(b, 0, vec![Transition::new(b, 1.0, vec![0.0])]);
         let targets: HashSet<_> = [b].into_iter().collect();
-        let err = expected_hitting_time(&m, &Policy::zeros(2), &targets).unwrap_err();
+        let err =
+            expected_hitting_time(&CompiledMdp::of(&m), &Policy::zeros(2), &targets).unwrap_err();
         assert_eq!(err, MdpError::UnreachableTarget { state: a });
     }
 
@@ -251,15 +250,15 @@ mod tests {
         let outside: HashSet<_> = [4, 9].into_iter().collect();
         let shape = |what| MdpError::Shape { what, found: 9, expected: 5 };
         assert_eq!(
-            hitting_probability(&m, &policy, &outside, &inside).unwrap_err(),
+            hitting_probability(&CompiledMdp::of(&m), &policy, &outside, &inside).unwrap_err(),
             shape("hitting target state")
         );
         assert_eq!(
-            hitting_probability(&m, &policy, &inside, &outside).unwrap_err(),
+            hitting_probability(&CompiledMdp::of(&m), &policy, &inside, &outside).unwrap_err(),
             shape("hitting avoid state")
         );
         assert_eq!(
-            expected_hitting_time(&m, &policy, &outside).unwrap_err(),
+            expected_hitting_time(&CompiledMdp::of(&m), &policy, &outside).unwrap_err(),
             shape("hitting target state")
         );
     }

@@ -4,10 +4,9 @@
 //! hitting analysis. [`SolveOptions`] is the one options type the
 //! attack models solve under.
 //!
-//! The production solvers run on the CSR-flattened
-//! [`CompiledMdp`](crate::compiled::CompiledMdp); [`reference`] keeps the
-//! original nested-layout implementations for differential testing and
-//! baseline timing.
+//! Every solver reads the CSR [`CompiledMdp`](crate::compiled::CompiledMdp);
+//! [`reference`] keeps plain, unoptimized implementations for differential
+//! testing and baseline timing.
 
 pub mod eval;
 pub mod hitting;

@@ -6,10 +6,11 @@
 //! [`OptimalStrategy`], so every published cell — BU or Bitcoin baseline —
 //! is solved under the same defaults and hashes the same config token.
 
-use crate::audit::{audit_mdp, AuditOptions};
+use crate::audit::{audit_compiled, AuditOptions};
 use crate::budget::SolveBudget;
+use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
-use crate::model::{Mdp, Policy};
+use crate::model::Policy;
 use crate::shard::DEFAULT_SHARD_MIN_STATES;
 
 use super::{ProbeEngine, RatioOptions, RatioSolution, RviOptions, RviSolution};
@@ -91,9 +92,9 @@ impl SolveOptions {
     /// The opt-in pre-solve audit gate: a no-op unless [`SolveOptions::audit`]
     /// is set, otherwise [`MdpError::AuditFailed`] naming the first failed
     /// check of the default audit.
-    pub fn audit_gate(&self, mdp: &Mdp) -> Result<(), MdpError> {
+    pub fn audit_gate(&self, mdp: &CompiledMdp) -> Result<(), MdpError> {
         if self.audit {
-            audit_mdp(mdp, &AuditOptions::default()).gate()?;
+            audit_compiled(mdp, &AuditOptions::default()).gate()?;
         }
         Ok(())
     }

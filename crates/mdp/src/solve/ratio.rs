@@ -61,10 +61,10 @@
 //! [`RatioSolution::engine`] names
 //! the probe that ran.
 //!
-//! ## The compiled fast path
+//! ## The fast path
 //!
-//! The model is compiled to CSR form **once**. Scalarization is linear in the
-//! objective, so the per-arm expected rewards of `w_rho` are
+//! Both functionals are scalarized **once** per solve. Scalarization is linear
+//! in the objective, so the per-arm expected rewards of `w_rho` are
 //! `exp_num[a] − rho · exp_den[a]`: an RVI probe re-scalarizes *in place*
 //! with one O(arms) vector combine ([`CompiledMdp::combine_scalarized_into`]),
 //! and the renewal passes combine each arm's reward as they read it; neither
@@ -76,7 +76,7 @@
 
 use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
-use crate::model::{Mdp, Objective, Policy};
+use crate::model::{Objective, Policy};
 use crate::solve::renewal::ArmRewards;
 use crate::solve::rvi::{GainEngine, RviOptions};
 
@@ -299,19 +299,17 @@ pub(crate) fn search_crossing(
 /// transition actually taken, and every policy with positive `N`-rate must
 /// have positive `D`-rate.
 pub fn maximize_ratio(
-    mdp: &Mdp,
+    mdp: &CompiledMdp,
     numerator: &Objective,
     denominator: &Objective,
     opts: &RatioOptions,
 ) -> Result<RatioSolution, MdpError> {
-    let compiled = CompiledMdp::compile(mdp)?;
-    compiled.validate_objective(numerator)?;
-    compiled.validate_objective(denominator)?;
-    maximize_ratio_compiled(&compiled, numerator, denominator, opts)
+    mdp.validate_objective(numerator)?;
+    mdp.validate_objective(denominator)?;
+    maximize_ratio_compiled(mdp, numerator, denominator, opts)
 }
 
-/// [`maximize_ratio`] on an already-compiled model. Use this form when
-/// solving several ratio objectives over the same model. The probe engine
+/// [`maximize_ratio`] without the objective arity checks. The probe engine
 /// is chosen here, once per solve (see the module docs).
 pub fn maximize_ratio_compiled(
     compiled: &CompiledMdp,
@@ -374,7 +372,7 @@ pub fn maximize_ratio_compiled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Transition;
+    use crate::model::{Mdp, Transition};
 
     /// Two self-loop actions with (N, D) rates (1, 2) and (3, 10): ratios
     /// 0.5 and 0.3 — the solver must prefer the smaller-N, larger-ratio arm.
@@ -386,7 +384,7 @@ mod tests {
         m.add_action(s, 1, vec![Transition::new(s, 1.0, vec![3.0, 10.0])]);
         let n = Objective::component(0, 2);
         let d = Objective::component(1, 2);
-        let sol = maximize_ratio(&m, &n, &d, &RatioOptions::default()).unwrap();
+        let sol = maximize_ratio(&CompiledMdp::of(&m), &n, &d, &RatioOptions::default()).unwrap();
         assert!((sol.value - 0.5).abs() < 1e-4, "value {}", sol.value);
         assert_eq!(sol.policy.choices[s], 0);
     }
@@ -401,7 +399,7 @@ mod tests {
         m.add_action(s, 1, vec![Transition::new(s, 1.0, vec![0.7, 1.0])]);
         let n = Objective::component(0, 2);
         let d = Objective::component(1, 2);
-        let sol = maximize_ratio(&m, &n, &d, &RatioOptions::default()).unwrap();
+        let sol = maximize_ratio(&CompiledMdp::of(&m), &n, &d, &RatioOptions::default()).unwrap();
         assert!((sol.value - 0.7).abs() < 1e-4, "value {}", sol.value);
         assert_eq!(sol.policy.choices[s], 1);
     }
@@ -414,7 +412,7 @@ mod tests {
         m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![0.0, 1.0])]);
         let n = Objective::component(0, 2);
         let d = Objective::component(1, 2);
-        let sol = maximize_ratio(&m, &n, &d, &RatioOptions::default()).unwrap();
+        let sol = maximize_ratio(&CompiledMdp::of(&m), &n, &d, &RatioOptions::default()).unwrap();
         assert_eq!(sol.value, 0.0);
         assert_eq!(sol.inner_solves, 1);
         assert!(sol.inner_iterations >= 1);
@@ -429,7 +427,7 @@ mod tests {
         m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![5.0, 1.0])]);
         let n = Objective::component(0, 2);
         let d = Objective::component(1, 2);
-        let sol = maximize_ratio(&m, &n, &d, &RatioOptions::default()).unwrap();
+        let sol = maximize_ratio(&CompiledMdp::of(&m), &n, &d, &RatioOptions::default()).unwrap();
         assert!((sol.value - 5.0).abs() < 1e-4, "value {}", sol.value);
     }
 
@@ -444,7 +442,7 @@ mod tests {
         m.add_action(b, 0, vec![Transition::new(a, 1.0, vec![0.0, 1.0])]);
         let n = Objective::component(0, 2);
         let d = Objective::component(1, 2);
-        let sol = maximize_ratio(&m, &n, &d, &RatioOptions::default()).unwrap();
+        let sol = maximize_ratio(&CompiledMdp::of(&m), &n, &d, &RatioOptions::default()).unwrap();
         assert!((sol.value - 0.5).abs() < 1e-4, "value {}", sol.value);
     }
 
@@ -455,9 +453,13 @@ mod tests {
         m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![1.0, 2.0])]);
         let mut opts = RatioOptions::default();
         opts.rvi.warm_start = Some(vec![0.0; 3]);
-        let err =
-            maximize_ratio(&m, &Objective::component(0, 2), &Objective::component(1, 2), &opts)
-                .unwrap_err();
+        let err = maximize_ratio(
+            &CompiledMdp::of(&m),
+            &Objective::component(0, 2),
+            &Objective::component(1, 2),
+            &opts,
+        )
+        .unwrap_err();
         assert_eq!(err, MdpError::Shape { what: "warm start", found: 3, expected: 1 });
     }
 
@@ -470,9 +472,13 @@ mod tests {
         m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![1.0, 2.0])]);
         let mut opts = RatioOptions::default();
         opts.rvi.aperiodicity_tau = 1.0;
-        let err =
-            maximize_ratio(&m, &Objective::component(0, 2), &Objective::component(1, 2), &opts)
-                .unwrap_err();
+        let err = maximize_ratio(
+            &CompiledMdp::of(&m),
+            &Objective::component(0, 2),
+            &Objective::component(1, 2),
+            &opts,
+        )
+        .unwrap_err();
         assert_eq!(err, MdpError::BadOption { what: "aperiodicity_tau", value: 1.0 });
     }
 
@@ -488,9 +494,13 @@ mod tests {
         m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![1.0, 2.0])]);
         let mut opts = RatioOptions::default();
         opts.rvi.budget = SolveBudget::unlimited().with_cancel(Arc::new(AtomicBool::new(true)));
-        let err =
-            maximize_ratio(&m, &Objective::component(0, 2), &Objective::component(1, 2), &opts)
-                .unwrap_err();
+        let err = maximize_ratio(
+            &CompiledMdp::of(&m),
+            &Objective::component(0, 2),
+            &Objective::component(1, 2),
+            &opts,
+        )
+        .unwrap_err();
         assert!(err.is_cancellation(), "{err:?}");
     }
 
@@ -505,10 +515,12 @@ mod tests {
         let b = m.add_state();
         m.add_action(a, 0, vec![Transition::new(b, 1.0, vec![1.0, 1.0])]);
         m.add_action(b, 0, vec![Transition::new(a, 1.0, vec![0.0, 1.0])]);
-        let regenerative = maximize_ratio(&m, &n, &d, &RatioOptions::default()).unwrap();
+        let regenerative =
+            maximize_ratio(&CompiledMdp::of(&m), &n, &d, &RatioOptions::default()).unwrap();
         assert_eq!(regenerative.engine, ProbeEngine::Renewal);
         m.add_action(b, 1, vec![Transition::new(b, 1.0, vec![0.2, 1.0])]);
-        let cyclic = maximize_ratio(&m, &n, &d, &RatioOptions::default()).unwrap();
+        let cyclic =
+            maximize_ratio(&CompiledMdp::of(&m), &n, &d, &RatioOptions::default()).unwrap();
         assert_eq!(cyclic.engine, ProbeEngine::Rvi);
         assert!((regenerative.value - 0.5).abs() < 1e-4, "value {}", regenerative.value);
         assert!((cyclic.value - 0.5).abs() < 1e-4, "value {}", cyclic.value);
@@ -530,7 +542,7 @@ mod tests {
             let n = Objective::component(ni, 3);
             let d = Objective::component(di, 3);
             let fast = maximize_ratio_compiled(&compiled, &n, &d, &opts).unwrap();
-            let front = maximize_ratio(&m, &n, &d, &opts).unwrap();
+            let front = maximize_ratio(&CompiledMdp::of(&m), &n, &d, &opts).unwrap();
             assert!((fast.value - front.value).abs() < 1e-12);
             assert_eq!(fast.policy, front.policy);
         }

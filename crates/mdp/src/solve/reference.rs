@@ -1,40 +1,39 @@
-//! Nested-layout reference solvers.
+//! Reference solvers: plain, unoptimized implementations of RVI, the ratio
+//! search and fixed-policy evaluation, kept as oracles for the production
+//! solvers in [`rvi`](crate::solve::rvi), [`ratio`](crate::solve::ratio) and
+//! [`eval`](crate::solve::eval). They have two jobs:
 //!
-//! These are the original implementations of RVI, the ratio search and
-//! fixed-policy evaluation, operating directly on the builder-facing [`Mdp`]
-//! representation (`Vec<Vec<ActionArm>>` with per-transition reward vectors).
-//! The production solvers in [`rvi`](crate::solve::rvi),
-//! [`ratio`](crate::solve::ratio) and [`eval`](crate::solve::eval) run on the
-//! CSR-flattened [`CompiledMdp`](crate::compiled::CompiledMdp); the nested
-//! versions are kept for two jobs:
-//!
-//! 1. **Differential testing** — the property tests assert that compiled and
-//!    nested solvers agree on gains, biases, rates and ratios to tight
-//!    tolerances on randomly generated models.
+//! 1. **Differential testing** — the property tests assert that production
+//!    and reference solvers agree on gains, biases, rates and ratios to
+//!    tight tolerances on randomly generated models.
 //! 2. **Baseline timing** — `bvc-bench`'s `sweep_timing` binary measures the
-//!    compiled path's speedup against these as the before/after comparison.
+//!    production path's speedup against these as the before/after
+//!    comparison.
 //!
-//! The algorithms are identical to their compiled counterparts; only the
-//! memory layout of the model differs. Do not "optimize" these — their value
-//! is precisely that they stay naive about layout.
+//! They read the same [`CompiledMdp`] as the production solvers, but
+//! naively: always plain RVI (never the renewal engine or the vectorized,
+//! sharded or warm-started kernels), a transition-by-transition walk per
+//! Bellman backup, and a full re-scalarization of every transition's reward
+//! vector for each probe of the ratio search. Do not "optimize" these —
+//! their value is precisely that they stay simple.
 
+use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
-use crate::model::{Mdp, Objective, Policy};
+use crate::model::{Objective, Policy};
 use crate::solve::eval::{PolicyEvaluation, DAMPING, MAX_ITERATIONS, TOLERANCE};
 use crate::solve::ratio::{
     crossing_level, search_crossing, ProbeEngine, RatioOptions, RatioSolution,
 };
 use crate::solve::rvi::{RviOptions, RviSolution};
 
-/// Nested-layout relative value iteration (see
+/// Reference relative value iteration (see
 /// [`relative_value_iteration`](crate::solve::rvi::relative_value_iteration)).
-pub fn relative_value_iteration_nested(
-    mdp: &Mdp,
+pub fn relative_value_iteration_reference(
+    mdp: &CompiledMdp,
     objective: &Objective,
     opts: &RviOptions,
 ) -> Result<RviSolution, MdpError> {
-    mdp.validate()?;
-    objective.validate(mdp)?;
+    mdp.validate_objective(objective)?;
     let tau = opts.aperiodicity_tau;
     assert!((0.0..1.0).contains(&tau), "aperiodicity_tau must be in [0,1), got {tau}");
 
@@ -50,15 +49,8 @@ pub fn relative_value_iteration_nested(
     let mut policy = Policy::zeros(n);
 
     // Pre-scalarize rewards: expected immediate reward per (state, action).
-    let expected_reward: Vec<Vec<f64>> = (0..n)
-        .map(|s| {
-            mdp.actions(s)
-                .iter()
-                .map(|arm| {
-                    arm.transitions.iter().map(|t| t.prob * objective.scalarize(&t.reward)).sum()
-                })
-                .collect()
-        })
+    let expected_reward: Vec<f64> = (0..mdp.num_arms())
+        .map(|arm| mdp.transitions(arm).map(|(_, p, r)| p * objective.scalarize(r)).sum())
         .collect();
 
     for iter in 0..opts.max_iterations {
@@ -67,10 +59,10 @@ pub fn relative_value_iteration_nested(
         for s in 0..n {
             let mut best = f64::NEG_INFINITY;
             let mut best_a = 0;
-            for (a, arm) in mdp.actions(s).iter().enumerate() {
-                let mut q = expected_reward[s][a];
-                for t in &arm.transitions {
-                    q += t.prob * h[t.to];
+            for (a, arm) in mdp.arm_range(s).enumerate() {
+                let mut q = expected_reward[arm];
+                for (to, p, _) in mdp.transitions(arm) {
+                    q += p * h[to];
                 }
                 let q = (1.0 - tau) * q + tau * h[s];
                 if q > best {
@@ -102,16 +94,18 @@ pub fn relative_value_iteration_nested(
         }
     }
     Err(MdpError::NoConvergence {
-        solver: "relative_value_iteration_nested",
+        solver: "relative_value_iteration_reference",
         iterations: opts.max_iterations,
         residual: f64::NAN,
     })
 }
 
-/// Nested-layout fixed-policy evaluation (see
+/// Reference fixed-policy evaluation (see
 /// [`evaluate_policy`](crate::solve::eval::evaluate_policy)).
-pub fn evaluate_policy_nested(mdp: &Mdp, policy: &Policy) -> Result<PolicyEvaluation, MdpError> {
-    mdp.validate()?;
+pub fn evaluate_policy_reference(
+    mdp: &CompiledMdp,
+    policy: &Policy,
+) -> Result<PolicyEvaluation, MdpError> {
     mdp.validate_policy(policy)?;
 
     let n = mdp.num_states();
@@ -130,9 +124,8 @@ pub fn evaluate_policy_nested(mdp: &Mdp, policy: &Policy) -> Result<PolicyEvalua
             if mass <= 0.0 {
                 continue;
             }
-            let arm = &mdp.actions(s)[policy.choices[s]];
-            for t in &arm.transitions {
-                pi_next[t.to] += (1.0 - d) * mass * t.prob;
+            for (to, p, _) in mdp.transitions(mdp.policy_arm(policy, s)) {
+                pi_next[to] += (1.0 - d) * mass * p;
             }
             pi_next[s] += d * mass;
         }
@@ -143,7 +136,7 @@ pub fn evaluate_policy_nested(mdp: &Mdp, policy: &Policy) -> Result<PolicyEvalua
         }
         if iter + 1 == MAX_ITERATIONS {
             return Err(MdpError::NoConvergence {
-                solver: "evaluate_policy_nested",
+                solver: "evaluate_policy_reference",
                 iterations: MAX_ITERATIONS,
                 residual: delta,
             });
@@ -158,10 +151,9 @@ pub fn evaluate_policy_nested(mdp: &Mdp, policy: &Policy) -> Result<PolicyEvalua
     let k = mdp.reward_components();
     let mut rates = vec![0.0f64; k];
     for (s, &weight) in pi.iter().enumerate() {
-        let arm = &mdp.actions(s)[policy.choices[s]];
-        for t in &arm.transitions {
-            for (c, r) in t.reward.iter().enumerate() {
-                rates[c] += weight * t.prob * r;
+        for (_, p, reward) in mdp.transitions(mdp.policy_arm(policy, s)) {
+            for (c, r) in reward.iter().enumerate() {
+                rates[c] += weight * p * r;
             }
         }
     }
@@ -169,19 +161,18 @@ pub fn evaluate_policy_nested(mdp: &Mdp, policy: &Policy) -> Result<PolicyEvalua
     Ok(PolicyEvaluation { stationary: pi, component_rates: rates, iterations })
 }
 
-/// Nested-layout ratio maximization (see
+/// Reference ratio maximization (see
 /// [`maximize_ratio`](crate::solve::ratio::maximize_ratio)): the same search
 /// on rho, but every probe rebuilds the transformed objective and
 /// re-scalarizes all rewards inside the inner solver.
-pub fn maximize_ratio_nested(
-    mdp: &Mdp,
+pub fn maximize_ratio_reference(
+    mdp: &CompiledMdp,
     numerator: &Objective,
     denominator: &Objective,
     opts: &RatioOptions,
 ) -> Result<RatioSolution, MdpError> {
-    mdp.validate()?;
-    numerator.validate(mdp)?;
-    denominator.validate(mdp)?;
+    mdp.validate_objective(numerator)?;
+    mdp.validate_objective(denominator)?;
 
     let eps = crossing_level(opts);
     let mut inner_opts = opts.rvi.clone();
@@ -192,7 +183,7 @@ pub fn maximize_ratio_nested(
 
     let found = search_crossing(opts, |rho| {
         let w = numerator.minus_scaled(denominator, rho);
-        let sol = relative_value_iteration_nested(mdp, &w, &inner_opts)?;
+        let sol = relative_value_iteration_reference(mdp, &w, &inner_opts)?;
         inner_opts.warm_start = Some(sol.bias);
         inner_solves += 1;
         inner_iterations += sol.iterations;

@@ -59,7 +59,7 @@ use std::sync::mpsc;
 use crate::budget::SolveBudget;
 use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
-use crate::model::{Mdp, Objective, Policy};
+use crate::model::{Objective, Policy};
 use crate::shard::{
     effective_threads, shard_ranges, AtomicBias, BiasRead, CANCEL_POLL_CHUNK,
     DEFAULT_SHARD_MIN_STATES,
@@ -132,20 +132,18 @@ pub struct RviSolution {
 
 /// Computes the optimal gain of a unichain average-reward MDP.
 pub fn relative_value_iteration(
-    mdp: &Mdp,
+    mdp: &CompiledMdp,
     objective: &Objective,
     opts: &RviOptions,
 ) -> Result<RviSolution, MdpError> {
-    let compiled = CompiledMdp::compile(mdp)?;
-    compiled.validate_objective(objective)?;
-    let exp_reward = compiled.scalarize(objective);
-    relative_value_iteration_compiled(&compiled, &exp_reward, opts)
+    mdp.validate_objective(objective)?;
+    let exp_reward = mdp.scalarize(objective);
+    relative_value_iteration_compiled(mdp, &exp_reward, opts)
 }
 
-/// [`relative_value_iteration`] on an already-compiled model and
-/// pre-scalarized per-arm expected rewards (one entry per global arm, from
-/// [`CompiledMdp::scalarize`]). Use this form when solving the same model
-/// under many objectives.
+/// [`relative_value_iteration`] on pre-scalarized per-arm expected rewards
+/// (one entry per global arm, from [`CompiledMdp::scalarize`]). Use this
+/// form when solving the same model under many objectives.
 pub fn relative_value_iteration_compiled(
     compiled: &CompiledMdp,
     exp_reward: &[f64],
@@ -341,7 +339,7 @@ fn bellman_state<S: BiasRead + ?Sized>(
         let t1 = tr_offsets[arm + 1] as usize;
         let mut acc = exp_reward[arm];
         // Transition-major streaming over the flat prob/next arrays, in CSR
-        // order — the same serial accumulation the nested reference
+        // order — the same serial accumulation the reference solver
         // performs, so near-tie argmax decisions cannot drift between the
         // compiled and reference paths.
         for (p, &to) in prob[t0..t1].iter().zip(&next[t0..t1]) {
@@ -349,7 +347,7 @@ fn bellman_state<S: BiasRead + ?Sized>(
         }
         t0 = t1;
         let q = one_minus_tau * acc + blend;
-        // Strict `>` keeps first-wins ties, matching the nested reference.
+        // Strict `>` keeps first-wins ties, matching the reference solver.
         if q > best {
             best = q;
             best_arm = arm - a0;
@@ -679,10 +677,11 @@ fn kernel_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Transition;
+    use crate::model::{Mdp, Transition};
 
     fn solve(m: &Mdp, w: Vec<f64>) -> RviSolution {
-        relative_value_iteration(m, &Objective::new(w), &RviOptions::default()).unwrap()
+        relative_value_iteration(&CompiledMdp::of(m), &Objective::new(w), &RviOptions::default())
+            .unwrap()
     }
 
     /// State 0 steps to state 1 (reward 1), which loops on itself or returns
@@ -734,7 +733,7 @@ mod tests {
 
         let plain =
             RviOptions { aperiodicity_tau: 0.0, max_iterations: 1000, ..Default::default() };
-        match relative_value_iteration(&m, &Objective::new(vec![1.0]), &plain) {
+        match relative_value_iteration(&CompiledMdp::of(&m), &Objective::new(vec![1.0]), &plain) {
             Err(MdpError::NoConvergence { residual, .. }) => assert_eq!(residual, 2.0),
             other => panic!("expected NoConvergence, got {other:?}"),
         }
@@ -833,7 +832,9 @@ mod tests {
         let m = cyclic_pair();
         let cold = solve(&m, vec![1.0]);
         let opts = RviOptions { warm_start: Some(cold.bias.clone()), ..Default::default() };
-        let warm = relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap();
+        let warm =
+            relative_value_iteration(&CompiledMdp::of(&m), &Objective::new(vec![1.0]), &opts)
+                .unwrap();
         assert_eq!(warm.engine, ProbeEngine::Rvi);
         assert!((warm.gain - 7.0 / 3.0).abs() < 1e-6);
         assert!(warm.iterations <= cold.iterations);
@@ -867,7 +868,9 @@ mod tests {
         for m in one_model_per_engine() {
             let n = m.num_states();
             let opts = RviOptions { warm_start: Some(vec![0.0; 5]), ..Default::default() };
-            let err = relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap_err();
+            let err =
+                relative_value_iteration(&CompiledMdp::of(&m), &Objective::new(vec![1.0]), &opts)
+                    .unwrap_err();
             assert_eq!(err, MdpError::Shape { what: "warm start", found: 5, expected: n });
 
             let compiled = CompiledMdp::compile(&m).unwrap();
@@ -883,8 +886,12 @@ mod tests {
         for m in one_model_per_engine() {
             for tau in [-0.1, 1.0, 1.5, f64::NAN] {
                 let opts = RviOptions { aperiodicity_tau: tau, ..Default::default() };
-                let err =
-                    relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap_err();
+                let err = relative_value_iteration(
+                    &CompiledMdp::of(&m),
+                    &Objective::new(vec![1.0]),
+                    &opts,
+                )
+                .unwrap_err();
                 assert!(
                     matches!(err, MdpError::BadOption { what: "aperiodicity_tau", .. }),
                     "tau={tau}: {err:?}"
@@ -899,7 +906,8 @@ mod tests {
     fn no_convergence_carries_finite_residual() {
         let m = cyclic_pair();
         let opts = RviOptions { max_iterations: 3, ..Default::default() };
-        let err = relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap_err();
+        let err = relative_value_iteration(&CompiledMdp::of(&m), &Objective::new(vec![1.0]), &opts)
+            .unwrap_err();
         match err {
             MdpError::NoConvergence { iterations, residual, .. } => {
                 assert_eq!(iterations, 3);
@@ -917,7 +925,9 @@ mod tests {
                 ..Default::default()
             };
             std::thread::sleep(std::time::Duration::from_millis(2));
-            let err = relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap_err();
+            let err =
+                relative_value_iteration(&CompiledMdp::of(&m), &Objective::new(vec![1.0]), &opts)
+                    .unwrap_err();
             assert!(matches!(err, MdpError::DeadlineExceeded { .. }), "{err:?}");
         }
     }
@@ -932,7 +942,9 @@ mod tests {
                 budget: SolveBudget::unlimited().with_cancel(flag),
                 ..Default::default()
             };
-            let err = relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap_err();
+            let err =
+                relative_value_iteration(&CompiledMdp::of(&m), &Objective::new(vec![1.0]), &opts)
+                    .unwrap_err();
             assert!(err.is_cancellation(), "{err:?}");
         }
     }
@@ -953,7 +965,7 @@ mod tests {
             let obj = Objective::new(weights);
             let exp = compiled.scalarize(&obj);
             let fast = relative_value_iteration_compiled(&compiled, &exp, &opts).unwrap();
-            let front = relative_value_iteration(&m, &obj, &opts).unwrap();
+            let front = relative_value_iteration(&CompiledMdp::of(&m), &obj, &opts).unwrap();
             assert!((fast.gain - front.gain).abs() < 1e-12);
             assert_eq!(fast.policy, front.policy);
         }
@@ -980,12 +992,13 @@ mod tests {
             );
         }
         let obj = Objective::new(vec![1.0]);
-        let base = relative_value_iteration(&m, &obj, &RviOptions::default()).unwrap();
+        let base =
+            relative_value_iteration(&CompiledMdp::of(&m), &obj, &RviOptions::default()).unwrap();
         assert_eq!(base.engine, ProbeEngine::Rvi);
         for threads in [2usize, 3, 4, 7] {
             let opts =
                 RviOptions { solve_threads: threads, shard_min_states: 1, ..Default::default() };
-            let sol = relative_value_iteration(&m, &obj, &opts).unwrap();
+            let sol = relative_value_iteration(&CompiledMdp::of(&m), &obj, &opts).unwrap();
             assert_eq!(sol.gain.to_bits(), base.gain.to_bits(), "threads={threads}");
             assert_eq!(sol.iterations, base.iterations, "threads={threads}");
             assert_eq!(sol.policy.choices, base.policy.choices, "threads={threads}");
@@ -1002,9 +1015,10 @@ mod tests {
     fn small_models_stay_single_threaded() {
         let m = cyclic_pair();
         let obj = Objective::new(vec![1.0]);
-        let serial = relative_value_iteration(&m, &obj, &RviOptions::default()).unwrap();
+        let serial =
+            relative_value_iteration(&CompiledMdp::of(&m), &obj, &RviOptions::default()).unwrap();
         let opts = RviOptions { solve_threads: 8, ..Default::default() };
-        let sol = relative_value_iteration(&m, &obj, &opts).unwrap();
+        let sol = relative_value_iteration(&CompiledMdp::of(&m), &obj, &opts).unwrap();
         assert_eq!(sol.engine, ProbeEngine::Rvi);
         assert_eq!(sol.gain.to_bits(), serial.gain.to_bits());
         assert_eq!(sol.iterations, serial.iterations);
@@ -1025,7 +1039,8 @@ mod tests {
             budget: SolveBudget::unlimited().with_cancel(flag),
             ..Default::default()
         };
-        let err = relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap_err();
+        let err = relative_value_iteration(&CompiledMdp::of(&m), &Objective::new(vec![1.0]), &opts)
+            .unwrap_err();
         assert!(err.is_cancellation(), "{err:?}");
     }
 
@@ -1069,7 +1084,8 @@ mod tests {
             budget: SolveBudget::unlimited().with_cancel(flag),
             ..Default::default()
         };
-        let err = relative_value_iteration(&m, &Objective::new(vec![1.0]), &opts).unwrap_err();
+        let err = relative_value_iteration(&CompiledMdp::of(&m), &Objective::new(vec![1.0]), &opts)
+            .unwrap_err();
         raiser.join().unwrap();
         assert!(err.is_cancellation(), "{err:?}");
     }

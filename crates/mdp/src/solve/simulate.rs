@@ -5,8 +5,9 @@
 //! The sampler uses no external RNG dependency: a small xorshift64* keeps
 //! `bvc-mdp` dependency-free while remaining deterministic per seed.
 
+use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
-use crate::model::{Mdp, Policy, StateId};
+use crate::model::{Policy, StateId};
 
 /// A tiny deterministic PRNG (xorshift64*), adequate for path sampling.
 #[derive(Debug, Clone)]
@@ -54,7 +55,7 @@ impl PathSample {
 /// Samples `steps` transitions of `policy` from `start`, summing reward
 /// components.
 pub fn sample_path(
-    mdp: &Mdp,
+    mdp: &CompiledMdp,
     policy: &Policy,
     start: StateId,
     steps: usize,
@@ -64,23 +65,24 @@ pub fn sample_path(
     let mut totals = vec![0.0f64; mdp.reward_components()];
     let mut state = start;
     for _ in 0..steps {
-        let arm = &mdp.actions(state)[policy.choices[state]];
         let mut x = rng.next_f64();
-        // `validate_policy` guarantees nonempty arms; stay panic-free anyway.
-        let Some(mut chosen) = arm.transitions.last() else {
-            return Err(MdpError::NoActions { state });
-        };
-        for t in &arm.transitions {
-            if x < t.prob {
-                chosen = t;
+        // The transition `x` falls in, else the last one.
+        let mut chosen = None;
+        for (to, p, reward) in mdp.transitions(mdp.policy_arm(policy, state)) {
+            chosen = Some((to, reward));
+            if x < p {
                 break;
             }
-            x -= t.prob;
+            x -= p;
         }
-        for (acc, r) in totals.iter_mut().zip(&chosen.reward) {
+        // A validated model has no empty arms; stay panic-free anyway.
+        let Some((to, reward)) = chosen else {
+            return Err(MdpError::NoActions { state });
+        };
+        for (acc, r) in totals.iter_mut().zip(reward) {
             *acc += r;
         }
-        state = chosen.to;
+        state = to;
     }
     Ok(PathSample { steps, component_totals: totals, final_state: state })
 }
@@ -88,7 +90,7 @@ pub fn sample_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Transition;
+    use crate::model::{Mdp, Transition};
     use crate::solve::eval::evaluate_policy;
 
     #[test]
@@ -116,9 +118,9 @@ mod tests {
             vec![Transition::new(b, 0.5, vec![0.0, 2.0]), Transition::new(a, 0.5, vec![0.0, 2.0])],
         );
         let policy = Policy::zeros(2);
-        let exact = evaluate_policy(&m, &policy).unwrap();
+        let exact = evaluate_policy(&CompiledMdp::of(&m), &policy).unwrap();
         let mut rng = XorShift64::new(7);
-        let sample = sample_path(&m, &policy, a, 400_000, &mut rng).unwrap();
+        let sample = sample_path(&CompiledMdp::of(&m), &policy, a, 400_000, &mut rng).unwrap();
         let rates = sample.component_rates();
         for (mc, ex) in rates.iter().zip(&exact.component_rates) {
             assert!((mc - ex).abs() < 0.01, "MC {mc} vs exact {ex}");

@@ -17,7 +17,7 @@ use bvc_mdp::solve::{
     evaluate_policy, maximize_ratio, relative_value_iteration, ProbeEngine, RatioOptions,
     RviOptions,
 };
-use bvc_mdp::{Mdp, Objective, Transition};
+use bvc_mdp::{CompiledMdp, Mdp, Objective, Transition};
 use proptest::prelude::*;
 
 /// Raw (target, weight, reward) transition triples of one action; weights
@@ -33,7 +33,7 @@ struct RandomModel {
 }
 
 impl RandomModel {
-    fn build(&self) -> Mdp {
+    fn build(&self) -> CompiledMdp {
         let mut m = Mdp::new(2);
         for _ in 0..self.n_states {
             m.add_state();
@@ -58,7 +58,7 @@ impl RandomModel {
                 m.add_action(s, label, transitions);
             }
         }
-        m
+        CompiledMdp::compile(&m).expect("random models are well-formed")
     }
 }
 
@@ -95,7 +95,7 @@ impl RandomModel {
     /// pays at least [`REGEN_MIN_DEN`] to the denominator, so every policy's
     /// ratio is finite and the crossing level's offset stays below the
     /// tolerance.
-    fn build_regenerative(&self) -> Mdp {
+    fn build_regenerative(&self) -> CompiledMdp {
         let n = self.n_states;
         let mut m = Mdp::new(2);
         for _ in 0..n {
@@ -122,7 +122,7 @@ impl RandomModel {
                 m.add_action(s, label, transitions);
             }
         }
-        m
+        CompiledMdp::compile(&m).expect("random models are well-formed")
     }
 }
 
@@ -130,15 +130,15 @@ impl RandomModel {
 /// from state 0 back to it on a [`RandomModel::build_regenerative`] model:
 /// one pass from the highest state down, since every transition goes up or
 /// back to 0.
-fn cycle_totals(m: &Mdp, policy: &bvc_mdp::Policy) -> [f64; 3] {
+fn cycle_totals(m: &CompiledMdp, policy: &bvc_mdp::Policy) -> [f64; 3] {
     let n = m.num_states();
     let mut totals = vec![[0.0; 3]; n];
     for s in (0..n).rev() {
         let mut acc = [0.0; 3];
-        for t in &m.actions(s)[policy.choices[s]].transitions {
-            let next = if t.to == 0 { [0.0; 3] } else { totals[t.to] };
-            for (k, step) in [t.reward[0], t.reward[1], 1.0].into_iter().enumerate() {
-                acc[k] += t.prob * (step + next[k]);
+        for (to, prob, reward) in m.transitions(m.policy_arm(policy, s)) {
+            let next = if to == 0 { [0.0; 3] } else { totals[to] };
+            for (k, step) in [reward[0], reward[1], 1.0].into_iter().enumerate() {
+                acc[k] += prob * (step + next[k]);
             }
         }
         totals[s] = acc;
@@ -147,23 +147,23 @@ fn cycle_totals(m: &Mdp, policy: &bvc_mdp::Policy) -> [f64; 3] {
 }
 
 /// The exact cycle ratio `E[cycle N] / E[cycle D]` of `policy`.
-fn cycle_ratio(m: &Mdp, policy: &bvc_mdp::Policy) -> f64 {
+fn cycle_ratio(m: &CompiledMdp, policy: &bvc_mdp::Policy) -> f64 {
     let [num, den, _] = cycle_totals(m, policy);
     num / den
 }
 
 /// The exact gain of `policy` under `obj`: its cycle reward over its cycle
 /// length.
-fn cycle_gain(m: &Mdp, policy: &bvc_mdp::Policy, obj: &Objective) -> f64 {
+fn cycle_gain(m: &CompiledMdp, policy: &bvc_mdp::Policy, obj: &Objective) -> f64 {
     let [num, den, steps] = cycle_totals(m, policy);
     (obj.weights[0] * num + obj.weights[1] * den) / steps
 }
 
 /// Every deterministic stationary policy of `m`, by mixed-radix counting
 /// from the all-zeros policy.
-fn all_policies(m: &Mdp) -> Vec<bvc_mdp::Policy> {
+fn all_policies(m: &CompiledMdp) -> Vec<bvc_mdp::Policy> {
     let n = m.num_states();
-    let radices: Vec<usize> = (0..n).map(|s| m.actions(s).len()).collect();
+    let radices: Vec<usize> = (0..n).map(|s| m.num_arms_of(s)).collect();
     let mut policy = bvc_mdp::Policy::zeros(n);
     let mut all = Vec::new();
     loop {
@@ -210,7 +210,7 @@ proptest! {
         let obj = Objective::new(vec![1.0, 0.0]);
         let sol = relative_value_iteration(&m, &obj, &RviOptions::default()).unwrap();
         let policies = all_policies(&m);
-        let count: usize = (0..m.num_states()).map(|s| m.actions(s).len()).product();
+        let count: usize = (0..m.num_states()).map(|s| m.num_arms_of(s)).product();
         prop_assert_eq!(policies.len(), count);
         for policy in &policies {
             let ev = evaluate_policy(&m, policy).unwrap();
@@ -257,45 +257,48 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Differential tests: the CSR-compiled solvers against the nested-layout
-// reference implementations (`bvc_mdp::solve::reference`). The two paths run
-// the same algorithms with the same warm-start and tie-breaking rules — only
-// the memory layout differs — so agreement is expected to near machine
-// precision, far tighter than the solver tolerances themselves.
+// Differential tests: the production solvers against the plain reference
+// implementations (`bvc_mdp::solve::reference`), which read the same CSR
+// model. The two paths run the same algorithms with the same warm-start and
+// tie-breaking rules — only the kernels differ — so agreement is expected
+// to near machine precision, far tighter than the solver tolerances
+// themselves. The `*_matches_nested` test names date from when the
+// reference solvers read the nested builder layout.
 // ---------------------------------------------------------------------------
 
 use bvc_mdp::solve::reference::{
-    evaluate_policy_nested, maximize_ratio_nested, relative_value_iteration_nested,
+    evaluate_policy_reference, maximize_ratio_reference, relative_value_iteration_reference,
 };
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Compiled RVI and nested RVI return the same gain, bias and policy.
+    /// Production RVI and reference RVI return the same gain, bias and
+    /// policy.
     #[test]
     fn compiled_rvi_matches_nested(model in random_cyclic_model()) {
         let m = model.build();
         let obj = Objective::new(vec![1.0, 0.5]);
         let opts = RviOptions::default();
         let fast = relative_value_iteration(&m, &obj, &opts).unwrap();
-        let slow = relative_value_iteration_nested(&m, &obj, &opts).unwrap();
+        let slow = relative_value_iteration_reference(&m, &obj, &opts).unwrap();
         prop_assert_eq!(fast.engine, ProbeEngine::Rvi);
         prop_assert!((fast.gain - slow.gain).abs() < 1e-9,
-            "gain: compiled {} vs nested {}", fast.gain, slow.gain);
+            "gain: compiled {} vs reference {}", fast.gain, slow.gain);
         prop_assert_eq!(&fast.policy.choices, &slow.policy.choices);
         for (a, b) in fast.bias.iter().zip(&slow.bias) {
-            prop_assert!((a - b).abs() < 1e-9, "bias: compiled {} vs nested {}", a, b);
+            prop_assert!((a - b).abs() < 1e-9, "bias: compiled {} vs reference {}", a, b);
         }
     }
 
-    /// Compiled and nested fixed-policy evaluation agree on the stationary
+    /// Production and reference fixed-policy evaluation agree on the stationary
     /// distribution and every component rate.
     #[test]
     fn compiled_eval_matches_nested(model in random_model()) {
         let m = model.build();
         let policy = bvc_mdp::Policy::zeros(m.num_states());
         let fast = evaluate_policy(&m, &policy).unwrap();
-        let slow = evaluate_policy_nested(&m, &policy).unwrap();
+        let slow = evaluate_policy_reference(&m, &policy).unwrap();
         for (a, b) in fast.stationary.iter().zip(&slow.stationary) {
             prop_assert!((a - b).abs() < 1e-9, "stationary: {} vs {}", a, b);
         }
@@ -333,7 +336,7 @@ proptest! {
         }
     }
 
-    /// The threaded kernel agrees with the nested-layout reference solver
+    /// The threaded kernel agrees with the reference solver
     /// to 1e-9 — the same bound the single-threaded differential test
     /// enforces, so sharding adds no numeric drift against the reference.
     #[test]
@@ -342,7 +345,7 @@ proptest! {
         let obj = Objective::new(vec![1.0, 0.5]);
         let opts = RviOptions { solve_threads: 4, shard_min_states: 1, ..Default::default() };
         let fast = relative_value_iteration(&m, &obj, &opts).unwrap();
-        let slow = relative_value_iteration_nested(&m, &obj, &RviOptions::default()).unwrap();
+        let slow = relative_value_iteration_reference(&m, &obj, &RviOptions::default()).unwrap();
         prop_assert!((fast.gain - slow.gain).abs() < 1e-9,
             "gain: threaded {} vs reference {}", fast.gain, slow.gain);
         prop_assert_eq!(&fast.policy.choices, &slow.policy.choices);
@@ -351,12 +354,12 @@ proptest! {
         }
     }
 
-    /// The compiled ratio solver (in-place re-scalarization + warm-started
-    /// kernel) and the nested one (objective rebuilt per probe) take the
-    /// same probes, spend the same inner iterations, and agree on the
-    /// optimal ratio and the attaining policy. The models keep a cycle that
-    /// avoids state 0, so the compiled path probes by RVI like the nested
-    /// one.
+    /// The production ratio solver (in-place re-scalarization +
+    /// warm-started kernel) and the reference one (objective rebuilt per
+    /// probe) take the same probes, spend the same inner iterations, and
+    /// agree on the optimal ratio and the attaining policy. The models keep
+    /// a cycle that avoids state 0, so the production path probes by RVI
+    /// like the reference one.
     #[test]
     fn compiled_ratio_matches_nested(model in random_cyclic_model()) {
         let m = model.build();
@@ -364,12 +367,12 @@ proptest! {
         let den = Objective::new(vec![0.0, 1.0]);
         let opts = RatioOptions::default();
         let fast = maximize_ratio(&m, &num, &den, &opts);
-        let slow = maximize_ratio_nested(&m, &num, &den, &opts);
+        let slow = maximize_ratio_reference(&m, &num, &den, &opts);
         match (fast, slow) {
             (Ok(f), Ok(s)) => {
                 prop_assert_eq!(f.engine, ProbeEngine::Rvi);
                 prop_assert!((f.value - s.value).abs() < 1e-9,
-                    "ratio: compiled {} vs nested {}", f.value, s.value);
+                    "ratio: compiled {} vs reference {}", f.value, s.value);
                 prop_assert_eq!(f.inner_solves, s.inner_solves);
                 prop_assert_eq!(f.inner_iterations, s.inner_iterations);
                 prop_assert_eq!(&f.policy.choices, &s.policy.choices);
@@ -380,11 +383,11 @@ proptest! {
     }
 }
 
-/// Plain bisection on rho over nested RVI solves of `N - rho * D`, warm
+/// Plain bisection on rho over reference RVI solves of `N - rho * D`, warm
 /// started like the production search: the oracle for the secant search.
 /// Returns the value and the number of inner solves.
 fn bisection_oracle(
-    m: &Mdp,
+    m: &CompiledMdp,
     num: &Objective,
     den: &Objective,
     opts: &RatioOptions,
@@ -393,7 +396,7 @@ fn bisection_oracle(
     let mut rvi = opts.rvi.clone();
     let mut solves = 0;
     let mut gain_at = |rho: f64| {
-        let sol = relative_value_iteration_nested(m, &num.minus_scaled(den, rho), &rvi)?;
+        let sol = relative_value_iteration_reference(m, &num.minus_scaled(den, rho), &rvi)?;
         rvi.warm_start = Some(sol.bias);
         solves += 1;
         Ok::<_, bvc_mdp::MdpError>(sol.gain)
@@ -451,7 +454,7 @@ proptest! {
     /// the best ratio over every deterministic policy, each evaluated
     /// exactly over one cycle: the value and the returned policy's own ratio
     /// are within the tolerance of that maximum. The value also agrees with
-    /// the nested RVI search: each search ends within half a tolerance of
+    /// the reference RVI search: each search ends within half a tolerance of
     /// its own crossing, and RVI's gain error moves the crossing by at most
     /// its tolerance over the smallest denominator rate.
     #[test]
@@ -473,11 +476,11 @@ proptest! {
         prop_assert!((own - best).abs() <= opts.tolerance,
             "returned policy's ratio {} vs enumerated best {}", own, best);
 
-        let nested = maximize_ratio_nested(&m, &num, &den, &opts).unwrap();
+        let reference = maximize_ratio_reference(&m, &num, &den, &opts).unwrap();
         prop_assert!(
-            (sol.value - nested.value).abs()
+            (sol.value - reference.value).abs()
                 <= opts.tolerance + opts.rvi.tolerance / REGEN_MIN_DEN,
-            "renewal {} vs nested {}", sol.value, nested.value);
+            "renewal {} vs reference {}", sol.value, reference.value);
     }
 }
 
@@ -487,7 +490,7 @@ proptest! {
     /// On regenerative models a gain solve runs the renewal engine and its
     /// gain is exact: equal (to rounding) to the best gain over every
     /// deterministic policy, each evaluated exactly over one cycle, and to
-    /// the returned policy's own; within 1e-6 of nested RVI (whose
+    /// the returned policy's own; within 1e-6 of reference RVI (whose
     /// tolerance is 1e-7). The bias solves the policy's average-reward
     /// equations `g + h(s) = r(s, π(s)) + Σ p·h` with `h(0) = 0`.
     #[test]
@@ -506,17 +509,16 @@ proptest! {
         let own = cycle_gain(&m, &sol.policy, &obj);
         prop_assert!((own - sol.gain).abs() <= 1e-12,
             "returned policy's gain {} vs reported {}", own, sol.gain);
-        let nested = relative_value_iteration_nested(&m, &obj, &RviOptions::default()).unwrap();
-        prop_assert!((sol.gain - nested.gain).abs() <= 1e-6,
-            "renewal {} vs nested RVI {}", sol.gain, nested.gain);
+        let reference =
+            relative_value_iteration_reference(&m, &obj, &RviOptions::default()).unwrap();
+        prop_assert!((sol.gain - reference.gain).abs() <= 1e-6,
+            "renewal {} vs reference RVI {}", sol.gain, reference.gain);
 
         prop_assert_eq!(sol.bias[0], 0.0);
         for s in 0..m.num_states() {
-            let arm = &m.actions(s)[sol.policy.choices[s]];
-            let rhs: f64 = arm
-                .transitions
-                .iter()
-                .map(|t| t.prob * (obj.scalarize(&t.reward) + sol.bias[t.to]))
+            let rhs: f64 = m
+                .transitions(m.policy_arm(&sol.policy, s))
+                .map(|(to, prob, reward)| prob * (obj.scalarize(reward) + sol.bias[to]))
                 .sum();
             prop_assert!((sol.gain + sol.bias[s] - rhs).abs() <= 1e-9,
                 "state {}: g + h = {} vs r + Ph = {}", s, sol.gain + sol.bias[s], rhs);

@@ -38,7 +38,7 @@ use bvc_gamesweep::{
 };
 use bvc_journal::{cell_fingerprint, check_param_names};
 use bvc_mdp::audit::{demo_multichain, demo_unreachable};
-use bvc_mdp::{audit_mdp, AuditOptions, MdpError, SolveBudget};
+use bvc_mdp::{audit_compiled, AuditOptions, MdpError, SolveBudget};
 use bvc_scenario::{run_scenario, AttackerSpec, ScenarioSpec, METRIC_ARITY};
 
 use crate::cache::{CachedCell, Fetched, SolveCache, SolveFailure};
@@ -734,7 +734,7 @@ impl Service {
                 "unreachable" => demo_unreachable(),
                 other => return bad_request(&format!("unknown demo model {other:?}")),
             };
-            return match audit_mdp(&mdp, &AuditOptions::default()).gate() {
+            return match audit_compiled(&mdp, &AuditOptions::default()).gate() {
                 Err(e) => failure_response(&SolveFailure::Mdp(e)),
                 Ok(()) => Response::json(
                     200,

@@ -44,31 +44,37 @@ cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
 cargo test -q --offline -p bvc-bu --test table2_pins
 cargo test -q --offline -p bvc-bitcoin --test table3_pins
 
-echo "==> ratio-search gate (secant search vs nested reference, bisection and enumeration)"
+echo "==> ratio-search gate (secant search vs reference solver, bisection and enumeration)"
 # On models with a cycle avoiding state 0 (RVI probes) the secant search on
-# rho must take the same probes and inner iterations on the compiled and
-# nested paths; it must land within the tolerance of plain bisection with at
-# most three times its inner solves; and on regenerative models (exact
-# renewal probes) within the tolerance of the best enumerated policy.
+# rho must take the same probes and inner iterations as the plain reference
+# solver (`solve::reference`, which reads the same CSR model; the test names
+# keep the word "nested" from when it read the nested layout); it must land
+# within the tolerance of plain bisection with at most three times its
+# inner solves; and on regenerative models (exact renewal probes) within the
+# tolerance of the best enumerated policy.
 cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
     compiled_ratio_matches_nested ratio_search_matches_bisection_oracle \
     renewal_ratio_matches_policy_enumeration
 
-echo "==> gain-oracle gate (RVI gain vs every enumerated policy, nested RVI and renewal)"
+echo "==> gain-oracle gate (RVI gain vs every enumerated policy, reference RVI and renewal)"
 # RVI's gain must be the best deterministic policy's rate: no enumerated
 # policy beats it (all of them, at most 32 per random model) and its own
-# policy attains it. RVI must also match the nested reference, and on
+# policy attains it. RVI must also match the plain reference RVI, and on
 # regenerative models the renewal gain must match RVI and enumeration.
 cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
     rvi_gain_matches_policy_evaluation rvi_dominates_enumerated_policies \
     compiled_rvi_matches_nested renewal_gain_matches_rvi_and_enumeration
 
-echo "==> model-build gate (pinned model fingerprints + Table 1 generator rows)"
+echo "==> model-build gate (pinned model fingerprints + Table 1 generator rows + writer errors)"
 # Every BU and Bitcoin model of the pinned grids must hash to the recorded
-# fingerprint (same states, ids, transitions and reward bits), and the BU
-# generator must still reproduce the corrected Table 1 row by row.
+# fingerprint (same states, ids, transitions and reward bits) and pass the
+# audit's CSR-layout check, the BU generator must still reproduce the
+# corrected Table 1 row by row, and explore's CSR writer must report every
+# malformed expansion with the error explore-then-validate returned.
 cargo test -q --offline -p bvc-bu -p bvc-bitcoin --test model_fingerprint
 cargo test -q --offline -p bvc-bu --lib table1
+cargo test -q --offline -p bvc-mdp --test explore_errors -- \
+    explore_errors_match_explore_then_validate
 
 echo "==> cell-identity gate (solve token pin + cluster and serve cell keys + table-cell parsers)"
 # Every journal fingerprint and serve cache key hashes the default solve
