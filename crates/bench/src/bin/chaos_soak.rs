@@ -75,7 +75,7 @@ fn reference_journal(wl: &Workload) -> Result<Vec<u8>, String> {
         config_token: wl.config_token.clone(),
         ..SweepOptions::default()
     };
-    let report = run_jobs(wl.label, &wl.jobs, &opts);
+    let report = run_jobs(wl.name, &wl.jobs, &opts);
     if report.solved() != wl.jobs.len() {
         return Err(format!("reference sweep incomplete: {}", report.failure_legend()));
     }
@@ -119,7 +119,7 @@ fn cluster_run(
                 })
             })
             .collect();
-        let result = coordinator.run(wl.label, &wl.jobs);
+        let result = coordinator.run(wl.name, &wl.jobs);
         let summaries = handles
             .into_iter()
             .map(|h| h.join().unwrap_or_else(|_| Err("worker thread panicked".to_string())))

@@ -84,7 +84,7 @@ fn run_once(wl: &Workload, workers: usize) -> Result<(Duration, usize), String> 
                 })
             })
             .collect();
-        let report = coordinator.run(wl.label, &wl.jobs);
+        let report = coordinator.run(wl.name, &wl.jobs);
         for handle in handles {
             handle.join().map_err(|_| "worker panicked".to_string())?.map_err(|e| e.to_string())?;
         }

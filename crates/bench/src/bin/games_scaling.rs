@@ -24,9 +24,9 @@
 use std::time::Instant;
 
 use bvc_gamesweep::{
-    binomial, figure4_spec, frontier_config_token, solve_frontier_cell, FrontierSpec, GameSpec,
-    PowerDist,
+    binomial, figure4_spec, solve_frontier_cell, FrontierSpec, GameSpec, PowerDist,
 };
+use bvc_journal::Cell;
 use bvc_repro::sweep::{run_jobs, JobSpec, SweepOptions};
 
 struct Flags {
@@ -144,7 +144,7 @@ fn main() {
     for &threads in &flags.threads {
         let opts = SweepOptions {
             threads: Some(threads),
-            config_token: frontier_config_token(),
+            config_token: FrontierSpec::config_token(),
             ..SweepOptions::default()
         };
         let started = Instant::now();

@@ -23,10 +23,9 @@
 use std::time::Instant;
 
 use bvc_bu::SolveOptions;
+use bvc_journal::Cell;
 use bvc_repro::sweep::{run_jobs, JobSpec, SweepOptions};
-use bvc_scenario::{
-    run_scenario, AttackerSpec, DelaySpec, HashDist, RuleKind, ScenarioSpec, GRID_SEED,
-};
+use bvc_scenario::{AttackerSpec, DelaySpec, HashDist, RuleKind, ScenarioSpec, GRID_SEED};
 
 struct Flags {
     nodes: Vec<u32>,
@@ -124,7 +123,7 @@ fn main() {
     for &nodes in &flags.nodes {
         let spec = node_cell(nodes, flags.blocks);
         let started = Instant::now();
-        let metrics = match run_scenario(&spec, &SolveOptions::default()) {
+        let metrics = match spec.solve(&SolveOptions::default()) {
             Ok(metrics) => metrics,
             Err(e) => {
                 eprintln!("error: {} failed: {e}", spec.key());

@@ -3,7 +3,7 @@
 //! plus the speedup.
 //!
 //! The workload is the `table2` binary's: the printed cells of Table 2
-//! (22 setting-1 cells across α ∈ {10,15,20,25}% and six β:γ ratios; with
+//! (21 setting-1 cells across α ∈ {10,15,20,25}% and six β:γ ratios; with
 //! `--full`, also the four setting-2 cells at α = 25%), each solved for the
 //! maximal relative revenue u1 by a secant search over ρ. The reference
 //! baseline sweeps through `bvc_repro::parallel_map` and probes each ρ with a
@@ -43,6 +43,7 @@ use std::sync::Mutex;
 
 use bvc_bench::timing::time_runs_cold;
 use bvc_bu::{rewards, AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions};
+use bvc_cluster::jobs::{table2_setting1_jobs, table2_setting2_jobs, JobSpec, T2_ALPHAS};
 use bvc_mdp::solve::reference::maximize_ratio_reference;
 use bvc_mdp::solve::ProbeEngine;
 use bvc_repro::parallel_map;
@@ -63,34 +64,25 @@ struct SweepCell {
     setting: Setting,
 }
 
-/// The cells the paper prints in Table 2 (see `bvc-repro --bin table2`).
-/// `quick` keeps only the α = 10% column (the cheapest models) as a smoke
-/// workload; `full` adds the four setting-2 cells, whose state spaces are
-/// orders of magnitude larger.
+/// The cells the paper prints in Table 2: the job registry's, as the
+/// `table2` binary solves them. `quick` keeps only the α = 10% column (the
+/// cheapest models) as a smoke workload; `full` adds the four setting-2
+/// cells, whose state spaces are orders of magnitude larger.
 fn table2_cells(quick: bool, full: bool) -> Vec<SweepCell> {
-    const RATIOS: [((u32, u32), [bool; 4]); 6] = [
-        ((3, 2), [true, true, true, true]),
-        ((1, 1), [true, true, true, true]),
-        ((2, 3), [true, true, true, true]),
-        ((1, 2), [true, true, true, true]),
-        ((1, 3), [true, true, true, false]),
-        ((1, 4), [true, true, false, false]),
-    ];
-    const ALPHAS: [f64; 4] = [0.10, 0.15, 0.20, 0.25];
-    let mut cells = Vec::new();
-    for (ratio, printed) in RATIOS {
-        for (i, &p) in printed.iter().enumerate() {
-            if p && (!quick || i == 0) {
-                cells.push(SweepCell { alpha: ALPHAS[i], ratio, setting: Setting::One });
+    let setting1 = table2_setting1_jobs().into_iter().filter(|job| {
+        !quick || matches!(job, JobSpec::Table2 { alpha, .. } if *alpha == T2_ALPHAS[0])
+    });
+    let setting2 = if full { table2_setting2_jobs() } else { Vec::new() };
+    setting1
+        .chain(setting2)
+        .filter_map(|job| match job {
+            JobSpec::Table2 { alpha, ratio, setting } => {
+                let setting = if setting == 2 { Setting::Two } else { Setting::One };
+                Some(SweepCell { alpha, ratio, setting })
             }
-        }
-    }
-    if full {
-        for ratio in [(3, 2), (1, 1), (2, 3), (1, 2)] {
-            cells.push(SweepCell { alpha: 0.25, ratio, setting: Setting::Two });
-        }
-    }
-    cells
+            _ => None,
+        })
+        .collect()
 }
 
 fn build(cell: &SweepCell) -> AttackModel {

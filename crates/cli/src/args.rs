@@ -26,6 +26,12 @@ impl From<String> for ArgError {
     }
 }
 
+impl From<ArgError> for String {
+    fn from(err: ArgError) -> Self {
+        err.0
+    }
+}
+
 /// Parsed command-line arguments.
 #[derive(Debug, Clone, Default)]
 pub struct Args {

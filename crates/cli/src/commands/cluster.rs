@@ -236,7 +236,7 @@ pub fn run(cmd: &ClusterCmd) -> Result<(), String> {
                 None
             };
             cfg.cell.audit = *audit;
-            let report = run_coordinator(addr, wl.label, &wl.jobs, cfg)
+            let report = run_coordinator(addr, wl.name, &wl.jobs, cfg)
                 .map_err(|e| format!("cluster run failed: {e}"))?;
             let failed = report.cells.iter().filter(|c| c.outcome.is_err()).count();
             let replayed = report.cells.iter().filter(|c| c.replayed).count();
@@ -318,10 +318,10 @@ pub fn run(cmd: &ClusterCmd) -> Result<(), String> {
             Ok(())
         }
         ClusterCmd::Workloads => {
-            println!("{:<18} {:>6}  label", "name", "cells");
+            println!("{:<18} {:>6}", "name", "cells");
             for name in WORKLOAD_NAMES {
                 if let Some(wl) = workload(name) {
-                    println!("{:<18} {:>6}  {}", name, wl.jobs.len(), wl.label);
+                    println!("{:<18} {:>6}", name, wl.jobs.len());
                 }
             }
             Ok(())

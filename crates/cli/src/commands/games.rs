@@ -1,15 +1,14 @@
 //! `bvc games` — the emergent-consensus games: `eb` (EB choosing game),
 //! `bsig` (block size increasing game), `map` (one `bvc-gamesweep`
 //! equilibrium-map cell) and `frontier` (one coalition-frontier shard),
-//! plus `--list` for the canonical cluster workload cells.
+//! plus `--list` for the canonical cluster workload cells. `map`,
+//! `frontier` and `--list` are the generic cell runner ([`cell`]).
 
 use bvc_games::{BlockSizeIncreasingGame, EbChoosingGame, MinerGroup};
-use bvc_gamesweep::{
-    frontier_cells, games_grid_specs, solve_frontier_cell, solve_game_cell, FrontierSpec, GameSpec,
-    FRONTIER_METRIC_ARITY, GAME_METRIC_ARITY, NO_CARTEL,
-};
+use bvc_gamesweep::{FrontierSpec, GameSpec};
 
 use crate::args::{ArgError, Args};
+use crate::commands::cell::{self, GAME_WORKLOADS};
 
 /// Which game to run, with its inputs.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,31 +26,22 @@ pub enum GamesCmd {
         /// countermeasure).
         threshold: f64,
     },
-    /// One equilibrium-map cell (defaults reproduce Figure 4).
-    Map {
-        /// The fully-resolved cell.
-        spec: GameSpec,
-        /// Emit metrics as one JSON object.
-        json: bool,
-    },
-    /// One coalition-frontier shard.
-    Frontier {
-        /// The fully-resolved shard.
-        spec: FrontierSpec,
-        /// Emit metrics as one JSON object.
-        json: bool,
-    },
-    /// List the canonical `games-grid` / `games-frontier` workload cells.
-    List,
 }
 
-/// Parses the subcommand (`eb`, `bsig`, `map` or `frontier` as the next
-/// positional, or `--list`).
-pub fn parse(args: &Args) -> Result<GamesCmd, ArgError> {
-    if args.has("list") {
-        args.check_names(&[&["list"]])?;
-        return Ok(GamesCmd::List);
+/// Runs `bvc games …`: `map` and `frontier` (one cell each, defaults
+/// reproduce Figure 4) and `--list` through the generic cell runner, `eb`
+/// and `bsig` through [`parse`] and [`run`].
+pub fn dispatch(args: &Args) -> Result<(), String> {
+    match args.positional().get(1).map(String::as_str) {
+        Some("frontier") => cell::command::<FrontierSpec>(args, GAME_WORKLOADS),
+        Some("map") => cell::command::<GameSpec>(args, GAME_WORKLOADS),
+        _ if args.has("list") => cell::command::<GameSpec>(args, GAME_WORKLOADS),
+        _ => run(&parse(args)?),
     }
+}
+
+/// Parses the `eb` or `bsig` subcommand (the next positional).
+pub fn parse(args: &Args) -> Result<GamesCmd, ArgError> {
     let which = args
         .positional()
         .get(1)
@@ -59,8 +49,6 @@ pub fn parse(args: &Args) -> Result<GamesCmd, ArgError> {
     let get = |name: &str| args.value(name);
     let names: &[&[&str]] = match which.as_str() {
         "eb" => &[&EbChoosingGame::PARAMS],
-        "map" => &[&GameSpec::PARAMS, &["json"]],
-        "frontier" => &[&GameSpec::PARAMS, &FrontierSpec::PARAMS, &["json"]],
         "bsig" => &[&["groups", "threshold"]],
         other => {
             return Err(ArgError(format!(
@@ -71,10 +59,6 @@ pub fn parse(args: &Args) -> Result<GamesCmd, ArgError> {
     args.check_names(names)?;
     match which.as_str() {
         "eb" => Ok(GamesCmd::Eb { powers: EbChoosingGame::shares_from_params(get)? }),
-        "map" => Ok(GamesCmd::Map { spec: GameSpec::from_params(get)?, json: args.has("json") }),
-        "frontier" => {
-            Ok(GamesCmd::Frontier { spec: FrontierSpec::from_params(get)?, json: args.has("json") })
-        }
         _ => {
             let raw = args.get::<String>("groups")?;
             let mut groups = Vec::new();
@@ -155,80 +139,8 @@ pub fn run(cmd: &GamesCmd) -> Result<(), String> {
             );
             println!("utilities: {:?}", game.utilities());
         }
-        GamesCmd::Map { spec, json } => {
-            if !json {
-                println!("running cell {}", spec.key());
-            }
-            let metrics = solve_game_cell(spec)?;
-            if metrics.len() != GAME_METRIC_ARITY {
-                return Err(format!(
-                    "internal: expected {GAME_METRIC_ARITY} metrics, got {}",
-                    metrics.len()
-                ));
-            }
-            let names: [&str; GAME_METRIC_ARITY] = [
-                "groups",
-                "terminal",
-                "rounds",
-                "passed_rounds",
-                "forced_out_power",
-                "nash_equilibria",
-                "flip_size",
-                "flip_power",
-                "perturb_flips",
-                "perturb_trials",
-            ];
-            print_metrics(&spec.key(), &names, &metrics, *json);
-        }
-        GamesCmd::Frontier { spec, json } => {
-            if !json {
-                println!("running cell {}", spec.key());
-            }
-            let metrics = solve_frontier_cell(spec)?;
-            if metrics.len() != FRONTIER_METRIC_ARITY {
-                return Err(format!(
-                    "internal: expected {FRONTIER_METRIC_ARITY} metrics, got {}",
-                    metrics.len()
-                ));
-            }
-            let names: [&str; FRONTIER_METRIC_ARITY] = [
-                "examined",
-                "effective",
-                "best_terminal",
-                "best_mask",
-                "min_cartel_power",
-                "base_terminal",
-            ];
-            print_metrics(&spec.key(), &names, &metrics, *json);
-            if !json && metrics[4] >= NO_CARTEL {
-                println!("  (no committed coalition in this shard moves the terminal)");
-            }
-        }
-        GamesCmd::List => {
-            println!("games-grid cells (sweep workload `games-grid`):");
-            for spec in games_grid_specs() {
-                println!("  {}", spec.key());
-            }
-            println!();
-            println!("games-frontier cells (sweep workload `games-frontier`):");
-            for spec in frontier_cells() {
-                println!("  {}", spec.key());
-            }
-        }
     }
     Ok(())
-}
-
-fn print_metrics(key: &str, names: &[&str], metrics: &[f64], json: bool) {
-    if json {
-        let fields: Vec<String> =
-            names.iter().zip(metrics).map(|(name, value)| format!("\"{name}\":{value}")).collect();
-        println!("{{\"key\":\"{key}\",{}}}", fields.join(","));
-    } else {
-        for (name, value) in names.iter().zip(metrics) {
-            println!("  {name:<18} {value}");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -305,12 +217,6 @@ mod tests {
         assert!(message.contains("powers must be positive and finite"), "{message}");
     }
 
-    #[test]
-    fn map_rejects_sub_parameters_of_unchosen_variants() {
-        let message = rejection(&["games", "map", "--power", "uniform", "--zipf-s", "1"]);
-        assert!(message.contains("zipf-s only applies with power=zipf"), "{message}");
-    }
-
     /// A misspelled flag used to be ignored, leaving its default in place.
     #[test]
     fn unknown_flags_are_rejected() {
@@ -321,7 +227,7 @@ mod tests {
             (&["games", "bsig", "--groups", "1:0.5,2:0.5", "--treshold", "0.9"], "treshold"),
             (&["games", "--list", "--json"], "json"),
         ] {
-            let message = rejection(tokens);
+            let message = dispatch(&args(tokens)).unwrap_err();
             assert!(message.starts_with(&format!("unknown parameter {name:?}")), "{message}");
         }
     }
@@ -344,44 +250,10 @@ mod tests {
     }
 
     #[test]
-    fn map_defaults_to_the_figure4_cell() {
-        let cmd = parse(&args(&["games", "map"])).unwrap();
-        let GamesCmd::Map { spec, json } = &cmd else { panic!("expected map, got {cmd:?}") };
-        assert_eq!(*spec, bvc_gamesweep::figure4_spec());
-        assert!(!json);
-        run(&cmd).unwrap();
-        let cmd = parse(&args(&[
-            "games",
-            "map",
-            "--miners",
-            "12",
-            "--power",
-            "measured",
-            "--perturb",
-            "random",
-            "--trials",
-            "50",
-            "--json",
-        ]))
-        .unwrap();
-        run(&cmd).unwrap();
-    }
-
-    #[test]
-    fn frontier_needs_size_and_validates() {
-        assert!(parse(&args(&["games", "frontier"])).is_err(), "size is required");
-        assert!(
-            parse(&args(&["games", "frontier", "--size", "1", "--econ", "fee"])).is_err(),
-            "frontier cells require ladder economics"
-        );
-        let cmd = parse(&args(&["games", "frontier", "--size", "1", "--json"])).unwrap();
-        run(&cmd).unwrap();
-    }
-
-    #[test]
-    fn lists_the_canonical_cells() {
-        let cmd = parse(&args(&["games", "--list"])).unwrap();
-        assert_eq!(cmd, GamesCmd::List);
-        run(&cmd).unwrap();
+    fn map_frontier_and_list_run_through_the_cell_runner() {
+        dispatch(&args(&["games", "map"])).unwrap();
+        dispatch(&args(&["games", "frontier", "--size", "1", "--json"])).unwrap();
+        dispatch(&args(&["games", "--list"])).unwrap();
+        assert!(dispatch(&args(&["games", "frontier"])).is_err(), "size is required");
     }
 }

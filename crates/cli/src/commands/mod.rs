@@ -2,10 +2,10 @@
 
 pub mod audit;
 pub mod bitcoin;
+pub mod cell;
 pub mod cluster;
 pub mod games;
 pub mod journal;
-pub mod scenario;
 pub mod serve;
 pub mod simulate;
 pub mod solve;

@@ -121,14 +121,11 @@ fn dispatch(raw: Vec<String>) -> Result<(), String> {
             let cmd = commands::serve::parse(&args).map_err(|e| e.to_string())?;
             commands::serve::run(&cmd)
         }
-        "scenario" => {
-            let cmd = commands::scenario::parse(&args).map_err(|e| e.to_string())?;
-            commands::scenario::run(&cmd)
-        }
-        "games" => {
-            let cmd = commands::games::parse(&args).map_err(|e| e.to_string())?;
-            commands::games::run(&cmd)
-        }
+        "scenario" => commands::cell::command::<bvc_scenario::ScenarioSpec>(
+            &args,
+            commands::cell::SCENARIO_WORKLOADS,
+        ),
+        "games" => commands::games::dispatch(&args),
         "cluster" => {
             let cmd = commands::cluster::parse(&args).map_err(|e| e.to_string())?;
             commands::cluster::run(&cmd)

@@ -17,11 +17,11 @@ use bvc_bu::{
     rewards, AttackConfig, AttackModel, AttackState, IncentiveModel, Setting, SolveOptions, Utility,
 };
 use bvc_chain::{BuRizunRule, ByteSize, MinerId};
-use bvc_gamesweep::{solve_frontier_cell, solve_game_cell, FrontierSpec, GameSpec};
-use bvc_journal::{f64_from_hex, f64_to_hex};
+use bvc_gamesweep::{FrontierSpec, GameSpec};
+use bvc_journal::{f64_from_hex, f64_to_hex, Cell};
 use bvc_mdp::solve::{sample_path, XorShift64};
 use bvc_mdp::MdpError;
-use bvc_scenario::{run_scenario, ScenarioSpec};
+use bvc_scenario::ScenarioSpec;
 use bvc_sim::{AttackReplay, DelayModel, HonestStrategy, MinerSpec, Simulation, SplitterStrategy};
 
 use crate::cell::CellContext;
@@ -308,20 +308,18 @@ impl JobSpec {
 
     /// Decodes a wire spec; `None` on any malformation.
     pub fn decode(text: &str) -> Option<JobSpec> {
-        // Scenario and game specs own their prefixes and full codecs.
-        if text.starts_with("sc;") {
-            return ScenarioSpec::decode(text).map(|spec| JobSpec::Scenario { spec });
-        }
-        if text.starts_with("gm;") {
-            return GameSpec::decode(text).map(|spec| JobSpec::Game { spec });
-        }
-        if text.starts_with("gf;") {
-            return FrontierSpec::decode(text).map(|spec| JobSpec::GameFrontier { spec });
-        }
         let parts: Vec<&str> = text.split(';').collect();
         let ratio =
             |b: &str, g: &str| -> Option<(u32, u32)> { Some((b.parse().ok()?, g.parse().ok()?)) };
         match parts.as_slice() {
+            // Scenario and game specs own their tags and full codecs.
+            [ScenarioSpec::TAG, ..] => {
+                ScenarioSpec::decode(text).map(|spec| JobSpec::Scenario { spec })
+            }
+            [GameSpec::TAG, ..] => GameSpec::decode(text).map(|spec| JobSpec::Game { spec }),
+            [FrontierSpec::TAG, ..] => {
+                FrontierSpec::decode(text).map(|spec| JobSpec::GameFrontier { spec })
+            }
             ["t2", a, b, g, s] => Some(JobSpec::Table2 {
                 alpha: f64_from_hex(a)?,
                 ratio: ratio(b, g)?,
@@ -399,7 +397,7 @@ impl JobSpec {
                 Ok(packed)
             }
             JobSpec::StoneSim { scenario } => Ok(stone_simulate(*scenario)),
-            JobSpec::Scenario { spec } => run_scenario(spec, &ctx.solve_options()),
+            JobSpec::Scenario { spec } => spec.solve(&ctx.solve_options()),
             JobSpec::ScenarioCrossval { index } => {
                 let cells = bvc_scenario::crossval_cells();
                 let Some(cell) = cells.get(*index) else {
@@ -408,12 +406,10 @@ impl JobSpec {
                         value: *index as f64,
                     });
                 };
-                run_scenario(cell, &ctx.solve_options())
+                cell.solve(&ctx.solve_options())
             }
-            JobSpec::Game { spec } => solve_game_cell(spec)
-                .map_err(|detail| MdpError::AuditFailed { check: "game cell spec", detail }),
-            JobSpec::GameFrontier { spec } => solve_frontier_cell(spec)
-                .map_err(|detail| MdpError::AuditFailed { check: "frontier cell spec", detail }),
+            JobSpec::Game { spec } => spec.solve(&ctx.solve_options()),
+            JobSpec::GameFrontier { spec } => spec.solve(&ctx.solve_options()),
         }
     }
 }
@@ -626,34 +622,14 @@ fn stone_simulate(scenario: u8) -> Vec<f64> {
 /// or cluster executor.
 #[derive(Debug, Clone)]
 pub struct Workload {
-    /// Registry name (see [`WORKLOAD_NAMES`]).
+    /// Registry name (see [`WORKLOAD_NAMES`]); also the sweep label of
+    /// journal summaries and reports.
     pub name: &'static str,
-    /// Sweep label (journal summaries, reports).
-    pub label: &'static str,
     /// Solver configuration token mixed into cell fingerprints.
     pub config_token: String,
     /// The cells, in the binary's input order.
     pub jobs: Vec<JobSpec>,
 }
-
-/// Every named workload the registry can build.
-pub const WORKLOAD_NAMES: [&str; 15] = [
-    "table2-setting1",
-    "table2-setting2",
-    "table3-setting1",
-    "table3-setting2",
-    "table3-bitcoin",
-    "table4",
-    "ablation-ad",
-    "ablation-gate",
-    "crossval",
-    "strategies",
-    "stone-sim",
-    "scenario-grid",
-    "scenario-crossval",
-    "games-grid",
-    "games-frontier",
-];
 
 /// Table 2 setting-1 cells, row-major over the published mask.
 pub fn table2_setting1_jobs() -> Vec<JobSpec> {
@@ -718,50 +694,51 @@ fn solve_token() -> String {
     SolveOptions::default().fingerprint_token()
 }
 
-/// Builds a named workload; `None` for unknown names (see
-/// [`WORKLOAD_NAMES`]).
-pub fn workload(name: &str) -> Option<Workload> {
-    let (label, config_token, jobs): (&'static str, String, Vec<JobSpec>) = match name {
-        "table2-setting1" => ("table2-setting1", solve_token(), table2_setting1_jobs()),
-        "table2-setting2" => ("table2-setting2", solve_token(), table2_setting2_jobs()),
-        "table3-setting1" => ("table3-setting1", solve_token(), table3_jobs(1)),
-        "table3-setting2" => ("table3-setting2", solve_token(), table3_jobs(2)),
-        "table3-bitcoin" => ("table3-bitcoin", solve_token(), table3_bitcoin_jobs()),
-        "table4" => ("table4", solve_token(), table4_jobs()),
-        "ablation-ad" => (
-            "ablation-ad",
-            solve_token(),
-            ABLATION_ADS.iter().map(|&ad| JobSpec::AblationAd { ad }).collect(),
-        ),
-        "ablation-gate" => (
-            "ablation-gate",
-            solve_token(),
-            ABLATION_GATES.iter().map(|&gate| JobSpec::AblationGate { gate }).collect(),
-        ),
-        "crossval" => (
-            "crossval",
+/// Builds one workload's config token and cells.
+type WorkloadBuilder = fn() -> (String, Vec<JobSpec>);
+
+/// The workload registry: every name with its builder, in listing order.
+const WORKLOADS: [(&str, WorkloadBuilder); 15] = [
+    ("table2-setting1", || (solve_token(), table2_setting1_jobs())),
+    ("table2-setting2", || (solve_token(), table2_setting2_jobs())),
+    ("table3-setting1", || (solve_token(), table3_jobs(1))),
+    ("table3-setting2", || (solve_token(), table3_jobs(2))),
+    ("table3-bitcoin", || (solve_token(), table3_bitcoin_jobs())),
+    ("table4", || (solve_token(), table4_jobs())),
+    ("ablation-ad", || {
+        (solve_token(), ABLATION_ADS.iter().map(|&ad| JobSpec::AblationAd { ad }).collect())
+    }),
+    ("ablation-gate", || {
+        (solve_token(), ABLATION_GATES.iter().map(|&gate| JobSpec::AblationGate { gate }).collect())
+    }),
+    ("crossval", || {
+        (
             format!("{};steps={CROSSVAL_STEPS}", solve_token()),
             (0..crossval_specs().len()).map(|index| JobSpec::Crossval { index }).collect(),
-        ),
-        "strategies" => (
-            "strategies",
+        )
+    }),
+    ("strategies", || {
+        (
             solve_token(),
             (0..strategy_specs().len()).map(|index| JobSpec::Strategies { index }).collect(),
-        ),
-        "stone-sim" => (
-            "stone-sim",
+        )
+    }),
+    ("stone-sim", || {
+        (
             format!("stone;blocks={STONE_BLOCKS}"),
             [1u8, 2, 3].iter().map(|&scenario| JobSpec::StoneSim { scenario }).collect(),
-        ),
-        "scenario-grid" => (
-            "scenario-grid",
+        )
+    }),
+    ("scenario-grid", || {
+        (
             // Simulation cells carry every parameter in their key; the
             // solver token still matters for the embedded MDP cell.
             format!("{};scn-grid", solve_token()),
             bvc_scenario::grid_specs().into_iter().map(|spec| JobSpec::Scenario { spec }).collect(),
-        ),
-        "scenario-crossval" => (
-            "scenario-crossval",
+        )
+    }),
+    ("scenario-crossval", || {
+        (
             format!(
                 "{};scn-xval blocks={} reps={}",
                 solve_token(),
@@ -771,28 +748,45 @@ pub fn workload(name: &str) -> Option<Workload> {
             (0..bvc_scenario::crossval_cells().len())
                 .map(|index| JobSpec::ScenarioCrossval { index })
                 .collect(),
-        ),
-        "games-grid" => (
-            "games-grid",
-            // Game cells never touch the MDP solver: the token is the
-            // game-engine version, shared with the serve games routes.
-            bvc_gamesweep::grid_config_token(),
+        )
+    }),
+    ("games-grid", || {
+        (
+            GameSpec::config_token(),
             bvc_gamesweep::games_grid_specs()
                 .into_iter()
                 .map(|spec| JobSpec::Game { spec })
                 .collect(),
-        ),
-        "games-frontier" => (
-            "games-frontier",
-            bvc_gamesweep::frontier_config_token(),
+        )
+    }),
+    ("games-frontier", || {
+        (
+            FrontierSpec::config_token(),
             bvc_gamesweep::frontier_cells()
                 .into_iter()
                 .map(|spec| JobSpec::GameFrontier { spec })
                 .collect(),
-        ),
-        _ => return None,
-    };
-    Some(Workload { name: WORKLOAD_NAMES.iter().find(|&&n| n == name)?, label, config_token, jobs })
+        )
+    }),
+];
+
+/// Every named workload the registry can build.
+pub const WORKLOAD_NAMES: [&str; WORKLOADS.len()] = {
+    let mut names = [""; WORKLOADS.len()];
+    let mut i = 0;
+    while i < WORKLOADS.len() {
+        names[i] = WORKLOADS[i].0;
+        i += 1;
+    }
+    names
+};
+
+/// Builds a named workload; `None` for unknown names (see
+/// [`WORKLOAD_NAMES`]).
+pub fn workload(name: &str) -> Option<Workload> {
+    let &(name, build) = WORKLOADS.iter().find(|(registered, _)| *registered == name)?;
+    let (config_token, jobs) = build();
+    Some(Workload { name, config_token, jobs })
 }
 
 #[cfg(test)]

@@ -6,25 +6,12 @@
 #[cfg(test)]
 use crate::spec::binomial;
 use crate::spec::{EconSpec, FrontierSpec, GameSpec, PerturbSpec, PowerDist};
+#[cfg(test)]
+use bvc_journal::Cell;
 
 /// Base seed of every canonical cell (mixed per-cell via
 /// [`GameSpec::cell_seed`], so cells still decorrelate).
 pub const GAMES_SEED: u64 = 2017;
-
-/// Config token of the `games-grid` workload. Game cells never touch the
-/// MDP solver, so the token is the game-engine version plus the metric
-/// packing arity; every entry point (sweep binary, cluster registry,
-/// serve route) must use this exact string so their journals and cache
-/// fingerprints are interchangeable.
-pub fn grid_config_token() -> String {
-    format!("games-grid;v1;arity={}", crate::solve::GAME_METRIC_ARITY)
-}
-
-/// Config token of the `games-frontier` workload (see
-/// [`grid_config_token`] for the sharing contract).
-pub fn frontier_config_token() -> String {
-    format!("games-frontier;v1;arity={}", crate::solve::FRONTIER_METRIC_ARITY)
-}
 
 /// The pinned Figure 4 cell: four miners at 10/20/30/40 (`Zipf(-1)`) with
 /// ladder MPBs under BU's majority rule — `terminal = 1`, two rounds, the

@@ -39,10 +39,7 @@ pub mod grid;
 pub mod solve;
 pub mod spec;
 
-pub use grid::{
-    figure4_spec, frontier_cells, frontier_config_token, games_grid_specs, grid_config_token,
-    GAMES_SEED,
-};
+pub use grid::{figure4_spec, frontier_cells, games_grid_specs, GAMES_SEED};
 pub use solve::{
     bsig_game, eb_game, solve_frontier_cell, solve_game_cell, EXHAUSTIVE_MINERS,
     FRONTIER_METRIC_ARITY, GAME_METRIC_ARITY, NO_CARTEL,

@@ -4,9 +4,14 @@
 //! keys, compact wire encodings, and the per-cell seeding discipline that
 //! makes every cell replay bit-identically at any thread or worker count.
 
-use bvc_journal::{f64_from_hex, f64_to_hex, fnv1a64, param_f64, param_int};
+use bvc_journal::{f64_from_hex, f64_to_hex, fnv1a64, param_f64, param_int, Cell, Metric, Value};
+use bvc_mdp::solve::SolveOptions;
+use bvc_mdp::MdpError;
 
 use crate::grid::GAMES_SEED;
+use crate::solve::{
+    solve_frontier_cell, solve_game_cell, FRONTIER_METRIC_ARITY, GAME_METRIC_ARITY, NO_CARTEL,
+};
 
 /// How mining power is distributed across the `n` miners. Miner index is
 /// the *MPB rank*: miner `i` has the `i`-th smallest maximum profitable
@@ -126,34 +131,57 @@ pub struct GameSpec {
     pub seed: u64,
 }
 
-impl GameSpec {
-    /// Every parameter name [`GameSpec::from_params`] reads: serve's
-    /// `GET /v1/games/map` query names and the `bvc games map` flags.
-    pub const PARAMS: [&'static str; 15] = [
-        "miners",
-        "power",
-        "zipf-s",
-        "adv-top",
-        "econ",
-        "fee",
-        "bw-lo",
-        "bw-hi",
-        "latency",
-        "cost",
-        "threshold",
-        "perturb",
-        "trials",
-        "kmax",
-        "seed",
-    ];
+/// Every parameter name [`GameSpec`]'s `from_params` reads.
+const GAME_PARAMS: [&str; 15] = [
+    "miners",
+    "power",
+    "zipf-s",
+    "adv-top",
+    "econ",
+    "fee",
+    "bw-lo",
+    "bw-hi",
+    "latency",
+    "cost",
+    "threshold",
+    "perturb",
+    "trials",
+    "kmax",
+    "seed",
+];
 
-    /// The game parameter schema: builds a validated spec from a
-    /// `name → text` lookup (serve's query string, the CLI's flags).
+/// Serve-side cap on `trials * miners^2` for one game request: the
+/// perturbation schedule dominates the cell cost, and an interactive route
+/// must answer in milliseconds — heavier cells belong in the `games-grid`
+/// sweep workload.
+const GAMES_WORK_CAP: u64 = 2_000_000;
+
+/// The metrics of an equilibrium-map cell, one per value slot.
+const GAME_METRICS: [Metric; GAME_METRIC_ARITY] = [
+    Metric::int("groups", 0),
+    Metric::int("terminal", 1),
+    Metric::int("rounds", 2),
+    Metric::int("passed_rounds", 3),
+    Metric::num("forced_out_power", 4),
+    Metric::int("nash_equilibria", 5),
+    Metric::int("flip_size", 6),
+    Metric::num("flip_power", 7),
+    Metric::int("perturb_flips", 8),
+    Metric::int("perturb_trials", 9),
+];
+
+impl Cell for GameSpec {
+    const TAG: &'static str = "gm";
+
+    const PARAMS: &'static [&'static str] = &GAME_PARAMS;
+
+    const ARITY: usize = GAME_METRIC_ARITY;
+
     /// Defaults reproduce the paper's Figure 4 cell (4 miners at
     /// 10/20/30/40, ladder MPBs, majority rule, no perturbation, seed
     /// [`GAMES_SEED`]); sub-parameters of an enum choice are rejected when
     /// the choice does not use them.
-    pub fn from_params<'a>(get: impl Fn(&str) -> Option<&'a str>) -> Result<Self, String> {
+    fn from_params<'a>(get: impl Fn(&str) -> Option<&'a str>) -> Result<Self, String> {
         let float = |name: &str| get(name).map(|v| param_f64(v, name)).transpose();
         let int = |name: &str, default: &str, lo: u64, hi: u64| {
             param_int(get(name).unwrap_or(default), name, lo, hi)
@@ -227,9 +255,7 @@ impl GameSpec {
         Ok(spec)
     }
 
-    /// Human-readable cell key; unique per spec, stable across versions
-    /// (it is the journal key game fingerprints derive from).
-    pub fn key(&self) -> String {
+    fn key(&self) -> String {
         let pow = match self.power {
             PowerDist::Uniform => "uni".to_string(),
             PowerDist::Zipf { s } => format!("zipf({s})"),
@@ -252,10 +278,10 @@ impl GameSpec {
         )
     }
 
-    /// Compact wire encoding, `;`-separated with `f64`s as bit-pattern hex
-    /// (the `bvc_cluster::jobs` convention). Fixed arity: enum payloads
-    /// are flattened with `-` filling unused slots.
-    pub fn encode(&self) -> String {
+    /// `;`-separated with `f64`s as bit-pattern hex (the `bvc_cluster::jobs`
+    /// convention). Fixed arity: enum payloads are flattened with `-`
+    /// filling unused slots.
+    fn encode_fields(&self) -> String {
         let (pt, pp) = match self.power {
             PowerDist::Uniform => ("u", "-".to_string()),
             PowerDist::Zipf { s } => ("z", f64_to_hex(s)),
@@ -281,23 +307,19 @@ impl GameSpec {
             PerturbSpec::Random { trials, kmax } => ("r", trials.to_string(), kmax.to_string()),
         };
         format!(
-            "gm;{};{pt};{pp};{et};{e1};{e2};{e3};{e4};{e5};{};{rt};{r1};{r2};{}",
+            "{};{pt};{pp};{et};{e1};{e2};{e3};{e4};{e5};{};{rt};{r1};{r2};{}",
             self.miners,
             f64_to_hex(self.threshold),
             self.seed,
         )
     }
 
-    /// Inverse of [`GameSpec::encode`]; `None` on any malformed field.
-    pub fn decode(wire: &str) -> Option<Self> {
-        let parts: Vec<&str> = wire.split(';').collect();
-        let [tag, miners, pt, pp, et, e1, e2, e3, e4, e5, tau, rt, r1, r2, seed] = parts.as_slice()
+    fn decode_fields(fields: &str) -> Option<Self> {
+        let parts: Vec<&str> = fields.split(';').collect();
+        let [miners, pt, pp, et, e1, e2, e3, e4, e5, tau, rt, r1, r2, seed] = parts.as_slice()
         else {
             return None;
         };
-        if *tag != "gm" {
-            return None;
-        }
         let power = match (*pt, *pp) {
             ("u", "-") => PowerDist::Uniform,
             ("z", p) => PowerDist::Zipf { s: f64_from_hex(p)? },
@@ -331,6 +353,41 @@ impl GameSpec {
         })
     }
 
+    /// Game cells never touch the MDP solver, so the token is the
+    /// game-engine version plus the metric arity; the `games-grid`
+    /// workload journals under it too, so a sweep journal preloads serve.
+    fn config_token() -> String {
+        format!("games-grid;v1;arity={GAME_METRIC_ARITY}")
+    }
+
+    fn check_work(&self) -> Result<(), String> {
+        if let PerturbSpec::Random { trials, .. } = self.perturb {
+            let work = u64::from(trials) * u64::from(self.miners) * u64::from(self.miners);
+            if work > GAMES_WORK_CAP {
+                return Err(format!(
+                    "trials*miners^2 is capped at {GAMES_WORK_CAP} per request (got {work}); run \
+                     larger cells through the games-grid sweep workload"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    fn solve(&self, _opts: &SolveOptions) -> Result<Vec<f64>, MdpError> {
+        solve_game_cell(self)
+            .map_err(|detail| MdpError::AuditFailed { check: "game cell spec", detail })
+    }
+
+    fn metrics(&self, _vals: &[f64]) -> &'static [Metric] {
+        &GAME_METRICS
+    }
+
+    fn echo(&self) -> Vec<(&'static str, Value)> {
+        vec![("miners", Value::Int(u64::from(self.miners)))]
+    }
+}
+
+impl GameSpec {
     /// The effective per-cell RNG seed: the base seed XOR the FNV-1a hash
     /// of the cell key — the `bvc-chaos` per-site discipline, so sibling
     /// cells decorrelate even under a shared base seed and the stream
@@ -453,16 +510,48 @@ pub fn binomial(n: u64, k: u64) -> u64 {
     c as u64
 }
 
-impl FrontierSpec {
-    /// The shard coordinates [`FrontierSpec::from_params`] reads on top of
-    /// [`GameSpec::PARAMS`].
-    pub const PARAMS: [&'static str; 3] = ["size", "shard", "shards"];
+/// Every parameter name [`FrontierSpec`]'s `from_params` reads: the game
+/// parameters plus the shard coordinates.
+const FRONTIER_PARAMS: [&str; 18] = {
+    let mut all = [""; 18];
+    let mut i = 0;
+    while i < GAME_PARAMS.len() {
+        all[i] = GAME_PARAMS[i];
+        i += 1;
+    }
+    all[15] = "size";
+    all[16] = "shard";
+    all[17] = "shards";
+    all
+};
 
-    /// The frontier parameter schema: the game parameters
-    /// ([`GameSpec::from_params`]) plus the shard coordinates (`size`
-    /// required; `shard`/`shards` default to the unsharded layer), then
-    /// [`FrontierSpec::validate`].
-    pub fn from_params<'a>(get: impl Fn(&str) -> Option<&'a str>) -> Result<Self, String> {
+/// Serve-side cap on the coalition count of one frontier request, far
+/// below [`FRONTIER_CELL_CAP`]: wide layers belong in the `games-frontier`
+/// sweep workload, sharded across workers.
+const FRONTIER_WORK_CAP: u64 = 100_000;
+
+/// The metrics of a frontier shard: the counts and the base terminal, then
+/// the best coalition found, which [`NO_CARTEL`] shards leave out.
+const FRONTIER_METRICS: [Metric; FRONTIER_METRIC_ARITY] = [
+    Metric::int("examined", 0),
+    Metric::int("effective", 1),
+    Metric::int("base_terminal", 5),
+    Metric::int("best_terminal", 2),
+    Metric::int("best_mask", 3),
+    Metric::num("min_cartel_power", 4),
+];
+
+impl Cell for FrontierSpec {
+    const TAG: &'static str = "gf";
+
+    const PARAMS: &'static [&'static str] = &FRONTIER_PARAMS;
+
+    const ARITY: usize = FRONTIER_METRIC_ARITY;
+
+    /// The game parameters ([`GameSpec`]'s `from_params`) plus the shard
+    /// coordinates (`size` required; `shard`/`shards` default to the
+    /// unsharded layer), then [`FrontierSpec::validate`].
+    fn from_params<'a>(get: impl Fn(&str) -> Option<&'a str>) -> Result<Self, String> {
         let spec = GameSpec::from_params(&get)?;
         let shards =
             get("shards").map(|v| param_int(v, "shards", 1, 1 << 20)).transpose()?.unwrap_or(1);
@@ -480,23 +569,18 @@ impl FrontierSpec {
         Ok(frontier)
     }
 
-    /// Human-readable cell key (extends the game key).
-    pub fn key(&self) -> String {
+    /// Extends the game key.
+    fn key(&self) -> String {
         format!("{} frontier k={} shard={}/{}", self.spec.key(), self.size, self.shard, self.shards)
     }
 
-    /// Compact wire encoding: the frontier fields prefixed onto the full
-    /// game encoding.
-    pub fn encode(&self) -> String {
-        format!("gf;{};{};{};{}", self.size, self.shard, self.shards, self.spec.encode())
+    /// The frontier fields prefixed onto the full game encoding.
+    fn encode_fields(&self) -> String {
+        format!("{};{};{};{}", self.size, self.shard, self.shards, self.spec.encode())
     }
 
-    /// Inverse of [`FrontierSpec::encode`]; `None` on any malformed field.
-    pub fn decode(wire: &str) -> Option<Self> {
-        let mut parts = wire.splitn(5, ';');
-        if parts.next()? != "gf" {
-            return None;
-        }
+    fn decode_fields(fields: &str) -> Option<Self> {
+        let mut parts = fields.splitn(4, ';');
         let size = parts.next()?.parse().ok()?;
         let shard = parts.next()?.parse().ok()?;
         let shards = parts.next()?.parse().ok()?;
@@ -504,6 +588,48 @@ impl FrontierSpec {
         Some(FrontierSpec { spec, size, shard, shards })
     }
 
+    /// The game-engine version plus the metric arity, shared with the
+    /// `games-frontier` workload.
+    fn config_token() -> String {
+        format!("games-frontier;v1;arity={FRONTIER_METRIC_ARITY}")
+    }
+
+    fn check_work(&self) -> Result<(), String> {
+        self.spec.check_work()?;
+        let (lo, hi) = self.rank_range();
+        if hi - lo > FRONTIER_WORK_CAP {
+            return Err(format!(
+                "coalitions per shard are capped at {FRONTIER_WORK_CAP} per request (got {}); \
+                 raise shards or run the games-frontier sweep workload",
+                hi - lo
+            ));
+        }
+        Ok(())
+    }
+
+    fn solve(&self, _opts: &SolveOptions) -> Result<Vec<f64>, MdpError> {
+        solve_frontier_cell(self)
+            .map_err(|detail| MdpError::AuditFailed { check: "frontier cell spec", detail })
+    }
+
+    fn metrics(&self, vals: &[f64]) -> &'static [Metric] {
+        if vals.get(4).is_some_and(|&cartel| cartel < NO_CARTEL) {
+            &FRONTIER_METRICS
+        } else {
+            &FRONTIER_METRICS[..3]
+        }
+    }
+
+    fn echo(&self) -> Vec<(&'static str, Value)> {
+        vec![
+            ("size", Value::Int(u64::from(self.size))),
+            ("shard", Value::Int(u64::from(self.shard))),
+            ("shards", Value::Int(u64::from(self.shards))),
+        ]
+    }
+}
+
+impl FrontierSpec {
     /// The lexicographic-rank range `[lo, hi)` of coalitions this shard
     /// covers, out of `C(miners, size)` total.
     pub fn rank_range(&self) -> (u64, u64) {

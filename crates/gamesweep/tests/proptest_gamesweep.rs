@@ -7,6 +7,7 @@ use bvc_gamesweep::{
     solve_frontier_cell, EconSpec, FrontierSpec, GameSpec, PerturbSpec, PowerDist,
     FRONTIER_METRIC_ARITY,
 };
+use bvc_journal::Cell;
 use proptest::prelude::*;
 
 /// An arbitrary (valid) game cell: every discriminant of every enum is

@@ -17,7 +17,7 @@
 //! maintenance operations behind `bvc journal compact|stat`. It also holds
 //! the two scalar readers ([`param_f64`], [`param_int`]) the cell
 //! parameter schemas share, so every front end words a bad cell parameter
-//! the same way.
+//! the same way, and the [`Cell`] trait those schemas implement.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +27,10 @@ use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write as _};
 use std::path::Path;
+
+pub mod cell;
+
+pub use cell::{Cell, Metric, MetricType, Value};
 
 // ---------------------------------------------------------------------------
 // Fingerprints and bit-exact f64 hex

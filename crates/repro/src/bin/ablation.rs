@@ -15,13 +15,11 @@
 //! Accepts the standard sweep-runner flags (see `bvc_repro::sweep`); exits
 //! nonzero when any cell failed.
 
-use bvc_bu::SolveOptions;
 use bvc_cluster::jobs::{ABLATION_ADS, ABLATION_GATES};
-use bvc_repro::sweep::{run_jobs, JobSpec, SweepOptions};
+use bvc_repro::sweep::{run_workload, SweepOptions};
 
 fn main() {
-    let (mut opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
-    opts.config_token = SolveOptions::default().fingerprint_token();
+    let (opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
 
     println!("Parameter ablation (alpha = 10%)");
     println!();
@@ -31,10 +29,8 @@ fn main() {
         "{:<6} {:>10} {:>10} {:>12} {:>14} {:>14} {:>16}",
         "AD", "u2 (S1)", "u3 (S1)", "u1 (S1)", "orphans/1000", "P(fork>=4)", "blocks to gate"
     );
-    let ads = ABLATION_ADS;
-    let ad_jobs: Vec<JobSpec> = ads.iter().map(|&ad| JobSpec::AblationAd { ad }).collect();
-    let ad_report = run_jobs("ablation-ad", &ad_jobs, &opts);
-    for (i, ad) in ads.iter().enumerate() {
+    let (_, ad_report) = run_workload("ablation-ad", &opts);
+    for (i, ad) in ABLATION_ADS.iter().enumerate() {
         match ad_report.value(i) {
             Some(row) => {
                 let [u2, u3, u1, orphan_rate, deep_fork, gate_time] = row[..] else {
@@ -81,11 +77,8 @@ fn main() {
     // regime for longer. At 1:1 the phases coincide and the gate length is
     // irrelevant by symmetry.
     println!("{:<12} {:>10} {:>10}   (beta:gamma = 1:2)", "gate blocks", "u2 (S2)", "u3 (S2)");
-    let gates = ABLATION_GATES;
-    let gate_jobs: Vec<JobSpec> =
-        gates.iter().map(|&gate| JobSpec::AblationGate { gate }).collect();
-    let gate_report = run_jobs("ablation-gate", &gate_jobs, &opts);
-    for (i, gate) in gates.iter().enumerate() {
+    let (_, gate_report) = run_workload("ablation-gate", &opts);
+    for (i, gate) in ABLATION_GATES.iter().enumerate() {
         match gate_report.value(i) {
             Some(row) => println!("{:<12} {:>10.4} {:>10.3}", gate, row[0], row[1]),
             None => println!("{:<12} FAIL", gate),

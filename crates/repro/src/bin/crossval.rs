@@ -16,22 +16,18 @@
 //! nonzero. Accepts the standard sweep-runner flags (see
 //! `bvc_repro::sweep`).
 
-use bvc_bu::SolveOptions;
 use bvc_cluster::jobs::{crossval_specs, CROSSVAL_STEPS};
-use bvc_repro::sweep::{run_jobs, JobSpec, SweepOptions};
+use bvc_repro::sweep::{run_workload, SweepOptions};
 
 fn main() {
-    let (mut opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
-    opts.config_token =
-        format!("{};steps={CROSSVAL_STEPS}", SolveOptions::default().fingerprint_token());
+    let (opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
 
     println!("MDP <-> chain-substrate cross-validation ({CROSSVAL_STEPS} sampled blocks per run)");
     println!();
     // The cell bodies (and the index-keyed MC seeds) live in the job
     // registry, so a cluster worker replays exactly this binary's solves.
     let specs = crossval_specs();
-    let jobs: Vec<JobSpec> = (0..specs.len()).map(|index| JobSpec::Crossval { index }).collect();
-    let report = run_jobs("crossval", &jobs, &opts);
+    let (_, report) = run_workload("crossval", &opts);
 
     println!("{:<42} {:>9} {:>9} {:>9}", "cell", "exact", "MDP-MC", "chain-MC");
     for (i, (alpha, ratio, incentive)) in specs.iter().enumerate() {

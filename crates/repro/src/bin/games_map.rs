@@ -18,36 +18,29 @@
 //! cells shard across threads, journal, resume, and run distributed
 //! (`--cluster`) with bit-identical journals.
 
-use bvc_gamesweep::{
-    frontier_cells, frontier_config_token, games_grid_specs, grid_config_token, NO_CARTEL,
-};
-use bvc_repro::sweep::{run_jobs, JobSpec, SweepOptions};
+use bvc_gamesweep::{frontier_cells, games_grid_specs, NO_CARTEL};
+use bvc_journal::Cell;
+use bvc_repro::sweep::{run_workload, SweepOptions};
 
 fn main() {
-    let (mut opts, rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
+    let (opts, rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
     let frontier = rest.iter().any(|a| a == "--frontier");
     if let Some(unknown) = rest.iter().find(|a| *a != "--frontier") {
         eprintln!("error: unknown flag {unknown:?} (this binary only adds --frontier)");
         std::process::exit(2);
     }
     if frontier {
-        run_frontier(&mut opts)
+        run_frontier(&opts)
     } else {
-        run_grid(&mut opts)
+        run_grid(&opts)
     }
 }
 
-fn run_grid(opts: &mut SweepOptions) {
-    // Must match the `games-grid` workload token so journals from either
-    // entry point are interchangeable.
-    opts.config_token = grid_config_token();
-
+fn run_grid(opts: &SweepOptions) {
     let specs = games_grid_specs();
     println!("equilibrium map: {} game cells (EB choosing + block size increasing)", specs.len());
     println!();
-    let jobs: Vec<JobSpec> =
-        specs.iter().map(|spec| JobSpec::Game { spec: spec.clone() }).collect();
-    let report = run_jobs("games-grid", &jobs, opts);
+    let (_, report) = run_workload("games-grid", opts);
 
     println!(
         "{:<58} {:>5} {:>4} {:>7} {:>5} {:>5} {:>7} {:>8}",
@@ -100,16 +93,11 @@ fn run_grid(opts: &mut SweepOptions) {
     std::process::exit(if pinned_ok { report.exit_code() } else { 1 });
 }
 
-fn run_frontier(opts: &mut SweepOptions) {
-    // Must match the `games-frontier` workload token.
-    opts.config_token = frontier_config_token();
-
+fn run_frontier(opts: &SweepOptions) {
     let cells = frontier_cells();
     println!("coalition frontier: {} journaled shards over the C(n, k) layers", cells.len());
     println!();
-    let jobs: Vec<JobSpec> =
-        cells.iter().map(|spec| JobSpec::GameFrontier { spec: spec.clone() }).collect();
-    let report = run_jobs("games-frontier", &jobs, opts);
+    let (_, report) = run_workload("games-frontier", opts);
 
     // Merge shards back into (game, size) layers, exactly the reduction a
     // coordinator would run over the journal.

@@ -17,31 +17,20 @@
 //! replications shard across threads, journal, resume, and run
 //! distributed (`--cluster`) with bit-identical journals.
 
-use bvc_bu::SolveOptions;
-use bvc_repro::sweep::{run_jobs, JobSpec, SweepOptions};
+use bvc_repro::sweep::{run_workload, SweepOptions};
 use bvc_scenario::{
-    crossval_cells, crossval_tolerance, CROSSVAL_BLOCKS, CROSSVAL_NODES, CROSSVAL_REPS,
-    CROSSVAL_SETTINGS,
+    crossval_tolerance, CROSSVAL_BLOCKS, CROSSVAL_NODES, CROSSVAL_REPS, CROSSVAL_SETTINGS,
 };
 
 fn main() {
-    let (mut opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
-    // Must match the `scenario-crossval` workload token so journals from
-    // either entry point are interchangeable.
-    opts.config_token = format!(
-        "{};scn-xval blocks={CROSSVAL_BLOCKS} reps={CROSSVAL_REPS}",
-        SolveOptions::default().fingerprint_token()
-    );
+    let (opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
 
     println!(
         "MDP policy <-> {CROSSVAL_NODES}-node network cross-validation \
          ({CROSSVAL_REPS} x {CROSSVAL_BLOCKS} blocks per setting)"
     );
     println!();
-    let cells = crossval_cells();
-    let jobs: Vec<JobSpec> =
-        (0..cells.len()).map(|index| JobSpec::ScenarioCrossval { index }).collect();
-    let report = run_jobs("scenario-crossval", &jobs, &opts);
+    let (_, report) = run_workload("scenario-crossval", &opts);
 
     let mut converged = true;
     println!(

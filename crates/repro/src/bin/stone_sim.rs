@@ -19,7 +19,7 @@
 //! Accepts the standard sweep-runner flags (see `bvc_repro::sweep`).
 
 use bvc_cluster::jobs::STONE_BLOCKS;
-use bvc_repro::sweep::{run_jobs, JobSpec, SweepOptions};
+use bvc_repro::sweep::{run_workload, SweepOptions};
 
 fn render(label: &str, row: &[f64]) {
     let [mined, on_chain, reorgs, max_depth, share] = row[..] else {
@@ -41,24 +41,21 @@ fn render(label: &str, row: &[f64]) {
 }
 
 fn main() {
-    let (mut opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
-    opts.config_token = format!("stone;blocks={STONE_BLOCKS}");
+    let (opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
 
     println!("Stone-style fork-frequency simulations ({STONE_BLOCKS} blocks each, zero delay)");
     println!();
 
-    let scenarios: [(u8, &str); 3] = [
-        (1, "scenario 1: homogeneous EB = 1 MB, static 1 MB blocks"),
-        (2, "scenario 2 (Stone): heterogeneous EBs (1 MB / 16 MB), static 1 MB blocks"),
-        (3, "scenario 3 (paper): 10% attacker with adaptive block sizes"),
+    let scenarios = [
+        "scenario 1: homogeneous EB = 1 MB, static 1 MB blocks",
+        "scenario 2 (Stone): heterogeneous EBs (1 MB / 16 MB), static 1 MB blocks",
+        "scenario 3 (paper): 10% attacker with adaptive block sizes",
     ];
     // The miner line-ups and seeds live in the job registry
     // (`stone_simulate`), so a cluster worker replays the same Monte Carlo.
-    let jobs: Vec<JobSpec> =
-        scenarios.iter().map(|&(scenario, _)| JobSpec::StoneSim { scenario }).collect();
-    let report = run_jobs("stone-sim", &jobs, &opts);
+    let (_, report) = run_workload("stone-sim", &opts);
 
-    for (i, (_, label)) in scenarios.iter().enumerate() {
+    for (i, label) in scenarios.iter().enumerate() {
         match report.value(i) {
             Some(row) => render(label, row),
             None => {

@@ -13,12 +13,10 @@
 //! so resumed runs re-render without re-solving). Accepts the standard
 //! sweep-runner flags (see `bvc_repro::sweep`).
 
-use bvc_bu::{
-    render_phase1_map, summarize, AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions,
-};
+use bvc_bu::{render_phase1_map, summarize, AttackConfig, AttackModel, IncentiveModel, Setting};
 use bvc_cluster::jobs::{strategy_specs, StrategySpec};
 use bvc_mdp::Policy;
-use bvc_repro::sweep::{run_jobs, JobSpec, SweepOptions};
+use bvc_repro::sweep::{run_workload, SweepOptions};
 
 fn build(alpha: f64, ratio: (u32, u32), incentive: &IncentiveModel) -> AttackModel {
     let cfg = AttackConfig::with_ratio(alpha, ratio, Setting::One, *incentive);
@@ -57,14 +55,12 @@ fn render(spec: &StrategySpec, packed: &[f64]) {
 }
 
 fn main() {
-    let (mut opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
-    opts.config_token = SolveOptions::default().fingerprint_token();
+    let (opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
 
     // Solve bodies live in the job registry; the binary keeps only the
     // rendering (which needs the deterministic model rebuild anyway).
     let specs = strategy_specs();
-    let jobs: Vec<JobSpec> = (0..specs.len()).map(|index| JobSpec::Strategies { index }).collect();
-    let report = run_jobs("strategies", &jobs, &opts);
+    let (_, report) = run_workload("strategies", &opts);
 
     for (i, spec) in specs.iter().enumerate() {
         match report.value(i) {

@@ -9,8 +9,8 @@
 //! see `bvc_repro::sweep`) plus `--setting1-only` to skip the much slower
 //! setting-2 column. Exits nonzero when any cell failed.
 
-use bvc_bu::SolveOptions;
-use bvc_repro::sweep::{run_jobs, JobSpec, SweepOptions};
+use bvc_cluster::jobs::T2_ALPHAS;
+use bvc_repro::sweep::{run_workload, JobSpec, SweepOptions};
 use bvc_repro::{render_grid, GridEntry};
 
 /// One published row: the β:γ ratio and the u1 values for the four α
@@ -34,28 +34,25 @@ const PAPER_SETTING1: &[PaperRow] = &[
 const PAPER_SETTING2: &[((u32, u32), f64)] =
     &[((3, 2), 0.2529), ((1, 1), 0.2624), ((2, 3), 0.2529), ((1, 2), 0.25)];
 
-const ALPHAS: [f64; 4] = [0.10, 0.15, 0.20, 0.25];
-
 fn main() {
-    let (mut sweep_opts, rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
-    sweep_opts.config_token = SolveOptions::default().fingerprint_token();
+    let (sweep_opts, rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
     let setting1_only = rest.iter().any(|a| a == "--setting1-only");
 
     // Setting 1: sweep all printed cells (the job registry enumerates
     // exactly the paper's present cells, row-major).
-    let jobs = bvc_cluster::jobs::table2_setting1_jobs();
-    let report = run_jobs("table2-setting1", &jobs, &sweep_opts);
+    let (jobs, report) = run_workload("table2-setting1", &sweep_opts);
 
     let row_labels: Vec<String> =
         PAPER_SETTING1.iter().map(|((b, c), _)| format!("{b}:{c}")).collect();
-    let col_labels: Vec<String> = ALPHAS.iter().map(|a| format!("a={:.0}%", a * 100.0)).collect();
+    let col_labels: Vec<String> =
+        T2_ALPHAS.iter().map(|a| format!("a={:.0}%", a * 100.0)).collect();
     let cells: Vec<Vec<GridEntry>> = PAPER_SETTING1
         .iter()
         .map(|(ratio, row)| {
             row.iter()
                 .enumerate()
                 .map(|(i, paper)| {
-                    let spec = JobSpec::Table2 { alpha: ALPHAS[i], ratio: *ratio, setting: 1 };
+                    let spec = JobSpec::Table2 { alpha: T2_ALPHAS[i], ratio: *ratio, setting: 1 };
                     match jobs.iter().position(|j| *j == spec) {
                         Some(j) => report.grid_entry(j, *paper),
                         None => GridEntry::Absent,
@@ -84,8 +81,7 @@ fn main() {
     if !setting1_only {
         // Setting 2, α = 25% column.
         println!();
-        let jobs2 = bvc_cluster::jobs::table2_setting2_jobs();
-        let report2 = run_jobs("table2-setting2", &jobs2, &sweep_opts);
+        let (_, report2) = run_workload("table2-setting2", &sweep_opts);
         let cells2: Vec<Vec<GridEntry>> = PAPER_SETTING2
             .iter()
             .enumerate()

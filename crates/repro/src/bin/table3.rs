@@ -15,12 +15,10 @@
 //! Accepts the standard sweep-runner flags (see `bvc_repro::sweep`); exits
 //! nonzero when any cell failed.
 
-use bvc_bu::{Setting, SolveOptions};
-use bvc_repro::sweep::{run_jobs, JobSpec, SweepOptions};
+use bvc_bu::Setting;
+use bvc_cluster::jobs::{T3_ALPHAS, T3_RATIOS};
+use bvc_repro::sweep::{run_workload, JobSpec, SweepOptions};
 use bvc_repro::{render_grid, GridEntry};
-
-const RATIOS: [(u32, u32); 5] = [(4, 1), (2, 1), (1, 1), (1, 2), (1, 4)];
-const ALPHAS: [f64; 7] = [0.01, 0.025, 0.05, 0.10, 0.15, 0.20, 0.25];
 
 /// Published setting-1 panel; `None` where α > min(β, γ).
 const PAPER_S1: [[Option<f64>; 5]; 7] = [
@@ -46,8 +44,7 @@ const PAPER_S2: [[Option<f64>; 5]; 7] = [
 
 fn panel(setting: Setting, paper: &[[Option<f64>; 5]; 7], opts: &SweepOptions) -> (String, i32) {
     let tag = setting as u8;
-    let jobs = bvc_cluster::jobs::table3_jobs(tag);
-    let report = run_jobs(&format!("table3-setting{tag}"), &jobs, opts);
+    let (jobs, report) = run_workload(&format!("table3-setting{tag}"), opts);
     let cells: Vec<Vec<GridEntry>> = paper
         .iter()
         .enumerate()
@@ -55,7 +52,8 @@ fn panel(setting: Setting, paper: &[[Option<f64>; 5]; 7], opts: &SweepOptions) -
             row.iter()
                 .enumerate()
                 .map(|(c, p)| {
-                    let spec = JobSpec::Table3 { alpha: ALPHAS[r], ratio: RATIOS[c], setting: tag };
+                    let spec =
+                        JobSpec::Table3 { alpha: T3_ALPHAS[r], ratio: T3_RATIOS[c], setting: tag };
                     match jobs.iter().position(|j| *j == spec) {
                         Some(j) => report.grid_entry(j, *p),
                         None => GridEntry::Absent,
@@ -64,8 +62,8 @@ fn panel(setting: Setting, paper: &[[Option<f64>; 5]; 7], opts: &SweepOptions) -
                 .collect()
         })
         .collect();
-    let rows: Vec<String> = ALPHAS.iter().map(|a| format!("a={}%", a * 100.0)).collect();
-    let cols: Vec<String> = RATIOS.iter().map(|(b, c)| format!("{b}:{c}")).collect();
+    let rows: Vec<String> = T3_ALPHAS.iter().map(|a| format!("a={}%", a * 100.0)).collect();
+    let cols: Vec<String> = T3_RATIOS.iter().map(|(b, c)| format!("{b}:{c}")).collect();
     let mut text = render_grid(
         &format!("Table 3 — max absolute revenue u2, {setting} (ours vs paper)"),
         &rows,
@@ -84,8 +82,7 @@ fn panel(setting: Setting, paper: &[[Option<f64>; 5]; 7], opts: &SweepOptions) -
 }
 
 fn main() {
-    let (mut opts, rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
-    opts.config_token = SolveOptions::default().fingerprint_token();
+    let (opts, rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
     let setting1_only = rest.iter().any(|a| a == "--setting1-only");
 
     let (text, mut exit) = panel(Setting::One, &PAPER_S1, &opts);

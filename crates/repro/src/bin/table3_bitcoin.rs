@@ -8,31 +8,27 @@
 //! Accepts the standard sweep-runner flags (see `bvc_repro::sweep`); exits
 //! nonzero when any cell failed.
 
-use bvc_bitcoin::SolveOptions;
-use bvc_repro::sweep::{run_jobs, SweepOptions};
+use bvc_cluster::jobs::{TB_ALPHAS, TB_GAMMAS};
+use bvc_repro::sweep::{run_workload, SweepOptions};
 use bvc_repro::{render_grid, GridEntry};
-
-const ALPHAS: [f64; 4] = [0.10, 0.15, 0.20, 0.25];
-const GAMMAS: [(f64, &str); 2] = [(0.5, "P(win tie)=50%"), (1.0, "P(win tie)=100%")];
 
 /// Published values: rows γ ∈ {0.5, 1.0}, columns α.
 const PAPER: [[f64; 4]; 2] = [[0.1, 0.15, 0.2, 0.38], [0.11, 0.18, 0.30, 0.52]];
 
 fn main() {
-    let (mut opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
-    opts.config_token = SolveOptions::default().fingerprint_token();
+    let (opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
 
     // The job registry enumerates the γ-major grid plus the two
     // honest-degeneration demo cells, which ride along as extra sweep
     // cells so they inherit the same isolation and checkpointing.
-    let jobs = bvc_cluster::jobs::table3_bitcoin_jobs();
-    let report = run_jobs("table3-bitcoin", &jobs, &opts);
+    let (_, report) = run_workload("table3-bitcoin", &opts);
 
     let cells: Vec<Vec<GridEntry>> = (0..2)
         .map(|r| (0..4).map(|c| report.grid_entry(r * 4 + c, Some(PAPER[r][c]))).collect())
         .collect();
-    let rows: Vec<String> = GAMMAS.iter().map(|(_, l)| l.to_string()).collect();
-    let cols: Vec<String> = ALPHAS.iter().map(|a| format!("a={}%", a * 100.0)).collect();
+    let rows: Vec<String> =
+        TB_GAMMAS.iter().map(|g| format!("P(win tie)={}%", g * 100.0)).collect();
+    let cols: Vec<String> = TB_ALPHAS.iter().map(|a| format!("a={}%", a * 100.0)).collect();
     print!(
         "{}",
         render_grid(

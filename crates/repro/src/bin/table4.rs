@@ -7,12 +7,9 @@
 //! Accepts the standard sweep-runner flags (see `bvc_repro::sweep`); exits
 //! nonzero when any cell failed.
 
-use bvc_bu::SolveOptions;
-use bvc_repro::sweep::{run_jobs, SweepOptions};
+use bvc_cluster::jobs::T4_RATIOS;
+use bvc_repro::sweep::{run_workload, SweepOptions};
 use bvc_repro::{render_grid, GridEntry};
-
-const RATIOS: [(u32, u32); 9] =
-    [(4, 1), (3, 1), (2, 1), (3, 2), (1, 1), (2, 3), (1, 2), (1, 3), (1, 4)];
 
 /// Published values: columns are settings 1 and 2, rows the β:γ ratios.
 const PAPER: [[f64; 2]; 9] = [
@@ -28,16 +25,14 @@ const PAPER: [[f64; 2]; 9] = [
 ];
 
 fn main() {
-    let (mut opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
-    opts.config_token = SolveOptions::default().fingerprint_token();
+    let (opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
 
     // Ratio-major over settings {1, 2}, same order as the rendered grid.
-    let jobs = bvc_cluster::jobs::table4_jobs();
-    let report = run_jobs("table4", &jobs, &opts);
+    let (_, report) = run_workload("table4", &opts);
     let cells: Vec<Vec<GridEntry>> = (0..9)
         .map(|r| (0..2).map(|c| report.grid_entry(r * 2 + c, Some(PAPER[r][c]))).collect())
         .collect();
-    let rows: Vec<String> = RATIOS.iter().map(|(b, c)| format!("{b}:{c}")).collect();
+    let rows: Vec<String> = T4_RATIOS.iter().map(|(b, c)| format!("{b}:{c}")).collect();
     print!(
         "{}",
         render_grid(

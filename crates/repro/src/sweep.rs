@@ -721,6 +721,21 @@ pub fn run_jobs(label: &str, jobs: &[JobSpec], opts: &SweepOptions) -> SweepRepo
     }
 }
 
+/// Runs the registry workload `name` ([`workload`]) through [`run_jobs`]
+/// under the workload's config token, labelled with its name, so a table
+/// binary's journal is the one `bvc cluster coordinate --workload <name>`
+/// writes. Returns the cells with the report; an unknown name prints and
+/// exits 2.
+pub fn run_workload(name: &str, opts: &SweepOptions) -> (Vec<JobSpec>, SweepReport<Vec<f64>>) {
+    let Some(wl) = workload(name) else {
+        eprintln!("error: unknown workload {name:?}");
+        std::process::exit(2);
+    };
+    let opts = SweepOptions { config_token: wl.config_token, ..opts.clone() };
+    let report = run_jobs(wl.name, &wl.jobs, &opts);
+    (wl.jobs, report)
+}
+
 /// The `--cluster` branch of [`run_jobs`]. The journal, fingerprints,
 /// retry schedule and fail-fast semantics all come from the same
 /// [`SweepOptions`] a local run uses, so the resulting journal is

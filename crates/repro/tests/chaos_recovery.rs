@@ -59,7 +59,7 @@ fn local_journal(wl: &Workload, tag: &str) -> Vec<u8> {
         config_token: wl.config_token.clone(),
         ..SweepOptions::default()
     };
-    let report = run_jobs(wl.label, &wl.jobs, &opts);
+    let report = run_jobs(wl.name, &wl.jobs, &opts);
     assert_eq!(report.solved(), wl.jobs.len(), "{}", report.failure_legend());
     let bytes = std::fs::read(&path).expect("local journal written");
     std::fs::remove_file(&path).ok();
@@ -91,7 +91,7 @@ fn cluster_run_at(wl: &Workload, path: &PathBuf, workers: Vec<WorkerOptions>) ->
                 scope.spawn(move || bvc_cluster::run_worker(&addr, &opts))
             })
             .collect();
-        let result = coordinator.run(wl.label, &wl.jobs);
+        let result = coordinator.run(wl.name, &wl.jobs);
         (result, handles.into_iter().map(|h| h.join().expect("worker thread")).collect())
     });
     let bytes = std::fs::read(path).unwrap_or_default();

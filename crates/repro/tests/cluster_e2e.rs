@@ -53,7 +53,7 @@ fn local_journal(wl: &Workload, tag: &str) -> Vec<u8> {
         config_token: wl.config_token.clone(),
         ..SweepOptions::default()
     };
-    let report = run_jobs(wl.label, &wl.jobs, &opts);
+    let report = run_jobs(wl.name, &wl.jobs, &opts);
     assert_eq!(report.solved(), wl.jobs.len(), "{}", report.failure_legend());
     let bytes = std::fs::read(&path).expect("local journal written");
     std::fs::remove_file(&path).ok();
@@ -89,7 +89,7 @@ fn cluster_run(
                 bvc_cluster::run_worker(&addr, opts)
             });
         }
-        coordinator.run(wl.label, &wl.jobs)
+        coordinator.run(wl.name, &wl.jobs)
     });
     let bytes = std::fs::read(&path).unwrap_or_default();
     std::fs::remove_file(&path).ok();
@@ -281,7 +281,7 @@ fn duplicate_and_unknown_results_are_counted_not_applied() {
                 }
             }
         });
-        coordinator.run(wl.label, &wl.jobs)
+        coordinator.run(wl.name, &wl.jobs)
     });
     let report = result.expect("fabricated results complete the sweep");
     assert_eq!(stat(&report.stats, "cluster_duplicate_results_total"), 2);
@@ -313,7 +313,7 @@ fn conflicting_successful_results_are_a_hard_error() {
             send_raw(&mut stream, &fabricated_done(lease, fp, vec![2.5f64.to_bits()]).encode());
             // The coordinator goes fatal; drop the socket.
         });
-        coordinator.run(wl.label, &wl.jobs)
+        coordinator.run(wl.name, &wl.jobs)
     });
     match result {
         Err(ClusterError::Conflict { .. }) => {}
@@ -354,7 +354,7 @@ fn late_done_after_lease_expiry_is_accepted_once_not_redispatched() {
             std::thread::sleep(Duration::from_millis(700));
             bvc_cluster::run_worker(&addr, &WorkerOptions::default())
         });
-        coordinator.run(wl.label, &wl.jobs)
+        coordinator.run(wl.name, &wl.jobs)
     });
     let report = result.expect("late result must not be re-dispatched into a conflict");
     assert_eq!(report.cells.iter().filter(|c| c.outcome.is_ok()).count(), wl.jobs.len());
@@ -407,7 +407,7 @@ fn fail_fast_skips_cells_requeued_after_the_failure() {
             std::thread::sleep(Duration::from_millis(100));
             bvc_cluster::run_worker(&addr_worker, &WorkerOptions::default())
         });
-        coordinator.run(wl.label, &wl.jobs)
+        coordinator.run(wl.name, &wl.jobs)
     });
     let report = result.expect("fail-fast sweep still reports");
     let failed = report
@@ -466,7 +466,7 @@ fn foreign_heartbeat_cannot_keep_another_workers_lease_alive() {
             std::thread::sleep(Duration::from_millis(800));
             bvc_cluster::run_worker(&addr, &WorkerOptions::default())
         });
-        coordinator.run(wl.label, &wl.jobs)
+        coordinator.run(wl.name, &wl.jobs)
     });
     let report = result.expect("sweep completes despite foreign heartbeats");
     assert_eq!(report.cells.iter().filter(|c| c.outcome.is_ok()).count(), wl.jobs.len());
@@ -508,7 +508,7 @@ fn torn_frame_drops_connection_and_journal_stays_identical() {
             std::thread::sleep(Duration::from_millis(200));
             bvc_cluster::run_worker(&addr_worker, &WorkerOptions::default())
         });
-        coordinator.run(wl.label, &wl.jobs)
+        coordinator.run(wl.name, &wl.jobs)
     });
     let report = result.expect("sweep completes despite the torn frame");
     assert_eq!(report.cells.iter().filter(|c| c.outcome.is_ok()).count(), wl.jobs.len());

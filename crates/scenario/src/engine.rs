@@ -23,7 +23,8 @@ use crate::spec::{AttackerSpec, DelaySpec, RuleKind, ScenarioSpec};
 /// Simulation cells: `[blocks_mined, reorg_count, max_reorg_depth,
 /// miner-0 share on the reference node, distinct final tips, duration]`.
 /// MDP-replay cells: `[u1_simulated, u1_exact, |difference|, attacker
-/// locked blocks, compliant locked blocks, steps]`.
+/// locked blocks, compliant locked blocks, steps]`. The names every front
+/// end prints are `ScenarioSpec`'s `Cell::metrics`.
 pub const METRIC_ARITY: usize = 6;
 
 /// Deterministic interleaved assignment of `n_large` large-`EB` slots
@@ -253,6 +254,7 @@ fn run_mdp_replay(
 mod tests {
     use super::*;
     use crate::spec::HashDist;
+    use bvc_journal::Cell;
 
     fn base() -> ScenarioSpec {
         ScenarioSpec {

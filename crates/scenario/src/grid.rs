@@ -4,6 +4,8 @@
 //! journaled, crash-resumable sweep machinery like every table cell.
 
 use crate::spec::{AttackerSpec, DelaySpec, HashDist, RuleKind, ScenarioSpec};
+#[cfg(test)]
+use bvc_journal::Cell;
 
 /// Base seed of every canonical cell (mixed per-cell via
 /// [`ScenarioSpec::cell_seed`], so cells still decorrelate).

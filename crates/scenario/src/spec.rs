@@ -3,8 +3,11 @@
 //! encoding, and the per-cell seeding discipline that makes every cell
 //! replay bit-identically at any thread or worker count.
 
-use bvc_journal::{f64_from_hex, f64_to_hex, fnv1a64, param_f64, param_int};
+use bvc_bu::SolveOptions;
+use bvc_journal::{f64_from_hex, f64_to_hex, fnv1a64, param_f64, param_int, Cell, Metric, Value};
+use bvc_mdp::MdpError;
 
+use crate::engine::{run_scenario, METRIC_ARITY};
 use crate::grid::GRID_SEED;
 
 /// How mining power is distributed across the compliant nodes.
@@ -144,10 +147,36 @@ pub struct ScenarioSpec {
     pub seed: u64,
 }
 
-impl ScenarioSpec {
-    /// Every parameter name [`ScenarioSpec::from_params`] reads: serve's
-    /// `GET /v1/scenario` query names and the `bvc scenario` flags.
-    pub const PARAMS: [&'static str; 19] = [
+/// Serve-side cap on `nodes * blocks` for one scenario request. Far below
+/// [`ScenarioSpec::validate`]'s structural 50e6 limit: an interactive
+/// route must answer in seconds, not minutes — larger cells belong in the
+/// `scenario-grid` / `scenario-crossval` sweep workloads.
+const SCENARIO_WORK_CAP: u64 = 5_000_000;
+
+/// The metrics of a simulation cell (honest or lead-k attacker).
+const SIMULATION_METRICS: [Metric; METRIC_ARITY] = [
+    Metric::int("blocks_mined", 0),
+    Metric::int("reorgs", 1),
+    Metric::int("max_reorg_depth", 2),
+    Metric::num("miner0_share", 3),
+    Metric::int("distinct_tips", 4),
+    Metric::num("sim_duration", 5),
+];
+
+/// The metrics of an MDP-replay cell.
+const REPLAY_METRICS: [Metric; METRIC_ARITY] = [
+    Metric::num("u1_sim", 0),
+    Metric::num("u1_exact", 1),
+    Metric::num("abs_diff", 2),
+    Metric::num("attacker_blocks", 3),
+    Metric::num("compliant_blocks", 4),
+    Metric::int("steps", 5),
+];
+
+impl Cell for ScenarioSpec {
+    const TAG: &'static str = "sc";
+
+    const PARAMS: &'static [&'static str] = &[
         "nodes",
         "blocks",
         "seed",
@@ -169,15 +198,15 @@ impl ScenarioSpec {
         "ratio",
     ];
 
-    /// The scenario parameter schema: builds a validated spec from a
-    /// `name → text` lookup (serve's query string, the CLI's flags).
+    const ARITY: usize = METRIC_ARITY;
+
     /// Defaults mirror the grid's base cell (40 uniform nodes, `EB` 1/16
     /// MB, `AD` 6, zero delay, sticky Rizun rule, honest miners, 1500
     /// blocks, seed [`GRID_SEED`]); sub-parameters of an enum choice are
     /// rejected when the choice does not use them, so typos fail loudly
     /// instead of being ignored. An `attacker=mdp` cell defaults `rule` to
     /// `rizun-nogate` (the only rule the replay is defined for).
-    pub fn from_params<'a>(get: impl Fn(&str) -> Option<&'a str>) -> Result<Self, String> {
+    fn from_params<'a>(get: impl Fn(&str) -> Option<&'a str>) -> Result<Self, String> {
         let float = |name: &str| get(name).map(|v| param_f64(v, name)).transpose();
         let int = |name: &str, default: &str, lo: u64, hi: u64| {
             param_int(get(name).unwrap_or(default), name, lo, hi)
@@ -272,9 +301,7 @@ impl ScenarioSpec {
         Ok(spec)
     }
 
-    /// Human-readable cell key; unique per spec, stable across versions
-    /// (it is the journal key scenario fingerprints derive from).
-    pub fn key(&self) -> String {
+    fn key(&self) -> String {
         let hash = match self.hash {
             HashDist::Uniform => "uni".to_string(),
             HashDist::Zipf { s } => format!("zipf({s})"),
@@ -314,10 +341,10 @@ impl ScenarioSpec {
         )
     }
 
-    /// Compact wire encoding, `;`-separated with `f64`s as bit-pattern
-    /// hex (the `bvc_cluster::jobs` convention). Fixed arity: enum
-    /// payloads are flattened with `-` filling unused slots.
-    pub fn encode(&self) -> String {
+    /// `;`-separated with `f64`s as bit-pattern hex (the `bvc_cluster::jobs`
+    /// convention). Fixed arity: enum payloads are flattened with `-`
+    /// filling unused slots.
+    fn encode_fields(&self) -> String {
         let (ht, hp) = match self.hash {
             HashDist::Uniform => ("u", "-".to_string()),
             HashDist::Zipf { s } => ("z", f64_to_hex(s)),
@@ -344,7 +371,7 @@ impl ScenarioSpec {
             }
         };
         format!(
-            "sc;{};{ht};{hp};{};{};{};{};{dt};{d1};{d2};{rt};{at};{a1};{a2};{a3};{};{}",
+            "{};{ht};{hp};{};{};{};{};{dt};{d1};{d2};{rt};{at};{a1};{a2};{a3};{};{}",
             self.nodes,
             self.eb_small_mb,
             self.eb_large_mb,
@@ -355,17 +382,13 @@ impl ScenarioSpec {
         )
     }
 
-    /// Inverse of [`ScenarioSpec::encode`]; `None` on any malformed field.
-    pub fn decode(wire: &str) -> Option<Self> {
-        let parts: Vec<&str> = wire.split(';').collect();
-        let [tag, nodes, ht, hp, eb_s, eb_l, ad, lf, dt, d1, d2, rt, at, a1, a2, a3, blocks, seed] =
+    fn decode_fields(fields: &str) -> Option<Self> {
+        let parts: Vec<&str> = fields.split(';').collect();
+        let [nodes, ht, hp, eb_s, eb_l, ad, lf, dt, d1, d2, rt, at, a1, a2, a3, blocks, seed] =
             parts.as_slice()
         else {
             return None;
         };
-        if *tag != "sc" {
-            return None;
-        }
         let hash = match (*ht, *hp) {
             ("u", "-") => HashDist::Uniform,
             ("z", p) => HashDist::Zipf { s: f64_from_hex(p)? },
@@ -409,6 +432,48 @@ impl ScenarioSpec {
         })
     }
 
+    /// Scenario cells cache under their own namespace: the six-value
+    /// payload must never collide with table cells or preloaded journals.
+    fn config_token() -> String {
+        format!("scenario;{}", SolveOptions::default().fingerprint_token())
+    }
+
+    fn check_work(&self) -> Result<(), String> {
+        let work = u64::from(self.nodes) * u64::from(self.blocks);
+        if work > SCENARIO_WORK_CAP {
+            return Err(format!(
+                "nodes*blocks is capped at {SCENARIO_WORK_CAP} per request (got {work}); run \
+                 larger cells through the scenario sweep workloads"
+            ));
+        }
+        Ok(())
+    }
+
+    fn solve(&self, opts: &SolveOptions) -> Result<Vec<f64>, MdpError> {
+        run_scenario(self, opts)
+    }
+
+    fn metrics(&self, _vals: &[f64]) -> &'static [Metric] {
+        match self.attacker {
+            AttackerSpec::Mdp { .. } => &REPLAY_METRICS,
+            AttackerSpec::Honest | AttackerSpec::LeadK { .. } => &SIMULATION_METRICS,
+        }
+    }
+
+    fn echo(&self) -> Vec<(&'static str, Value)> {
+        let kind = match self.attacker {
+            AttackerSpec::Mdp { .. } => "mdp-replay",
+            AttackerSpec::Honest | AttackerSpec::LeadK { .. } => "simulation",
+        };
+        vec![
+            ("kind", Value::Str(kind)),
+            ("nodes", Value::Int(u64::from(self.nodes))),
+            ("blocks", Value::Int(u64::from(self.blocks))),
+        ]
+    }
+}
+
+impl ScenarioSpec {
     /// The effective per-cell RNG seed: the base seed XOR the FNV-1a hash
     /// of the cell key — the `bvc-chaos` per-site discipline, so sibling
     /// cells in a grid decorrelate even under a shared base seed, and the

@@ -7,6 +7,8 @@
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
+use bvc_journal::Value;
+
 /// Escapes a string for embedding in a JSON literal (no surrounding
 /// quotes).
 pub fn escape(s: &str) -> String {
@@ -79,6 +81,15 @@ impl JsonObject {
     pub fn bool(mut self, k: &str, v: bool) -> Self {
         let _ = write!(self.key(k), "{v}");
         self
+    }
+
+    /// Adds typed cell output fields, in order.
+    pub fn values(self, fields: &[(&str, Value)]) -> Self {
+        fields.iter().fold(self, |obj, &(k, v)| match v {
+            Value::Int(n) => obj.int(k, n),
+            Value::Num(x) => obj.num(k, x),
+            Value::Str(text) => obj.str(k, text),
+        })
     }
 
     /// Adds a field whose value is already-encoded JSON.

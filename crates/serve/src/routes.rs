@@ -32,14 +32,11 @@ use std::time::{Duration, Instant};
 
 use bvc_bu::{Action, AttackConfig, AttackModel, SolveOptions};
 use bvc_games::EbChoosingGame;
-use bvc_gamesweep::{
-    frontier_config_token, grid_config_token, solve_frontier_cell, solve_game_cell, FrontierSpec,
-    GameSpec, PerturbSpec, FRONTIER_METRIC_ARITY, GAME_METRIC_ARITY, NO_CARTEL,
-};
-use bvc_journal::{cell_fingerprint, check_param_names};
+use bvc_gamesweep::{FrontierSpec, GameSpec};
+use bvc_journal::{cell_fingerprint, check_param_names, Cell};
 use bvc_mdp::audit::{demo_multichain, demo_unreachable};
 use bvc_mdp::{audit_compiled, AuditOptions, MdpError, SolveBudget};
-use bvc_scenario::{run_scenario, AttackerSpec, ScenarioSpec, METRIC_ARITY};
+use bvc_scenario::ScenarioSpec;
 
 use crate::cache::{CachedCell, Fetched, SolveCache, SolveFailure};
 use crate::http::{self, HttpConfig, Request, Response, Server};
@@ -218,9 +215,9 @@ impl Service {
             ("GET", "/v1/table3") => self.table_route(req, Table::T3),
             ("GET", "/v1/table4") => self.table_route(req, Table::T4),
             ("GET", "/v1/policy") => self.policy_route(req),
-            ("GET", "/v1/scenario") => self.scenario_route(req),
-            ("GET", "/v1/games/map") => self.games_map_route(req),
-            ("GET", "/v1/games/frontier") => self.games_frontier_route(req),
+            ("GET", "/v1/scenario") => self.cell_route::<ScenarioSpec>(req),
+            ("GET", "/v1/games/map") => self.cell_route::<GameSpec>(req),
+            ("GET", "/v1/games/frontier") => self.cell_route::<FrontierSpec>(req),
             ("GET", "/v1/games/eb") => self.games_eb_route(req),
             ("POST", "/v1/solve") => self.solve_route(req),
             ("POST", "/admin/shutdown") => {
@@ -460,119 +457,39 @@ impl Service {
         )
     }
 
-    // --- scenario cells ---
+    // --- schema cells (scenario, game map, frontier) ---
 
-    /// `GET /v1/scenario`: runs (or serves from cache) one `bvc-scenario`
-    /// network cell. Parameters are [`ScenarioSpec::from_params`]'s; the
-    /// response carries the cell's six metrics named by kind (simulation
-    /// vs MDP-replay). Work is capped well below the spec's structural
-    /// limit so a single request cannot monopolize a worker — larger cells
-    /// belong in the sweep binaries.
-    fn scenario_route(&self, req: &Request) -> Response {
-        let spec = match parse_scenario_params(req) {
-            Ok(spec) => spec,
-            Err(detail) => return bad_request(&detail),
-        };
-        // Scenario cells cache under their own token namespace: the
-        // six-value payload must never collide with table cells or
-        // preloaded journals.
-        let key = spec.key();
-        let solve = || Ok((run_scenario(&spec, &self.solve_options(false))?, 0));
-        self.cached_cell(&key, &config_token("scenario"), solve, |fp, cell, cache, _| {
-            self.scenario_response(&spec, &key, fp, cell, cache)
-        })
-    }
-
-    fn scenario_response(
-        &self,
-        spec: &ScenarioSpec,
-        key: &str,
-        fp: u64,
-        cell: &CachedCell,
-        cache: &str,
-    ) -> Response {
-        if cell.vals.len() != METRIC_ARITY {
-            return Response::json(
-                500,
-                "{\"error\":\"internal\",\"detail\":\"malformed scenario cell\"}".to_string(),
-            );
-        }
-        let v = &cell.vals;
-        let mdp = matches!(spec.attacker, AttackerSpec::Mdp { .. });
-        let metrics = if mdp {
-            JsonObject::new()
-                .num("u1_sim", v[0])
-                .num("u1_exact", v[1])
-                .num("abs_diff", v[2])
-                .num("attacker_blocks", v[3])
-                .num("compliant_blocks", v[4])
-                .int("steps", v[5] as u64)
-                .finish()
-        } else {
-            JsonObject::new()
-                .int("blocks_mined", v[0] as u64)
-                .int("reorgs", v[1] as u64)
-                .int("max_reorg_depth", v[2] as u64)
-                .num("miner0_share", v[3])
-                .int("distinct_tips", v[4] as u64)
-                .num("sim_duration", v[5])
-                .finish()
-        };
-        let mut obj = JsonObject::new()
-            .str("key", key)
-            .str("fingerprint", &format!("{fp:016x}"))
-            .str("kind", if mdp { "mdp-replay" } else { "simulation" })
-            .int("nodes", u64::from(spec.nodes))
-            .int("blocks", u64::from(spec.blocks))
-            .raw("metrics", &metrics)
-            .str("cache", cache)
-            .bool("preloaded", cell.preloaded);
-        if cache == "miss" {
-            obj = obj.num("solve_ms", cell.solve_ms);
-        }
-        Response::json(200, obj.finish())
-    }
-
-    // --- §5 game cells ---
-
-    /// `GET /v1/games/map`: one `bvc-gamesweep` equilibrium-map cell.
-    /// Defaults reproduce the paper's Figure 4 game, so a bare request
-    /// answers the pinned trace (`terminal = 1`, two rounds). Cells cache
-    /// under the exact `games-grid` workload token, so a preloaded sweep
-    /// journal answers the same requests the sweep solved.
-    fn games_map_route(&self, req: &Request) -> Response {
-        let spec = match parse_games_params(req) {
+    /// `GET` one cell of a [`Cell`] kind (`/v1/scenario`, `/v1/games/map`,
+    /// `/v1/games/frontier`): the query goes through the kind's schema under
+    /// its interactive work cap, and the cell caches under the kind's config
+    /// token, so a preloaded sweep journal answers the cells the sweep
+    /// solved. The body carries the key, the fingerprint, the spec fields
+    /// the kind echoes and its named metrics.
+    fn cell_route<C: Cell>(&self, req: &Request) -> Response {
+        let spec = match parse_cell::<C>(req) {
             Ok(spec) => spec,
             Err(detail) => return bad_request(&detail),
         };
         let key = spec.key();
-        let solve = || {
-            let vals = solve_game_cell(&spec)
-                .map_err(|detail| MdpError::AuditFailed { check: "game cell spec", detail })?;
-            Ok((vals, 0))
-        };
-        self.cached_cell(&key, &grid_config_token(), solve, |fp, cell, cache, _| {
-            self.games_map_response(&spec, &key, fp, cell, cache)
-        })
-    }
-
-    /// `GET /v1/games/frontier`: one committed-coalition frontier shard of
-    /// the block size increasing game. Same game parameters as
-    /// `/v1/games/map` (ladder economics only) plus `size`/`shard`/`shards`;
-    /// per-request work is capped far below the structural shard limit.
-    fn games_frontier_route(&self, req: &Request) -> Response {
-        let spec = match parse_frontier_params(req) {
-            Ok(spec) => spec,
-            Err(detail) => return bad_request(&detail),
-        };
-        let key = spec.key();
-        let solve = || {
-            let vals = solve_frontier_cell(&spec)
-                .map_err(|detail| MdpError::AuditFailed { check: "frontier cell spec", detail })?;
-            Ok((vals, 0))
-        };
-        self.cached_cell(&key, &frontier_config_token(), solve, |fp, cell, cache, _| {
-            self.games_frontier_response(&spec, &key, fp, cell, cache)
+        let solve = || Ok((spec.solve(&self.solve_options(false))?, 0));
+        self.cached_cell(&key, &C::config_token(), solve, |fp, cell, cache, _| {
+            let Some(metrics) = spec.named_metrics(&cell.vals) else {
+                return Response::json(
+                    500,
+                    "{\"error\":\"internal\",\"detail\":\"malformed cached cell\"}".to_string(),
+                );
+            };
+            let mut obj = JsonObject::new()
+                .str("key", &key)
+                .str("fingerprint", &format!("{fp:016x}"))
+                .values(&spec.echo())
+                .raw("metrics", &JsonObject::new().values(&metrics).finish())
+                .str("cache", cache)
+                .bool("preloaded", cell.preloaded);
+            if cache == "miss" {
+                obj = obj.num("solve_ms", cell.solve_ms);
+            }
+            Response::json(200, obj.finish())
         })
     }
 
@@ -635,88 +552,6 @@ impl Service {
             obj = obj.str("cache", cache).bool("preloaded", cell.preloaded);
             Response::json(200, obj.finish())
         })
-    }
-
-    fn games_map_response(
-        &self,
-        spec: &GameSpec,
-        key: &str,
-        fp: u64,
-        cell: &CachedCell,
-        cache: &str,
-    ) -> Response {
-        if cell.vals.len() != GAME_METRIC_ARITY {
-            return Response::json(
-                500,
-                "{\"error\":\"internal\",\"detail\":\"malformed game cell\"}".to_string(),
-            );
-        }
-        let v = &cell.vals;
-        let metrics = JsonObject::new()
-            .int("groups", v[0] as u64)
-            .int("terminal", v[1] as u64)
-            .int("rounds", v[2] as u64)
-            .bool("first_raise_passed", v[3] > 0.5)
-            .num("forced_out_power", v[4])
-            .int("nash_equilibria", v[5] as u64)
-            .int("flip_size", v[6] as u64)
-            .num("flip_power", v[7])
-            .int("perturb_flips", v[8] as u64)
-            .int("perturb_trials", v[9] as u64)
-            .finish();
-        let mut obj = JsonObject::new()
-            .str("key", key)
-            .str("fingerprint", &format!("{fp:016x}"))
-            .int("miners", u64::from(spec.miners))
-            .raw("metrics", &metrics)
-            .str("cache", cache)
-            .bool("preloaded", cell.preloaded);
-        if cache == "miss" {
-            obj = obj.num("solve_ms", cell.solve_ms);
-        }
-        Response::json(200, obj.finish())
-    }
-
-    fn games_frontier_response(
-        &self,
-        spec: &FrontierSpec,
-        key: &str,
-        fp: u64,
-        cell: &CachedCell,
-        cache: &str,
-    ) -> Response {
-        if cell.vals.len() != FRONTIER_METRIC_ARITY {
-            return Response::json(
-                500,
-                "{\"error\":\"internal\",\"detail\":\"malformed frontier cell\"}".to_string(),
-            );
-        }
-        let v = &cell.vals;
-        let mut metrics = JsonObject::new()
-            .int("examined", v[0] as u64)
-            .int("effective", v[1] as u64)
-            .int("base_terminal", v[5] as u64);
-        // `NO_CARTEL` marks a shard where no coalition moved the terminal.
-        if v[4] < NO_CARTEL {
-            metrics = metrics
-                .int("best_terminal", v[2] as u64)
-                .int("best_mask", v[3] as u64)
-                .num("min_cartel_power", v[4]);
-        }
-        let metrics = metrics.finish();
-        let mut obj = JsonObject::new()
-            .str("key", key)
-            .str("fingerprint", &format!("{fp:016x}"))
-            .int("size", u64::from(spec.size))
-            .int("shard", u64::from(spec.shard))
-            .int("shards", u64::from(spec.shards))
-            .raw("metrics", &metrics)
-            .str("cache", cache)
-            .bool("preloaded", cell.preloaded);
-        if cache == "miss" {
-            obj = obj.num("solve_ms", cell.solve_ms);
-        }
-        Response::json(200, obj.finish())
     }
 
     // --- generic solves ---
@@ -852,75 +687,14 @@ fn check_names(req: &Request, lists: &[&[&str]]) -> Result<(), String> {
     check_param_names(req.query.iter().map(|(name, _)| name.as_str()), lists)
 }
 
-/// Serve-side cap on `nodes * blocks` for one scenario request. Far below
-/// [`ScenarioSpec::validate`]'s structural 50e6 limit: an interactive
-/// route must answer in seconds, not minutes — larger cells belong in the
-/// `scenario-grid` / `scenario-crossval` sweep workloads.
-const SCENARIO_WORK_CAP: u64 = 5_000_000;
-
-/// Parses `GET /v1/scenario` query parameters through the scenario schema
-/// ([`ScenarioSpec::from_params`]) under the serve work cap.
-fn parse_scenario_params(req: &Request) -> Result<ScenarioSpec, String> {
-    check_names(req, &[&ScenarioSpec::PARAMS])?;
-    let spec = ScenarioSpec::from_params(|name| req.query_param(name))?;
-    let work = u64::from(spec.nodes) * u64::from(spec.blocks);
-    if work > SCENARIO_WORK_CAP {
-        return Err(format!(
-            "nodes*blocks is capped at {SCENARIO_WORK_CAP} per request (got {work}); run \
-             larger cells through the scenario sweep workloads"
-        ));
-    }
+/// Parses a cell route's query through the kind's schema
+/// ([`Cell::from_params`]) under serve's interactive work cap
+/// ([`Cell::check_work`]).
+fn parse_cell<C: Cell>(req: &Request) -> Result<C, String> {
+    check_names(req, &[C::PARAMS])?;
+    let spec = C::from_params(|name| req.query_param(name))?;
+    spec.check_work()?;
     Ok(spec)
-}
-
-/// Serve-side cap on `trials * miners^2` for one game-map request: the
-/// perturbation schedule dominates the cell cost, and an interactive
-/// route must answer in milliseconds — heavier cells belong in the
-/// `games-grid` sweep workload.
-const GAMES_WORK_CAP: u64 = 2_000_000;
-
-/// Serve-side cap on the coalition count of one frontier shard, far below
-/// [`bvc_gamesweep::FRONTIER_CELL_CAP`]: wide layers belong in the
-/// `games-frontier` sweep workload, sharded across workers.
-const GAMES_FRONTIER_WORK_CAP: u64 = 100_000;
-
-fn check_games_work(spec: &GameSpec) -> Result<(), String> {
-    if let PerturbSpec::Random { trials, .. } = spec.perturb {
-        let work = u64::from(trials) * u64::from(spec.miners) * u64::from(spec.miners);
-        if work > GAMES_WORK_CAP {
-            return Err(format!(
-                "trials*miners^2 is capped at {GAMES_WORK_CAP} per request (got {work}); run \
-                 larger cells through the games-grid sweep workload"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Parses `GET /v1/games/map` through the game schema
-/// ([`GameSpec::from_params`]) under the serve work cap.
-fn parse_games_params(req: &Request) -> Result<GameSpec, String> {
-    check_names(req, &[&GameSpec::PARAMS])?;
-    let spec = GameSpec::from_params(|name| req.query_param(name))?;
-    check_games_work(&spec)?;
-    Ok(spec)
-}
-
-/// Parses `GET /v1/games/frontier` through the frontier schema
-/// ([`FrontierSpec::from_params`]) under both games work caps.
-fn parse_frontier_params(req: &Request) -> Result<FrontierSpec, String> {
-    check_names(req, &[&GameSpec::PARAMS, &FrontierSpec::PARAMS])?;
-    let frontier = FrontierSpec::from_params(|name| req.query_param(name))?;
-    check_games_work(&frontier.spec)?;
-    let (lo, hi) = frontier.rank_range();
-    if hi - lo > GAMES_FRONTIER_WORK_CAP {
-        return Err(format!(
-            "coalitions per shard are capped at {GAMES_FRONTIER_WORK_CAP} per request (got {}); \
-             raise shards or run the games-frontier sweep workload",
-            hi - lo
-        ));
-    }
-    Ok(frontier)
 }
 
 /// Parses `GET /v1/games/eb` through the EB-share schema
@@ -1009,8 +783,8 @@ pub fn start(config: ServeConfig) -> io::Result<RunningServer> {
             "table2" | "table3" | "table4" => config_token(table),
             // Game journals preload under their exact workload tokens, so
             // a sweep's journal warm-starts the /v1/games/* routes.
-            "games-grid" => grid_config_token(),
-            "games-frontier" => frontier_config_token(),
+            "games-grid" => GameSpec::config_token(),
+            "games-frontier" => FrontierSpec::config_token(),
             _ => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
@@ -1042,7 +816,7 @@ pub fn start(config: ServeConfig) -> io::Result<RunningServer> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bvc_scenario::{RuleKind, GRID_SEED};
+    use bvc_scenario::{AttackerSpec, RuleKind, GRID_SEED};
 
     fn get(path_and_query: &str) -> Request {
         let (path, query) = match path_and_query.split_once('?') {
@@ -1147,14 +921,14 @@ mod tests {
 
     #[test]
     fn scenario_params_default_to_the_grid_base_cell() {
-        let spec = parse_scenario_params(&get("/v1/scenario")).unwrap();
+        let spec = parse_cell::<ScenarioSpec>(&get("/v1/scenario")).unwrap();
         assert_eq!(spec.nodes, 40);
         assert_eq!(spec.blocks, 1_500);
         assert_eq!(spec.seed, GRID_SEED);
         assert_eq!(spec.rule, RuleKind::Rizun { sticky: true });
         assert_eq!(spec.attacker, AttackerSpec::Honest);
         // An MDP request defaults to the only rule the replay supports.
-        let spec = parse_scenario_params(&get(
+        let spec = parse_cell::<ScenarioSpec>(&get(
             "/v1/scenario?attacker=mdp&alpha=0.25&ratio=1:1&nodes=12&blocks=2000",
         ))
         .unwrap();
@@ -1175,7 +949,7 @@ mod tests {
             ("/v1/scenario?nodes=5000&blocks=5000", "capped at"),
             ("/v1/scenario?attacker=mdp&alpha=0.25&rule=srccode", "rizun-nogate"),
         ] {
-            let err = parse_scenario_params(&get(query)).unwrap_err();
+            let err = parse_cell::<ScenarioSpec>(&get(query)).unwrap_err();
             assert!(err.contains(needle), "{query}: {err}");
         }
     }
@@ -1210,7 +984,7 @@ mod tests {
         let body = String::from_utf8(resp.body).unwrap();
         assert!(body.contains("\"terminal\":1"), "body = {body}");
         assert!(body.contains("\"rounds\":2"), "body = {body}");
-        assert!(body.contains("\"first_raise_passed\":true"), "body = {body}");
+        assert!(body.contains("\"passed_rounds\":1"), "body = {body}");
         assert!(body.contains("\"nash_equilibria\":2"), "body = {body}");
         assert!(body.contains("\"cache\":\"miss\""), "body = {body}");
         let resp = service.handle(&get("/v1/games/map"));
@@ -1225,6 +999,71 @@ mod tests {
         );
         // Invalid spec values fail validation with a 400, not a panic.
         assert_eq!(service.handle(&get("/v1/games/map?threshold=1.5")).status, 400);
+    }
+
+    /// Full `200` bodies of the schema-cell routes, byte for byte: a
+    /// simulation and an MDP-replay scenario cell, Figure 4 and a frontier
+    /// shard with and without an improving cartel. Each request answers a
+    /// miss (its timing-only `solve_ms` stripped) and then a hit with the
+    /// same fields.
+    #[test]
+    fn cell_route_bodies_are_pinned() {
+        const PINS: [(&str, &str); 5] = [
+            (
+                "/v1/scenario?nodes=6&blocks=80&seed=11",
+                "{\"key\":\"scn n=6 hash=uni eb=1/16 ad=6 large=40% delay=zero rule=rizun \
+                 atk=honest b=80 s=11\",\"fingerprint\":\"8a79f01771138f76\",\"kind\":\
+                 \"simulation\",\"nodes\":6,\"blocks\":80,\"metrics\":{\"blocks_mined\":80,\
+                 \"reorgs\":0,\"max_reorg_depth\":0,\"miner0_share\":0.175,\"distinct_tips\":1,\
+                 \"sim_duration\":94.2046717823213},\"cache\":\"CACHE\",\"preloaded\":false}",
+            ),
+            (
+                "/v1/scenario?attacker=mdp&alpha=0.25&nodes=12&blocks=2000",
+                "{\"key\":\"scn n=12 hash=uni eb=1/16 ad=6 large=40% delay=zero \
+                 rule=rizun-nogate atk=mdp(25%,1:1) b=2000 s=2017\",\"fingerprint\":\
+                 \"fe1ed2d4dc867239\",\"kind\":\"mdp-replay\",\"nodes\":12,\"blocks\":2000,\
+                 \"metrics\":{\"u1_sim\":0.24592220828105396,\"u1_exact\":0.26237596140664066,\
+                 \"abs_diff\":0.016453753125586695,\"attacker_blocks\":392,\
+                 \"compliant_blocks\":1202,\"steps\":2000},\"cache\":\"CACHE\",\
+                 \"preloaded\":false}",
+            ),
+            (
+                "/v1/games/map",
+                "{\"key\":\"game n=4 pow=zipf(-1) econ=ladder tau=0.5 pert=none s=2017\",\
+                 \"fingerprint\":\"45b6b87a8448f20a\",\"miners\":4,\"metrics\":{\"groups\":4,\
+                 \"terminal\":1,\"rounds\":2,\"passed_rounds\":1,\"forced_out_power\":0.1,\
+                 \"nash_equilibria\":2,\"flip_size\":2,\"flip_power\":0.7,\"perturb_flips\":0,\
+                 \"perturb_trials\":0},\"cache\":\"CACHE\",\"preloaded\":false}",
+            ),
+            (
+                "/v1/games/frontier?size=1",
+                "{\"key\":\"game n=4 pow=zipf(-1) econ=ladder tau=0.5 pert=none s=2017 \
+                 frontier k=1 shard=0/1\",\"fingerprint\":\"48965061e03b6191\",\"size\":1,\
+                 \"shard\":0,\"shards\":1,\"metrics\":{\"examined\":4,\"effective\":1,\
+                 \"base_terminal\":1,\"best_terminal\":3,\"best_mask\":4,\
+                 \"min_cartel_power\":0.3},\"cache\":\"CACHE\",\"preloaded\":false}",
+            ),
+            (
+                "/v1/games/frontier?size=1&threshold=0.9",
+                "{\"key\":\"game n=4 pow=zipf(-1) econ=ladder tau=0.9 pert=none s=2017 \
+                 frontier k=1 shard=0/1\",\"fingerprint\":\"28c348dc89e37e25\",\"size\":1,\
+                 \"shard\":0,\"shards\":1,\"metrics\":{\"examined\":4,\"effective\":0,\
+                 \"base_terminal\":1},\"cache\":\"CACHE\",\"preloaded\":false}",
+            ),
+        ];
+        let service = Service::new(&ServeConfig::default());
+        for (request, pinned) in PINS {
+            for cache in ["miss", "hit"] {
+                let resp = service.handle(&get(request));
+                assert_eq!(resp.status, 200, "{request}");
+                let body = String::from_utf8(resp.body).unwrap();
+                let body = match body.find(",\"solve_ms\":") {
+                    Some(at) if cache == "miss" => format!("{}}}", &body[..at]),
+                    _ => body,
+                };
+                assert_eq!(body, pinned.replace("CACHE", cache), "{request} ({cache})");
+            }
+        }
     }
 
     #[test]

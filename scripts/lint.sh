@@ -42,7 +42,8 @@ echo "==> custom lint: no unwrap/expect/float-eq in solver hot paths"
 # joined the contract when their cells became cluster workloads: a bad
 # GameSpec must come back as a structured decode/validate error, and
 # equilibrium checks on power fractions must never use exact float
-# equality.
+# equality. The CLI's generic cell runner joined with the `Cell` schema
+# it shares with serve and the job codec.
 targets=(
     crates/mdp/src/solve/*.rs
     crates/mdp/src/shard.rs
@@ -58,6 +59,7 @@ targets=(
     crates/scenario/src/*.rs
     crates/games/src/*.rs
     crates/gamesweep/src/*.rs
+    crates/cli/src/commands/cell.rs
 )
 # jobs.rs is exempt from the float-eq lint only: it hosts the ported
 # crossval cell whose exact-zero guard is an intentional bitwise

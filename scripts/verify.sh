@@ -76,16 +76,19 @@ cargo test -q --offline -p bvc-bu --lib table1
 cargo test -q --offline -p bvc-mdp --test explore_errors -- \
     explore_errors_match_explore_then_validate
 
-echo "==> cell-identity gate (solve token pin + cluster and serve cell keys + table-cell parsers)"
+echo "==> cell-identity gate (solve token pin + cell keys + table-cell parsers + schema-cell outputs)"
 # Every journal fingerprint and serve cache key hashes the default solve
 # token and a cell key; a drift in either orphans old journals and turns
 # preloaded serve hits into misses. Re-run the pins so such a drift fails
 # under this name. The table-cell contract runs one parameter table through
 # serve's GET query and POST body parsers and `bvc solve`'s flags: the same
 # config (bit-equal alpha) or the same rejected parameter from all three.
+# The schema-cell contract (scenario, game-map and frontier cells, one
+# `Cell` impl each) holds serve's metric names to `bvc … --json`'s, in
+# order, and pins the routes' full response bodies.
 cargo test -q --offline -p bvc-cluster --lib -- solve_token_is_pinned keys_
-cargo test -q --offline -p bvc-serve --lib -- _key
-cargo test -q --offline -p bvc-cli -- table_cell_parsers_agree
+cargo test -q --offline -p bvc-serve --lib -- _key cell_route_bodies_are_pinned
+cargo test -q --offline -p bvc-cli -- table_cell_parsers_agree cell_metric_keys_agree
 
 echo "==> benchmark self-tests (exact counts repeat, decomposition is bit-exact)"
 # The benchmark is its own Cargo workspace, so the workspace test run above
