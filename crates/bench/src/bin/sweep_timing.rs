@@ -99,7 +99,10 @@ fn build(cell: &SweepCell) -> AttackModel {
 }
 
 fn main() {
-    let (mut sweep_opts, args) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
+    let (mut sweep_opts, args) = SweepOptions::from_cli_or_exit(
+        std::env::args().skip(1),
+        &["--quick", "--full", "--no-baseline", "--reps N"],
+    );
     sweep_opts.config_token = SolveOptions::default().fingerprint_token();
     let mut quick = false;
     let mut full = false;

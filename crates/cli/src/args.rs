@@ -7,6 +7,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
+use std::time::Duration;
 
 /// A parse or validation error, rendered for the end user.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,6 +127,16 @@ impl Args {
             Ok(default)
         }
     }
+
+    /// An optional seconds flag with a default, read through
+    /// [`bvc_journal::param_seconds`]: a negative, non-finite or too large
+    /// value is an error, never a `Duration` panic.
+    pub fn seconds_or(&self, key: &str, default: Duration) -> Result<Duration, ArgError> {
+        match self.flags.get(key) {
+            Some(raw) => Ok(bvc_journal::param_seconds(raw, &format!("--{key}"))?),
+            None => Ok(default),
+        }
+    }
 }
 
 /// Parses a comma-separated list of floats such as `0.2,0.3,0.5`.
@@ -182,6 +193,15 @@ mod tests {
         assert_eq!(a.get_or("ad", 6u8).unwrap(), 6);
         let a = parse(&["--ad", "12"]);
         assert_eq!(a.get_or("ad", 6u8).unwrap(), 12);
+    }
+
+    #[test]
+    fn seconds_flags_are_checked() {
+        let a = parse(&["--lease", "2.5", "--deadline", "1e300"]);
+        assert_eq!(a.seconds_or("lease", Duration::ZERO).unwrap(), Duration::from_millis(2500));
+        assert_eq!(a.seconds_or("other", Duration::from_secs(3)).unwrap(), Duration::from_secs(3));
+        let ArgError(message) = a.seconds_or("deadline", Duration::ZERO).unwrap_err();
+        assert!(message.contains("--deadline") && message.contains("1e300"), "{message}");
     }
 
     #[test]

@@ -10,8 +10,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use bvc_cluster::{
-    run_coordinator, run_worker, workload, ClusterConfig, DieMode, ReconnectPolicy, RetryPolicy,
-    WorkerOptions, WORKLOAD_NAMES,
+    run_coordinator, run_worker, workload, ClusterConfig, DieMode, ReconnectPolicy, WorkerOptions,
+    WORKLOAD_NAMES,
 };
 use bvc_journal::Durability;
 
@@ -29,17 +29,15 @@ pub enum ClusterCmd {
         /// Journal path (`--journal`, also enables `--resume` semantics:
         /// existing ok-entries are replayed, the rest appended).
         journal: Option<PathBuf>,
-        /// Lease duration in seconds (`--lease`).
-        lease_s: f64,
+        /// Lease duration (`--lease` seconds, positive).
+        lease: Duration,
         /// Default cells granted per claim (`--batch`).
         batch: u32,
         /// Dispatch cap per cell before `FAIL(lost)` (`--max-dispatch`).
         max_dispatch: u32,
-        /// Per-cell solve deadline in seconds (`--cell-deadline`, 0 = none).
-        cell_deadline_s: f64,
-        /// Retry schedule per cell on the worker (`--retries N`: `N` extra
-        /// attempts after the first, default 2).
-        retry: RetryPolicy,
+        /// Per-cell solve deadline (`--cell-deadline` seconds; 0 = none,
+        /// stored as `None`).
+        cell_deadline: Option<Duration>,
         /// Run the static model audit before each solve (`--audit`).
         audit: bool,
         /// Stop dispatching after the first failed cell (`--fail-fast`).
@@ -118,7 +116,7 @@ pub fn parse(args: &Args) -> Result<ClusterCmd, ArgError> {
         "coordinate" => {
             args.check_names(&[
                 &["workload", "addr", "journal", "lease", "batch", "max-dispatch", "cell-deadline"],
-                &["retries", "audit", "fail-fast", "quiet", "durability", "chaos"],
+                &["audit", "fail-fast", "quiet", "durability", "chaos"],
             ])?;
             let name: String = args.get("workload")?;
             if workload(&name).is_none() {
@@ -126,15 +124,10 @@ pub fn parse(args: &Args) -> Result<ClusterCmd, ArgError> {
                     "unknown workload {name:?}; `bvc cluster workloads` lists the registry"
                 )));
             }
-            let lease_s: f64 = args.get_or("lease", 30.0)?;
-            if lease_s.is_nan() || lease_s <= 0.0 {
-                return Err(ArgError(format!("--lease must be positive seconds, got {lease_s}")));
-            }
-            let cell_deadline_s: f64 = args.get_or("cell-deadline", 0.0)?;
-            if cell_deadline_s < 0.0 || cell_deadline_s.is_nan() {
-                return Err(ArgError(format!(
-                    "--cell-deadline must be nonnegative seconds, got {cell_deadline_s}"
-                )));
+            let lease = args.seconds_or("lease", Duration::from_secs(30))?;
+            if lease.is_zero() {
+                let raw = args.value("lease").unwrap_or_default();
+                return Err(ArgError(format!("--lease must be positive seconds, got {raw:?}")));
             }
             Ok(ClusterCmd::Coordinate {
                 workload: name,
@@ -144,11 +137,11 @@ pub fn parse(args: &Args) -> Result<ClusterCmd, ArgError> {
                 } else {
                     None
                 },
-                lease_s,
+                lease,
                 batch: args.get_or("batch", 4u32)?.max(1),
                 max_dispatch: args.get_or("max-dispatch", 3u32)?.max(1),
-                cell_deadline_s,
-                retry: RetryPolicy::with_retries(args.get_or("retries", 2u32)?),
+                cell_deadline: Some(args.seconds_or("cell-deadline", Duration::ZERO)?)
+                    .filter(|d| !d.is_zero()),
                 audit: args.has("audit"),
                 fail_fast: args.has("fail-fast"),
                 quiet: args.has("quiet"),
@@ -205,11 +198,10 @@ pub fn run(cmd: &ClusterCmd) -> Result<(), String> {
             workload: name,
             addr,
             journal,
-            lease_s,
+            lease,
             batch,
             max_dispatch,
-            cell_deadline_s,
-            retry,
+            cell_deadline,
             audit,
             fail_fast,
             quiet,
@@ -221,7 +213,7 @@ pub fn run(cmd: &ClusterCmd) -> Result<(), String> {
             let mut cfg = ClusterConfig {
                 config_token: wl.config_token.clone(),
                 journal: journal.clone(),
-                lease: Duration::from_secs_f64(*lease_s),
+                lease: *lease,
                 batch: *batch,
                 max_dispatch: *max_dispatch,
                 fail_fast: *fail_fast,
@@ -229,12 +221,7 @@ pub fn run(cmd: &ClusterCmd) -> Result<(), String> {
                 durability: *durability,
                 ..ClusterConfig::default()
             };
-            cfg.cell.retry = retry.clone();
-            cfg.cell.cell_deadline = if *cell_deadline_s > 0.0 {
-                Some(Duration::from_secs_f64(*cell_deadline_s))
-            } else {
-                None
-            };
+            cfg.cell.cell_deadline = *cell_deadline;
             cfg.cell.audit = *audit;
             let report = run_coordinator(addr, wl.name, &wl.jobs, cfg)
                 .map_err(|e| format!("cluster run failed: {e}"))?;
@@ -340,13 +327,22 @@ mod tests {
     #[test]
     fn coordinate_defaults_and_overrides() {
         let cmd = parse_cmd(&["cluster", "coordinate", "--workload", "table2-setting1"]).unwrap();
-        let ClusterCmd::Coordinate { workload, addr, lease_s, batch, max_dispatch, .. } = cmd
+        let ClusterCmd::Coordinate {
+            workload,
+            addr,
+            lease,
+            batch,
+            max_dispatch,
+            cell_deadline,
+            ..
+        } = cmd
         else {
             panic!("expected coordinate");
         };
         assert_eq!(workload, "table2-setting1");
         assert_eq!(addr, "127.0.0.1:9090");
-        assert!((lease_s - 30.0).abs() < 1e-12);
+        assert_eq!(lease, Duration::from_secs(30));
+        assert_eq!(cell_deadline, None);
         assert_eq!(batch, 4);
         assert_eq!(max_dispatch, 3);
 
@@ -365,18 +361,28 @@ mod tests {
             "8",
             "--max-dispatch",
             "5",
+            "--cell-deadline",
+            "0.25",
             "--fail-fast",
             "--quiet",
         ])
         .unwrap();
         let ClusterCmd::Coordinate {
-            journal, lease_s, batch, max_dispatch, fail_fast, quiet, ..
+            journal,
+            lease,
+            batch,
+            max_dispatch,
+            cell_deadline,
+            fail_fast,
+            quiet,
+            ..
         } = cmd
         else {
             panic!("expected coordinate");
         };
         assert_eq!(journal, Some(PathBuf::from("j.jsonl")));
-        assert!((lease_s - 2.5).abs() < 1e-12);
+        assert_eq!(lease, Duration::from_millis(2500));
+        assert_eq!(cell_deadline, Some(Duration::from_millis(250)));
         assert_eq!(batch, 8);
         assert_eq!(max_dispatch, 5);
         assert!(fail_fast);
@@ -438,6 +444,14 @@ mod tests {
         assert!(
             parse_cmd(&["cluster", "coordinate", "--workload", "table4", "--lease", "0"]).is_err()
         );
+        // Seconds that no `Duration` holds are usage errors, not panics.
+        for flag in ["--lease", "--cell-deadline"] {
+            for bad in ["-1", "nan", "inf", "1e300"] {
+                let raw = ["cluster", "coordinate", "--workload", "table4", flag, bad];
+                let ArgError(message) = parse_cmd(&raw).unwrap_err();
+                assert!(message.contains(flag) && message.contains(bad), "{raw:?}: {message}");
+            }
+        }
         assert!(parse_cmd(&["cluster", "work"]).is_err());
         assert!(
             parse_cmd(&["cluster", "work", "--connect", "h:1", "--die-mode", "explode"]).is_err()
@@ -449,37 +463,13 @@ mod tests {
     fn unknown_flags_are_rejected() {
         for raw in [
             &["cluster", "coordinate", "--workload", "table4", "--retry", "5"][..],
+            &["cluster", "coordinate", "--workload", "table4", "--retries", "2"],
             &["cluster", "work", "--connect", "h:1", "--thread", "4"],
             &["cluster", "workloads", "--json"],
         ] {
             let ArgError(message) = parse_cmd(raw).unwrap_err();
             assert!(message.starts_with("unknown parameter"), "{raw:?}: {message}");
         }
-    }
-
-    /// `--retries N` is `N` extra attempts in the coordinator as in the
-    /// sweep binaries (the coordinator used to read `N` as total attempts),
-    /// and both default to the default policy's 3 attempts.
-    #[test]
-    fn retries_map_to_the_sweep_binaries_policy() {
-        let coordinate = |extra: &[&str]| {
-            let mut raw = vec!["cluster", "coordinate", "--workload", "table4"];
-            raw.extend_from_slice(extra);
-            match parse_cmd(&raw).unwrap() {
-                ClusterCmd::Coordinate { retry, .. } => retry,
-                other => panic!("expected coordinate, got {other:?}"),
-            }
-        };
-        for n in ["0", "1", "2", "5", "4294967295"] {
-            let (sweep, _) =
-                bvc_repro::sweep::SweepOptions::from_cli(["--retries", n].map(String::from))
-                    .unwrap();
-            assert_eq!(coordinate(&["--retries", n]), sweep.retry, "--retries {n}");
-        }
-        assert_eq!(coordinate(&["--retries", "0"]).max_attempts, 1);
-        let sweep_default = bvc_repro::sweep::SweepOptions::default().retry;
-        assert_eq!(coordinate(&[]), sweep_default);
-        assert_eq!(sweep_default.max_attempts, 3);
     }
 
     #[test]

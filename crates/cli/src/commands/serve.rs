@@ -22,9 +22,9 @@ pub struct ServeCmd {
     /// Concurrent cold-solve admission cap (`--queue-cap`); 0 sheds all
     /// uncached work with 429 while still answering cache hits.
     pub queue_cap: usize,
-    /// Per-request solve deadline in seconds (`--deadline-s`, 0 =
-    /// unlimited).
-    pub deadline_s: f64,
+    /// Per-request solve deadline (`--deadline-s` seconds; 0 = unlimited,
+    /// stored as `None`).
+    pub deadline: Option<Duration>,
     /// Journals to preload, as `table=path` pairs (`--preload`, repeatable
     /// via commas).
     pub preload: Vec<(String, PathBuf)>,
@@ -47,10 +47,8 @@ pub fn parse(args: &Args) -> Result<ServeCmd, ArgError> {
     if workers == 0 {
         return Err(ArgError("--workers must be at least 1".into()));
     }
-    let deadline_s: f64 = args.get_or("deadline-s", 30.0)?;
-    if deadline_s.is_nan() || deadline_s < 0.0 {
-        return Err(ArgError(format!("--deadline-s must be nonnegative, got {deadline_s}")));
-    }
+    let deadline =
+        Some(args.seconds_or("deadline-s", Duration::from_secs(30))?).filter(|d| !d.is_zero());
     let retry_after_ms: u64 = args.get_or("retry-after-ms", 1_000u64)?;
     if retry_after_ms == 0 {
         return Err(ArgError("--retry-after-ms must be at least 1".into()));
@@ -78,7 +76,7 @@ pub fn parse(args: &Args) -> Result<ServeCmd, ArgError> {
         workers,
         cache_cells: args.get_or("cache-cells", 4096usize)?,
         queue_cap: args.get_or("queue-cap", 8usize)?,
-        deadline_s,
+        deadline,
         preload,
         solve_threads: args.get_or("solve-threads", 1usize)?.max(1),
         retry_after_ms,
@@ -93,11 +91,7 @@ pub fn run(cmd: &ServeCmd) -> Result<(), String> {
         workers: cmd.workers,
         cache_capacity: cmd.cache_cells.max(1),
         queue_cap: cmd.queue_cap,
-        solve_deadline: if cmd.deadline_s > 0.0 {
-            Some(Duration::from_secs_f64(cmd.deadline_s))
-        } else {
-            None
-        },
+        solve_deadline: cmd.deadline,
         read_timeout: Duration::from_secs(5),
         preload: cmd.preload.clone(),
         solve_threads: cmd.solve_threads,
@@ -135,6 +129,7 @@ mod tests {
         assert_eq!(cmd.workers, 4);
         assert_eq!(cmd.queue_cap, 8);
         assert_eq!(cmd.retry_after_ms, 1_000);
+        assert_eq!(cmd.deadline, Some(Duration::from_secs(30)));
         assert!(cmd.preload.is_empty());
         let cmd = parse_cmd(&[
             "serve",
@@ -159,7 +154,7 @@ mod tests {
         assert_eq!(cmd.addr, "127.0.0.1:0");
         assert_eq!(cmd.workers, 2);
         assert_eq!(cmd.queue_cap, 0);
-        assert!((cmd.deadline_s - 1.5).abs() < 1e-12);
+        assert_eq!(cmd.deadline, Some(Duration::from_millis(1500)));
         assert_eq!(cmd.preload.len(), 2);
         assert_eq!(cmd.preload[0].0, "table2");
         assert_eq!(cmd.preload[1].1, PathBuf::from("b.jsonl"));
@@ -177,7 +172,11 @@ mod tests {
         assert!(parse_cmd(&["serve", "--workers", "0"]).is_err());
         assert!(parse_cmd(&["serve", "--preload", "nope"]).is_err());
         assert!(parse_cmd(&["serve", "--preload", "table9=x.jsonl"]).is_err());
-        assert!(parse_cmd(&["serve", "--deadline-s", "-1"]).is_err());
+        for bad in ["-1", "nan", "inf", "1e300"] {
+            let ArgError(message) = parse_cmd(&["serve", "--deadline-s", bad]).unwrap_err();
+            assert!(message.contains("--deadline-s") && message.contains(bad), "{message}");
+        }
+        assert_eq!(parse_cmd(&["serve", "--deadline-s", "0"]).unwrap().deadline, None);
         assert!(parse_cmd(&["serve", "--retry-after-ms", "0"]).is_err());
     }
 }

@@ -58,8 +58,8 @@ USAGE:
                shedding; POST /admin/shutdown drains and exits
   bvc cluster coordinate --workload NAME [--addr HOST:PORT] [--journal PATH]
                [--lease S] [--batch N] [--max-dispatch N] [--cell-deadline S]
-               [--retries N (extra attempts)] [--audit] [--fail-fast] [--quiet]
-               [--durability none|batch|always] [--chaos SPEC]
+               [--audit] [--fail-fast] [--quiet] [--durability none|batch|always]
+               [--chaos SPEC]
                shard a named sweep workload over TCP workers with
                lease-based fault tolerance; the journal written is
                bit-identical to a local sweep's, a torn tail from a crash

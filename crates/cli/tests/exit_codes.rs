@@ -1,5 +1,5 @@
 //! Out-of-range flags make the `bvc` binary exit 2 at once, before any
-//! model is built or any block is simulated.
+//! model is built, any block is simulated or any socket is bound.
 
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -23,5 +23,31 @@ fn out_of_range_flags_exit_2_at_once() {
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
         assert!(took < Duration::from_secs(5), "{args:?} took {took:?}");
+    }
+}
+
+/// Seconds no `Duration` holds used to panic (exit 101) in
+/// `Duration::from_secs_f64`; a flag the coordinator no longer takes used
+/// to be read.
+#[test]
+fn bad_seconds_and_removed_flags_exit_2() {
+    let coordinate = ["cluster", "coordinate", "--workload", "table4", "--addr", "127.0.0.1:0"];
+    for (extra, needle) in [
+        (&["--lease", "1e300"][..], "--lease must be between 0 and"),
+        (&["--lease", "-1"], "--lease must be between 0 and"),
+        (&["--cell-deadline", "1e300"], "--cell-deadline must be between 0 and"),
+        (&["--retries", "2"], "unknown parameter \"retries\""),
+    ] {
+        let args = [&coordinate[..], extra].concat();
+        let (code, stderr, took) = bvc(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(took < Duration::from_secs(5), "{args:?} took {took:?}");
+    }
+    for value in ["inf", "1e300"] {
+        let args = ["serve", "--addr", "127.0.0.1:0", "--deadline-s", value];
+        let (code, stderr, _) = bvc(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("--deadline-s must be between 0 and"), "{args:?}: {stderr}");
     }
 }

@@ -59,8 +59,8 @@ pub struct ClusterConfig {
     /// Checkpoint journal path. `None` disables checkpointing (and
     /// resume).
     pub journal: Option<PathBuf>,
-    /// Per-cell execution config shipped to every worker (retry schedule,
-    /// deadline, audit, fault injection).
+    /// Per-cell execution config shipped to every worker (deadline,
+    /// audit, fault injection).
     pub cell: CellRunConfig,
     /// Lease duration: a worker must report or heartbeat within this
     /// window or its cells are requeued.
@@ -141,7 +141,8 @@ pub struct ClusterCell {
     pub key: String,
     /// The value, or why there is none.
     pub outcome: Result<Vec<f64>, CellFailure>,
-    /// Solve attempts the worker reported (0 when replayed or skipped).
+    /// The attempts journaled for the cell: 1 when a worker reported it,
+    /// its dispatch count when it was lost, 0 when replayed or skipped.
     pub attempts: u32,
     /// True when the value came from the checkpoint journal instead of a
     /// fresh solve.
@@ -720,11 +721,6 @@ fn handle_frame(
                 token: shared.cfg.config_token.clone(),
                 audit: cell.audit,
                 cell_deadline_ms: cell.cell_deadline.map(|d| d.as_millis() as u64),
-                max_attempts: cell.retry.max_attempts,
-                iteration_growth: cell.retry.iteration_growth,
-                tau_step: cell.retry.tau_step,
-                backoff_ms: cell.retry.backoff.as_millis() as u64,
-                max_backoff_ms: cell.retry.max_backoff.as_millis() as u64,
                 inject_panic: cell.inject_panic.clone(),
                 inject_noconv: cell.inject_noconv.clone(),
                 batch: shared.cfg.batch,

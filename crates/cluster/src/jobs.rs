@@ -347,8 +347,8 @@ impl JobSpec {
     }
 
     /// Solves the cell — the same solver calls and value packing as the
-    /// owning table binary, with `ctx`'s budget and escalation threaded
-    /// through.
+    /// owning table binary, with `ctx`'s budget, audit and thread settings
+    /// threaded through.
     pub fn solve(&self, ctx: &CellContext) -> Result<Vec<f64>, MdpError> {
         match self {
             JobSpec::Table2 { alpha, ratio, setting } => solve_table_cell(
@@ -903,10 +903,7 @@ mod tests {
         // terminal = 1, two rounds, round 0 passed.
         let fig4 = JobSpec::Game { spec: bvc_gamesweep::figure4_spec() };
         let ctx = CellContext {
-            attempt: 0,
             budget: bvc_mdp::SolveBudget::unlimited(),
-            iteration_scale: 1.0,
-            tau_offset: 0.0,
             audit: false,
             solve_threads: 0,
             shard_min_states: 0,

@@ -13,14 +13,14 @@
 //!   bits are a hard error;
 //! * **workers** ([`worker`]) are stateless loops around the same
 //!   budget-governed solver the local sweep runner uses: connect, claim a
-//!   batch of cells, solve each with the exact retry-escalation schedule
-//!   of a local run, and stream results back.
+//!   batch of cells, solve each exactly as a local run would, and stream
+//!   results back.
 //!
 //! Because cell fingerprints ([`bvc_journal::cell_fingerprint`]), the
 //! journal line codec ([`bvc_journal::encode_line`]) and the per-cell
-//! attempt loop ([`cell::run_cell_attempts`]) are all shared with the
-//! local runner, a distributed run writes a journal **byte-identical** to
-//! a single-process `run_sweep` over the same cells.
+//! runner ([`cell::run_cell`]) are all shared with the local runner, a
+//! distributed run writes a journal **byte-identical** to a
+//! single-process `run_sweep` over the same cells.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +34,7 @@ pub mod protocol;
 pub(crate) mod sync;
 pub mod worker;
 
-pub use cell::{run_cell_attempts, CellContext, CellFailure, CellRunConfig, RetryPolicy};
+pub use cell::{run_cell, CellContext, CellFailure, CellRunConfig};
 pub use coordinator::{
     run_coordinator, ClusterCell, ClusterConfig, ClusterError, ClusterReport, Coordinator,
 };

@@ -4,16 +4,15 @@
 //! Every frame is one flat JSON object with a `"t"` discriminator,
 //! encoded with [`bvc_serve::json::JsonObject`] and parsed with
 //! [`bvc_serve::json::FlatJson`] (no nesting; list-valued fields cross as
-//! delimiter-joined strings). Exact `f64`s — journal value bits and the
-//! retry-escalation constants that decide attempt counts — cross as
-//! 16-hex-digit bit patterns ([`bvc_journal::f64_to_hex`]) rather than
-//! decimal, so the two sides can never disagree on a bit.
+//! delimiter-joined strings). Journal value bits cross as 16-hex-digit
+//! bit patterns ([`bvc_journal::f64_to_hex`]) rather than decimal, so the
+//! two sides can never disagree on a bit.
 //!
 //! Conversation shape:
 //!
 //! ```text
 //! worker:  hello {proto, threads}
-//! coord:   config {label, token, retry/injection schedule, lease_ms, batch}
+//! coord:   config {label, token, audit, deadline, injection, lease_ms, batch}
 //! worker:  claim {max}
 //! coord:   task* {fp, key, spec}   then   grant {lease, n, lease_ms}
 //!          | wait {ms}             (queue empty but cells outstanding)
@@ -28,7 +27,7 @@ use bvc_journal::{f64_from_hex, f64_to_hex};
 use bvc_serve::json::{FlatJson, JsonObject};
 
 /// Protocol version; bumped on any incompatible frame change.
-pub const PROTO_VERSION: u32 = 2;
+pub const PROTO_VERSION: u32 = 3;
 
 /// Separator for list-valued fields (injection substrings). An ASCII
 /// control character, so it never collides with cell-key text and always
@@ -36,9 +35,9 @@ pub const PROTO_VERSION: u32 = 2;
 pub const LIST_SEP: char = '\u{1f}';
 
 /// The sweep-wide execution configuration the coordinator pushes to every
-/// worker right after `hello`. Carrying the full retry/injection schedule
-/// means a worker reproduces the exact attempt counts and failure
-/// messages a local run would journal.
+/// worker right after `hello`. Carrying the deadline and injection lists
+/// means a worker reproduces the exact failure messages a local run
+/// would journal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireConfig {
     /// Sweep label (for worker-side logging only).
@@ -47,19 +46,8 @@ pub struct WireConfig {
     pub token: String,
     /// Whether cells run the pre-solve model audit.
     pub audit: bool,
-    /// Per-attempt wall-clock deadline, in milliseconds.
+    /// Per-cell wall-clock deadline, in milliseconds.
     pub cell_deadline_ms: Option<u64>,
-    /// Total attempts per cell (first try included).
-    pub max_attempts: u32,
-    /// Iteration-budget growth per retry (bit-exact across the wire).
-    pub iteration_growth: f64,
-    /// Aperiodicity bump per retry (bit-exact across the wire).
-    pub tau_step: f64,
-    /// Base retry backoff, in milliseconds.
-    pub backoff_ms: u64,
-    /// Exponential-backoff ceiling, in milliseconds. Shipped so local and
-    /// distributed runs sleep the identical escalation schedule.
-    pub max_backoff_ms: u64,
     /// Panic-injection key substrings.
     pub inject_panic: Vec<String>,
     /// No-convergence-injection key substrings.
@@ -93,7 +81,8 @@ pub struct DoneFrame {
     pub key: String,
     /// Whether the cell solved.
     pub ok: bool,
-    /// Attempts the worker made.
+    /// Solves the worker ran for the cell (always 1; kept because the
+    /// journal line carries it).
     pub attempts: u32,
     /// Raw bit patterns of the encoded value (empty on failure).
     pub bits: Vec<u64>,
@@ -194,10 +183,6 @@ fn get_int(doc: &FlatJson, k: &str) -> Option<u64> {
     }
 }
 
-fn get_hex_f64(doc: &FlatJson, k: &str) -> Option<f64> {
-    f64_from_hex(doc.get_str(k)?)
-}
-
 fn get_fp(doc: &FlatJson, k: &str) -> Option<u64> {
     u64::from_str_radix(doc.get_str(k)?, 16).ok()
 }
@@ -217,11 +202,6 @@ impl Frame {
                     .str("label", &c.label)
                     .str("token", &c.token)
                     .bool("audit", c.audit)
-                    .int("max_attempts", u64::from(c.max_attempts))
-                    .str("growth", &f64_to_hex(c.iteration_growth))
-                    .str("tau_step", &f64_to_hex(c.tau_step))
-                    .int("backoff_ms", c.backoff_ms)
-                    .int("max_backoff_ms", c.max_backoff_ms)
                     .str("inj_panic", &join_list(&c.inject_panic))
                     .str("inj_noconv", &join_list(&c.inject_noconv))
                     .int("batch", u64::from(c.batch))
@@ -291,13 +271,6 @@ impl Frame {
                 } else {
                     None
                 },
-                max_attempts: get_int(&doc, "max_attempts").ok_or_else(|| field("max_attempts"))?
-                    as u32,
-                iteration_growth: get_hex_f64(&doc, "growth").ok_or_else(|| field("growth"))?,
-                tau_step: get_hex_f64(&doc, "tau_step").ok_or_else(|| field("tau_step"))?,
-                backoff_ms: get_int(&doc, "backoff_ms").ok_or_else(|| field("backoff_ms"))?,
-                max_backoff_ms: get_int(&doc, "max_backoff_ms")
-                    .ok_or_else(|| field("max_backoff_ms"))?,
                 inject_panic: split_list(doc.get_str("inj_panic").unwrap_or_default()),
                 inject_noconv: split_list(doc.get_str("inj_noconv").unwrap_or_default()),
                 batch: get_int(&doc, "batch").ok_or_else(|| field("batch"))? as u32,
@@ -363,11 +336,6 @@ mod tests {
             token: "rvi;tau=0.1".into(),
             audit: true,
             cell_deadline_ms: Some(30_000),
-            max_attempts: 3,
-            iteration_growth: 4.0,
-            tau_step: 0.05,
-            backoff_ms: 50,
-            max_backoff_ms: 5_000,
             inject_panic: vec!["a=10%".into(), "s2".into()],
             inject_noconv: vec![],
             batch: 4,
@@ -387,7 +355,7 @@ mod tests {
             fp: 1,
             key: "k".into(),
             ok: true,
-            attempts: 2,
+            attempts: 1,
             bits: vec![0.25f64.to_bits(), f64::NAN.to_bits(), (-0.0f64).to_bits()],
             code: String::new(),
             reason: String::new(),
@@ -398,7 +366,7 @@ mod tests {
             fp: 2,
             key: "k2".into(),
             ok: false,
-            attempts: 3,
+            attempts: 1,
             bits: vec![],
             code: "no-conv".into(),
             reason: "rvi did not converge\nresidual 1e-3".into(),
@@ -417,43 +385,12 @@ mod tests {
             token: "t".into(),
             audit: false,
             cell_deadline_ms: None,
-            max_attempts: 1,
-            iteration_growth: 4.0,
-            tau_step: 0.05,
-            backoff_ms: 0,
-            max_backoff_ms: 5_000,
             inject_panic: vec![],
             inject_noconv: vec![],
             batch: 1,
             lease_ms: 1000,
         };
         roundtrip(Frame::Config(cfg));
-    }
-
-    #[test]
-    fn escalation_constants_cross_bit_exactly() {
-        let cfg = WireConfig {
-            label: "l".into(),
-            token: "t".into(),
-            audit: false,
-            cell_deadline_ms: None,
-            // A value decimal formatting would be tempted to shorten.
-            max_attempts: 5,
-            iteration_growth: 4.000000000000001,
-            tau_step: 0.05000000000000001,
-            backoff_ms: 0,
-            max_backoff_ms: 5_000,
-            inject_panic: vec![],
-            inject_noconv: vec![],
-            batch: 1,
-            lease_ms: 1000,
-        };
-        let Frame::Config(parsed) = Frame::decode(&Frame::Config(cfg.clone()).encode()).unwrap()
-        else {
-            panic!("not a config frame");
-        };
-        assert_eq!(parsed.iteration_growth.to_bits(), cfg.iteration_growth.to_bits());
-        assert_eq!(parsed.tau_step.to_bits(), cfg.tau_step.to_bits());
     }
 
     #[test]

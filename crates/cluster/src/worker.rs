@@ -3,11 +3,11 @@
 //! configuration, then claim → solve → report until the coordinator says
 //! `fin`.
 //!
-//! The worker runs each cell through the **same** retry-escalation
-//! attempt loop a local `run_sweep` uses ([`crate::cell::run_cell_attempts`]
-//! with the coordinator-shipped [`crate::cell::RetryPolicy`]), so the
-//! attempts count and failure text that land in the journal are
-//! bit-for-bit what a local run would have written.
+//! The worker runs each cell through the **same** per-cell runner a
+//! local `run_sweep` uses ([`crate::cell::run_cell`] with the
+//! coordinator-shipped deadline, audit flag and injection lists), so the
+//! failure text that lands in the journal is bit-for-bit what a local run
+//! would have written.
 //!
 //! A heartbeat thread shares the connection's [`FrameSender`] and renews
 //! the active lease at a third of the lease period while the solve loop
@@ -43,7 +43,7 @@ use bvc_serve::net::{
     MAX_FRAME_BYTES,
 };
 
-use crate::cell::{run_cell_attempts, CellRunConfig, RetryPolicy};
+use crate::cell::{run_cell, CellRunConfig};
 use crate::jobs::JobSpec;
 use crate::protocol::{DoneFrame, Frame, TaskFrame, PROTO_VERSION};
 
@@ -355,13 +355,6 @@ fn run_session(addr: &str, opts: &WorkerOptions, session: u64, ws: &WorkerState)
         }
     }
     let cell_cfg = CellRunConfig {
-        retry: RetryPolicy {
-            max_attempts: wire.max_attempts,
-            iteration_growth: wire.iteration_growth,
-            tau_step: wire.tau_step,
-            backoff: Duration::from_millis(wire.backoff_ms),
-            max_backoff: Duration::from_millis(wire.max_backoff_ms),
-        },
         cell_deadline: wire.cell_deadline_ms.map(Duration::from_millis),
         audit: wire.audit,
         // Arbitration: cell-level threads win. Intra-solve sharding only
@@ -558,9 +551,7 @@ fn solve_batch(
                 }
             }
             Some(spec) => {
-                let (res, attempts) =
-                    run_cell_attempts(&task.key, cell_cfg, never_cancel, |ctx| spec.solve(ctx));
-                match res {
+                match run_cell(&task.key, cell_cfg, never_cancel, |ctx| spec.solve(ctx)) {
                     Ok(vals) => {
                         // ordering: SeqCst stats counter — once per solved cell, never hot.
                         ws.solved.fetch_add(1, Ordering::SeqCst);
@@ -569,7 +560,7 @@ fn solve_batch(
                             fp: task.fp,
                             key: task.key.clone(),
                             ok: true,
-                            attempts,
+                            attempts: 1,
                             bits: vals.iter().map(|v| v.to_bits()).collect(),
                             code: String::new(),
                             reason: String::new(),
@@ -584,7 +575,7 @@ fn solve_batch(
                             fp: task.fp,
                             key: task.key.clone(),
                             ok: false,
-                            attempts,
+                            attempts: 1,
                             bits: Vec::new(),
                             code: f.reason_code(),
                             reason: f.message(),

@@ -15,9 +15,10 @@
 //! This crate is the single source of truth for that format: FNV-1a cell
 //! fingerprints, bit-exact `f64` hex encoding, the line codec, and the
 //! maintenance operations behind `bvc journal compact|stat`. It also holds
-//! the two scalar readers ([`param_f64`], [`param_int`]) the cell
-//! parameter schemas share, so every front end words a bad cell parameter
-//! the same way, and the [`Cell`] trait those schemas implement.
+//! the scalar readers ([`param_f64`], [`param_int`]) the cell parameter
+//! schemas share, so every front end words a bad cell parameter the same
+//! way, the [`Cell`] trait those schemas implement, and
+//! [`param_seconds`], which every seconds flag is read through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +28,7 @@ use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write as _};
 use std::path::Path;
+use std::time::Duration;
 
 pub mod cell;
 
@@ -83,6 +85,17 @@ pub fn param_int(raw: &str, name: &str, lo: u64, hi: u64) -> Result<u64, String>
         return Err(format!("{name} must be in [{lo}, {hi}], got {v}"));
     }
     Ok(v)
+}
+
+/// Parses the text of the seconds flag `name` as a [`Duration`]. Negative,
+/// NaN, infinite and out-of-range values are errors, so no front end
+/// reaches the panic of `Duration::from_secs_f64`.
+pub fn param_seconds(raw: &str, name: &str) -> Result<Duration, String> {
+    let secs = param_f64(raw, name)?;
+    Duration::try_from_secs_f64(secs).map_err(|_| {
+        let max = Duration::MAX.as_secs_f64();
+        format!("{name} must be between 0 and {max:.2e} seconds, got {raw:?}")
+    })
 }
 
 /// Rejects the first of `names` that is in none of `lists` (the owning
@@ -739,6 +752,17 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn param_seconds_rejects_what_a_duration_cannot_hold() {
+        assert_eq!(param_seconds("2.5", "--lease"), Ok(Duration::from_millis(2500)));
+        assert_eq!(param_seconds("0", "--lease"), Ok(Duration::ZERO));
+        for raw in ["-1", "nan", "inf", "1e300"] {
+            let msg = param_seconds(raw, "--lease").unwrap_err();
+            assert!(msg.contains("--lease") && msg.contains(raw), "{raw}: {msg}");
+        }
+        assert!(param_seconds("soon", "--lease").unwrap_err().contains("invalid number"));
     }
 
     #[test]

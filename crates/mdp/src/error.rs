@@ -154,13 +154,6 @@ pub enum MdpError {
 }
 
 impl MdpError {
-    /// True for failures a retry with a larger budget could plausibly cure
-    /// (currently only [`MdpError::NoConvergence`]): the escalation policy
-    /// of sweep runners keys off this.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, MdpError::NoConvergence { .. })
-    }
-
     /// True when the solve was stopped from outside (cancel flag), as
     /// opposed to failing on its own.
     pub fn is_cancellation(&self) -> bool {
@@ -276,14 +269,10 @@ mod tests {
     }
 
     #[test]
-    fn retryability_classification() {
-        assert!(
-            MdpError::NoConvergence { solver: "x", iterations: 1, residual: 0.1 }.is_retryable()
-        );
-        assert!(!MdpError::Empty.is_retryable());
-        assert!(!MdpError::DeadlineExceeded { solver: "x", iterations: 1, over_by_ms: 0 }
-            .is_retryable());
+    fn cancellation_classification() {
         assert!(MdpError::Cancelled { solver: "x", iterations: 1 }.is_cancellation());
         assert!(!MdpError::Empty.is_cancellation());
+        assert!(!MdpError::DeadlineExceeded { solver: "x", iterations: 1, over_by_ms: 0 }
+            .is_cancellation());
     }
 }

@@ -5,7 +5,7 @@
 //! attack models solve under.
 //!
 //! Every solver reads the CSR [`CompiledMdp`](crate::compiled::CompiledMdp);
-//! [`reference`] keeps plain, unoptimized implementations for differential
+//! [`reference`](mod@reference) keeps plain, unoptimized implementations for differential
 //! testing and baseline timing.
 
 pub mod eval;

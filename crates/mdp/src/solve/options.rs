@@ -24,11 +24,12 @@ pub struct SolveOptions {
     /// Inner average-reward tolerance of the RVI engine (also used directly
     /// for `u2` on models it solves; renewal solves are exact).
     pub gain_tolerance: f64,
-    /// Iteration budget of the inner RVI solver. Sweep runners escalate
-    /// this on [`MdpError::NoConvergence`] retries.
+    /// Iteration budget of the inner RVI engine; exhausting it is
+    /// [`MdpError::NoConvergence`]. The renewal engine (every BU cell) runs
+    /// exact passes and does not use it.
     pub max_iterations: usize,
-    /// Aperiodicity mixing weight of the inner RVI solver, in `[0, 1)`.
-    /// Sweep runners nudge this upward on retries to break periodic stalls.
+    /// Aperiodicity mixing weight of the inner RVI engine, in `[0, 1)`.
+    /// Checked on every solve; the renewal engine does not use it.
     pub aperiodicity_tau: f64,
     /// Wall-clock deadline / cooperative cancellation, threaded through to
     /// every inner solver iteration. Unlimited by default.

@@ -29,7 +29,7 @@
 //! average-reward entry points:
 //!
 //! * a gain solve ([`relative_value_iteration_compiled`], Table 3's `u2`)
-//!   runs [`optimal_gain`] once, from the all-zeros policy, on the plain
+//!   runs `optimal_gain` once, from the all-zeros policy, on the plain
 //!   per-arm rewards, and reports the policy's bias `R(s) − g·L(s)`;
 //! * the ratio solver ([`maximize_ratio_compiled`], `u1` and `u3`) runs it
 //!   once per probe on ρ, on `N − ρ·D`.

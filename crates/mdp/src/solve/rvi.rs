@@ -35,7 +35,7 @@
 //! The Bellman sweeps run on a [`CompiledMdp`]: rewards are collapsed to one
 //! expected scalar per arm up front ([`CompiledMdp::scalarize`]) and the
 //! inner loop walks flat probability/destination arrays. The low-level
-//! [`rvi_kernel`] works entirely in caller-owned buffers — zero heap
+//! `rvi_kernel` works entirely in caller-owned buffers — zero heap
 //! allocation per iteration *and* per solve — which is what lets the ratio
 //! solver warm-start every RVI probe of its search on ρ in place.
 //!
@@ -82,7 +82,7 @@ pub struct RviOptions {
     pub warm_start: Option<Vec<f64>>,
     /// Wall-clock deadline and cooperative cancellation, checked at each
     /// iteration boundary (and, in sharded sweeps, the cancel flag every
-    /// [`CANCEL_POLL_CHUNK`] states inside each shard). Unlimited by
+    /// `CANCEL_POLL_CHUNK` states inside each shard). Unlimited by
     /// default.
     pub budget: SolveBudget,
     /// Worker threads sharding each Bellman sweep. `0` and `1` (default)
@@ -901,7 +901,7 @@ mod tests {
     }
 
     /// Exhausting the iteration budget reports the actual span-seminorm
-    /// residual, not NaN (the retry policy keys its escalation off it).
+    /// residual, not NaN (the failure message reports it).
     #[test]
     fn no_convergence_carries_finite_residual() {
         let m = cyclic_pair();

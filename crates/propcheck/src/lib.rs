@@ -291,7 +291,7 @@ pub mod collection {
     use std::fmt::Debug;
     use std::ops::Range;
 
-    /// Anything that can serve as a length specification for [`vec`].
+    /// Anything that can serve as a length specification for [`vec()`].
     pub trait IntoLenRange {
         /// Lower (inclusive) and upper (exclusive) length bounds.
         fn bounds(&self) -> (usize, usize);
@@ -317,7 +317,7 @@ pub mod collection {
         VecStrategy { element, lo, hi }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         lo: usize,

@@ -19,7 +19,7 @@ use bvc_cluster::jobs::{ABLATION_ADS, ABLATION_GATES};
 use bvc_repro::sweep::{run_workload, SweepOptions};
 
 fn main() {
-    let (opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
+    let (opts, _) = SweepOptions::from_cli_or_exit(std::env::args().skip(1), &[]);
 
     println!("Parameter ablation (alpha = 10%)");
     println!();

@@ -20,7 +20,7 @@ use bvc_cluster::jobs::{crossval_specs, CROSSVAL_STEPS};
 use bvc_repro::sweep::{run_workload, SweepOptions};
 
 fn main() {
-    let (opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
+    let (opts, _) = SweepOptions::from_cli_or_exit(std::env::args().skip(1), &[]);
 
     println!("MDP <-> chain-substrate cross-validation ({CROSSVAL_STEPS} sampled blocks per run)");
     println!();

@@ -23,13 +23,8 @@ use bvc_journal::Cell;
 use bvc_repro::sweep::{run_workload, SweepOptions};
 
 fn main() {
-    let (opts, rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
-    let frontier = rest.iter().any(|a| a == "--frontier");
-    if let Some(unknown) = rest.iter().find(|a| *a != "--frontier") {
-        eprintln!("error: unknown flag {unknown:?} (this binary only adds --frontier)");
-        std::process::exit(2);
-    }
-    if frontier {
+    let (opts, rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1), &["--frontier"]);
+    if rest.iter().any(|a| a == "--frontier") {
         run_frontier(&opts)
     } else {
         run_grid(&opts)

@@ -23,7 +23,7 @@ use bvc_scenario::{
 };
 
 fn main() {
-    let (opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
+    let (opts, _) = SweepOptions::from_cli_or_exit(std::env::args().skip(1), &[]);
 
     println!(
         "MDP policy <-> {CROSSVAL_NODES}-node network cross-validation \

@@ -41,7 +41,7 @@ fn render(label: &str, row: &[f64]) {
 }
 
 fn main() {
-    let (opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
+    let (opts, _) = SweepOptions::from_cli_or_exit(std::env::args().skip(1), &[]);
 
     println!("Stone-style fork-frequency simulations ({STONE_BLOCKS} blocks each, zero delay)");
     println!();

@@ -55,7 +55,7 @@ fn render(spec: &StrategySpec, packed: &[f64]) {
 }
 
 fn main() {
-    let (opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
+    let (opts, _) = SweepOptions::from_cli_or_exit(std::env::args().skip(1), &[]);
 
     // Solve bodies live in the job registry; the binary keeps only the
     // rendering (which needs the deterministic model rebuild anyway).

@@ -5,9 +5,10 @@
 //! Run: `cargo run --release -p bvc-repro --bin table2`
 //!
 //! Accepts the standard sweep-runner flags (`--journal`, `--fail-fast`,
-//! `--cell-deadline`, `--retries`, `--threads`, `--inject-*`, `--cluster`;
-//! see `bvc_repro::sweep`) plus `--setting1-only` to skip the much slower
-//! setting-2 column. Exits nonzero when any cell failed.
+//! `--cell-deadline`, `--threads`, `--inject-*`, `--cluster`; see
+//! `bvc_repro::sweep`) plus `--setting1-only` to skip the much slower
+//! setting-2 column, and rejects any other argument. Exits nonzero when
+//! any cell failed.
 
 use bvc_cluster::jobs::T2_ALPHAS;
 use bvc_repro::sweep::{run_workload, JobSpec, SweepOptions};
@@ -35,7 +36,8 @@ const PAPER_SETTING2: &[((u32, u32), f64)] =
     &[((3, 2), 0.2529), ((1, 1), 0.2624), ((2, 3), 0.2529), ((1, 2), 0.25)];
 
 fn main() {
-    let (sweep_opts, rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
+    let (sweep_opts, rest) =
+        SweepOptions::from_cli_or_exit(std::env::args().skip(1), &["--setting1-only"]);
     let setting1_only = rest.iter().any(|a| a == "--setting1-only");
 
     // Setting 1: sweep all printed cells (the job registry enumerates

@@ -82,7 +82,8 @@ fn panel(setting: Setting, paper: &[[Option<f64>; 5]; 7], opts: &SweepOptions) -
 }
 
 fn main() {
-    let (opts, rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
+    let (opts, rest) =
+        SweepOptions::from_cli_or_exit(std::env::args().skip(1), &["--setting1-only"]);
     let setting1_only = rest.iter().any(|a| a == "--setting1-only");
 
     let (text, mut exit) = panel(Setting::One, &PAPER_S1, &opts);

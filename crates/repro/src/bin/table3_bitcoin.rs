@@ -16,7 +16,7 @@ use bvc_repro::{render_grid, GridEntry};
 const PAPER: [[f64; 4]; 2] = [[0.1, 0.15, 0.2, 0.38], [0.11, 0.18, 0.30, 0.52]];
 
 fn main() {
-    let (opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
+    let (opts, _) = SweepOptions::from_cli_or_exit(std::env::args().skip(1), &[]);
 
     // The job registry enumerates the γ-major grid plus the two
     // honest-degeneration demo cells, which ride along as extra sweep

@@ -25,7 +25,7 @@ const PAPER: [[f64; 2]; 9] = [
 ];
 
 fn main() {
-    let (opts, _rest) = SweepOptions::from_cli_or_exit(std::env::args().skip(1));
+    let (opts, _) = SweepOptions::from_cli_or_exit(std::env::args().skip(1), &[]);
 
     // Ratio-major over settings {1, 2}, same order as the rendered grid.
     let (_, report) = run_workload("table4", &opts);

@@ -1,5 +1,5 @@
-//! Fault-tolerant sweep runner: per-cell isolation, watchdogs with retry
-//! escalation, and a checkpoint/resume journal.
+//! Fault-tolerant sweep runner: per-cell isolation, watchdogs, and a
+//! checkpoint/resume journal.
 //!
 //! The table binaries sweep dozens of parameter cells, each an MDP solve
 //! whose cost varies by orders of magnitude across the grid. Before this
@@ -11,11 +11,11 @@
 //! * **Isolation** — a panic or structured [`MdpError`] marks that one cell
 //!   failed; the rest of the grid still completes and renders (degraded)
 //!   through [`crate::GridEntry::Failed`].
-//! * **Watchdog + retry** — every attempt carries a [`SolveBudget`] with an
-//!   optional per-cell wall-clock deadline, and
-//!   [retryable](MdpError::is_retryable) failures are re-attempted with an
-//!   escalated iteration budget and aperiodicity mixing (see
-//!   [`RetryPolicy`] and [`CellContext`]).
+//! * **Watchdog** — every cell's solve carries a
+//!   [`SolveBudget`](bvc_mdp::SolveBudget) with an optional per-cell
+//!   wall-clock deadline and the sweep's cancel flag (see
+//!   [`CellContext`]). A cell is solved once: the solves are
+//!   deterministic, so a second attempt could only fail the same way.
 //! * **Checkpoint/resume** — finished cells are appended to a JSONL journal
 //!   keyed by a fingerprint of the cell key *and* the solver configuration;
 //!   a rerun pointed at the same journal replays finished cells bit-for-bit
@@ -32,6 +32,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use bvc_journal::param_seconds;
 use bvc_mdp::MdpError;
 
 use crate::{Cell, GridEntry};
@@ -53,13 +54,10 @@ pub use bvc_journal::{
     JournalEntry, JournalWriter,
 };
 
-// The per-cell attempt loop (watchdog budget, retry escalation, fault
-// injection, panic isolation) lives in `bvc-cluster`'s [`bvc_cluster::cell`]
-// so cluster workers run cells through literally the same code path as
-// this local runner.
-pub use bvc_cluster::cell::{
-    run_cell_attempts, CellContext, CellFailure, CellRunConfig, RetryPolicy,
-};
+// The per-cell runner (watchdog budget, fault injection, panic isolation)
+// lives in `bvc-cluster`'s [`bvc_cluster::cell`] so cluster workers run
+// cells through literally the same code path as this local runner.
+pub use bvc_cluster::cell::{run_cell, CellContext, CellFailure, CellRunConfig};
 
 // The job registry: every table binary's cell grid as data, so the same
 // grid can run locally or be shipped to cluster workers.
@@ -117,13 +115,13 @@ pub struct CellResult<T> {
     pub key: String,
     /// The value, or why there is none.
     pub outcome: Result<T, CellFailure>,
-    /// Solve attempts made for this cell in this run (0 when replayed or
-    /// skipped before the first attempt).
+    /// Solves run for this cell in this run (journaled as `attempts`): 1
+    /// when it ran, 0 when replayed or never run.
     pub attempts: u32,
     /// True when the value came from the checkpoint journal instead of a
     /// fresh solve.
     pub replayed: bool,
-    /// Wall-clock time spent solving this cell in this run (all attempts).
+    /// Wall-clock time spent solving this cell in this run.
     pub elapsed: Duration,
 }
 
@@ -164,11 +162,6 @@ impl<T> SweepReport<T> {
         self.cells.iter().filter(|c| matches!(&c.outcome, Err(CellFailure::Skipped))).count()
     }
 
-    /// Total retry attempts beyond each cell's first (escalations).
-    pub fn retries(&self) -> u32 {
-        self.cells.iter().map(|c| c.attempts.saturating_sub(1)).sum()
-    }
-
     /// True when any cell is without a value (failed or skipped).
     pub fn has_failures(&self) -> bool {
         self.solved() < self.cells.len()
@@ -185,14 +178,13 @@ impl<T> SweepReport<T> {
     /// resumed one).
     pub fn summary(&self) -> String {
         format!(
-            "# sweep {}: {} cells | solved {} ({} replayed) | failed {} | skipped {} | retries {} | wall {:.2}s",
+            "# sweep {}: {} cells | solved {} ({} replayed) | failed {} | skipped {} | wall {:.2}s",
             self.label,
             self.cells.len(),
             self.solved(),
             self.replayed(),
             self.failed(),
             self.skipped(),
-            self.retries(),
             self.wall.as_secs_f64(),
         )
     }
@@ -205,11 +197,10 @@ impl<T> SweepReport<T> {
             if let Err(failure) = &c.outcome {
                 let _ = writeln!(
                     out,
-                    "# sweep {}: cell '{}' {} after {} attempt(s): {}",
+                    "# sweep {}: cell '{}' FAIL({}): {}",
                     self.label,
                     c.key,
                     failure.reason_code(),
-                    c.attempts,
                     failure.message(),
                 );
             }
@@ -278,12 +269,11 @@ impl<T: SweepValue> SweepReport<T> {
         }
         let _ = write!(
             out,
-            "],\"solved\":{},\"replayed\":{},\"failed\":{},\"skipped\":{},\"retries\":{},\"wall_s\":{:.3}}}",
+            "],\"solved\":{},\"replayed\":{},\"failed\":{},\"skipped\":{},\"wall_s\":{:.3}}}",
             self.solved(),
             self.replayed(),
             self.failed(),
             self.skipped(),
-            self.retries(),
             self.wall.as_secs_f64(),
         );
         out
@@ -341,10 +331,8 @@ pub struct SweepOptions {
     /// Cancel the whole sweep at the first cell failure (remaining cells
     /// are reported as skipped).
     pub fail_fast: bool,
-    /// Per-attempt wall-clock deadline for each cell.
+    /// Wall-clock deadline for each cell's solve.
     pub cell_deadline: Option<Duration>,
-    /// Retry escalation schedule.
-    pub retry: RetryPolicy,
     /// Worker thread override (defaults to available parallelism).
     pub threads: Option<usize>,
     /// Worker threads *inside* each cell's Bellman sweeps (sharded Jacobi
@@ -360,8 +348,7 @@ pub struct SweepOptions {
     /// panic instead of solving. Testing/smoke only.
     pub inject_panic: Vec<String>,
     /// Fault injection: cells whose key contains any of these substrings
-    /// report `NoConvergence` instead of solving (on every attempt, so
-    /// retries are exercised and then exhausted). Testing/smoke only.
+    /// report `NoConvergence` instead of solving. Testing/smoke only.
     pub inject_noconv: Vec<String>,
     /// Run the static model audit before each cell's solve; cells whose
     /// model fails a check render as `FAIL(audit: <check>)` instead of
@@ -394,22 +381,28 @@ pub struct SweepOptions {
 
 impl SweepOptions {
     /// Parses the sweep-related flags out of a CLI argument list, returning
-    /// the options and every argument it did not consume (the binary's own
-    /// flags, e.g. `--quick`).
+    /// the options and the arguments that matched `own` (with their
+    /// values), in order.
     ///
     /// Recognized flags:
     /// `--journal PATH`, `--fail-fast`, `--cell-deadline SECONDS`,
-    /// `--retries N` (extra attempts after the first), `--threads N`,
-    /// `--solve-threads N`, `--shard-min-states N`, `--audit`, `--json`,
-    /// `--inject-panic SUBSTR`, `--inject-noconv SUBSTR` (the last two
-    /// repeatable), `--cluster HOST:PORT`, `--lease SECONDS`,
-    /// `--cluster-batch N`.
+    /// `--threads N`, `--solve-threads N`, `--shard-min-states N`,
+    /// `--audit`, `--json`, `--inject-panic SUBSTR`, `--inject-noconv
+    /// SUBSTR` (the last two repeatable), `--cluster HOST:PORT`, `--lease
+    /// SECONDS`, `--cluster-batch N`, `--durability none|batch|always`,
+    /// `--chaos SPEC`.
+    ///
+    /// `own` lists the binary's own flags (e.g. `&["--setting1-only"]`);
+    /// an entry written with a value placeholder (`"--reps N"`) takes the
+    /// next argument as its value, which is passed through after the flag.
     ///
     /// Returns `Err` with a usage message on a malformed flag (missing or
-    /// unparseable value) instead of panicking; binaries print it and exit
-    /// nonzero.
+    /// unparseable value) or an argument that is neither a sweep flag nor
+    /// in `own`, instead of panicking or ignoring it; binaries print it and
+    /// exit nonzero.
     pub fn from_cli<I: IntoIterator<Item = String>>(
         args: I,
+        own: &[&str],
     ) -> Result<(SweepOptions, Vec<String>), String> {
         let mut opts = SweepOptions::default();
         let mut rest = Vec::new();
@@ -427,13 +420,8 @@ impl SweepOptions {
                 "--audit" => opts.audit = true,
                 "--json" => opts.json = true,
                 "--cell-deadline" => {
-                    let secs: f64 =
-                        parse(value(&mut it, "--cell-deadline")?, "--cell-deadline takes seconds")?;
-                    opts.cell_deadline = Some(Duration::from_secs_f64(secs));
-                }
-                "--retries" => {
-                    let n: u32 = parse(value(&mut it, "--retries")?, "--retries takes a count")?;
-                    opts.retry = RetryPolicy::with_retries(n);
+                    let raw = value(&mut it, "--cell-deadline")?;
+                    opts.cell_deadline = Some(param_seconds(&raw, "--cell-deadline")?);
                 }
                 "--threads" => {
                     let n: usize = parse(value(&mut it, "--threads")?, "--threads takes a count")?;
@@ -455,8 +443,8 @@ impl SweepOptions {
                 "--inject-noconv" => opts.inject_noconv.push(value(&mut it, "--inject-noconv")?),
                 "--cluster" => opts.cluster = Some(value(&mut it, "--cluster")?),
                 "--lease" => {
-                    let secs: f64 = parse(value(&mut it, "--lease")?, "--lease takes seconds")?;
-                    opts.lease = Some(Duration::from_secs_f64(secs));
+                    let raw = value(&mut it, "--lease")?;
+                    opts.lease = Some(param_seconds(&raw, "--lease")?);
                 }
                 "--cluster-batch" => {
                     let n: u32 =
@@ -474,19 +462,37 @@ impl SweepOptions {
                     bvc_chaos::FaultPlan::parse(&spec).map_err(|e| format!("--chaos: {e}"))?;
                     opts.chaos = Some(spec);
                 }
-                _ => rest.push(arg),
+                _ => {
+                    let Some(spec) = own.iter().find(|spec| spec.split(' ').next() == Some(&arg))
+                    else {
+                        let adds = if own.is_empty() {
+                            "no flags of its own".to_string()
+                        } else {
+                            own.join(", ")
+                        };
+                        return Err(format!(
+                            "unknown argument {arg:?} (this binary takes the sweep flags and {adds})"
+                        ));
+                    };
+                    let takes_value = spec.contains(' ');
+                    rest.push(arg);
+                    if takes_value {
+                        rest.push(value(&mut it, spec)?);
+                    }
+                }
             }
         }
         Ok((opts, rest))
     }
 
     /// [`SweepOptions::from_cli`] for binary `main`s: prints the error and
-    /// exits with status 2 on a malformed flag instead of returning (no
-    /// panic backtrace on bad arguments).
+    /// exits with status 2 on a malformed or unknown flag instead of
+    /// returning (no panic backtrace on bad arguments).
     pub fn from_cli_or_exit<I: IntoIterator<Item = String>>(
         args: I,
+        own: &[&str],
     ) -> (SweepOptions, Vec<String>) {
-        let parsed = match Self::from_cli(args) {
+        let parsed = match Self::from_cli(args, own) {
             Ok(parsed) => parsed,
             Err(msg) => {
                 eprintln!("error: {msg}");
@@ -512,8 +518,8 @@ impl SweepOptions {
 // The runner
 // ---------------------------------------------------------------------------
 
-/// Runs `solve` over every input with per-cell fault isolation, watchdog
-/// budgets, retry escalation, and (optionally) a checkpoint journal.
+/// Runs `solve` once over every input with per-cell fault isolation,
+/// watchdog budgets, and (optionally) a checkpoint journal.
 ///
 /// * `key_of` must produce a unique, stable, human-readable key per cell —
 ///   it names the cell in failure legends and identifies it across runs in
@@ -595,11 +601,10 @@ where
         .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4))
         .min(pending.len().max(1));
 
-    // The shared per-cell attempt loop — literally the code a cluster
-    // worker runs, which is what keeps local and distributed journals
+    // The shared per-cell runner — literally the code a cluster worker
+    // runs, which is what keeps local and distributed journals
     // byte-identical.
     let cell_cfg = CellRunConfig {
-        retry: opts.retry.clone(),
         cell_deadline: opts.cell_deadline,
         audit: opts.audit,
         // Thread-budget arbitration: cell-level parallelism wins. Sharded
@@ -613,8 +618,7 @@ where
     let solve_cell = |i: usize| -> CellResult<T> {
         let key = &keys[i];
         let cell_started = Instant::now();
-        let (outcome, attempts) =
-            run_cell_attempts(key, &cell_cfg, &cancel, |ctx| solve(&inputs[i], ctx));
+        let outcome = run_cell(key, &cell_cfg, &cancel, |ctx| solve(&inputs[i], ctx));
 
         // Journal terminal outcomes. Skips are deliberately not journaled:
         // the cell was never really attempted and must re-solve on resume.
@@ -628,7 +632,7 @@ where
                 fp: fps[i],
                 key: key.clone(),
                 ok,
-                attempts,
+                attempts: 1,
                 bits: vals.iter().map(|v| v.to_bits()).collect(),
                 reason,
             };
@@ -654,7 +658,7 @@ where
         CellResult {
             key: key.clone(),
             outcome,
-            attempts,
+            attempts: 1,
             replayed: false,
             elapsed: cell_started.elapsed(),
         }
@@ -737,7 +741,7 @@ pub fn run_workload(name: &str, opts: &SweepOptions) -> (Vec<JobSpec>, SweepRepo
 }
 
 /// The `--cluster` branch of [`run_jobs`]. The journal, fingerprints,
-/// retry schedule and fail-fast semantics all come from the same
+/// deadline, injection and fail-fast semantics all come from the same
 /// [`SweepOptions`] a local run uses, so the resulting journal is
 /// byte-identical to a local `--threads 1` run over the same cells.
 fn run_coordinated(
@@ -750,7 +754,6 @@ fn run_coordinated(
         config_token: opts.config_token.clone(),
         journal: opts.journal.clone(),
         cell: CellRunConfig {
-            retry: opts.retry.clone(),
             cell_deadline: opts.cell_deadline,
             audit: opts.audit,
             // Never shipped over the wire: each worker applies its own
@@ -800,10 +803,6 @@ mod tests {
         std::env::temp_dir().join(format!("bvc_sweep_{tag}_{}_{n}.jsonl", std::process::id()))
     }
 
-    fn fast_retry() -> RetryPolicy {
-        RetryPolicy { backoff: Duration::ZERO, ..Default::default() }
-    }
-
     #[test]
     fn fingerprint_depends_on_config_token() {
         assert_ne!(cell_fingerprint("k", "a"), cell_fingerprint("k", "b"));
@@ -847,7 +846,6 @@ mod tests {
         assert_eq!(report.solved(), 7);
         let failed = &report.cells[3];
         assert!(matches!(&failed.outcome, Err(CellFailure::Panicked(m)) if m.contains("boom 3")));
-        // Panics are never retried.
         assert_eq!(failed.attempts, 1);
         assert!(report.summary().contains("failed 1"));
         assert!(report.failure_legend().contains("x=3"));
@@ -859,7 +857,6 @@ mod tests {
         let opts = SweepOptions {
             inject_panic: vec!["x=1".into()],
             inject_noconv: vec!["x=2".into()],
-            retry: fast_retry(),
             ..Default::default()
         };
         let report = run_sweep("t", &inputs, &opts, |x| format!("x={x}"), |x, _| Ok(f64::from(*x)));
@@ -870,43 +867,18 @@ mod tests {
             &report.cells[2].outcome,
             Err(CellFailure::Solver(MdpError::NoConvergence { .. }))
         ));
-        // The injected NoConvergence exhausted the full retry schedule.
-        assert_eq!(report.cells[2].attempts, opts.retry.max_attempts);
+        // A cell is solved once, so the injected NoConvergence ends it.
+        assert_eq!(report.cells[2].attempts, 1);
         assert_eq!(report.grid_entry(1, None), GridEntry::Failed("panic".into()));
     }
 
     #[test]
-    fn retry_escalation_reaches_success() {
+    fn solver_errors_fail_immediately() {
         let inputs = [0u32];
         let report = run_sweep(
             "t",
             &inputs,
-            &SweepOptions { retry: fast_retry(), ..Default::default() },
-            |_| "cell".into(),
-            |_, ctx| {
-                if ctx.attempt == 0 {
-                    assert_eq!(ctx.iteration_scale, 1.0);
-                    assert_eq!(ctx.tau_offset, 0.0);
-                    Err(MdpError::NoConvergence { solver: "x", iterations: 1, residual: 1.0 })
-                } else {
-                    assert!(ctx.iteration_scale > 1.0, "budget must escalate");
-                    assert!(ctx.tau_offset > 0.0, "tau must escalate");
-                    Ok(1.0)
-                }
-            },
-        );
-        assert_eq!(report.solved(), 1);
-        assert_eq!(report.cells[0].attempts, 2);
-        assert_eq!(report.retries(), 1);
-    }
-
-    #[test]
-    fn non_retryable_errors_fail_immediately() {
-        let inputs = [0u32];
-        let report = run_sweep(
-            "t",
-            &inputs,
-            &SweepOptions { retry: fast_retry(), ..Default::default() },
+            &SweepOptions::default(),
             |_| "cell".into(),
             |_, _| -> Result<f64, MdpError> {
                 Err(MdpError::Shape { what: "warm start", found: 1, expected: 2 })
@@ -923,12 +895,7 @@ mod tests {
     fn fail_fast_skips_remaining_cells_serially() {
         let inputs: Vec<u32> = (0..10).collect();
         let executed = AtomicU32::new(0);
-        let opts = SweepOptions {
-            fail_fast: true,
-            threads: Some(1),
-            retry: fast_retry(),
-            ..Default::default()
-        };
+        let opts = SweepOptions { fail_fast: true, threads: Some(1), ..Default::default() };
         let report = run_sweep(
             "t",
             &inputs,
@@ -969,11 +936,7 @@ mod tests {
     #[test]
     fn deadline_is_threaded_into_the_cell_budget() {
         let inputs = [0u32];
-        let opts = SweepOptions {
-            cell_deadline: Some(Duration::ZERO),
-            retry: RetryPolicy { max_attempts: 1, ..fast_retry() },
-            ..Default::default()
-        };
+        let opts = SweepOptions { cell_deadline: Some(Duration::ZERO), ..Default::default() };
         let report = run_sweep(
             "t",
             &inputs,
@@ -1028,8 +991,7 @@ mod tests {
     fn failed_cells_resolve_on_resume() {
         let path = tmp_journal("refail");
         let inputs: Vec<u32> = (0..3).collect();
-        let base =
-            SweepOptions { journal: Some(path.clone()), retry: fast_retry(), ..Default::default() };
+        let base = SweepOptions { journal: Some(path.clone()), ..Default::default() };
         let broken = SweepOptions { inject_panic: vec!["x=1".into()], ..base.clone() };
         let first =
             run_sweep("t", &inputs, &broken, |x| format!("x={x}"), |x, _| Ok(f64::from(*x)));
@@ -1106,12 +1068,8 @@ mod tests {
     #[test]
     fn to_json_reports_every_cell_bit_exactly() {
         let inputs: Vec<u32> = (0..3).collect();
-        let opts = SweepOptions {
-            inject_panic: vec!["x=1".into()],
-            retry: fast_retry(),
-            json: true,
-            ..Default::default()
-        };
+        let opts =
+            SweepOptions { inject_panic: vec!["x=1".into()], json: true, ..Default::default() };
         let report = run_sweep(
             "t \"json\"",
             &inputs,
@@ -1144,8 +1102,6 @@ mod tests {
             "--fail-fast",
             "--cell-deadline",
             "2.5",
-            "--retries",
-            "4",
             "--threads",
             "2",
             "--solve-threads",
@@ -1165,13 +1121,15 @@ mod tests {
             "--cluster-batch",
             "8",
             "--setting1-only",
+            "--reps",
+            "3",
         ]
         .map(String::from);
-        let (opts, rest) = SweepOptions::from_cli(args).unwrap();
+        let (opts, rest) =
+            SweepOptions::from_cli(args, &["--quick", "--setting1-only", "--reps N"]).unwrap();
         assert_eq!(opts.journal.as_deref(), Some(std::path::Path::new("/tmp/j.jsonl")));
         assert!(opts.fail_fast);
         assert_eq!(opts.cell_deadline, Some(Duration::from_secs_f64(2.5)));
-        assert_eq!(opts.retry.max_attempts, 5);
         assert_eq!(opts.threads, Some(2));
         assert_eq!(opts.solve_threads, 4);
         assert_eq!(opts.shard_min_states, 512);
@@ -1182,34 +1140,54 @@ mod tests {
         assert_eq!(opts.cluster.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(opts.lease, Some(Duration::from_secs_f64(1.5)));
         assert_eq!(opts.cluster_batch, Some(8));
-        assert_eq!(rest, vec!["--quick".to_string(), "--setting1-only".to_string()]);
+        assert_eq!(rest, ["--quick", "--setting1-only", "--reps", "3"].map(String::from));
     }
 
     #[test]
     fn from_cli_rejects_malformed_flags() {
-        let missing = SweepOptions::from_cli(["--journal".to_string()]);
-        assert!(missing.is_err(), "{missing:?}");
-        let bad = SweepOptions::from_cli(["--retries".to_string(), "many".to_string()]);
-        let msg = bad.unwrap_err();
-        assert!(msg.contains("--retries"), "{msg}");
-        assert!(msg.contains("many"), "{msg}");
+        let from_cli = |raw: &[&str]| {
+            SweepOptions::from_cli(raw.iter().map(|s| s.to_string()), &["--setting1-only"])
+        };
+        assert!(from_cli(&["--journal"]).is_err());
+        let msg = from_cli(&["--threads", "many"]).unwrap_err();
+        assert!(msg.contains("--threads") && msg.contains("many"), "{msg}");
+        // Seconds that no `Duration` holds are usage errors, not panics.
+        for flag in ["--cell-deadline", "--lease"] {
+            for raw in ["-1", "nan", "inf", "1e300"] {
+                let msg = from_cli(&[flag, raw]).unwrap_err();
+                assert!(msg.contains(flag) && msg.contains(raw), "{flag} {raw}: {msg}");
+            }
+        }
+    }
+
+    /// An argument that is neither a sweep flag nor one of the binary's own
+    /// used to be ignored, so a stale flag ran with its default in place.
+    #[test]
+    fn from_cli_rejects_unknown_arguments() {
+        for raw in [&["--retries", "2"][..], &["--setting1-only", "--bogus"], &["stray"]] {
+            let args = raw.iter().map(|s| s.to_string());
+            let msg = SweepOptions::from_cli(args, &["--setting1-only"]).unwrap_err();
+            assert!(msg.starts_with("unknown argument"), "{raw:?}: {msg}");
+            assert!(msg.contains("--setting1-only"), "{raw:?}: {msg}");
+        }
+        let msg = SweepOptions::from_cli(["--frontier".to_string()], &[]).unwrap_err();
+        assert!(msg.contains("no flags of its own"), "{msg}");
+        let msg = SweepOptions::from_cli(["--reps".to_string()], &["--reps N"]).unwrap_err();
+        assert!(msg.contains("--reps N requires a value"), "{msg}");
     }
 
     #[test]
-    fn solve_options_apply_escalation() {
+    fn solve_options_carry_budget_audit_and_threads() {
         let ctx = CellContext {
-            attempt: 1,
             budget: SolveBudget::with_timeout(Duration::from_secs(5)),
-            iteration_scale: 4.0,
-            tau_offset: 0.05,
             audit: true,
             solve_threads: 4,
             shard_min_states: 256,
         };
         let opts = ctx.solve_options();
         let base = SolveOptions::default();
-        assert_eq!(opts.max_iterations, base.max_iterations * 4);
-        assert!((opts.aperiodicity_tau - (base.aperiodicity_tau + 0.05)).abs() < 1e-12);
+        assert_eq!(opts.max_iterations, base.max_iterations);
+        assert_eq!(opts.aperiodicity_tau.to_bits(), base.aperiodicity_tau.to_bits());
         assert!(!opts.budget.is_unlimited());
         assert!(opts.audit, "audit flag must thread through to solve options");
         assert_eq!(opts.solve_threads, 4);
@@ -1221,16 +1199,11 @@ mod tests {
         assert_eq!(opts.solve_threads, 1);
         assert_eq!(opts.shard_min_states, base.shard_min_states);
 
-        // The escalation reaches the inner solver through the conversion.
+        // The budget and thread settings reach the inner solver through the
+        // conversion.
         let rvi = ctx.solve_options().ratio_options().rvi;
-        assert_eq!(rvi.max_iterations, base.max_iterations * 4);
-        assert!((rvi.aperiodicity_tau - (base.aperiodicity_tau + 0.05)).abs() < 1e-12);
         assert!(!rvi.budget.is_unlimited());
         assert_eq!(rvi.solve_threads, 4);
         assert_eq!(rvi.shard_min_states, 256);
-
-        // Tau stays clamped away from 1 however hard escalation pushes.
-        let extreme = CellContext { tau_offset: 5.0, ..ctx };
-        assert!(extreme.solve_options().aperiodicity_tau <= 0.9);
     }
 }

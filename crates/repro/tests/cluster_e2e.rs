@@ -12,7 +12,9 @@
 //! 5. two *successful* results with different value bits for the same cell
 //!    are a hard error (the journal must never silently pick one);
 //! 6. a torn frame (length prefix promising more bytes than arrive) drops
-//!    the connection and requeues its cells without corrupting the journal.
+//!    the connection and requeues its cells without corrupting the journal;
+//! 7. a coordinator and a worker on different protocol versions part at
+//!    `hello` with the version error, in either direction.
 //!
 //! The stone-sim workload drives the identity tests: three deterministic
 //! Monte Carlo cells, no solver options involved, each cheap enough for a
@@ -520,4 +522,55 @@ fn torn_frame_drops_connection_and_journal_stays_identical() {
     let bytes = std::fs::read(&path).expect("journal written");
     std::fs::remove_file(&path).ok();
     assert_eq!(bytes, reference, "journal diverged after torn-frame recovery");
+}
+
+#[test]
+fn protocol_version_mismatch_fails_at_hello() {
+    let older = PROTO_VERSION - 1;
+
+    // An older worker is refused by the coordinator at hello; a current
+    // worker then completes the sweep.
+    let wl = stone();
+    let cfg = ClusterConfig {
+        config_token: wl.config_token.clone(),
+        quiet: true,
+        ..ClusterConfig::default()
+    };
+    let coordinator = Coordinator::bind("127.0.0.1:0", cfg).expect("bind");
+    let addr = coordinator.local_addr().expect("addr").to_string();
+    let result = std::thread::scope(|scope| {
+        scope.spawn(move || {
+            let mut stream = TcpStream::connect(&addr).expect("connect");
+            stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+            send_raw(&mut stream, &Frame::Hello { proto: older, threads: 1 }.encode());
+            match recv_raw(&mut stream) {
+                Frame::Err { msg } => {
+                    assert_eq!(msg, format!("protocol version {older} != {PROTO_VERSION}"))
+                }
+                other => panic!("expected the version error, got {other:?}"),
+            }
+            bvc_cluster::run_worker(&addr, &WorkerOptions { quiet: true, ..Default::default() })
+        });
+        coordinator.run(wl.name, &wl.jobs)
+    });
+    let report = result.expect("the current worker completes the sweep");
+    assert_eq!(report.cells.iter().filter(|c| c.outcome.is_ok()).count(), wl.jobs.len());
+
+    // A current worker is refused by an older coordinator, and gives up
+    // at once: a version error is fatal, never retried.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let outcome = std::thread::scope(|scope| {
+        scope.spawn(move || {
+            let (mut stream, _) = listener.accept().expect("worker connects");
+            let Frame::Hello { proto, .. } = recv_raw(&mut stream) else {
+                panic!("expected hello")
+            };
+            let msg = format!("protocol version {proto} != {older}");
+            send_raw(&mut stream, &Frame::Err { msg }.encode());
+        });
+        bvc_cluster::run_worker(&addr, &WorkerOptions { quiet: true, ..Default::default() })
+    });
+    let err = outcome.expect_err("a version error ends the worker");
+    assert!(err.contains(&format!("protocol version {PROTO_VERSION} != {older}")), "{err}");
 }

@@ -1,0 +1,41 @@
+//! The sweep binaries exit 2 with a message on an argument they do not
+//! take or a seconds value no `Duration` holds, before any cell runs,
+//! instead of ignoring it or panicking.
+
+use std::process::Command;
+
+/// Runs the sweep binary at `exe` with `args`; returns its exit code and
+/// stderr.
+fn run(exe: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(exe).args(args).output().expect("sweep binary runs");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn unknown_arguments_exit_2() {
+    for (exe, args, needle) in [
+        (env!("CARGO_BIN_EXE_table2"), &["--retries", "2"][..], "unknown argument \"--retries\""),
+        (env!("CARGO_BIN_EXE_table2"), &["--setting1-only", "--bogus"], "\"--bogus\""),
+        (env!("CARGO_BIN_EXE_table4"), &["--setting1-only"], "no flags of its own"),
+        (env!("CARGO_BIN_EXE_games_map"), &["--bogus"], "--frontier"),
+    ] {
+        let (code, stderr) = run(exe, args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn bad_seconds_exit_2_without_a_panic() {
+    for (flag, value) in [
+        ("--cell-deadline", "-1"),
+        ("--cell-deadline", "nan"),
+        ("--cell-deadline", "1e300"),
+        ("--lease", "-1"),
+    ] {
+        let (code, stderr) = run(env!("CARGO_BIN_EXE_table2"), &["--setting1-only", flag, value]);
+        assert_eq!(code, Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(flag) && stderr.contains(value), "{flag} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+    }
+}

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Workspace lint gate, offline-friendly.
 #
-#   scripts/lint.sh             # fmt check + clippy -D warnings + custom lints
+#   scripts/lint.sh             # fmt check + clippy -D warnings + rustdoc
+#                               # -D warnings + custom lints
 #   scripts/lint.sh --no-clippy # only fmt + the custom grep lints (fast path)
 #
 # The custom lint enforces the solver-robustness contract introduced with
@@ -27,6 +28,13 @@ fi
 if [[ "${1:-}" != "--no-clippy" ]]; then
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
     if ! cargo clippy --workspace --all-targets --offline -- -D warnings; then
+        fail=1
+    fi
+
+    # Broken or private intra-doc links fail the build, so the rendered
+    # API docs never point at an item that does not exist.
+    echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace"
+    if ! RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline; then
         fail=1
     fi
 fi

@@ -122,8 +122,9 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
     echo "==> serve smoke (HTTP cache hit/miss, audit 422, shedding, drain)"
     BVC_BIN=target/release/bvc scripts/serve_smoke.sh
 
-    echo "==> cluster smoke (killed worker, lease recovery, byte-identical journal)"
-    BVC_BIN=target/release/bvc TABLE2_BIN=target/release/table2 scripts/cluster_smoke.sh
+    echo "==> table2 smoke (SIGKILL resume + killed worker, byte-identical journals)"
+    BVC_BIN=target/release/bvc TABLE2_BIN=target/release/table2 \
+        scripts/workload_smoke.sh table2
 
     echo "==> scenario smoke (SIGKILL resume + killed worker, byte-identical journals)"
     BVC_BIN=target/release/bvc SCENARIO_BIN=target/release/scenario_crossval \

@@ -2,6 +2,8 @@
 # Sweep-workload smoke: one job-registry workload run three ways, all
 # demanded byte-identical:
 #
+#   table2   — table2-setting1 (the 21 Table 2 setting-1 cells) through
+#              `table2 --setting1-only`;
 #   scenario — scenario-crossval (20 MDP-replay network cells) through
 #              `scenario_crossval`;
 #   games    — games-frontier (26 committed-coalition frontier shards of
@@ -17,20 +19,32 @@
 #   3. distributed (`--cluster`) with two local workers, one of which
 #      claims a batch, solves one cell and then hangs
 #      (--die-after 1 --die-mode hang), so its cells only come back
-#      through lease expiry / straggler re-dispatch — and the cluster
-#      journal must still be byte-identical to the local reference.
+#      through lease expiry / straggler re-dispatch — the coordinator must
+#      record at least one of the two, and the cluster journal must still
+#      be byte-identical to the local reference.
 #
-# Usage: scripts/workload_smoke.sh scenario|games
-# Set BVC_BIN and SCENARIO_BIN (scenario) or GAMES_BIN (games) to prebuilt
-# binaries to skip the cargo builds.
+# Usage: scripts/workload_smoke.sh table2|scenario|games
+# Set BVC_BIN and TABLE2_BIN (table2), SCENARIO_BIN (scenario) or
+# GAMES_BIN (games) to prebuilt binaries to skip the cargo builds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
-# Everything the two workloads differ in: binary, extra flag, cell count,
+# Everything the three workloads differ in: binary, extra flag, cell count,
 # port base, pacing of the victim run, and the Figure 4 check.
 kind=${1:-}
 case "$kind" in
+    table2)
+        bin_name=table2
+        bin=${TABLE2_BIN:-}
+        extra=(--setting1-only)
+        cells=21
+        port_base=19000
+        # The setting-1 cells solve in about a millisecond each, so the
+        # victim run is paced like the games kind's (see there).
+        pacing=(--chaos "seed=7,latency_ms=400")
+        figure4=false
+        ;;
     scenario)
         bin_name=scenario_crossval
         bin=${SCENARIO_BIN:-}
@@ -53,7 +67,7 @@ case "$kind" in
         figure4=true
         ;;
     *)
-        echo "usage: scripts/workload_smoke.sh scenario|games" >&2
+        echo "usage: scripts/workload_smoke.sh table2|scenario|games" >&2
         exit 2
         ;;
 esac
@@ -145,6 +159,11 @@ wait || true # the workers; the hung one wakes up and exits on its own
 if ! grep -q "solved $cells" "$workdir/coordinator.txt"; then
     cat "$workdir/coordinator.txt" >&2
     fail "cluster run did not solve all $cells cells"
+fi
+if ! grep -qE 'cluster_(lease_expiries|straggler_dispatches)_total [1-9]' \
+        "$workdir/coordinator.txt"; then
+    cat "$workdir/coordinator.txt" >&2
+    fail "no lease expiry or straggler re-dispatch recorded for the killed worker"
 fi
 if ! cmp "$workdir/ref.jsonl" "$workdir/cluster.jsonl"; then
     diff "$workdir/ref.jsonl" "$workdir/cluster.jsonl" >&2 || true
