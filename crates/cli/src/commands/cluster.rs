@@ -233,9 +233,8 @@ pub fn run(cmd: &ClusterCmd) -> Result<(), String> {
                         let rendered: Vec<String> =
                             vals.iter().map(|v| format!("{v:.6}")).collect();
                         println!(
-                            "{}  ok  attempts={}{}  [{}]",
+                            "{}  ok{}  [{}]",
                             cell.key,
-                            cell.attempts,
                             if cell.replayed { "  (replayed)" } else { "" },
                             rendered.join(", ")
                         );

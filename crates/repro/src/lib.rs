@@ -19,9 +19,10 @@
 //! | `crossval` | MDP ↔ chain-simulator cross-validation |
 //!
 //! This library holds the shared plumbing: aligned table rendering, a
-//! scoped-thread parallel sweep over parameter cells, and the fault-tolerant
-//! sweep runner ([`sweep`]) with per-cell isolation, retries, and
-//! checkpoint/resume journals.
+//! parallel map over parameter cells ([`parallel_map`]), and the
+//! fault-tolerant sweep runner ([`sweep`]) with per-cell isolation and
+//! checkpoint/resume journals. Both spread cells over one claim loop that
+//! runs on the calling thread plus scoped helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,6 +32,7 @@ pub mod sweep;
 pub(crate) mod sync;
 
 use std::fmt::Write as _;
+use std::ops::ControlFlow;
 
 /// A rendered comparison cell: the paper's value (if printed) and ours.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -146,36 +148,33 @@ pub fn render_grid(
     out
 }
 
-/// Evaluates `f` over `inputs` in parallel with scoped threads, preserving
-/// input order in the output. Used by the table binaries to sweep parameter
-/// cells across cores.
+/// Evaluates `f` over `inputs` in parallel, preserving input order in the
+/// output. Used by the table binaries to sweep parameter cells across
+/// cores.
 ///
-/// Scheduling is dynamic: workers claim the next unprocessed cell through a
-/// shared atomic cursor, so heterogeneous cells (MDP solves whose cost
-/// varies by orders of magnitude across the parameter grid) balance across
-/// cores instead of being pinned to fixed chunks. Results are slotted back
-/// by index, so output order always matches input order.
+/// Runs `available_parallelism` workers (at most one per input), the
+/// calling thread among them, so a single worker spawns no thread. Workers
+/// claim inputs one at a time through a shared atomic cursor, so cells
+/// whose cost varies by orders of magnitude across the parameter grid
+/// balance across cores; results are slotted back by index.
 ///
 /// # Panics
 /// If `f` panics on any input, the *original* panic payload is re-raised in
-/// the caller once all workers have stopped. A shared abort flag is raised
-/// as soon as any worker panics and is checked at claim time, so the other
-/// workers stop promptly instead of grinding through the rest of the grid
-/// whose results would be discarded anyway.
+/// the caller once all workers have stopped; no input is claimed after the
+/// panic.
 pub fn parallel_map<I, O, F>(inputs: Vec<I>, f: F) -> Vec<O>
 where
     I: Send + Sync,
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    let n = inputs.len();
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4).min(n.max(1));
+    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
     parallel_map_with_threads(inputs, threads, f)
 }
 
-/// [`parallel_map`] with an explicit worker count instead of
-/// `available_parallelism`. Exposed so model-checking runs (and tests on
-/// single-core machines) can force real claim-cursor contention.
+/// [`parallel_map`] with an explicit worker count (the caller included)
+/// instead of `available_parallelism`. Exposed so model-checking runs (and
+/// tests on single-core machines) can force real claim-cursor contention.
 ///
 /// # Panics
 /// Same contract as [`parallel_map`].
@@ -185,61 +184,74 @@ where
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
+    claim_loop(inputs.len(), threads, |i| ControlFlow::Continue(f(&inputs[i])))
+        .into_iter()
+        .map(|o| o.expect("all cells computed"))
+        .collect()
+}
+
+/// The one claim loop behind [`parallel_map`] and [`sweep::run_sweep`]:
+/// `threads` workers (clamped to `1..=n`) claim the indices `0..n` through
+/// a shared atomic cursor and run `work` on each. The calling thread is one
+/// of the workers, so only `threads − 1` scoped helpers are spawned and
+/// `threads == 1` runs every index in order on the caller.
+///
+/// Returning [`ControlFlow::Break`] (its value is kept) or panicking raises
+/// the stop flag: no index is claimed after it. Slot `i` of the result is
+/// `None` exactly when index `i` was never claimed. The first panic payload
+/// is re-raised in the caller once every worker has stopped.
+pub(crate) fn claim_loop<O, F>(n: usize, threads: usize, work: F) -> Vec<Option<O>>
+where
+    O: Send,
+    F: Fn(usize) -> ControlFlow<O, O> + Sync,
+{
     use std::panic::AssertUnwindSafe;
     use std::sync::atomic::Ordering;
 
     use crate::sync::{scope, AtomicBool, AtomicUsize, Mutex};
 
-    let n = inputs.len();
-    let threads = threads.clamp(1, n.max(1));
     let cursor = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
+    let stop = AtomicBool::new(false);
     let out: Mutex<Vec<Option<O>>> = Mutex::new((0..n).map(|_| None).collect());
     let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                // ordering: Relaxed suffices — the flag is a shutdown hint,
-                // and the claim cursor's fetch_add is itself atomic; no
-                // other memory is published through either.
-                // ordering: Relaxed — the abort flag is a shutdown hint; no data is published through it.
-                if abort.load(Ordering::Relaxed) {
-                    return;
-                }
-                // ordering: Relaxed — the RMW itself is the claim; slot data flows via the out mutex.
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                match std::panic::catch_unwind(AssertUnwindSafe(|| f(&inputs[i]))) {
-                    Ok(o) => {
-                        out.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(o);
-                    }
-                    Err(payload) => {
-                        // A model-checker abort is scheduler teardown, not
-                        // a user panic; re-raise it untouched.
-                        #[cfg(bvc_check)]
-                        let payload = bvc_check::reraise_if_abort(payload);
-                        // ordering: Relaxed — hint only; the payload is published under the panic_payload mutex.
-                        abort.store(true, Ordering::Relaxed);
-                        panic_payload
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .get_or_insert(payload);
-                        return;
-                    }
-                }
-            });
+    let worker = || loop {
+        // ordering: Relaxed — a shutdown hint; a stale read claims one extra index at most.
+        if stop.load(Ordering::Relaxed) {
+            return;
         }
+        // ordering: Relaxed — the RMW itself is the claim; slot data flows via the out mutex.
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            return;
+        }
+        match std::panic::catch_unwind(AssertUnwindSafe(|| work(i))) {
+            Ok(ControlFlow::Continue(o)) => {
+                out.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(o);
+                continue;
+            }
+            Ok(ControlFlow::Break(o)) => out.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(o),
+            Err(payload) => {
+                // A model-checker abort is scheduler teardown, not a user
+                // panic; re-raise it untouched.
+                #[cfg(bvc_check)]
+                let payload = bvc_check::reraise_if_abort(payload);
+                panic_payload.lock().unwrap_or_else(|e| e.into_inner()).get_or_insert(payload);
+            }
+        }
+        // ordering: Relaxed — hint only; values and payloads are published under their mutexes.
+        stop.store(true, Ordering::Relaxed);
+        return;
+    };
+    scope(|scope| {
+        for _ in 1..threads.clamp(1, n.max(1)) {
+            scope.spawn(worker);
+        }
+        worker();
     });
     if let Some(payload) = panic_payload.into_inner().unwrap_or_else(|e| e.into_inner()) {
         std::panic::resume_unwind(payload);
     }
-    out.into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .map(|o| o.expect("all cells computed"))
-        .collect()
+    out.into_inner().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -257,6 +269,15 @@ mod tests {
     fn parallel_map_handles_empty_input() {
         let out = parallel_map(Vec::<u64>::new(), |&x| x);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn one_worker_maps_every_input_on_the_caller() {
+        let caller = std::thread::current().id();
+        let out = parallel_map_with_threads((0..8).collect(), 1, |&x: &u64| {
+            (x, std::thread::current().id() == caller)
+        });
+        assert_eq!(out, (0..8).map(|x| (x, true)).collect::<Vec<_>>());
     }
 
     #[test]

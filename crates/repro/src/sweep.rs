@@ -2,10 +2,10 @@
 //! checkpoint/resume journal.
 //!
 //! The table binaries sweep dozens of parameter cells, each an MDP solve
-//! whose cost varies by orders of magnitude across the grid. Before this
-//! module they ran through [`crate::parallel_map`], where one panicking or
-//! non-converging cell aborted the whole binary and threw away every other
-//! result. [`run_sweep`] instead treats each cell as an isolated unit of
+//! whose cost varies by orders of magnitude across the grid. [`run_sweep`]
+//! spreads them over the same claim loop as [`crate::parallel_map`], but
+//! where a panicking or non-converging cell there aborts the whole map and
+//! throws away every other result, here each cell is an isolated unit of
 //! work:
 //!
 //! * **Isolation** — a panic or structured [`MdpError`] marks that one cell
@@ -27,8 +27,9 @@
 //! mangles.
 
 use std::fmt::Write as _;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -333,7 +334,8 @@ pub struct SweepOptions {
     pub fail_fast: bool,
     /// Wall-clock deadline for each cell's solve.
     pub cell_deadline: Option<Duration>,
-    /// Worker thread override (defaults to available parallelism).
+    /// Worker count override (defaults to available parallelism). The
+    /// calling thread is one of the workers, so `Some(1)` spawns none.
     pub threads: Option<usize>,
     /// Worker threads *inside* each cell's Bellman sweeps (sharded Jacobi
     /// kernel; results are bit-identical for every value). Thread-budget
@@ -529,6 +531,12 @@ impl SweepOptions {
 ///   [`CellContext::solve_options`]) for deadlines and fail-fast
 ///   cancellation to be able to interrupt it.
 ///
+/// Cells run on [`crate::parallel_map`]'s claim loop with `opts.threads`
+/// workers, the calling thread among them: `threads == 1` solves every cell
+/// in input order on the caller, spawning no thread. Under `fail_fast` no
+/// cell is claimed after the first failure; unclaimed cells are `Skipped`
+/// with 0 attempts and are not journaled.
+///
 /// The returned report has one entry per input, in input order, regardless
 /// of how many cells failed. `run_sweep` itself never panics on cell
 /// failures.
@@ -594,8 +602,6 @@ where
     });
 
     let cancel = Arc::new(AtomicBool::new(false));
-    let cursor = AtomicUsize::new(0);
-    let slots_mx = Mutex::new(slots);
     let threads = opts
         .threads
         .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4))
@@ -615,7 +621,8 @@ where
         inject_noconv: opts.inject_noconv.clone(),
     };
 
-    let solve_cell = |i: usize| -> CellResult<T> {
+    let claimed = crate::claim_loop(pending.len(), threads, |p| {
+        let i = pending[p];
         let key = &keys[i];
         let cell_started = Instant::now();
         let outcome = run_cell(key, &cell_cfg, &cancel, |ctx| solve(&inputs[i], ctx));
@@ -651,34 +658,24 @@ where
             }
         }
 
-        if opts.fail_fast && matches!(&outcome, Err(f) if !matches!(f, CellFailure::Skipped)) {
-            // ordering: Relaxed — best-effort cancel hint; results are joined through the scope barrier.
-            cancel.store(true, Ordering::Relaxed);
-        }
-        CellResult {
+        let failed = matches!(&outcome, Err(f) if !matches!(f, CellFailure::Skipped));
+        let result = CellResult {
             key: key.clone(),
             outcome,
             attempts: 1,
             replayed: false,
             elapsed: cell_started.elapsed(),
+        };
+        if opts.fail_fast && failed {
+            // ordering: Relaxed — best-effort hint to the budgets of cells in flight; Break stops claims.
+            cancel.store(true, Ordering::Relaxed);
+            return ControlFlow::Break(result);
         }
-    };
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                // ordering: Relaxed — a stale read solves at most one extra cell.
-                if cancel.load(Ordering::Relaxed) {
-                    return;
-                }
-                // ordering: Relaxed — the RMW itself is the claim; cell results flow through their own slots.
-                let p = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&i) = pending.get(p) else { return };
-                let result = solve_cell(i);
-                slots_mx.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(result);
-            });
-        }
+        ControlFlow::Continue(result)
     });
+    for (&i, result) in pending.iter().zip(claimed) {
+        slots[i] = result;
+    }
 
     // Durability barrier: under `batch`, appends since the last sync-every-N
     // boundary are only flushed, not fsynced — close the window here.
@@ -686,9 +683,7 @@ where
         let _ = writer.lock().unwrap_or_else(|e| e.into_inner()).sync();
     }
 
-    let cells = slots_mx
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
+    let cells = slots
         .into_iter()
         .zip(keys)
         .map(|(slot, key)| {
@@ -796,6 +791,7 @@ mod tests {
     use bvc_mdp::solve::SolveOptions;
     use bvc_mdp::SolveBudget;
     use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::AtomicUsize;
 
     fn tmp_journal(tag: &str) -> PathBuf {
         static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -893,9 +889,15 @@ mod tests {
 
     #[test]
     fn fail_fast_skips_remaining_cells_serially() {
+        let path = tmp_journal("failfast");
         let inputs: Vec<u32> = (0..10).collect();
         let executed = AtomicU32::new(0);
-        let opts = SweepOptions { fail_fast: true, threads: Some(1), ..Default::default() };
+        let opts = SweepOptions {
+            journal: Some(path.clone()),
+            fail_fast: true,
+            threads: Some(1),
+            ..Default::default()
+        };
         let report = run_sweep(
             "t",
             &inputs,
@@ -915,6 +917,60 @@ mod tests {
         assert_eq!(report.skipped(), 7);
         assert!(report.has_failures());
         assert_eq!(report.exit_code(), 1);
+        assert!(report.cells[3..].iter().all(|c| c.attempts == 0), "unclaimed cells ran");
+        let mut journaled: Vec<String> = load_journal(&path).into_values().map(|e| e.key).collect();
+        journaled.sort_unstable();
+        assert_eq!(journaled, ["x=0", "x=1", "x=2"], "only claimed cells are journaled");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn one_thread_runs_every_cell_on_the_caller() {
+        let caller = std::thread::current().id();
+        let inputs: Vec<u32> = (0..6).collect();
+        let opts = SweepOptions { threads: Some(1), ..Default::default() };
+        let report = run_sweep(
+            "t",
+            &inputs,
+            &opts,
+            |x| format!("x={x}"),
+            |x, _| Ok(if std::thread::current().id() == caller { f64::from(*x) } else { f64::NAN }),
+        );
+        for (i, x) in inputs.iter().enumerate() {
+            assert_eq!(*report.value(i).unwrap(), f64::from(*x), "cell {i} left the caller");
+        }
+    }
+
+    #[test]
+    fn two_threads_match_one_thread_bit_for_bit() {
+        let inputs: Vec<u32> = (0..24).collect();
+        let run = |threads: usize| {
+            let path = tmp_journal(&format!("threads{threads}"));
+            let opts = SweepOptions {
+                journal: Some(path.clone()),
+                threads: Some(threads),
+                ..Default::default()
+            };
+            let report = run_sweep(
+                "t",
+                &inputs,
+                &opts,
+                |x| format!("x={x}"),
+                |x, _| Ok(vec![f64::from(*x).sqrt(), -0.0, f64::from(*x) / 7.0]),
+            );
+            let values: Vec<Vec<u64>> = (0..inputs.len())
+                .map(|i| report.value(i).unwrap().iter().map(|v| v.to_bits()).collect())
+                .collect();
+            let attempts: Vec<u32> = report.cells.iter().map(|c| c.attempts).collect();
+            // Lines land in completion order, which two workers may shuffle;
+            // the bytes of each line must not change.
+            let mut lines: Vec<String> =
+                std::fs::read_to_string(&path).unwrap().lines().map(str::to_string).collect();
+            lines.sort_unstable();
+            let _ = std::fs::remove_file(&path);
+            (values, attempts, lines)
+        };
+        assert_eq!(run(2), run(1));
     }
 
     #[test]
