@@ -44,10 +44,11 @@ use std::sync::Mutex;
 use bvc_bench::timing::time_runs_cold;
 use bvc_bu::{rewards, AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions};
 use bvc_cluster::jobs::{table2_setting1_jobs, table2_setting2_jobs, JobSpec, T2_ALPHAS};
+use bvc_journal::json::escape;
 use bvc_mdp::solve::reference::maximize_ratio_reference;
 use bvc_mdp::solve::ProbeEngine;
 use bvc_repro::parallel_map;
-use bvc_repro::sweep::{json_escape, run_sweep, SweepOptions};
+use bvc_repro::sweep::{run_sweep, SweepOptions};
 
 /// Prints a structured error and exits with status 2 (usage error), the
 /// same convention as [`SweepOptions::from_cli_or_exit`].
@@ -265,7 +266,7 @@ fn main() {
              \"cell_breakdown\":[",
             compiled.min().as_secs_f64(),
             compiled.throughput(n),
-            json_escape(&report.cells[largest].key),
+            escape(&report.cells[largest].key),
             models[largest].num_states(),
             report.cells[largest].elapsed.as_secs_f64(),
         ));
@@ -283,7 +284,7 @@ fn main() {
             record.push_str(&format!(
                 "{{\"key\":\"{}\",\"states\":{},\"elapsed_s\":{:.6},\
                  \"engine\":{engine},\"probes\":{probes},\"passes\":{passes}}}",
-                json_escape(&c.key),
+                escape(&c.key),
                 models[i].num_states(),
                 c.elapsed.as_secs_f64(),
             ));

@@ -29,7 +29,7 @@
 //!
 //! The shim primitives fall back to plain `std::sync` behaviour when used
 //! outside a model run, so a `--cfg bvc_check` build of a crate that
-//! routes its synchronization through the facade (see DESIGN.md §13)
+//! routes its synchronization through [`facade`] (see DESIGN.md §13)
 //! still works normally; only closures run under [`explore`]/[`replay`]
 //! are scheduled.
 //!
@@ -64,6 +64,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod facade;
 mod sched;
 pub mod sync;
 pub mod thread;

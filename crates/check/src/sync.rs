@@ -3,8 +3,8 @@
 //! Inside a model run (a closure executed by [`crate::explore`]) every
 //! operation is a scheduling decision point of the controlled scheduler.
 //! Outside a model run the shims behave exactly like their `std::sync`
-//! counterparts, so `--cfg bvc_check` builds of facade crates still work
-//! normally.
+//! counterparts, so `--cfg bvc_check` builds of the crates that use
+//! [`crate::facade`] still work normally.
 //!
 //! Atomics model *interleavings*, not weak memory: inside a run the
 //! requested `Ordering` is recorded in the operation log but the effect

@@ -9,8 +9,9 @@
 //! show what a failing report looks like.
 
 use bvc_bu::{AttackConfig, AttackModel};
+use bvc_journal::json::JsonObject;
 use bvc_mdp::audit::{audit_policy, demo_multichain, demo_unreachable};
-use bvc_mdp::{audit_compiled, AuditOptions, AuditReport};
+use bvc_mdp::{audit_compiled, AuditOptions, AuditReport, AuditStatus};
 
 use crate::args::{ArgError, Args};
 
@@ -55,14 +56,44 @@ pub fn parse(args: &Args) -> Result<AuditCmd, ArgError> {
 pub fn run(cmd: &AuditCmd) -> Result<(), String> {
     let report = build_report(cmd)?;
     if cmd.json {
-        println!("{}", report.render_json());
+        println!("{}", render_json(&report));
     } else {
         print!("{}", report.render_text());
     }
-    match report.checks.iter().find(|c| c.status == bvc_mdp::AuditStatus::Fail) {
+    match report.checks.iter().find(|c| c.status == AuditStatus::Fail) {
         None => Ok(()),
         Some(c) => Err(format!("model failed audit check '{}': {}", c.name, c.detail)),
     }
+}
+
+/// Renders the report as one JSON object: the model's sizes, the verdict
+/// and every check with its offending ids.
+fn render_json(report: &AuditReport) -> String {
+    let checks: Vec<String> = report
+        .checks
+        .iter()
+        .map(|c| {
+            let status = match c.status {
+                AuditStatus::Pass => "pass",
+                AuditStatus::Warn => "warn",
+                AuditStatus::Fail => "fail",
+            };
+            let ids: Vec<String> = c.offenders.iter().map(usize::to_string).collect();
+            JsonObject::new()
+                .str("name", c.name)
+                .str("status", status)
+                .str("detail", &c.detail)
+                .raw("offenders", &format!("[{}]", ids.join(",")))
+                .finish()
+        })
+        .collect();
+    JsonObject::new()
+        .int("states", report.num_states as u64)
+        .int("arms", report.num_arms as u64)
+        .int("transitions", report.num_transitions as u64)
+        .bool("passed", report.passed())
+        .raw("checks", &format!("[{}]", checks.join(",")))
+        .finish()
 }
 
 fn build_report(cmd: &AuditCmd) -> Result<AuditReport, String> {
@@ -91,7 +122,6 @@ fn build_report(cmd: &AuditCmd) -> Result<AuditReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bvc_mdp::AuditStatus;
 
     fn args(tokens: &[&str]) -> Args {
         Args::parse(tokens.iter().copied()).unwrap()
@@ -148,5 +178,41 @@ mod tests {
 
         assert!(run(&AuditCmd { target: AuditTarget::DemoMultichain, json: false }).is_err());
         assert!(run(&AuditCmd { target: AuditTarget::DemoUnreachable, json: true }).is_err());
+    }
+
+    /// The JSON report of the unreachable demo, byte for byte as
+    /// `bvc audit --demo unreachable --json` printed it when `bvc-mdp`
+    /// rendered it.
+    #[test]
+    fn json_report_is_pinned() {
+        let report = audit_compiled(&demo_unreachable(), &AuditOptions::default());
+        let pass = |name: &str, detail: &str| {
+            format!("{{\"name\":\"{name}\",\"status\":\"pass\",\"detail\":\"{detail}\",\"offenders\":[]}}")
+        };
+        let checks = [
+            pass(
+                "csr-layout",
+                "every state has >=1 action, every arm >=1 transition; offsets anchored, \
+                 all indices in bounds",
+            ),
+            pass("prob-finite", "all probabilities finite and within [0, 1]"),
+            pass("prob-mass", "every arm's mass within 1.0e-9 of 1 (worst dev 0.00e0)"),
+            pass("reward-finite", "all reward components finite"),
+            "{\"name\":\"reachable\",\"status\":\"fail\",\
+             \"detail\":\"1 of 3 states unreachable from start state 0\",\"offenders\":[2]}"
+                .to_string(),
+            pass("absorbing", "no absorbing states"),
+            pass("end-components", "exactly one maximal end component (2 states)"),
+            pass(
+                "unichain",
+                "certified: state 0 is reachable from every state under every policy, \
+                 so every policy has a single recurrent class",
+            ),
+        ];
+        let want = format!(
+            "{{\"states\":3,\"arms\":3,\"transitions\":3,\"passed\":false,\"checks\":[{}]}}",
+            checks.join(",")
+        );
+        assert_eq!(render_json(&report), want);
     }
 }

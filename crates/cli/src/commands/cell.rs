@@ -6,8 +6,8 @@
 
 use bvc_bu::SolveOptions;
 use bvc_cluster::workload;
+use bvc_journal::json::JsonObject;
 use bvc_journal::Cell;
-use bvc_serve::json::JsonObject;
 
 use crate::args::Args;
 
@@ -66,8 +66,8 @@ pub fn render<C: Cell>(spec: &C, key: &str, vals: &[f64], json: bool) -> Result<
 mod tests {
     use super::*;
     use bvc_gamesweep::{FrontierSpec, GameSpec};
+    use bvc_journal::json::FlatJson;
     use bvc_scenario::ScenarioSpec;
-    use bvc_serve::json::FlatJson;
     use bvc_serve::{Request, ServeConfig, Service};
 
     fn args(tokens: &[&str]) -> Args {

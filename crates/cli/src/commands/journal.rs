@@ -4,7 +4,8 @@
 
 use std::path::PathBuf;
 
-use bvc_journal::{compact_journal, journal_stats, json_escape};
+use bvc_journal::json::escape;
+use bvc_journal::{compact_journal, journal_stats};
 
 use crate::args::{ArgError, Args};
 
@@ -69,13 +70,13 @@ pub fn run(cmd: &JournalCmd) -> Result<(), String> {
                 let reasons: Vec<String> = stats
                     .reasons
                     .iter()
-                    .map(|(r, n)| format!("{{\"reason\":\"{}\",\"count\":{n}}}", json_escape(r)))
+                    .map(|(r, n)| format!("{{\"reason\":\"{}\",\"count\":{n}}}", escape(r)))
                     .collect();
                 println!(
                     "{{\"path\":\"{}\",\"lines\":{},\"unparseable\":{},\"superseded\":{},\
                      \"entries\":{},\"ok\":{},\"failed\":{},\"distinct_keys\":{},\
                      \"stale_keys\":{},\"reasons\":[{}]}}",
-                    json_escape(&path.display().to_string()),
+                    escape(&path.display().to_string()),
                     stats.lines,
                     stats.unparseable,
                     stats.superseded,

@@ -220,7 +220,7 @@ mod tests {
     /// must reject the row naming the same parameter.
     #[test]
     fn table_cell_parsers_agree() {
-        use bvc_serve::json::FlatJson;
+        use bvc_journal::json::FlatJson;
         use bvc_serve::{parse_cell_request, Request};
 
         let cell = |alpha: f64, ratio, setting, incentive| {

@@ -26,7 +26,8 @@
 //! via a reorder buffer (results arrive out of order from many workers),
 //! through the same [`bvc_journal::encode_line`] codec the local runner
 //! uses — so a distributed journal is byte-identical to a single-process
-//! `run_sweep --threads 1` journal over the same cells.
+//! `run_sweep` journal over the same cells, which a local reorder buffer
+//! also writes in input order at any thread count.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -35,8 +36,7 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use crate::sync::{AtomicBool, Condvar, Mutex, MutexGuard};
-
+use bvc_check::facade::{AtomicBool, Condvar, Mutex, MutexGuard};
 use bvc_journal::{
     cell_fingerprint, encode_line, recover_journal, Durability, JournalEntry, JournalWriter,
 };
@@ -1091,7 +1091,7 @@ fn finish_if_done(st: &mut State, shared: &Shared) {
 /// Writes journal lines for every terminal cell at the reorder-buffer
 /// cursor, in input order, through the shared [`encode_line`] codec.
 /// Replayed and skipped cells advance the cursor without a line — exactly
-/// the lines a local `run_sweep --threads 1` would append.
+/// the lines a local `run_sweep` would append.
 fn advance_journal(st: &mut State, shared: &Shared) {
     if st.fatal.is_some() {
         return;

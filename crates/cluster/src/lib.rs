@@ -31,7 +31,6 @@ pub mod jobs;
 #[cfg(bvc_check)]
 pub mod model;
 pub mod protocol;
-pub(crate) mod sync;
 pub mod worker;
 
 pub use cell::{run_cell, CellContext, CellFailure, CellRunConfig};

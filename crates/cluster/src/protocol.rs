@@ -2,11 +2,11 @@
 //! length-prefixed framing of [`bvc_serve::net`].
 //!
 //! Every frame is one flat JSON object with a `"t"` discriminator,
-//! encoded with [`bvc_serve::json::JsonObject`] and parsed with
-//! [`bvc_serve::json::FlatJson`] (no nesting; list-valued fields cross as
-//! delimiter-joined strings). Journal value bits cross as 16-hex-digit
-//! bit patterns ([`bvc_journal::f64_to_hex`]) rather than decimal, so the
-//! two sides can never disagree on a bit.
+//! encoded with [`bvc_journal::json::JsonObject`] and parsed with
+//! [`bvc_journal::json::FlatJson`]; list-valued fields cross as JSON
+//! arrays of strings. Journal value bits cross as 16-hex-digit bit
+//! patterns ([`bvc_journal::f64_to_hex`]) rather than decimal, so the two
+//! sides can never disagree on a bit.
 //!
 //! Conversation shape:
 //!
@@ -23,16 +23,11 @@
 //! coord:   err {msg}               (protocol violation or fatal conflict)
 //! ```
 
+use bvc_journal::json::{FlatJson, JsonObject};
 use bvc_journal::{f64_from_hex, f64_to_hex};
-use bvc_serve::json::{FlatJson, JsonObject};
 
 /// Protocol version; bumped on any incompatible frame change.
-pub const PROTO_VERSION: u32 = 3;
-
-/// Separator for list-valued fields (injection substrings). An ASCII
-/// control character, so it never collides with cell-key text and always
-/// crosses JSON as an escape.
-pub const LIST_SEP: char = '\u{1f}';
+pub const PROTO_VERSION: u32 = 4;
 
 /// The sweep-wide execution configuration the coordinator pushes to every
 /// worker right after `hello`. Carrying the deadline and injection lists
@@ -151,27 +146,12 @@ pub enum Frame {
     },
 }
 
-fn join_list(items: &[String]) -> String {
-    items.join(&LIST_SEP.to_string())
+fn get_strings(doc: &FlatJson, k: &str) -> Option<Vec<String>> {
+    Some(doc.get_strs(k)?.into_iter().map(str::to_string).collect())
 }
 
-fn split_list(joined: &str) -> Vec<String> {
-    if joined.is_empty() {
-        Vec::new()
-    } else {
-        joined.split(LIST_SEP).map(str::to_string).collect()
-    }
-}
-
-fn join_bits(bits: &[u64]) -> String {
-    bits.iter().map(|&b| f64_to_hex(f64::from_bits(b))).collect::<Vec<_>>().join(",")
-}
-
-fn split_bits(joined: &str) -> Option<Vec<u64>> {
-    if joined.is_empty() {
-        return Some(Vec::new());
-    }
-    joined.split(',').map(|h| f64_from_hex(h).map(f64::to_bits)).collect()
+fn get_bits(doc: &FlatJson, k: &str) -> Option<Vec<u64>> {
+    doc.get_strs(k)?.into_iter().map(|h| f64_from_hex(h).map(f64::to_bits)).collect()
 }
 
 fn get_int(doc: &FlatJson, k: &str) -> Option<u64> {
@@ -202,8 +182,8 @@ impl Frame {
                     .str("label", &c.label)
                     .str("token", &c.token)
                     .bool("audit", c.audit)
-                    .str("inj_panic", &join_list(&c.inject_panic))
-                    .str("inj_noconv", &join_list(&c.inject_noconv))
+                    .strs("inj_panic", &c.inject_panic)
+                    .strs("inj_noconv", &c.inject_noconv)
                     .int("batch", u64::from(c.batch))
                     .int("lease_ms", c.lease_ms);
                 if let Some(ms) = c.cell_deadline_ms {
@@ -235,7 +215,10 @@ impl Frame {
                 .str("key", &d.key)
                 .bool("ok", d.ok)
                 .int("attempts", u64::from(d.attempts))
-                .str("bits", &join_bits(&d.bits))
+                .strs(
+                    "bits",
+                    &d.bits.iter().map(|&b| f64_to_hex(f64::from_bits(b))).collect::<Vec<_>>(),
+                )
                 .str("code", &d.code)
                 .str("reason", &d.reason)
                 .int("elapsed_us", d.elapsed_us)
@@ -271,8 +254,9 @@ impl Frame {
                 } else {
                     None
                 },
-                inject_panic: split_list(doc.get_str("inj_panic").unwrap_or_default()),
-                inject_noconv: split_list(doc.get_str("inj_noconv").unwrap_or_default()),
+                inject_panic: get_strings(&doc, "inj_panic").ok_or_else(|| field("inj_panic"))?,
+                inject_noconv: get_strings(&doc, "inj_noconv")
+                    .ok_or_else(|| field("inj_noconv"))?,
                 batch: get_int(&doc, "batch").ok_or_else(|| field("batch"))? as u32,
                 lease_ms: get_int(&doc, "lease_ms").ok_or_else(|| field("lease_ms"))?,
             })),
@@ -297,8 +281,7 @@ impl Frame {
                 key: doc.get_str("key").ok_or_else(|| field("key"))?.to_string(),
                 ok: doc.get_bool("ok").ok_or_else(|| field("ok"))?,
                 attempts: get_int(&doc, "attempts").ok_or_else(|| field("attempts"))? as u32,
-                bits: split_bits(doc.get_str("bits").unwrap_or_default())
-                    .ok_or_else(|| field("bits"))?,
+                bits: get_bits(&doc, "bits").ok_or_else(|| field("bits"))?,
                 code: doc.get_str("code").unwrap_or_default().to_string(),
                 reason: doc.get_str("reason").unwrap_or_default().to_string(),
                 elapsed_us: get_int(&doc, "elapsed_us").unwrap_or(0),
@@ -328,54 +311,77 @@ mod tests {
         assert_eq!(decoded, frame, "wire roundtrip of {encoded}");
     }
 
+    /// One frame of each kind.
+    fn one_of_each() -> Vec<Frame> {
+        vec![
+            Frame::Hello { proto: PROTO_VERSION, threads: 4 },
+            Frame::Config(WireConfig {
+                label: "table2-setting1".into(),
+                token: "rvi;tau=0.1".into(),
+                audit: true,
+                cell_deadline_ms: Some(30_000),
+                // An empty substring and one holding the old list separator
+                // (U+001F) must cross as themselves.
+                inject_panic: vec!["".into(), "a\u{1f}b".into()],
+                inject_noconv: vec!["a=10%".into(), "s2".into()],
+                batch: 4,
+                lease_ms: 30_000,
+            }),
+            Frame::Claim { max: 8 },
+            Frame::Task(TaskFrame {
+                fp: 0xdead_beef_0123_4567,
+                key: "s1 b:g=3:2 a=10%".into(),
+                spec: "t2;3fb999999999999a;3;2;1".into(),
+            }),
+            Frame::Grant { lease: 7, count: 3, lease_ms: 30_000 },
+            Frame::Wait { ms: 250 },
+            Frame::Fin,
+            Frame::Done(DoneFrame {
+                lease: 7,
+                fp: 1,
+                key: "k".into(),
+                ok: true,
+                attempts: 1,
+                bits: vec![0.25f64.to_bits(), f64::NAN.to_bits(), (-0.0f64).to_bits()],
+                code: String::new(),
+                reason: String::new(),
+                elapsed_us: 1234,
+            }),
+            Frame::Done(DoneFrame {
+                lease: 8,
+                fp: 2,
+                key: "k2".into(),
+                ok: false,
+                attempts: 1,
+                bits: vec![],
+                code: "no-conv".into(),
+                reason: "rvi did not converge\nresidual 1e-3".into(),
+                elapsed_us: 0,
+            }),
+            Frame::Heartbeat { lease: 7 },
+            Frame::Stats,
+            Frame::StatsText { text: "cluster_cells_total 24\n".into() },
+            Frame::Err { msg: "conflicting bits".into() },
+        ]
+    }
+
     #[test]
     fn every_frame_roundtrips() {
-        roundtrip(Frame::Hello { proto: PROTO_VERSION, threads: 4 });
-        roundtrip(Frame::Config(WireConfig {
-            label: "table2-setting1".into(),
-            token: "rvi;tau=0.1".into(),
-            audit: true,
-            cell_deadline_ms: Some(30_000),
-            inject_panic: vec!["a=10%".into(), "s2".into()],
-            inject_noconv: vec![],
-            batch: 4,
-            lease_ms: 30_000,
-        }));
-        roundtrip(Frame::Claim { max: 8 });
-        roundtrip(Frame::Task(TaskFrame {
-            fp: 0xdead_beef_0123_4567,
-            key: "s1 b:g=3:2 a=10%".into(),
-            spec: "t2;3fb999999999999a;3;2;1".into(),
-        }));
-        roundtrip(Frame::Grant { lease: 7, count: 3, lease_ms: 30_000 });
-        roundtrip(Frame::Wait { ms: 250 });
-        roundtrip(Frame::Fin);
-        roundtrip(Frame::Done(DoneFrame {
-            lease: 7,
-            fp: 1,
-            key: "k".into(),
-            ok: true,
-            attempts: 1,
-            bits: vec![0.25f64.to_bits(), f64::NAN.to_bits(), (-0.0f64).to_bits()],
-            code: String::new(),
-            reason: String::new(),
-            elapsed_us: 1234,
-        }));
-        roundtrip(Frame::Done(DoneFrame {
-            lease: 8,
-            fp: 2,
-            key: "k2".into(),
-            ok: false,
-            attempts: 1,
-            bits: vec![],
-            code: "no-conv".into(),
-            reason: "rvi did not converge\nresidual 1e-3".into(),
-            elapsed_us: 0,
-        }));
-        roundtrip(Frame::Heartbeat { lease: 7 });
-        roundtrip(Frame::Stats);
-        roundtrip(Frame::StatsText { text: "cluster_cells_total 24\n".into() });
-        roundtrip(Frame::Err { msg: "conflicting bits".into() });
+        for frame in one_of_each() {
+            roundtrip(frame);
+        }
+    }
+
+    /// Every proper prefix of a frame, and every frame with one delimiter
+    /// byte swapped in, decodes to a frame or an error without panicking:
+    /// both ends decode whatever bytes arrive on the socket.
+    #[test]
+    fn frame_mutants_never_panic() {
+        for frame in one_of_each() {
+            for mutant in proptest::mutate::mutants(&frame.encode()) {
+                let _ = Frame::decode(mutant.text());
+            }
+        }
     }
 
     #[test]
@@ -402,9 +408,11 @@ mod tests {
         assert!(
             Frame::decode("{\"t\":\"task\",\"fp\":\"xyz\",\"key\":\"k\",\"spec\":\"s\"}").is_err()
         );
-        assert!(Frame::decode(
-            "{\"t\":\"done\",\"lease\":1,\"fp\":\"01\",\"key\":\"k\",\"ok\":true,\"attempts\":1,\"bits\":\"zz\"}"
-        )
-        .is_err());
+        for bits in ["\"zz\"", "[\"zz\"]", "[1]", "[[]]"] {
+            let done = format!(
+                "{{\"t\":\"done\",\"lease\":1,\"fp\":\"01\",\"key\":\"k\",\"ok\":true,\"attempts\":1,\"bits\":{bits}}}"
+            );
+            assert!(Frame::decode(&done).is_err(), "{done}");
+        }
     }
 }

@@ -1,13 +1,14 @@
-//! A hand-rolled JSON codec for the serve API: an object writer and a
-//! parser for *flat* objects (string/number/bool/null values only), which
-//! is all `POST /v1/solve` accepts. The workspace is dependency-free, so
-//! no serde — this mirrors the style of the sweep journal codec in
-//! `bvc_journal`.
+//! The workspace's one JSON codec: an object writer, the string escaper,
+//! and a reader for *flat* objects whose values are scalars
+//! (string/number/bool/null) or one level of scalar arrays. Journal lines
+//! ([`crate::encode_line`], [`crate::parse_journal_line`]), serve response
+//! and request bodies, and cluster frames are all written and read here.
+//! The workspace is dependency-free, so no serde.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
-use bvc_journal::Value;
+use crate::Value;
 
 /// Escapes a string for embedding in a JSON literal (no surrounding
 /// quotes).
@@ -64,6 +65,18 @@ impl JsonObject {
         self
     }
 
+    /// Adds an array-of-strings field.
+    pub fn strs<S: AsRef<str>>(mut self, k: &str, items: &[S]) -> Self {
+        let buf = self.key(k);
+        buf.push('[');
+        for (i, item) in items.iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            let _ = write!(buf, "{sep}\"{}\"", escape(item.as_ref()));
+        }
+        buf.push(']');
+        self
+    }
+
     /// Adds a numeric field (`null` when non-finite).
     pub fn num(mut self, k: &str, v: f64) -> Self {
         let n = number(v);
@@ -108,7 +121,7 @@ impl JsonObject {
     }
 }
 
-/// A scalar value in a flat JSON object.
+/// A value in a flat JSON object: a scalar, or an array of scalars.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// A string literal.
@@ -119,32 +132,36 @@ pub enum JsonValue {
     Bool(bool),
     /// `null`.
     Null,
+    /// An array of scalars (never of arrays).
+    List(Vec<JsonValue>),
 }
 
 impl JsonValue {
-    /// The value as parameter text, for a `name → text` schema lookup: a
+    /// A scalar as parameter text, for a `name → text` schema lookup: a
     /// string as is, a number as its `Display` form (shortest round-trip,
     /// so it parses back to the same bits), `true`/`false`/`null` as
-    /// written.
-    pub fn text(&self) -> Cow<'_, str> {
+    /// written. `None` for an array.
+    pub fn text(&self) -> Option<Cow<'_, str>> {
         match self {
-            JsonValue::Str(s) => Cow::Borrowed(s),
-            JsonValue::Num(n) => Cow::Owned(n.to_string()),
-            JsonValue::Bool(b) => Cow::Borrowed(if *b { "true" } else { "false" }),
-            JsonValue::Null => Cow::Borrowed("null"),
+            JsonValue::Str(s) => Some(Cow::Borrowed(s)),
+            JsonValue::Num(n) => Some(Cow::Owned(n.to_string())),
+            JsonValue::Bool(b) => Some(Cow::Borrowed(if *b { "true" } else { "false" })),
+            JsonValue::Null => Some(Cow::Borrowed("null")),
+            JsonValue::List(_) => None,
         }
     }
 }
 
-/// A parsed flat JSON object: string keys mapping to scalar values.
+/// A parsed flat JSON object: string keys mapping to scalars or scalar
+/// arrays.
 #[derive(Debug, Clone, Default)]
 pub struct FlatJson {
     fields: Vec<(String, JsonValue)>,
 }
 
 impl FlatJson {
-    /// Parses `text` as one flat object. Nested objects or arrays are
-    /// rejected with a readable error, as are trailing bytes.
+    /// Parses `text` as one flat object. Nested objects, arrays inside
+    /// arrays and trailing bytes are rejected with a readable error.
     pub fn parse(text: &str) -> Result<FlatJson, String> {
         let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
@@ -160,7 +177,7 @@ impl FlatJson {
                 p.skip_ws();
                 p.expect_byte(b':')?;
                 p.skip_ws();
-                let value = p.scalar()?;
+                let value = p.value()?;
                 fields.push((key, value));
                 p.skip_ws();
                 match p.next() {
@@ -179,7 +196,7 @@ impl FlatJson {
 
     /// Whether the field is present (with any value, including `null`).
     pub fn has(&self, k: &str) -> bool {
-        self.fields.iter().any(|(key, _)| key == k)
+        self.get(k).is_some()
     }
 
     /// The fields, in document order.
@@ -187,28 +204,48 @@ impl FlatJson {
         self.fields.iter().map(|(k, v)| (k.as_str(), v))
     }
 
+    /// The first field named `k`, with any value.
+    fn get(&self, k: &str) -> Option<&JsonValue> {
+        self.fields.iter().find_map(|(key, v)| (key == k).then_some(v))
+    }
+
     /// A string field's value, if present and a string.
     pub fn get_str(&self, k: &str) -> Option<&str> {
-        self.fields.iter().find_map(|(key, v)| match v {
-            JsonValue::Str(s) if key == k => Some(s.as_str()),
+        match self.get(k)? {
+            JsonValue::Str(s) => Some(s),
             _ => None,
-        })
+        }
     }
 
     /// A numeric field's value, if present and a number.
     pub fn get_num(&self, k: &str) -> Option<f64> {
-        self.fields.iter().find_map(|(key, v)| match v {
-            JsonValue::Num(n) if key == k => Some(*n),
+        match self.get(k)? {
+            JsonValue::Num(n) => Some(*n),
             _ => None,
-        })
+        }
     }
 
     /// A boolean field's value, if present and a bool.
     pub fn get_bool(&self, k: &str) -> Option<bool> {
-        self.fields.iter().find_map(|(key, v)| match v {
-            JsonValue::Bool(b) if key == k => Some(*b),
+        match self.get(k)? {
+            JsonValue::Bool(b) => Some(*b),
             _ => None,
-        })
+        }
+    }
+
+    /// An array-of-strings field's items, if present and an array whose
+    /// items are all strings.
+    pub fn get_strs(&self, k: &str) -> Option<Vec<&str>> {
+        match self.get(k)? {
+            JsonValue::List(items) => items
+                .iter()
+                .map(|v| match v {
+                    JsonValue::Str(s) => Some(s.as_str()),
+                    _ => None,
+                })
+                .collect(),
+            _ => None,
+        }
     }
 }
 
@@ -245,50 +282,70 @@ impl Parser<'_> {
 
     fn string(&mut self) -> Result<String, String> {
         self.expect_byte(b'"')?;
-        let mut out = String::new();
+        // Raw bytes are copied through and validated once at the closing
+        // quote: quotes and backslashes are ASCII, so a multi-byte UTF-8
+        // sequence is never split, and pushing bytes as chars would turn
+        // it into mojibake.
+        let mut out = Vec::new();
         loop {
             match self.next() {
                 None => return Err("unterminated string".to_string()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        if self.pos + 4 > self.bytes.len() {
-                            return Err("truncated \\u escape".to_string());
-                        }
-                        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                            .ok()
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| "bad \\u escape".to_string())?;
-                        self.pos += 4;
-                        // Surrogate pairs are out of scope for this flat
-                        // codec; lone surrogates map to the replacement char.
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Re-assemble multi-byte UTF-8 from the source slice.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.bytes.len());
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    out.push_str(s);
-                    self.pos = end;
+                Some(b'"') => {
+                    return String::from_utf8(out).map_err(|_| "invalid UTF-8 in string".into())
                 }
+                Some(b'\\') => {
+                    let c = match self.next() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'u') => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .ok_or_else(|| "truncated \\u escape".to_string())?;
+                            let code = std::str::from_utf8(hex)
+                                .ok()
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| "bad \\u escape".to_string())?;
+                            self.pos += 4;
+                            // Surrogate pairs are out of scope for this flat
+                            // codec; lone surrogates map to the replacement char.
+                            char::from_u32(code).unwrap_or('\u{fffd}')
+                        }
+                        other => return Err(format!("bad escape {other:?}")),
+                    };
+                    out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                }
+                Some(b) => out.push(b),
+            }
+        }
+    }
+
+    /// A field value: a scalar, or an array of scalars.
+    fn value(&mut self) -> Result<JsonValue, String> {
+        if self.peek() != Some(b'[') {
+            return self.scalar();
+        }
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(JsonValue::List(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.scalar()?);
+            self.skip_ws();
+            match self.next() {
+                Some(b',') => continue,
+                Some(b']') => return Ok(JsonValue::List(items)),
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
         }
     }
@@ -300,7 +357,7 @@ impl Parser<'_> {
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'n') => self.literal("null", JsonValue::Null),
             Some(b'{') => Err("nested objects are not supported".to_string()),
-            Some(b'[') => Err("arrays are not supported".to_string()),
+            Some(b'[') => Err("nested arrays are not supported".to_string()),
             Some(_) => {
                 let start = self.pos;
                 while matches!(self.peek(), Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')) {
@@ -336,6 +393,7 @@ mod tests {
             .num("alpha", 0.33)
             .int("ad", 6)
             .bool("audit", true)
+            .strs("list", &["", "a\u{1f}b"])
             .raw("nested_ok_when_raw", "null")
             .finish();
         let parsed = FlatJson::parse(&doc).unwrap();
@@ -343,6 +401,7 @@ mod tests {
         assert_eq!(parsed.get_num("alpha"), Some(0.33));
         assert_eq!(parsed.get_num("ad"), Some(6.0));
         assert_eq!(parsed.get_bool("audit"), Some(true));
+        assert_eq!(parsed.get_strs("list"), Some(vec!["", "a\u{1f}b"]));
         assert!(parsed.has("nested_ok_when_raw"));
         assert_eq!(parsed.get_str("nested_ok_when_raw"), None);
     }
@@ -350,15 +409,30 @@ mod tests {
     #[test]
     fn parser_accepts_whitespace_and_empty() {
         assert!(FlatJson::parse("{}").unwrap().fields().next().is_none());
-        let p = FlatJson::parse(" { \"a\" : 1 , \"b\" : \"x\" } ").unwrap();
+        let p = FlatJson::parse(" { \"a\" : 1 , \"b\" : \"x\" , \"c\" : [ ] } ").unwrap();
         assert_eq!(p.get_num("a"), Some(1.0));
         assert_eq!(p.get_str("b"), Some("x"));
+        assert_eq!(p.get_strs("c"), Some(vec![]));
     }
 
     #[test]
     fn parser_rejects_nests_and_garbage() {
+        let p = FlatJson::parse("{\"a\":[1, \"x\" ,true,null]}").unwrap();
+        let items = vec![
+            JsonValue::Num(1.0),
+            JsonValue::Str("x".into()),
+            JsonValue::Bool(true),
+            JsonValue::Null,
+        ];
+        assert_eq!(p.get("a"), Some(&JsonValue::List(items)));
+        assert_eq!(p.get_strs("a"), None, "not every item is a string");
+        assert_eq!(p.get("a").and_then(JsonValue::text), None);
         assert!(FlatJson::parse("{\"a\":{}}").is_err());
-        assert!(FlatJson::parse("{\"a\":[1]}").is_err());
+        assert!(FlatJson::parse("{\"a\":[[1]]}").is_err());
+        assert!(FlatJson::parse("{\"a\":[{}]}").is_err());
+        assert!(FlatJson::parse("{\"a\":[1,]}").is_err());
+        assert!(FlatJson::parse("{\"a\":[1 2]}").is_err());
+        assert!(FlatJson::parse("{\"a\":[1").is_err());
         assert!(FlatJson::parse("{\"a\":1}trailing").is_err());
         assert!(FlatJson::parse("not json").is_err());
         assert!(FlatJson::parse("{\"a\":bogus}").is_err());
@@ -367,8 +441,12 @@ mod tests {
 
     #[test]
     fn escapes_and_unicode() {
-        let p = FlatJson::parse("{\"k\":\"line\\nbreak \\u0041 ünïcode\"}").unwrap();
-        assert_eq!(p.get_str("k"), Some("line\nbreak A ünïcode"));
+        let p = FlatJson::parse("{\"k\":\"line\\nbreak \\u0041 ünïcode 日本\"}").unwrap();
+        assert_eq!(p.get_str("k"), Some("line\nbreak A ünïcode 日本"));
+        let text = "q\"b\\ c\u{1}\t";
+        let doc = JsonObject::new().str("k", text).finish();
+        assert_eq!(doc, "{\"k\":\"q\\\"b\\\\ c\\u0001\\t\"}");
+        assert_eq!(FlatJson::parse(&doc).unwrap().get_str("k"), Some(text));
     }
 
     #[test]

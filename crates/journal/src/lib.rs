@@ -14,7 +14,9 @@
 //!
 //! This crate is the single source of truth for that format: FNV-1a cell
 //! fingerprints, bit-exact `f64` hex encoding, the line codec, and the
-//! maintenance operations behind `bvc journal compact|stat`. It also holds
+//! maintenance operations behind `bvc journal compact|stat`. The line
+//! codec is built on [`json`], the workspace's one JSON writer and reader,
+//! which serve bodies and cluster frames go through too. It also holds
 //! the scalar readers ([`param_f64`], [`param_int`]) the cell parameter
 //! schemas share, so every front end words a bad cell parameter the same
 //! way, the [`Cell`] trait those schemas implement, and
@@ -31,8 +33,10 @@ use std::path::Path;
 use std::time::Duration;
 
 pub mod cell;
+pub mod json;
 
 pub use cell::{Cell, Metric, MetricType, Value};
+use json::{FlatJson, JsonObject};
 
 // ---------------------------------------------------------------------------
 // Fingerprints and bit-exact f64 hex
@@ -115,7 +119,7 @@ pub fn check_param_names<'a>(
 }
 
 // ---------------------------------------------------------------------------
-// Journal codec (hand-rolled JSONL; no serde in this workspace)
+// Journal codec (JSONL through the `json` module)
 // ---------------------------------------------------------------------------
 
 /// One parsed checkpoint-journal line.
@@ -143,225 +147,57 @@ impl JournalEntry {
     }
 }
 
-/// Escapes a string for embedding in a journal-line JSON literal (no
-/// surrounding quotes).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Encodes one journal line (no trailing newline). `vals` is the decimal
 /// mirror of the value, informational for humans reading the journal and
 /// ignored on replay; the hex `bits` in `entry` are canonical. Every writer
 /// (local sweep runner, cluster coordinator) must go through this function
 /// for journals to stay byte-comparable across execution modes.
 pub fn encode_line(entry: &JournalEntry, vals: &[f64]) -> String {
-    let mut line = String::new();
-    let _ = write!(
-        line,
-        "{{\"fp\":\"{:016x}\",\"key\":\"{}\",\"status\":\"{}\",\"attempts\":{}",
-        entry.fp,
-        json_escape(&entry.key),
-        if entry.ok { "ok" } else { "fail" },
-        entry.attempts,
-    );
-    if entry.ok {
-        let _ = write!(line, ",\"bits\":[");
-        for (i, b) in entry.bits.iter().enumerate() {
-            let sep = if i > 0 { "," } else { "" };
-            let _ = write!(line, "{sep}\"{}\"", f64_to_hex(f64::from_bits(*b)));
-        }
-        let _ = write!(line, "],\"vals\":[");
-        for (i, v) in vals.iter().enumerate() {
-            let sep = if i > 0 { "," } else { "" };
-            if v.is_finite() {
-                let _ = write!(line, "{sep}{v}");
-            } else {
-                let _ = write!(line, "{sep}\"{v}\"");
-            }
-        }
-        let _ = write!(line, "]");
-    } else {
-        let _ = write!(line, ",\"reason\":\"{}\"", json_escape(&entry.reason));
+    let line = JsonObject::new()
+        .str("fp", &format!("{:016x}", entry.fp))
+        .str("key", &entry.key)
+        .str("status", if entry.ok { "ok" } else { "fail" })
+        .int("attempts", u64::from(entry.attempts));
+    if !entry.ok {
+        return line.str("reason", &entry.reason).finish();
     }
-    line.push('}');
-    line
-}
-
-/// Minimal cursor over one JSON object line. Tolerant by construction: any
-/// structural surprise makes the whole line parse to `None`, and the caller
-/// skips it (a torn tail line from a killed run must not poison resume).
-struct Cur<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Cur<'_> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> bool {
-        if self.i < self.b.len() && self.b[self.i] == c {
-            self.i += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.ws();
-        if !self.eat(b'"') {
-            return None;
-        }
-        // Accumulate raw bytes and validate UTF-8 once at the closing
-        // quote: pushing bytes >= 0x80 as chars would mangle multi-byte
-        // UTF-8 sequences (mojibake on keys and failure reasons).
-        let mut out = Vec::new();
-        loop {
-            let c = *self.b.get(self.i)?;
-            self.i += 1;
-            match c {
-                b'"' => return String::from_utf8(out).ok(),
-                b'\\' => {
-                    let e = *self.b.get(self.i)?;
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push(b'"'),
-                        b'\\' => out.push(b'\\'),
-                        b'/' => out.push(b'/'),
-                        b'n' => out.push(b'\n'),
-                        b'r' => out.push(b'\r'),
-                        b't' => out.push(b'\t'),
-                        b'u' => {
-                            let hex = self.b.get(self.i..self.i + 4)?;
-                            self.i += 4;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            let mut buf = [0u8; 4];
-                            out.extend_from_slice(
-                                char::from_u32(code)?.encode_utf8(&mut buf).as_bytes(),
-                            );
-                        }
-                        _ => return None,
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<f64> {
-        self.ws();
-        let start = self.i;
-        while self.i < self.b.len()
-            && matches!(self.b[self.i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i]).ok()?.parse().ok()
-    }
-
-    /// Skips a scalar or (possibly nested) array value we don't care about.
-    fn skip_value(&mut self) -> Option<()> {
-        self.ws();
-        match *self.b.get(self.i)? {
-            b'"' => self.string().map(|_| ()),
-            b'[' => {
-                self.i += 1;
-                loop {
-                    self.ws();
-                    if self.eat(b']') {
-                        return Some(());
-                    }
-                    self.skip_value()?;
-                    self.ws();
-                    self.eat(b',');
-                }
-            }
-            b't' | b'f' | b'n' => {
-                while self.i < self.b.len() && self.b[self.i].is_ascii_alphabetic() {
-                    self.i += 1;
-                }
-                Some(())
-            }
-            _ => self.number().map(|_| ()),
-        }
-    }
+    let bits: Vec<String> = entry.bits.iter().map(|&b| f64_to_hex(f64::from_bits(b))).collect();
+    // Non-finite values have no JSON number form; the mirror quotes them.
+    let vals: Vec<String> = vals
+        .iter()
+        .map(|v| if v.is_finite() { v.to_string() } else { format!("\"{v}\"") })
+        .collect();
+    line.strs("bits", &bits).raw("vals", &format!("[{}]", vals.join(","))).finish()
 }
 
 /// Parses one journal line. Tolerant by construction: any structural
 /// surprise (torn tail from a killed run, stray edit) makes the whole line
-/// parse to `None` and the caller skips it.
+/// parse to `None` and the caller skips it. Absent `attempts`, `bits` and
+/// `reason` read as 0 and empty; present with the wrong type, they reject
+/// the line.
 pub fn parse_journal_line(line: &str) -> Option<JournalEntry> {
-    let mut c = Cur { b: line.as_bytes(), i: 0 };
-    c.ws();
-    if !c.eat(b'{') {
-        return None;
-    }
-    let mut fp = None;
-    let mut key = None;
-    let mut status = None;
-    let mut attempts = 0u32;
-    let mut bits = Vec::new();
-    let mut reason = String::new();
-    loop {
-        c.ws();
-        if c.eat(b'}') {
-            break;
-        }
-        let name = c.string()?;
-        c.ws();
-        if !c.eat(b':') {
-            return None;
-        }
-        match name.as_str() {
-            "fp" => fp = u64::from_str_radix(&c.string()?, 16).ok(),
-            "key" => key = Some(c.string()?),
-            "status" => status = Some(c.string()?),
-            "attempts" => attempts = c.number()? as u32,
-            "bits" => {
-                c.ws();
-                if !c.eat(b'[') {
-                    return None;
-                }
-                loop {
-                    c.ws();
-                    if c.eat(b']') {
-                        break;
-                    }
-                    bits.push(f64_from_hex(&c.string()?)?.to_bits());
-                    c.ws();
-                    c.eat(b',');
-                }
-            }
-            "reason" => reason = c.string()?,
-            _ => c.skip_value()?,
-        }
-        c.ws();
-        c.eat(b',');
-    }
-    let status = status?;
-    if status != "ok" && status != "fail" {
-        return None;
-    }
-    Some(JournalEntry { fp: fp?, key: key?, ok: status == "ok", attempts, bits, reason })
+    let doc = FlatJson::parse(line).ok()?;
+    let ok = match doc.get_str("status")? {
+        "ok" => true,
+        "fail" => false,
+        _ => return None,
+    };
+    let attempts = if doc.has("attempts") { doc.get_num("attempts")? as u32 } else { 0 };
+    let bits = if doc.has("bits") {
+        let hex = doc.get_strs("bits")?;
+        hex.iter().map(|h| f64_from_hex(h).map(f64::to_bits)).collect::<Option<_>>()?
+    } else {
+        Vec::new()
+    };
+    let reason = if doc.has("reason") { doc.get_str("reason")?.to_string() } else { String::new() };
+    Some(JournalEntry {
+        fp: u64::from_str_radix(doc.get_str("fp")?, 16).ok()?,
+        key: doc.get_str("key")?.to_string(),
+        ok,
+        attempts,
+        bits,
+        reason,
+    })
 }
 
 /// Loads a journal, last-entry-wins per fingerprint. Unparseable lines
@@ -568,7 +404,7 @@ pub fn recover_journal(path: &Path) -> std::io::Result<RecoveredJournal> {
     let mut entries = HashMap::new();
     for line in bytes[..keep].split(|&b| b == b'\n') {
         // Tolerate CRLF journals (e.g. edited on another platform): the
-        // parser already ignores bytes after the closing brace, but strip
+        // parser already reads a trailing `\r` as whitespace, but strip
         // explicitly so the rule is visible here.
         let line = line.strip_suffix(b"\r").unwrap_or(line);
         if line.is_empty() {
@@ -858,6 +694,32 @@ mod tests {
         let escaped = "{\"fp\":\"0000000000000009\",\"key\":\"\\u03c4\",\
                        \"status\":\"fail\",\"attempts\":1,\"reason\":\"r\"}";
         assert_eq!(parse_journal_line(escaped).unwrap().key, "τ");
+    }
+
+    /// Every proper prefix of a line (a torn tail) parses to `None`; every
+    /// line with one delimiter byte swapped in parses to `None` or an entry,
+    /// without panicking.
+    #[test]
+    fn journal_line_mutants_never_panic() {
+        use proptest::mutate::{mutants, Mutant};
+        let ok = JournalEntry {
+            fp: cell_fingerprint("s1 \"τ\"", "cfg"),
+            key: "s1 \"τ\"".into(),
+            ok: true,
+            attempts: 1,
+            bits: vec![0.25f64.to_bits(), f64::NAN.to_bits(), (-0.0f64).to_bits()],
+            reason: String::new(),
+        };
+        let vals = ok.values();
+        let fail = JournalEntry { ok: false, bits: vec![], reason: "a\nb".into(), ..ok.clone() };
+        for valid in [encode_line(&ok, &vals), encode_line(&fail, &[])] {
+            for mutant in mutants(&valid) {
+                let parsed = parse_journal_line(mutant.text());
+                if let Mutant::Prefix(prefix) = &mutant {
+                    assert_eq!(parsed, None, "torn prefix parsed: {prefix:?}");
+                }
+            }
+        }
     }
 
     #[test]

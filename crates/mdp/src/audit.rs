@@ -20,7 +20,8 @@
 //!   decomposition, forward reachability from a start state, and
 //!   absorbing-state detection.
 //! * **A structured [`AuditReport`]** — per-check pass/warn/fail with
-//!   offending state/arm ids, rendered as text or JSON, and convertible
+//!   offending state/arm ids, rendered as text (`bvc audit --json` renders
+//!   it as JSON), and convertible
 //!   into a structured [`MdpError::AuditFailed`] via [`AuditReport::gate`].
 //!
 //! ## The unichain verdict
@@ -215,60 +216,6 @@ impl AuditReport {
         );
         out
     }
-
-    /// Renders the report as a single JSON object (hand-rolled; this
-    /// workspace has no serde).
-    pub fn render_json(&self) -> String {
-        use fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"states\":{},\"arms\":{},\"transitions\":{},\"passed\":{},\"checks\":[",
-            self.num_states,
-            self.num_arms,
-            self.num_transitions,
-            self.passed()
-        );
-        for (i, c) in self.checks.iter().enumerate() {
-            let status = match c.status {
-                AuditStatus::Pass => "pass",
-                AuditStatus::Warn => "warn",
-                AuditStatus::Fail => "fail",
-            };
-            let _ = write!(
-                out,
-                "{}{{\"name\":\"{}\",\"status\":\"{status}\",\"detail\":\"{}\",\"offenders\":[",
-                if i > 0 { "," } else { "" },
-                json_escape(c.name),
-                json_escape(&c.detail)
-            );
-            for (j, id) in c.offenders.iter().enumerate() {
-                let _ = write!(out, "{}{id}", if j > 0 { "," } else { "" });
-            }
-            let _ = write!(out, "]}}");
-        }
-        let _ = write!(out, "]}}");
-        out
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    use fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1191,20 +1138,11 @@ mod tests {
     }
 
     #[test]
-    fn render_text_and_json_are_well_formed() {
+    fn render_text_is_well_formed() {
         let report = audit(&two_traps(), &AuditOptions::default());
         let text = report.render_text();
         assert!(text.contains("[FAIL]"), "{text}");
         assert!(text.contains("verdict: FAIL"), "{text}");
-        let json = report.render_json();
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"passed\":false"), "{json}");
-        assert!(json.contains("\"name\":\"unichain\""), "{json}");
-        // Balanced braces/brackets (cheap structural sanity without a
-        // JSON parser in scope).
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes, "{json}");
     }
 
     #[test]

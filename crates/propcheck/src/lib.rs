@@ -523,6 +523,58 @@ macro_rules! prop_assume {
     };
 }
 
+// ---------------------------------------------------------------------------
+// Decoder mutations (an extension: not part of proptest's API)
+// ---------------------------------------------------------------------------
+
+/// Corrupted copies of a valid encoding, for checking that a decoder
+/// answers each with a value or an error and never panics. This is the one
+/// item of the shim that proptest does not have.
+pub mod mutate {
+    /// The bytes each position of an encoding is replaced with: the
+    /// delimiters the workspace's JSON and `;`-separated wire decoders
+    /// split on, the ASCII unit separator, NUL, a sign and a letter that is
+    /// no hex digit (the last two turn a number field negative or
+    /// unparseable).
+    pub const REPLACEMENTS: [u8; 10] = [b'"', b'\\', b',', b'[', b']', b';', 0x1f, 0, b'-', b'x'];
+
+    /// One corrupted copy of a valid encoding.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Mutant {
+        /// A proper prefix (possibly empty).
+        Prefix(String),
+        /// The encoding with one byte replaced by one of [`REPLACEMENTS`].
+        Replaced(String),
+    }
+
+    impl Mutant {
+        /// The corrupted text.
+        pub fn text(&self) -> &str {
+            match self {
+                Mutant::Prefix(text) | Mutant::Replaced(text) => text,
+            }
+        }
+    }
+
+    /// Every proper prefix of `valid`, shortest first, then every copy with
+    /// one byte replaced by a different byte of [`REPLACEMENTS`]. Copies
+    /// that are not UTF-8 (a cut or a replacement inside a multi-byte
+    /// character) are left out, since the decoders read `&str`.
+    pub fn mutants(valid: &str) -> impl Iterator<Item = Mutant> + '_ {
+        let bytes = valid.as_bytes();
+        let prefixes =
+            (0..bytes.len()).filter_map(|n| Some(Mutant::Prefix(valid.get(..n)?.to_string())));
+        let replaced = (0..bytes.len()).flat_map(move |at| {
+            REPLACEMENTS.iter().filter(move |&&b| b != bytes[at]).filter_map(move |&b| {
+                let mut copy = bytes.to_vec();
+                copy[at] = b;
+                String::from_utf8(copy).ok().map(Mutant::Replaced)
+            })
+        });
+        prefixes.chain(replaced)
+    }
+}
+
 /// The glob-importable prelude (mirrors `proptest::prelude`).
 pub mod prelude {
     pub use crate::{
@@ -577,6 +629,21 @@ mod tests {
         }
         let fixed = proptest::collection::vec(0u8..4, 5usize);
         assert_eq!(Strategy::sample(&fixed, &mut rng).len(), 5);
+    }
+
+    #[test]
+    fn mutants_cover_prefixes_and_replacements() {
+        use super::mutate::{mutants, Mutant, REPLACEMENTS};
+        let all: Vec<Mutant> = mutants("a;").collect();
+        assert_eq!(all[..2], [Mutant::Prefix(String::new()), Mutant::Prefix("a".into())]);
+        // Every replacement of `a`, all but one of `;` (replacing it with
+        // itself is no mutant).
+        assert_eq!(all.len(), 2 + REPLACEMENTS.len() * 2 - 1);
+        assert!(all.contains(&Mutant::Replaced("\u{1f};".into())));
+        assert!(!all.contains(&Mutant::Replaced("a;".into())));
+        // A cut or replacement inside `é` is not UTF-8 and is left out.
+        let texts: Vec<String> = mutants("é").map(|m| m.text().to_string()).collect();
+        assert_eq!(texts, [""]);
     }
 
     #[test]

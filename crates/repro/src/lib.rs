@@ -29,7 +29,6 @@
 
 pub mod fingerprint;
 pub mod sweep;
-pub(crate) mod sync;
 
 use std::fmt::Write as _;
 use std::ops::ControlFlow;
@@ -208,7 +207,7 @@ where
     use std::panic::AssertUnwindSafe;
     use std::sync::atomic::Ordering;
 
-    use crate::sync::{scope, AtomicBool, AtomicUsize, Mutex};
+    use bvc_check::facade::{scope, AtomicBool, AtomicUsize, Mutex};
 
     let cursor = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);

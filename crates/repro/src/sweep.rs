@@ -33,6 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use bvc_journal::json::escape;
 use bvc_journal::param_seconds;
 use bvc_mdp::MdpError;
 
@@ -51,8 +52,8 @@ pub use crate::fingerprint::{cell_fingerprint, fnv1a64};
 // coordinator writes journals through literally these functions, which is
 // what makes a distributed journal byte-identical to a local one.
 pub use bvc_journal::{
-    encode_line, json_escape, load_journal, parse_journal_line, recover_journal, Durability,
-    JournalEntry, JournalWriter,
+    encode_line, load_journal, parse_journal_line, recover_journal, Durability, JournalEntry,
+    JournalWriter,
 };
 
 // The per-cell runner (watchdog budget, fault injection, panic isolation)
@@ -223,12 +224,12 @@ impl<T: SweepValue> SweepReport<T> {
     /// and CI can consume results without scraping the rendered grid.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        let _ = write!(out, "{{\"sweep\":\"{}\",\"cells\":[", json_escape(&self.label));
+        let _ = write!(out, "{{\"sweep\":\"{}\",\"cells\":[", escape(&self.label));
         for (i, c) in self.cells.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{{\"key\":\"{}\"", json_escape(&c.key));
+            let _ = write!(out, "{{\"key\":\"{}\"", escape(&c.key));
             match &c.outcome {
                 Ok(value) => {
                     let vals = value.encode();
@@ -255,8 +256,8 @@ impl<T: SweepValue> SweepReport<T> {
                     let _ = write!(
                         out,
                         ",\"status\":\"fail\",\"code\":\"{}\",\"reason\":\"{}\"",
-                        json_escape(&failure.reason_code()),
-                        json_escape(&failure.message()),
+                        escape(&failure.reason_code()),
+                        escape(&failure.message()),
                     );
                 }
             }
@@ -594,11 +595,13 @@ where
     }
 
     let pending: Vec<usize> = (0..n).filter(|&i| slots[i].is_none()).collect();
-    let writer = opts.journal.as_ref().map(|path| {
-        Mutex::new(
-            JournalWriter::append_to(path, opts.durability)
+    let journal = opts.journal.as_ref().map(|path| {
+        Mutex::new(JournalOrder {
+            writer: JournalWriter::append_to(path, opts.durability)
                 .unwrap_or_else(|e| panic!("cannot open journal {}: {e}", path.display())),
-        )
+            cursor: 0,
+            lines: (0..pending.len()).map(|_| None).collect(),
+        })
     });
 
     let cancel = Arc::new(AtomicBool::new(false));
@@ -627,35 +630,24 @@ where
         let cell_started = Instant::now();
         let outcome = run_cell(key, &cell_cfg, &cancel, |ctx| solve(&inputs[i], ctx));
 
-        // Journal terminal outcomes. Skips are deliberately not journaled:
-        // the cell was never really attempted and must re-solve on resume.
-        let journaled = match &outcome {
-            Ok(value) => Some((true, value.encode(), String::new())),
-            Err(CellFailure::Skipped) => None,
-            Err(f) => Some((false, Vec::new(), f.message())),
-        };
-        if let (Some(writer), Some((ok, vals, reason))) = (&writer, journaled) {
-            let entry = JournalEntry {
-                fp: fps[i],
-                key: key.clone(),
-                ok,
-                attempts: 1,
-                bits: vals.iter().map(|v| v.to_bits()).collect(),
-                reason,
+        if let Some(journal) = &journal {
+            // Journal terminal outcomes. Skips are deliberately not
+            // journaled: the cell was never really attempted and must
+            // re-solve on resume.
+            let journaled = match &outcome {
+                Ok(value) => Some((true, value.encode(), String::new())),
+                Err(CellFailure::Skipped) => None,
+                Err(f) => Some((false, Vec::new(), f.message())),
             };
-            let line = encode_line(&entry, &vals);
+            let line = journaled.map(|(ok, vals, reason)| {
+                let bits = vals.iter().map(|v| v.to_bits()).collect();
+                let entry =
+                    JournalEntry { fp: fps[i], key: key.clone(), ok, attempts: 1, bits, reason };
+                encode_line(&entry, &vals)
+            });
             // A worker panicking while holding the lock poisons it; the
             // journal file itself is still usable, so recover the guard.
-            let mut file = writer.lock().unwrap_or_else(|e| e.into_inner());
-            // A failed append rolled the file back to the previous line
-            // boundary, so a retry re-appends the identical bytes. Give a
-            // transiently faulted disk a few chances; a line lost past
-            // that degrades to re-solving this cell on resume.
-            for _ in 0..3 {
-                if file.append_line(&line).is_ok() {
-                    break;
-                }
-            }
+            journal.lock().unwrap_or_else(|e| e.into_inner()).finish(p, line);
         }
 
         let failed = matches!(&outcome, Err(f) if !matches!(f, CellFailure::Skipped));
@@ -678,9 +670,11 @@ where
     }
 
     // Durability barrier: under `batch`, appends since the last sync-every-N
-    // boundary are only flushed, not fsynced — close the window here.
-    if let Some(writer) = &writer {
-        let _ = writer.lock().unwrap_or_else(|e| e.into_inner()).sync();
+    // boundary are only flushed, not fsynced — close the window here. Every
+    // line is written by now: claims are made in order, so the cells never
+    // claimed (fail-fast) are a suffix of `pending` with nothing after them.
+    if let Some(journal) = journal {
+        let _ = journal.into_inner().unwrap_or_else(|e| e.into_inner()).writer.sync();
     }
 
     let cells = slots
@@ -698,6 +692,40 @@ where
         .collect();
 
     SweepReport { label: label.to_string(), cells, wall: started.elapsed() }
+}
+
+/// The journal of one [`run_sweep`] and its reorder buffer: lines are
+/// appended in input order, whatever order the workers finish cells in, so
+/// a journal's bytes do not depend on the thread count (the cluster
+/// coordinator's `advance_journal` does the same).
+struct JournalOrder {
+    writer: JournalWriter,
+    /// Position in the pending cells of the next line to append.
+    cursor: usize,
+    /// Per pending cell: `None` until it finishes, then its line, or
+    /// `Some(None)` when it has none (a skip).
+    lines: Vec<Option<Option<String>>>,
+}
+
+impl JournalOrder {
+    /// Records the line of pending cell `p`, then appends every finished
+    /// line at the cursor.
+    fn finish(&mut self, p: usize, line: Option<String>) {
+        self.lines[p] = Some(line);
+        while let Some(done) = self.lines.get_mut(self.cursor).and_then(Option::take) {
+            self.cursor += 1;
+            let Some(line) = done else { continue };
+            // A failed append rolled the file back to the previous line
+            // boundary, so a retry re-appends the identical bytes. Give a
+            // transiently faulted disk a few chances; a line lost past
+            // that degrades to re-solving this cell on resume.
+            for _ in 0..3 {
+                if self.writer.append_line(&line).is_ok() {
+                    break;
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -738,7 +766,8 @@ pub fn run_workload(name: &str, opts: &SweepOptions) -> (Vec<JobSpec>, SweepRepo
 /// The `--cluster` branch of [`run_jobs`]. The journal, fingerprints,
 /// deadline, injection and fail-fast semantics all come from the same
 /// [`SweepOptions`] a local run uses, so the resulting journal is
-/// byte-identical to a local `--threads 1` run over the same cells.
+/// byte-identical to a local run's over the same cells, at any
+/// `--threads`.
 fn run_coordinated(
     addr: &str,
     label: &str,
@@ -962,13 +991,9 @@ mod tests {
                 .map(|i| report.value(i).unwrap().iter().map(|v| v.to_bits()).collect())
                 .collect();
             let attempts: Vec<u32> = report.cells.iter().map(|c| c.attempts).collect();
-            // Lines land in completion order, which two workers may shuffle;
-            // the bytes of each line must not change.
-            let mut lines: Vec<String> =
-                std::fs::read_to_string(&path).unwrap().lines().map(str::to_string).collect();
-            lines.sort_unstable();
+            let journal = std::fs::read_to_string(&path).unwrap();
             let _ = std::fs::remove_file(&path);
-            (values, attempts, lines)
+            (values, attempts, journal)
         };
         assert_eq!(run(2), run(1));
     }

@@ -18,6 +18,7 @@ use bvc_repro::sweep::{fnv1a64, run_sweep, SweepOptions};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 /// Unique scratch path per invocation (tests in one binary share a process).
 fn tmp_journal(tag: &str) -> PathBuf {
@@ -60,12 +61,41 @@ fn sweep(keys: &[String], opts: &SweepOptions, executed: &AtomicUsize) -> Vec<Ve
 fn opts_with(journal: Option<PathBuf>) -> SweepOptions {
     SweepOptions {
         journal,
-        // One worker makes journal line order equal input order, which the
-        // stale-line property below relies on.
+        // Journal lines land in input order at any thread count; the
+        // stale-line property below relies on that order.
         threads: Some(1),
         config_token: "prop-token".to_string(),
         ..Default::default()
     }
+}
+
+/// Lines land in input order whatever order the cells finish in: the
+/// solve time of each cell falls with its index, so on four workers later
+/// cells finish first, and the journal must still equal a one-worker
+/// run's byte for byte.
+#[test]
+fn journal_bytes_do_not_depend_on_thread_count() {
+    let keys: Vec<String> = (0..12).map(|i| format!("cell-{i}")).collect();
+    let run = |threads| {
+        let journal = tmp_journal("order");
+        let opts = SweepOptions { threads: Some(threads), ..opts_with(Some(journal.clone())) };
+        let report = run_sweep(
+            "order",
+            &keys,
+            &opts,
+            |k| k.clone(),
+            |k, _ctx| {
+                let i: u64 = k["cell-".len()..].parse().expect("numbered key");
+                std::thread::sleep(Duration::from_millis(3 * (12 - i)));
+                Ok(val_of(k))
+            },
+        );
+        assert_eq!(report.solved(), keys.len(), "{}", report.failure_legend());
+        let bytes = std::fs::read(&journal).expect("journal written");
+        let _ = std::fs::remove_file(&journal);
+        bytes
+    };
+    assert_eq!(run(4), run(1));
 }
 
 proptest! {

@@ -13,8 +13,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::Ordering;
 
-use crate::sync::{Arc, AtomicU64, AtomicUsize, Condvar, Mutex};
-
+use bvc_check::facade::{Arc, AtomicU64, AtomicUsize, Condvar, Mutex};
 use bvc_journal::cell_fingerprint;
 use bvc_journal::load_journal;
 use bvc_mdp::MdpError;

@@ -399,7 +399,7 @@ fn handle_connection<H: Fn(&Request) -> Response>(
                     400,
                     format!(
                         "{{\"error\":\"bad_request\",\"detail\":\"{}\"}}",
-                        crate::json::escape(&detail)
+                        bvc_journal::json::escape(&detail)
                     ),
                 );
                 write_response(&mut conn.stream, &resp, true)?;

@@ -10,20 +10,19 @@
 //! cache hits.
 //!
 //! The crate is dependency-free by design — the whole workspace builds
-//! offline — so the HTTP substrate ([`http`]), the JSON codec
-//! ([`json`]), and the metrics exposition ([`metrics`]) are hand-rolled
-//! on `std` alone.
+//! offline — so the HTTP substrate ([`http`]) and the metrics exposition
+//! ([`metrics`]) are hand-rolled on `std` alone. Bodies are written and
+//! read with `bvc_journal::json`, the codec journal lines and cluster
+//! frames share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod net;
 pub mod routes;
-pub(crate) mod sync;
 
 pub use cache::{CachedCell, Fetched, SolveCache, SolveFailure};
 pub use http::{HttpConfig, Request, Response};

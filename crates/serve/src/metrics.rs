@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::json::JsonObject;
+use bvc_journal::json::JsonObject;
 
 /// Statuses tracked individually; anything else lands in `other`.
 const STATUSES: [u16; 10] = [200, 400, 404, 405, 413, 422, 429, 431, 500, 503];

@@ -33,6 +33,7 @@ use std::time::{Duration, Instant};
 use bvc_bu::{Action, AttackConfig, AttackModel, SolveOptions};
 use bvc_games::EbChoosingGame;
 use bvc_gamesweep::{FrontierSpec, GameSpec};
+use bvc_journal::json::{FlatJson, JsonObject};
 use bvc_journal::{cell_fingerprint, check_param_names, Cell};
 use bvc_mdp::audit::{demo_multichain, demo_unreachable};
 use bvc_mdp::{audit_compiled, AuditOptions, MdpError, SolveBudget};
@@ -40,7 +41,6 @@ use bvc_scenario::ScenarioSpec;
 
 use crate::cache::{CachedCell, Fetched, SolveCache, SolveFailure};
 use crate::http::{self, HttpConfig, Request, Response, Server};
-use crate::json::{FlatJson, JsonObject};
 use crate::metrics::Metrics;
 
 /// Configuration of one serve instance.
@@ -645,9 +645,12 @@ fn parse_body(req: &Request) -> Result<FlatJson, String> {
 
 /// Parses a `POST /v1/solve` body through the table-cell schema. Each
 /// field is passed as text, a number as its exact `Display` form, so alpha
-/// reaches the model bit for bit.
+/// reaches the model bit for bit; an array value is rejected.
 fn parse_solve_body(doc: &FlatJson) -> Result<CellSpec, String> {
-    let fields: Vec<(&str, Cow<str>)> = doc.fields().map(|(name, v)| (name, v.text())).collect();
+    let fields = doc
+        .fields()
+        .map(|(name, v)| Ok((name, v.text().ok_or(format!("{name}: arrays are not supported"))?)))
+        .collect::<Result<Vec<(&str, Cow<str>)>, String>>()?;
     check_param_names(
         fields.iter().map(|(name, _)| *name),
         &[&AttackConfig::PARAMS, &["audit", "demo"]],
@@ -898,6 +901,22 @@ mod tests {
         assert!(parse_solve_body(&doc).unwrap_err().contains("incentive"));
         let doc = FlatJson::parse("{\"alpha\":0.1,\"eb\":2.5}").unwrap();
         assert!(parse_solve_body(&doc).unwrap_err().contains("eb"));
+    }
+
+    /// The body reader accepts scalar arrays (cluster frames carry them);
+    /// the solve schema takes scalars only, so an array is still a 400.
+    #[test]
+    fn solve_body_array_is_a_bad_request() {
+        let service = Service::new(&ServeConfig::default());
+        for body in ["{\"alpha\":[0.2]}", "{\"alpha\":0.2,\"ratio\":[\"1:1\"]}"] {
+            let mut post = get("/v1/solve");
+            post.method = "POST".to_string();
+            post.body = body.as_bytes().to_vec();
+            let resp = service.handle(&post);
+            assert_eq!(resp.status, 400, "{body}");
+            let text = String::from_utf8(resp.body).unwrap();
+            assert!(text.contains("arrays are not supported"), "{body}: {text}");
+        }
     }
 
     /// A non-finite or unbounded `rds` used to reach the solver and answer
