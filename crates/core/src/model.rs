@@ -22,7 +22,9 @@
 //!   (phase 3), which the model collapses straight back to the base state,
 //!   per the paper.
 
-use bvc_mdp::{explore, Expansion, Explored, MdpError};
+use std::cell::RefCell;
+
+use bvc_mdp::{explore_reusing, Expansion, Explored, Graph, MdpError};
 
 use crate::config::{AttackConfig, IncentiveModel, Setting};
 use crate::rewards::{COMPONENTS, DS, OA, OOTHERS, RA, ROTHERS};
@@ -233,11 +235,41 @@ pub struct AttackModel {
     explored: Explored<AttackState>,
 }
 
+/// What fixes a model's graph: the states, arms and successors. The power
+/// split, `rds` and the threshold only weight it (every share is positive,
+/// so no event is ever dropped for having probability zero).
+type GraphKey = (Setting, bool, u8, u8, u16);
+
+fn graph_key(cfg: &AttackConfig) -> GraphKey {
+    (cfg.setting, cfg.incentive.allows_wait(), cfg.ad, cfg.ad_carol, cfg.gate_blocks)
+}
+
+thread_local! {
+    /// The graph of the last model built on this thread, under its key.
+    static LAST_GRAPH: RefCell<Option<(GraphKey, Graph<AttackState>)>> =
+        const { RefCell::new(None) };
+}
+
 impl AttackModel {
     /// Builds the reachable state space from the base state.
+    ///
+    /// A build with the same setting, `Wait` action, acceptance depths and
+    /// gate as the last one on this thread re-weights that build's graph
+    /// ([`bvc_mdp::refill`]) instead of exploring it again; the model is the
+    /// same bit for bit.
     pub fn build(cfg: AttackConfig) -> Result<Self, MdpError> {
         cfg.validate();
-        let explored = explore(COMPONENTS, [AttackState::BASE], |s, sink| expand(&cfg, s, sink))?;
+        let key = graph_key(&cfg);
+        // Taking the slot drops a graph of another key before exploring, so
+        // a thread never holds two graphs at once.
+        let cached = LAST_GRAPH.with(|slot| slot.take()).filter(|(k, _)| *k == key);
+        let explored = explore_reusing(
+            cached.as_ref().map(|(_, graph)| graph),
+            COMPONENTS,
+            [AttackState::BASE],
+            |s, sink| expand(&cfg, s, sink),
+        )?;
+        LAST_GRAPH.with(|slot| slot.replace(Some((key, explored.graph()))));
         let model = AttackModel { cfg, explored };
         debug_assert!(
             model.audit().passed(),

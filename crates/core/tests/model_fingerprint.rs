@@ -7,10 +7,16 @@
 //! `bvc_journal::fnv1a64`. A change to the transition generator, the
 //! interning order or the merge arithmetic moves the hash, even when every
 //! solved value would stay within its published tolerance.
+//!
+//! Builds on one thread re-weight the last graph when its setting, `Wait`
+//! action, acceptance depths and gate match, so the pins cover re-weighted
+//! models too; `reused_graphs_match_cold_explores` holds every such model
+//! to a cold `explore` of its configuration.
 
-use bvc_bu::{AttackConfig, AttackModel, IncentiveModel, Setting};
+use bvc_bu::rewards::COMPONENTS;
+use bvc_bu::{expand, AttackConfig, AttackModel, AttackState, IncentiveModel, Setting};
 use bvc_journal::fnv1a64;
-use bvc_mdp::{audit_compiled, AuditOptions, AuditStatus, CompiledMdp};
+use bvc_mdp::{audit_compiled, explore, refill_fallbacks, AuditOptions, AuditStatus, CompiledMdp};
 
 fn push(bytes: &mut Vec<u8>, v: u64) {
     bytes.extend_from_slice(&v.to_le_bytes());
@@ -60,8 +66,7 @@ fn incentives() -> [IncentiveModel; 3] {
     ]
 }
 
-#[test]
-fn setting1_models_are_pinned() {
+fn setting1_configs() -> Vec<AttackConfig> {
     let mut configs = Vec::new();
     for incentive in incentives() {
         for alpha in [0.01, 0.1, 0.25, 0.4] {
@@ -71,12 +76,10 @@ fn setting1_models_are_pinned() {
         }
     }
     assert_eq!(configs.len(), 48);
-    let (hash, _) = fingerprint(configs);
-    assert_eq!(hash, 0x3a00_90de_430c_d594, "setting-1 models changed: {hash:016x}");
+    configs
 }
 
-#[test]
-fn setting2_models_are_pinned() {
+fn setting2_configs() -> Vec<AttackConfig> {
     let mut configs = Vec::new();
     for incentive in incentives() {
         for alpha in [0.1, 0.25] {
@@ -94,7 +97,56 @@ fn setting2_models_are_pinned() {
         IncentiveModel::CompliantProfitDriven,
     ));
     assert_eq!(configs.len(), 13);
-    let (hash, states) = fingerprint(configs);
+    configs
+}
+
+#[test]
+fn setting1_models_are_pinned() {
+    let (hash, _) = fingerprint(setting1_configs());
+    assert_eq!(hash, 0x3a00_90de_430c_d594, "setting-1 models changed: {hash:016x}");
+}
+
+#[test]
+fn setting2_models_are_pinned() {
+    let (hash, states) = fingerprint(setting2_configs());
     assert_eq!(states, 63_511);
     assert_eq!(hash, 0xe48a_8d71_b70a_b263, "setting-2 models changed: {hash:016x}");
+}
+
+/// What fixes a model's graph; builds of one key re-weight one graph.
+fn graph_key(cfg: &AttackConfig) -> (Setting, bool, u8, u8, u16) {
+    (cfg.setting, cfg.incentive.allows_wait(), cfg.ad, cfg.ad_carol, cfg.gate_blocks)
+}
+
+/// Both pinned grids, built forward and then in reverse on one thread, plus
+/// a double-spend cell with a non-default `rds` and threshold right after a
+/// default one: every build whose graph key matches the previous build's
+/// must re-weight that graph, and every model must serialize to the same
+/// bytes as a cold `explore` of its configuration. No refill may fall back.
+#[test]
+fn reused_graphs_match_cold_explores() {
+    let mut configs = setting1_configs();
+    configs.extend(setting2_configs());
+    let double_spend = |incentive| AttackConfig::with_ratio(0.25, (1, 2), Setting::One, incentive);
+    configs.push(double_spend(IncentiveModel::non_compliant_default()));
+    configs.push(double_spend(IncentiveModel::NonCompliantProfitDriven { rds: 3.5, threshold: 1 }));
+
+    let mut previous: Option<AttackModel> = None;
+    let mut reused = 0;
+    for cfg in configs.iter().chain(configs.iter().rev()) {
+        let built = AttackModel::build(cfg.clone()).unwrap();
+        if let Some(prev) = previous.as_ref().filter(|p| graph_key(p.config()) == graph_key(cfg)) {
+            assert!(built.mdp().shares_structure(prev.mdp()), "{cfg:?} explored again");
+            reused += 1;
+        }
+        let cold = explore(COMPONENTS, [AttackState::BASE], |s, sink| expand(cfg, s, sink));
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        serialize(&mut got, built.mdp());
+        serialize(&mut want, &cold.unwrap().mdp);
+        assert!(got == want, "{cfg:?}: re-weighted model differs from a cold explore");
+        previous = Some(built);
+    }
+    // 126 builds; the first, and the five graph-key changes each way, explore.
+    assert_eq!(reused, 126 - 11);
+    assert_eq!(refill_fallbacks(), 0);
 }

@@ -8,7 +8,7 @@
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
-use crate::Value;
+use crate::{f64_to_hex, Value};
 
 /// Escapes a string for embedding in a JSON literal (no surrounding
 /// quotes).
@@ -103,6 +103,19 @@ impl JsonObject {
             Value::Num(x) => obj.num(k, x),
             Value::Str(text) => obj.str(k, text),
         })
+    }
+
+    /// Adds a value the way journal lines and sweep reports carry it: a
+    /// `bits` field with the `f64` bit patterns `bits` in hex (canonical)
+    /// and a `vals` field with the decimal mirror `vals`, for readers. The
+    /// mirror quotes non-finite values, since JSON has no number for them.
+    pub fn bits_vals(self, bits: &[u64], vals: &[f64]) -> Self {
+        let hex: Vec<String> = bits.iter().map(|&b| f64_to_hex(f64::from_bits(b))).collect();
+        let mirror: Vec<String> = vals
+            .iter()
+            .map(|v| if v.is_finite() { v.to_string() } else { format!("\"{v}\"") })
+            .collect();
+        self.strs("bits", &hex).raw("vals", &format!("[{}]", mirror.join(",")))
     }
 
     /// Adds a field whose value is already-encoded JSON.

@@ -161,13 +161,7 @@ pub fn encode_line(entry: &JournalEntry, vals: &[f64]) -> String {
     if !entry.ok {
         return line.str("reason", &entry.reason).finish();
     }
-    let bits: Vec<String> = entry.bits.iter().map(|&b| f64_to_hex(f64::from_bits(b))).collect();
-    // Non-finite values have no JSON number form; the mirror quotes them.
-    let vals: Vec<String> = vals
-        .iter()
-        .map(|v| if v.is_finite() { v.to_string() } else { format!("\"{v}\"") })
-        .collect();
-    line.strs("bits", &bits).raw("vals", &format!("[{}]", vals.join(","))).finish()
+    line.bits_vals(&entry.bits, vals).finish()
 }
 
 /// Parses one journal line. Tolerant by construction: any structural

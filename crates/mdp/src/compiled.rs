@@ -11,14 +11,21 @@
 //! rewards:      [r00 r01 .. r0k | r10 r11 .. r1k | …] len T·k, transition-major
 //! ```
 //!
+//! The four arrays that fix the graph — `arm_offsets`, `arm_labels`,
+//! `tr_offsets` and `next` — sit behind one `Arc`, so models that differ
+//! only in `prob` and `rewards` share them; each model owns its `prob` and
+//! `rewards`.
+//!
 //! Models are written straight into these arrays, one state at a time, in
 //! id order: [`explore`](crate::indexer::explore) appends each state's arms
-//! as it expands the state, and [`CompiledMdp::compile`] copies a
-//! hand-written nested [`Mdp`] (the builder for small and random test
-//! models). Both writers run the same checks on every arm as they append it
-//! — nonnegative finite probabilities summing to one, targets in range,
-//! rewards of the declared arity and finite, at least one action per state
-//! — and report the first failure in (state, action, transition) order.
+//! as it expands the state, [`refill`](crate::indexer::refill) writes only
+//! the weights of a graph explored before, and [`CompiledMdp::compile`]
+//! copies a hand-written nested [`Mdp`] (the builder for small and random
+//! test models). Every writer runs the same checks on every arm as it
+//! appends it — nonnegative finite probabilities summing to one, targets in
+//! range, rewards of the declared arity and finite, at least one action per
+//! state — and reports the first failure in (state, action, transition)
+//! order.
 //!
 //! Solvers then run branch-light passes over flat slices. Reward vectors are
 //! collapsed to scalars **once per sweep** by [`CompiledMdp::scalarize`]
@@ -28,6 +35,8 @@
 //! ([`CompiledMdp::combine_scalarized_into`]) — it never re-reads the
 //! `rewards` buffer.
 
+use std::sync::Arc;
+
 use crate::error::MdpError;
 use crate::model::{ActionId, Mdp, Objective, Policy, StateId, PROB_SUM_TOLERANCE};
 use crate::shard::{effective_threads, run_chunked, SCALARIZE_MIN_ARMS};
@@ -36,6 +45,20 @@ use crate::shard::{effective_threads, run_chunked, SCALARIZE_MIN_ARMS};
 #[derive(Debug, Clone)]
 pub struct CompiledMdp {
     reward_components: usize,
+    /// The graph, shared by every model re-weighted from it.
+    structure: Arc<Structure>,
+    /// Probability of every transition. Length `num_transitions`.
+    prob: Vec<f64>,
+    /// Transition-major strided reward components: component `c` of
+    /// transition `t` lives at `t * reward_components + c`. Length
+    /// `num_transitions * reward_components`.
+    rewards: Vec<f64>,
+}
+
+/// The arrays of a [`CompiledMdp`] that fix its graph: which arms each
+/// state has, their labels, and where each transition leads.
+#[derive(Debug)]
+pub(crate) struct Structure {
     /// `arm_offsets[s]..arm_offsets[s+1]` indexes state `s`'s arms. Length
     /// `num_states + 1`.
     arm_offsets: Vec<u32>,
@@ -46,12 +69,161 @@ pub struct CompiledMdp {
     tr_offsets: Vec<u32>,
     /// Destination state of every transition. Length `num_transitions`.
     next: Vec<u32>,
-    /// Probability of every transition. Length `num_transitions`.
-    prob: Vec<f64>,
-    /// Transition-major strided reward components: component `c` of
-    /// transition `t` lives at `t * reward_components + c`. Length
-    /// `num_transitions * reward_components`.
-    rewards: Vec<f64>,
+}
+
+impl Structure {
+    /// A graph with no states yet, for the writers to append to, with room
+    /// for `(states, arms, transitions)`.
+    pub(crate) fn with_capacity((states, arms, transitions): (usize, usize, usize)) -> Self {
+        let mut arm_offsets = Vec::with_capacity(states + 1);
+        arm_offsets.push(0);
+        let mut tr_offsets = Vec::with_capacity(arms + 1);
+        tr_offsets.push(0);
+        Structure {
+            arm_offsets,
+            arm_labels: Vec::with_capacity(arms),
+            tr_offsets,
+            next: Vec::with_capacity(transitions),
+        }
+    }
+
+    /// Appends action `action` (domain label `label`) of `state`, the state
+    /// being written, with the targets of its `(target, probability,
+    /// reward)` transitions; the caller stores the weights.
+    ///
+    /// The arm is always stored; the result is its first failed check, in
+    /// the order they run per transition — negative probability,
+    /// non-finite probability, target not below `num_states`, reward arity,
+    /// non-finite reward — then the probability sum.
+    pub(crate) fn push_arm<'r>(
+        &mut self,
+        (state, action): (StateId, ActionId),
+        label: usize,
+        num_states: usize,
+        transitions: impl IntoIterator<Item = (StateId, f64, &'r [f64])>,
+        k: usize,
+    ) -> Result<(), MdpError> {
+        let mut first_error = None;
+        let mut sum = 0.0;
+        self.arm_labels.push(label as u32);
+        for (to, prob, reward) in transitions {
+            if first_error.is_none() && !(to < num_states && weight_ok(prob, reward, k)) {
+                first_error = transition_error((state, action), (to, num_states), prob, reward, k);
+            }
+            sum += prob;
+            self.next.push(to as u32);
+        }
+        self.tr_offsets.push(self.next.len() as u32);
+        first_error.or_else(|| sum_error((state, action), sum)).map_or(Ok(()), Err)
+    }
+
+    /// Closes `state`, whose arms were just pushed: [`MdpError::NoActions`]
+    /// when it has none.
+    ///
+    /// # Panics
+    /// Panics if the graph has outgrown `u32` index space.
+    pub(crate) fn end_state(&mut self, state: StateId) -> Result<(), MdpError> {
+        assert!(
+            self.next.len() < u32::MAX as usize && self.arm_labels.len() < u32::MAX as usize,
+            "model exceeds u32 index space"
+        );
+        let last = *self.arm_offsets.last().expect("anchored at 0");
+        self.arm_offsets.push(self.arm_labels.len() as u32);
+        if self.arm_labels.len() as u32 == last {
+            return Err(MdpError::NoActions { state });
+        }
+        Ok(())
+    }
+
+    /// `(states, arms, transitions)` written so far.
+    pub(crate) fn sizes(&self) -> (usize, usize, usize) {
+        (self.arm_offsets.len() - 1, self.arm_labels.len(), self.next.len())
+    }
+
+    /// Global arm indices of state `s`.
+    #[inline]
+    pub(crate) fn arm_range(&self, s: StateId) -> std::ops::Range<usize> {
+        self.arm_offsets[s] as usize..self.arm_offsets[s + 1] as usize
+    }
+
+    /// Domain label of global arm `arm`.
+    #[inline]
+    pub(crate) fn arm_label(&self, arm: usize) -> usize {
+        self.arm_labels[arm] as usize
+    }
+
+    /// Transition indices of global arm `arm`.
+    #[inline]
+    pub(crate) fn transition_range(&self, arm: usize) -> std::ops::Range<usize> {
+        self.tr_offsets[arm] as usize..self.tr_offsets[arm + 1] as usize
+    }
+
+    /// Destination states of global arm `arm`'s transitions.
+    #[inline]
+    pub(crate) fn targets(&self, arm: usize) -> &[u32] {
+        &self.next[self.transition_range(arm)]
+    }
+}
+
+/// Whether one transition's weights pass every check of
+/// [`transition_error`]: the branch-light test the writers run first.
+#[inline]
+fn weight_ok(prob: f64, reward: &[f64], k: usize) -> bool {
+    (0.0..f64::INFINITY).contains(&prob)
+        && reward.len() == k
+        && reward.iter().all(|r| r.is_finite())
+}
+
+/// The first failed check of one transition, in the order they run:
+/// negative probability, non-finite probability, target not below
+/// `num_states`, reward arity, non-finite reward.
+#[cold]
+fn transition_error(
+    (state, action): (StateId, ActionId),
+    (to, num_states): (StateId, usize),
+    prob: f64,
+    reward: &[f64],
+    k: usize,
+) -> Option<MdpError> {
+    if prob < 0.0 {
+        Some(MdpError::NegativeProbability { state, action, prob })
+    } else if !prob.is_finite() {
+        Some(MdpError::NonFiniteProbability { state, action, prob })
+    } else if to >= num_states {
+        Some(MdpError::DanglingTarget { state, action, target: to })
+    } else if reward.len() != k {
+        Some(MdpError::RewardArity { state, action, found: reward.len(), expected: k })
+    } else {
+        let c = reward.iter().position(|r| !r.is_finite())?;
+        Some(MdpError::NonFiniteReward { state, action, component: c, value: reward[c] })
+    }
+}
+
+/// The first failed check of one arm's `(probability, reward)` weights, in
+/// [`Structure::push_arm`]'s order, for an arm whose targets are known to
+/// be in range.
+pub(crate) fn arm_weights_error<'r>(
+    (state, action): (StateId, ActionId),
+    k: usize,
+    weights: impl IntoIterator<Item = (f64, &'r [f64])>,
+) -> Option<MdpError> {
+    let mut sum = 0.0;
+    for (prob, reward) in weights {
+        if !weight_ok(prob, reward, k) {
+            return transition_error((state, action), (0, 1), prob, reward, k);
+        }
+        sum += prob;
+    }
+    sum_error((state, action), sum)
+}
+
+/// The probability-sum check that closes every arm.
+fn sum_error((state, action): (StateId, ActionId), sum: f64) -> Option<MdpError> {
+    ((sum - 1.0).abs() > PROB_SUM_TOLERANCE).then_some(MdpError::BadProbabilitySum {
+        state,
+        action,
+        sum,
+    })
 }
 
 /// What [`CompiledMdp::compile`] accepts: a nested builder model, which it
@@ -96,21 +268,31 @@ impl CompiledMdp {
     /// Writes every arm of `mdp`, checked, and returns the model with the
     /// first failed check (an empty model fails with [`MdpError::Empty`]).
     fn write_nested(mdp: &Mdp) -> (Self, Option<MdpError>) {
-        let n = mdp.num_states();
-        let mut out = CompiledMdp::with_capacity(mdp.reward_components(), (0, 0, 0));
+        let (n, k) = (mdp.num_states(), mdp.reward_components());
+        let mut structure = Structure::with_capacity((0, 0, 0));
+        let (mut prob, mut rewards) = (Vec::new(), Vec::new());
         let mut first_error = (n == 0).then_some(MdpError::Empty);
         for (s, arms) in mdp.iter_states() {
             for (a, arm) in arms.iter().enumerate() {
                 let transitions = arm.transitions.iter().map(|t| (t.to, t.prob, &t.reward[..]));
-                if let Err(e) = out.push_arm(s, a, arm.label, n, transitions) {
+                if let Err(e) = structure.push_arm((s, a), arm.label, n, transitions.clone(), k) {
                     first_error.get_or_insert(e);
                 }
+                for (_, p, reward) in transitions {
+                    prob.push(p);
+                    // A reward of the wrong arity is stored as `k` NaNs.
+                    if reward.len() == k {
+                        rewards.extend_from_slice(reward);
+                    } else {
+                        rewards.resize(rewards.len() + k, f64::NAN);
+                    }
+                }
             }
-            if let Err(e) = out.end_state(s) {
+            if let Err(e) = structure.end_state(s) {
                 first_error.get_or_insert(e);
             }
         }
-        (out, first_error)
+        (CompiledMdp::from_parts(k, Arc::new(structure), prob, rewards), first_error)
     }
 
     /// [`CompiledMdp::compile`] without the checks, so audit tests can build
@@ -126,112 +308,48 @@ impl CompiledMdp {
         Self::compile(mdp).expect("well-formed test model")
     }
 
-    /// A model with no states yet, for the writers to append to, with room
-    /// for `(states, arms, transitions)`.
-    pub(crate) fn with_capacity(
+    /// A model on `structure`, shared, with the given weights: `prob`
+    /// holds one value and `rewards` `reward_components` values per
+    /// transition of `structure`, in CSR order.
+    pub(crate) fn from_parts(
         reward_components: usize,
-        (states, arms, transitions): (usize, usize, usize),
+        structure: Arc<Structure>,
+        prob: Vec<f64>,
+        rewards: Vec<f64>,
     ) -> Self {
-        let mut arm_offsets = Vec::with_capacity(states + 1);
-        arm_offsets.push(0);
-        let mut tr_offsets = Vec::with_capacity(arms + 1);
-        tr_offsets.push(0);
-        CompiledMdp {
-            reward_components,
-            arm_offsets,
-            arm_labels: Vec::with_capacity(arms),
-            tr_offsets,
-            next: Vec::with_capacity(transitions),
-            prob: Vec::with_capacity(transitions),
-            rewards: Vec::with_capacity(transitions * reward_components),
-        }
+        debug_assert_eq!(prob.len(), structure.next.len());
+        debug_assert_eq!(rewards.len(), prob.len() * reward_components);
+        CompiledMdp { reward_components, structure, prob, rewards }
     }
 
-    /// Appends action `action` (domain label `label`) of `state`, the state
-    /// being written, with its `(target, probability, reward)` transitions.
-    ///
-    /// The arm is always stored; the result is its first failed check, in
-    /// the order they run per transition — negative probability,
-    /// non-finite probability, target not below `num_states`, reward arity,
-    /// non-finite reward — then the probability sum. A reward of the wrong
-    /// arity is stored as `reward_components` NaNs.
-    pub(crate) fn push_arm<'r>(
-        &mut self,
-        state: StateId,
-        action: ActionId,
-        label: usize,
-        num_states: usize,
-        transitions: impl IntoIterator<Item = (StateId, f64, &'r [f64])>,
-    ) -> Result<(), MdpError> {
-        let k = self.reward_components;
-        let mut first_error = None;
-        let mut fail = |e: MdpError| {
-            first_error.get_or_insert(e);
-        };
-        let mut sum = 0.0;
-        self.arm_labels.push(label as u32);
-        for (to, prob, reward) in transitions {
-            if prob < 0.0 {
-                fail(MdpError::NegativeProbability { state, action, prob });
-            } else if !prob.is_finite() {
-                fail(MdpError::NonFiniteProbability { state, action, prob });
-            } else if to >= num_states {
-                fail(MdpError::DanglingTarget { state, action, target: to });
-            } else if reward.len() != k {
-                fail(MdpError::RewardArity { state, action, found: reward.len(), expected: k });
-            } else if let Some(c) = reward.iter().position(|r| !r.is_finite()) {
-                fail(MdpError::NonFiniteReward { state, action, component: c, value: reward[c] });
-            }
-            sum += prob;
-            self.next.push(to as u32);
-            self.prob.push(prob);
-            if reward.len() == k {
-                self.rewards.extend_from_slice(reward);
-            } else {
-                self.rewards.resize(self.rewards.len() + k, f64::NAN);
-            }
-        }
-        self.tr_offsets.push(self.next.len() as u32);
-        if (sum - 1.0).abs() > PROB_SUM_TOLERANCE {
-            fail(MdpError::BadProbabilitySum { state, action, sum });
-        }
-        first_error.map_or(Ok(()), Err)
+    /// The shared graph arrays, for [`refill`](crate::indexer::refill).
+    pub(crate) fn structure(&self) -> &Arc<Structure> {
+        &self.structure
     }
 
-    /// Closes `state`, whose arms were just pushed: [`MdpError::NoActions`]
-    /// when it has none.
-    ///
-    /// # Panics
-    /// Panics if the model has outgrown `u32` index space.
-    pub(crate) fn end_state(&mut self, state: StateId) -> Result<(), MdpError> {
-        assert!(
-            self.next.len() < u32::MAX as usize && self.arm_labels.len() < u32::MAX as usize,
-            "model exceeds u32 index space"
-        );
-        let last = *self.arm_offsets.last().expect("anchored at 0");
-        self.arm_offsets.push(self.arm_labels.len() as u32);
-        if self.arm_labels.len() as u32 == last {
-            return Err(MdpError::NoActions { state });
-        }
-        Ok(())
+    /// Whether `self` and `other` share one copy of the structure arrays:
+    /// one was [`refill`](crate::indexer::refill)ed on the other's graph,
+    /// or both on a third's.
+    pub fn shares_structure(&self, other: &CompiledMdp) -> bool {
+        Arc::ptr_eq(&self.structure, &other.structure)
     }
 
     /// Number of states.
     #[inline]
     pub fn num_states(&self) -> usize {
-        self.arm_offsets.len() - 1
+        self.structure.arm_offsets.len() - 1
     }
 
     /// Total number of (state, action) arms.
     #[inline]
     pub fn num_arms(&self) -> usize {
-        self.arm_labels.len()
+        self.structure.arm_labels.len()
     }
 
     /// Total number of transitions.
     #[inline]
     pub fn num_transitions(&self) -> usize {
-        self.next.len()
+        self.structure.next.len()
     }
 
     /// Number of reward components per transition.
@@ -243,25 +361,25 @@ impl CompiledMdp {
     /// Global arm indices of state `s`.
     #[inline]
     pub fn arm_range(&self, s: StateId) -> std::ops::Range<usize> {
-        self.arm_offsets[s] as usize..self.arm_offsets[s + 1] as usize
+        self.structure.arm_range(s)
     }
 
     /// Number of arms of state `s`.
     #[inline]
     pub fn num_arms_of(&self, s: StateId) -> usize {
-        (self.arm_offsets[s + 1] - self.arm_offsets[s]) as usize
+        (self.structure.arm_offsets[s + 1] - self.structure.arm_offsets[s]) as usize
     }
 
     /// The global arm index selected by `policy` in state `s`.
     #[inline]
     pub fn policy_arm(&self, policy: &Policy, s: StateId) -> usize {
-        self.arm_offsets[s] as usize + policy.choices[s]
+        self.structure.arm_offsets[s] as usize + policy.choices[s]
     }
 
     /// Transition indices of global arm `arm`.
     #[inline]
     pub fn transition_range(&self, arm: usize) -> std::ops::Range<usize> {
-        self.tr_offsets[arm] as usize..self.tr_offsets[arm + 1] as usize
+        self.structure.transition_range(arm)
     }
 
     /// `(probabilities, destinations)` of global arm `arm`, as parallel
@@ -269,19 +387,19 @@ impl CompiledMdp {
     #[inline]
     pub fn arm_transitions(&self, arm: usize) -> (&[f64], &[u32]) {
         let r = self.transition_range(arm);
-        (&self.prob[r.clone()], &self.next[r])
+        (&self.prob[r.clone()], &self.structure.next[r])
     }
 
     /// Domain label of the local action `a` of state `s`.
     #[inline]
     pub fn label(&self, s: StateId, a: ActionId) -> usize {
-        self.arm_label(self.arm_offsets[s] as usize + a)
+        self.arm_label(self.structure.arm_offsets[s] as usize + a)
     }
 
     /// Domain label of global arm `arm`.
     #[inline]
     pub fn arm_label(&self, arm: usize) -> usize {
-        self.arm_labels[arm] as usize
+        self.structure.arm_label(arm)
     }
 
     /// The local action of state `s` whose domain label is `label`, if any.
@@ -293,7 +411,7 @@ impl CompiledMdp {
     /// global arm `arm`, in stored order.
     pub fn transitions(&self, arm: usize) -> impl Iterator<Item = (StateId, f64, &[f64])> + '_ {
         self.transition_range(arm)
-            .map(|t| (self.next[t] as usize, self.prob[t], self.transition_rewards(t)))
+            .map(|t| (self.structure.next[t] as usize, self.prob[t], self.transition_rewards(t)))
     }
 
     /// Reward components of transition `t` (strided view).
@@ -305,13 +423,13 @@ impl CompiledMdp {
     /// Raw `(arm_offsets, tr_offsets)` arrays, for layout auditing.
     #[inline]
     pub(crate) fn raw_offsets(&self) -> (&[u32], &[u32]) {
-        (&self.arm_offsets, &self.tr_offsets)
+        (&self.structure.arm_offsets, &self.structure.tr_offsets)
     }
 
     /// Raw destination-index buffer, for layout auditing.
     #[inline]
     pub(crate) fn raw_next(&self) -> &[u32] {
-        &self.next
+        &self.structure.next
     }
 
     /// Raw probability buffer, for numeric auditing.

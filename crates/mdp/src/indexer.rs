@@ -5,15 +5,33 @@
 //! interns typed states into dense [`StateId`]s, and [`explore`] drives a
 //! breadth-first expansion from a set of start states, writing the model
 //! straight into a [`CompiledMdp`]. The expansion function writes each
-//! state's actions into an [`Expansion`] sink whose buffers `explore` reuses
-//! from state to state, so the only allocations of a build are the model's
-//! own.
+//! state's actions into an [`Expansion`] sink. Its successor buffers are
+//! reused from state to state, and its probability and reward buffers keep
+//! every state's weights in CSR order and become the model's, so the only
+//! allocations of a build are the model's own.
+//!
+//! ## Graph reuse
+//!
+//! Models of one family often share their graph — the same states, arms
+//! and successors — and differ only in probabilities and rewards. An
+//! explored model's [`Graph`] keeps that part (the interned states and the
+//! CSR structure arrays, both behind `Arc`s), and [`refill`] builds the
+//! model of another parameter point on it: it calls `expand` on every
+//! stored state in id order and writes only the weights, with no hashing
+//! and no interning. Every arm label, arm count, outcome count and typed
+//! successor is compared with the stored one; any difference means the
+//! graph is not the caller's, and `refill` returns `None` rather than a
+//! model. [`explore_reusing`] then explores afresh and counts the fallback
+//! ([`refill_fallbacks`]); a caller whose key fixes the graph should never
+//! see one.
 
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use crate::compiled::CompiledMdp;
+use crate::compiled::{arm_weights_error, CompiledMdp, Structure};
 use crate::error::MdpError;
 use crate::model::{ActionId, StateId};
 
@@ -93,7 +111,9 @@ impl<S: Clone + Eq + Hash> StateIndexer<S> {
     pub fn get(&self, state: &S) -> Option<StateId> {
         self.forward.get(state).copied()
     }
+}
 
+impl<S> StateIndexer<S> {
     /// The typed state behind `id`.
     pub fn state(&self, id: StateId) -> &S {
         &self.backward[id]
@@ -133,36 +153,53 @@ pub struct Expansion<S> {
     components: usize,
     /// `(label, index of the action's first outcome)` per action.
     arms: Vec<(usize, usize)>,
-    outcomes: Vec<(S, f64)>,
-    /// `components` values per entry of `outcomes`.
+    /// Successor of every outcome of the state being expanded.
+    next: Vec<S>,
+    /// Probability of every outcome, after the `kept` ones of earlier
+    /// states.
+    prob: Vec<f64>,
+    /// `components` values per entry of `prob`.
     rewards: Vec<f64>,
+    /// Outcomes of earlier states kept at the front of `prob` and
+    /// `rewards`: [`explore`] and [`refill`] keep every state's weights
+    /// there, so the buffers become the model's with no copy.
+    kept: usize,
     /// The first `(action, reward length)` whose arity was wrong.
     bad_arity: Option<(ActionId, usize)>,
 }
 
 impl<S> Expansion<S> {
-    fn new(reward_components: usize) -> Self {
+    /// An empty sink with room for the weights of `transitions` outcomes.
+    fn with_capacity(reward_components: usize, transitions: usize) -> Self {
         Expansion {
             components: reward_components,
             arms: Vec::new(),
-            outcomes: Vec::new(),
-            rewards: Vec::new(),
+            next: Vec::new(),
+            prob: Vec::with_capacity(transitions),
+            rewards: Vec::with_capacity(transitions * reward_components),
+            kept: 0,
             bad_arity: None,
         }
     }
 
     fn clear(&mut self) {
         self.arms.clear();
-        self.outcomes.clear();
-        self.rewards.clear();
+        self.next.clear();
+        self.prob.truncate(self.kept);
+        self.rewards.truncate(self.kept * self.components);
         self.bad_arity = None;
+    }
+
+    /// Keeps this state's weights at the front of the buffers.
+    fn keep(&mut self) {
+        self.kept = self.prob.len();
     }
 
     /// Opens the next action, with domain label `label` (carried into
     /// [`CompiledMdp::label`]). Its outcomes are written through the
     /// returned handle, so no outcome can exist without an action.
     pub fn action(&mut self, label: usize) -> ActionOutcomes<'_, S> {
-        self.arms.push((label, self.outcomes.len()));
+        self.arms.push((label, self.next.len()));
         ActionOutcomes { sink: self }
     }
 
@@ -176,13 +213,13 @@ impl<S> Expansion<S> {
     }
 
     /// Action `i`'s label and its outcomes with their reward slices.
-    fn arm(&self, i: usize) -> (usize, impl Iterator<Item = (&S, f64, &[f64])>) {
+    fn arm(&self, i: usize) -> (usize, impl ExactSizeIterator<Item = (&S, f64, &[f64])>) {
         let (label, first) = self.arms[i];
-        let end = self.arms.get(i + 1).map_or(self.outcomes.len(), |&(_, next)| next);
+        let end = self.arms.get(i + 1).map_or(self.next.len(), |&(_, next)| next);
         let c = self.components;
         let outcomes = (first..end).map(move |k| {
-            let (next, prob) = &self.outcomes[k];
-            (next, *prob, &self.rewards[k * c..(k + 1) * c])
+            let w = self.kept + k;
+            (&self.next[k], self.prob[w], &self.rewards[w * c..(w + 1) * c])
         });
         (label, outcomes)
     }
@@ -206,7 +243,8 @@ impl<S> ActionOutcomes<'_, S> {
             }
             return;
         }
-        sink.outcomes.push((next, prob));
+        sink.next.push(next);
+        sink.prob.push(prob);
         sink.rewards.extend_from_slice(reward);
     }
 }
@@ -227,7 +265,7 @@ where
     S: Clone,
     F: FnMut(&S, &mut Expansion<S>),
 {
-    let mut sink = Expansion::new(reward_components);
+    let mut sink = Expansion::with_capacity(reward_components, 0);
     expand(state, &mut sink);
     sink.check_arity(0)?;
     Ok((0..sink.arms.len())
@@ -245,14 +283,133 @@ thread_local! {
     static LAST_BUILD: Cell<(usize, usize, usize)> = const { Cell::new((0, 0, 0)) };
 }
 
-/// Result of [`explore`]: the built model plus the state interning used, so
-/// callers can map solver output back to typed states.
+/// Result of [`explore`] and [`refill`]: the built model plus the state
+/// interning used, so callers can map solver output back to typed states.
 #[derive(Debug)]
 pub struct Explored<S> {
     /// The constructed (validated) model.
     pub mdp: CompiledMdp,
-    /// Mapping between typed states and the model's state indices.
-    pub indexer: StateIndexer<S>,
+    /// Mapping between typed states and the model's state indices, shared
+    /// with every model [`refill`]ed from this one's [`Graph`].
+    pub indexer: Arc<StateIndexer<S>>,
+}
+
+impl<S> Explored<S> {
+    /// The model's graph without its weights, for [`refill`]: two
+    /// reference-count increments. It keeps the interned states and the
+    /// structure arrays alive, not the probabilities or rewards.
+    pub fn graph(&self) -> Graph<S> {
+        Graph { structure: Arc::clone(self.mdp.structure()), indexer: Arc::clone(&self.indexer) }
+    }
+}
+
+/// The weight-free part of an explored model: its interned states and the
+/// CSR arrays that fix its arms and successors (see the module docs).
+#[derive(Debug)]
+pub struct Graph<S> {
+    structure: Arc<Structure>,
+    indexer: Arc<StateIndexer<S>>,
+}
+
+/// Refills that found their graph differ from the re-expansion, process-wide.
+static REFILL_FALLBACKS: AtomicU64 = AtomicU64::new(0);
+
+/// How many times [`explore_reusing`] has fallen back from [`refill`] to a
+/// fresh [`explore`] in this process. Each one means a caller reused a
+/// graph its parameters do not fix.
+pub fn refill_fallbacks() -> u64 {
+    // ordering: Relaxed — a monotonic counter read for reporting; it guards no other data.
+    REFILL_FALLBACKS.load(Ordering::Relaxed)
+}
+
+/// Builds the model `expand` defines on the states of `graph`, without
+/// exploring: `expand` runs once per stored state, in id order, and only
+/// the probabilities and rewards are written; the model shares `graph`'s
+/// interned states and structure arrays.
+///
+/// Returns `None` when the expansion does not reproduce the graph: an arm
+/// count, arm label, outcome count or typed successor differs from the
+/// stored one. Otherwise the result is exactly what [`explore`] from the
+/// graph's start states would return — the same model bit for bit, or the
+/// same error: a reward of the wrong arity as soon as its state is
+/// expanded, else the first failed `explore` check in (state, action,
+/// transition) order.
+pub fn refill<S, F>(
+    graph: &Graph<S>,
+    reward_components: usize,
+    mut expand: F,
+) -> Option<Result<Explored<S>, MdpError>>
+where
+    S: Eq,
+    F: FnMut(&S, &mut Expansion<S>),
+{
+    let Graph { structure, indexer } = graph;
+    let mut sink = Expansion::with_capacity(reward_components, structure.sizes().2);
+    let mut first_error = None;
+    for id in 0..indexer.len() {
+        sink.clear();
+        expand(indexer.state(id), &mut sink);
+        if let Err(e) = sink.check_arity(id) {
+            return Some(Err(e));
+        }
+        let arms = structure.arm_range(id);
+        if sink.arms.len() != arms.len() {
+            return None;
+        }
+        for (a, arm) in arms.enumerate() {
+            let (label, outcomes) = sink.arm(a);
+            let stored = structure.targets(arm);
+            if label != structure.arm_label(arm)
+                || outcomes.len() != stored.len()
+                || outcomes
+                    .zip(stored)
+                    .any(|((next, _, _), &to)| next != indexer.state(to as usize))
+            {
+                return None;
+            }
+            if first_error.is_none() {
+                let weights = sink.arm(a).1.map(|(_, prob, reward)| (prob, reward));
+                first_error = arm_weights_error((id, a), reward_components, weights);
+            }
+        }
+        sink.keep();
+    }
+    Some(match first_error {
+        Some(e) => Err(e),
+        None => {
+            let mdp = CompiledMdp::from_parts(
+                reward_components,
+                Arc::clone(structure),
+                sink.prob,
+                sink.rewards,
+            );
+            Ok(Explored { mdp, indexer: Arc::clone(indexer) })
+        }
+    })
+}
+
+/// [`refill`] of `graph` when there is one, else [`explore`]; a refill that
+/// finds a different graph falls back to `explore` and is counted in
+/// [`refill_fallbacks`]. `start` must be the start states `graph` was
+/// explored from. The result is always what `explore` returns.
+pub fn explore_reusing<S, F>(
+    graph: Option<&Graph<S>>,
+    reward_components: usize,
+    start: impl IntoIterator<Item = S>,
+    mut expand: F,
+) -> Result<Explored<S>, MdpError>
+where
+    S: Clone + Eq + Hash,
+    F: FnMut(&S, &mut Expansion<S>),
+{
+    if let Some(graph) = graph {
+        match refill(graph, reward_components, &mut expand) {
+            Some(built) => return built,
+            // ordering: Relaxed — a monotonic counter; it guards no other data.
+            None => REFILL_FALLBACKS.fetch_add(1, Ordering::Relaxed),
+        };
+    }
+    explore(reward_components, start, expand)
 }
 
 /// Builds a [`CompiledMdp`] by breadth-first expansion from `start` states.
@@ -284,8 +441,9 @@ where
     // from empty instead, the arrays of every large model land on fresh
     // pages: over Table 3's setting-2 cells that was ~100k page faults and
     // 0.3 s of system time in a 1.0 s run. Capacity never changes a model.
-    let mut mdp = CompiledMdp::with_capacity(reward_components, LAST_BUILD.with(Cell::get));
-    let mut sink = Expansion::new(reward_components);
+    let capacity = LAST_BUILD.with(Cell::get);
+    let mut structure = Structure::with_capacity(capacity);
+    let mut sink = Expansion::with_capacity(reward_components, capacity.2);
     for s in start {
         indexer.intern(&s);
     }
@@ -304,20 +462,31 @@ where
             let outcomes =
                 outcomes.map(|(next, prob, reward)| (indexer.intern(next).0, prob, reward));
             // An interned successor always exists: no target bound applies.
-            if let Err(e) = mdp.push_arm(id, a, label, usize::MAX, outcomes) {
+            let written =
+                structure.push_arm((id, a), label, usize::MAX, outcomes, reward_components);
+            if let Err(e) = written {
                 first_error.get_or_insert(e);
             }
         }
-        if let Err(e) = mdp.end_state(id) {
+        if let Err(e) = structure.end_state(id) {
             first_error.get_or_insert(e);
         }
+        sink.keep();
         id += 1;
     }
 
-    LAST_BUILD.with(|last| last.set((mdp.num_states(), mdp.num_arms(), mdp.num_transitions())));
+    LAST_BUILD.with(|last| last.set(structure.sizes()));
     match first_error {
         Some(e) => Err(e),
-        None => Ok(Explored { mdp, indexer }),
+        None => {
+            let mdp = CompiledMdp::from_parts(
+                reward_components,
+                Arc::new(structure),
+                sink.prob,
+                sink.rewards,
+            );
+            Ok(Explored { mdp, indexer: Arc::new(indexer) })
+        }
     }
 }
 

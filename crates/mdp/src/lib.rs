@@ -70,7 +70,8 @@ pub use budget::SolveBudget;
 pub use compiled::{Compile, CompiledMdp};
 pub use error::MdpError;
 pub use indexer::{
-    expand_one, explore, ActionOutcomes, CollectedAction, Expansion, Explored, StateIndexer,
+    expand_one, explore, explore_reusing, refill, refill_fallbacks, ActionOutcomes,
+    CollectedAction, Expansion, Explored, Graph, StateIndexer,
 };
 pub use model::{ActionId, Mdp, Objective, Policy, StateId, Transition};
 pub use policy_table::{PolicyTable, PolicyTableError};

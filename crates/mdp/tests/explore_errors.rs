@@ -6,8 +6,13 @@
 //! as its state is expanded, otherwise the first malformed arm or
 //! action-less state in (state, action) order. Errors are compared by their
 //! `Debug` form, so NaN fields compare equal.
+//!
+//! `refill`, which re-weights a graph explored before instead of exploring
+//! again, must keep the same contract: on a graph the expansion reproduces
+//! it returns `explore`'s model or error, and on any other graph it returns
+//! no model, so `explore_reusing` explores afresh and counts the fallback.
 
-use bvc_mdp::{explore, Expansion, MdpError};
+use bvc_mdp::{explore, explore_reusing, refill, refill_fallbacks, Expansion, Explored, MdpError};
 
 /// A malformed expansion over states `0..`: every state but the named bad
 /// ones steps to `s + 1` (state 3 back to 0) with reward `[1.0]`.
@@ -137,4 +142,109 @@ fn explore_errors_match_explore_then_validate() {
 
 fn step_ok(s: &u32, x: &mut Expansion<u32>) {
     step(*s, x);
+}
+
+/// [`case_prob`]'s well-formed twin: the same arms and successors.
+fn twin_prob(s: &u32, x: &mut Expansion<u32>) {
+    case_prob(s, x, 0.5);
+}
+
+/// [`case_arity`]'s well-formed twin.
+fn twin_arity(s: &u32, x: &mut Expansion<u32>) {
+    step(*s, x);
+    if *s == 2 {
+        let mut arm = x.action(1);
+        arm.outcome(0, 0.5, &[1.0]);
+        arm.outcome(1, 0.5, &[2.0]);
+    }
+}
+
+fn outcome_text(built: Result<Explored<u32>, MdpError>) -> String {
+    match built {
+        Ok(explored) => format!("ok: {} states", explored.mdp.num_states()),
+        Err(e) => format!("{e:?}"),
+    }
+}
+
+/// Each malformed expansion re-weighting a well-formed graph: where the
+/// graph is the expansion's own, `refill` reports `explore`'s error itself;
+/// where it is not (a state loses its actions, an arm its outcomes),
+/// `refill` returns no model and `explore_reusing` explores afresh. Either
+/// way the caller sees `explore`'s error.
+#[test]
+fn refill_errors_match_explore() {
+    let cases: [(&str, Expand, Expand, bool); 12] = [
+        ("no actions", step_ok, case_no_actions, false),
+        ("empty arm", step_ok, case_empty_arm, false),
+        ("negative", twin_prob, case_negative, true),
+        ("nan prob", twin_prob, case_nan_prob, true),
+        ("+inf prob", twin_prob, case_pos_inf, true),
+        ("-inf prob", twin_prob, case_neg_inf, true),
+        ("bad sum", twin_prob, case_bad_sum, true),
+        ("nan reward", step_ok, case_nan_reward, true),
+        ("arity", twin_arity, case_arity, true),
+        ("two bad states", step_ok, case_two_bad_states, true),
+        ("arity after a bad state", step_ok, case_arity_after_bad_state, true),
+        ("well-formed", twin_prob, twin_prob, true),
+    ];
+    for (name, twin, expand, same_graph) in cases {
+        let graph = explore(1, [0u32], twin).expect("twins are well-formed").graph();
+        let expected = outcome_text(explore(1, [0u32], expand));
+        match refill(&graph, 1, expand) {
+            Some(built) => {
+                assert!(same_graph, "case {name}: refilled a graph that is not its own");
+                assert_eq!(outcome_text(built), expected, "case {name}");
+            }
+            None => assert!(!same_graph, "case {name}: refused its own graph"),
+        }
+        let reused = explore_reusing(Some(&graph), 1, [0u32], expand);
+        assert_eq!(outcome_text(reused), expected, "case {name}");
+    }
+}
+
+/// A step to `s + 1` with probability `p` and a stay with `1 − p`, where,
+/// as a merging domain generator does, an outcome of probability zero is
+/// left out — so the successor set depends on `p`.
+fn lazy_walk(p: f64) -> impl FnMut(&u32, &mut Expansion<u32>) {
+    move |s, x| {
+        let mut arm = x.action(0);
+        for (next, prob) in [((s + 1) % 4, p), (*s, 1.0 - p)] {
+            if prob != 0.0 {
+                arm.outcome(next, prob, &[f64::from(*s) * prob]);
+            }
+        }
+    }
+}
+
+/// Re-weighting reproduces `explore` bit for bit where the graph is fixed,
+/// and falls back — counted, never a wrong model — where a parameter
+/// changes the successor set.
+#[test]
+fn refill_matches_explore_or_falls_back() {
+    let walk = explore(1, [0u32], lazy_walk(0.5)).unwrap();
+    assert_eq!(walk.mdp.num_states(), 4);
+    let graph = walk.graph();
+
+    let fresh = explore(1, [0u32], lazy_walk(0.25)).unwrap();
+    let refilled = refill(&graph, 1, lazy_walk(0.25)).expect("same graph").unwrap();
+    assert_eq!(format!("{:?}", refilled.mdp), format!("{:?}", fresh.mdp));
+    assert_eq!(format!("{:?}", refilled.indexer), format!("{:?}", fresh.indexer));
+
+    // At p = 0 state 0 only loops: its one arm has one outcome, not two.
+    assert!(refill(&graph, 1, lazy_walk(0.0)).is_none());
+    let before = refill_fallbacks();
+    let reused = explore_reusing(Some(&graph), 1, [0u32], lazy_walk(0.0)).unwrap();
+    assert!(refill_fallbacks() > before, "the fallback was not counted");
+    let fresh = explore(1, [0u32], lazy_walk(0.0)).unwrap();
+    assert_eq!(reused.mdp.num_states(), 1);
+    assert_eq!(format!("{:?}", reused.mdp), format!("{:?}", fresh.mdp));
+    assert_eq!(format!("{:?}", reused.indexer), format!("{:?}", fresh.indexer));
+
+    // The same counts with another successor or another label: only the
+    // typed comparison and the label comparison tell these apart.
+    let steps = explore(1, [0u32], step_ok).unwrap().graph();
+    let skip: Expand = |s, x| x.action(0).outcome((s + 2) % 4, 1.0, &[1.0]);
+    let relabeled: Expand = |s, x| x.action(9).outcome((s + 1) % 4, 1.0, &[1.0]);
+    assert!(refill(&steps, 1, skip).is_none());
+    assert!(refill(&steps, 1, relabeled).is_none());
 }

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bvc_journal::json::escape;
+use bvc_journal::json::JsonObject;
 use bvc_journal::param_seconds;
 use bvc_mdp::MdpError;
 
@@ -223,63 +223,38 @@ impl<T: SweepValue> SweepReport<T> {
     /// Printed by the sweep binaries under `--json` so the serve preloader
     /// and CI can consume results without scraping the rendered grid.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"sweep\":\"{}\",\"cells\":[", escape(&self.label));
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"key\":\"{}\"", escape(&c.key));
-            match &c.outcome {
-                Ok(value) => {
-                    let vals = value.encode();
-                    let _ = write!(out, ",\"status\":\"ok\",\"bits\":[");
-                    for (j, v) in vals.iter().enumerate() {
-                        let sep = if j > 0 { "," } else { "" };
-                        let _ = write!(out, "{sep}\"{}\"", crate::fingerprint::f64_to_hex(*v));
-                    }
-                    let _ = write!(out, "],\"vals\":[");
-                    for (j, v) in vals.iter().enumerate() {
-                        let sep = if j > 0 { "," } else { "" };
-                        if v.is_finite() {
-                            let _ = write!(out, "{sep}{v}");
-                        } else {
-                            let _ = write!(out, "{sep}\"{v}\"");
-                        }
-                    }
-                    out.push(']');
-                }
-                Err(CellFailure::Skipped) => {
-                    let _ = write!(out, ",\"status\":\"skipped\"");
-                }
-                Err(failure) => {
-                    let _ = write!(
-                        out,
-                        ",\"status\":\"fail\",\"code\":\"{}\",\"reason\":\"{}\"",
-                        escape(&failure.reason_code()),
-                        escape(&failure.message()),
-                    );
-                }
-            }
-            let _ = write!(
-                out,
-                ",\"attempts\":{},\"replayed\":{},\"elapsed_s\":{:.6}}}",
-                c.attempts,
-                c.replayed,
-                c.elapsed.as_secs_f64(),
-            );
-        }
-        let _ = write!(
-            out,
-            "],\"solved\":{},\"replayed\":{},\"failed\":{},\"skipped\":{},\"wall_s\":{:.3}}}",
-            self.solved(),
-            self.replayed(),
-            self.failed(),
-            self.skipped(),
-            self.wall.as_secs_f64(),
-        );
-        out
+        let cells: Vec<String> = self.cells.iter().map(cell_json).collect();
+        JsonObject::new()
+            .str("sweep", &self.label)
+            .raw("cells", &format!("[{}]", cells.join(",")))
+            .int("solved", self.solved() as u64)
+            .int("replayed", self.replayed() as u64)
+            .int("failed", self.failed() as u64)
+            .int("skipped", self.skipped() as u64)
+            .raw("wall_s", &format!("{:.3}", self.wall.as_secs_f64()))
+            .finish()
     }
+}
+
+/// One cell of [`SweepReport::to_json`].
+fn cell_json<T: SweepValue>(c: &CellResult<T>) -> String {
+    let obj = JsonObject::new().str("key", &c.key);
+    let obj = match &c.outcome {
+        Ok(value) => {
+            let vals = value.encode();
+            let bits: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
+            obj.str("status", "ok").bits_vals(&bits, &vals)
+        }
+        Err(CellFailure::Skipped) => obj.str("status", "skipped"),
+        Err(failure) => obj
+            .str("status", "fail")
+            .str("code", &failure.reason_code())
+            .str("reason", &failure.message()),
+    };
+    obj.int("attempts", u64::from(c.attempts))
+        .bool("replayed", c.replayed)
+        .raw("elapsed_s", &format!("{:.6}", c.elapsed.as_secs_f64()))
+        .finish()
 }
 
 impl SweepReport<f64> {
@@ -817,6 +792,7 @@ fn run_coordinated(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bvc_journal::json::escape;
     use bvc_mdp::solve::SolveOptions;
     use bvc_mdp::SolveBudget;
     use std::sync::atomic::AtomicU32;
@@ -1151,27 +1127,40 @@ mod tests {
         let inputs: Vec<u32> = (0..3).collect();
         let opts =
             SweepOptions { inject_panic: vec!["x=1".into()], json: true, ..Default::default() };
-        let report = run_sweep(
+        let mut report = run_sweep(
             "t \"json\"",
             &inputs,
             &opts,
             |x| format!("x={x}"),
             |x, _| if *x == 2 { Ok(f64::NAN) } else { Ok(f64::from(*x)) },
         );
-        let json = report.to_json();
-        assert!(json.starts_with("{\"sweep\":\"t \\\"json\\\"\""), "{json}");
-        assert!(json.contains("\"status\":\"fail\""), "{json}");
-        assert!(json.contains("\"code\":\"panic\""), "{json}");
-        // NaN crosses as its bit pattern plus a quoted decimal mirror.
-        assert!(
-            json.contains(&format!("\"{}\"", crate::fingerprint::f64_to_hex(f64::NAN))),
-            "{json}"
+        // Fix the timings and add a fail-fast skip, so the whole line pins.
+        report.wall = Duration::from_micros(2_345_678);
+        for (i, c) in report.cells.iter_mut().enumerate() {
+            c.elapsed = Duration::from_nanos(1_000_500 * (i as u64 + 1));
+        }
+        report.cells.push(CellResult {
+            key: "x=\\3\n".into(),
+            outcome: Err(CellFailure::Skipped),
+            attempts: 0,
+            replayed: false,
+            elapsed: Duration::ZERO,
+        });
+        let nan = crate::fingerprint::f64_to_hex(f64::NAN);
+        let expected = format!(
+            "{{\"sweep\":\"t \\\"json\\\"\",\"cells\":[\
+             {{\"key\":\"x=0\",\"status\":\"ok\",\"bits\":[\"0000000000000000\"],\"vals\":[0],\
+             \"attempts\":1,\"replayed\":false,\"elapsed_s\":0.001001}},\
+             {{\"key\":\"x=1\",\"status\":\"fail\",\"code\":\"panic\",\
+             \"reason\":\"{}\",\"attempts\":1,\"replayed\":false,\"elapsed_s\":0.002001}},\
+             {{\"key\":\"x=2\",\"status\":\"ok\",\"bits\":[\"{nan}\"],\"vals\":[\"NaN\"],\
+             \"attempts\":1,\"replayed\":false,\"elapsed_s\":0.003001}},\
+             {{\"key\":\"x=\\\\3\\n\",\"status\":\"skipped\",\"attempts\":0,\"replayed\":false,\
+             \"elapsed_s\":0.000000}}],\
+             \"solved\":2,\"replayed\":0,\"failed\":1,\"skipped\":1,\"wall_s\":2.346}}",
+            escape(&report.cells[1].outcome.as_ref().unwrap_err().message()),
         );
-        assert!(json.contains("\"vals\":[\"NaN\"]"), "{json}");
-        assert!(json.contains("\"solved\":2,"), "{json}");
-        // The whole line must survive the journal-grade parser's string
-        // escaping rules: parse the key back out via a journal line.
-        assert!(json.contains("\"key\":\"x=1\""), "{json}");
+        assert_eq!(report.to_json(), expected);
     }
 
     #[test]

@@ -70,11 +70,16 @@ echo "==> model-build gate (pinned model fingerprints + Table 1 generator rows +
 # fingerprint (same states, ids, transitions and reward bits) and pass the
 # audit's CSR-layout check, the BU generator must still reproduce the
 # corrected Table 1 row by row, and explore's CSR writer must report every
-# malformed expansion with the error explore-then-validate returned.
+# malformed expansion with the error explore-then-validate returned. BU
+# builds re-weight the thread's last graph of the same key: every model of
+# both grids, built forward and reversed, must equal a cold explore with no
+# refill fallback, and refill must return explore's model or error, or no
+# model when the expansion's graph differs.
 cargo test -q --offline -p bvc-bu -p bvc-bitcoin --test model_fingerprint
 cargo test -q --offline -p bvc-bu --lib table1
 cargo test -q --offline -p bvc-mdp --test explore_errors -- \
-    explore_errors_match_explore_then_validate
+    explore_errors_match_explore_then_validate refill_errors_match_explore \
+    refill_matches_explore_or_falls_back
 
 echo "==> cell-identity gate (solve token pin + cell keys + table-cell parsers + schema-cell outputs)"
 # Every journal fingerprint and serve cache key hashes the default solve
@@ -121,6 +126,20 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
         --journal "$jdir/sharded.jnl" > /dev/null
     if ! cmp "$jdir/serial.jnl" "$jdir/sharded.jnl"; then
         echo "VERIFY FAILED: sharded Bitcoin table3 journal diverged from serial" >&2
+        rm -rf "$jdir"
+        exit 1
+    fi
+    rm -rf "$jdir"
+
+    echo "==> graph-reuse determinism diff (Table 3 grid, --threads 1 vs --threads 2)"
+    # Each sweep thread re-weights its own last graph, so which cells hit
+    # the cache depends on the thread count; the journals (every value's
+    # full f64 bits) must not.
+    jdir=$(mktemp -d)
+    target/release/table3 --threads 1 --journal "$jdir/one.jnl" > /dev/null
+    target/release/table3 --threads 2 --journal "$jdir/two.jnl" > /dev/null
+    if ! cmp "$jdir/one.jnl" "$jdir/two.jnl"; then
+        echo "VERIFY FAILED: table3 journal at --threads 2 diverged from --threads 1" >&2
         rm -rf "$jdir"
         exit 1
     fi
