@@ -20,9 +20,9 @@
 //! ```
 //!
 //! Exits nonzero if any scenario fails. Real process kills (crash points
-//! and `kill -9`) are exercised by `scripts/chaos_smoke.sh`, which drives
-//! the installed `bvc` binary; this harness covers everything that can be
-//! injected in-process.
+//! and `kill -9`) are exercised by `scripts/workload_smoke.sh table2`,
+//! which drives the installed `bvc` binary; this harness covers everything
+//! that can be injected in-process.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;

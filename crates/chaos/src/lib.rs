@@ -13,7 +13,7 @@
 //!   environment variable, grammar
 //!   `seed=42,conn_drop=0.02,read_stall_ms=50,torn_write=0.01,crash_at=journal.after_append:3`.
 //! * [`ChaosStream`] — wraps any `Read + Write` byte stream (layered
-//!   *under* `bvc_serve::net` framing) and injects connection resets,
+//!   *under* `bvc_journal::net` framing) and injects connection resets,
 //!   torn/partial writes at drawn byte offsets, read stalls, and latency.
 //! * [`crash_point`] — named process crash points
 //!   (`journal.after_append`, …): when the plan's `crash_at=SITE:N`
@@ -562,6 +562,31 @@ mod tests {
         assert!(FaultPlan::parse("crash_at=nocolon").is_err(), "missing :N");
         assert!(FaultPlan::parse("crash_at=site:0").is_err(), "zero count");
         assert!(FaultPlan::parse("seed").is_err(), "missing =value");
+    }
+
+    /// Every proper prefix of a spec, and every spec with one delimiter
+    /// byte swapped in, parses to a plan or an error without panicking; a
+    /// plan it accepts keeps its probabilities in [0, 1] and its site
+    /// counts at 1 or more.
+    #[test]
+    fn plan_mutants_never_panic() {
+        let specs = [
+            "seed=42,conn_drop=0.02,read_stall_ms=50,torn_write=0.01,crash_at=journal.after_append:3",
+            "conn_drop_at=w.s1.tx:2,read_stall_p=0.5,torn_write_at=c.rx:7,latency_ms=120",
+        ];
+        for spec in specs {
+            for mutant in proptest::mutate::mutants(spec) {
+                let Ok(plan) = FaultPlan::parse(mutant.text()) else { continue };
+                for p in [plan.conn_drop, plan.read_stall_p, plan.torn_write] {
+                    assert!((0.0..=1.0).contains(&p), "{mutant:?}: probability {p}");
+                }
+                for at in
+                    [&plan.conn_drop_at, &plan.torn_write_at, &plan.crash_at].into_iter().flatten()
+                {
+                    assert!(at.count >= 1, "{mutant:?}: {at:?}");
+                }
+            }
+        }
     }
 
     #[test]

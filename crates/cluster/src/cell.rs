@@ -77,6 +77,25 @@ impl CellFailure {
     }
 }
 
+/// Outcome of one sweep cell, local or distributed, in input order.
+#[derive(Debug, Clone)]
+pub struct CellResult {
+    /// The human-readable cell key (also the journal key).
+    pub key: String,
+    /// The value, or why there is none.
+    pub outcome: Result<Vec<f64>, CellFailure>,
+    /// Solves run for this cell in this run (journaled as `attempts`): 1
+    /// when it ran, its dispatch count when a cluster lost it, 0 when
+    /// replayed or never run.
+    pub attempts: u32,
+    /// True when the value came from the checkpoint journal instead of a
+    /// fresh solve.
+    pub replayed: bool,
+    /// Wall-clock time spent solving this cell in this run (worker-side
+    /// for a distributed cell).
+    pub elapsed: Duration,
+}
+
 /// What the runner hands a cell's solve function: the budget to thread
 /// into solver options plus the sweep's audit and thread settings.
 #[derive(Debug, Clone)]

@@ -37,12 +37,12 @@ use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use bvc_check::facade::{AtomicBool, Condvar, Mutex, MutexGuard};
+use bvc_journal::net::{apply_deadlines, frame_pair, FrameSender, ReadError, MAX_FRAME_BYTES};
 use bvc_journal::{
     cell_fingerprint, encode_line, recover_journal, Durability, JournalEntry, JournalWriter,
 };
-use bvc_serve::net::{apply_deadlines, frame_pair, FrameSender, ReadError, MAX_FRAME_BYTES};
 
-use crate::cell::{CellFailure, CellRunConfig};
+use crate::cell::{CellFailure, CellResult, CellRunConfig};
 use crate::jobs::JobSpec;
 use crate::protocol::{DoneFrame, Frame, TaskFrame, WireConfig, PROTO_VERSION};
 
@@ -132,32 +132,13 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// Outcome of one cell of a distributed sweep, in input order. Mirrors
-/// the local runner's per-cell result so the report layer can treat both
-/// identically.
-#[derive(Debug, Clone)]
-pub struct ClusterCell {
-    /// The human-readable cell key (also the journal key).
-    pub key: String,
-    /// The value, or why there is none.
-    pub outcome: Result<Vec<f64>, CellFailure>,
-    /// The attempts journaled for the cell: 1 when a worker reported it,
-    /// its dispatch count when it was lost, 0 when replayed or skipped.
-    pub attempts: u32,
-    /// True when the value came from the checkpoint journal instead of a
-    /// fresh solve.
-    pub replayed: bool,
-    /// Worker-side wall-clock time for the cell.
-    pub elapsed: Duration,
-}
-
 /// Everything a coordinator run produced, cells in input order.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
     /// Sweep label.
     pub label: String,
     /// Per-cell outcomes, parallel to the input job list.
-    pub cells: Vec<ClusterCell>,
+    pub cells: Vec<CellResult>,
     /// Wall-clock time of the whole distributed sweep.
     pub wall: Duration,
     /// Final metrics-style stats text (see the module docs).
@@ -614,7 +595,7 @@ impl Coordinator {
                         message: rec.reason.clone(),
                     }),
                 };
-                ClusterCell {
+                CellResult {
                     key: c.key,
                     outcome,
                     attempts: c.result.as_ref().map_or(0, |r| r.attempts),

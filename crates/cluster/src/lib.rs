@@ -3,7 +3,7 @@
 //!
 //! A sweep (any of the table binaries' cell grids) is sharded across
 //! worker processes over a length-prefixed JSON-over-TCP protocol built on
-//! [`bvc_serve::net`]:
+//! [`bvc_journal::net`]:
 //!
 //! * the **coordinator** ([`coordinator`]) owns the cell queue and the
 //!   append-only journal, hands out work under time-bounded leases with
@@ -33,9 +33,7 @@ pub mod model;
 pub mod protocol;
 pub mod worker;
 
-pub use cell::{run_cell, CellContext, CellFailure, CellRunConfig};
-pub use coordinator::{
-    run_coordinator, ClusterCell, ClusterConfig, ClusterError, ClusterReport, Coordinator,
-};
+pub use cell::{run_cell, CellContext, CellFailure, CellResult, CellRunConfig};
+pub use coordinator::{run_coordinator, ClusterConfig, ClusterError, ClusterReport, Coordinator};
 pub use jobs::{workload, JobSpec, Workload, WORKLOAD_NAMES};
 pub use worker::{run_worker, DieMode, ReconnectPolicy, WorkerOptions, WorkerSummary};

@@ -1,5 +1,5 @@
 //! The coordinator/worker wire protocol: flat JSON frames over the
-//! length-prefixed framing of [`bvc_serve::net`].
+//! length-prefixed framing of [`bvc_journal::net`].
 //!
 //! Every frame is one flat JSON object with a `"t"` discriminator,
 //! encoded with [`bvc_journal::json::JsonObject`] and parsed with

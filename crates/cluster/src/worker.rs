@@ -38,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bvc_chaos::{ChaosStream, SplitMix64};
-use bvc_serve::net::{
+use bvc_journal::net::{
     apply_deadlines, frame_pair, frame_pair_from, FrameReader, FrameSender, ReadError,
     MAX_FRAME_BYTES,
 };

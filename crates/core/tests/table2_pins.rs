@@ -15,8 +15,15 @@
 //!
 //! Tolerance is 5e-4: the paper prints four decimals and states a solver
 //! precision of 1e-4.
+//!
+//! `table2_alpha10_column_matches_reference_solver` also holds the whole
+//! α = 10% column to the plain reference ratio search
+//! (`bvc_mdp::solve::reference`), which probes by RVI: the one check of
+//! production against the reference on real Table 2 cells rather than
+//! random models.
 
-use bvc_bu::{AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions};
+use bvc_bu::{rewards, AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions};
+use bvc_mdp::solve::reference::maximize_ratio_reference;
 
 /// The threaded solve options of the bit-identity pins: four solve
 /// threads, sharding forced down to 1-state shards.
@@ -56,6 +63,37 @@ fn table2_alpha10_1to3_compiled() {
     let v = u1(0.10, (1, 3));
     assert!((v - 0.1026).abs() < 5e-4, "expected ≈ 0.1026, got {v:.4}");
     assert!(v > 0.10, "u1 must strictly exceed α");
+}
+
+/// The six published setting-1 cells of the α = 10% column, solved by the
+/// production path (exact renewal probes) and by the reference ratio search
+/// (RVI probes) under the same options: the two differ only in their
+/// probes' gain error, so they must agree within the ratio tolerance, the
+/// precision both promise.
+#[test]
+fn table2_alpha10_column_matches_reference_solver() {
+    let opts = SolveOptions::default();
+    let ratio_opts = opts.ratio_options();
+    let (num, den) = (rewards::u1_numerator(), rewards::u1_denominator());
+    for ratio in [(3, 2), (1, 1), (2, 3), (1, 2), (1, 3), (1, 4)] {
+        let cfg = AttackConfig::with_ratio(
+            0.10,
+            ratio,
+            Setting::One,
+            IncentiveModel::CompliantProfitDriven,
+        );
+        let model = AttackModel::build(cfg).expect("model builds");
+        let production = model.optimal_relative_revenue(&opts).expect("solver converges").value;
+        let reference = maximize_ratio_reference(model.mdp(), &num, &den, &ratio_opts)
+            .expect("reference solver converges")
+            .value;
+        // `<=` (not `>`) so a NaN deviation also fails.
+        let dev = (production - reference).abs();
+        assert!(
+            dev <= ratio_opts.tolerance,
+            "β:γ={ratio:?}: production u1 {production} vs reference {reference} (|Δ| = {dev:e})"
+        );
+    }
 }
 
 /// The same pins solved through the sharded Bellman kernel

@@ -19,8 +19,10 @@
 //! which serve bodies and cluster frames go through too. It also holds
 //! the scalar readers ([`param_f64`], [`param_int`]) the cell parameter
 //! schemas share, so every front end words a bad cell parameter the same
-//! way, the [`Cell`] trait those schemas implement, and
-//! [`param_seconds`], which every seconds flag is read through.
+//! way, the [`Cell`] trait those schemas implement,
+//! [`param_seconds`], which every seconds flag is read through, and
+//! [`net`], the socket deadlines and length-prefixed framing that serve's
+//! HTTP substrate and the cluster protocol read and write through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +36,7 @@ use std::time::Duration;
 
 pub mod cell;
 pub mod json;
+pub mod net;
 
 pub use cell::{Cell, Metric, MetricType, Value};
 use json::{FlatJson, JsonObject};

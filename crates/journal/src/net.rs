@@ -1,11 +1,11 @@
 //! Shared socket plumbing: read-deadline handling and length-prefixed
 //! framing over [`TcpStream`].
 //!
-//! Two protocols sit on top of this module: the HTTP/1.1 substrate
-//! ([`crate::http`]) uses the deadline setup and chunked-read translation,
-//! and the `bvc-cluster` coordinator/worker protocol additionally uses the
-//! framed codec ([`FrameSender`]/[`FrameReader`]) — 4-byte big-endian
-//! length prefix followed by a UTF-8 JSON payload. Extracting the pieces
+//! Two protocols sit on top of this module: `bvc-serve`'s HTTP/1.1
+//! substrate uses the deadline setup and chunked-read translation, and the
+//! `bvc-cluster` coordinator/worker protocol additionally uses the framed
+//! codec ([`FrameSender`]/[`FrameReader`]) — 4-byte big-endian length
+//! prefix followed by a UTF-8 JSON payload. Extracting the pieces
 //! here keeps the two wire layers byte-level-compatible in how they treat
 //! EOF, deadlines, and oversized input instead of drifting apart as
 //! copy-pastes.

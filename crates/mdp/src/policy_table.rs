@@ -241,6 +241,23 @@ mod tests {
         assert!(matches!(PolicyTable::decode(&dup), Err(PolicyTableError::DuplicateKey(_))));
     }
 
+    /// Every proper prefix of an encoding, and every encoding with one
+    /// delimiter byte swapped in, decodes to a table or an error without
+    /// panicking; a table it accepts round-trips through its own encoding.
+    #[test]
+    fn decode_mutants_never_panic() {
+        let (mdp, policy) = tiny();
+        let table = PolicyTable::from_policy(&mdp, &policy, |s| format!("({s}, \"τ\")")).unwrap();
+        let empty = PolicyTable { entries: Vec::new() };
+        for valid in [table.encode(), empty.encode()] {
+            for mutant in proptest::mutate::mutants(&valid) {
+                if let Ok(decoded) = PolicyTable::decode(mutant.text()) {
+                    assert_eq!(PolicyTable::decode(&decoded.encode()), Ok(decoded), "{mutant:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn rejects_non_injective_or_reserved_keys() {
         let (mdp, policy) = tiny();

@@ -131,16 +131,6 @@ pub enum ProbeEngine {
     Rvi,
 }
 
-impl ProbeEngine {
-    /// Stable lowercase name, for reports and timing records.
-    pub fn name(self) -> &'static str {
-        match self {
-            ProbeEngine::Renewal => "renewal",
-            ProbeEngine::Rvi => "rvi",
-        }
-    }
-}
-
 /// The gain level whose crossing the search locates. The inner gain must be
 /// resolved finer than the outer tolerance times the denominator scale; one
 /// decade finer works for the unit-rate denominators used throughout this

@@ -1,14 +1,11 @@
 //! Reference solvers: plain, unoptimized implementations of RVI, the ratio
 //! search and fixed-policy evaluation, kept as oracles for the production
 //! solvers in [`rvi`](crate::solve::rvi), [`ratio`](crate::solve::ratio) and
-//! [`eval`](crate::solve::eval). They have two jobs:
-//!
-//! 1. **Differential testing** — the property tests assert that production
-//!    and reference solvers agree on gains, biases, rates and ratios to
-//!    tight tolerances on randomly generated models.
-//! 2. **Baseline timing** — `bvc-bench`'s `sweep_timing` binary measures the
-//!    production path's speedup against these as the before/after
-//!    comparison.
+//! [`eval`](crate::solve::eval). Their one job is differential testing:
+//! the property tests assert that production and reference solvers agree
+//! on gains, biases, rates and ratios to tight tolerances on randomly
+//! generated models, and `bvc-bu`'s `table2_pins` holds the α = 10% Table 2
+//! column to [`maximize_ratio_reference`] within the ratio tolerance.
 //!
 //! They read the same [`CompiledMdp`] as the production solvers, but
 //! naively: always plain RVI (never the renewal engine or the vectorized,

@@ -18,11 +18,10 @@
 //! | `stone_sim` | §2.3 — Stone-style fork-frequency simulations |
 //! | `crossval` | MDP ↔ chain-simulator cross-validation |
 //!
-//! This library holds the shared plumbing: aligned table rendering, a
-//! parallel map over parameter cells ([`parallel_map`]), and the
+//! This library holds the shared plumbing: aligned table rendering and the
 //! fault-tolerant sweep runner ([`sweep`]) with per-cell isolation and
-//! checkpoint/resume journals. Both spread cells over one claim loop that
-//! runs on the calling thread plus scoped helpers.
+//! checkpoint/resume journals. The runner spreads cells over one claim
+//! loop that runs on the calling thread plus scoped helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -147,49 +146,7 @@ pub fn render_grid(
     out
 }
 
-/// Evaluates `f` over `inputs` in parallel, preserving input order in the
-/// output. Used by the table binaries to sweep parameter cells across
-/// cores.
-///
-/// Runs `available_parallelism` workers (at most one per input), the
-/// calling thread among them, so a single worker spawns no thread. Workers
-/// claim inputs one at a time through a shared atomic cursor, so cells
-/// whose cost varies by orders of magnitude across the parameter grid
-/// balance across cores; results are slotted back by index.
-///
-/// # Panics
-/// If `f` panics on any input, the *original* panic payload is re-raised in
-/// the caller once all workers have stopped; no input is claimed after the
-/// panic.
-pub fn parallel_map<I, O, F>(inputs: Vec<I>, f: F) -> Vec<O>
-where
-    I: Send + Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
-    parallel_map_with_threads(inputs, threads, f)
-}
-
-/// [`parallel_map`] with an explicit worker count (the caller included)
-/// instead of `available_parallelism`. Exposed so model-checking runs (and
-/// tests on single-core machines) can force real claim-cursor contention.
-///
-/// # Panics
-/// Same contract as [`parallel_map`].
-pub fn parallel_map_with_threads<I, O, F>(inputs: Vec<I>, threads: usize, f: F) -> Vec<O>
-where
-    I: Send + Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    claim_loop(inputs.len(), threads, |i| ControlFlow::Continue(f(&inputs[i])))
-        .into_iter()
-        .map(|o| o.expect("all cells computed"))
-        .collect()
-}
-
-/// The one claim loop behind [`parallel_map`] and [`sweep::run_sweep`]:
+/// The claim loop behind [`sweep::run_sweep`]:
 /// `threads` workers (clamped to `1..=n`) claim the indices `0..n` through
 /// a shared atomic cursor and run `work` on each. The calling thread is one
 /// of the workers, so only `threads − 1` scoped helpers are spawned and
@@ -257,76 +214,78 @@ where
 mod tests {
     use super::*;
 
-    #[test]
-    fn parallel_map_preserves_order() {
-        let inputs: Vec<u64> = (0..100).collect();
-        let out = parallel_map(inputs.clone(), |&x| x * 2);
-        assert_eq!(out, inputs.iter().map(|x| x * 2).collect::<Vec<_>>());
+    /// Runs `f` on every index of `0..n` through [`claim_loop`] with
+    /// `threads` workers and returns the results in index order.
+    fn claim_all<O: Send>(n: usize, threads: usize, f: impl Fn(usize) -> O + Sync) -> Vec<O> {
+        claim_loop(n, threads, |i| ControlFlow::Continue(f(i)))
+            .into_iter()
+            .map(|o| o.expect("every index is claimed"))
+            .collect()
     }
 
     #[test]
-    fn parallel_map_handles_empty_input() {
-        let out = parallel_map(Vec::<u64>::new(), |&x| x);
-        assert!(out.is_empty());
+    fn claim_loop_preserves_order() {
+        let out = claim_all(100, 4, |i| i * 2);
+        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
-    fn one_worker_maps_every_input_on_the_caller() {
+    fn claim_loop_handles_empty_input() {
+        assert!(claim_all(0, 4, |i| i).is_empty());
+    }
+
+    #[test]
+    fn one_worker_claims_every_index_on_the_caller() {
         let caller = std::thread::current().id();
-        let out = parallel_map_with_threads((0..8).collect(), 1, |&x: &u64| {
-            (x, std::thread::current().id() == caller)
-        });
-        assert_eq!(out, (0..8).map(|x| (x, true)).collect::<Vec<_>>());
+        let out = claim_all(8, 1, |i| (i, std::thread::current().id() == caller));
+        assert_eq!(out, (0..8).map(|i| (i, true)).collect::<Vec<_>>());
     }
 
     #[test]
-    fn parallel_map_balances_uneven_work() {
-        // One expensive cell among many cheap ones: dynamic claiming must
-        // still return every result in input order.
-        let inputs: Vec<u64> = (0..64).collect();
-        let out = parallel_map(inputs, |&x| {
-            if x == 0 {
+    fn claim_loop_balances_uneven_work() {
+        // One expensive index among many cheap ones: dynamic claiming must
+        // still return every result in index order.
+        let out = claim_all(64, 4, |i| {
+            if i == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(20));
             }
-            x + 1
+            i + 1
         });
         assert_eq!(out, (1..=64).collect::<Vec<_>>());
     }
 
     #[test]
     #[should_panic(expected = "cell 13 exploded")]
-    fn parallel_map_propagates_worker_panic_payload() {
-        let inputs: Vec<u64> = (0..32).collect();
-        let _ = parallel_map(inputs, |&x| {
-            if x == 13 {
-                panic!("cell {x} exploded");
+    fn claim_loop_reraises_worker_panic_payload() {
+        claim_all(32, 4, |i| {
+            if i == 13 {
+                panic!("cell {i} exploded");
             }
-            x
+            i
         });
     }
 
     #[test]
-    fn parallel_map_aborts_promptly_after_panic() {
+    fn claim_loop_stops_promptly_after_panic() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        // The first claimed cell panics; with the abort flag checked at
-        // claim time, the other workers must stop long before the grid is
-        // exhausted (each surviving cell is slow enough that the flag is
-        // visible before the pool could drain all 256).
+        // The first claimed index panics; with the stop flag checked at
+        // claim time, the other workers must stop long before the range is
+        // exhausted (each surviving index is slow enough that the flag is
+        // visible before the workers could drain all 256).
         let executed = AtomicUsize::new(0);
-        let inputs: Vec<u64> = (0..256).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            parallel_map(inputs, |&x| {
+            claim_all(256, 4, |i| {
                 executed.fetch_add(1, Ordering::SeqCst);
-                if x == 0 {
+                if i == 0 {
                     panic!("injected");
                 }
                 std::thread::sleep(std::time::Duration::from_millis(2));
-                x
+                i
             })
         }));
         assert!(result.is_err(), "panic must propagate");
         let ran = executed.load(Ordering::SeqCst);
-        assert!(ran < 256, "workers kept claiming after the panic: {ran} cells ran");
+        assert!(ran < 256, "workers kept claiming after the panic: {ran} indices ran");
     }
 
     #[test]
@@ -362,5 +321,83 @@ mod tests {
         assert!(Cell { paper: Some(2.0), ours: 2.2 }.rel_dev().unwrap() - 0.1 < 1e-12);
         assert!(Cell { paper: None, ours: 1.0 }.rel_dev().is_none());
         assert!(Cell { paper: Some(0.0), ours: 1.0 }.rel_dev().is_none());
+    }
+}
+
+/// Exhaustive model checks of [`claim_loop`], built only under
+/// `RUSTFLAGS="--cfg bvc_check"`. Two workers, the calling thread and one
+/// spawned helper, race on the shared claim cursor and stop flag; the
+/// checker explores every interleaving up to the preemption bound.
+/// `tests/model.rs` checks the sweep runner's fail-fast stop on top of it.
+#[cfg(all(test, bvc_check))]
+mod model {
+    use std::ops::ControlFlow;
+    use std::sync::atomic::Ordering;
+
+    use bvc_check::sync::AtomicUsize;
+    use bvc_check::{explore, Config, Report};
+
+    use super::claim_loop;
+
+    fn model_config() -> Config {
+        Config { max_preemptions: 2, ..Config::default() }
+    }
+
+    fn assert_exhaustive_pass(report: &Report, what: &str) {
+        assert!(
+            report.violation.is_none(),
+            "{what}: unexpected violation:\n{}",
+            report.violation.as_ref().unwrap()
+        );
+        assert!(report.exhaustive_pass(), "{what}: exploration was capped (not exhaustive)");
+    }
+
+    /// Three indices, two workers: each index is claimed exactly once and
+    /// its result lands in its own slot regardless of interleaving.
+    #[test]
+    fn claim_cursor_maps_each_input_exactly_once() {
+        let report = explore(&model_config(), || {
+            let calls: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
+            let out = claim_loop(3, 2, |i| {
+                calls[i].fetch_add(1, Ordering::SeqCst);
+                ControlFlow::Continue(i * 10)
+            });
+            assert_eq!(out, vec![Some(0), Some(10), Some(20)], "output order broken");
+            for (i, n) in calls.iter().enumerate() {
+                assert_eq!(
+                    n.load(Ordering::SeqCst),
+                    1,
+                    "index {i} claimed a wrong number of times"
+                );
+            }
+        });
+        assert_exhaustive_pass(&report, "exactly-once");
+    }
+
+    /// A panicking index must re-raise its payload in the caller in every
+    /// interleaving: the stop flag may or may not save the other worker
+    /// work, but the scope join must never deadlock and the payload must
+    /// never be lost.
+    #[test]
+    fn worker_panic_always_propagates() {
+        let report = explore(&model_config(), || {
+            let result = std::panic::catch_unwind(|| {
+                claim_loop(2, 2, |i| {
+                    if i == 0 {
+                        panic!("cell zero exploded");
+                    }
+                    ControlFlow::Continue(i)
+                })
+            });
+            let payload = result.expect_err("panic must propagate to the caller");
+            let payload = bvc_check::reraise_if_abort(payload);
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            assert!(msg.contains("cell zero exploded"), "payload lost: {msg:?}");
+        });
+        assert_exhaustive_pass(&report, "panic propagation");
     }
 }

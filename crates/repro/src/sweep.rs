@@ -3,9 +3,7 @@
 //!
 //! The table binaries sweep dozens of parameter cells, each an MDP solve
 //! whose cost varies by orders of magnitude across the grid. [`run_sweep`]
-//! spreads them over the same claim loop as [`crate::parallel_map`], but
-//! where a panicking or non-converging cell there aborts the whole map and
-//! throws away every other result, here each cell is an isolated unit of
+//! spreads them over one claim loop, and each cell is an isolated unit of
 //! work:
 //!
 //! * **Isolation** — a panic or structured [`MdpError`] marks that one cell
@@ -59,7 +57,7 @@ pub use bvc_journal::{
 // The per-cell runner (watchdog budget, fault injection, panic isolation)
 // lives in `bvc-cluster`'s [`bvc_cluster::cell`] so cluster workers run
 // cells through literally the same code path as this local runner.
-pub use bvc_cluster::cell::{run_cell, CellContext, CellFailure, CellRunConfig};
+pub use bvc_cluster::cell::{run_cell, CellContext, CellFailure, CellResult, CellRunConfig};
 
 // The job registry: every table binary's cell grid as data, so the same
 // grid can run locally or be shipped to cluster workers.
@@ -68,77 +66,21 @@ pub use bvc_cluster::jobs::{workload, JobSpec, Workload, WORKLOAD_NAMES};
 use bvc_cluster::{run_coordinator, ClusterConfig};
 
 // ---------------------------------------------------------------------------
-// Journal values
+// The report
 // ---------------------------------------------------------------------------
-
-/// A value that can cross the checkpoint journal as a flat list of `f64`s.
-///
-/// Encoding must be lossless: the journal stores the raw bit patterns, so
-/// `decode(encode(v))` must reproduce `v` exactly for resume runs to be
-/// bit-identical to clean runs.
-pub trait SweepValue: Sized {
-    /// Flattens the value for journaling.
-    fn encode(&self) -> Vec<f64>;
-    /// Rebuilds the value from a journal entry; `None` when the stored
-    /// shape does not match (the entry is then treated as missing and the
-    /// cell re-solved).
-    fn decode(vals: &[f64]) -> Option<Self>;
-}
-
-impl SweepValue for f64 {
-    fn encode(&self) -> Vec<f64> {
-        vec![*self]
-    }
-    fn decode(vals: &[f64]) -> Option<Self> {
-        match vals {
-            [x] => Some(*x),
-            _ => None,
-        }
-    }
-}
-
-impl SweepValue for Vec<f64> {
-    fn encode(&self) -> Vec<f64> {
-        self.clone()
-    }
-    fn decode(vals: &[f64]) -> Option<Self> {
-        Some(vals.to_vec())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-cell results
-// ---------------------------------------------------------------------------
-
-/// Outcome of one sweep cell, in input order.
-#[derive(Debug, Clone)]
-pub struct CellResult<T> {
-    /// The human-readable cell key (also the journal key).
-    pub key: String,
-    /// The value, or why there is none.
-    pub outcome: Result<T, CellFailure>,
-    /// Solves run for this cell in this run (journaled as `attempts`): 1
-    /// when it ran, 0 when replayed or never run.
-    pub attempts: u32,
-    /// True when the value came from the checkpoint journal instead of a
-    /// fresh solve.
-    pub replayed: bool,
-    /// Wall-clock time spent solving this cell in this run.
-    pub elapsed: Duration,
-}
 
 /// Everything [`run_sweep`] produced, cells in input order.
 #[derive(Debug, Clone)]
-pub struct SweepReport<T> {
+pub struct SweepReport {
     /// Sweep label (for the summary line).
     pub label: String,
     /// Per-cell outcomes, parallel to the input slice.
-    pub cells: Vec<CellResult<T>>,
+    pub cells: Vec<CellResult>,
     /// Wall-clock time of the whole sweep.
     pub wall: Duration,
 }
 
-impl<T> SweepReport<T> {
+impl SweepReport {
     /// Number of cells with a value (fresh or replayed).
     pub fn solved(&self) -> usize {
         self.cells.iter().filter(|c| c.outcome.is_ok()).count()
@@ -170,7 +112,7 @@ impl<T> SweepReport<T> {
     }
 
     /// The value of cell `i`, if it has one.
-    pub fn value(&self, i: usize) -> Option<&T> {
+    pub fn value(&self, i: usize) -> Option<&Vec<f64>> {
         self.cells[i].outcome.as_ref().ok()
     }
 
@@ -214,9 +156,7 @@ impl<T> SweepReport<T> {
     pub fn exit_code(&self) -> i32 {
         i32::from(self.has_failures())
     }
-}
 
-impl<T: SweepValue> SweepReport<T> {
     /// One-line machine-readable summary of the whole sweep: every cell
     /// with its status, bit-exact value (`bits` hex patterns, decimal
     /// `vals` mirror) or failure reason, plus the aggregate counters.
@@ -234,16 +174,29 @@ impl<T: SweepValue> SweepReport<T> {
             .raw("wall_s", &format!("{:.3}", self.wall.as_secs_f64()))
             .finish()
     }
+
+    /// Builds the grid entry comparing the first element of cell `i`'s
+    /// value vector against the paper value: a comparison [`Cell`] on
+    /// success, a `FAIL(reason)` marker otherwise. A solved cell with an
+    /// empty vector renders as `FAIL(shape)` rather than panicking.
+    pub fn grid_entry(&self, i: usize, paper: Option<f64>) -> GridEntry {
+        match &self.cells[i].outcome {
+            Ok(v) => match v.first() {
+                Some(x) => GridEntry::Value(Cell { paper, ours: *x }),
+                None => GridEntry::Failed("shape".into()),
+            },
+            Err(failure) => GridEntry::Failed(failure.reason_code()),
+        }
+    }
 }
 
 /// One cell of [`SweepReport::to_json`].
-fn cell_json<T: SweepValue>(c: &CellResult<T>) -> String {
+fn cell_json(c: &CellResult) -> String {
     let obj = JsonObject::new().str("key", &c.key);
     let obj = match &c.outcome {
-        Ok(value) => {
-            let vals = value.encode();
+        Ok(vals) => {
             let bits: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
-            obj.str("status", "ok").bits_vals(&bits, &vals)
+            obj.str("status", "ok").bits_vals(&bits, vals)
         }
         Err(CellFailure::Skipped) => obj.str("status", "skipped"),
         Err(failure) => obj
@@ -255,45 +208,6 @@ fn cell_json<T: SweepValue>(c: &CellResult<T>) -> String {
         .bool("replayed", c.replayed)
         .raw("elapsed_s", &format!("{:.6}", c.elapsed.as_secs_f64()))
         .finish()
-}
-
-impl SweepReport<f64> {
-    /// Builds the grid entry for cell `i`: a comparison [`Cell`] against the
-    /// paper value on success, a `FAIL(reason)` marker otherwise.
-    pub fn grid_entry(&self, i: usize, paper: Option<f64>) -> GridEntry {
-        match &self.cells[i].outcome {
-            Ok(v) => GridEntry::Value(Cell { paper, ours: *v }),
-            Err(failure) => GridEntry::Failed(failure.reason_code()),
-        }
-    }
-}
-
-impl SweepReport<Vec<f64>> {
-    /// Builds the grid entry comparing element `j` of cell `i`'s value
-    /// vector against the paper value. A solved cell whose vector is too
-    /// short renders as `FAIL(shape)` rather than panicking.
-    pub fn grid_entry_at(&self, i: usize, j: usize, paper: Option<f64>) -> GridEntry {
-        match &self.cells[i].outcome {
-            Ok(v) => match v.get(j) {
-                Some(x) => GridEntry::Value(Cell { paper, ours: *x }),
-                None => GridEntry::Failed("shape".into()),
-            },
-            Err(failure) => GridEntry::Failed(failure.reason_code()),
-        }
-    }
-
-    /// Builds the grid entry for cell `i` from the first element of its
-    /// value vector (the scalar-sweep convention for job-registry sweeps).
-    pub fn grid_entry(&self, i: usize, paper: Option<f64>) -> GridEntry {
-        self.grid_entry_at(i, 0, paper)
-    }
-
-    /// The value vector of cell `i` as a fixed-size array, if the cell
-    /// solved and the shape matches.
-    pub fn value_array<const N: usize>(&self, i: usize) -> Option<[f64; N]> {
-        let v = self.value(i)?;
-        <[f64; N]>::try_from(v.as_slice()).ok()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -507,34 +421,33 @@ impl SweepOptions {
 ///   [`CellContext::solve_options`]) for deadlines and fail-fast
 ///   cancellation to be able to interrupt it.
 ///
-/// Cells run on [`crate::parallel_map`]'s claim loop with `opts.threads`
-/// workers, the calling thread among them: `threads == 1` solves every cell
-/// in input order on the caller, spawning no thread. Under `fail_fast` no
+/// Cells run on one claim loop with `opts.threads` workers, the calling
+/// thread among them: `threads == 1` solves every cell in input order on
+/// the caller, spawning no thread. Under `fail_fast` no
 /// cell is claimed after the first failure; unclaimed cells are `Skipped`
 /// with 0 attempts and are not journaled.
 ///
 /// The returned report has one entry per input, in input order, regardless
 /// of how many cells failed. `run_sweep` itself never panics on cell
 /// failures.
-pub fn run_sweep<Inp, T, K, F>(
+pub fn run_sweep<Inp, K, F>(
     label: &str,
     inputs: &[Inp],
     opts: &SweepOptions,
     key_of: K,
     solve: F,
-) -> SweepReport<T>
+) -> SweepReport
 where
     Inp: Sync,
-    T: SweepValue + Send,
     K: Fn(&Inp) -> String,
-    F: Fn(&Inp, &CellContext) -> Result<T, MdpError> + Sync,
+    F: Fn(&Inp, &CellContext) -> Result<Vec<f64>, MdpError> + Sync,
 {
     let started = Instant::now();
     let n = inputs.len();
     let keys: Vec<String> = inputs.iter().map(&key_of).collect();
     let fps: Vec<u64> = keys.iter().map(|k| cell_fingerprint(k, &opts.config_token)).collect();
 
-    let mut slots: Vec<Option<CellResult<T>>> = (0..n).map(|_| None).collect();
+    let mut slots: Vec<Option<CellResult>> = (0..n).map(|_| None).collect();
 
     // Resume: replay finished cells out of the journal; failed or missing
     // entries are re-solved.
@@ -554,16 +467,13 @@ where
         for i in 0..n {
             if let Some(entry) = journal.entries.get(&fps[i]) {
                 if entry.ok {
-                    let vals: Vec<f64> = entry.bits.iter().map(|&b| f64::from_bits(b)).collect();
-                    if let Some(value) = T::decode(&vals) {
-                        slots[i] = Some(CellResult {
-                            key: keys[i].clone(),
-                            outcome: Ok(value),
-                            attempts: 0,
-                            replayed: true,
-                            elapsed: Duration::ZERO,
-                        });
-                    }
+                    slots[i] = Some(CellResult {
+                        key: keys[i].clone(),
+                        outcome: Ok(entry.values()),
+                        attempts: 0,
+                        replayed: true,
+                        elapsed: Duration::ZERO,
+                    });
                 }
             }
         }
@@ -610,15 +520,15 @@ where
             // journaled: the cell was never really attempted and must
             // re-solve on resume.
             let journaled = match &outcome {
-                Ok(value) => Some((true, value.encode(), String::new())),
+                Ok(vals) => Some((true, vals.as_slice(), String::new())),
                 Err(CellFailure::Skipped) => None,
-                Err(f) => Some((false, Vec::new(), f.message())),
+                Err(f) => Some((false, &[][..], f.message())),
             };
             let line = journaled.map(|(ok, vals, reason)| {
                 let bits = vals.iter().map(|v| v.to_bits()).collect();
                 let entry =
                     JournalEntry { fp: fps[i], key: key.clone(), ok, attempts: 1, bits, reason };
-                encode_line(&entry, &vals)
+                encode_line(&entry, vals)
             });
             // A worker panicking while holding the lock poisons it; the
             // journal file itself is still usable, so recover the guard.
@@ -713,7 +623,7 @@ impl JournalOrder {
 /// error, journal error, determinism conflict) print and exit 2 (matching
 /// the malformed-flag convention); cell failures are reported in the
 /// report.
-pub fn run_jobs(label: &str, jobs: &[JobSpec], opts: &SweepOptions) -> SweepReport<Vec<f64>> {
+pub fn run_jobs(label: &str, jobs: &[JobSpec], opts: &SweepOptions) -> SweepReport {
     match &opts.cluster {
         None => run_sweep(label, jobs, opts, JobSpec::key, |job, ctx| job.solve(ctx)),
         Some(addr) => run_coordinated(addr, label, jobs, opts).unwrap_or_else(|e| {
@@ -728,7 +638,7 @@ pub fn run_jobs(label: &str, jobs: &[JobSpec], opts: &SweepOptions) -> SweepRepo
 /// binary's journal is the one `bvc cluster coordinate --workload <name>`
 /// writes. Returns the cells with the report; an unknown name prints and
 /// exits 2.
-pub fn run_workload(name: &str, opts: &SweepOptions) -> (Vec<JobSpec>, SweepReport<Vec<f64>>) {
+pub fn run_workload(name: &str, opts: &SweepOptions) -> (Vec<JobSpec>, SweepReport) {
     let Some(wl) = workload(name) else {
         eprintln!("error: unknown workload {name:?}");
         std::process::exit(2);
@@ -748,7 +658,7 @@ fn run_coordinated(
     label: &str,
     jobs: &[JobSpec],
     opts: &SweepOptions,
-) -> Result<SweepReport<Vec<f64>>, String> {
+) -> Result<SweepReport, String> {
     let cfg = ClusterConfig {
         config_token: opts.config_token.clone(),
         journal: opts.journal.clone(),
@@ -772,21 +682,7 @@ fn run_coordinated(
     for line in report.stats.lines() {
         eprintln!("# {line}");
     }
-    Ok(SweepReport {
-        label: report.label,
-        cells: report
-            .cells
-            .into_iter()
-            .map(|c| CellResult {
-                key: c.key,
-                outcome: c.outcome,
-                attempts: c.attempts,
-                replayed: c.replayed,
-                elapsed: c.elapsed,
-            })
-            .collect(),
-        wall: report.wall,
-    })
+    Ok(SweepReport { label: report.label, cells: report.cells, wall: report.wall })
 }
 
 #[cfg(test)]
@@ -819,12 +715,12 @@ mod tests {
             &inputs,
             &SweepOptions::default(),
             |x| format!("x={x}"),
-            |x, _ctx| Ok(x * 2.0),
+            |x, _ctx| Ok(vec![x * 2.0]),
         );
         assert!(!report.has_failures());
         assert_eq!(report.solved(), 20);
         for (i, x) in inputs.iter().enumerate() {
-            assert_eq!(*report.value(i).unwrap(), x * 2.0);
+            assert_eq!(*report.value(i).unwrap(), [x * 2.0]);
         }
     }
 
@@ -840,7 +736,7 @@ mod tests {
                 if *x == 3 {
                     panic!("boom {x}");
                 }
-                Ok(f64::from(*x))
+                Ok(vec![f64::from(*x)])
             },
         );
         assert_eq!(report.failed(), 1);
@@ -860,7 +756,8 @@ mod tests {
             inject_noconv: vec!["x=2".into()],
             ..Default::default()
         };
-        let report = run_sweep("t", &inputs, &opts, |x| format!("x={x}"), |x, _| Ok(f64::from(*x)));
+        let report =
+            run_sweep("t", &inputs, &opts, |x| format!("x={x}"), |x, _| Ok(vec![f64::from(*x)]));
         assert_eq!(report.solved(), 2);
         assert_eq!(report.failed(), 2);
         assert!(matches!(&report.cells[1].outcome, Err(CellFailure::Panicked(_))));
@@ -881,7 +778,7 @@ mod tests {
             &inputs,
             &SweepOptions::default(),
             |_| "cell".into(),
-            |_, _| -> Result<f64, MdpError> {
+            |_, _| -> Result<Vec<f64>, MdpError> {
                 Err(MdpError::Shape { what: "warm start", found: 1, expected: 2 })
             },
         );
@@ -913,7 +810,7 @@ mod tests {
                 if *x == 2 {
                     panic!("boom");
                 }
-                Ok(f64::from(*x))
+                Ok(vec![f64::from(*x)])
             },
         );
         assert_eq!(executed.load(Ordering::SeqCst), 3, "must stop claiming after the failure");
@@ -939,10 +836,16 @@ mod tests {
             &inputs,
             &opts,
             |x| format!("x={x}"),
-            |x, _| Ok(if std::thread::current().id() == caller { f64::from(*x) } else { f64::NAN }),
+            |x, _| {
+                Ok(vec![if std::thread::current().id() == caller {
+                    f64::from(*x)
+                } else {
+                    f64::NAN
+                }])
+            },
         );
         for (i, x) in inputs.iter().enumerate() {
-            assert_eq!(*report.value(i).unwrap(), f64::from(*x), "cell {i} left the caller");
+            assert_eq!(*report.value(i).unwrap(), [f64::from(*x)], "cell {i} left the caller");
         }
     }
 
@@ -982,7 +885,7 @@ mod tests {
             &inputs,
             &SweepOptions::default(),
             |_| "cell".into(),
-            |_, _| -> Result<f64, MdpError> {
+            |_, _| -> Result<Vec<f64>, MdpError> {
                 Err(MdpError::Cancelled { solver: "x", iterations: 5 })
             },
         );
@@ -999,11 +902,11 @@ mod tests {
             &inputs,
             &opts,
             |_| "cell".into(),
-            |_, ctx| -> Result<f64, MdpError> {
+            |_, ctx| -> Result<Vec<f64>, MdpError> {
                 // A compliant solve function checks its budget; with a zero
                 // deadline the check fires on the first interval boundary.
                 ctx.budget.check("test_solver", 0)?;
-                Ok(1.0)
+                Ok(vec![1.0])
             },
         );
         assert!(matches!(
@@ -1024,7 +927,7 @@ mod tests {
         };
         let solve = |x: &u32, _ctx: &CellContext| {
             solves.fetch_add(1, Ordering::SeqCst);
-            Ok(f64::from(*x) * 3.0)
+            Ok(vec![f64::from(*x) * 3.0])
         };
         let first = run_sweep("t", &inputs, &opts, |x| format!("x={x}"), solve);
         assert_eq!(first.solved(), 6);
@@ -1036,8 +939,8 @@ mod tests {
         assert_eq!(solves.load(Ordering::SeqCst), 6, "no cell may re-solve");
         for i in 0..6 {
             assert_eq!(
-                second.value(i).unwrap().to_bits(),
-                first.value(i).unwrap().to_bits(),
+                second.value(i).unwrap()[0].to_bits(),
+                first.value(i).unwrap()[0].to_bits(),
                 "replayed values must be bit-identical"
             );
         }
@@ -1051,7 +954,7 @@ mod tests {
         let base = SweepOptions { journal: Some(path.clone()), ..Default::default() };
         let broken = SweepOptions { inject_panic: vec!["x=1".into()], ..base.clone() };
         let first =
-            run_sweep("t", &inputs, &broken, |x| format!("x={x}"), |x, _| Ok(f64::from(*x)));
+            run_sweep("t", &inputs, &broken, |x| format!("x={x}"), |x, _| Ok(vec![f64::from(*x)]));
         assert_eq!(first.failed(), 1);
 
         // Injection removed: only the failed cell re-solves.
@@ -1063,7 +966,7 @@ mod tests {
             |x| format!("x={x}"),
             |x, _| {
                 solves.fetch_add(1, Ordering::SeqCst);
-                Ok(f64::from(*x))
+                Ok(vec![f64::from(*x)])
             },
         );
         assert_eq!(second.solved(), 3);
@@ -1084,7 +987,7 @@ mod tests {
         let solves = AtomicU32::new(0);
         let solve = |x: &u32, _: &CellContext| {
             solves.fetch_add(1, Ordering::SeqCst);
-            Ok(f64::from(*x))
+            Ok(vec![f64::from(*x)])
         };
         run_sweep("t", &inputs, &mk("tol=1e-5"), |x| format!("x={x}"), solve);
         assert_eq!(solves.load(Ordering::SeqCst), 4);
@@ -1106,13 +1009,7 @@ mod tests {
         let opts = SweepOptions { journal: Some(path.clone()), ..Default::default() };
         let value = vec![1.5, f64::NAN, -0.0];
         let first = run_sweep("t", &inputs, &opts, |_| "cell".into(), |_, _| Ok(value.clone()));
-        let second = run_sweep(
-            "t",
-            &inputs,
-            &opts,
-            |_| "cell".into(),
-            |_, _| Err::<Vec<f64>, _>(MdpError::Empty),
-        );
+        let second = run_sweep("t", &inputs, &opts, |_| "cell".into(), |_, _| Err(MdpError::Empty));
         assert_eq!(second.replayed(), 1);
         let (a, b) = (first.value(0).unwrap(), second.value(0).unwrap());
         assert_eq!(a.len(), b.len());
@@ -1132,7 +1029,7 @@ mod tests {
             &inputs,
             &opts,
             |x| format!("x={x}"),
-            |x, _| if *x == 2 { Ok(f64::NAN) } else { Ok(f64::from(*x)) },
+            |x, _| Ok(vec![if *x == 2 { f64::NAN } else { f64::from(*x) }]),
         );
         // Fix the timings and add a fail-fast skip, so the whole line pins.
         report.wall = Duration::from_micros(2_345_678);

@@ -7,7 +7,7 @@
 //!
 //! Each worker owns a [`TcpListener::try_clone`] handle and blocks in
 //! `accept` — the kernel's accept queue is the work queue, mirroring the
-//! claim-cursor pattern of `bvc_repro::parallel_map` where the shared
+//! claim-cursor pattern of `bvc_repro`'s sweep claim loop where the shared
 //! cursor is replaced by the shared listener. Shutdown flips an atomic
 //! flag, switches the listener non-blocking, and self-connects to wake any
 //! worker still parked in `accept`; workers finish the request they are
@@ -15,13 +15,13 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-
-use crate::net::{apply_deadlines, read_chunk, ReadError as RecvError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+use bvc_journal::net::{apply_deadlines, read_chunk, ReadError as RecvError};
 
 /// Tuning knobs of the substrate.
 #[derive(Debug, Clone)]
@@ -194,7 +194,7 @@ fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
 
 impl Conn {
     /// Reads more bytes into the buffer; the EOF/deadline translation lives
-    /// in [`crate::net::read_chunk`], shared with the cluster frame codec.
+    /// in [`bvc_journal::net::read_chunk`], shared with the cluster frame codec.
     fn fill(&mut self, mid_request: bool) -> Result<(), RecvError> {
         read_chunk(&mut self.stream, &mut self.buf, mid_request)
     }

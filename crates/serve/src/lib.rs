@@ -21,7 +21,6 @@
 pub mod cache;
 pub mod http;
 pub mod metrics;
-pub mod net;
 pub mod routes;
 
 pub use cache::{CachedCell, Fetched, SolveCache, SolveFailure};

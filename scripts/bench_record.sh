@@ -3,11 +3,12 @@
 # and appends their one-line machine-readable records (plus a timestamp and
 # the current commit) to JSONL history files at the repo root:
 #
-#   BENCH_sweep.json    — sweep_timing  ({"bench":"sweep_timing",...})
-#   BENCH_serve.json    — serve_load    ({"bench":"serve_load",...})
-#                         cluster_scaling ({"bench":"cluster_scaling",...})
+#   BENCH_serve.json    — cluster_scaling ({"bench":"cluster_scaling",...})
 #   BENCH_scenario.json — scenario_scaling ({"bench":"scenario_scaling",...})
 #   BENCH_games.json    — games_scaling ({"bench":"games_scaling",...})
+#
+# Table 2 sweep and serve hit-path timings come from the bvcbench benchmark
+# (`bvcbench/`, workloads `small-ratio` and `serve-hot`), not from here.
 #
 # Usage:
 #   scripts/bench_record.sh             # quick shapes, suitable for CI boxes
@@ -27,8 +28,7 @@ commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
 echo "==> building bench binaries (release)"
 cargo build --release --offline -q -p bvc-bench \
-    --bin sweep_timing --bin serve_load --bin cluster_scaling --bin scenario_scaling \
-    --bin games_scaling
+    --bin cluster_scaling --bin scenario_scaling --bin games_scaling
 
 # annotate <record-line> — prefix the JSON object with run metadata.
 annotate() {
@@ -52,26 +52,14 @@ run_and_append() { # run_and_append <outfile> <bench-name> <cmd...>
 }
 
 if $full; then
-    sweep_args=(--reps 3)
-    serve_args=(--clients 4 --requests 2000)
     scaling_args=(--workers 1,2,4)
     scenario_args=(--nodes 100,400,1000 --blocks 400 --threads 1,2,4)
     games_args=(--miners 20,22,24 --size 8 --threads 1,2,4)
 else
-    sweep_args=(--quick)
-    serve_args=(--clients 2 --requests 200)
     scaling_args=(--quick --workers 1,2)
     scenario_args=(--quick)
     games_args=(--quick)
 fi
-
-echo "==> sweep_timing ${sweep_args[*]}"
-run_and_append BENCH_sweep.json sweep_timing \
-    target/release/sweep_timing "${sweep_args[@]}" --json
-
-echo "==> serve_load ${serve_args[*]}"
-run_and_append BENCH_serve.json serve_load \
-    target/release/serve_load "${serve_args[@]}" --json
 
 echo "==> cluster_scaling ${scaling_args[*]}"
 run_and_append BENCH_serve.json cluster_scaling \

@@ -60,7 +60,6 @@ targets=(
     crates/journal/src/*.rs
     crates/chaos/src/*.rs
     crates/serve/src/*.rs
-    crates/bench/src/*.rs
     crates/bench/src/bin/*.rs
     crates/sim/src/*.rs
     crates/chain/src/*.rs

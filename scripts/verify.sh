@@ -5,8 +5,8 @@
 # is the path crate `crates/propcheck`), so the whole gate must pass with no
 # registry or network access.
 #
-#   scripts/verify.sh           # build + full workspace tests + timing smoke
-#   scripts/verify.sh --no-smoke  # skip the sweep_timing smoke run
+#   scripts/verify.sh             # lint, build, workspace tests, named gates, smokes
+#   scripts/verify.sh --no-smoke  # skip the journal diffs and the smoke scripts
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,14 +23,18 @@ cargo build --release --offline --workspace
 echo "==> cargo test (offline, all workspace crates)"
 cargo test -q --offline --workspace
 
-echo "==> model-check gate (bvc-check scheduler + cache/coordinator/parallel_map models)"
+echo "==> model-check gate (bvc-check scheduler + cache/coordinator/claim-loop models)"
 # Exhaustive interleaving exploration of the three ported concurrency
 # algorithms under the bvc-check controlled scheduler (preemption bound 2).
 # The shims only compile in under --cfg bvc_check; the isolated target dir
-# keeps the instrumented artifacts out of the production build cache.
+# keeps the instrumented artifacts out of the production build cache. The
+# claim loop's own models (exactly-once claims, panic propagation) are
+# bvc-repro unit tests; its `tests/model.rs` checks the sweep's fail-fast stop.
 RUSTFLAGS="--cfg bvc_check" CARGO_TARGET_DIR=target/check \
     cargo test -q --offline -p bvc-check -p bvc-serve -p bvc-cluster -p bvc-repro \
     --test selfcheck --test model
+RUSTFLAGS="--cfg bvc_check" CARGO_TARGET_DIR=target/check \
+    cargo test -q --offline -p bvc-repro --lib -- model::
 
 echo "==> sharded-kernel gate (bit-identity proptests + threaded Table 2 and Bitcoin Table 3 pins)"
 # Explicitly re-run the tests that pin the threaded kernel's determinism
@@ -44,7 +48,7 @@ cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
 cargo test -q --offline -p bvc-bu --test table2_pins
 cargo test -q --offline -p bvc-bitcoin --test table3_pins
 
-echo "==> ratio-search gate (secant search vs reference solver, bisection and enumeration)"
+echo "==> ratio-search gate (secant search vs reference solver, bisection and enumeration; Table 2 vs reference)"
 # On models with a cycle avoiding state 0 (RVI probes) the secant search on
 # rho must take the same probes and inner iterations as the plain reference
 # solver (`solve::reference`, which reads the same CSR model; the test names
@@ -55,6 +59,10 @@ echo "==> ratio-search gate (secant search vs reference solver, bisection and en
 cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
     compiled_ratio_matches_nested ratio_search_matches_bisection_oracle \
     renewal_ratio_matches_policy_enumeration
+# The same reference search on real cells: the six α = 10% Table 2 cells,
+# production within the ratio tolerance of the reference (RVI probes).
+cargo test -q --offline -p bvc-bu --test table2_pins -- \
+    table2_alpha10_column_matches_reference_solver
 
 echo "==> gain-oracle gate (RVI gain vs every enumerated policy, reference RVI and renewal)"
 # RVI's gain must be the best deterministic policy's rate: no enumerated
@@ -95,15 +103,18 @@ cargo test -q --offline -p bvc-cluster --lib -- solve_token_is_pinned keys_
 cargo test -q --offline -p bvc-serve --lib -- _key cell_route_bodies_are_pinned
 cargo test -q --offline -p bvc-cli -- table_cell_parsers_agree cell_metric_keys_agree
 
-echo "==> decoder gate (journal lines, cluster frames and job specs under corruption)"
+echo "==> decoder gate (journal lines, cluster frames, job specs, policy tables, chaos specs)"
 # Every decoder of bytes that arrive from outside the process (a journal
-# torn by a crash, a frame or job spec off the socket) runs over every
-# proper prefix and every single-byte delimiter replacement of valid
-# encodings (`proptest::mutate`): each must return a value or an error,
-# never panic, and no torn journal line may parse.
+# torn by a crash, a frame or job spec off the socket, a policy table, a
+# --chaos or BVC_CHAOS fault plan) runs over every proper prefix and every
+# single-byte delimiter replacement of valid encodings (`proptest::mutate`):
+# each must return a value or an error, never panic, and no torn journal
+# line may parse.
 cargo test -q --offline -p bvc-journal --lib -- journal_line_mutants_never_panic
 cargo test -q --offline -p bvc-cluster --lib -- frame_mutants_never_panic \
     decode_never_panics_on_truncated_or_corrupted_wire
+cargo test -q --offline -p bvc-mdp --lib -- decode_mutants_never_panic
+cargo test -q --offline -p bvc-chaos --lib -- plan_mutants_never_panic
 
 echo "==> benchmark self-tests (exact counts repeat, decomposition is bit-exact)"
 # The benchmark is its own Cargo workspace, so the workspace test run above
@@ -112,9 +123,6 @@ echo "==> benchmark self-tests (exact counts repeat, decomposition is bit-exact)
 cargo test -q --release --offline --manifest-path bvcbench/Cargo.toml
 
 if [[ "${1:-}" != "--no-smoke" ]]; then
-    echo "==> sweep_timing smoke (Table 2, quick column)"
-    cargo run --release --offline -p bvc-bench --bin sweep_timing -- --quick
-
     echo "==> sharded-kernel determinism diff (Bitcoin Table 3 grid, --solve-threads 4)"
     # The same grid solved serially and through the sharded kernel must
     # write cmp-identical journals (every value's full f64 bits). The
@@ -151,8 +159,9 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
     echo "==> serve smoke (HTTP cache hit/miss, audit 422, shedding, drain)"
     BVC_BIN=target/release/bvc scripts/serve_smoke.sh
 
-    echo "==> table2 smoke (SIGKILL resume + killed worker, byte-identical journals)"
-    BVC_BIN=target/release/bvc TABLE2_BIN=target/release/table2 \
+    echo "==> table2 smoke (SIGKILL resume, killed worker, coordinator crash points and" \
+         "SIGKILL restart; byte-identical journals)"
+    timeout 120 env BVC_BIN=target/release/bvc TABLE2_BIN=target/release/table2 \
         scripts/workload_smoke.sh table2
 
     echo "==> scenario smoke (SIGKILL resume + killed worker, byte-identical journals)"
@@ -165,10 +174,6 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
 
     echo "==> chaos soak (in-process fault matrix: churn, drops, torn appends)"
     cargo run --release --offline -q -p bvc-bench --bin chaos_soak
-
-    echo "==> chaos smoke (crash points, SIGKILL restart-resume, reconnect)"
-    timeout 90 env BVC_BIN=target/release/bvc TABLE2_BIN=target/release/table2 \
-        scripts/chaos_smoke.sh
 fi
 
 echo "==> OK"

@@ -3,7 +3,8 @@
 # demanded byte-identical:
 #
 #   table2   — table2-setting1 (the 21 Table 2 setting-1 cells) through
-#              `table2 --setting1-only`;
+#              `table2 --setting1-only`, plus the two crash-recovery
+#              stages below;
 #   scenario — scenario-crossval (20 MDP-replay network cells) through
 #              `scenario_crossval`;
 #   games    — games-frontier (26 committed-coalition frontier shards of
@@ -23,6 +24,20 @@
 #      record at least one of the two, and the cluster journal must still
 #      be byte-identical to the local reference.
 #
+# The table2 kind adds real coordinator deaths (the in-process fault matrix
+# is `chaos_soak`), each ending byte-identical to the reference journal:
+#
+#   4. planned crash — `bvc cluster coordinate` runs under
+#      `BVC_CHAOS=crash_at=journal.after_append:5` and exits 137 after
+#      journaling exactly 5 cells, twice (same plan, same line count: the
+#      failure schedule replays). A restarted coordinator over the same
+#      journal replays the 5-line prefix and finishes; the worker rides
+#      the outage via `--reconnect`.
+#   5. kill -9 — a latency-paced worker keeps the run slow enough to
+#      SIGKILL the coordinator mid-run with at least 5 cells journaled;
+#      the restarted coordinator (fsync-per-append, over a possibly torn
+#      tail) finishes.
+#
 # Usage: scripts/workload_smoke.sh table2|scenario|games
 # Set BVC_BIN and TABLE2_BIN (table2), SCENARIO_BIN (scenario) or
 # GAMES_BIN (games) to prebuilt binaries to skip the cargo builds.
@@ -31,7 +46,8 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 # Everything the three workloads differ in: binary, extra flag, cell count,
-# port base, pacing of the victim run, and the Figure 4 check.
+# port base, pacing of the victim run, the Figure 4 check, and the registry
+# workload the crash-recovery stages coordinate (empty: no such stages).
 kind=${1:-}
 case "$kind" in
     table2)
@@ -44,6 +60,7 @@ case "$kind" in
         # victim run is paced like the games kind's (see there).
         pacing=(--chaos "seed=7,latency_ms=400")
         figure4=false
+        chaos_workload=table2-setting1
         ;;
     scenario)
         bin_name=scenario_crossval
@@ -53,6 +70,7 @@ case "$kind" in
         port_base=21000
         pacing=()
         figure4=false
+        chaos_workload=
         ;;
     games)
         bin_name=games_map
@@ -65,6 +83,7 @@ case "$kind" in
         # written are untouched) to open a reliable kill window mid-journal.
         pacing=(--chaos "seed=7,latency_ms=400")
         figure4=true
+        chaos_workload=
         ;;
     *)
         echo "usage: scripts/workload_smoke.sh table2|scenario|games" >&2
@@ -88,14 +107,17 @@ bin=${bin:-target/release/$bin_name}
 workdir=$(mktemp -d)
 pids=()
 cleanup() {
-    for pid in "${pids[@]}"; do kill -9 "$pid" 2>/dev/null || true; done
+    { for pid in "${pids[@]}"; do kill -9 "$pid" || true; done; wait; } \
+        2>/dev/null || true
     rm -rf "$workdir"
 }
 trap cleanup EXIT
 
 lines() { [[ -f "$1" ]] && wc -l < "$1" || echo 0; }
+stages=3
+[[ -n "$chaos_workload" ]] && stages=5
 
-echo "==> [1/3] local reference run (single-threaded, journaled)"
+echo "==> [1/$stages] local reference run (single-threaded, journaled)"
 "$bin" "${extra[@]}" --threads 1 --journal "$workdir/ref.jsonl" > "$workdir/ref.txt"
 if ! grep -q "solved $cells" "$workdir/ref.txt"; then
     cat "$workdir/ref.txt" >&2
@@ -106,7 +128,7 @@ if $figure4 && ! grep -q 'reproduced' "$workdir/ref.txt"; then
     fail "pinned Figure 4 frontier layer not reproduced"
 fi
 
-echo "==> [2/3] SIGKILL mid-run, then resume from the torn journal"
+echo "==> [2/$stages] SIGKILL mid-run, then resume from the torn journal"
 "$bin" "${extra[@]}" --threads 1 --journal "$workdir/resume.jsonl" "${pacing[@]}" \
     > "$workdir/interrupted.txt" 2>&1 &
 victim=$!
@@ -131,7 +153,7 @@ if ! cmp "$workdir/ref.jsonl" "$workdir/resume.jsonl"; then
     fail "resumed journal differs from the reference"
 fi
 
-echo "==> [3/3] distributed run: one healthy worker, one killed mid-batch"
+echo "==> [3/$stages] distributed run: one healthy worker, one killed mid-batch"
 port=$(( (RANDOM % 2000) + port_base ))
 addr="127.0.0.1:$port"
 "$bin" "${extra[@]}" --cluster "$addr" --journal "$workdir/cluster.jsonl" \
@@ -170,5 +192,79 @@ if ! cmp "$workdir/ref.jsonl" "$workdir/cluster.jsonl"; then
     fail "cluster journal differs from the local reference"
 fi
 
-echo "==> $kind smoke OK (resume replay, killed-worker recovery," \
-     "byte-identical journals)"
+if [[ -n "$chaos_workload" ]]; then
+    addr="127.0.0.1:$(( (RANDOM % 2000) + port_base ))"
+    echo "==> [4/$stages] planned crash: coordinator exits 137 after 5 journal appends" \
+         "(x2), then restart-resume"
+    for round in a b; do
+        rm -f "$workdir/crash.jsonl"
+        BVC_CHAOS="seed=42,crash_at=journal.after_append:5" "$BVC_BIN" cluster coordinate \
+            --workload "$chaos_workload" --addr "$addr" --journal "$workdir/crash.jsonl" \
+            --quiet > "$workdir/crash_$round.txt" 2>&1 &
+        coord_pid=$!
+        pids+=("$coord_pid")
+        if [[ "$round" == "a" ]]; then
+            # One worker for the whole stage; --reconnect carries it across
+            # both planned crashes and into the restarted coordinator below.
+            "$BVC_BIN" cluster work --connect "$addr" --reconnect 25 \
+                > "$workdir/crash_worker.txt" 2>&1 &
+            pids+=("$!")
+        fi
+        status=0
+        wait "$coord_pid" || status=$?
+        if [[ "$status" -ne 137 ]]; then
+            cat "$workdir/crash_$round.txt" >&2
+            fail "crash run $round exited $status, want 137"
+        fi
+        count=$(lines "$workdir/crash.jsonl")
+        [[ "$count" -eq 5 ]] || fail "crash run $round journaled $count lines, want" \
+            "exactly 5 (the crash schedule must replay)"
+    done
+    if ! "$BVC_BIN" cluster coordinate --workload "$chaos_workload" --addr "$addr" \
+            --journal "$workdir/crash.jsonl" > "$workdir/crash_resume.txt" 2>&1; then
+        cat "$workdir/crash_resume.txt" >&2
+        fail "restarted coordinator exited nonzero"
+    fi
+    if ! grep -qE "$cells/$cells cells ok \(5 replayed" "$workdir/crash_resume.txt"; then
+        cat "$workdir/crash_resume.txt" >&2
+        fail "restart did not replay the 5-line prefix"
+    fi
+    cmp "$workdir/ref.jsonl" "$workdir/crash.jsonl" ||
+        fail "crash-resumed journal differs from the local reference"
+
+    addr="127.0.0.1:$(( (RANDOM % 2000) + port_base ))"
+    echo "==> [5/$stages] kill -9 mid-run, restart with --durability always"
+    "$BVC_BIN" cluster coordinate --workload "$chaos_workload" --addr "$addr" \
+        --journal "$workdir/kill.jsonl" --quiet > "$workdir/kill_a.txt" 2>&1 &
+    coord_pid=$!
+    pids+=("$coord_pid")
+    # The worker's chaos plan paces every frame op so the journal grows
+    # slowly enough to kill the coordinator mid-run with cells left over.
+    "$BVC_BIN" cluster work --connect "$addr" --reconnect 25 \
+        --chaos "seed=7,latency_ms=120" --chaos-site pacer \
+        > "$workdir/kill_worker.txt" 2>&1 &
+    pids+=("$!")
+    for _ in $(seq 200); do
+        [[ "$(lines "$workdir/kill.jsonl")" -ge 5 ]] && break
+        sleep 0.1
+    done
+    count=$(lines "$workdir/kill.jsonl")
+    if [[ "$count" -lt 5 || "$count" -ge "$cells" ]]; then
+        fail "wanted to SIGKILL mid-run, journal has $count lines"
+    fi
+    { kill -9 "$coord_pid" && wait "$coord_pid"; } 2>/dev/null || true
+    if ! "$BVC_BIN" cluster coordinate --workload "$chaos_workload" --addr "$addr" \
+            --journal "$workdir/kill.jsonl" --durability always \
+            > "$workdir/kill_b.txt" 2>&1; then
+        cat "$workdir/kill_b.txt" >&2
+        fail "post-SIGKILL coordinator exited nonzero"
+    fi
+    if ! grep -qE "$cells/$cells cells ok" "$workdir/kill_b.txt"; then
+        cat "$workdir/kill_b.txt" >&2
+        fail "not every cell solved after the SIGKILL restart"
+    fi
+    cmp "$workdir/ref.jsonl" "$workdir/kill.jsonl" ||
+        fail "post-SIGKILL journal differs from the local reference"
+fi
+
+echo "==> $kind smoke OK ($stages stages, byte-identical journals)"
