@@ -194,6 +194,24 @@ mod tests {
         assert!((2..=10).contains(&sol.inner_iterations), "{} passes", sol.inner_iterations);
     }
 
+    /// The ratio objectives (`u1`, `u3`) on the same regenerative models
+    /// run one renewal Dinkelbach loop, with no search on rho: one inner
+    /// solve of a few DP passes.
+    #[test]
+    fn ratio_engine_is_one_dinkelbach_loop() {
+        let u1 = model(0.25, (1, 1), IncentiveModel::CompliantProfitDriven)
+            .optimal_relative_revenue(&SolveOptions::default())
+            .unwrap();
+        let u3 = model(0.01, (2, 3), IncentiveModel::NonProfitDriven)
+            .optimal_orphan_rate(&SolveOptions::default())
+            .unwrap();
+        for sol in [u1, u3] {
+            assert_eq!(sol.engine, ProbeEngine::Renewal);
+            assert_eq!(sol.inner_solves, 1);
+            assert!((2..=6).contains(&sol.inner_iterations), "{} passes", sol.inner_iterations);
+        }
+    }
+
     /// Analytical Result 2's qualitative core: in BU even a 1% miner earns
     /// strictly more than the honest rate by double-spend forking, for every
     /// table ratio, in setting 1.

@@ -2,12 +2,12 @@
 //!
 //! `AttackModel::optimal_relative_revenue` routes through
 //! `bvc_mdp::solve::maximize_ratio`, which scalarizes the CSR model once and
-//! runs the in-place-re-scalarized secant search on ρ. These pins hold the
+//! runs one renewal Dinkelbach loop on the cycle ratio. These pins hold the
 //! published values fixed across layout/solver changes: if a future
 //! "optimization" of the compiled kernels perturbs any of them, tier-1
 //! fails here rather than in a table diff nobody reads.
 //!
-//! BU solves run exact renewal passes, not RVI — the ratio probes of
+//! BU solves run exact renewal passes, not RVI — the ratio solves of
 //! Tables 2 and 4 and the `u2` gain solves of Table 3 alike — so the Table 2
 //! bit-identity pin no longer reaches the sharded Bellman kernel. The pin
 //! that does lives with the Bitcoin Table 3 cells
@@ -66,10 +66,11 @@ fn table2_alpha10_1to3_compiled() {
 }
 
 /// The six published setting-1 cells of the α = 10% column, solved by the
-/// production path (exact renewal probes) and by the reference ratio search
-/// (RVI probes) under the same options: the two differ only in their
-/// probes' gain error, so they must agree within the ratio tolerance, the
-/// precision both promise.
+/// production path (one exact renewal loop) and by the reference ratio
+/// search (RVI probes) under the same options: the reference ends within
+/// half a tolerance of its crossing, moved by its probes' gain error, and
+/// production on the exact one, so they must agree within the ratio
+/// tolerance, the precision both promise.
 #[test]
 fn table2_alpha10_column_matches_reference_solver() {
     let opts = SolveOptions::default();

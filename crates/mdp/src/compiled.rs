@@ -35,11 +35,12 @@
 //! ([`CompiledMdp::combine_scalarized_into`]) — it never re-reads the
 //! `rewards` buffer.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::MdpError;
 use crate::model::{ActionId, Mdp, Objective, Policy, StateId, PROB_SUM_TOLERANCE};
 use crate::shard::{effective_threads, run_chunked, SCALARIZE_MIN_ARMS};
+use crate::solve::renewal::Regeneration;
 
 /// A validated, flat, solver-ready MDP (see the module docs).
 #[derive(Debug, Clone)]
@@ -69,6 +70,10 @@ pub(crate) struct Structure {
     tr_offsets: Vec<u32>,
     /// Destination state of every transition. Length `num_transitions`.
     next: Vec<u32>,
+    /// [`regeneration_order`](crate::solve::renewal::regeneration_order)
+    /// of this graph, found on first use: a pure function of the arrays
+    /// above, so every model sharing them shares it.
+    regeneration: OnceLock<Regeneration>,
 }
 
 impl Structure {
@@ -84,6 +89,7 @@ impl Structure {
             arm_labels: Vec::with_capacity(arms),
             tr_offsets,
             next: Vec::with_capacity(transitions),
+            regeneration: OnceLock::new(),
         }
     }
 
@@ -162,6 +168,11 @@ impl Structure {
     #[inline]
     pub(crate) fn targets(&self, arm: usize) -> &[u32] {
         &self.next[self.transition_range(arm)]
+    }
+
+    /// The memo of this graph's regeneration order.
+    pub(crate) fn regeneration(&self) -> &OnceLock<Regeneration> {
+        &self.regeneration
     }
 }
 

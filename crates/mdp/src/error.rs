@@ -97,7 +97,9 @@ pub enum MdpError {
     /// A ratio objective is unbounded: some policy accrues numerator
     /// reward at a positive rate while its denominator rate is zero.
     UnboundedRatio {
-        /// The bracket value at which the solver gave up.
+        /// The ρ at which the solver gave up: the search's last bracket end
+        /// (RVI engine), or the ρ of the renewal loop's pass that found a
+        /// zero-denominator policy.
         reached: f64,
     },
     /// An objective weight vector has the wrong number of components.

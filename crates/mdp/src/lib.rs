@@ -22,9 +22,10 @@
 //!   ([`solve::renewal`]) when state 0 is a regeneration state, relative
 //!   value iteration otherwise.
 //! * [`solve::maximize_ratio`] — maximizes `E[N]/E[D]` objectives such as
-//!   *relative revenue* (Eq. 1 of the paper) via a safeguarded secant search
-//!   on ρ over transformed rewards; each probe is exact
-//!   ([`solve::renewal`]) when state 0 is a regeneration state.
+//!   *relative revenue* (Eq. 1 of the paper): by one exact Dinkelbach loop
+//!   on the cycle ratio ([`solve::renewal`]) when state 0 is a
+//!   regeneration state, else by a safeguarded secant search on ρ over
+//!   transformed rewards, each probe an RVI solve.
 //! * [`solve::evaluate_policy`] — long-run component rates of a fixed
 //!   policy by a damped power method (to a 1e-12 L1 tolerance), for
 //!   reporting every utility of one optimal strategy and for Monte Carlo

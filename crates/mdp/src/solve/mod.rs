@@ -1,7 +1,7 @@
-//! Solvers: average-reward (exact renewal-cycle passes on regenerative
-//! models, relative value iteration otherwise), ratio objectives (secant
-//! search on ρ over transformed rewards), fixed-policy evaluation and
-//! hitting analysis. [`SolveOptions`] is the one options type the
+//! Solvers: average-reward and ratio objectives (exact renewal-cycle
+//! passes on regenerative models; otherwise relative value iteration, with
+//! a secant search on ρ over transformed rewards for ratios), fixed-policy
+//! evaluation and hitting analysis. [`SolveOptions`] is the one options type the
 //! attack models solve under.
 //!
 //! Every solver reads the CSR [`CompiledMdp`](crate::compiled::CompiledMdp);

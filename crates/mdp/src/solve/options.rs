@@ -125,13 +125,12 @@ pub struct OptimalStrategy {
     /// A policy attaining it (action indices per MDP state; the model
     /// crates map them back to their domain actions).
     pub policy: Policy,
-    /// The inner solver: a ratio objective's probe engine, or the engine of
-    /// a gain objective's solve. Either way [`ProbeEngine::Renewal`] on
-    /// regenerative models (every BU model) and [`ProbeEngine::Rvi`]
-    /// otherwise.
+    /// The engine that solved it: [`ProbeEngine::Renewal`] on regenerative
+    /// models (every BU model) and [`ProbeEngine::Rvi`] otherwise, for a
+    /// gain or a ratio objective alike.
     pub engine: ProbeEngine,
-    /// Inner solves: probes on ρ for a ratio objective, 1 for a gain
-    /// objective.
+    /// Inner solves: 1, except for a ratio objective on the RVI engine,
+    /// where it counts the probes of the search on ρ.
     pub inner_solves: usize,
     /// Inner work summed over them: RVI iterations, or DP passes on the
     /// renewal engine.

@@ -3,9 +3,9 @@
 //! The paper's relative-revenue objective (Eq. 1) and orphan-rate objective
 //! (Eq. 3) are ratios of long-run accumulation rates, which plain dynamic
 //! programming cannot maximize directly. Following Sapirshtein et al.
-//! ("Optimal Selfish Mining Strategies in Bitcoin"), we solve a family of
+//! ("Optimal Selfish Mining Strategies in Bitcoin"), consider the
 //! standard average-reward MDPs with the transformed scalar reward
-//! `w_rho = N - rho * D` and search for the critical `rho*`.
+//! `w_rho = N - rho * D`.
 //!
 //! Let `g(rho)` be the optimal gain under `w_rho`. Each policy contributes a
 //! line `avg(N) - rho * avg(D)`, so `g` is convex, piecewise linear and
@@ -18,81 +18,89 @@
 //!   (with `avg(N) = avg(D) = 0`) exist, e.g. a strategy that never mines.
 //!
 //! `rho*` — the optimal ratio — is therefore the left edge of the set
-//! `{rho : g(rho) <= eps}`.
+//! `{rho : g(rho) <= eps}`. The solver reports the crossing of `g = eps`,
+//! with `eps` = `crossing_level` (a tenth of [`RatioOptions::tolerance`]):
+//! the value is `max_π (N − eps·L) / D` over per-step rates, `L` counting
+//! steps, since `g(rho) > eps` holds iff some policy has
+//! `avg(N) − eps − rho·avg(D) > 0`. It lies below `rho*` by about
+//! `eps / avg(D)`. [`RatioSolution::engine`] names the engine that found it.
 //!
-//! ## The search on rho
+//! ## Regenerative models: one Dinkelbach loop
 //!
-//! A doubling phase brackets the crossing: `g(lo) > eps >= g(hi)`. A
-//! safeguarded secant search (`next_probe`) then shrinks the bracket until it
-//! is narrower than [`RatioOptions::tolerance`]. Because `g` is convex, a
-//! secant through two probes on the *same* side of the crossing lies below
-//! `g` outside the segment between them, so its root is a lower estimate of
-//! the crossing; once both probes sit on the optimal policy's line the
-//! estimate is exact. Each probe aims a quarter tolerance short of its
-//! estimate, so an exact one lands just above the crossing, and the clamped
-//! step after it closes the bracket. Without a same-side pair the step is
-//! the chord root between `lo` and `hi`, capped at the midpoint (the cap
-//! keeps Table 4's null-policy plateau, where `g(hi) ≈ 0`, from stalling the
-//! chord at `hi`). The midpoint is also the safeguard: it is taken whenever
-//! an estimate is not finite or the last three probes shrank the bracket
-//! less than 4×, so the search never needs more than about twice
-//! bisection's probes, and on the paper's tables it needs about a third of
-//! them.
+//! When state 0 is a regeneration state — with the edges into it removed,
+//! the state graph of every arm is acyclic, which every BU attack model
+//! satisfies with state 0 = `BASE` — every rate is a ratio of sums over
+//! one cycle from state 0, and so is the value: `(N − eps·L) / D` summed
+//! over the cycle. [`renewal`](crate::solve::renewal) maximizes it
+//! directly, with no search on rho: Dinkelbach steps from `rho = 0`, each
+//! one exact backward DP pass over a topological order. The value is
+//! exact (up to rounding) and is the returned policy's own cycle ratio
+//! `(N − eps·L) / D`, so that policy's `N / D` is at least the value. The
+//! loop reports [`MdpError::UnboundedRatio`] when a policy has
+//! `N − eps·L > 0` and `D = 0`. Only [`RatioOptions::tolerance`] (through
+//! `eps`) and the budget of [`RatioOptions::rvi`] (checked once per pass)
+//! apply on this path; the check
+//! ([`regeneration_order`](crate::solve::renewal::regeneration_order)) and
+//! the validation of `aperiodicity_tau` and the warm start's length run in
+//! the same place that picks the engine of a plain gain solve
+//! ([`relative_value_iteration_compiled`](crate::solve::rvi::relative_value_iteration_compiled)).
 //!
-//! ## Exact probes on regenerative models
+//! ## Other models: the search on rho
 //!
-//! Each probe needs the optimal gain `g(rho)` of `w_rho`. When state 0 is a
-//! regeneration state — with the edges into it removed, the state graph of
-//! every arm is acyclic, which every BU attack model satisfies with state 0
-//! = `BASE` — the probe computes `g(rho)` **exactly** instead of by RVI:
-//! [`renewal`](crate::solve::renewal) finds the best cycle ratio by
-//! Dinkelbach steps, one backward DP pass over a topological order each,
-//! warm-started from the previous probe's policy. The check
-//! ([`regeneration_order`](crate::solve::renewal::regeneration_order))
-//! runs once per solve, in the same place that picks the engine of a plain
-//! gain solve
-//! ([`relative_value_iteration_compiled`](crate::solve::rvi::relative_value_iteration_compiled))
-//! and validates `aperiodicity_tau` and the warm start's length for both
-//! engines. Beyond those, only [`RatioOptions::tolerance`] and the budget
-//! of [`RatioOptions::rvi`] (checked once per pass) apply on this path; the
-//! other RVI options are unused. Models with a cycle that avoids state 0
-//! (the Bitcoin models, for one) keep the RVI probe. Either way the search
-//! on rho, its bracket and its result contract are the same;
-//! [`RatioSolution::engine`] names
-//! the probe that ran.
+//! Models with a cycle that avoids state 0 (the Bitcoin models, for one)
+//! search on rho, each probe an RVI solve of `g(rho)`. A doubling phase
+//! from [`RatioOptions::initial_hi`] brackets the crossing:
+//! `g(lo) > eps >= g(hi)`. A safeguarded secant search (`next_probe`) then
+//! shrinks the bracket until it is narrower than
+//! [`RatioOptions::tolerance`], and the value is its midpoint, within half
+//! a tolerance of the crossing; the policy is the one of the last probe
+//! above it. Because `g` is convex, a secant through two probes on the
+//! *same* side of the crossing lies below `g` outside the segment between
+//! them, so its root is a lower estimate of the crossing; once both probes
+//! sit on the optimal policy's line the estimate is exact. Each probe aims
+//! a quarter tolerance short of its estimate, so an exact one lands just
+//! above the crossing, and the clamped step after it closes the bracket.
+//! Without a same-side pair the step is the chord root between `lo` and
+//! `hi`, capped at the midpoint (the cap keeps Table 4's null-policy
+//! plateau, where `g(hi) ≈ 0`, from stalling the chord at `hi`). The
+//! midpoint is also the safeguard: it is taken whenever an estimate is not
+//! finite or the last three probes shrank the bracket less than 4×, so the
+//! search never needs more than about twice bisection's probes.
 //!
 //! ## The fast path
 //!
-//! Both functionals are scalarized **once** per solve. Scalarization is linear
-//! in the objective, so the per-arm expected rewards of `w_rho` are
+//! Both functionals are scalarized **once** per solve. Scalarization is
+//! linear in the objective, so the per-arm expected rewards of `w_rho` are
 //! `exp_num[a] − rho · exp_den[a]`: an RVI probe re-scalarizes *in place*
 //! with one O(arms) vector combine ([`CompiledMdp::combine_scalarized_into`]),
-//! and the renewal passes combine each arm's reward as they read it; neither
-//! re-reads the per-transition reward buffer. Every inner solve runs in one
-//! persistent set of buffers (the RVI probe warm-starts the RVI kernel from
-//! the previous probe's bias vector; the renewal probe keeps its cycle
-//! values there) — after setup, the whole search performs no heap
-//! allocation except recording a new incumbent policy.
+//! and the renewal passes read each arm's two rewards as they go; neither
+//! re-reads the per-transition reward buffer. Every probe runs in one
+//! persistent set of buffers, warm-started from the previous probe's bias
+//! vector — after setup, the whole search performs no heap allocation
+//! except recording a new incumbent policy.
 
 use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
 use crate::model::{Objective, Policy};
-use crate::solve::renewal::ArmRewards;
-use crate::solve::rvi::{GainEngine, RviOptions};
+use crate::solve::renewal::{optimal_ratio, CycleWeights};
+use crate::solve::rvi::{rvi_probe, ArmRewards, GainEngine, RviOptions};
 
 /// Options for [`maximize_ratio`].
 #[derive(Debug, Clone)]
 pub struct RatioOptions {
-    /// The search on rho stops when the bracketing interval is narrower than
+    /// The precision of the value. The solver reports the crossing of the
+    /// optimal gain of `N − rho·D` with a tenth of this (see the module
+    /// docs); the search on rho stops when its bracket is narrower than
     /// this. The paper's stated precision is `1e-4`; we default one decade
     /// tighter.
     pub tolerance: f64,
     /// Inner average-reward solver options. Warm starts are managed
     /// internally across probes; any user-provided warm start seeds only the
-    /// first RVI probe. The renewal probe uses only the budget.
+    /// first RVI probe. The renewal loop uses only the budget.
     pub rvi: RviOptions,
-    /// Initial upper bound for the ratio. Doubled until `g(hi) <= 0` holds,
-    /// so this is a hint, not a hard cap.
+    /// Initial upper bound of the search on rho (RVI engine only; the
+    /// renewal loop has no bracket). Doubled until `g(hi) <= eps` holds, so
+    /// this is a hint, not a hard cap.
     pub initial_hi: f64,
 }
 
@@ -105,36 +113,41 @@ impl Default for RatioOptions {
 /// Result of [`maximize_ratio`].
 #[derive(Debug, Clone)]
 pub struct RatioSolution {
-    /// The maximal ratio `E[N]/E[D]` (within tolerance).
+    /// The maximal ratio `E[N]/E[D]` (within tolerance; see the module
+    /// docs for the exact contract).
     pub value: f64,
-    /// A policy attaining the ratio: the optimal policy of the transformed
-    /// MDP at the lower bracket (where the gain is still positive), i.e. a
-    /// policy whose own ratio is within tolerance of optimal.
+    /// A policy attaining the ratio. On the renewal engine, the last greedy
+    /// policy, whose own `(N − eps·L) / D` is the value; on the RVI engine,
+    /// the optimal policy of the transformed MDP at the lower bracket end
+    /// (where the gain is still above `eps`). Either way its own ratio is
+    /// within tolerance of optimal.
     pub policy: Policy,
-    /// Number of inner average-reward solves performed (probes on rho).
+    /// Number of inner solves: probes on rho on the RVI engine, `1` (the
+    /// one Dinkelbach loop) on the renewal engine.
     pub inner_solves: usize,
     /// Work summed over all inner solves: relative value iterations on the
     /// RVI engine, backward DP passes on the renewal engine.
     pub inner_iterations: usize,
-    /// Which solver computed each probe's gain.
+    /// Which engine solved the model.
     pub engine: ProbeEngine,
 }
 
-/// The engine behind an optimal gain: each probe of the search on rho (see
-/// the module docs), or a plain gain solve
+/// The engine behind an optimal gain or ratio: a ratio solve (see the
+/// module docs), or a plain gain solve
 /// ([`relative_value_iteration_compiled`](crate::solve::rvi::relative_value_iteration_compiled)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeEngine {
     /// Exact renewal-cycle DP passes: state 0 is a regeneration state.
     Renewal,
-    /// Warm-started relative value iteration.
+    /// Warm-started relative value iteration (a ratio solve searches on rho
+    /// over it).
     Rvi,
 }
 
-/// The gain level whose crossing the search locates. The inner gain must be
-/// resolved finer than the outer tolerance times the denominator scale; one
-/// decade finer works for the unit-rate denominators used throughout this
-/// project.
+/// The gain level `eps` whose crossing a ratio solve reports. The inner
+/// gain must be resolved finer than the outer tolerance times the
+/// denominator scale; one decade finer works for the unit-rate denominators
+/// used throughout this project.
 pub(crate) fn crossing_level(opts: &RatioOptions) -> f64 {
     opts.tolerance * 0.1
 }
@@ -299,8 +312,8 @@ pub fn maximize_ratio(
     maximize_ratio_compiled(mdp, numerator, denominator, opts)
 }
 
-/// [`maximize_ratio`] without the objective arity checks. The probe engine
-/// is chosen here, once per solve (see the module docs).
+/// [`maximize_ratio`] without the objective arity checks. The engine is
+/// chosen here, once per solve (see the module docs).
 pub fn maximize_ratio_compiled(
     compiled: &CompiledMdp,
     numerator: &Objective,
@@ -312,30 +325,48 @@ pub fn maximize_ratio_compiled(
     let engine = GainEngine::select(compiled, &opts.rvi)?;
 
     // Scalarize both functionals once; every rho after this is a vector
-    // combine over these two arrays (the renewal passes combine each arm's
-    // as they read it). Both passes shard across the inner solver's thread
-    // budget on large models (bit-identical either way).
+    // combine over these two arrays (the renewal passes read each arm's
+    // entries as they go). Both passes shard across the inner solver's
+    // thread budget on large models (bit-identical either way).
     let solve_threads = opts.rvi.solve_threads;
     let mut exp_num = Vec::new();
     let mut exp_den = Vec::new();
     compiled.scalarize_into_threaded(numerator, &mut exp_num, solve_threads);
     compiled.scalarize_into_threaded(denominator, &mut exp_den, solve_threads);
-    let mut exp_w = Vec::new();
 
-    // Persistent solver state. For RVI, `h` carries the bias across probes
-    // (warm start); nearby rho values have nearby bias vectors, so each
-    // inner solve converges in a fraction of a cold start's iterations. The
-    // renewal probe reuses `h` and `h_next` for its cycle rewards and
-    // lengths, and warm-starts from `policy` instead.
+    let mut policy = Policy::zeros(n);
+    let mut inner_iterations = 0usize;
+    if let GainEngine::Renewal(order) = engine {
+        let weights = CycleWeights { num: &exp_num, shift: eps, den: Some(&exp_den) };
+        let value = optimal_ratio(
+            compiled,
+            order,
+            weights,
+            &mut vec![0.0; n],
+            &mut vec![0.0; n],
+            &mut policy,
+            &opts.rvi.budget,
+            &mut inner_iterations,
+        )?;
+        return Ok(RatioSolution {
+            value,
+            policy,
+            inner_solves: 1,
+            inner_iterations,
+            engine: ProbeEngine::Renewal,
+        });
+    }
+
+    // The search on rho over warm-started RVI probes: `h` carries the bias
+    // across probes; nearby rho values have nearby bias vectors, so each
+    // probe converges in a fraction of a cold start's iterations.
+    let mut exp_w = Vec::new();
     let mut h: Vec<f64> = opts.rvi.warm_start.clone().unwrap_or_else(|| vec![0.0; n]);
     let mut h_next = vec![0.0f64; n];
-    let mut policy = Policy::zeros(n);
     let mut lo_policy = Policy::zeros(n);
     let mut inner_solves = 0usize;
-    let mut inner_iterations = 0usize;
-
     let found = search_crossing(opts, |rho| {
-        let gain = engine.solve(
+        let gain = rvi_probe(
             compiled,
             ArmRewards { num: &exp_num, den: &exp_den, rho },
             &mut exp_w,
@@ -356,7 +387,7 @@ pub fn maximize_ratio_compiled(
         Some(value) => (value, lo_policy),
         None => (0.0, policy),
     };
-    Ok(RatioSolution { value, policy, inner_solves, inner_iterations, engine: engine.kind() })
+    Ok(RatioSolution { value, policy, inner_solves, inner_iterations, engine: ProbeEngine::Rvi })
 }
 
 #[cfg(test)]
@@ -408,17 +439,55 @@ mod tests {
         assert!(sol.inner_iterations >= 1);
     }
 
+    /// State 0 steps to state 1 for free; state 1's self-loop pays
+    /// `loop_reward`: a cycle avoiding state 0, so the ratio solve searches
+    /// on rho by RVI.
+    fn cyclic_loop(loop_reward: [f64; 2]) -> CompiledMdp {
+        let mut m = Mdp::new(2);
+        let a = m.add_state();
+        let b = m.add_state();
+        m.add_action(a, 0, vec![Transition::new(b, 1.0, vec![0.0, 0.0])]);
+        m.add_action(b, 0, vec![Transition::new(b, 1.0, loop_reward.to_vec())]);
+        CompiledMdp::of(&m)
+    }
+
     /// Ratio larger than the default initial bracket: the doubling phase
-    /// must extend the bracket.
+    /// must extend the bracket. The renewal loop has no bracket.
     #[test]
     fn bracket_expands_beyond_initial_hi() {
+        let n = Objective::component(0, 2);
+        let d = Objective::component(1, 2);
+        let opts = RatioOptions::default();
+        let sol = maximize_ratio(&cyclic_loop([5.0, 1.0]), &n, &d, &opts).unwrap();
+        assert_eq!(sol.engine, ProbeEngine::Rvi);
+        assert!((sol.value - 5.0).abs() < 1e-4, "value {}", sol.value);
+
         let mut m = Mdp::new(2);
         let s = m.add_state();
         m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![5.0, 1.0])]);
+        let sol = maximize_ratio(&CompiledMdp::of(&m), &n, &d, &opts).unwrap();
+        assert_eq!(sol.engine, ProbeEngine::Renewal);
+        assert_eq!(sol.value, 5.0 - crossing_level(&opts));
+    }
+
+    /// A policy with a positive numerator and a zero denominator makes the
+    /// ratio unbounded, on either engine: the renewal loop sees it in its
+    /// first pass, the search on rho when its doubling reaches 1e12.
+    #[test]
+    fn zero_denominator_is_an_unbounded_ratio() {
         let n = Objective::component(0, 2);
         let d = Objective::component(1, 2);
-        let sol = maximize_ratio(&CompiledMdp::of(&m), &n, &d, &RatioOptions::default()).unwrap();
-        assert!((sol.value - 5.0).abs() < 1e-4, "value {}", sol.value);
+        let opts = RatioOptions::default();
+        let mut m = Mdp::new(2);
+        let s = m.add_state();
+        m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![1.0, 0.0])]);
+        let err = maximize_ratio(&CompiledMdp::of(&m), &n, &d, &opts).unwrap_err();
+        assert_eq!(err, MdpError::UnboundedRatio { reached: 0.0 });
+
+        match maximize_ratio(&cyclic_loop([1.0, 0.0]), &n, &d, &opts) {
+            Err(MdpError::UnboundedRatio { reached }) => assert!(reached >= 1e12, "{reached}"),
+            other => panic!("expected UnboundedRatio, got {other:?}"),
+        }
     }
 
     /// A stochastic example: action loops through a two-step cycle earning

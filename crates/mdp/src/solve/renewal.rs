@@ -1,38 +1,48 @@
-//! Exact average-reward solves on regenerative models.
+//! Exact average-reward and ratio solves on regenerative models.
 //!
 //! State 0 is a *regeneration state* of a model when, with the edges into
 //! state 0 removed, the state graph of all arms together (so of every
 //! policy at once) is acyclic. Every path then returns to state 0 within
 //! `n` steps under every stationary policy, and by the renewal-reward
-//! theorem a policy's long-run gain is one cycle's ratio
+//! theorem every long-run rate of a policy is a ratio of sums over one
+//! cycle from state 0 back to it.
+//!
+//! Both solves here maximize such a cycle ratio `A(π) / B(π)` over
+//! stationary policies, where each step adds an arm's per-arm weights to
+//! the cycle sums:
 //!
 //! ```text
-//! gain(π) = R(π) / L(π),   R = E_0[reward until the return to 0],
-//!                          L = E_0[steps until the return to 0].
+//! gain solve:  A = E_0[reward until the return to 0],  B = E_0[steps]
+//! ratio solve: A = E_0[N − ε per step],                 B = E_0[D]
 //! ```
 //!
-//! Both cycle expectations of a fixed policy come out of one backward pass
-//! over a topological order, exactly: each state's value only reads
-//! successors the pass has already finished, and a return to state 0 ends
-//! the cycle.
+//! A fixed policy's `A` and `B` come out of one backward pass over a
+//! topological order, exactly: each state's sums only read successors the
+//! pass has already finished, and a return to state 0 ends the cycle. The
+//! maximum is found by Dinkelbach's method: a backward pass at `ρ` picks,
+//! state by state, the arm maximizing `A − ρ·B` (first wins ties) and
+//! carries that greedy policy's own `A` and `B`; their ratio at state 0 is
+//! the next `ρ`. `ρ` never decreases, and once the greedy policy stops
+//! changing it is optimal (the policy-iteration argument on the cycle
+//! MDP). Each pass is exact backward induction on an acyclic graph, so the
+//! greedy policy attains `max_π A(π) − ρ·B(π)` exactly.
 //!
-//! The optimal gain `g = max_π R(π) / L(π)` is itself a ratio, found by
-//! Dinkelbach's method. Start from `λ` = the gain of a known policy. A
-//! backward pass picks, state by state, the arm maximizing `R − λ·L` and
-//! carries that greedy policy's own `R` and `L` along; their ratio is the
-//! next `λ`. `λ` never decreases, and once the greedy policy stops changing
-//! it is optimal (the policy-iteration argument on the cycle MDP). Warm
-//! started from a nearby solve's policy this takes two or three passes.
+//! * `optimal_gain` (Table 3's `u2`, through
+//!   [`relative_value_iteration_compiled`]) starts from the incoming
+//!   policy's own gain, one evaluation pass, and reports the policy's bias
+//!   `A(s) − g·B(s)`.
+//! * `optimal_ratio` (Table 2's `u1` and Table 4's `u3`, through
+//!   [`maximize_ratio_compiled`]) starts with a greedy pass at `ρ = 0`.
+//!   Its value is `max_π (N − ε·L) / D` with `ε` = the ratio solver's
+//!   crossing level (a tenth of its tolerance): exactly where
+//!   the optimal gain of `N − ρ·D` crosses `ε`, the point the search on `ρ`
+//!   brackets on the RVI engine, since `g(ρ) > ε` holds iff some policy has
+//!   `N − ε·L − ρ·D > 0`.
 //!
-//! [`regeneration_order`] is the precondition check. One dispatch in
-//! [`rvi`](crate::solve::rvi) runs it once per solve, for both
-//! average-reward entry points:
-//!
-//! * a gain solve ([`relative_value_iteration_compiled`], Table 3's `u2`)
-//!   runs `optimal_gain` once, from the all-zeros policy, on the plain
-//!   per-arm rewards, and reports the policy's bias `R(s) − g·L(s)`;
-//! * the ratio solver ([`maximize_ratio_compiled`], `u1` and `u3`) runs it
-//!   once per probe on ρ, on `N − ρ·D`.
+//! [`regeneration_order`] is the precondition check. It is a pure function
+//! of the graph, computed once per graph and shared by every model
+//! re-weighted from it ([`refill`](crate::indexer::refill)). One dispatch
+//! in [`rvi`](crate::solve::rvi) reads it once per solve.
 //!
 //! [`relative_value_iteration_compiled`]: crate::solve::rvi::relative_value_iteration_compiled
 //! [`maximize_ratio_compiled`]: crate::solve::ratio::maximize_ratio_compiled
@@ -45,22 +55,39 @@ use crate::model::Policy;
 /// Name the budget and error paths report for this solver.
 const SOLVER: &str = "renewal";
 
+/// A cycle of a model's state graph that avoids state 0: the witness that
+/// state 0 is not a regeneration state. Each state steps to the next by a
+/// transition of one of its arms, and the last steps back to the first.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AvoidingCycle {
+    /// The states on the cycle, in the order a path walks them; never 0.
+    pub states: Vec<u32>,
+}
+
+/// What [`regeneration_order`] finds, memoized once per graph.
+pub(crate) type Regeneration = Result<Vec<u32>, AvoidingCycle>;
+
 /// A topological order of all states with state 0 first, ignoring edges
-/// into state 0, or `None` when there is none: some cycle avoids state 0,
-/// so state 0 is not a regeneration state. Kahn's algorithm over every
-/// transition of every arm, O(states + transitions).
-pub fn regeneration_order(compiled: &CompiledMdp) -> Option<Vec<u32>> {
+/// into state 0, or a cycle that avoids state 0 when there is none (so
+/// state 0 is not a regeneration state).
+///
+/// Computed on the first call for a graph (Kahn's algorithm over every
+/// transition of every arm, O(states + transitions)) and shared after that
+/// by every model on the same structure arrays.
+pub fn regeneration_order(compiled: &CompiledMdp) -> Result<&[u32], &AvoidingCycle> {
+    compiled.structure().regeneration().get_or_init(|| find_order(compiled)).as_deref()
+}
+
+/// [`regeneration_order`] without the memo.
+fn find_order(compiled: &CompiledMdp) -> Regeneration {
     let n = compiled.num_states();
-    if n == 0 {
-        return None;
-    }
     let (arm_offsets, tr_offsets) = compiled.raw_offsets();
     let next = compiled.raw_next();
     // A state's arms, and so their transitions, are contiguous in CSR order.
     let successors = |s: usize| {
         let t0 = tr_offsets[arm_offsets[s] as usize] as usize;
         let t1 = tr_offsets[arm_offsets[s + 1] as usize] as usize;
-        &next[t0..t1]
+        next[t0..t1].iter().filter(|&&to| to != 0)
     };
     let mut in_degree = vec![0u32; n];
     for &to in next.iter().filter(|&&to| to != 0) {
@@ -72,7 +99,7 @@ pub fn regeneration_order(compiled: &CompiledMdp) -> Option<Vec<u32>> {
     let mut head = 0;
     while let Some(&s) = order.get(head) {
         head += 1;
-        for &to in successors(s as usize).iter().filter(|&&to| to != 0) {
+        for &to in successors(s as usize) {
             let d = &mut in_degree[to as usize];
             *d -= 1;
             if *d == 0 {
@@ -80,122 +107,181 @@ pub fn regeneration_order(compiled: &CompiledMdp) -> Option<Vec<u32>> {
             }
         }
     }
-    (order.len() == n).then_some(order)
+    // A state is ordered once its count of in-edges reaches zero.
+    let left = |s: usize| in_degree[s] > 0;
+    let Some(mut s) = (0..n).find(|&s| left(s)) else {
+        return Ok(order);
+    };
+    // The states left over keep an in-edge from another left-over state:
+    // the edge from a finished state was counted off when it finished.
+    // Walking such edges backwards from any of them must repeat a state.
+    let mut pred = vec![0u32; n];
+    for s in (0..n).filter(|&s| left(s)) {
+        for &to in successors(s) {
+            pred[to as usize] = s as u32;
+        }
+    }
+    let mut step_of = vec![usize::MAX; n];
+    let mut walk = Vec::new();
+    while step_of[s] == usize::MAX {
+        step_of[s] = walk.len();
+        walk.push(s as u32);
+        s = pred[s] as usize;
+    }
+    let mut states = walk.split_off(step_of[s]);
+    states.reverse();
+    Err(AvoidingCycle { states })
 }
 
-/// Per-arm expected rewards `num[a] − rho · den[a]` (a ratio probe's, or a
-/// gain solve's with [`ArmRewards::plain`]), combined as the passes read
-/// them: the same arithmetic as [`CompiledMdp::combine_scalarized_into`],
-/// without the buffer.
+/// The per-arm weights a step adds to the two cycle sums: arm `a` adds
+/// `num[a] − shift` to `A`, and `den[a]` to `B`, or one step when `den` is
+/// `None`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ArmRewards<'a> {
+pub(crate) struct CycleWeights<'a> {
     /// Expected numerator reward per arm.
     pub num: &'a [f64],
-    /// Expected denominator reward per arm.
-    pub den: &'a [f64],
-    /// The probe's ρ; 0 for a gain solve.
-    pub rho: f64,
+    /// Subtracted from every arm's numerator: the ratio solve's `ε`.
+    pub shift: f64,
+    /// Expected denominator reward per arm; `None` counts steps.
+    pub den: Option<&'a [f64]>,
 }
 
-impl<'a> ArmRewards<'a> {
-    /// The plain per-arm rewards of a gain solve: `r − 0·r` is exactly `r`
-    /// for every finite `r`.
-    pub(crate) fn plain(exp_reward: &'a [f64]) -> Self {
-        ArmRewards { num: exp_reward, den: exp_reward, rho: 0.0 }
-    }
-
-    #[inline]
-    fn at(&self, arm: usize) -> f64 {
-        self.num[arm] - self.rho * self.den[arm]
-    }
-}
-
-/// The exact optimal gain of the per-arm expected rewards `exp_w` on a
+/// The exact optimal gain of the per-arm expected rewards `exp_reward` on a
 /// model with regeneration order `order` (from [`regeneration_order`]).
 ///
-/// Warm starts from the incoming `policy` and leaves an optimal policy in
-/// it. `reward` and `length` are scratch buffers with one entry per state;
-/// they end holding that policy's cycle reward and length from each state
-/// other than 0. Every pass adds one to `passes` and checks `budget` first.
+/// Warm starts from the incoming `policy`, whose gain one evaluation pass
+/// finds first, and leaves an optimal policy in it. `reward` and `length`
+/// are scratch buffers with one entry per state; they end holding that
+/// policy's cycle reward and length from each state other than 0. Every
+/// pass adds one to `passes` and checks `budget` first.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn optimal_gain(
     compiled: &CompiledMdp,
     order: &[u32],
-    exp_w: ArmRewards<'_>,
+    exp_reward: &[f64],
     reward: &mut [f64],
     length: &mut [f64],
     policy: &mut Policy,
     budget: &SolveBudget,
     passes: &mut usize,
 ) -> Result<f64, MdpError> {
-    // A return to state 0 ends the cycle: its entries stay zero, and the
-    // passes keep state 0's own values out of the buffers.
-    reward[0] = 0.0;
-    length[0] = 0.0;
-    let mut pass = |gain: Option<f64>| {
+    let weights = CycleWeights { num: exp_reward, shift: 0.0, den: None };
+    let mut pass = |rho: Option<f64>| {
         budget.check(SOLVER, *passes)?;
         *passes += 1;
-        Ok::<_, MdpError>(backward_pass(compiled, order, exp_w, gain, policy, reward, length))
+        Ok(backward_pass(compiled, order, weights, rho, policy, reward, length))
     };
     let (r, l, _) = pass(None)?;
-    let mut gain = r / l;
+    dinkelbach(r / l, pass)
+}
+
+/// The exact `max_π A(π) / B(π)` of `weights` over stationary policies, or
+/// `0` when no policy has `A > 0`, on a model with regeneration order
+/// `order`: the ratio solve of the module docs.
+///
+/// Starts with a greedy pass at `ρ = 0` and leaves the last greedy policy
+/// in `policy`; the value is that policy's own `A / B`. A policy with
+/// `A > 0` and `B = 0` makes the ratio unbounded
+/// ([`MdpError::UnboundedRatio`]). `a` and `b` are scratch buffers with
+/// one entry per state. Every pass adds one to `passes` and checks
+/// `budget` first.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn optimal_ratio(
+    compiled: &CompiledMdp,
+    order: &[u32],
+    weights: CycleWeights<'_>,
+    a: &mut [f64],
+    b: &mut [f64],
+    policy: &mut Policy,
+    budget: &SolveBudget,
+    passes: &mut usize,
+) -> Result<f64, MdpError> {
+    let mut pass = |rho: Option<f64>| {
+        budget.check(SOLVER, *passes)?;
+        *passes += 1;
+        Ok(backward_pass(compiled, order, weights, rho, policy, a, b))
+    };
+    let (a0, b0, _) = pass(Some(0.0))?;
+    if a0 <= 0.0 {
+        return Ok(0.0);
+    }
+    if b0 <= 0.0 {
+        return Err(MdpError::UnboundedRatio { reached: 0.0 });
+    }
+    dinkelbach(a0 / b0, pass)
+}
+
+/// Dinkelbach steps from `rho`, the ratio of the policy the passes hold,
+/// until a greedy pass leaves the policy unchanged or does not raise the
+/// ratio (a tie). Returns the last greedy policy's ratio `A / B`.
+fn dinkelbach(
+    mut rho: f64,
+    mut pass: impl FnMut(Option<f64>) -> Result<(f64, f64, bool), MdpError>,
+) -> Result<f64, MdpError> {
     loop {
-        let (r, l, changed) = pass(Some(gain))?;
-        let next = r / l;
-        // Without a change the greedy policy is the last one: optimal. A
-        // change that does not raise the ratio is a tie.
-        if !changed || next <= gain {
+        let (a, b, changed) = pass(Some(rho))?;
+        if b <= 0.0 {
+            // Only a ratio's denominator can vanish (a gain's counts steps).
+            // With `A ≤ 0` the greedy policy merely ties `rho`.
+            return if a > 0.0 { Err(MdpError::UnboundedRatio { reached: rho }) } else { Ok(rho) };
+        }
+        let next = a / b;
+        if !changed || next <= rho {
             return Ok(next);
         }
-        gain = next;
+        rho = next;
     }
 }
 
-/// One backward pass in reverse `order`. With `gain = None` it evaluates
-/// `policy`; with `Some(λ)` it replaces `policy` by the arms maximizing
-/// `R − λ·L` (first wins ties). Either way it stores the resulting policy's
-/// cycle reward and length for every state but 0, and returns state 0's
-/// `(R, L)` and whether any choice changed.
+/// One backward pass in reverse `order`. With `rho = None` it evaluates
+/// `policy`; with `Some(ρ)` it replaces `policy` by the arms maximizing
+/// `A − ρ·B` (first wins ties). Either way it stores the resulting policy's
+/// cycle sums `A` and `B` for every state but 0, and returns state 0's
+/// `(A, B)` and whether any choice changed.
 fn backward_pass(
     compiled: &CompiledMdp,
     order: &[u32],
-    exp_w: ArmRewards<'_>,
-    gain: Option<f64>,
+    CycleWeights { num, shift, den }: CycleWeights<'_>,
+    rho: Option<f64>,
     policy: &mut Policy,
-    reward: &mut [f64],
-    length: &mut [f64],
+    sum_a: &mut [f64],
+    sum_b: &mut [f64],
 ) -> (f64, f64, bool) {
     let (arm_offsets, tr_offsets) = compiled.raw_offsets();
     let (next, prob) = (compiled.raw_next(), compiled.raw_prob());
-    let lambda = gain.unwrap_or(0.0);
+    // A return to state 0 ends the cycle: its entries stay zero, and state
+    // 0's own sums are returned instead of stored.
+    sum_a[0] = 0.0;
+    sum_b[0] = 0.0;
+    let lambda = rho.unwrap_or(0.0);
     let mut changed = false;
     let mut base = (0.0, 0.0);
     for &s in order.iter().rev() {
         let s = s as usize;
         let a0 = arm_offsets[s] as usize;
-        let arms = match gain {
+        let arms = match rho {
             Some(_) => a0..arm_offsets[s + 1] as usize,
             None => a0 + policy.choices[s]..a0 + policy.choices[s] + 1,
         };
-        let (mut best, mut best_arm, mut best_rl) = (f64::NEG_INFINITY, a0, (0.0, 0.0));
+        let (mut best, mut best_arm, mut best_ab) = (f64::NEG_INFINITY, a0, (0.0, 0.0));
         for arm in arms {
             let t = tr_offsets[arm] as usize..tr_offsets[arm + 1] as usize;
-            let (mut r, mut l) = (exp_w.at(arm), 1.0);
+            let (mut a, mut b) = (num[arm] - shift, den.map_or(1.0, |d| d[arm]));
             for (p, &to) in prob[t.clone()].iter().zip(&next[t]) {
-                r += p * reward[to as usize];
-                l += p * length[to as usize];
+                a += p * sum_a[to as usize];
+                b += p * sum_b[to as usize];
             }
-            let q = r - lambda * l;
+            let q = a - lambda * b;
             if q > best {
-                (best, best_arm, best_rl) = (q, arm, (r, l));
+                (best, best_arm, best_ab) = (q, arm, (a, b));
             }
         }
         changed |= policy.choices[s] != best_arm - a0;
         policy.choices[s] = best_arm - a0;
         if s == 0 {
-            base = best_rl;
+            base = best_ab;
         } else {
-            (reward[s], length[s]) = best_rl;
+            (sum_a[s], sum_b[s]) = best_ab;
         }
     }
     (base.0, base.1, changed)
@@ -204,12 +290,29 @@ fn backward_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::indexer::{explore, refill, Expansion};
     use crate::model::{Mdp, Transition};
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
     fn compile(m: &Mdp) -> CompiledMdp {
         CompiledMdp::compile(m).unwrap()
+    }
+
+    /// The witness of a model with no order: every step of the cycle,
+    /// the last back to the first, is a transition of some arm, and state
+    /// 0 is never on it.
+    fn assert_avoiding_cycle(c: &CompiledMdp) -> Vec<u32> {
+        let cycle = &regeneration_order(c).expect_err("no order").states;
+        assert!(!cycle.is_empty() && !cycle.contains(&0), "cycle {cycle:?}");
+        for (i, &from) in cycle.iter().enumerate() {
+            let to = cycle[(i + 1) % cycle.len()] as usize;
+            let edge = c
+                .arm_range(from as usize)
+                .any(|arm| c.transitions(arm).any(|(target, _, _)| target == to));
+            assert!(edge, "{from} → {to} is no transition of cycle {cycle:?}");
+        }
+        cycle.clone()
     }
 
     /// 0 → 1 → 2 → 0 plus a shortcut 0 → 2: ordered, state 0 first.
@@ -221,14 +324,15 @@ mod tests {
         m.add_action(s[0], 1, vec![Transition::new(s[2], 1.0, vec![0.0])]);
         m.add_action(s[1], 0, vec![Transition::new(s[2], 1.0, vec![0.0])]);
         m.add_action(s[2], 0, vec![Transition::new(s[0], 1.0, vec![0.0])]);
-        assert_eq!(regeneration_order(&compile(&m)), Some(vec![0, 1, 2]));
+        assert_eq!(regeneration_order(&compile(&m)), Ok(&[0, 1, 2][..]));
     }
 
-    /// 1 ⇄ 2 avoids state 0 (on a second arm of state 1 only): no order.
+    /// 1 ⇄ 2 avoids state 0 (on a second arm of state 1 only): no order,
+    /// and that cycle is the witness.
     #[test]
     fn a_cycle_avoiding_state_zero_has_no_order() {
         let mut m = Mdp::new(1);
-        let s: Vec<_> = (0..3).map(|_| m.add_state()).collect();
+        let s: Vec<_> = (0..4).map(|_| m.add_state()).collect();
         m.add_action(s[0], 0, vec![Transition::new(s[1], 1.0, vec![0.0])]);
         m.add_action(s[1], 0, vec![Transition::new(s[0], 1.0, vec![0.0])]);
         m.add_action(
@@ -236,8 +340,16 @@ mod tests {
             1,
             vec![Transition::new(s[2], 0.5, vec![0.0]), Transition::new(s[0], 0.5, vec![0.0])],
         );
-        m.add_action(s[2], 0, vec![Transition::new(s[1], 1.0, vec![0.0])]);
-        assert_eq!(regeneration_order(&compile(&m)), None);
+        // State 3 hangs off the cycle without being on one.
+        m.add_action(
+            s[2],
+            0,
+            vec![Transition::new(s[1], 0.5, vec![0.0]), Transition::new(s[3], 0.5, vec![0.0])],
+        );
+        m.add_action(s[3], 0, vec![Transition::new(s[0], 1.0, vec![0.0])]);
+        let mut cycle = assert_avoiding_cycle(&compile(&m));
+        cycle.sort_unstable();
+        assert_eq!(cycle, vec![1, 2]);
 
         // A self-loop on a state other than 0 is such a cycle too.
         let mut m = Mdp::new(1);
@@ -249,7 +361,32 @@ mod tests {
             0,
             vec![Transition::new(b, 0.5, vec![0.0]), Transition::new(a, 0.5, vec![0.0])],
         );
-        assert_eq!(regeneration_order(&compile(&m)), None);
+        assert_eq!(assert_avoiding_cycle(&compile(&m)), vec![1]);
+    }
+
+    /// `s → s + 1` up to 3, then back to 0, with one reward per step scaled
+    /// by `w`: regenerative, and the same graph for every `w`.
+    fn chain(w: f64) -> impl FnMut(&u32, &mut Expansion<u32>) {
+        move |s: &u32, x: &mut Expansion<u32>| {
+            x.action(0).outcome((s + 1) % 4, 1.0, &[w * f64::from(*s)]);
+        }
+    }
+
+    /// The order is found once per graph: a model refilled on an explored
+    /// graph reads the same memoized order, and a fresh explore of the same
+    /// model finds its own.
+    #[test]
+    fn the_order_is_memoized_per_graph() {
+        let explored = explore(1, [0u32], chain(1.0)).unwrap();
+        let order = regeneration_order(&explored.mdp).unwrap();
+        assert_eq!(order, &[0, 1, 2, 3]);
+        let refilled = refill(&explored.graph(), 1, chain(2.0)).unwrap().unwrap();
+        assert!(refilled.mdp.shares_structure(&explored.mdp));
+        assert!(std::ptr::eq(regeneration_order(&refilled.mdp).unwrap(), order));
+        let fresh = explore(1, [0u32], chain(2.0)).unwrap();
+        let own = regeneration_order(&fresh.mdp).unwrap();
+        assert_eq!(own, order);
+        assert!(!std::ptr::eq(own, order));
     }
 
     /// State 0 chooses between three cycles: a self-loop paying 1 (gain 1),
@@ -257,8 +394,7 @@ mod tests {
     /// (gain 1.3). From the self-loop the first greedy step prefers the long
     /// cycle (`R − L` = 1 against 0.6), so reaching the optimum takes a
     /// second Dinkelbach step.
-    #[test]
-    fn optimal_gain_is_the_best_cycle_ratio() {
+    fn three_cycles() -> CompiledMdp {
         let mut m = Mdp::new(1);
         let s: Vec<_> = (0..11).map(|_| m.add_state()).collect();
         m.add_action(s[0], 0, vec![Transition::new(s[0], 1.0, vec![1.0])]);
@@ -269,11 +405,14 @@ mod tests {
             m.add_action(s[i], 0, vec![Transition::new(to, 1.0, vec![1.1])]);
         }
         m.add_action(s[10], 0, vec![Transition::new(s[0], 1.0, vec![1.3])]);
-        let c = compile(&m);
+        compile(&m)
+    }
+
+    #[test]
+    fn optimal_gain_is_the_best_cycle_ratio() {
+        let c = three_cycles();
         let order = regeneration_order(&c).unwrap();
-        let num = c.scalarize(&crate::model::Objective::new(vec![1.0]));
-        let den = vec![0.0; c.num_arms()];
-        let exp_w = ArmRewards { num: &num, den: &den, rho: 0.0 };
+        let exp_reward = c.scalarize(&crate::model::Objective::new(vec![1.0]));
         let (mut reward, mut length) = (vec![0.0; 11], vec![0.0; 11]);
         let mut policy = Policy::zeros(11);
         let budget = SolveBudget::unlimited();
@@ -281,8 +420,8 @@ mod tests {
             let mut passes = 0;
             let gain = optimal_gain(
                 &c,
-                &order,
-                exp_w,
+                order,
+                &exp_reward,
                 &mut reward,
                 &mut length,
                 policy,
@@ -300,6 +439,40 @@ mod tests {
         assert_eq!(solve(&mut policy), (1.3, 2));
     }
 
+    /// The ratio loop on [`three_cycles`] with a denominator of one per
+    /// step is the gain solve shifted by `shift`, started from a greedy
+    /// pass at ρ = 0 instead of an evaluation: the long cycle (largest
+    /// `A`), then the short one, confirmed.
+    #[test]
+    fn optimal_ratio_runs_dinkelbach_from_zero() {
+        let c = three_cycles();
+        let order = regeneration_order(&c).unwrap();
+        let num = c.scalarize(&crate::model::Objective::new(vec![1.0]));
+        let den = vec![1.0; c.num_arms()];
+        let budget = SolveBudget::unlimited();
+        let solve = |shift: f64| {
+            let weights = CycleWeights { num: &num, shift, den: Some(&den) };
+            let (mut policy, mut passes) = (Policy::zeros(11), 0);
+            let value = optimal_ratio(
+                &c,
+                order,
+                weights,
+                &mut [0.0; 11],
+                &mut [0.0; 11],
+                &mut policy,
+                &budget,
+                &mut passes,
+            );
+            (value, policy.choices[0], passes)
+        };
+        assert_eq!(solve(0.0), (Ok(1.3), 2, 3));
+        assert_eq!(solve(0.25), (Ok(1.3 - 0.25), 2, 3));
+        // No policy's shifted numerator is positive: the value is 0 after
+        // one pass.
+        assert_eq!(solve(1.5).0, Ok(0.0));
+        assert_eq!(solve(1.5).2, 1);
+    }
+
     #[test]
     fn cancel_flag_aborts_the_passes() {
         let mut m = Mdp::new(1);
@@ -310,8 +483,8 @@ mod tests {
         let budget = SolveBudget::unlimited().with_cancel(Arc::new(AtomicBool::new(true)));
         let err = optimal_gain(
             &c,
-            &order,
-            ArmRewards { num: &[1.0], den: &[0.0], rho: 0.0 },
+            order,
+            &[1.0],
             &mut [0.0],
             &mut [0.0],
             &mut Policy::zeros(1),

@@ -11,14 +11,15 @@
 //!
 //! One place, `GainEngine`, chooses the engine, once per solve, for both
 //! [`relative_value_iteration_compiled`] (and so
-//! [`relative_value_iteration`]) and every probe of the ratio solver: it
-//! validates the shared options and checks whether state 0 is a
-//! regeneration state ([`regeneration_order`]). Every BU attack model is,
-//! with state 0 = `BASE`; their gain solves (Table 3's `u2`) then run one
-//! [`renewal`](crate::solve::renewal) Dinkelbach loop, each step one
+//! [`relative_value_iteration`]) and the ratio solver: it validates the
+//! shared options and reads whether state 0 is a regeneration state
+//! ([`regeneration_order`], memoized per graph). Every BU attack model
+//! is, with state 0 = `BASE`; their gain solves (Table 3's `u2`) then run
+//! one [`renewal`](crate::solve::renewal) Dinkelbach loop, each step one
 //! backward DP pass, and return the **exact** gain, its policy and that
 //! policy's bias. Models with a cycle that avoids state 0 (the Bitcoin
-//! baselines, for one) run the RVI kernel below. [`RviSolution::engine`]
+//! baselines, for one) run the RVI kernel below, for a gain solve and for
+//! each probe of the ratio solver's search on ρ. [`RviSolution::engine`]
 //! names the engine that ran. Both engines share the error contract (bad
 //! `aperiodicity_tau`, wrong-length rewards or warm start, budget and
 //! cancellation once per iteration or pass); a renewal solve ignores a
@@ -65,7 +66,7 @@ use crate::shard::{
     DEFAULT_SHARD_MIN_STATES,
 };
 use crate::solve::ratio::ProbeEngine;
-use crate::solve::renewal::{optimal_gain, regeneration_order, ArmRewards};
+use crate::solve::renewal::{optimal_gain, regeneration_order};
 
 /// Options for [`relative_value_iteration`].
 #[derive(Debug, Clone)]
@@ -163,24 +164,37 @@ pub fn relative_value_iteration_compiled(
     let mut h_next = vec![0.0f64; n];
     let mut policy = Policy::zeros(n);
     let mut iterations = 0;
-    let gain = engine.solve(
-        compiled,
-        ArmRewards::plain(exp_reward),
-        &mut Vec::new(),
-        &mut h,
-        &mut h_next,
-        &mut policy,
-        opts,
-        &mut iterations,
-    )?;
-    if let GainEngine::Renewal(_) = engine {
-        // The passes left the policy's cycle rewards R in `h` and lengths L
-        // in `h_next`. Its bias is R − g·L; state 0's entries of R and L
-        // are zero, so h[0] = 0.
-        for (r, l) in h.iter_mut().zip(&h_next) {
-            *r -= gain * l;
+    let gain = match engine {
+        GainEngine::Renewal(order) => {
+            let gain = optimal_gain(
+                compiled,
+                order,
+                exp_reward,
+                &mut h,
+                &mut h_next,
+                &mut policy,
+                &opts.budget,
+                &mut iterations,
+            )?;
+            // The passes left the policy's cycle rewards R in `h` and
+            // lengths L in `h_next`. Its bias is R − g·L; state 0's entries
+            // of R and L are zero, so h[0] = 0.
+            for (r, l) in h.iter_mut().zip(&h_next) {
+                *r -= gain * l;
+            }
+            gain
         }
-    }
+        GainEngine::Rvi => rvi_probe(
+            compiled,
+            ArmRewards::plain(exp_reward),
+            &mut Vec::new(),
+            &mut h,
+            &mut h_next,
+            &mut policy,
+            opts,
+            &mut iterations,
+        )?,
+    };
     Ok(RviSolution { gain, bias: h, policy, iterations, engine: engine.kind() })
 }
 
@@ -189,18 +203,19 @@ const SOLVER: &str = "relative_value_iteration";
 
 /// The engine of a model's average-reward solves, chosen once per solve
 /// from the model's structure (see the module docs). Plain gain solves and
-/// every probe of the ratio solver run through it.
-pub(crate) enum GainEngine {
-    /// State 0 is a regeneration state: exact DP passes in this order.
-    Renewal(Vec<u32>),
+/// the ratio solver both dispatch on it.
+pub(crate) enum GainEngine<'m> {
+    /// State 0 is a regeneration state: exact DP passes in this order, the
+    /// model's memoized one.
+    Renewal(&'m [u32]),
     /// Some cycle avoids state 0: the RVI kernel.
     Rvi,
 }
 
-impl GainEngine {
+impl<'m> GainEngine<'m> {
     /// Validates the options both engines share — `aperiodicity_tau` in
     /// `[0, 1)`, a warm start of one entry per state — and picks the engine.
-    pub(crate) fn select(compiled: &CompiledMdp, opts: &RviOptions) -> Result<Self, MdpError> {
+    pub(crate) fn select(compiled: &'m CompiledMdp, opts: &RviOptions) -> Result<Self, MdpError> {
         let tau = opts.aperiodicity_tau;
         if !(0.0..1.0).contains(&tau) {
             return Err(MdpError::BadOption { what: "aperiodicity_tau", value: tau });
@@ -212,8 +227,8 @@ impl GainEngine {
             }
         }
         Ok(match regeneration_order(compiled) {
-            Some(order) => GainEngine::Renewal(order),
-            None => GainEngine::Rvi,
+            Ok(order) => GainEngine::Renewal(order),
+            Err(_) => GainEngine::Rvi,
         })
     }
 
@@ -224,47 +239,56 @@ impl GainEngine {
             GainEngine::Rvi => ProbeEngine::Rvi,
         }
     }
+}
 
-    /// The optimal gain of the per-arm rewards `rewards`, solved in the
-    /// caller's buffers (`h`, `h_next` and `policy` hold one entry per
-    /// state). Leaves a gain-optimal policy in `policy` and adds the work
-    /// done — DP passes or RVI sweeps — to `work`.
-    ///
-    /// The renewal passes warm-start from the incoming `policy` and leave
-    /// its cycle rewards in `h` and cycle lengths in `h_next`. The RVI kernel
-    /// combines the rewards into `exp_w` (resized to one entry per arm),
-    /// warm-starts from the bias in `h` and leaves the final bias there.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn solve(
-        &self,
-        compiled: &CompiledMdp,
-        rewards: ArmRewards<'_>,
-        exp_w: &mut Vec<f64>,
-        h: &mut Vec<f64>,
-        h_next: &mut Vec<f64>,
-        policy: &mut Policy,
-        opts: &RviOptions,
-        work: &mut usize,
-    ) -> Result<f64, MdpError> {
-        match self {
-            GainEngine::Renewal(order) => {
-                optimal_gain(compiled, order, rewards, h, h_next, policy, &opts.budget, work)
-            }
-            GainEngine::Rvi => {
-                exp_w.resize(compiled.num_arms(), 0.0);
-                CompiledMdp::combine_scalarized_into_threaded(
-                    rewards.num,
-                    rewards.den,
-                    rewards.rho,
-                    exp_w,
-                    opts.solve_threads,
-                );
-                let (gain, sweeps) = rvi_kernel(compiled, exp_w, h, h_next, policy, opts)?;
-                *work += sweeps;
-                Ok(gain)
-            }
-        }
+/// Per-arm expected rewards `num[a] − rho · den[a]` of one RVI solve: a
+/// ratio probe's, or a gain solve's with [`ArmRewards::plain`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ArmRewards<'a> {
+    /// Expected numerator reward per arm.
+    pub num: &'a [f64],
+    /// Expected denominator reward per arm.
+    pub den: &'a [f64],
+    /// The probe's ρ; 0 for a gain solve.
+    pub rho: f64,
+}
+
+impl<'a> ArmRewards<'a> {
+    /// The plain per-arm rewards of a gain solve: `r − 0·r` is exactly `r`
+    /// for every finite `r`.
+    fn plain(exp_reward: &'a [f64]) -> Self {
+        ArmRewards { num: exp_reward, den: exp_reward, rho: 0.0 }
     }
+}
+
+/// The optimal gain of `rewards` by the RVI kernel, in the caller's
+/// buffers: combines the rewards into `exp_w` (resized to one entry per
+/// arm), warm-starts from the bias in `h` and leaves the final bias there,
+/// and a gain-optimal policy in `policy`; `h_next` is scratch. `h`,
+/// `h_next` and `policy` hold one entry per state. Adds the sweeps run to
+/// `work`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn rvi_probe(
+    compiled: &CompiledMdp,
+    rewards: ArmRewards<'_>,
+    exp_w: &mut Vec<f64>,
+    h: &mut Vec<f64>,
+    h_next: &mut Vec<f64>,
+    policy: &mut Policy,
+    opts: &RviOptions,
+    work: &mut usize,
+) -> Result<f64, MdpError> {
+    exp_w.resize(compiled.num_arms(), 0.0);
+    CompiledMdp::combine_scalarized_into_threaded(
+        rewards.num,
+        rewards.den,
+        rewards.rho,
+        exp_w,
+        opts.solve_threads,
+    );
+    let (gain, sweeps) = rvi_kernel(compiled, exp_w, h, h_next, policy, opts)?;
+    *work += sweeps;
+    Ok(gain)
 }
 
 /// The allocation-light RVI core: runs Bellman sweeps inside the

@@ -5,13 +5,14 @@
 //! jumping to state 0), which guarantees the unichain assumption the
 //! average-reward solvers rely on.
 //!
-//! The average-reward solves (gain solves and the ratio solver's probes)
-//! pick their engine from the model's structure: exact renewal passes when
-//! state 0 is a regeneration state, RVI otherwise. Tests that pin one engine
-//! draw from a generator that guarantees its structure:
-//! [`random_cyclic_model`] (a cycle avoids state 0: RVI) or
-//! [`RandomModel::build_regenerative`] (no such cycle: renewal). The RVI
-//! kernel's own tests all draw from [`random_cyclic_model`].
+//! The average-reward solves (gain solves and ratio solves) pick their
+//! engine from the model's structure: exact renewal passes when state 0 is
+//! a regeneration state, RVI otherwise (a ratio solve then searches on rho
+//! over RVI probes). Tests that pin one engine draw from a generator that
+//! guarantees its structure: [`random_cyclic_model`] (a cycle avoids state
+//! 0: RVI) or [`RandomModel::build_regenerative`] (no such cycle:
+//! renewal). The RVI kernel's own tests all draw from
+//! [`random_cyclic_model`].
 
 use bvc_mdp::solve::{
     evaluate_policy, maximize_ratio, relative_value_iteration, ProbeEngine, RatioOptions,
@@ -450,13 +451,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// On regenerative models (≤ 5 states, ≤ 2 arms) the renewal probes find
+    /// On regenerative models (≤ 5 states, ≤ 2 arms) the renewal loop finds
     /// the best ratio over every deterministic policy, each evaluated
     /// exactly over one cycle: the value and the returned policy's own ratio
     /// are within the tolerance of that maximum. The value also agrees with
-    /// the reference RVI search: each search ends within half a tolerance of
-    /// its own crossing, and RVI's gain error moves the crossing by at most
-    /// its tolerance over the smallest denominator rate.
+    /// the reference RVI search: that search ends within half a tolerance
+    /// of its own crossing, the renewal loop on its exact one, and RVI's
+    /// gain error moves the crossing by at most its tolerance over the
+    /// smallest denominator rate.
     #[test]
     fn renewal_ratio_matches_policy_enumeration(model in random_model()) {
         let m = model.build_regenerative();
@@ -481,6 +483,41 @@ proptest! {
             (sol.value - reference.value).abs()
                 <= opts.tolerance + opts.rvi.tolerance / REGEN_MIN_DEN,
             "renewal {} vs reference {}", sol.value, reference.value);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On regenerative models the ratio solve is one Dinkelbach loop whose
+    /// value is exactly the crossing the search on rho brackets: the best
+    /// `(N − eps·L) / D` over every deterministic policy, each summed
+    /// exactly over one cycle (`L` counts steps, `eps` is a tenth of the
+    /// tolerance), or 0 when none is positive. The returned policy's own
+    /// `N / D` is at least the value.
+    #[test]
+    fn renewal_ratio_equals_the_enumerated_crossing(model in random_model()) {
+        let m = model.build_regenerative();
+        let num = Objective::component(0, 2);
+        let den = Objective::component(1, 2);
+        let opts = RatioOptions::default();
+        let eps = opts.tolerance * 0.1;
+        let sol = maximize_ratio(&m, &num, &den, &opts).unwrap();
+        prop_assert_eq!(sol.engine, ProbeEngine::Renewal);
+        prop_assert_eq!(sol.inner_solves, 1);
+
+        let best = all_policies(&m)
+            .iter()
+            .map(|p| {
+                let [n, d, steps] = cycle_totals(&m, p);
+                (n - eps * steps) / d
+            })
+            .fold(0.0, f64::max);
+        prop_assert!((sol.value - best).abs() <= 1e-12 * best,
+            "renewal {} vs enumerated crossing {}", sol.value, best);
+        let own = cycle_ratio(&m, &sol.policy);
+        prop_assert!(own >= sol.value, "returned policy's ratio {} below the value {}",
+            own, sol.value);
     }
 }
 

@@ -54,13 +54,15 @@ echo "==> ratio-search gate (secant search vs reference solver, bisection and en
 # solver (`solve::reference`, which reads the same CSR model; the test names
 # keep the word "nested" from when it read the nested layout); it must land
 # within the tolerance of plain bisection with at most three times its
-# inner solves; and on regenerative models (exact renewal probes) within the
-# tolerance of the best enumerated policy.
+# inner solves. On regenerative models (one exact renewal Dinkelbach loop)
+# the value must be within the tolerance of the best enumerated policy and
+# equal, to 1e-12, the enumerated crossing max (N - eps*L) / D.
 cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
     compiled_ratio_matches_nested ratio_search_matches_bisection_oracle \
-    renewal_ratio_matches_policy_enumeration
+    renewal_ratio_matches_policy_enumeration renewal_ratio_equals_the_enumerated_crossing
 # The same reference search on real cells: the six α = 10% Table 2 cells,
-# production within the ratio tolerance of the reference (RVI probes).
+# production (renewal loop) within the ratio tolerance of the reference
+# (RVI probes).
 cargo test -q --offline -p bvc-bu --test table2_pins -- \
     table2_alpha10_column_matches_reference_solver
 
