@@ -21,6 +21,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use bvc_journal::json::JsonObject;
 use bvc_journal::net::{apply_deadlines, read_chunk, ReadError as RecvError};
 
 /// Tuning knobs of the substrate.
@@ -74,8 +75,7 @@ impl Request {
 
     /// First header with this (case-insensitive) name, if any.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let lower = name.to_ascii_lowercase();
-        self.headers.iter().find(|(k, _)| *k == lower).map(|(_, v)| v.as_str())
+        self.headers.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
     }
 }
 
@@ -131,6 +131,7 @@ impl Response {
             429 => "Too Many Requests",
             431 => "Request Header Fields Too Large",
             500 => "Internal Server Error",
+            501 => "Not Implemented",
             503 => "Service Unavailable",
             _ => "Unknown",
         }
@@ -182,9 +183,10 @@ pub fn parse_query(q: &str) -> Vec<(String, String)> {
 }
 
 /// One live connection: the stream plus any bytes already read past the
-/// previous request (keep-alive pipelining).
-struct Conn {
-    stream: TcpStream,
+/// previous request (keep-alive pipelining). Generic over the byte source
+/// so the request reader can be fed bytes directly in tests.
+struct Conn<S> {
+    stream: S,
     buf: Vec<u8>,
 }
 
@@ -192,14 +194,20 @@ fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     haystack.windows(needle.len()).position(|w| w == needle)
 }
 
-impl Conn {
+impl<S: Read> Conn<S> {
     /// Reads more bytes into the buffer; the EOF/deadline translation lives
     /// in [`bvc_journal::net::read_chunk`], shared with the cluster frame codec.
     fn fill(&mut self, mid_request: bool) -> Result<(), RecvError> {
         read_chunk(&mut self.stream, &mut self.buf, mid_request)
     }
 
-    /// Reads and parses the next request off the connection.
+    /// Reads and parses the next request off the connection. The head is
+    /// parsed in place in the buffer and drained once parsed.
+    ///
+    /// A body is framed by `Content-Length` only: several `Content-Length`
+    /// headers that disagree are malformed, and a request carrying
+    /// `Transfer-Encoding` is returned with no body read, for the caller
+    /// to refuse with 501 and close ([`handle_connection`]).
     fn read_request(&mut self, cfg: &HttpConfig) -> Result<Request, RecvError> {
         let header_end = loop {
             if let Some(pos) = find_subslice(&self.buf, b"\r\n\r\n") {
@@ -214,16 +222,14 @@ impl Conn {
             return Err(RecvError::TooLarge("header"));
         }
         let head = std::str::from_utf8(&self.buf[..header_end])
-            .map_err(|_| RecvError::Malformed("header is not valid UTF-8".into()))?
-            .to_string();
-        self.buf.drain(..header_end + 4);
+            .map_err(|_| RecvError::Malformed("header is not valid UTF-8".into()))?;
 
         let mut lines = head.split("\r\n");
         let request_line = lines.next().unwrap_or_default();
         let mut parts = request_line.split(' ');
         let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
             (Some(m), Some(t), Some(v)) if !m.is_empty() && parts.next().is_none() => {
-                (m.to_string(), t.to_string(), v)
+                (m.to_string(), t, v)
             }
             _ => {
                 return Err(RecvError::Malformed(format!(
@@ -244,7 +250,7 @@ impl Conn {
 
         let (path, query) = match target.split_once('?') {
             Some((p, q)) => (p, parse_query(q)),
-            None => (target.as_str(), Vec::new()),
+            None => (target, Vec::new()),
         };
         let path = percent_decode(path);
 
@@ -256,15 +262,15 @@ impl Conn {
         let wants_close = connection.contains("close")
             || (version == "HTTP/1.0" && !connection.contains("keep-alive"));
 
-        let body_len = match headers.iter().find(|(k, _)| k == "content-length") {
-            None => 0,
-            Some((_, v)) => v
-                .parse::<usize>()
-                .map_err(|_| RecvError::Malformed(format!("bad content-length {v:?}")))?,
+        let body_len = if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+            0
+        } else {
+            content_length(&headers)?
         };
         if body_len > cfg.max_body_bytes {
             return Err(RecvError::TooLarge("body"));
         }
+        self.buf.drain(..header_end + 4);
         while self.buf.len() < body_len {
             self.fill(true)?;
         }
@@ -274,27 +280,48 @@ impl Conn {
     }
 }
 
-fn write_response(stream: &mut TcpStream, resp: &Response, close: bool) -> io::Result<()> {
-    let mut head = format!(
+/// The body length the `Content-Length` headers give: 0 without one, and
+/// malformed when repeated with differing values.
+fn content_length(headers: &[(String, String)]) -> Result<usize, RecvError> {
+    let mut values = headers.iter().filter(|(k, _)| k == "content-length").map(|(_, v)| v);
+    match values.next() {
+        None => Ok(0),
+        Some(v) if values.any(|other| other != v) => {
+            Err(RecvError::Malformed("conflicting content-length headers".into()))
+        }
+        Some(v) => v.parse().map_err(|_| RecvError::Malformed(format!("bad content-length {v:?}"))),
+    }
+}
+
+/// Writes one response with a single `write_all`: the head and the body
+/// share one buffer. Sockets run with `TCP_NODELAY`
+/// ([`bvc_journal::net::apply_deadlines`]), so a write for the head and
+/// another for the body would leave as two segments, and the peer could
+/// wake twice to read one reply.
+fn write_response(out: &mut impl Write, resp: &Response, close: bool) -> io::Result<()> {
+    let extra: usize =
+        resp.extra_headers.iter().map(|(name, value)| name.len() + value.len() + 4).sum();
+    let mut bytes = Vec::with_capacity(128 + resp.content_type.len() + extra + resp.body.len());
+    write!(
+        bytes,
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n",
         resp.status,
         Response::reason(resp.status),
         resp.content_type,
         resp.body.len()
-    );
+    )?;
     for (name, value) in &resp.extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        for part in [name.as_bytes(), b": ", value.as_bytes(), b"\r\n"] {
+            bytes.extend_from_slice(part);
+        }
     }
     if close {
-        head.push_str("connection: close\r\n");
+        bytes.extend_from_slice(b"connection: close\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&resp.body)?;
-    stream.flush()
+    bytes.extend_from_slice(b"\r\n");
+    bytes.extend_from_slice(&resp.body);
+    out.write_all(&bytes)?;
+    out.flush()
 }
 
 /// A running server: worker threads plus the shutdown handle.
@@ -382,29 +409,21 @@ fn handle_connection<H: Fn(&Request) -> Response>(
     let mut conn = Conn { stream, buf: Vec::new() };
     loop {
         let req = match conn.read_request(cfg) {
+            // The reader frames bodies by Content-Length only, so the end
+            // of a Transfer-Encoding body is unknown.
+            Ok(req) if req.header("transfer-encoding").is_some() => {
+                let detail = "transfer-encoding is not supported";
+                return refuse(&mut conn.stream, 501, "not_implemented", detail);
+            }
             Ok(req) => req,
             Err(RecvError::Closed | RecvError::TimedOut | RecvError::Io) => return Ok(()),
             Err(RecvError::TooLarge(what)) => {
                 let status = if what == "body" { 413 } else { 431 };
-                let resp = Response::json(
-                    status,
-                    format!("{{\"error\":\"too_large\",\"detail\":\"{what} exceeds limit\"}}"),
-                );
-                write_response(&mut conn.stream, &resp, true)?;
-                drain_before_close(&mut conn.stream);
-                return Ok(());
+                let detail = format!("{what} exceeds limit");
+                return refuse(&mut conn.stream, status, "too_large", &detail);
             }
             Err(RecvError::Malformed(detail)) => {
-                let resp = Response::json(
-                    400,
-                    format!(
-                        "{{\"error\":\"bad_request\",\"detail\":\"{}\"}}",
-                        bvc_journal::json::escape(&detail)
-                    ),
-                );
-                write_response(&mut conn.stream, &resp, true)?;
-                drain_before_close(&mut conn.stream);
-                return Ok(());
+                return refuse(&mut conn.stream, 400, "bad_request", &detail)
             }
         };
         let resp = match catch_unwind(AssertUnwindSafe(|| handler(&req))) {
@@ -422,6 +441,16 @@ fn handle_connection<H: Fn(&Request) -> Response>(
             return Ok(());
         }
     }
+}
+
+/// Answers a request the connection cannot serve with one JSON error reply
+/// and closes, so whatever follows it on the wire is never parsed as a
+/// request.
+fn refuse(stream: &mut TcpStream, status: u16, error: &str, detail: &str) -> io::Result<()> {
+    let body = JsonObject::new().str("error", error).str("detail", detail).finish();
+    write_response(stream, &Response::json(status, body), true)?;
+    drain_before_close(stream);
+    Ok(())
 }
 
 impl Server {
@@ -479,9 +508,126 @@ mod tests {
         );
     }
 
+    /// A writer that records the bytes and counts the `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The exact bytes `resp` goes out as, checking that they leave in one
+    /// `write` call.
+    fn wire(resp: &Response, close: bool) -> String {
+        let mut out = CountingWriter::default();
+        write_response(&mut out, resp, close).expect("write to memory");
+        assert_eq!(out.writes, 1, "a reply must leave in one write");
+        String::from_utf8(out.bytes).expect("utf-8 reply")
+    }
+
+    #[test]
+    fn json_reply_is_one_pinned_write() {
+        let resp = Response::json(200, "{\"value\":0.25}".to_string());
+        assert_eq!(
+            wire(&resp, false),
+            "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 14\r\n\r\n\
+             {\"value\":0.25}"
+        );
+    }
+
+    #[test]
+    fn shed_reply_keeps_extra_headers_in_order() {
+        let resp = Response::json(429, "{\"error\":\"overloaded\"}".to_string())
+            .with_header("retry-after", "1")
+            .with_header("retry-after-ms", "640");
+        assert_eq!(
+            wire(&resp, false),
+            "HTTP/1.1 429 Too Many Requests\r\ncontent-type: application/json\r\n\
+             content-length: 22\r\nretry-after: 1\r\nretry-after-ms: 640\r\n\r\n\
+             {\"error\":\"overloaded\"}"
+        );
+    }
+
+    #[test]
+    fn close_reply_ends_its_head_with_connection_close() {
+        let resp = Response::text(400, "bad".to_string()).with_header("x-extra", "1");
+        assert_eq!(
+            wire(&resp, true),
+            "HTTP/1.1 400 Bad Request\r\ncontent-type: text/plain; charset=utf-8\r\n\
+             content-length: 3\r\nx-extra: 1\r\nconnection: close\r\n\r\nbad"
+        );
+    }
+
+    /// Every request the reader gets out of `bytes` until it stops, and the
+    /// error it stops on.
+    fn read_all(bytes: &[u8]) -> (Vec<Request>, RecvError) {
+        let cfg = HttpConfig { max_header_bytes: 256, max_body_bytes: 64, ..HttpConfig::default() };
+        let mut conn = Conn { stream: bytes, buf: Vec::new() };
+        let mut requests = Vec::new();
+        loop {
+            match conn.read_request(&cfg) {
+                Ok(req) => requests.push(req),
+                Err(e) => return (requests, e),
+            }
+        }
+    }
+
+    const GET: &str = "GET /v1/table2?alpha=0.25&ratio=1%3A2 HTTP/1.1\r\nhost: t\r\n\r\n";
+    const POST: &str =
+        "POST /v1/solve HTTP/1.1\r\ncontent-length: 13\r\nConnection: close\r\n\r\n{\"alpha\":0.1}";
+
+    #[test]
+    fn reader_parses_a_query_a_body_and_pipelined_requests() {
+        let (reqs, end) = read_all(format!("{GET}{POST}").as_bytes());
+        assert!(matches!(end, RecvError::Closed), "clean end, got {end:?}");
+        assert_eq!(reqs.len(), 2);
+        assert_eq!(reqs[0].path, "/v1/table2");
+        assert_eq!(reqs[0].query_param("ratio"), Some("1:2"));
+        assert_eq!(reqs[0].header("HOST"), Some("t"));
+        assert!(!reqs[0].wants_close);
+        assert_eq!(
+            (reqs[1].method.as_str(), reqs[1].body.as_slice()),
+            ("POST", &b"{\"alpha\":0.1}"[..])
+        );
+        assert!(reqs[1].wants_close);
+    }
+
+    /// Differing `Content-Length` values are refused (`http_edge.rs`); a
+    /// repeated equal value frames the body as one would.
+    #[test]
+    fn repeated_equal_content_length_frames_the_body() {
+        let (reqs, end) =
+            read_all(b"POST / HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 5\r\n\r\nhello");
+        assert!(matches!(end, RecvError::Closed), "clean end, got {end:?}");
+        assert_eq!(reqs[0].body, b"hello");
+    }
+
+    /// Decoder gate: every proper prefix and every single-byte delimiter
+    /// replacement of a valid request stream reads as requests followed by
+    /// an error, never a panic.
+    #[test]
+    fn request_mutants_never_panic() {
+        for valid in [GET.to_string(), POST.to_string(), format!("{GET}{POST}")] {
+            for mutant in proptest::mutate::mutants(&valid) {
+                let _ = read_all(mutant.text().as_bytes());
+            }
+        }
+    }
+
     #[test]
     fn reason_phrases_cover_service_statuses() {
-        for status in [200, 400, 404, 405, 413, 422, 429, 431, 500, 503] {
+        for status in [200, 400, 404, 405, 413, 422, 429, 431, 500, 501, 503] {
             assert_ne!(Response::reason(status), "Unknown", "status {status}");
         }
     }

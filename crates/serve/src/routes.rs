@@ -27,7 +27,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use bvc_bu::{Action, AttackConfig, AttackModel, SolveOptions};
@@ -93,18 +93,27 @@ impl Default for ServeConfig {
     }
 }
 
-/// A published table a request addresses: its name and the `incentive` it
-/// fixes (the incentive's utility is the table's).
+/// A published table a request addresses: its name, the `incentive` it
+/// fixes (the incentive's utility is the table's) and its place in
+/// [`Table::ALL`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Table {
     name: &'static str,
     incentive: &'static str,
+    slot: usize,
 }
 
 impl Table {
-    const T2: Table = Table { name: "table2", incentive: "compliant" };
-    const T3: Table = Table { name: "table3", incentive: "double-spend" };
-    const T4: Table = Table { name: "table4", incentive: "vandal" };
+    const T2: Table = Table { name: "table2", incentive: "compliant", slot: 0 };
+    const T3: Table = Table { name: "table3", incentive: "double-spend", slot: 1 };
+    const T4: Table = Table { name: "table4", incentive: "vandal", slot: 2 };
+    const ALL: [Table; 3] = [Table::T2, Table::T3, Table::T4];
+
+    /// This table's [`config_token`], derived once per process.
+    fn token(self) -> &'static str {
+        static TOKENS: OnceLock<[String; 3]> = OnceLock::new();
+        &TOKENS.get_or_init(|| Table::ALL.map(|t| config_token(t.name)))[self.slot]
+    }
 }
 
 /// A fully-resolved solve request: the model config (whose incentive picks
@@ -113,7 +122,7 @@ impl Table {
 struct CellSpec {
     cfg: AttackConfig,
     key: String,
-    token: String,
+    token: Cow<'static, str>,
     audit: bool,
 }
 
@@ -399,7 +408,7 @@ impl Service {
         // payload (7 packed values) differs from the table routes' single
         // value, so the fingerprints must not collide with table cells or
         // preloaded journals.
-        spec.token = config_token(&format!("policy-{}", table.name));
+        spec.token = Cow::Owned(config_token(&format!("policy-{}", table.name)));
 
         let solve = || {
             let model = AttackModel::build(spec.cfg.clone())?;
@@ -633,7 +642,7 @@ fn parse_table_params_inner(
     Ok(CellSpec {
         key: cfg.cell_key(ratio),
         cfg,
-        token: config_token(table.name),
+        token: Cow::Borrowed(table.token()),
         audit: matches!(req.query_param("audit"), Some("1" | "true" | "")),
     })
 }
@@ -664,7 +673,7 @@ fn parse_solve_body(doc: &FlatJson) -> Result<CellSpec, String> {
     Ok(CellSpec {
         key: cfg.cell_key(ratio),
         cfg,
-        token,
+        token: Cow::Owned(token),
         audit: doc.get_bool("audit").unwrap_or(false),
     })
 }
@@ -852,6 +861,14 @@ mod tests {
         let spec = parse_table_params(&get("/v1/table3?alpha=0.025&ratio=4:1"), Table::T3).unwrap();
         assert_eq!(spec.key, format!("s1 b:g=4:1 a={}%", 0.025 * 100.0));
         assert!(spec.token.starts_with("table3;"));
+    }
+
+    #[test]
+    fn table_tokens_are_the_config_tokens() {
+        for (slot, table) in Table::ALL.into_iter().enumerate() {
+            assert_eq!(table.slot, slot);
+            assert_eq!(table.token(), config_token(table.name));
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! HTTP substrate edge cases exercised over real loopback sockets: torn
 //! requests, oversized headers/bodies, keep-alive reuse, malformed
-//! request lines, handler panics, and graceful shutdown draining an
-//! in-flight request.
+//! request lines, bodies the substrate cannot frame, handler panics, and
+//! graceful shutdown draining an in-flight request.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -119,6 +119,30 @@ fn malformed_request_line_answers_400() {
     assert!(out.starts_with("HTTP/1.1 400"), "got {out:?}");
     let out = raw_exchange(&server, b"GET / SPDY/9\r\n\r\n");
     assert!(out.starts_with("HTTP/1.1 400"), "got {out:?}");
+    server.shutdown();
+}
+
+/// Keep-alive framing: a request whose body this substrate cannot frame
+/// gets exactly one error reply and a close, so its body bytes are never
+/// parsed as a second request.
+#[test]
+fn unframeable_bodies_get_one_reply_then_close() {
+    let server = start_echo(small_cfg());
+    let out = raw_exchange(
+        &server,
+        b"POST /x HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+    );
+    assert_eq!(out.matches("HTTP/1.1 ").count(), 1, "got {out:?}");
+    assert!(out.starts_with("HTTP/1.1 501 Not Implemented\r\n"), "got {out:?}");
+    assert!(out.contains("connection: close"), "got {out:?}");
+
+    let out = raw_exchange(
+        &server,
+        b"POST /x HTTP/1.1\r\ncontent-length: 0\r\ncontent-length: 5\r\n\r\nhello",
+    );
+    assert_eq!(out.matches("HTTP/1.1 ").count(), 1, "got {out:?}");
+    assert!(out.starts_with("HTTP/1.1 400"), "got {out:?}");
+    assert!(out.contains("conflicting content-length"), "got {out:?}");
     server.shutdown();
 }
 

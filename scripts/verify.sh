@@ -105,18 +105,19 @@ cargo test -q --offline -p bvc-cluster --lib -- solve_token_is_pinned keys_
 cargo test -q --offline -p bvc-serve --lib -- _key cell_route_bodies_are_pinned
 cargo test -q --offline -p bvc-cli -- table_cell_parsers_agree cell_metric_keys_agree
 
-echo "==> decoder gate (journal lines, cluster frames, job specs, policy tables, chaos specs)"
+echo "==> decoder gate (journal lines, cluster frames, job specs, policy tables, chaos specs, HTTP requests)"
 # Every decoder of bytes that arrive from outside the process (a journal
 # torn by a crash, a frame or job spec off the socket, a policy table, a
-# --chaos or BVC_CHAOS fault plan) runs over every proper prefix and every
-# single-byte delimiter replacement of valid encodings (`proptest::mutate`):
-# each must return a value or an error, never panic, and no torn journal
-# line may parse.
+# --chaos or BVC_CHAOS fault plan, an HTTP request stream) runs over every
+# proper prefix and every single-byte delimiter replacement of valid
+# encodings (`proptest::mutate`): each must return a value or an error,
+# never panic, and no torn journal line may parse.
 cargo test -q --offline -p bvc-journal --lib -- journal_line_mutants_never_panic
 cargo test -q --offline -p bvc-cluster --lib -- frame_mutants_never_panic \
     decode_never_panics_on_truncated_or_corrupted_wire
 cargo test -q --offline -p bvc-mdp --lib -- decode_mutants_never_panic
 cargo test -q --offline -p bvc-chaos --lib -- plan_mutants_never_panic
+cargo test -q --offline -p bvc-serve --lib -- request_mutants_never_panic
 
 echo "==> benchmark self-tests (exact counts repeat, decomposition is bit-exact)"
 # The benchmark is its own Cargo workspace, so the workspace test run above
