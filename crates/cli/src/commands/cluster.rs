@@ -55,13 +55,6 @@ pub enum ClusterCmd {
         connect: String,
         /// Solver threads advertised and used (`--threads`).
         threads: u32,
-        /// Worker threads inside each Bellman sweep (`--solve-threads`;
-        /// only engaged when `--threads` is 1, see thread-budget
-        /// arbitration in DESIGN.md).
-        solve_threads: usize,
-        /// Minimum states per intra-solve shard (`--shard-min-states`,
-        /// 0 = solver default).
-        shard_min_states: usize,
         /// Claim size override (`--batch`, 0 = coordinator default).
         batch: u32,
         /// Fault injection: die after N cells (`--die-after`).
@@ -151,7 +144,7 @@ pub fn parse(args: &Args) -> Result<ClusterCmd, ArgError> {
         }
         "work" => {
             args.check_names(&[
-                &["connect", "threads", "solve-threads", "shard-min-states", "batch", "die-after"],
+                &["connect", "threads", "batch", "die-after"],
                 &["die-mode", "quiet", "reconnect", "chaos", "chaos-site"],
             ])?;
             let die_mode = match args.get_or("die-mode", "hang".to_string())?.as_str() {
@@ -166,8 +159,6 @@ pub fn parse(args: &Args) -> Result<ClusterCmd, ArgError> {
             Ok(ClusterCmd::Work {
                 connect: args.get("connect")?,
                 threads: args.get_or("threads", 1u32)?.max(1),
-                solve_threads: args.get_or("solve-threads", 1usize)?.max(1),
-                shard_min_states: args.get_or("shard-min-states", 0usize)?,
                 batch: args.get_or("batch", 0u32)?,
                 die_after: if args.has("die-after") {
                     Some(args.get::<usize>("die-after")?)
@@ -261,8 +252,6 @@ pub fn run(cmd: &ClusterCmd) -> Result<(), String> {
         ClusterCmd::Work {
             connect,
             threads,
-            solve_threads,
-            shard_min_states,
             batch,
             die_after,
             die_mode,
@@ -287,8 +276,6 @@ pub fn run(cmd: &ClusterCmd) -> Result<(), String> {
                 die_after: *die_after,
                 die_mode: *die_mode,
                 quiet: *quiet,
-                solve_threads: *solve_threads,
-                shard_min_states: *shard_min_states,
                 reconnect: reconnect_policy,
                 site: chaos_site.clone(),
             };
@@ -391,21 +378,10 @@ mod tests {
     #[test]
     fn work_parses_die_modes() {
         let cmd = parse_cmd(&["cluster", "work", "--connect", "127.0.0.1:9090"]).unwrap();
-        let ClusterCmd::Work {
-            threads,
-            solve_threads,
-            shard_min_states,
-            batch,
-            die_after,
-            die_mode,
-            ..
-        } = cmd
-        else {
+        let ClusterCmd::Work { threads, batch, die_after, die_mode, .. } = cmd else {
             panic!("expected work");
         };
         assert_eq!(threads, 1);
-        assert_eq!(solve_threads, 1);
-        assert_eq!(shard_min_states, 0);
         assert_eq!(batch, 0);
         assert_eq!(die_after, None);
         assert_eq!(die_mode, DieMode::Hang);
@@ -419,20 +395,13 @@ mod tests {
             "2",
             "--die-mode",
             "disconnect",
-            "--solve-threads",
-            "2",
-            "--shard-min-states",
-            "64",
         ])
         .unwrap();
-        let ClusterCmd::Work { die_after, die_mode, solve_threads, shard_min_states, .. } = cmd
-        else {
+        let ClusterCmd::Work { die_after, die_mode, .. } = cmd else {
             panic!("expected work");
         };
         assert_eq!(die_after, Some(2));
         assert_eq!(die_mode, DieMode::Disconnect);
-        assert_eq!(solve_threads, 2);
-        assert_eq!(shard_min_states, 64);
     }
 
     #[test]

@@ -28,10 +28,6 @@ pub struct ServeCmd {
     /// Journals to preload, as `table=path` pairs (`--preload`, repeatable
     /// via commas).
     pub preload: Vec<(String, PathBuf)>,
-    /// Worker threads inside each cold solve's Bellman sweeps
-    /// (`--solve-threads`, default 1; bit-identical results, so cache keys
-    /// are unaffected).
-    pub solve_threads: usize,
     /// Base 429 retry hint in milliseconds (`--retry-after-ms`); each shed
     /// draws a jittered value in `[base/2, base]`.
     pub retry_after_ms: u64,
@@ -40,7 +36,7 @@ pub struct ServeCmd {
 /// Parses the subcommand's flags.
 pub fn parse(args: &Args) -> Result<ServeCmd, ArgError> {
     args.check_names(&[
-        &["addr", "workers", "cache-cells", "queue-cap", "deadline-s", "preload", "solve-threads"],
+        &["addr", "workers", "cache-cells", "queue-cap", "deadline-s", "preload"],
         &["retry-after-ms"],
     ])?;
     let workers: usize = args.get_or("workers", 4usize)?;
@@ -78,7 +74,6 @@ pub fn parse(args: &Args) -> Result<ServeCmd, ArgError> {
         queue_cap: args.get_or("queue-cap", 8usize)?,
         deadline,
         preload,
-        solve_threads: args.get_or("solve-threads", 1usize)?.max(1),
         retry_after_ms,
     })
 }
@@ -94,7 +89,6 @@ pub fn run(cmd: &ServeCmd) -> Result<(), String> {
         solve_deadline: cmd.deadline,
         read_timeout: Duration::from_secs(5),
         preload: cmd.preload.clone(),
-        solve_threads: cmd.solve_threads,
         retry_after: Duration::from_millis(cmd.retry_after_ms),
         ..ServeConfig::default()
     };
@@ -143,13 +137,10 @@ mod tests {
             "1.5",
             "--preload",
             "table2=a.jsonl,table3=b.jsonl",
-            "--solve-threads",
-            "2",
             "--retry-after-ms",
             "250",
         ])
         .unwrap();
-        assert_eq!(cmd.solve_threads, 2);
         assert_eq!(cmd.retry_after_ms, 250);
         assert_eq!(cmd.addr, "127.0.0.1:0");
         assert_eq!(cmd.workers, 2);

@@ -40,6 +40,13 @@ pub fn parse(args: &Args) -> Result<SimulateCmd, ArgError> {
     ])?;
     let attacker_power: f64 = args.get_or("attacker-power", 0.1)?;
     let honest_powers = parse_f64_list(&args.get_or("honest-powers", "0.45,0.45".to_string())?)?;
+    // The engine needs positive honest shares, and drops a zero attacker.
+    if !(0.0..1.0).contains(&attacker_power) {
+        return Err(ArgError(format!("attacker-power must be in [0, 1), got {attacker_power}")));
+    }
+    if let Some(p) = honest_powers.iter().find(|p| !(p.is_finite() && **p > 0.0)) {
+        return Err(ArgError(format!("honest-powers must be finite and > 0, got {p}")));
+    }
     let total: f64 = attacker_power + honest_powers.iter().sum::<f64>();
     if (total - 1.0).abs() > 1e-9 {
         return Err(ArgError(format!(

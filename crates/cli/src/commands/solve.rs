@@ -12,19 +12,12 @@ pub struct SolveCmd {
     pub config: AttackConfig,
     /// Whether to print the phase-1 action map.
     pub show_policy: bool,
-    /// Worker threads inside each Bellman sweep (`--solve-threads`,
-    /// default 1; bit-identical results for every value).
-    pub solve_threads: usize,
 }
 
 /// Parses the subcommand's flags.
 pub fn parse(args: &Args) -> Result<SolveCmd, ArgError> {
-    args.check_names(&[&AttackConfig::PARAMS, &["show-policy", "solve-threads"]])?;
-    Ok(SolveCmd {
-        config: parse_attack_config(args)?,
-        show_policy: args.has("show-policy"),
-        solve_threads: args.get_or("solve-threads", 1usize)?.max(1),
-    })
+    args.check_names(&[&AttackConfig::PARAMS, &["show-policy"]])?;
+    Ok(SolveCmd { config: parse_attack_config(args)?, show_policy: args.has("show-policy") })
 }
 
 /// Reads the model-defining flags shared by `bvc solve` and `bvc audit`
@@ -46,8 +39,7 @@ pub fn run(cmd: &SolveCmd) -> Result<(), String> {
     }
     let model = AttackModel::build(cfg.clone()).map_err(|e| e.to_string())?;
     println!("state space: {} states", model.num_states());
-    let opts = SolveOptions { solve_threads: cmd.solve_threads, ..SolveOptions::default() };
-    let sol = model.optimal(&opts).map_err(|e| e.to_string())?;
+    let sol = model.optimal(&SolveOptions::default()).map_err(|e| e.to_string())?;
     let label = match cfg.incentive.utility() {
         Utility::U1 => "max relative revenue u1",
         Utility::U2 => "max absolute revenue u2 (per block)",
@@ -97,11 +89,8 @@ mod tests {
             "--gate",
             "24",
             "--show-policy",
-            "--solve-threads",
-            "4",
         ]))
         .unwrap();
-        assert_eq!(cmd.solve_threads, 4);
         assert_eq!(cmd.config.alpha, 0.1);
         assert!(cmd.config.beta < cmd.config.gamma);
         assert_eq!(cmd.config.setting, Setting::Two);
@@ -187,7 +176,7 @@ mod tests {
             let message = rejection(&["--alpha", "0.1", flag, "20"]);
             let name = flag.trim_start_matches("--");
             assert!(message.starts_with(&format!("unknown parameter {name:?} (allowed: ")));
-            assert!(message.ends_with("show-policy, solve-threads)"), "{message}");
+            assert!(message.ends_with("show-policy)"), "{message}");
         }
     }
 

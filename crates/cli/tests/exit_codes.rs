@@ -18,6 +18,15 @@ fn out_of_range_flags_exit_2_at_once() {
         (&["bitcoin", "--alpha", "0.45", "--cap", "255"][..], "cap must be at most 80"),
         (&["simulate", "--delay", "-1"], "delay must be finite and >= 0, got -1"),
         (&["simulate", "--ad", "0"], "ad must be in [1, 24], got 0"),
+        (
+            &["simulate", "--attacker-power", "0.1", "--honest-powers", "1.2,-0.3"],
+            "honest-powers must be finite and > 0, got -0.3",
+        ),
+        (&["simulate", "--honest-powers", "0.9,0"], "honest-powers must be finite and > 0, got 0"),
+        (
+            &["simulate", "--attacker-power", "-0.1", "--honest-powers", "0.6,0.5"],
+            "attacker-power must be in [0, 1), got -0.1",
+        ),
     ] {
         let (code, stderr, took) = bvc(args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
@@ -27,8 +36,8 @@ fn out_of_range_flags_exit_2_at_once() {
 }
 
 /// Seconds no `Duration` holds used to panic (exit 101) in
-/// `Duration::from_secs_f64`; a flag the coordinator no longer takes used
-/// to be read.
+/// `Duration::from_secs_f64`; a flag a command no longer takes used to be
+/// read.
 #[test]
 fn bad_seconds_and_removed_flags_exit_2() {
     let coordinate = ["cluster", "coordinate", "--workload", "table4", "--addr", "127.0.0.1:0"];
@@ -42,6 +51,16 @@ fn bad_seconds_and_removed_flags_exit_2() {
         let (code, stderr, took) = bvc(&args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(took < Duration::from_secs(5), "{args:?} took {took:?}");
+    }
+    for args in [
+        &["solve", "--alpha", "0.25", "--solve-threads", "2"][..],
+        &["serve", "--addr", "127.0.0.1:0", "--solve-threads", "2"],
+        &["cluster", "work", "--connect", "127.0.0.1:1", "--solve-threads", "2"],
+    ] {
+        let (code, stderr, took) = bvc(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("unknown parameter \"solve-threads\""), "{args:?}: {stderr}");
         assert!(took < Duration::from_secs(5), "{args:?} took {took:?}");
     }
     for value in ["inf", "1e300"] {

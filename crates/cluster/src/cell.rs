@@ -97,7 +97,7 @@ pub struct CellResult {
 }
 
 /// What the runner hands a cell's solve function: the budget to thread
-/// into solver options plus the sweep's audit and thread settings.
+/// into solver options plus the sweep's audit setting.
 #[derive(Debug, Clone)]
 pub struct CellContext {
     /// Budget carrying the per-cell deadline and the sweep's shared cancel
@@ -107,31 +107,13 @@ pub struct CellContext {
     /// Whether the sweep requested a pre-solve model audit; forwarded into
     /// [`CellContext::solve_options`].
     pub audit: bool,
-    /// Worker threads inside each Bellman sweep (`0`/`1` = single-threaded).
-    /// A pure throughput knob: results are bit-identical for every value,
-    /// so it is never part of cell fingerprints and never ships over the
-    /// cluster wire (each worker applies its own local setting).
-    pub solve_threads: usize,
-    /// Minimum states per intra-solve shard; `0` keeps the solver default
-    /// ([`bvc_mdp::DEFAULT_SHARD_MIN_STATES`]).
-    pub shard_min_states: usize,
 }
 
 impl CellContext {
-    /// The default [`SolveOptions`] with this cell's budget, audit flag and
-    /// thread settings applied: the one options rule for every cell kind.
+    /// The default [`SolveOptions`] with this cell's budget and audit flag
+    /// applied: the one options rule for every cell kind.
     pub fn solve_options(&self) -> SolveOptions {
-        let base = SolveOptions::default();
-        SolveOptions {
-            budget: self.budget.clone(),
-            audit: self.audit,
-            solve_threads: self.solve_threads.max(1),
-            shard_min_states: match self.shard_min_states {
-                0 => base.shard_min_states,
-                n => n,
-            },
-            ..base
-        }
+        SolveOptions { budget: self.budget.clone(), audit: self.audit, ..SolveOptions::default() }
     }
 }
 
@@ -145,15 +127,6 @@ pub struct CellRunConfig {
     pub cell_deadline: Option<Duration>,
     /// Run the static model audit before each cell's solve.
     pub audit: bool,
-    /// Worker threads inside each Bellman sweep, forwarded into every
-    /// [`CellContext`]. Deliberately NOT part of the coordinator's config
-    /// frame: it changes throughput, never results, so each worker applies
-    /// its own local `--solve-threads` instead of inheriting the
-    /// coordinator's.
-    pub solve_threads: usize,
-    /// Minimum states per intra-solve shard (`0` = solver default); also
-    /// worker-local, like `solve_threads`.
-    pub shard_min_states: usize,
     /// Fault injection: cells whose key contains any of these substrings
     /// panic instead of solving. Testing/smoke only.
     pub inject_panic: Vec<String>,
@@ -179,12 +152,7 @@ pub fn run_cell<T>(
     if let Some(deadline) = cfg.cell_deadline {
         budget = budget.deadline_at(Instant::now() + deadline);
     }
-    let ctx = CellContext {
-        budget,
-        audit: cfg.audit,
-        solve_threads: cfg.solve_threads,
-        shard_min_states: cfg.shard_min_states,
-    };
+    let ctx = CellContext { budget, audit: cfg.audit };
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         if cfg.inject_panic.iter().any(|s| key.contains(s)) {
             panic!("injected panic for cell '{key}'");

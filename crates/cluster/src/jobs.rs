@@ -902,12 +902,7 @@ mod tests {
         // The pinned Figure 4 cell, solved exactly as a worker would:
         // terminal = 1, two rounds, round 0 passed.
         let fig4 = JobSpec::Game { spec: bvc_gamesweep::figure4_spec() };
-        let ctx = CellContext {
-            budget: bvc_mdp::SolveBudget::unlimited(),
-            audit: false,
-            solve_threads: 0,
-            shard_min_states: 0,
-        };
+        let ctx = CellContext { budget: bvc_mdp::SolveBudget::unlimited(), audit: false };
         let m = fig4.solve(&ctx).expect("figure 4 solves");
         assert_eq!(m[1], 1.0, "terminal group");
         assert_eq!(m[2], 2.0, "rounds played");

@@ -100,13 +100,6 @@ pub struct WorkerOptions {
     pub die_mode: DieMode,
     /// Suppress progress lines on stderr.
     pub quiet: bool,
-    /// Worker threads *inside* each Bellman sweep. Worker-local (never
-    /// shipped by the coordinator: it changes throughput, not results).
-    /// Thread-budget arbitration: only engaged when `threads` is 1 —
-    /// otherwise the batch-level parallelism already owns the cores.
-    pub solve_threads: usize,
-    /// Minimum states per intra-solve shard (`0` = solver default).
-    pub shard_min_states: usize,
     /// Reconnect policy for dropped coordinator connections.
     pub reconnect: ReconnectPolicy,
     /// Chaos site prefix for this worker's fault-injected streams; session
@@ -122,8 +115,6 @@ impl Default for WorkerOptions {
             die_after: None,
             die_mode: DieMode::Hang,
             quiet: true,
-            solve_threads: 1,
-            shard_min_states: 0,
             reconnect: ReconnectPolicy::default(),
             site: "worker".into(),
         }
@@ -357,10 +348,6 @@ fn run_session(addr: &str, opts: &WorkerOptions, session: u64, ws: &WorkerState)
     let cell_cfg = CellRunConfig {
         cell_deadline: wire.cell_deadline_ms.map(Duration::from_millis),
         audit: wire.audit,
-        // Arbitration: cell-level threads win. Intra-solve sharding only
-        // engages when this worker solves its batch serially.
-        solve_threads: if threads > 1 { 1 } else { opts.solve_threads.max(1) },
-        shard_min_states: opts.shard_min_states,
         inject_panic: wire.inject_panic.clone(),
         inject_noconv: wire.inject_noconv.clone(),
     };

@@ -8,10 +8,9 @@
 //! fails here rather than in a table diff nobody reads.
 //!
 //! BU solves run exact renewal passes, not RVI — the ratio solves of
-//! Tables 2 and 4 and the `u2` gain solves of Table 3 alike — so the Table 2
-//! bit-identity pin no longer reaches the sharded Bellman kernel. The pin
-//! that does lives with the Bitcoin Table 3 cells
-//! (`bvc-bitcoin/tests/table3_pins.rs`), which RVI still solves.
+//! Tables 2 and 4 and the `u2` gain solves of Table 3 alike. The pins of
+//! cells RVI still solves live with the Bitcoin Table 3 cells
+//! (`bvc-bitcoin/tests/table3_pins.rs`).
 //!
 //! Tolerance is 5e-4: the paper prints four decimals and states a solver
 //! precision of 1e-4.
@@ -25,21 +24,11 @@
 use bvc_bu::{rewards, AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions};
 use bvc_mdp::solve::reference::maximize_ratio_reference;
 
-/// The threaded solve options of the bit-identity pins: four solve
-/// threads, sharding forced down to 1-state shards.
-fn threaded() -> SolveOptions {
-    SolveOptions { solve_threads: 4, shard_min_states: 1, ..Default::default() }
-}
-
-fn u1_with(alpha: f64, ratio: (u32, u32), opts: &SolveOptions) -> f64 {
+fn u1(alpha: f64, ratio: (u32, u32)) -> f64 {
     let cfg =
         AttackConfig::with_ratio(alpha, ratio, Setting::One, IncentiveModel::CompliantProfitDriven);
     let model = AttackModel::build(cfg).expect("model builds");
-    model.optimal_relative_revenue(opts).expect("solver converges").value
-}
-
-fn u1(alpha: f64, ratio: (u32, u32)) -> f64 {
-    u1_with(alpha, ratio, &SolveOptions::default())
+    model.optimal_relative_revenue(&SolveOptions::default()).expect("solver converges").value
 }
 
 /// Table 2, setting 1, α = 25%, β:γ = 2:3 — published 0.2739.
@@ -93,30 +82,6 @@ fn table2_alpha10_column_matches_reference_solver() {
         assert!(
             dev <= ratio_opts.tolerance,
             "β:γ={ratio:?}: production u1 {production} vs reference {reference} (|Δ| = {dev:e})"
-        );
-    }
-}
-
-/// The same pins solved through the sharded Bellman kernel
-/// (`solve_threads: 4`, sharding forced down to 1-state shards) — the
-/// threaded path must reproduce the published table BIT-identically, not
-/// just within tolerance, per the kernel's determinism contract.
-#[test]
-fn table2_pins_bit_identical_through_threaded_path() {
-    let threaded = threaded();
-    for (alpha, ratio, published) in
-        [(0.25, (2, 3), 0.2739), (0.15, (1, 2), 0.1562), (0.10, (1, 3), 0.1026)]
-    {
-        let serial = u1(alpha, ratio);
-        let parallel = u1_with(alpha, ratio, &threaded);
-        assert_eq!(
-            parallel.to_bits(),
-            serial.to_bits(),
-            "α={alpha} β:γ={ratio:?}: threaded u1 {parallel} != serial u1 {serial}"
-        );
-        assert!(
-            (parallel - published).abs() < 5e-4,
-            "α={alpha} β:γ={ratio:?}: expected ≈ {published}, got {parallel:.4}"
         );
     }
 }

@@ -39,7 +39,6 @@ use std::sync::{Arc, OnceLock};
 
 use crate::error::MdpError;
 use crate::model::{ActionId, Mdp, Objective, Policy, StateId, PROB_SUM_TOLERANCE};
-use crate::shard::{effective_threads, run_chunked, SCALARIZE_MIN_ARMS};
 use crate::solve::renewal::Regeneration;
 
 /// A validated, flat, solver-ready MDP (see the module docs).
@@ -486,31 +485,10 @@ impl CompiledMdp {
     /// weights rewards by transition probability), so collapsing the strided
     /// reward buffer happens exactly once per sweep, outside all hot loops.
     pub fn scalarize_into(&self, objective: &Objective, out: &mut Vec<f64>) {
-        self.scalarize_into_threaded(objective, out, 1);
-    }
-
-    /// [`CompiledMdp::scalarize_into`] with the arm range sharded across up
-    /// to `threads` scoped threads (each arm's accumulation is independent
-    /// and serial, so the result is bit-identical for every thread count).
-    /// Extra threads only engage when every shard keeps enough arms for the
-    /// spawn cost to pay off; `0`/`1` stay on the calling thread.
-    pub fn scalarize_into_threaded(
-        &self,
-        objective: &Objective,
-        out: &mut Vec<f64>,
-        threads: usize,
-    ) {
         let w = &objective.weights;
         debug_assert_eq!(w.len(), self.reward_components, "objective arity mismatch");
-        let arms = self.num_arms();
         out.clear();
-        out.resize(arms, 0.0);
-        let shards = effective_threads(threads, arms, SCALARIZE_MIN_ARMS);
-        run_chunked(out, shards, |start, chunk| {
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                *slot = self.scalarize_arm(start + i, w);
-            }
-        });
+        out.extend((0..self.num_arms()).map(|arm| self.scalarize_arm(arm, w)));
     }
 
     /// Expected immediate scalar reward of one arm under weights `w`:
@@ -537,37 +515,6 @@ impl CompiledMdp {
         out
     }
 
-    /// Scalarizes the ratio-transformed reward `numerator − ρ · denominator`
-    /// per arm. Equivalent to `scalarize(&numerator.minus_scaled(denominator,
-    /// rho))` but without building the intermediate objective.
-    pub fn scalarize_ratio(
-        &self,
-        numerator: &Objective,
-        denominator: &Objective,
-        rho: f64,
-    ) -> Vec<f64> {
-        self.scalarize_ratio_threaded(numerator, denominator, rho, 1)
-    }
-
-    /// [`CompiledMdp::scalarize_ratio`] with both component scalarizations
-    /// and the combine sharded across up to `threads` threads
-    /// (bit-identical for every thread count).
-    pub fn scalarize_ratio_threaded(
-        &self,
-        numerator: &Objective,
-        denominator: &Objective,
-        rho: f64,
-        threads: usize,
-    ) -> Vec<f64> {
-        let mut exp_num = Vec::new();
-        let mut exp_den = Vec::new();
-        self.scalarize_into_threaded(numerator, &mut exp_num, threads);
-        self.scalarize_into_threaded(denominator, &mut exp_den, threads);
-        let mut out = vec![0.0; self.num_arms()];
-        Self::combine_scalarized_into_threaded(&exp_num, &exp_den, rho, &mut out, threads);
-        out
-    }
-
     /// The ratio solver's per-probe re-scalarization, in place:
     /// `out[a] = exp_num[a] − ρ · exp_den[a]`. Scalarization is linear in
     /// the objective, so once the two component arrays exist, moving ρ costs
@@ -579,29 +526,6 @@ impl CompiledMdp {
         for ((o, n), d) in out.iter_mut().zip(exp_num).zip(exp_den) {
             *o = n - rho * d;
         }
-    }
-
-    /// [`CompiledMdp::combine_scalarized_into`] sharded across up to
-    /// `threads` threads. Elementwise, so bit-identical for every thread
-    /// count; extra threads only engage above the same arm-count threshold
-    /// as the threaded scalarization.
-    pub fn combine_scalarized_into_threaded(
-        exp_num: &[f64],
-        exp_den: &[f64],
-        rho: f64,
-        out: &mut [f64],
-        threads: usize,
-    ) {
-        debug_assert_eq!(exp_num.len(), exp_den.len());
-        debug_assert_eq!(exp_num.len(), out.len());
-        let shards = effective_threads(threads, out.len(), SCALARIZE_MIN_ARMS);
-        run_chunked(out, shards, |start, chunk| {
-            let num = &exp_num[start..start + chunk.len()];
-            let den = &exp_den[start..start + chunk.len()];
-            for ((o, n), d) in chunk.iter_mut().zip(num).zip(den) {
-                *o = n - rho * d;
-            }
-        });
     }
 
     /// Expected *per-component* immediate reward of every arm, arm-major
@@ -777,7 +701,11 @@ mod tests {
         let n = Objective::component(0, 2);
         let d = Objective::component(1, 2);
         let rho = 0.375;
-        let direct = c.scalarize_ratio(&n, &d, rho);
+        let (mut exp_num, mut exp_den) = (Vec::new(), Vec::new());
+        c.scalarize_into(&n, &mut exp_num);
+        c.scalarize_into(&d, &mut exp_den);
+        let mut direct = vec![0.0; c.num_arms()];
+        CompiledMdp::combine_scalarized_into(&exp_num, &exp_den, rho, &mut direct);
         let via_objective = c.scalarize(&n.minus_scaled(&d, rho));
         for (a, b) in direct.iter().zip(&via_objective) {
             assert!((a - b).abs() < 1e-15, "{a} vs {b}");
@@ -803,28 +731,6 @@ mod tests {
         // Arm 2: [0.25·0 + 0.75·1, 0.25·4 + 0.75·1] = [0.75, 1.75].
         assert!((e[4] - 0.75).abs() < 1e-15);
         assert!((e[5] - 1.75).abs() < 1e-15);
-    }
-
-    /// Threaded scalarization and combine are bit-identical to the serial
-    /// versions for every thread count (the threshold keeps the sample model
-    /// single-threaded, but the dispatch path is still exercised).
-    #[test]
-    fn threaded_scalarize_matches_serial_bitwise() {
-        let c = CompiledMdp::compile(&sample_mdp()).unwrap();
-        let obj = Objective::new(vec![1.0, -0.5]);
-        let serial = c.scalarize(&obj);
-        for threads in [0usize, 1, 2, 7] {
-            let mut out = Vec::new();
-            c.scalarize_into_threaded(&obj, &mut out, threads);
-            assert_eq!(serial, out, "threads={threads}");
-        }
-        let n = Objective::component(0, 2);
-        let d = Objective::component(1, 2);
-        let serial_ratio = c.scalarize_ratio(&n, &d, 0.375);
-        for threads in [2usize, 7] {
-            let ratio = c.scalarize_ratio_threaded(&n, &d, 0.375, threads);
-            assert_eq!(serial_ratio, ratio, "threads={threads}");
-        }
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub mod error;
 pub mod indexer;
 pub mod model;
 pub mod policy_table;
-mod shard;
 pub mod solve;
 
 pub use audit::{
@@ -76,4 +75,3 @@ pub use indexer::{
 };
 pub use model::{ActionId, Mdp, Objective, Policy, StateId, Transition};
 pub use policy_table::{PolicyTable, PolicyTableError};
-pub use shard::DEFAULT_SHARD_MIN_STATES;

@@ -10,10 +10,10 @@
 //! the L1 change of the iterate falls below `TOLERANCE` (1e-12), so the
 //! rates are accurate to about that tolerance, not exact.
 //!
-//! Not sharded across threads (unlike the RVI kernel): the power-method
-//! step `pi <- pi P` is a *scatter* — each state writes probability mass
-//! to data-dependent successor indices — so per-thread output slices
-//! would overlap. A gather formulation would need the transposed chain,
+//! Serial, like every solver in this crate. The power-method step
+//! `pi <- pi P` is a *scatter* — each state writes probability mass to
+//! data-dependent successor indices — so per-thread output slices would
+//! overlap. A gather formulation would need the transposed chain,
 //! which [`CompiledMdp`] does not store. Policy evaluation runs once per
 //! reported cell, so its cost is immaterial next to the solve.
 

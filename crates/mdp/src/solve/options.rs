@@ -11,7 +11,6 @@ use crate::budget::SolveBudget;
 use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
 use crate::model::Policy;
-use crate::shard::DEFAULT_SHARD_MIN_STATES;
 
 use super::{ProbeEngine, RatioOptions, RatioSolution, RviOptions, RviSolution};
 
@@ -40,18 +39,10 @@ pub struct SolveOptions {
     /// to an untrustworthy number). Off by default; sweep runners enable
     /// it with `--audit`.
     pub audit: bool,
-    /// Worker threads *inside* each Bellman sweep (sharded Jacobi kernel).
-    /// `0` and `1` both mean single-threaded. Results are bit-identical for
-    /// every value, so this is a pure throughput knob and is deliberately
-    /// excluded from [`SolveOptions::fingerprint_token`]. Sweep runners that
-    /// already parallelize across cells should leave this at 1 (see
-    /// DESIGN.md on thread-budget arbitration).
-    pub solve_threads: usize,
-    /// Minimum states per intra-solve shard; solves smaller than
-    /// `solve_threads * shard_min_states` engage fewer threads (possibly
-    /// one) so tiny models never pay sharding overhead. Also excluded from
-    /// the fingerprint token.
-    pub shard_min_states: usize,
+    /// Retired: solves are serial. Kept until bvcbench's builders drop it (ROADMAP item 3).
+    pub solve_threads: (),
+    /// Retired: solves are serial. Kept until bvcbench's builders drop it (ROADMAP item 3).
+    pub shard_min_states: (),
 }
 
 impl Default for SolveOptions {
@@ -64,8 +55,8 @@ impl Default for SolveOptions {
             aperiodicity_tau: rvi.aperiodicity_tau,
             budget: SolveBudget::unlimited(),
             audit: false,
-            solve_threads: 1,
-            shard_min_states: DEFAULT_SHARD_MIN_STATES,
+            solve_threads: (),
+            shard_min_states: (),
         }
     }
 }
@@ -79,8 +70,6 @@ impl SolveOptions {
             max_iterations: self.max_iterations,
             aperiodicity_tau: self.aperiodicity_tau,
             budget: self.budget.clone(),
-            solve_threads: self.solve_threads,
-            shard_min_states: self.shard_min_states,
             ..Default::default()
         }
     }

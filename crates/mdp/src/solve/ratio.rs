@@ -326,13 +326,11 @@ pub fn maximize_ratio_compiled(
 
     // Scalarize both functionals once; every rho after this is a vector
     // combine over these two arrays (the renewal passes read each arm's
-    // entries as they go). Both passes shard across the inner solver's
-    // thread budget on large models (bit-identical either way).
-    let solve_threads = opts.rvi.solve_threads;
+    // entries as they go).
     let mut exp_num = Vec::new();
     let mut exp_den = Vec::new();
-    compiled.scalarize_into_threaded(numerator, &mut exp_num, solve_threads);
-    compiled.scalarize_into_threaded(denominator, &mut exp_den, solve_threads);
+    compiled.scalarize_into(numerator, &mut exp_num);
+    compiled.scalarize_into(denominator, &mut exp_den);
 
     let mut policy = Policy::zeros(n);
     let mut inner_iterations = 0usize;

@@ -9,7 +9,7 @@
 //!
 //! They read the same [`CompiledMdp`] as the production solvers, but
 //! naively: always plain RVI (never the renewal engine or the vectorized,
-//! sharded or warm-started kernels), a transition-by-transition walk per
+//! warm-started kernel), a transition-by-transition walk per
 //! Bellman backup, and a full re-scalarization of every transition's reward
 //! vector for each probe of the ratio search. Do not "optimize" these —
 //! their value is precisely that they stay simple.

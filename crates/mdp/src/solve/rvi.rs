@@ -40,31 +40,15 @@
 //! allocation per iteration *and* per solve — which is what lets the ratio
 //! solver warm-start every RVI probe of its search on ρ in place.
 //!
-//! ## Execution modes
-//!
-//! The kernel has two sweep strategies, selected by [`RviOptions`]:
-//!
-//! * **Single-threaded Jacobi** (the default): one pass per iteration,
-//!   restructured for auto-vectorization — streaming cursors over the CSR
-//!   arrays, a hoisted aperiodicity blend, branch-free max selection, and
-//!   the reference-state normalization fused into the sweep.
-//! * **Sharded Jacobi** (`solve_threads > 1`): the state range is split
-//!   across a pool of workers that persists for the whole solve; each shard
-//!   writes a disjoint slice of the next iterate and reports a local span,
-//!   reduced with order-independent `min`/`max`. Results are **bit-identical
-//!   to the single-threaded path for every thread count** — see
-//!   `crate::shard` for the argument.
-
-use std::sync::mpsc;
+//! The kernel is single-threaded Jacobi: one pass per iteration,
+//! restructured for auto-vectorization — streaming cursors over the CSR
+//! arrays, a hoisted aperiodicity blend, branch-free max selection, and the
+//! reference-state normalization fused into the sweep.
 
 use crate::budget::SolveBudget;
 use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
 use crate::model::{Objective, Policy};
-use crate::shard::{
-    effective_threads, shard_ranges, AtomicBias, BiasRead, CANCEL_POLL_CHUNK,
-    DEFAULT_SHARD_MIN_STATES,
-};
 use crate::solve::ratio::ProbeEngine;
 use crate::solve::renewal::{optimal_gain, regeneration_order};
 
@@ -82,20 +66,12 @@ pub struct RviOptions {
     /// of a nearby model. Must have one entry per state if present.
     pub warm_start: Option<Vec<f64>>,
     /// Wall-clock deadline and cooperative cancellation, checked at each
-    /// iteration boundary (and, in sharded sweeps, the cancel flag every
-    /// `CANCEL_POLL_CHUNK` states inside each shard). Unlimited by
-    /// default.
+    /// iteration boundary. Unlimited by default.
     pub budget: SolveBudget,
-    /// Worker threads sharding each Bellman sweep. `0` and `1` (default)
-    /// keep the solve single-threaded; higher values are capped so every
-    /// shard keeps at least `shard_min_states` states. Gain, bias, and
-    /// policy are bit-identical for every value.
-    pub solve_threads: usize,
-    /// Minimum states per shard before an extra worker thread is engaged
-    /// (default [`DEFAULT_SHARD_MIN_STATES`]); below it, per-iteration
-    /// barrier costs outweigh the sweep work. Lower it only in tests and
-    /// smokes that must exercise the sharded path on small models.
-    pub shard_min_states: usize,
+    /// Retired: solves are serial. Kept until bvcbench's builders drop it (ROADMAP item 3).
+    pub solve_threads: (),
+    /// Retired: solves are serial. Kept until bvcbench's builders drop it (ROADMAP item 3).
+    pub shard_min_states: (),
 }
 
 impl Default for RviOptions {
@@ -106,8 +82,8 @@ impl Default for RviOptions {
             aperiodicity_tau: 0.05,
             warm_start: None,
             budget: SolveBudget::unlimited(),
-            solve_threads: 1,
-            shard_min_states: DEFAULT_SHARD_MIN_STATES,
+            solve_threads: (),
+            shard_min_states: (),
         }
     }
 }
@@ -279,29 +255,21 @@ pub(crate) fn rvi_probe(
     work: &mut usize,
 ) -> Result<f64, MdpError> {
     exp_w.resize(compiled.num_arms(), 0.0);
-    CompiledMdp::combine_scalarized_into_threaded(
-        rewards.num,
-        rewards.den,
-        rewards.rho,
-        exp_w,
-        opts.solve_threads,
-    );
+    CompiledMdp::combine_scalarized_into(rewards.num, rewards.den, rewards.rho, exp_w);
     let (gain, sweeps) = rvi_kernel(compiled, exp_w, h, h_next, policy, opts)?;
     *work += sweeps;
     Ok(gain)
 }
 
-/// The allocation-light RVI core: runs Bellman sweeps inside the
-/// caller-owned buffers `h` (bias in/out — pre-fill for a warm start),
-/// `h_next` (scratch) and `policy` (out). All three must have one entry per
-/// state; `exp_reward` one entry per global arm, and `opts` is already
-/// validated ([`GainEngine::select`]). On success `h` holds the final bias
-/// normalized to `h[0] == 0`.
+/// The allocation-light RVI core: runs single-threaded Jacobi Bellman
+/// sweeps inside the caller-owned buffers `h` (bias in/out — pre-fill for a
+/// warm start), `h_next` (scratch) and `policy` (out). All three must have
+/// one entry per state; `exp_reward` one entry per global arm, and `opts`
+/// is already validated ([`GainEngine::select`]). On success `h` holds the
+/// final bias normalized to `h[0] == 0`.
 ///
 /// `opts.warm_start` is ignored here — the warm start *is* the incoming
-/// content of `h`. With `solve_threads > 1` the sweeps shard across a
-/// scoped worker pool that lives for this one call (the only allocations
-/// past setup); results are bit-identical to the single-threaded path.
+/// content of `h`.
 fn rvi_kernel(
     compiled: &CompiledMdp,
     exp_reward: &[f64],
@@ -310,7 +278,6 @@ fn rvi_kernel(
     policy: &mut Policy,
     opts: &RviOptions,
 ) -> Result<(f64, usize), MdpError> {
-    let tau = opts.aperiodicity_tau;
     let n = compiled.num_states();
     for (what, found, expected) in [
         ("bias buffer", h.len(), n),
@@ -322,74 +289,7 @@ fn rvi_kernel(
         }
     }
 
-    let threads = effective_threads(opts.solve_threads, n, opts.shard_min_states);
-    if threads > 1 {
-        kernel_sharded(compiled, exp_reward, h, policy, opts, tau, threads)
-    } else {
-        kernel_single(compiled, exp_reward, h, h_next, policy, opts, tau)
-    }
-}
-
-/// One Bellman backup of state `s` against the bias iterate `src`: returns
-/// `(best, best_arm, diff)` — the blended optimal value, the local index of
-/// an arm attaining it (first wins ties), and `best - src[s]` (the span
-/// contribution).
-///
-/// This is the only place sweep arithmetic lives: the single-threaded and
-/// sharded paths both monomorphize it, so every path executes the identical
-/// operation sequence — the root of the thread-count bit-identity guarantee.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn bellman_state<S: BiasRead + ?Sized>(
-    s: usize,
-    src: &S,
-    arm_offsets: &[u32],
-    tr_offsets: &[u32],
-    next: &[u32],
-    prob: &[f64],
-    exp_reward: &[f64],
-    tau: f64,
-    one_minus_tau: f64,
-) -> (f64, usize, f64) {
-    let hs = src.get(s);
-    // Aperiodicity transform, hoisted: `tau * h[s]` is shared by every arm.
-    let blend = tau * hs;
-    let a0 = arm_offsets[s] as usize;
-    let a1 = arm_offsets[s + 1] as usize;
-    let mut best = f64::NEG_INFINITY;
-    let mut best_arm = 0usize;
-    let mut t0 = tr_offsets[a0] as usize;
-    for arm in a0..a1 {
-        let t1 = tr_offsets[arm + 1] as usize;
-        let mut acc = exp_reward[arm];
-        // Transition-major streaming over the flat prob/next arrays, in CSR
-        // order — the same serial accumulation the reference solver
-        // performs, so near-tie argmax decisions cannot drift between the
-        // compiled and reference paths.
-        for (p, &to) in prob[t0..t1].iter().zip(&next[t0..t1]) {
-            acc += p * src.get(to as usize);
-        }
-        t0 = t1;
-        let q = one_minus_tau * acc + blend;
-        // Strict `>` keeps first-wins ties, matching the reference solver.
-        if q > best {
-            best = q;
-            best_arm = arm - a0;
-        }
-    }
-    (best, best_arm, best - hs)
-}
-
-/// The default single-threaded Jacobi kernel.
-fn kernel_single(
-    compiled: &CompiledMdp,
-    exp_reward: &[f64],
-    h: &mut Vec<f64>,
-    h_next: &mut Vec<f64>,
-    policy: &mut Policy,
-    opts: &RviOptions,
-    tau: f64,
-) -> Result<(f64, usize), MdpError> {
+    let tau = opts.aperiodicity_tau;
     let one_minus_tau = 1.0 - tau;
     let (arm_offsets, tr_offsets) = compiled.raw_offsets();
     let (next, prob) = (compiled.raw_next(), compiled.raw_prob());
@@ -404,7 +304,7 @@ fn kernel_single(
         // costing a second pass over `h_next`.
         let (best0, arm0, d0) = bellman_state(
             0,
-            &h[..],
+            h,
             arm_offsets,
             tr_offsets,
             next,
@@ -414,8 +314,7 @@ fn kernel_single(
             one_minus_tau,
         );
         // `best0` is finite (validated model), so subtracting it from
-        // itself is exactly +0.0 — the same bits the sharded kernel's
-        // normalization phase produces for state 0.
+        // itself is exactly +0.0.
         h_next[0] = 0.0;
         policy.choices[0] = arm0;
         let mut span_lo = d0;
@@ -423,7 +322,7 @@ fn kernel_single(
         for (s, h_out) in h_next.iter_mut().enumerate().skip(1) {
             let (best, arm, d) = bellman_state(
                 s,
-                &h[..],
+                h,
                 arm_offsets,
                 tr_offsets,
                 next,
@@ -454,248 +353,50 @@ fn kernel_single(
     })
 }
 
-/// Replays the argmax of one Bellman sweep against the iterate `src` into
-/// `policy` — exactly the choices a sweep reading `src` records. The
-/// sharded kernel's sweeps skip per-state policy stores (which would need
-/// yet another shared atomic buffer) and pay this single serial pass at
-/// publish time instead.
-fn extract_policy<S: BiasRead + ?Sized>(
-    compiled: &CompiledMdp,
+/// One Bellman backup of state `s` against the bias iterate `src`: returns
+/// `(best, best_arm, diff)` — the blended optimal value, the local index of
+/// an arm attaining it (first wins ties), and `best - src[s]` (the span
+/// contribution).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn bellman_state(
+    s: usize,
+    src: &[f64],
+    arm_offsets: &[u32],
+    tr_offsets: &[u32],
+    next: &[u32],
+    prob: &[f64],
     exp_reward: &[f64],
-    src: &S,
-    policy: &mut Policy,
     tau: f64,
-) {
-    let one_minus_tau = 1.0 - tau;
-    let (arm_offsets, tr_offsets) = compiled.raw_offsets();
-    let (next, prob) = (compiled.raw_next(), compiled.raw_prob());
-    for (s, choice) in policy.choices.iter_mut().enumerate() {
-        let (_, arm, _) = bellman_state(
-            s,
-            src,
-            arm_offsets,
-            tr_offsets,
-            next,
-            prob,
-            exp_reward,
-            tau,
-            one_minus_tau,
-        );
-        *choice = arm;
+    one_minus_tau: f64,
+) -> (f64, usize, f64) {
+    let hs = src[s];
+    // Aperiodicity transform, hoisted: `tau * h[s]` is shared by every arm.
+    let blend = tau * hs;
+    let a0 = arm_offsets[s] as usize;
+    let a1 = arm_offsets[s + 1] as usize;
+    let mut best = f64::NEG_INFINITY;
+    let mut best_arm = 0usize;
+    let mut t0 = tr_offsets[a0] as usize;
+    for arm in a0..a1 {
+        let t1 = tr_offsets[arm + 1] as usize;
+        let mut acc = exp_reward[arm];
+        // Transition-major streaming over the flat prob/next arrays, in CSR
+        // order — the same serial accumulation the reference solver
+        // performs, so near-tie argmax decisions cannot drift between the
+        // compiled and reference paths.
+        for (p, &to) in prob[t0..t1].iter().zip(&next[t0..t1]) {
+            acc += p * src[to as usize];
+        }
+        t0 = t1;
+        let q = one_minus_tau * acc + blend;
+        // Strict `>` keeps first-wins ties, matching the reference solver.
+        if q > best {
+            best = q;
+            best_arm = arm - a0;
+        }
     }
-}
-
-/// A shard worker's report for one sweep phase.
-struct Swept {
-    lo: f64,
-    hi: f64,
-    /// The worker saw the cancel flag mid-sweep and stopped early; its
-    /// slice of the iterate is incomplete (the solve is being torn down).
-    aborted: bool,
-}
-
-/// Coordinator-to-worker commands; buffers are shared through the scope,
-/// so commands carry only phase data.
-enum Cmd {
-    /// Sweep the worker's shard, reading iterate `src` (0 or 1) and
-    /// writing the other buffer.
-    Sweep { src: usize },
-    /// Subtract `offset` over the worker's slice of iterate `dst`.
-    Normalize { dst: usize, offset: f64 },
-}
-
-/// Worker-to-coordinator replies.
-enum Reply {
-    Swept(Swept),
-    Normalized,
-}
-
-/// The sharded Jacobi kernel: `threads - 1` scoped workers plus the
-/// calling thread (which owns shard 0 and the base state), persistent
-/// across all iterations of this one solve. Bit-identical to
-/// [`kernel_single`] — see `crate::shard` for the determinism argument.
-fn kernel_sharded(
-    compiled: &CompiledMdp,
-    exp_reward: &[f64],
-    h: &mut [f64],
-    policy: &mut Policy,
-    opts: &RviOptions,
-    tau: f64,
-    threads: usize,
-) -> Result<(f64, usize), MdpError> {
-    let n = compiled.num_states();
-    let one_minus_tau = 1.0 - tau;
-    let (arm_offsets, tr_offsets) = compiled.raw_offsets();
-    let (next, prob) = (compiled.raw_next(), compiled.raw_prob());
-
-    // Balance shards by transition count (+1 per state for the fixed
-    // per-state cost), so one dense region cannot serialize the sweep.
-    let weight = |s: usize| {
-        let a0 = arm_offsets[s] as usize;
-        let a1 = arm_offsets[s + 1] as usize;
-        (tr_offsets[a1] - tr_offsets[a0]) as usize + 1
-    };
-    let ranges = shard_ranges(weight, n, threads);
-
-    // Double-buffered iterates as shared atomics (see `crate::shard` for
-    // why not `&mut` splits).
-    let bufs = [AtomicBias::zeros(n), AtomicBias::zeros(n)];
-    bufs[0].copy_from(h);
-
-    let budget = &opts.budget;
-    // Sweep of one shard, running [`bellman_state`] — the same microkernel
-    // as [`kernel_single`] — over the shard's state range, writing the
-    // shard's disjoint slice of `dst`. The cancel flag is polled every
-    // [`CANCEL_POLL_CHUNK`] states.
-    let sweep_shard = |range: std::ops::Range<usize>, src: &AtomicBias, dst: &AtomicBias| {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        let mut since_poll = 0usize;
-        for s in range {
-            since_poll += 1;
-            if since_poll >= CANCEL_POLL_CHUNK {
-                since_poll = 0;
-                if budget.is_cancelled() {
-                    return Swept { lo, hi, aborted: true };
-                }
-            }
-            let (best, _, d) = bellman_state(
-                s,
-                src,
-                arm_offsets,
-                tr_offsets,
-                next,
-                prob,
-                exp_reward,
-                tau,
-                one_minus_tau,
-            );
-            dst.set(s, best);
-            lo = lo.min(d);
-            hi = hi.max(d);
-        }
-        Swept { lo, hi, aborted: false }
-    };
-    let normalize_shard = |range: std::ops::Range<usize>, dst: &AtomicBias, offset: f64| {
-        for s in range {
-            dst.set(s, dst.get(s) - offset);
-        }
-    };
-
-    // Copy the final (or last completed) iterate back out of the shared
-    // buffers into the caller's, and replay the final sweep's argmax
-    // against the iterate it read (`src_buf` is only read, never written,
-    // during a sweep — so it still holds that iterate verbatim). Like the
-    // single-threaded path, the iterated sweeps skip per-state policy
-    // stores and pay this one extra pass at the end.
-    let publish =
-        |dst_buf: &AtomicBias, src_buf: &AtomicBias, h: &mut [f64], policy: &mut Policy| {
-            dst_buf.copy_to(h);
-            extract_policy(compiled, exp_reward, src_buf, policy, tau);
-        };
-
-    std::thread::scope(|scope| {
-        let mut channels = Vec::with_capacity(ranges.len().saturating_sub(1));
-        for range in ranges.iter().skip(1) {
-            let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
-            let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-            let sweep_shard = &sweep_shard;
-            let normalize_shard = &normalize_shard;
-            let bufs = &bufs;
-            scope.spawn(move || {
-                // Exits when the coordinator drops its sender (normal
-                // teardown and every error path alike).
-                while let Ok(cmd) = cmd_rx.recv() {
-                    let reply = match cmd {
-                        Cmd::Sweep { src } => {
-                            Reply::Swept(sweep_shard(range.clone(), &bufs[src], &bufs[1 - src]))
-                        }
-                        Cmd::Normalize { dst, offset } => {
-                            normalize_shard(range.clone(), &bufs[dst], offset);
-                            Reply::Normalized
-                        }
-                    };
-                    if reply_tx.send(reply).is_err() {
-                        return;
-                    }
-                }
-            });
-            channels.push((cmd_tx, reply_rx));
-        }
-
-        // A worker can only stop answering if it panicked, which scoped
-        // join will propagate as soon as this closure returns — so channel
-        // failures here just cut the coordinator loop short.
-        let dead = || MdpError::Cancelled { solver: SOLVER, iterations: 0 };
-
-        let mut last_residual = f64::INFINITY;
-        let mut last_dst = 0usize;
-        for iter in 0..opts.max_iterations {
-            opts.budget.check(SOLVER, iter)?;
-            let src = iter % 2;
-            let dst = 1 - src;
-            last_dst = dst;
-            for (cmd_tx, _) in &channels {
-                cmd_tx.send(Cmd::Sweep { src }).map_err(|_| dead())?;
-            }
-            let own = sweep_shard(ranges[0].clone(), &bufs[src], &bufs[dst]);
-            let mut span_lo = own.lo;
-            let mut span_hi = own.hi;
-            let mut aborted = own.aborted;
-            for (_, reply_rx) in &channels {
-                match reply_rx.recv().map_err(|_| dead())? {
-                    Reply::Swept(s) => {
-                        // Order-independent span reduction: min/max over
-                        // finite values commute, so shard arrival order
-                        // cannot change the reduced pair.
-                        span_lo = span_lo.min(s.lo);
-                        span_hi = span_hi.max(s.hi);
-                        aborted |= s.aborted;
-                    }
-                    Reply::Normalized => return Err(dead()),
-                }
-            }
-            if aborted {
-                // Some shard saw the cancel flag mid-sweep; report the
-                // same structured error the budget check would.
-                opts.budget.check(SOLVER, iter)?;
-                return Err(MdpError::Cancelled { solver: SOLVER, iterations: iter });
-            }
-
-            // Normalize against the base state to keep the bias bounded.
-            // State 0 lives in the coordinator's own shard, so its raw
-            // value is already visible here.
-            let offset = bufs[dst].get(0);
-            for (cmd_tx, _) in &channels {
-                cmd_tx.send(Cmd::Normalize { dst, offset }).map_err(|_| dead())?;
-            }
-            normalize_shard(ranges[0].clone(), &bufs[dst], offset);
-            for (_, reply_rx) in &channels {
-                match reply_rx.recv().map_err(|_| dead())? {
-                    Reply::Normalized => {}
-                    Reply::Swept(_) => return Err(dead()),
-                }
-            }
-
-            last_residual = (span_hi - span_lo) / one_minus_tau;
-            if span_hi - span_lo < opts.tolerance * one_minus_tau {
-                publish(&bufs[dst], &bufs[src], h, policy);
-                let gain = 0.5 * (span_lo + span_hi) / one_minus_tau;
-                return Ok((gain, iter + 1));
-            }
-        }
-        if opts.max_iterations > 0 {
-            // Match the single-threaded path's NoConvergence state: `h`
-            // holds the last completed normalized iterate, `policy` the
-            // last sweep's argmax choices.
-            publish(&bufs[last_dst], &bufs[1 - last_dst], h, policy);
-        }
-        Err(MdpError::NoConvergence {
-            solver: SOLVER,
-            iterations: opts.max_iterations,
-            residual: last_residual,
-        })
-    })
+    (best, best_arm, best - hs)
 }
 
 #[cfg(test)]
@@ -993,124 +694,5 @@ mod tests {
             assert!((fast.gain - front.gain).abs() < 1e-12);
             assert_eq!(fast.policy, front.policy);
         }
-    }
-
-    /// A 4-state chain solved with every thread count (the shard threshold
-    /// lowered so sharding actually engages): gain, bias, and policy must
-    /// be bit-identical across all of them. The cycle 1 → 2 → 3 → 1 avoids
-    /// state 0, so every solve reaches the kernel.
-    #[test]
-    fn sharded_solve_is_bit_identical_across_thread_counts() {
-        let mut m = Mdp::new(1);
-        let states: Vec<_> = (0..4).map(|_| m.add_state()).collect();
-        for (i, &s) in states.iter().enumerate() {
-            let to = states[i % 3 + 1];
-            m.add_action(s, 0, vec![Transition::new(to, 1.0, vec![i as f64])]);
-            m.add_action(
-                s,
-                1,
-                vec![
-                    Transition::new(states[0], 0.5, vec![0.25]),
-                    Transition::new(to, 0.5, vec![1.5]),
-                ],
-            );
-        }
-        let obj = Objective::new(vec![1.0]);
-        let base =
-            relative_value_iteration(&CompiledMdp::of(&m), &obj, &RviOptions::default()).unwrap();
-        assert_eq!(base.engine, ProbeEngine::Rvi);
-        for threads in [2usize, 3, 4, 7] {
-            let opts =
-                RviOptions { solve_threads: threads, shard_min_states: 1, ..Default::default() };
-            let sol = relative_value_iteration(&CompiledMdp::of(&m), &obj, &opts).unwrap();
-            assert_eq!(sol.gain.to_bits(), base.gain.to_bits(), "threads={threads}");
-            assert_eq!(sol.iterations, base.iterations, "threads={threads}");
-            assert_eq!(sol.policy.choices, base.policy.choices, "threads={threads}");
-            for (a, b) in sol.bias.iter().zip(&base.bias) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-            }
-        }
-    }
-
-    /// Above-threshold thread requests are capped by the state count, so a
-    /// tiny model never pays sharding overhead: the kernel solves
-    /// [`cyclic_pair`] exactly as with one thread.
-    #[test]
-    fn small_models_stay_single_threaded() {
-        let m = cyclic_pair();
-        let obj = Objective::new(vec![1.0]);
-        let serial =
-            relative_value_iteration(&CompiledMdp::of(&m), &obj, &RviOptions::default()).unwrap();
-        let opts = RviOptions { solve_threads: 8, ..Default::default() };
-        let sol = relative_value_iteration(&CompiledMdp::of(&m), &obj, &opts).unwrap();
-        assert_eq!(sol.engine, ProbeEngine::Rvi);
-        assert_eq!(sol.gain.to_bits(), serial.gain.to_bits());
-        assert_eq!(sol.iterations, serial.iterations);
-        assert!((sol.gain - 7.0 / 3.0).abs() < 1e-6);
-    }
-
-    /// A pre-raised cancel flag stops a sharded solve too (the flag is
-    /// polled inside shard sweeps as well as at iteration boundaries).
-    #[test]
-    fn sharded_solve_honours_cancellation() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        let m = cyclic_pair();
-        let flag = Arc::new(AtomicBool::new(true));
-        let opts = RviOptions {
-            solve_threads: 2,
-            shard_min_states: 1,
-            budget: SolveBudget::unlimited().with_cancel(flag),
-            ..Default::default()
-        };
-        let err = relative_value_iteration(&CompiledMdp::of(&m), &Objective::new(vec![1.0]), &opts)
-            .unwrap_err();
-        assert!(err.is_cancellation(), "{err:?}");
-    }
-
-    /// A cancel flag raised *while* a sharded solve is running must stop
-    /// it from inside the shard workers (the chunk-granularity poll), not
-    /// only at the next iteration boundary. `tolerance: 0.0` makes
-    /// convergence impossible, so cancellation is the only way out. The ring
-    /// closes at state 1, not 0, so the solve reaches the kernel.
-    #[test]
-    fn sharded_solve_cancels_mid_solve() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        let n = 3000;
-        let mut m = Mdp::new(1);
-        for _ in 0..n {
-            m.add_state();
-        }
-        for s in 0..n {
-            m.add_action(
-                s,
-                0,
-                vec![
-                    Transition::new(s % (n - 1) + 1, 0.9, vec![(s % 7) as f64]),
-                    Transition::new(0, 0.1, vec![0.0]),
-                ],
-            );
-        }
-        let flag = Arc::new(AtomicBool::new(false));
-        let raiser = {
-            let flag = Arc::clone(&flag);
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(30));
-                flag.store(true, Ordering::SeqCst);
-            })
-        };
-        let opts = RviOptions {
-            solve_threads: 2,
-            shard_min_states: 1,
-            tolerance: 0.0,
-            max_iterations: usize::MAX,
-            budget: SolveBudget::unlimited().with_cancel(flag),
-            ..Default::default()
-        };
-        let err = relative_value_iteration(&CompiledMdp::of(&m), &Objective::new(vec![1.0]), &opts)
-            .unwrap_err();
-        raiser.join().unwrap();
-        assert!(err.is_cancellation(), "{err:?}");
     }
 }

@@ -308,53 +308,6 @@ proptest! {
         }
     }
 
-    /// The sharded Bellman kernel is BIT-identical to the single-threaded
-    /// kernel for every thread count: same gain bits, same bias bits, same
-    /// policy. `shard_min_states: 1` forces sharding even on these tiny
-    /// models, so shard boundaries land mid-model and thread counts exceed
-    /// the state count (7 threads on ≤ 6 states) — the edge cases a real
-    /// sweep never exercises.
-    #[test]
-    fn sharded_rvi_bit_identical_across_thread_counts(model in random_cyclic_model()) {
-        let m = model.build();
-        let obj = Objective::new(vec![1.0, 0.5]);
-        let base = relative_value_iteration(&m, &obj, &RviOptions::default()).unwrap();
-        prop_assert_eq!(base.engine, ProbeEngine::Rvi);
-        for threads in [2usize, 4, 7] {
-            let opts =
-                RviOptions { solve_threads: threads, shard_min_states: 1, ..Default::default() };
-            let sharded = relative_value_iteration(&m, &obj, &opts).unwrap();
-            prop_assert_eq!(sharded.gain.to_bits(), base.gain.to_bits(),
-                "gain bits diverge at {} threads: {} vs {}", threads, sharded.gain, base.gain);
-            prop_assert_eq!(&sharded.policy.choices, &base.policy.choices,
-                "policy diverges at {} threads", threads);
-            prop_assert_eq!(sharded.iterations, base.iterations,
-                "iteration count diverges at {} threads", threads);
-            for (s, (a, b)) in sharded.bias.iter().zip(&base.bias).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(),
-                    "bias[{}] bits diverge at {} threads: {} vs {}", s, threads, a, b);
-            }
-        }
-    }
-
-    /// The threaded kernel agrees with the reference solver
-    /// to 1e-9 — the same bound the single-threaded differential test
-    /// enforces, so sharding adds no numeric drift against the reference.
-    #[test]
-    fn threaded_rvi_matches_reference(model in random_cyclic_model()) {
-        let m = model.build();
-        let obj = Objective::new(vec![1.0, 0.5]);
-        let opts = RviOptions { solve_threads: 4, shard_min_states: 1, ..Default::default() };
-        let fast = relative_value_iteration(&m, &obj, &opts).unwrap();
-        let slow = relative_value_iteration_reference(&m, &obj, &RviOptions::default()).unwrap();
-        prop_assert!((fast.gain - slow.gain).abs() < 1e-9,
-            "gain: threaded {} vs reference {}", fast.gain, slow.gain);
-        prop_assert_eq!(&fast.policy.choices, &slow.policy.choices);
-        for (a, b) in fast.bias.iter().zip(&slow.bias) {
-            prop_assert!((a - b).abs() < 1e-9, "bias: threaded {} vs reference {}", a, b);
-        }
-    }
-
     /// The production ratio solver (in-place re-scalarization +
     /// warm-started kernel) and the reference one (objective rebuilt per
     /// probe) take the same probes, spend the same inner iterations, and

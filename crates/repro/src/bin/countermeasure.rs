@@ -20,6 +20,7 @@ use bvc_games::{BlockSizeIncreasingGame, MinerGroup};
 use bvc_sim::{DelayModel, HonestStrategy, MinerSpec, Simulation, SplitterStrategy};
 
 fn main() {
+    bvc_repro::refuse_arguments();
     // Compressed periods so the demo runs in a screenful.
     let rule = DynamicLimitRule {
         initial_limit: ByteSize::mb(1),

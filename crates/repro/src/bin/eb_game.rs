@@ -7,6 +7,7 @@
 use bvc_games::EbChoosingGame;
 
 fn main() {
+    bvc_repro::refuse_arguments();
     println!("EB choosing game — Nash equilibria (Analytical Result 4)");
     println!();
 

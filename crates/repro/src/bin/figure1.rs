@@ -25,6 +25,7 @@ fn excessive() -> ByteSize {
 }
 
 fn main() {
+    bvc_repro::refuse_arguments();
     let eb = ByteSize::mb(1);
     let ad = 3;
     println!("Figure 1 — BU parent-block choice, EB = {eb}, AD = {ad}");

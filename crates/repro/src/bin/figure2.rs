@@ -21,6 +21,7 @@ fn small() -> ByteSize {
 }
 
 fn main() {
+    bvc_repro::refuse_arguments();
     let ad = 3;
     println!(
         "Figure 2 — phase-1 and phase-2 splits, EB_B = {BOB_EB}, EB_C = {CAROL_EB}, AD = {ad}"

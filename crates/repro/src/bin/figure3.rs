@@ -16,6 +16,7 @@ const BOB: MinerId = MinerId(1);
 const CAROL: MinerId = MinerId(2);
 
 fn main() {
+    bvc_repro::refuse_arguments();
     let eb_b = ByteSize::mb(1);
     let eb_c = ByteSize::mb(16);
     let ad = 6;

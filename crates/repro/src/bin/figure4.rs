@@ -7,6 +7,7 @@
 use bvc_games::{BlockSizeIncreasingGame, MinerGroup};
 
 fn main() {
+    bvc_repro::refuse_arguments();
     let game = BlockSizeIncreasingGame::new(vec![
         MinerGroup { mpb: 1.0, power: 0.10 },
         MinerGroup { mpb: 2.0, power: 0.20 },

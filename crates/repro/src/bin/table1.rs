@@ -6,23 +6,38 @@
 //! Run: `cargo run --release -p bvc-repro --bin table1 [alpha beta_ratio gamma_ratio]`
 
 use bvc_bu::table1::{diff_rows, generator_rows, published_rows, render};
-use bvc_bu::{AttackConfig, AttackModel, IncentiveModel, Setting};
+use bvc_bu::{AttackConfig, AttackModel};
+
+/// The setting-1 compliant configuration of the positionals `alpha
+/// beta_ratio gamma_ratio` (default `0.25 1 1`), checked by the table-cell
+/// schema `bvc solve` reads.
+fn config(args: &[String]) -> Result<AttackConfig, String> {
+    let (alpha, ratio) = match args {
+        [] => ("0.25", "1:1".to_string()),
+        [alpha, b, c] => (alpha.as_str(), format!("{b}:{c}")),
+        _ => {
+            return Err(format!(
+                "table1 takes no arguments or three (alpha beta_ratio gamma_ratio), got {args:?}"
+            ))
+        }
+    };
+    let (cfg, _) = AttackConfig::from_params(|name| match name {
+        "alpha" => Some(alpha),
+        "ratio" => Some(ratio.as_str()),
+        _ => None,
+    })?;
+    Ok(cfg)
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let (alpha, ratio) = if args.len() >= 4 {
-        let a: f64 = args[1].parse().expect("alpha");
-        let b: u32 = args[2].parse().expect("beta ratio");
-        let c: u32 = args[3].parse().expect("gamma ratio");
-        (a, (b, c))
-    } else {
-        (0.25, (1, 1))
-    };
-    let cfg =
-        AttackConfig::with_ratio(alpha, ratio, Setting::One, IncentiveModel::CompliantProfitDriven);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cfg = config(&args).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    });
     println!(
-        "Table 1 — transitions & rewards, alpha={alpha}, beta={:.4}, gamma={:.4}, AD={}",
-        cfg.beta, cfg.gamma, cfg.ad
+        "Table 1 — transitions & rewards, alpha={}, beta={:.4}, gamma={:.4}, AD={}",
+        cfg.alpha, cfg.beta, cfg.gamma, cfg.ad
     );
     println!();
 

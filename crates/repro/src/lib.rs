@@ -210,6 +210,15 @@ where
     out.into_inner().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Exits 2 with a message when the binary was given any argument, so the
+/// binaries that take none refuse a stray flag instead of ignoring it.
+pub fn refuse_arguments() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("error: unknown argument {arg:?} (this binary takes no arguments)");
+        std::process::exit(2);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

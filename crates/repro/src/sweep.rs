@@ -227,15 +227,6 @@ pub struct SweepOptions {
     /// Worker count override (defaults to available parallelism). The
     /// calling thread is one of the workers, so `Some(1)` spawns none.
     pub threads: Option<usize>,
-    /// Worker threads *inside* each cell's Bellman sweeps (sharded Jacobi
-    /// kernel; results are bit-identical for every value). Thread-budget
-    /// arbitration: ignored (forced to 1) whenever the sweep itself runs
-    /// with more than one cell-level thread — cell-level parallelism has
-    /// no synchronization cost, so it always wins the core budget.
-    pub solve_threads: usize,
-    /// Minimum states per intra-solve shard (`0` = solver default); small
-    /// models stay single-threaded regardless of `solve_threads`.
-    pub shard_min_states: usize,
     /// Fault injection: cells whose key contains any of these substrings
     /// panic instead of solving. Testing/smoke only.
     pub inject_panic: Vec<String>,
@@ -278,11 +269,10 @@ impl SweepOptions {
     ///
     /// Recognized flags:
     /// `--journal PATH`, `--fail-fast`, `--cell-deadline SECONDS`,
-    /// `--threads N`, `--solve-threads N`, `--shard-min-states N`,
-    /// `--audit`, `--json`, `--inject-panic SUBSTR`, `--inject-noconv
-    /// SUBSTR` (the last two repeatable), `--cluster HOST:PORT`, `--lease
-    /// SECONDS`, `--cluster-batch N`, `--durability none|batch|always`,
-    /// `--chaos SPEC`.
+    /// `--threads N`, `--audit`, `--json`, `--inject-panic SUBSTR`,
+    /// `--inject-noconv SUBSTR` (the last two repeatable), `--cluster
+    /// HOST:PORT`, `--lease SECONDS`, `--cluster-batch N`, `--durability
+    /// none|batch|always`, `--chaos SPEC`.
     ///
     /// `own` lists the binary's own flags (e.g. `&["--setting1-only"]`);
     /// an entry written with a value placeholder (`"--reps N"`) takes the
@@ -318,18 +308,6 @@ impl SweepOptions {
                 "--threads" => {
                     let n: usize = parse(value(&mut it, "--threads")?, "--threads takes a count")?;
                     opts.threads = Some(n.max(1));
-                }
-                "--solve-threads" => {
-                    let n: usize =
-                        parse(value(&mut it, "--solve-threads")?, "--solve-threads takes a count")?;
-                    opts.solve_threads = n.max(1);
-                }
-                "--shard-min-states" => {
-                    let n: usize = parse(
-                        value(&mut it, "--shard-min-states")?,
-                        "--shard-min-states takes a count",
-                    )?;
-                    opts.shard_min_states = n;
                 }
                 "--inject-panic" => opts.inject_panic.push(value(&mut it, "--inject-panic")?),
                 "--inject-noconv" => opts.inject_noconv.push(value(&mut it, "--inject-noconv")?),
@@ -501,10 +479,6 @@ where
     let cell_cfg = CellRunConfig {
         cell_deadline: opts.cell_deadline,
         audit: opts.audit,
-        // Thread-budget arbitration: cell-level parallelism wins. Sharded
-        // solves only engage when cells run one at a time.
-        solve_threads: if threads > 1 { 1 } else { opts.solve_threads.max(1) },
-        shard_min_states: opts.shard_min_states,
         inject_panic: opts.inject_panic.clone(),
         inject_noconv: opts.inject_noconv.clone(),
     };
@@ -665,10 +639,6 @@ fn run_coordinated(
         cell: CellRunConfig {
             cell_deadline: opts.cell_deadline,
             audit: opts.audit,
-            // Never shipped over the wire: each worker applies its own
-            // local --solve-threads (see CellRunConfig docs).
-            solve_threads: 1,
-            shard_min_states: 0,
             inject_panic: opts.inject_panic.clone(),
             inject_noconv: opts.inject_noconv.clone(),
         },
@@ -1071,10 +1041,6 @@ mod tests {
             "2.5",
             "--threads",
             "2",
-            "--solve-threads",
-            "4",
-            "--shard-min-states",
-            "512",
             "--inject-panic",
             "a=15%",
             "--inject-noconv",
@@ -1098,8 +1064,6 @@ mod tests {
         assert!(opts.fail_fast);
         assert_eq!(opts.cell_deadline, Some(Duration::from_secs_f64(2.5)));
         assert_eq!(opts.threads, Some(2));
-        assert_eq!(opts.solve_threads, 4);
-        assert_eq!(opts.shard_min_states, 512);
         assert_eq!(opts.inject_panic, vec!["a=15%".to_string()]);
         assert_eq!(opts.inject_noconv, vec!["a=20%".to_string()]);
         assert!(opts.audit);
@@ -1144,33 +1108,18 @@ mod tests {
     }
 
     #[test]
-    fn solve_options_carry_budget_audit_and_threads() {
-        let ctx = CellContext {
-            budget: SolveBudget::with_timeout(Duration::from_secs(5)),
-            audit: true,
-            solve_threads: 4,
-            shard_min_states: 256,
-        };
+    fn solve_options_carry_budget_and_audit() {
+        let ctx =
+            CellContext { budget: SolveBudget::with_timeout(Duration::from_secs(5)), audit: true };
         let opts = ctx.solve_options();
         let base = SolveOptions::default();
         assert_eq!(opts.max_iterations, base.max_iterations);
         assert_eq!(opts.aperiodicity_tau.to_bits(), base.aperiodicity_tau.to_bits());
         assert!(!opts.budget.is_unlimited());
         assert!(opts.audit, "audit flag must thread through to solve options");
-        assert_eq!(opts.solve_threads, 4);
-        assert_eq!(opts.shard_min_states, 256);
 
-        // A context with no shard override keeps the solver default.
-        let plain = CellContext { solve_threads: 0, shard_min_states: 0, ..ctx.clone() };
-        let opts = plain.solve_options();
-        assert_eq!(opts.solve_threads, 1);
-        assert_eq!(opts.shard_min_states, base.shard_min_states);
-
-        // The budget and thread settings reach the inner solver through the
-        // conversion.
+        // The budget reaches the inner solver through the conversion.
         let rvi = ctx.solve_options().ratio_options().rvi;
         assert!(!rvi.budget.is_unlimited());
-        assert_eq!(rvi.solve_threads, 4);
-        assert_eq!(rvi.shard_min_states, 256);
     }
 }

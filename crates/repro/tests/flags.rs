@@ -1,13 +1,13 @@
-//! The sweep binaries exit 2 with a message on an argument they do not
+//! The repro binaries exit 2 with a message on an argument they do not
 //! take or a seconds value no `Duration` holds, before any cell runs,
 //! instead of ignoring it or panicking.
 
 use std::process::Command;
 
-/// Runs the sweep binary at `exe` with `args`; returns its exit code and
+/// Runs the repro binary at `exe` with `args`; returns its exit code and
 /// stderr.
 fn run(exe: &str, args: &[&str]) -> (Option<i32>, String) {
-    let out = Command::new(exe).args(args).output().expect("sweep binary runs");
+    let out = Command::new(exe).args(args).output().expect("repro binary runs");
     (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
 }
 
@@ -18,6 +18,22 @@ fn unknown_arguments_exit_2() {
         (env!("CARGO_BIN_EXE_table2"), &["--setting1-only", "--bogus"], "\"--bogus\""),
         (env!("CARGO_BIN_EXE_table4"), &["--setting1-only"], "no flags of its own"),
         (env!("CARGO_BIN_EXE_games_map"), &["--bogus"], "--frontier"),
+        (
+            env!("CARGO_BIN_EXE_table3_bitcoin"),
+            &["--solve-threads", "2"],
+            "unknown argument \"--solve-threads\"",
+        ),
+        (env!("CARGO_BIN_EXE_table1"), &["abc", "1", "1"], "invalid number \"abc\" for alpha"),
+        (env!("CARGO_BIN_EXE_table1"), &["0.25", "0", "1"], "ratio parts must be integers"),
+        (env!("CARGO_BIN_EXE_table1"), &["0.9", "1", "1"], "alpha must be in (0, 0.5), got 0.9"),
+        (env!("CARGO_BIN_EXE_table1"), &["0.25", "1"], "takes no arguments or three"),
+        (env!("CARGO_BIN_EXE_table1"), &["--bogus"], "takes no arguments or three"),
+        (env!("CARGO_BIN_EXE_figure1"), &["--bogus"], "takes no arguments"),
+        (env!("CARGO_BIN_EXE_figure2"), &["x"], "takes no arguments"),
+        (env!("CARGO_BIN_EXE_figure3"), &["--threads", "1"], "takes no arguments"),
+        (env!("CARGO_BIN_EXE_figure4"), &["--bogus"], "takes no arguments"),
+        (env!("CARGO_BIN_EXE_eb_game"), &["--bogus"], "takes no arguments"),
+        (env!("CARGO_BIN_EXE_countermeasure"), &["--bogus"], "takes no arguments"),
     ] {
         let (code, stderr) = run(exe, args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");

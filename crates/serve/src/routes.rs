@@ -61,12 +61,6 @@ pub struct ServeConfig {
     pub read_timeout: Duration,
     /// Sweep journals to preload: `(table name, journal path)` pairs.
     pub preload: Vec<(String, PathBuf)>,
-    /// Worker threads inside each cold solve's Bellman sweeps. Results are
-    /// bit-identical for every value, so this never enters cache keys or
-    /// [`config_token`]. Useful when the server handles few concurrent
-    /// cold solves on a many-core box; leave at 1 when `workers` already
-    /// saturates the machine (thread-budget arbitration, see DESIGN.md).
-    pub solve_threads: usize,
     /// Base retry hint on 429 sheds (`--retry-after-ms`). Each shed draws
     /// a jittered value uniform in `[base/2, base]` so synchronized
     /// clients do not retry in lockstep; it is emitted as a standard
@@ -86,7 +80,6 @@ impl Default for ServeConfig {
             solve_deadline: Some(Duration::from_secs(30)),
             read_timeout: Duration::from_secs(5),
             preload: Vec::new(),
-            solve_threads: 1,
             retry_after: Duration::from_secs(1),
             retry_jitter_seed: 0x7e7e_a11e,
         }
@@ -140,7 +133,6 @@ pub struct Service {
     /// Exported counters (public for tests and the load generator).
     pub metrics: Metrics,
     solve_deadline: Option<Duration>,
-    solve_threads: usize,
     retry_after: Duration,
     retry_jitter: Mutex<bvc_chaos::SplitMix64>,
     shutdown: (Mutex<bool>, Condvar),
@@ -153,7 +145,6 @@ impl Service {
             cache: SolveCache::new(config.cache_capacity, 8, config.queue_cap),
             metrics: Metrics::new(),
             solve_deadline: config.solve_deadline,
-            solve_threads: config.solve_threads.max(1),
             retry_after: config.retry_after,
             retry_jitter: Mutex::new(bvc_chaos::SplitMix64::new(config.retry_jitter_seed)),
             shutdown: (Mutex::new(false), Condvar::new()),
@@ -327,7 +318,7 @@ impl Service {
             Some(deadline) => SolveBudget::with_timeout(deadline),
             None => SolveBudget::default(),
         };
-        SolveOptions { audit, budget, solve_threads: self.solve_threads, ..SolveOptions::default() }
+        SolveOptions { audit, budget, ..SolveOptions::default() }
     }
 
     // --- table cells ---

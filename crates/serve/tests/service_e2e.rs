@@ -20,7 +20,6 @@ fn test_server(queue_cap: usize, workers: usize) -> RunningServer {
         solve_deadline: Some(Duration::from_secs(30)),
         read_timeout: Duration::from_secs(5),
         preload: Vec::new(),
-        solve_threads: 1,
         ..ServeConfig::default()
     })
     .expect("start server")

@@ -34,14 +34,8 @@ run_table2() {
 echo "==> [1/3] clean Table 2 run (setting 1)"
 run_table2 --setting1-only > "$workdir/clean.txt"
 
-# The faulted and resumed runs pass --solve-threads 2 (sharding forced onto
-# these small models) while the clean reference run stays serial. Table 2's
-# ratio cells probe by exact renewal passes, which never shard, so the grid
-# diff below checks the thread options leave values untouched; the sharded
-# Bellman kernel's end-to-end determinism diff runs Table 3 in verify.sh.
 echo "==> [2/3] injected faults: one panicking cell, one non-converging cell"
-if run_table2 --setting1-only --journal "$journal" \
-        --threads 1 --solve-threads 2 --shard-min-states 1 \
+if run_table2 --setting1-only --journal "$journal" --threads 1 \
         --inject-panic 'b:g=1:1 a=15%' --inject-noconv 'b:g=1:2 a=20%' \
         > "$workdir/injected.txt" 2> "$workdir/injected.stderr"; then
     echo "FAULT SMOKE FAILED: injected run exited zero" >&2
@@ -53,8 +47,7 @@ grep -q 'FAIL(no-conv)' "$workdir/injected.txt" || { echo "missing FAIL(no-conv)
 grep -q 'solved 19' "$workdir/injected.txt" || { echo "healthy cells did not all solve" >&2; exit 1; }
 
 echo "==> [3/3] resume from the journal with the faults removed"
-run_table2 --setting1-only --journal "$journal" \
-    --threads 1 --solve-threads 2 --shard-min-states 1 > "$workdir/resumed.txt"
+run_table2 --setting1-only --journal "$journal" --threads 1 > "$workdir/resumed.txt"
 grep -q '(19 replayed)' "$workdir/resumed.txt" || { echo "resume did not replay the 19 checkpointed cells" >&2; exit 1; }
 
 # The '# sweep' diagnostics differ (replay counts, wall time); the grid and
@@ -65,4 +58,4 @@ if ! diff <(grep -v '^# sweep' "$workdir/clean.txt") \
     exit 1
 fi
 
-echo "==> fault smoke OK (isolation, degraded rendering, checkpoint resume, thread-option determinism)"
+echo "==> fault smoke OK (isolation, degraded rendering, checkpoint resume)"

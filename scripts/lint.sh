@@ -54,7 +54,6 @@ echo "==> custom lint: no unwrap/expect/float-eq in solver hot paths"
 # it shares with serve and the job codec.
 targets=(
     crates/mdp/src/solve/*.rs
-    crates/mdp/src/shard.rs
     crates/repro/src/sweep.rs
     crates/cluster/src/*.rs
     crates/journal/src/*.rs

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# Best-effort Miri pass over the lock-free hot spots: the serve metrics
-# counters (bvc_serve::metrics) and the sharded sweep's bit-pattern bias
-# buffer (bvc_mdp::shard::AtomicBias). Both modules carry concurrent tests
-# sized specifically to finish quickly under Miri's interpreter.
+# Best-effort Miri pass over the lock-free hot spot: the serve metrics
+# counters (bvc_serve::metrics). The module carries concurrent tests sized
+# specifically to finish quickly under Miri's interpreter.
 #
 # Miri ships only with nightly and needs a one-time setup step, so this
 # script detects the prerequisites and SKIPS cleanly (exit 0) when they
@@ -28,15 +27,12 @@ if ! rustup component list --toolchain nightly 2>/dev/null | grep -q 'miri (inst
     exit 0
 fi
 
-echo "==> Miri: bvc_serve::metrics and bvc_mdp::shard unit tests"
+echo "==> Miri: bvc_serve::metrics unit tests"
 # MIRIFLAGS: -Zmiri-many-seeds exercises several weak-memory schedules per
 # test; isolation stays on (the targeted tests touch no clock or fs).
 CARGO_TARGET_DIR=target/miri \
 MIRIFLAGS="-Zmiri-many-seeds=0..4" \
-cargo +nightly miri test -q --offline -p bvc-serve --lib metrics:: &&
-CARGO_TARGET_DIR=target/miri \
-MIRIFLAGS="-Zmiri-many-seeds=0..4" \
-cargo +nightly miri test -q --offline -p bvc-mdp --lib shard::
+cargo +nightly miri test -q --offline -p bvc-serve --lib metrics::
 status=$?
 if [[ $status -ne 0 ]]; then
     echo "==> MIRI FAILED"
