@@ -1,21 +1,26 @@
 //! Episode-level metrics of attack policies, beyond long-run averages:
-//! fork-depth distributions and sticky-gate trigger spacing, computed
-//! exactly from the policy-induced Markov chain via hitting analysis.
+//! fork-depth probabilities and sticky-gate trigger spacing, computed
+//! exactly from the policy-induced Markov chain by one first-passage pass
+//! ([`bvc_mdp::solve::first_passage`]) over the model's regeneration order:
+//! every BU model returns to `BASE`, state 0, on every path.
 //!
 //! These answer the §6.2 trade-off questions quantitatively: *"how often
 //! does the attacker open a victim's sticky gate?"* (the giant-block
 //! exposure of a small `AD`) and *"how deep do forks get?"* (the
 //! double-spend exposure of a large `AD`).
 
-use std::collections::HashSet;
-
-use bvc_mdp::solve::{expected_hitting_time, hitting_probability};
+use bvc_mdp::solve::first_passage;
 use bvc_mdp::{MdpError, Policy};
 
 use crate::model::AttackModel;
 use crate::state::AttackState;
 
 impl AttackModel {
+    /// One flag per state, set where `pred` holds.
+    fn mask(&self, pred: impl Fn(AttackState) -> bool) -> Vec<bool> {
+        (0..self.num_states()).map(|id| pred(self.state(id))).collect()
+    }
+
     /// The probability that a fork, once started, reaches Chain-2 length
     /// `depth` before resolving — the chance a double-spend window of that
     /// depth opens per fork attempt. Computed from the fork-start state
@@ -28,49 +33,30 @@ impl AttackModel {
         let Some(start_id) = self.id_of(&start) else {
             return Ok(0.0);
         };
-        let mut targets = HashSet::new();
-        let mut avoid = HashSet::new();
-        for id in 0..self.num_states() {
-            let s = self.state(id);
-            if s.forked() && s.l2 >= depth {
-                targets.insert(id);
-            } else if !s.forked() {
-                // Any base state (either phase) means the race resolved.
-                avoid.insert(id);
-            }
-        }
-        if targets.is_empty() {
-            return Ok(0.0);
-        }
-        let p = hitting_probability(self.mdp(), policy, &targets, &avoid)?;
-        Ok(p[start_id])
+        let target = self.mask(|s| s.forked() && s.l2 >= depth);
+        // Any base state (either phase) means the race resolved.
+        let stop = self.mask(|s| !s.forked());
+        Ok(first_passage(self.mdp(), policy, &target, &stop)?.hit[start_id])
     }
 
     /// Expected number of blocks from the phase-1 base state until Bob's
     /// sticky gate first opens (the system enters phase 2) under `policy`.
     /// Only meaningful for setting-2 models; returns `None` when no
     /// phase-2 state is reachable or the policy never triggers the gate.
+    ///
+    /// With `T` the first entry into phase 2 and `C` the return to the
+    /// base state, the renewal argument gives
+    /// `E[T] = E[min(T, C)] / P(T < C)`: each cycle from the base state
+    /// opens the gate independently with probability `P(T < C)`.
     pub fn expected_blocks_to_gate_trigger(
         &self,
         policy: &Policy,
     ) -> Result<Option<f64>, MdpError> {
-        let base = self.id_of(&AttackState::BASE).expect("base is reachable");
-        let targets: HashSet<_> =
-            (0..self.num_states()).filter(|&id| self.state(id).phase2()).collect();
-        if targets.is_empty() {
-            return Ok(None);
-        }
-        // The hitting-time solver requires global reachability of the
-        // target; under policies that never fork it is unreachable, so
-        // check first via the probability solver (with an empty avoid set,
-        // absorbing probabilities are 1 exactly on states that can reach
-        // the target).
-        let reach = hitting_probability(self.mdp(), policy, &targets, &HashSet::new())?;
-        if reach[base] < 1.0 - 1e-6 {
-            return Ok(None);
-        }
-        let h = expected_hitting_time(self.mdp(), policy, &targets)?;
-        Ok(Some(h[base]))
+        let target = self.mask(|s| s.phase2());
+        let passage = first_passage(self.mdp(), policy, &target, &vec![false; target.len()])?;
+        // The base state is state 0, where every cycle starts.
+        let (hit, steps) = (passage.hit[0], passage.steps[0]);
+        Ok((hit > 0.0).then(|| steps / hit))
     }
 }
 

@@ -36,7 +36,8 @@ pub struct PolicySummary {
     pub waits: usize,
     /// Among phase-1 fork states, those where the policy mines with the
     /// *stronger* side, counting Alice's own contribution — Chain 2 when
-    /// `α + γ > β` (the Table-2 profitability condition), Chain 1 when
+    /// `α + γ > β` (it held before every measured Table 2 profitability
+    /// onset, EXPERIMENTS.md §2), Chain 1 when
     /// `α + β > γ`.
     pub with_stronger_group: usize,
     /// Total phase-1 fork states considered for the side statistic.

@@ -145,7 +145,10 @@ mod tests {
         assert_optimal_dispatches(&m, &sol);
     }
 
-    /// Table 2: when α + γ ≤ β the optimal strategy is honest (u1 = α).
+    /// Table 2: below the 3:2 onset of unfair revenue (α ≈ 0.2793 in setting
+    /// 1, EXPERIMENTS.md §2) the optimal strategy is honest (u1 = α). Here
+    /// α + γ ≤ β too; it held before every measured onset, which is
+    /// unproven in general.
     #[test]
     fn table2_no_gain_when_bob_strong() {
         let m = model(0.10, (3, 2), IncentiveModel::CompliantProfitDriven);

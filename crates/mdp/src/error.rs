@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::solve::renewal::AvoidingCycle;
+
 /// Errors arising while building or validating an [`crate::Mdp`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum MdpError {
@@ -110,15 +112,14 @@ pub enum MdpError {
         expected: usize,
     },
     /// A caller-supplied buffer or vector (warm start, scratch space,
-    /// pre-scalarized rewards) has the wrong length for the model, or a
-    /// caller-supplied state id (a hitting target) is not below the state
-    /// count.
+    /// pre-scalarized rewards, a first-passage state mask) has the wrong
+    /// length for the model.
     Shape {
-        /// Which buffer or id is malformed.
+        /// Which buffer is malformed.
         what: &'static str,
-        /// Length (or id) found.
+        /// Length found.
         found: usize,
-        /// Length the model requires (for an id, the state count).
+        /// Length the model requires.
         expected: usize,
     },
     /// A numeric solver option is outside its valid range (e.g. an
@@ -147,11 +148,11 @@ pub enum MdpError {
         /// Iterations completed at cancellation.
         iterations: usize,
     },
-    /// A hitting-time query's target set is not reachable from some state,
-    /// making its expected hitting time infinite.
-    UnreachableTarget {
-        /// A state that cannot reach the target set.
-        state: usize,
+    /// An exact renewal pass needs state 0 to be a regeneration state (see
+    /// [`crate::solve::renewal`]), and the model has a cycle avoiding it.
+    NotRegenerative {
+        /// The cycle that avoids state 0.
+        witness: AvoidingCycle,
     },
 }
 
@@ -227,9 +228,10 @@ impl fmt::Display for MdpError {
             MdpError::Cancelled { solver, iterations } => {
                 write!(f, "{solver} was cancelled after {iterations} iterations")
             }
-            MdpError::UnreachableTarget { state } => write!(
+            MdpError::NotRegenerative { witness } => write!(
                 f,
-                "target set is unreachable from state {state}; its expected hitting time is infinite"
+                "state 0 is not a regeneration state: the cycle through states {:?} avoids it",
+                witness.states
             ),
         }
     }

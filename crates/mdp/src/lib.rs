@@ -27,9 +27,11 @@
 //!   regeneration state, else by a safeguarded secant search on ρ over
 //!   transformed rewards, each probe an RVI solve.
 //! * [`solve::evaluate_policy`] — long-run component rates of a fixed
-//!   policy by a damped power method (to a 1e-12 L1 tolerance), for
-//!   reporting every utility of one optimal strategy and for Monte Carlo
-//!   cross-validation.
+//!   policy, for reporting every utility of one optimal strategy and for
+//!   Monte Carlo cross-validation: exact by one pass over the cycle from
+//!   state 0 when it is a regeneration state, else by a damped power method
+//!   (to a 1e-12 L1 step). [`solve::first_passage`] gives a fixed policy's
+//!   exact first-passage probabilities and times within that cycle.
 //!
 //! ## Quick example
 //!

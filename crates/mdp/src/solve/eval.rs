@@ -6,20 +6,27 @@
 //! gain reported by [`crate::solve::rvi`] must equal the scalarized
 //! component rates of the policy it returns.
 //!
-//! The stationary distribution comes from a damped power method run until
-//! the L1 change of the iterate falls below `TOLERANCE` (1e-12), so the
-//! rates are accurate to about that tolerance, not exact.
+//! [`evaluate_policy`] dispatches once on
+//! [`regeneration_order`], like the gain and ratio solves:
 //!
-//! Serial, like every solver in this crate. The power-method step
-//! `pi <- pi P` is a *scatter* — each state writes probability mass to
-//! data-dependent successor indices — so per-thread output slices would
-//! overlap. A gather formulation would need the transposed chain,
-//! which [`CompiledMdp`] does not store. Policy evaluation runs once per
-//! reported cell, so its cost is immaterial next to the solve.
+//! * On a regenerative model (every BU model) one forward pass in that
+//!   order gives each state's expected visits per cycle from state 0, and
+//!   by the renewal-reward theorem the stationary law is those visits over
+//!   their sum, the expected cycle length. The law and the rates are exact
+//!   up to rounding.
+//! * Otherwise (the Bitcoin models, the random test models) the law comes
+//!   from a damped power method run until the L1 change of the iterate
+//!   falls below `TOLERANCE` (1e-12). That bounds the step, not the error,
+//!   so these rates are only accurate to about the tolerance over the
+//!   chain's spectral gap.
+//!
+//! Both paths share one rate loop over the per-arm expected component
+//! rewards ([`CompiledMdp::expected_component_rewards`]).
 
 use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
 use crate::model::Policy;
+use crate::solve::renewal::regeneration_order;
 
 /// The power method stops when the L1 change of the stationary iterate
 /// falls below this.
@@ -38,7 +45,8 @@ pub struct PolicyEvaluation {
     pub stationary: Vec<f64>,
     /// Long-run average accumulation per step of every reward component.
     pub component_rates: Vec<f64>,
-    /// Iterations performed by the power method.
+    /// Passes over the states: 1 for the exact pass, else the power
+    /// method's iterations.
     pub iterations: usize,
 }
 
@@ -53,7 +61,7 @@ impl PolicyEvaluation {
     /// `0/0` defined as `0` (the convention for "never attacks" policies).
     /// Denominator rates below `1e-9` — far under anything meaningful for
     /// per-step rates but comfortably above the transient residue the
-    /// damped power iteration can leave on unreachable states — count as
+    /// damped power method can leave on unreachable states — count as
     /// zero.
     pub fn ratio(&self, num_weights: &[f64], den_weights: &[f64]) -> f64 {
         let n = self.rate(num_weights);
@@ -67,64 +75,27 @@ impl PolicyEvaluation {
 }
 
 /// Computes the stationary distribution and per-component accumulation rates
-/// of the Markov chain induced by `policy`, by the damped power method (see
-/// the module docs for its accuracy).
+/// of the Markov chain induced by `policy`: exactly on a regenerative model,
+/// else by the damped power method (see the module docs).
 ///
 /// The chain is assumed unichain (single recurrent class); the paper's
 /// models satisfy this because every strategy returns to the base state in a
 /// bounded number of steps.
-///
-/// The power-method sweep scatters mass along the chosen arm's flat
-/// transition slices; component rates come from the per-arm expected
-/// component rewards ([`CompiledMdp::expected_component_rewards`]) instead
-/// of re-walking per-transition reward vectors.
 pub fn evaluate_policy(
     compiled: &CompiledMdp,
     policy: &Policy,
 ) -> Result<PolicyEvaluation, MdpError> {
     compiled.validate_policy(policy)?;
-
     let n = compiled.num_states();
-    let mut pi = vec![1.0 / n as f64; n];
-    let mut pi_next = vec![0.0f64; n];
-    let d = DAMPING;
-
     // Resolve the policy to one global arm per state, once.
     let chosen: Vec<usize> = (0..n).map(|s| compiled.policy_arm(policy, s)).collect();
 
-    let mut iterations = 0;
-    for iter in 0..MAX_ITERATIONS {
-        iterations = iter + 1;
-        for x in pi_next.iter_mut() {
-            *x = 0.0;
-        }
-        for s in 0..n {
-            let mass = pi[s];
-            if mass <= 0.0 {
-                continue;
-            }
-            let (probs, nexts) = compiled.arm_transitions(chosen[s]);
-            let spread = (1.0 - d) * mass;
-            for (p, &to) in probs.iter().zip(nexts) {
-                pi_next[to as usize] += spread * p;
-            }
-            pi_next[s] += d * mass;
-        }
-        let delta: f64 = pi.iter().zip(&pi_next).map(|(a, b)| (a - b).abs()).sum();
-        std::mem::swap(&mut pi, &mut pi_next);
-        if delta < TOLERANCE {
-            break;
-        }
-        if iter + 1 == MAX_ITERATIONS {
-            return Err(MdpError::NoConvergence {
-                solver: "evaluate_policy",
-                iterations: MAX_ITERATIONS,
-                residual: delta,
-            });
-        }
-    }
-
-    // Renormalize against accumulated floating-point drift.
+    let (mut pi, iterations) = match regeneration_order(compiled) {
+        Ok(order) => (cycle_visits(compiled, order, &chosen), 1),
+        Err(_) => power_method(compiled, &chosen)?,
+    };
+    // Visits per cycle to a law, or renormalize the power method's iterate
+    // against accumulated floating-point drift.
     let total: f64 = pi.iter().sum();
     for x in pi.iter_mut() {
         *x /= total;
@@ -142,6 +113,66 @@ pub fn evaluate_policy(
     }
 
     Ok(PolicyEvaluation { stationary: pi, component_rates: rates, iterations })
+}
+
+/// The expected visits to every state in one cycle from state 0 back to it
+/// (state 0's own is 1), on a model with regeneration order `order`: one
+/// forward pass, since each state's visits only come from states before it
+/// and a return to state 0 ends the cycle.
+fn cycle_visits(compiled: &CompiledMdp, order: &[u32], chosen: &[usize]) -> Vec<f64> {
+    let mut visits = vec![0.0f64; compiled.num_states()];
+    visits[0] = 1.0;
+    for &s in order {
+        let mass = visits[s as usize];
+        if mass <= 0.0 {
+            continue;
+        }
+        let (probs, nexts) = compiled.arm_transitions(chosen[s as usize]);
+        for (p, &to) in probs.iter().zip(nexts) {
+            if to != 0 {
+                visits[to as usize] += mass * p;
+            }
+        }
+    }
+    visits
+}
+
+/// The damped power method from the uniform law, scattering mass along the
+/// chosen arms' flat transition slices; returns the last iterate and the
+/// iterations it took.
+fn power_method(compiled: &CompiledMdp, chosen: &[usize]) -> Result<(Vec<f64>, usize), MdpError> {
+    let n = compiled.num_states();
+    let mut pi = vec![1.0 / n as f64; n];
+    let mut pi_next = vec![0.0f64; n];
+    let d = DAMPING;
+    let mut delta = f64::INFINITY;
+    for iter in 1..=MAX_ITERATIONS {
+        for x in pi_next.iter_mut() {
+            *x = 0.0;
+        }
+        for s in 0..n {
+            let mass = pi[s];
+            if mass <= 0.0 {
+                continue;
+            }
+            let (probs, nexts) = compiled.arm_transitions(chosen[s]);
+            let spread = (1.0 - d) * mass;
+            for (p, &to) in probs.iter().zip(nexts) {
+                pi_next[to as usize] += spread * p;
+            }
+            pi_next[s] += d * mass;
+        }
+        delta = pi.iter().zip(&pi_next).map(|(a, b)| (a - b).abs()).sum();
+        std::mem::swap(&mut pi, &mut pi_next);
+        if delta < TOLERANCE {
+            return Ok((pi, iter));
+        }
+    }
+    Err(MdpError::NoConvergence {
+        solver: "evaluate_policy",
+        iterations: MAX_ITERATIONS,
+        residual: delta,
+    })
 }
 
 #[cfg(test)]
@@ -172,14 +203,31 @@ mod tests {
         assert!((ev.component_rates[0] - 2.0 / 3.0).abs() < 1e-9);
     }
 
+    /// A two-state cycle through state 0 is regenerative: one exact pass.
     #[test]
-    fn periodic_chain_converges_with_damping() {
+    fn periodic_regenerative_chain_is_evaluated_exactly() {
         let mut m = Mdp::new(1);
         let a = m.add_state();
         let b = m.add_state();
         m.add_action(a, 0, vec![Transition::new(b, 1.0, vec![1.0])]);
         m.add_action(b, 0, vec![Transition::new(a, 1.0, vec![3.0])]);
         let ev = evaluate_policy(&CompiledMdp::of(&m), &Policy::zeros(2)).unwrap();
+        assert_eq!(ev.iterations, 1);
+        assert_eq!(ev.stationary, vec![0.5, 0.5]);
+        assert_eq!(ev.component_rates, vec![2.0]);
+    }
+
+    /// The cycle 1 → 2 → 1 avoids state 0, so the power method runs; the
+    /// damping makes it converge on the periodic chain.
+    #[test]
+    fn periodic_chain_converges_with_damping() {
+        let mut m = Mdp::new(1);
+        let s: Vec<_> = (0..3).map(|_| m.add_state()).collect();
+        m.add_action(s[0], 0, vec![Transition::new(s[1], 1.0, vec![0.0])]);
+        m.add_action(s[1], 0, vec![Transition::new(s[2], 1.0, vec![1.0])]);
+        m.add_action(s[2], 0, vec![Transition::new(s[1], 1.0, vec![3.0])]);
+        let ev = evaluate_policy(&CompiledMdp::of(&m), &Policy::zeros(3)).unwrap();
+        assert!(ev.iterations > 1);
         assert!((ev.component_rates[0] - 2.0).abs() < 1e-9);
     }
 

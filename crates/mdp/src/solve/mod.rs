@@ -1,15 +1,15 @@
 //! Solvers: average-reward and ratio objectives (exact renewal-cycle
 //! passes on regenerative models; otherwise relative value iteration, with
 //! a secant search on ρ over transformed rewards for ratios), fixed-policy
-//! evaluation and hitting analysis. [`SolveOptions`] is the one options type the
-//! attack models solve under.
+//! evaluation (exact on regenerative models, else a power method) and
+//! first passages (regenerative models only). [`SolveOptions`] is the one
+//! options type the attack models solve under.
 //!
 //! Every solver reads the CSR [`CompiledMdp`](crate::compiled::CompiledMdp);
 //! [`reference`](mod@reference) keeps plain, unoptimized implementations for differential
 //! testing and baseline timing.
 
 pub mod eval;
-pub mod hitting;
 pub mod options;
 pub mod ratio;
 pub mod reference;
@@ -18,8 +18,8 @@ pub mod rvi;
 pub mod simulate;
 
 pub use eval::{evaluate_policy, PolicyEvaluation};
-pub use hitting::{expected_hitting_time, hitting_probability};
 pub use options::{OptimalStrategy, SolveOptions};
 pub use ratio::{maximize_ratio, ProbeEngine, RatioOptions, RatioSolution};
+pub use renewal::{first_passage, FirstPassage};
 pub use rvi::{relative_value_iteration, RviOptions, RviSolution};
 pub use simulate::{sample_path, PathSample, XorShift64};

@@ -39,10 +39,17 @@
 //!   brackets on the RVI engine, since `g(ρ) > ε` holds iff some policy has
 //!   `N − ε·L − ρ·D > 0`.
 //!
+//! A fixed policy's first passages come out of one such backward pass too:
+//! [`first_passage`] carries, for each state, the probability of entering a
+//! target set before a stop set or the return to state 0, and the expected
+//! steps until the first of those (the episode metrics of `bvc-bu`).
+//!
 //! [`regeneration_order`] is the precondition check. It is a pure function
 //! of the graph, computed once per graph and shared by every model
 //! re-weighted from it ([`refill`](crate::indexer::refill)). One dispatch
-//! in [`rvi`](crate::solve::rvi) reads it once per solve.
+//! in [`rvi`](crate::solve::rvi) reads it once per solve, and one in
+//! [`evaluate_policy`](crate::solve::eval::evaluate_policy) once per
+//! evaluation.
 //!
 //! [`relative_value_iteration_compiled`]: crate::solve::rvi::relative_value_iteration_compiled
 //! [`maximize_ratio_compiled`]: crate::solve::ratio::maximize_ratio_compiled
@@ -131,6 +138,61 @@ fn find_order(compiled: &CompiledMdp) -> Regeneration {
     let mut states = walk.split_off(step_of[s]);
     states.reverse();
     Err(AvoidingCycle { states })
+}
+
+/// What [`first_passage`] finds for every state.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FirstPassage {
+    /// The probability of entering the target set before the stop set or
+    /// the return to state 0: 1 on a target state, 0 on a stop state.
+    pub hit: Vec<f64>,
+    /// The expected steps until the first of those three events: 0 on a
+    /// target or stop state.
+    pub steps: Vec<f64>,
+}
+
+/// The first passage of the chain `policy` induces into the states marked
+/// in `target`, cut at the states marked in `stop` and at the return to
+/// state 0, from every state: one exact backward pass in reverse
+/// [`regeneration_order`]. State 0's own entry starts a cycle, so it reads
+/// its successors like any other unmarked state; a target mark wins over a
+/// stop mark.
+///
+/// A mask whose length is not the state count is an [`MdpError::Shape`]
+/// error, and a model with no order an [`MdpError::NotRegenerative`] one.
+pub fn first_passage(
+    compiled: &CompiledMdp,
+    policy: &Policy,
+    target: &[bool],
+    stop: &[bool],
+) -> Result<FirstPassage, MdpError> {
+    compiled.validate_policy(policy)?;
+    let n = compiled.num_states();
+    for (mask, what) in [(target, "first-passage target mask"), (stop, "first-passage stop mask")] {
+        if mask.len() != n {
+            return Err(MdpError::Shape { what, found: mask.len(), expected: n });
+        }
+    }
+    let order = regeneration_order(compiled)
+        .map_err(|witness| MdpError::NotRegenerative { witness: witness.clone() })?;
+    let (mut hit, mut steps) = (vec![0.0; n], vec![0.0; n]);
+    // State 0 comes first in the order, so it is finished last: until then
+    // its zero entries stand for the return that ends the cycle.
+    for &s in order.iter().rev() {
+        let s = s as usize;
+        if target[s] {
+            hit[s] = 1.0;
+        } else if !stop[s] {
+            let (probs, nexts) = compiled.arm_transitions(compiled.policy_arm(policy, s));
+            let (mut h, mut t) = (0.0, 1.0);
+            for (p, &to) in probs.iter().zip(nexts) {
+                h += p * hit[to as usize];
+                t += p * steps[to as usize];
+            }
+            (hit[s], steps[s]) = (h, t);
+        }
+    }
+    Ok(FirstPassage { hit, steps })
 }
 
 /// The per-arm weights a step adds to the two cycle sums: arm `a` adds
@@ -362,6 +424,63 @@ mod tests {
             vec![Transition::new(b, 0.5, vec![0.0]), Transition::new(a, 0.5, vec![0.0])],
         );
         assert_eq!(assert_avoiding_cycle(&compile(&m)), vec![1]);
+    }
+
+    /// On a model with a cycle avoiding state 0 the first passage is not
+    /// one backward pass: the error carries the cycle `regeneration_order`
+    /// found. Masks of the wrong length are shape errors.
+    #[test]
+    fn first_passage_needs_an_order_and_full_masks() {
+        let mut m = Mdp::new(1);
+        let s: Vec<_> = (0..3).map(|_| m.add_state()).collect();
+        m.add_action(s[0], 0, vec![Transition::new(s[1], 1.0, vec![0.0])]);
+        m.add_action(
+            s[1],
+            0,
+            vec![Transition::new(s[2], 0.5, vec![0.0]), Transition::new(s[0], 0.5, vec![0.0])],
+        );
+        m.add_action(s[2], 0, vec![Transition::new(s[1], 1.0, vec![0.0])]);
+        let c = compile(&m);
+        let witness = assert_avoiding_cycle(&c);
+        let policy = Policy::zeros(3);
+        let none = [false; 3];
+        assert_eq!(
+            first_passage(&c, &policy, &none, &none),
+            Err(MdpError::NotRegenerative { witness: AvoidingCycle { states: witness } })
+        );
+        assert_eq!(
+            first_passage(&c, &policy, &[false; 2], &none),
+            Err(MdpError::Shape { what: "first-passage target mask", found: 2, expected: 3 })
+        );
+        assert_eq!(
+            first_passage(&c, &policy, &none, &[false; 4]),
+            Err(MdpError::Shape { what: "first-passage stop mask", found: 4, expected: 3 })
+        );
+    }
+
+    /// 0 → 1 → {2 (target) or 3 (stop)} → 0, with a shortcut 1 → 0: the
+    /// hit probability and expected steps from each state, by hand.
+    #[test]
+    fn first_passage_on_a_small_cycle() {
+        let mut m = Mdp::new(1);
+        let s: Vec<_> = (0..4).map(|_| m.add_state()).collect();
+        m.add_action(s[0], 0, vec![Transition::new(s[1], 1.0, vec![0.0])]);
+        m.add_action(
+            s[1],
+            0,
+            vec![
+                Transition::new(s[2], 0.5, vec![0.0]),
+                Transition::new(s[3], 0.25, vec![0.0]),
+                Transition::new(s[0], 0.25, vec![0.0]),
+            ],
+        );
+        m.add_action(s[2], 0, vec![Transition::new(s[0], 1.0, vec![0.0])]);
+        m.add_action(s[3], 0, vec![Transition::new(s[0], 1.0, vec![0.0])]);
+        let target = [false, false, true, false];
+        let stop = [false, false, false, true];
+        let passage = first_passage(&compile(&m), &Policy::zeros(4), &target, &stop).unwrap();
+        assert_eq!(passage.hit, vec![0.5, 0.5, 1.0, 0.0]);
+        assert_eq!(passage.steps, vec![2.0, 1.0, 0.0, 0.0]);
     }
 
     /// `s → s + 1` up to 3, then back to 0, with one reward per step scaled

@@ -12,11 +12,12 @@
 //! guarantees its structure: [`random_cyclic_model`] (a cycle avoids state
 //! 0: RVI) or [`RandomModel::build_regenerative`] (no such cycle:
 //! renewal). The RVI kernel's own tests all draw from
-//! [`random_cyclic_model`].
+//! [`random_cyclic_model`]; the exact-evaluation tests (fixed-policy
+//! evaluation and first passages in one pass) draw regenerative models.
 
 use bvc_mdp::solve::{
-    evaluate_policy, maximize_ratio, relative_value_iteration, ProbeEngine, RatioOptions,
-    RviOptions,
+    evaluate_policy, first_passage, maximize_ratio, relative_value_iteration, ProbeEngine,
+    RatioOptions, RviOptions,
 };
 use bvc_mdp::{CompiledMdp, Mdp, Objective, Transition};
 use proptest::prelude::*;
@@ -512,6 +513,114 @@ proptest! {
                 .sum();
             prop_assert!((sol.gain + sol.bias[s] - rhs).abs() <= 1e-9,
                 "state {}: g + h = {} vs r + Ph = {}", s, sol.gain + sol.bias[s], rhs);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Exact evaluation on regenerative models: `evaluate_policy`'s forward pass
+// over the cycle against the reference power method, and `first_passage`'s
+// backward pass against a dense linear solve that ignores the order.
+// ---------------------------------------------------------------------------
+
+/// Solves `a x = b` by Gaussian elimination with partial pivoting.
+fn dense_solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
+    let n = b.len();
+    for col in 0..n {
+        let pivot = (col..n).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs())).unwrap();
+        a.swap(col, pivot);
+        b.swap(col, pivot);
+        let pivot_row = a[col].clone();
+        for row in col + 1..n {
+            let f = a[row][col] / pivot_row[col];
+            for (x, p) in a[row][col..].iter_mut().zip(&pivot_row[col..]) {
+                *x -= f * p;
+            }
+            b[row] -= f * b[col];
+        }
+    }
+    let mut x = vec![0.0; n];
+    for row in (0..n).rev() {
+        let tail: f64 = (row + 1..n).map(|k| a[row][k] * x[k]).sum();
+        x[row] = (b[row] - tail) / a[row][row];
+    }
+    x
+}
+
+/// The first-passage equations of `policy` as one dense system per
+/// quantity, `(I − Q) x = r`: a marked state's row pins its value (1 for a
+/// target's hit, else 0), an unmarked state's reads its successors other
+/// than state 0 (a return to state 0 ends the cycle) and adds one step to
+/// the expected steps. Returns `(hit, steps)`.
+fn dense_first_passage(
+    m: &CompiledMdp,
+    policy: &bvc_mdp::Policy,
+    target: &[bool],
+    stop: &[bool],
+) -> (Vec<f64>, Vec<f64>) {
+    let n = m.num_states();
+    let mut a = vec![vec![0.0; n]; n];
+    let (mut hit_rhs, mut steps_rhs) = (vec![0.0; n], vec![0.0; n]);
+    for s in 0..n {
+        a[s][s] = 1.0;
+        if target[s] {
+            hit_rhs[s] = 1.0;
+        } else if !stop[s] {
+            steps_rhs[s] = 1.0;
+            for (to, prob, _) in m.transitions(m.policy_arm(policy, s)) {
+                if to != 0 {
+                    a[s][to] -= prob;
+                }
+            }
+        }
+    }
+    (dense_solve(a.clone(), hit_rhs), dense_solve(a, steps_rhs))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On regenerative models `evaluate_policy` takes its one exact pass
+    /// and agrees with the reference power method on the stationary law
+    /// and every component rate, for every deterministic policy.
+    #[test]
+    fn exact_eval_matches_reference(model in random_model()) {
+        let m = model.build_regenerative();
+        for policy in all_policies(&m) {
+            let exact = evaluate_policy(&m, &policy).unwrap();
+            let reference = evaluate_policy_reference(&m, &policy).unwrap();
+            prop_assert_eq!(exact.iterations, 1);
+            for (a, b) in exact.stationary.iter().zip(&reference.stationary) {
+                prop_assert!((a - b).abs() < 1e-9, "stationary: exact {} vs reference {}", a, b);
+            }
+            for (a, b) in exact.component_rates.iter().zip(&reference.component_rates) {
+                prop_assert!((a - b).abs() < 1e-9, "rate: exact {} vs reference {}", a, b);
+            }
+        }
+    }
+
+    /// `first_passage`'s hit probabilities and expected steps equal a
+    /// dense solve of the first-passage equations (≤ 5 states), for every
+    /// deterministic policy and random marks, one per state: `0` a target,
+    /// `1` a stop state, anything else unmarked.
+    #[test]
+    fn first_passage_matches_dense_solve(
+        model in random_model(),
+        marks in proptest::collection::vec(0u8..4, 6..7),
+    ) {
+        let m = model.build_regenerative();
+        let n = m.num_states();
+        let target: Vec<bool> = marks[..n].iter().map(|&k| k == 0).collect();
+        let stop: Vec<bool> = marks[..n].iter().map(|&k| k == 1).collect();
+        for policy in all_policies(&m) {
+            let passage = first_passage(&m, &policy, &target, &stop).unwrap();
+            let (hit, steps) = dense_first_passage(&m, &policy, &target, &stop);
+            for s in 0..n {
+                prop_assert!((passage.hit[s] - hit[s]).abs() <= 1e-12,
+                    "hit[{}]: pass {} vs dense {}", s, passage.hit[s], hit[s]);
+                prop_assert!((passage.steps[s] - steps[s]).abs() <= 1e-12,
+                    "steps[{}]: pass {} vs dense {}", s, passage.steps[s], steps[s]);
+            }
         }
     }
 }

@@ -1049,8 +1049,8 @@ mod tests {
                 "{\"key\":\"scn n=12 hash=uni eb=1/16 ad=6 large=40% delay=zero \
                  rule=rizun-nogate atk=mdp(25%,1:1) b=2000 s=2017\",\"fingerprint\":\
                  \"fe1ed2d4dc867239\",\"kind\":\"mdp-replay\",\"nodes\":12,\"blocks\":2000,\
-                 \"metrics\":{\"u1_sim\":0.24592220828105396,\"u1_exact\":0.26237596140664066,\
-                 \"abs_diff\":0.016453753125586695,\"attacker_blocks\":392,\
+                 \"metrics\":{\"u1_sim\":0.24592220828105396,\"u1_exact\":0.2623759614064002,\
+                 \"abs_diff\":0.01645375312534622,\"attacker_blocks\":392,\
                  \"compliant_blocks\":1202,\"steps\":2000},\"cache\":\"CACHE\",\
                  \"preloaded\":false}",
             ),

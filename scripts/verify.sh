@@ -72,6 +72,19 @@ cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
     rvi_gain_matches_policy_evaluation rvi_dominates_enumerated_policies \
     compiled_rvi_matches_nested renewal_gain_matches_rvi_and_enumeration
 
+echo "==> exact-evaluation gate (one-pass policy evaluation and first passages vs references; real-cell pins)"
+# On regenerative models (every BU model) fixed-policy evaluation is one
+# forward pass and a first passage one backward pass, with no iteration:
+# the stationary law and rates must equal the reference power method's to
+# 1e-9, and the first-passage probabilities and steps a dense linear
+# solve's to 1e-12. On the paper's cells, every Table 3 optimal policy must
+# evaluate to its solved u2 within 1e-12, honest Table 2 policies to
+# u1 = u2 = alpha within 1e-15, and the ablation-ad episode metrics must
+# hold the values the iterative solvers found to 1e-9 relative.
+cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
+    exact_eval_matches_reference first_passage_matches_dense_solve
+cargo test -q --offline -p bvc-cluster --test exact_evaluation
+
 echo "==> model-build gate (pinned model fingerprints + Table 1 generator rows + writer errors)"
 # Every BU and Bitcoin model of the pinned grids must hash to the recorded
 # fingerprint (same states, ids, transitions and reward bits) and pass the
