@@ -198,8 +198,8 @@ mod tests {
     }
 
     /// The ratio objectives (`u1`, `u3`) on the same regenerative models
-    /// run one renewal Dinkelbach loop, with no search on rho: one inner
-    /// solve of a few DP passes.
+    /// run one renewal Dinkelbach loop: one inner solve of a few DP
+    /// passes.
     #[test]
     fn ratio_engine_is_one_dinkelbach_loop() {
         let u1 = model(0.25, (1, 1), IncentiveModel::CompliantProfitDriven)

@@ -22,10 +22,10 @@
 //!   ([`solve::renewal`]) when state 0 is a regeneration state, relative
 //!   value iteration otherwise.
 //! * [`solve::maximize_ratio`] — maximizes `E[N]/E[D]` objectives such as
-//!   *relative revenue* (Eq. 1 of the paper): by one exact Dinkelbach loop
-//!   on the cycle ratio ([`solve::renewal`]) when state 0 is a
-//!   regeneration state, else by a safeguarded secant search on ρ over
-//!   transformed rewards, each probe an RVI solve.
+//!   *relative revenue* (Eq. 1 of the paper) by one Dinkelbach loop: each
+//!   step an exact pass over the cycle from state 0 ([`solve::renewal`])
+//!   when it is a regeneration state, else an RVI solve of the transformed
+//!   rewards and an evaluation of its greedy policy.
 //! * [`solve::evaluate_policy`] — long-run component rates of a fixed
 //!   policy, for reporting every utility of one optimal strategy and for
 //!   Monte Carlo cross-validation: exact by one pass over the cycle from

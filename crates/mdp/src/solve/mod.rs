@@ -1,8 +1,8 @@
 //! Solvers: average-reward and ratio objectives (exact renewal-cycle
-//! passes on regenerative models; otherwise relative value iteration, with
-//! a secant search on ρ over transformed rewards for ratios), fixed-policy
-//! evaluation (exact on regenerative models, else a power method) and
-//! first passages (regenerative models only). [`SolveOptions`] is the one
+//! passes on regenerative models; otherwise relative value iteration, one
+//! solve per Dinkelbach step of a ratio), fixed-policy evaluation (exact
+//! on regenerative models, else a power method) and first passages
+//! (regenerative models only). [`SolveOptions`] is the one
 //! options type the attack models solve under.
 //!
 //! Every solver reads the CSR [`CompiledMdp`](crate::compiled::CompiledMdp);

@@ -119,7 +119,7 @@ pub struct OptimalStrategy {
     /// gain or a ratio objective alike.
     pub engine: ProbeEngine,
     /// Inner solves: 1, except for a ratio objective on the RVI engine,
-    /// where it counts the probes of the search on ρ.
+    /// where it counts the RVI solves, one per Dinkelbach step.
     pub inner_solves: usize,
     /// Inner work summed over them: RVI iterations, or DP passes on the
     /// renewal engine.

@@ -1,7 +1,8 @@
-//! Reference solvers: plain, unoptimized implementations of RVI, the ratio
-//! search and fixed-policy evaluation, kept as oracles for the production
-//! solvers in [`rvi`](crate::solve::rvi), [`ratio`](crate::solve::ratio) and
-//! [`eval`](crate::solve::eval). Their one job is differential testing:
+//! Reference solvers: plain, unoptimized implementations of RVI, a ratio
+//! solve by bisection on rho and fixed-policy evaluation, kept as oracles
+//! for the production solvers in [`rvi`](crate::solve::rvi),
+//! [`ratio`](crate::solve::ratio) and [`eval`](crate::solve::eval). Their
+//! one job is differential testing:
 //! the property tests assert that production and reference solvers agree
 //! on gains, biases, rates and ratios to tight tolerances on randomly
 //! generated models, and `bvc-bu`'s `table2_pins` holds the α = 10% Table 2
@@ -11,16 +12,15 @@
 //! naively: always plain RVI (never the renewal engine or the vectorized,
 //! warm-started kernel), a transition-by-transition walk per
 //! Bellman backup, and a full re-scalarization of every transition's reward
-//! vector for each probe of the ratio search. Do not "optimize" these —
+//! vector for each probe of the bisection, which shares no search code
+//! with the production Dinkelbach loop. Do not "optimize" these —
 //! their value is precisely that they stay simple.
 
 use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
 use crate::model::{Objective, Policy};
 use crate::solve::eval::{PolicyEvaluation, DAMPING, MAX_ITERATIONS, TOLERANCE};
-use crate::solve::ratio::{
-    crossing_level, search_crossing, ProbeEngine, RatioOptions, RatioSolution,
-};
+use crate::solve::ratio::{crossing_level, ProbeEngine, RatioOptions, RatioSolution};
 use crate::solve::rvi::{RviOptions, RviSolution};
 
 /// Reference relative value iteration (see
@@ -159,9 +159,14 @@ pub fn evaluate_policy_reference(
 }
 
 /// Reference ratio maximization (see
-/// [`maximize_ratio`](crate::solve::ratio::maximize_ratio)): the same search
-/// on rho, but every probe rebuilds the transformed objective and
-/// re-scalarizes all rewards inside the inner solver.
+/// [`maximize_ratio`](crate::solve::ratio::maximize_ratio)): plain bisection
+/// on rho for the crossing of `g(rho) = eps`, `eps` a tenth of the
+/// tolerance, where each probe rebuilds the objective `N − rho·D` and runs
+/// [`relative_value_iteration_reference`], warm-started from the previous
+/// probe's bias. `hi` doubles from 1 until `g(hi) <= eps`; then the bracket
+/// halves until it is narrower than the tolerance. The value is its
+/// midpoint, within half a tolerance of the crossing, and the policy that of
+/// the last probe above it (of the first probe when the value is 0).
 pub fn maximize_ratio_reference(
     mdp: &CompiledMdp,
     numerator: &Objective,
@@ -175,25 +180,41 @@ pub fn maximize_ratio_reference(
     let mut inner_opts = opts.rvi.clone();
     let mut inner_solves = 0usize;
     let mut inner_iterations = 0usize;
-    let mut last_policy = Policy::zeros(mdp.num_states());
-    let mut lo_policy = Policy::zeros(mdp.num_states());
-
-    let found = search_crossing(opts, |rho| {
+    let mut policy = Policy::zeros(mdp.num_states());
+    // Whether g(rho) > eps, keeping the policy of every such probe.
+    let mut above = |rho: f64| -> Result<bool, MdpError> {
         let w = numerator.minus_scaled(denominator, rho);
         let sol = relative_value_iteration_reference(mdp, &w, &inner_opts)?;
         inner_opts.warm_start = Some(sol.bias);
         inner_solves += 1;
         inner_iterations += sol.iterations;
-        if sol.gain > eps {
-            lo_policy.clone_from(&sol.policy);
+        let above = sol.gain > eps;
+        if above || inner_solves == 1 {
+            policy = sol.policy;
         }
-        last_policy = sol.policy;
-        Ok(sol.gain)
-    })?;
+        Ok(above)
+    };
 
-    let (value, policy) = match found {
-        Some(value) => (value, lo_policy),
-        None => (0.0, last_policy),
+    let value = if above(0.0)? {
+        let (mut lo, mut hi) = (0.0, 1.0);
+        while above(hi)? {
+            lo = hi;
+            hi *= 2.0;
+            if hi >= 1e12 {
+                return Err(MdpError::UnboundedRatio { reached: hi });
+            }
+        }
+        while hi - lo > opts.tolerance {
+            let mid = 0.5 * (lo + hi);
+            if above(mid)? {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    } else {
+        0.0
     };
     Ok(RatioSolution { value, policy, inner_solves, inner_iterations, engine: ProbeEngine::Rvi })
 }

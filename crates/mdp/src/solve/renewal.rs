@@ -34,10 +34,10 @@
 //! * `optimal_ratio` (Table 2's `u1` and Table 4's `u3`, through
 //!   [`maximize_ratio_compiled`]) starts with a greedy pass at `ρ = 0`.
 //!   Its value is `max_π (N − ε·L) / D` with `ε` = the ratio solver's
-//!   crossing level (a tenth of its tolerance): exactly where
-//!   the optimal gain of `N − ρ·D` crosses `ε`, the point the search on `ρ`
-//!   brackets on the RVI engine, since `g(ρ) > ε` holds iff some policy has
-//!   `N − ε·L − ρ·D > 0`.
+//!   crossing level (a tenth of its tolerance): exactly where the optimal
+//!   gain of `N − ρ·D` crosses `ε`, since `g(ρ) > ε` holds iff some policy
+//!   has `N − ε·L − ρ·D > 0`. The loop itself is the ratio solver's, shared
+//!   with its RVI engine; only the passes here are renewal's.
 //!
 //! A fixed policy's first passages come out of one such backward pass too:
 //! [`first_passage`] carries, for each state, the probability of entering a
@@ -58,6 +58,7 @@ use crate::budget::SolveBudget;
 use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
 use crate::model::Policy;
+use crate::solve::ratio::{dinkelbach, dinkelbach_from_zero};
 
 /// Name the budget and error paths report for this solver.
 const SOLVER: &str = "renewal";
@@ -234,12 +235,12 @@ pub(crate) fn optimal_gain(
         Ok(backward_pass(compiled, order, weights, rho, policy, reward, length))
     };
     let (r, l, _) = pass(None)?;
-    dinkelbach(r / l, pass)
+    dinkelbach(r / l, |rho| pass(Some(rho)))
 }
 
 /// The exact `max_π A(π) / B(π)` of `weights` over stationary policies, or
 /// `0` when no policy has `A > 0`, on a model with regeneration order
-/// `order`: the ratio solve of the module docs.
+/// `order`: the ratio solver's Dinkelbach loop over backward passes.
 ///
 /// Starts with a greedy pass at `ρ = 0` and leaves the last greedy policy
 /// in `policy`; the value is that policy's own `A / B`. A policy with
@@ -258,41 +259,11 @@ pub(crate) fn optimal_ratio(
     budget: &SolveBudget,
     passes: &mut usize,
 ) -> Result<f64, MdpError> {
-    let mut pass = |rho: Option<f64>| {
+    dinkelbach_from_zero(|rho| {
         budget.check(SOLVER, *passes)?;
         *passes += 1;
-        Ok(backward_pass(compiled, order, weights, rho, policy, a, b))
-    };
-    let (a0, b0, _) = pass(Some(0.0))?;
-    if a0 <= 0.0 {
-        return Ok(0.0);
-    }
-    if b0 <= 0.0 {
-        return Err(MdpError::UnboundedRatio { reached: 0.0 });
-    }
-    dinkelbach(a0 / b0, pass)
-}
-
-/// Dinkelbach steps from `rho`, the ratio of the policy the passes hold,
-/// until a greedy pass leaves the policy unchanged or does not raise the
-/// ratio (a tie). Returns the last greedy policy's ratio `A / B`.
-fn dinkelbach(
-    mut rho: f64,
-    mut pass: impl FnMut(Option<f64>) -> Result<(f64, f64, bool), MdpError>,
-) -> Result<f64, MdpError> {
-    loop {
-        let (a, b, changed) = pass(Some(rho))?;
-        if b <= 0.0 {
-            // Only a ratio's denominator can vanish (a gain's counts steps).
-            // With `A ≤ 0` the greedy policy merely ties `rho`.
-            return if a > 0.0 { Err(MdpError::UnboundedRatio { reached: rho }) } else { Ok(rho) };
-        }
-        let next = a / b;
-        if !changed || next <= rho {
-            return Ok(next);
-        }
-        rho = next;
-    }
+        Ok(backward_pass(compiled, order, weights, Some(rho), policy, a, b))
+    })
 }
 
 /// One backward pass in reverse `order`. With `rho = None` it evaluates

@@ -19,7 +19,7 @@
 //! backward DP pass, and return the **exact** gain, its policy and that
 //! policy's bias. Models with a cycle that avoids state 0 (the Bitcoin
 //! baselines, for one) run the RVI kernel below, for a gain solve and for
-//! each probe of the ratio solver's search on ρ. [`RviSolution::engine`]
+//! each step of the ratio solver's Dinkelbach loop. [`RviSolution::engine`]
 //! names the engine that ran. Both engines share the error contract (bad
 //! `aperiodicity_tau`, wrong-length rewards or warm start, budget and
 //! cancellation once per iteration or pass); a renewal solve ignores a
@@ -38,7 +38,7 @@
 //! inner loop walks flat probability/destination arrays. The low-level
 //! `rvi_kernel` works entirely in caller-owned buffers — zero heap
 //! allocation per iteration *and* per solve — which is what lets the ratio
-//! solver warm-start every RVI probe of its search on ρ in place.
+//! solver warm-start the RVI solve of every Dinkelbach step in place.
 //!
 //! The kernel is single-threaded Jacobi: one pass per iteration,
 //! restructured for auto-vectorization — streaming cursors over the CSR
@@ -218,14 +218,14 @@ impl<'m> GainEngine<'m> {
 }
 
 /// Per-arm expected rewards `num[a] − rho · den[a]` of one RVI solve: a
-/// ratio probe's, or a gain solve's with [`ArmRewards::plain`].
+/// Dinkelbach step's, or a gain solve's with [`ArmRewards::plain`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ArmRewards<'a> {
     /// Expected numerator reward per arm.
     pub num: &'a [f64],
     /// Expected denominator reward per arm.
     pub den: &'a [f64],
-    /// The probe's ρ; 0 for a gain solve.
+    /// The step's ρ; 0 for a gain solve.
     pub rho: f64,
 }
 

@@ -51,15 +51,7 @@ fn main() {
                     }
                 );
             }
-            None => {
-                let reason = ad_report.cells[i]
-                    .outcome
-                    .as_ref()
-                    .err()
-                    .map(|f| f.reason_code())
-                    .unwrap_or_else(|| "?".to_string());
-                println!("{:<6} FAIL({reason})", ad);
-            }
+            None => println!("{:<6} FAIL({})", ad, ad_report.reason_code(i)),
         }
     }
     println!();
@@ -81,7 +73,7 @@ fn main() {
     for (i, gate) in ABLATION_GATES.iter().enumerate() {
         match gate_report.value(i) {
             Some(row) => println!("{:<12} {:>10.4} {:>10.3}", gate, row[0], row[1]),
-            None => println!("{:<12} FAIL", gate),
+            None => println!("{:<12} FAIL({})", gate, gate_report.reason_code(i)),
         }
     }
     println!();

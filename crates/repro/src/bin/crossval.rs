@@ -35,15 +35,7 @@ fn main() {
         let label = format!("{which} alpha={}%, beta:gamma={}:{}", alpha * 100.0, ratio.0, ratio.1);
         match report.value(i) {
             Some(row) => println!("{label:<42} {:>9.4} {:>9.4} {:>9.4}", row[0], row[1], row[2]),
-            None => {
-                let reason = report.cells[i]
-                    .outcome
-                    .as_ref()
-                    .err()
-                    .map(|f| f.reason_code())
-                    .unwrap_or_else(|| "?".to_string());
-                println!("{label:<42} FAIL({reason})");
-            }
+            None => println!("{label:<42} FAIL({})", report.reason_code(i)),
         }
     }
     println!();

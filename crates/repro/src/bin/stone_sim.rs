@@ -59,14 +59,8 @@ fn main() {
         match report.value(i) {
             Some(row) => render(label, row),
             None => {
-                let reason = report.cells[i]
-                    .outcome
-                    .as_ref()
-                    .err()
-                    .map(|f| f.reason_code())
-                    .unwrap_or_else(|| "?".to_string());
                 println!("{label}");
-                println!("  FAIL({reason})");
+                println!("  FAIL({})", report.reason_code(i));
                 println!();
             }
         }

@@ -104,8 +104,9 @@ fn main() {
     }
 
     println!();
-    println!(
-        "Analytical Result 1: u1 > alpha (unfair revenue) exactly where alpha + gamma > beta."
-    );
+    println!("Analytical Result 1: compliant forking earns unfair revenue (u1 > alpha) from a");
+    println!("measured onset per ratio (setting 1, default AD): 1:2 from ~0.1103, 2:3 from");
+    println!("~0.1476, 1:1 from ~0.2116, 3:2 from ~0.2793, 2:1 from ~0.3234 and 4:1 from");
+    println!("~0.4034 (EXPERIMENTS.md §2).");
     std::process::exit(exit);
 }

@@ -46,7 +46,7 @@ fn main() {
     for (i, gamma) in [0.5, 1.0].into_iter().enumerate() {
         match report.value(8 + i).and_then(|v| v.first()) {
             Some(v) => println!("  alpha=5%, gamma={gamma}: u2 = {v:.4}"),
-            None => println!("  alpha=5%, gamma={gamma}: u2 = FAIL"),
+            None => println!("  alpha=5%, gamma={gamma}: u2 = FAIL({})", report.reason_code(8 + i)),
         }
     }
     println!("{}", report.summary());

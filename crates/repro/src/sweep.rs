@@ -116,6 +116,12 @@ impl SweepReport {
         self.cells[i].outcome.as_ref().ok()
     }
 
+    /// The reason code a table prints as `FAIL(code)` for cell `i`; `?`
+    /// when the cell has a value.
+    pub fn reason_code(&self, i: usize) -> String {
+        self.cells[i].outcome.as_ref().err().map_or_else(|| "?".into(), |f| f.reason_code())
+    }
+
     /// One-line machine-greppable summary. The `# sweep` prefix lets smoke
     /// scripts filter these lines out before diffing table output across
     /// runs (replay counts legitimately differ between a clean run and a
@@ -382,6 +388,17 @@ impl SweepOptions {
         }
         parsed
     }
+
+    /// The per-cell runner's configuration, the same for a local and a
+    /// cluster run.
+    fn cell_run_config(&self) -> CellRunConfig {
+        CellRunConfig {
+            cell_deadline: self.cell_deadline,
+            audit: self.audit,
+            inject_panic: self.inject_panic.clone(),
+            inject_noconv: self.inject_noconv.clone(),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -476,12 +493,7 @@ where
     // The shared per-cell runner — literally the code a cluster worker
     // runs, which is what keeps local and distributed journals
     // byte-identical.
-    let cell_cfg = CellRunConfig {
-        cell_deadline: opts.cell_deadline,
-        audit: opts.audit,
-        inject_panic: opts.inject_panic.clone(),
-        inject_noconv: opts.inject_noconv.clone(),
-    };
+    let cell_cfg = opts.cell_run_config();
 
     let claimed = crate::claim_loop(pending.len(), threads, |p| {
         let i = pending[p];
@@ -636,12 +648,7 @@ fn run_coordinated(
     let cfg = ClusterConfig {
         config_token: opts.config_token.clone(),
         journal: opts.journal.clone(),
-        cell: CellRunConfig {
-            cell_deadline: opts.cell_deadline,
-            audit: opts.audit,
-            inject_panic: opts.inject_panic.clone(),
-            inject_noconv: opts.inject_noconv.clone(),
-        },
+        cell: opts.cell_run_config(),
         lease: opts.lease.unwrap_or(Duration::from_secs(30)),
         batch: opts.cluster_batch.unwrap_or(4),
         fail_fast: opts.fail_fast,
@@ -738,6 +745,8 @@ mod tests {
         // A cell is solved once, so the injected NoConvergence ends it.
         assert_eq!(report.cells[2].attempts, 1);
         assert_eq!(report.grid_entry(1, None), GridEntry::Failed("panic".into()));
+        assert_eq!(report.reason_code(1), "panic");
+        assert_eq!(report.reason_code(0), "?");
     }
 
     #[test]

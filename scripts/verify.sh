@@ -45,23 +45,26 @@ echo "==> table pins (Table 2 and Bitcoin Table 3 cells at their reproduced valu
 cargo test -q --offline -p bvc-bu --test table2_pins
 cargo test -q --offline -p bvc-bitcoin --test table3_pins
 
-echo "==> ratio-search gate (secant search vs reference solver, bisection and enumeration; Table 2 vs reference)"
-# On models with a cycle avoiding state 0 (RVI probes) the secant search on
-# rho must take the same probes and inner iterations as the plain reference
-# solver (`solve::reference`, which reads the same CSR model; the test names
-# keep the word "nested" from when it read the nested layout); it must land
-# within the tolerance of plain bisection with at most three times its
-# inner solves. On regenerative models (one exact renewal Dinkelbach loop)
-# the value must be within the tolerance of the best enumerated policy and
-# equal, to 1e-12, the enumerated crossing max (N - eps*L) / D.
+echo "==> ratio gate (Dinkelbach loop vs reference bisection and enumeration; Table 2 vs reference; Bitcoin u1 pins)"
+# Every ratio solve is one Dinkelbach loop. On models with a cycle avoiding
+# state 0 (RVI passes) its value must lie within the tolerance of the plain
+# reference bisection on rho (`solve::reference`, which reads the same CSR
+# model and shares no search code) and equal the returned policy's own
+# evaluated (N - eps) / D to 1e-9. On regenerative models (exact renewal
+# passes) the value must be within the tolerance of the best enumerated
+# policy and equal, to 1e-12, the enumerated crossing max (N - eps*L) / D.
 cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
-    compiled_ratio_matches_nested ratio_search_matches_bisection_oracle \
+    rvi_ratio_matches_bisection_reference \
     renewal_ratio_matches_policy_enumeration renewal_ratio_equals_the_enumerated_crossing
-# The same reference search on real cells: the six α = 10% Table 2 cells,
-# production (renewal loop) within the ratio tolerance of the reference
-# (RVI probes).
+# The same reference bisection on real cells: the six α = 10% Table 2
+# cells, production (renewal loop) within the ratio tolerance of the
+# reference (RVI probes).
 cargo test -q --offline -p bvc-bu --test table2_pins -- \
     table2_alpha10_column_matches_reference_solver
+# The RVI passes on real cells: twelve Bitcoin u1 cells within half a
+# tolerance of the values the earlier search on rho gave, each equal to
+# its own policy's (N - eps) / D to 1e-9.
+cargo test -q --offline -p bvc-bitcoin --test ratio_pins
 
 echo "==> gain-oracle gate (RVI gain vs every enumerated policy, reference RVI and renewal)"
 # RVI's gain must be the best deterministic policy's rate: no enumerated
