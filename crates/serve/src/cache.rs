@@ -7,6 +7,12 @@
 //! a config token covering every value-affecting solver knob), so a sweep
 //! journal can be preloaded verbatim as a warm cache and a served value is
 //! bit-identical to the journaled one.
+//!
+//! Beside each shard's cells sits a side map of rendered hit replies, one
+//! per cell that has been hit (see [`SolveCache::store_reply`]). A cell
+//! that is never hit carries no reply bytes, and a stored reply dies with
+//! its cell: on eviction, and when [`SolveCache::insert`] replaces the
+//! cell.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,7 +50,13 @@ pub enum SolveFailure {
 #[derive(Debug)]
 pub enum Fetched {
     /// Served from the cache.
-    Hit(Arc<CachedCell>),
+    Hit {
+        /// The cached cell.
+        cell: Arc<CachedCell>,
+        /// The reply body stored for this cell under the request's echo,
+        /// if one was stored ([`SolveCache::store_reply`]).
+        reply: Option<Vec<u8>>,
+    },
     /// Solved on this request (`leader`) or on a concurrent one we parked
     /// behind (`!leader`); the cell is now cached either way.
     Solved {
@@ -72,8 +84,18 @@ struct Flight {
     cv: Condvar,
 }
 
+/// A cell's stored hit reply: the body and the request-derived inputs
+/// (as bit patterns) it echoes.
+struct Reply {
+    echo: Box<[u64]>,
+    body: Box<[u8]>,
+}
+
 struct Shard {
     map: HashMap<u64, (u64, Arc<CachedCell>)>,
+    /// Stored hit replies, keyed like `map`; only cells that have been hit
+    /// and are still in `map` have one.
+    replies: HashMap<u64, Reply>,
     tick: u64,
 }
 
@@ -107,7 +129,9 @@ impl SolveCache {
         let shards = shards.clamp(1, 64);
         SolveCache {
             shards: (0..shards)
-                .map(|_| Mutex::new(Shard { map: HashMap::new(), tick: 0 }))
+                .map(|_| {
+                    Mutex::new(Shard { map: HashMap::new(), replies: HashMap::new(), tick: 0 })
+                })
                 .collect(),
             per_shard_cap: capacity.div_ceil(shards).max(1),
             inflight: Mutex::new(HashMap::new()),
@@ -123,29 +147,61 @@ impl SolveCache {
 
     /// Looks a cell up, bumping its recency on a hit.
     pub fn lookup(&self, fp: u64) -> Option<Arc<CachedCell>> {
-        let mut shard = self.shard(fp).lock().unwrap_or_else(|e| e.into_inner());
+        self.hit(fp, None).map(|(cell, _)| cell)
+    }
+
+    /// Looks a cell up, bumping its recency, and copies out its stored
+    /// reply when `echo` is given and equals the stored reply's.
+    fn hit(&self, fp: u64, echo: Option<&[u64]>) -> Option<(Arc<CachedCell>, Option<Vec<u8>>)> {
+        let mut guard = self.shard(fp).lock().unwrap_or_else(|e| e.into_inner());
+        let shard = &mut *guard;
         shard.tick += 1;
-        let tick = shard.tick;
-        shard.map.get_mut(&fp).map(|(last_used, cell)| {
-            *last_used = tick;
-            Arc::clone(cell)
-        })
+        let (last_used, cell) = shard.map.get_mut(&fp)?;
+        *last_used = shard.tick;
+        let reply = echo.and_then(|echo| {
+            shard.replies.get(&fp).filter(|r| *r.echo == *echo).map(|r| r.body.to_vec())
+        });
+        Some((Arc::clone(cell), reply))
     }
 
     /// Inserts (or replaces) a cell, evicting the least-recently-used
-    /// entry of its shard when over capacity.
+    /// entry of its shard when over capacity. The replaced or evicted
+    /// cell's stored reply goes with it.
     pub fn insert(&self, fp: u64, cell: Arc<CachedCell>) {
         let mut shard = self.shard(fp).lock().unwrap_or_else(|e| e.into_inner());
         shard.tick += 1;
         let tick = shard.tick;
         shard.map.insert(fp, (tick, cell));
+        shard.replies.remove(&fp);
         while shard.map.len() > self.per_shard_cap {
             let Some(oldest) = shard.map.iter().min_by_key(|(_, (t, _))| *t).map(|(k, _)| *k)
             else {
                 break;
             };
             shard.map.remove(&oldest);
+            shard.replies.remove(&oldest);
         }
+    }
+
+    /// Stores `body` as the hit reply of `cell` for requests whose echoed
+    /// inputs equal `echo`, so later such hits are answered with these
+    /// bytes instead of a render. Stores nothing (and returns `false`)
+    /// when `cell` is no longer the cell cached at `fp` — it was evicted
+    /// or replaced since the hit — or when the cell already has a reply.
+    pub fn store_reply(&self, fp: u64, cell: &Arc<CachedCell>, echo: &[u64], body: &[u8]) -> bool {
+        let mut guard = self.shard(fp).lock().unwrap_or_else(|e| e.into_inner());
+        let shard = &mut *guard;
+        let live = shard.map.get(&fp).is_some_and(|(_, cached)| Arc::ptr_eq(cached, cell));
+        if !live || shard.replies.contains_key(&fp) {
+            return false;
+        }
+        shard.replies.insert(fp, Reply { echo: echo.into(), body: body.into() });
+        true
+    }
+
+    /// Number of stored hit replies (never more than [`Self::len`]).
+    pub fn stored_replies(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).replies.len()).sum()
     }
 
     /// Number of cached cells.
@@ -178,7 +234,8 @@ impl SolveCache {
     /// The core protocol: serve from cache, or dedupe concurrent misses
     /// into one solver run.
     ///
-    /// 1. Cache hit → return immediately (hits are never shed).
+    /// 1. Cache hit → return immediately (hits are never shed), with the
+    ///    cell's stored reply when its echo equals `echo`.
     /// 2. Miss → take an admission ticket; if the cold queue is full,
     ///    return [`Fetched::Shed`] (the route layer answers 429).
     /// 3. Register in the in-flight table: the first request for a
@@ -190,12 +247,12 @@ impl SolveCache {
     ///
     /// A panicking `solve` is caught and published as
     /// [`SolveFailure::Panicked`] so followers can never be left parked.
-    pub fn get_or_solve<F>(&self, fp: u64, solve: F) -> Fetched
+    pub fn get_or_solve<F>(&self, fp: u64, echo: &[u64], solve: F) -> Fetched
     where
         F: FnOnce() -> Result<CachedCell, MdpError>,
     {
-        if let Some(cell) = self.lookup(fp) {
-            return Fetched::Hit(cell);
+        if let Some((cell, reply)) = self.hit(fp, Some(echo)) {
+            return Fetched::Hit { cell, reply };
         }
         let Some(_ticket) = self.try_admit() else {
             return Fetched::Shed;
@@ -204,8 +261,8 @@ impl SolveCache {
             let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
             // Re-check under the lock: a leader may have finished (and
             // deregistered) between our miss and here.
-            if let Some(cell) = self.lookup(fp) {
-                return Fetched::Hit(cell);
+            if let Some((cell, reply)) = self.hit(fp, Some(echo)) {
+                return Fetched::Hit { cell, reply };
             }
             match inflight.get(&fp) {
                 Some(f) => (Arc::clone(f), false),
@@ -309,7 +366,7 @@ mod tests {
     fn hit_after_solve_and_lru_eviction() {
         let cache = SolveCache::new(2, 1, 8);
         for fp in [1u64, 2, 3] {
-            match cache.get_or_solve(fp, || Ok(cell(fp as f64))) {
+            match cache.get_or_solve(fp, &[], || Ok(cell(fp as f64))) {
                 Fetched::Solved { leader: true, .. } => {}
                 other => panic!("expected a leader solve, got {other:?}"),
             }
@@ -318,8 +375,8 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert!(cache.lookup(1).is_none());
         assert!(cache.lookup(3).is_some());
-        match cache.get_or_solve(3, || panic!("must not re-solve")) {
-            Fetched::Hit(c) => assert_eq!(c.vals, vec![3.0]),
+        match cache.get_or_solve(3, &[], || panic!("must not re-solve")) {
+            Fetched::Hit { cell, reply: None } => assert_eq!(cell.vals, vec![3.0]),
             other => panic!("expected a hit, got {other:?}"),
         }
         assert_eq!(cache.solves_started(), 3);
@@ -340,29 +397,29 @@ mod tests {
     #[test]
     fn zero_queue_cap_sheds_cold_but_serves_hits() {
         let cache = SolveCache::new(16, 2, 0);
-        assert!(matches!(cache.get_or_solve(7, || Ok(cell(7.0))), Fetched::Shed));
+        assert!(matches!(cache.get_or_solve(7, &[], || Ok(cell(7.0))), Fetched::Shed));
         cache.insert(7, Arc::new(cell(7.0)));
-        assert!(matches!(cache.get_or_solve(7, || Ok(cell(0.0))), Fetched::Hit(_)));
+        assert!(matches!(cache.get_or_solve(7, &[], || Ok(cell(0.0))), Fetched::Hit { .. }));
         assert_eq!(cache.solves_started(), 0);
     }
 
     #[test]
     fn failures_propagate_and_are_not_cached() {
         let cache = SolveCache::new(16, 2, 8);
-        let r = cache.get_or_solve(9, || Err(MdpError::Empty));
+        let r = cache.get_or_solve(9, &[], || Err(MdpError::Empty));
         assert!(matches!(
             r,
             Fetched::Failed { failure: SolveFailure::Mdp(MdpError::Empty), leader: true }
         ));
         assert!(cache.lookup(9).is_none());
         // A later request retries (and can succeed).
-        assert!(matches!(cache.get_or_solve(9, || Ok(cell(9.0))), Fetched::Solved { .. }));
+        assert!(matches!(cache.get_or_solve(9, &[], || Ok(cell(9.0))), Fetched::Solved { .. }));
     }
 
     #[test]
     fn leader_panic_is_published_not_propagated() {
         let cache = SolveCache::new(16, 2, 8);
-        let r = cache.get_or_solve(5, || panic!("boom"));
+        let r = cache.get_or_solve(5, &[], || panic!("boom"));
         match r {
             Fetched::Failed { failure: SolveFailure::Panicked(msg), leader: true } => {
                 assert!(msg.contains("boom"));
@@ -382,7 +439,7 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
-                    cache.get_or_solve(42, || {
+                    cache.get_or_solve(42, &[], || {
                         // Hold the flight open long enough that the other
                         // threads must park on it.
                         std::thread::sleep(std::time::Duration::from_millis(50));
@@ -399,12 +456,80 @@ mod tests {
                     leaders += usize::from(leader);
                 }
                 // A thread arriving after the leader finished sees a hit.
-                Fetched::Hit(cell) => assert_eq!(cell.vals, vec![42.0]),
+                Fetched::Hit { cell, .. } => assert_eq!(cell.vals, vec![42.0]),
                 other => panic!("unexpected outcome {other:?}"),
             }
         }
         assert_eq!(cache.solves_started(), 1, "exactly one solver run");
         assert!(leaders <= 1);
+    }
+
+    /// The reply a hit carries: `None` means the caller must render.
+    fn hit_reply(cache: &SolveCache, fp: u64, echo: &[u64]) -> Option<Vec<u8>> {
+        match cache.get_or_solve(fp, echo, || panic!("must not solve")) {
+            Fetched::Hit { reply, .. } => reply,
+            other => panic!("expected a hit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stored_reply_is_served_only_for_its_echo() {
+        let cache = SolveCache::new(16, 2, 8);
+        let cached = Arc::new(cell(1.0));
+        cache.insert(1, Arc::clone(&cached));
+        assert_eq!(cache.stored_replies(), 0, "an unhit cell carries no reply");
+        assert_eq!(hit_reply(&cache, 1, &[7]), None);
+        assert!(cache.store_reply(1, &cached, &[7], b"seven"));
+        assert_eq!(hit_reply(&cache, 1, &[7]).as_deref(), Some(&b"seven"[..]));
+        assert_eq!(hit_reply(&cache, 1, &[8]), None, "another echo renders");
+        // The first stored reply stays.
+        assert!(!cache.store_reply(1, &cached, &[8], b"eight"));
+        assert_eq!(hit_reply(&cache, 1, &[7]).as_deref(), Some(&b"seven"[..]));
+        assert_eq!(cache.stored_replies(), 1);
+    }
+
+    #[test]
+    fn evicted_and_resolved_cell_renders_fresh() {
+        let cache = SolveCache::new(1, 1, 8);
+        let first = match cache.get_or_solve(1, &[], || Ok(cell(1.0))) {
+            Fetched::Solved { cell, .. } => cell,
+            other => panic!("expected a solve, got {other:?}"),
+        };
+        assert!(cache.store_reply(1, &first, &[], b"one"));
+        // Capacity 1: inserting fp=2 evicts fp=1 and its reply.
+        cache.insert(2, Arc::new(cell(2.0)));
+        assert!(cache.lookup(1).is_none());
+        assert_eq!(cache.stored_replies(), 0, "the reply outlived its cell");
+        // A late store for the evicted cell is refused.
+        assert!(!cache.store_reply(1, &first, &[], b"one"));
+        match cache.get_or_solve(1, &[], || Ok(cell(11.0))) {
+            Fetched::Solved { cell, leader: true } => assert_eq!(cell.vals, vec![11.0]),
+            other => panic!("expected a re-solve, got {other:?}"),
+        }
+        assert_eq!(hit_reply(&cache, 1, &[]), None, "the re-solved cell must render");
+    }
+
+    #[test]
+    fn replaced_fingerprint_drops_its_reply() {
+        let cache = SolveCache::new(16, 2, 8);
+        let old = Arc::new(cell(1.0));
+        cache.insert(1, Arc::clone(&old));
+        assert!(cache.store_reply(1, &old, &[], b"old"));
+        // A preload over a solved cell replaces it (and flips `preloaded`).
+        let new = Arc::new(CachedCell { preloaded: true, ..cell(1.0) });
+        cache.insert(1, Arc::clone(&new));
+        assert_eq!(cache.stored_replies(), 0);
+        assert_eq!(hit_reply(&cache, 1, &[]), None, "the new cell must render");
+        assert!(!cache.store_reply(1, &old, &[], b"old"), "a store for the old cell");
+        assert!(cache.store_reply(1, &new, &[], b"new"));
+        assert_eq!(hit_reply(&cache, 1, &[]).as_deref(), Some(&b"new"[..]));
+    }
+
+    /// Every cached cell pays this; a stored reply lives in the shard's
+    /// side map, so only cells that have been hit pay for one.
+    #[test]
+    fn cached_cell_stays_small() {
+        assert!(std::mem::size_of::<CachedCell>() <= 48);
     }
 
     #[test]

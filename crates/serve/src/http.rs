@@ -94,11 +94,11 @@ pub struct Response {
 
 impl Response {
     /// A JSON response.
-    pub fn json(status: u16, body: String) -> Response {
+    pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Response {
         Response {
             status,
             content_type: "application/json",
-            body: body.into_bytes(),
+            body: body.into(),
             extra_headers: Vec::new(),
         }
     }

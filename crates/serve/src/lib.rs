@@ -9,6 +9,13 @@
 //! sheds overload with `429 Retry-After` while continuing to answer
 //! cache hits.
 //!
+//! A cell's `200` hit reply is rendered once, on the cell's first hit,
+//! and stored beside the cell with the request-derived inputs it echoes
+//! (alpha, beta and gamma on the table routes). A later hit with the same
+//! inputs is answered with the stored bytes. The stored reply goes away
+//! with its cell, on eviction or replacement, and a cell that is never hit
+//! carries none.
+//!
 //! The crate is dependency-free by design — the whole workspace builds
 //! offline — so the HTTP substrate ([`http`]) and the metrics exposition
 //! ([`metrics`]) are hand-rolled on `std` alone. Bodies are written and

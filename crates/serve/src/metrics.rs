@@ -84,6 +84,10 @@ pub struct Metrics {
     status_counts: [AtomicU64; STATUSES.len() + 1],
     /// Requests answered from the cache (including preloaded entries).
     pub cache_hits: AtomicU64,
+    /// Cache hits whose reply was rendered rather than taken from the
+    /// cell's stored reply: a cell's first hit, and hits whose echoed
+    /// inputs differ from the stored reply's.
+    pub hit_renders: AtomicU64,
     /// Cache misses that started a solve as the single-flight leader.
     pub cache_misses: AtomicU64,
     /// Cache misses that parked on another request's in-flight solve.
@@ -114,6 +118,7 @@ impl Metrics {
             requests: AtomicU64::new(0),
             status_counts: std::array::from_fn(|_| AtomicU64::new(0)),
             cache_hits: AtomicU64::new(0),
+            hit_renders: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             flight_joins: AtomicU64::new(0),
             sheds: AtomicU64::new(0),
@@ -151,6 +156,7 @@ impl Metrics {
             ("serve_uptime_seconds".to_string(), format!("{:.3}", self.uptime_s())),
             ("serve_requests_total".to_string(), int(&self.requests)),
             ("serve_cache_hits_total".to_string(), int(&self.cache_hits)),
+            ("serve_hit_renders_total".to_string(), int(&self.hit_renders)),
             ("serve_cache_misses_total".to_string(), int(&self.cache_misses)),
             ("serve_flight_joins_total".to_string(), int(&self.flight_joins)),
             ("serve_shed_total".to_string(), int(&self.sheds)),

@@ -255,15 +255,23 @@ impl Service {
     /// `render(fp, cell, cache, leader)`, where `cache` is `"hit"` or
     /// `"miss"` and `leader` is `Some` on a miss. A failure maps through
     /// [`failure_response`]; a shed answers 429 with jittered retry hints.
+    ///
+    /// A hit's reply is rendered once per cell: the first hit's `200` JSON
+    /// body is stored beside the cell with `echo`, the bit patterns of the
+    /// request-derived inputs the body echoes beyond the key (the table
+    /// routes' alpha, beta and gamma; none elsewhere). A later hit with an
+    /// equal `echo` is answered with the stored bytes; any other hit
+    /// renders as the first did.
     fn cached_cell(
         &self,
         key: &str,
         token: &str,
+        echo: &[u64],
         solve: impl FnOnce() -> Result<(Vec<f64>, usize), MdpError>,
         render: impl FnOnce(u64, &CachedCell, &str, Option<bool>) -> Response,
     ) -> Response {
         let fp = cell_fingerprint(key, token);
-        let fetched = self.cache.get_or_solve(fp, || {
+        let fetched = self.cache.get_or_solve(fp, echo, || {
             let started = Instant::now();
             let (vals, states) = solve()?;
             Ok(CachedCell {
@@ -274,9 +282,20 @@ impl Service {
             })
         });
         match fetched {
-            Fetched::Hit(cell) => {
+            Fetched::Hit { cell, reply } => {
                 self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed); // ordering: independent monotonic counter
-                render(fp, &cell, "hit", None)
+                if let Some(body) = reply {
+                    return Response::json(200, body);
+                }
+                self.metrics.hit_renders.fetch_add(1, Ordering::Relaxed); // ordering: independent monotonic counter
+                let resp = render(fp, &cell, "hit", None);
+                if resp.status == 200
+                    && resp.content_type == "application/json"
+                    && resp.extra_headers.is_empty()
+                {
+                    self.cache.store_reply(fp, &cell, echo, &resp.body);
+                }
+                resp
             }
             Fetched::Solved { cell, leader } => {
                 self.note_miss(leader, false);
@@ -337,7 +356,10 @@ impl Service {
             let value = model.optimal(&self.solve_options(spec.audit))?.value;
             Ok((vec![value], model.num_states()))
         };
-        self.cached_cell(&spec.key, &spec.token, solve, |fp, cell, cache, leader| {
+        // The body echoes the request's own alpha, beta and gamma, and alphas
+        // whose percent forms round alike share one key.
+        let echo = [spec.cfg.alpha, spec.cfg.beta, spec.cfg.gamma].map(f64::to_bits);
+        self.cached_cell(&spec.key, &spec.token, &echo, solve, |fp, cell, cache, leader| {
             self.cell_response(spec, table_name, fp, cell, cache, leader)
         })
     }
@@ -416,7 +438,7 @@ impl Service {
             ];
             Ok((vals, model.num_states()))
         };
-        self.cached_cell(&spec.key, &spec.token, solve, |fp, cell, cache, _| {
+        self.cached_cell(&spec.key, &spec.token, &[], solve, |fp, cell, cache, _| {
             self.policy_response(&spec, table, fp, cell, cache)
         })
     }
@@ -472,7 +494,8 @@ impl Service {
         };
         let key = spec.key();
         let solve = || Ok((spec.solve(&self.solve_options(false))?, 0));
-        self.cached_cell(&key, &C::config_token(), solve, |fp, cell, cache, _| {
+        // `echo()` fields are all in the key, so they need no echo bits.
+        self.cached_cell(&key, &C::config_token(), &[], solve, |fp, cell, cache, _| {
             let Some(metrics) = spec.named_metrics(&cell.vals) else {
                 return Response::json(
                     500,
@@ -529,7 +552,7 @@ impl Service {
             };
             Ok((vec![game.num_miners() as f64, nash as f64, flip, flip_power, exact], 0))
         };
-        self.cached_cell(&key, &config_token("games-eb"), solve, |fp, cell, cache, _| {
+        self.cached_cell(&key, &config_token("games-eb"), &[], solve, |fp, cell, cache, _| {
             if cell.vals.len() != 5 {
                 return Response::json(
                     500,
@@ -1028,11 +1051,36 @@ mod tests {
         assert_eq!(service.handle(&get("/v1/games/map?threshold=1.5")).status, 400);
     }
 
+    /// A `200` reply's body with a miss's timing-only `solve_ms` dropped.
+    fn pinnable_body(resp: Response) -> String {
+        assert_eq!(resp.status, 200);
+        let mut body = String::from_utf8(resp.body).unwrap();
+        if let Some(at) = body.find(",\"solve_ms\":") {
+            let len = body[at + 1..].find([',', '}']).unwrap() + 1;
+            body.replace_range(at..at + len, "");
+        }
+        body
+    }
+
+    /// Sends each request three times (a miss, then two hits) and checks
+    /// every body byte for byte against its template: `CACHE` is `miss` or
+    /// `hit` and `FLIGHT` is the miss's `"flight":"leader"` field (empty on
+    /// a hit). The second hit is answered from the cell's stored reply.
+    fn assert_pinned(pins: &[(&str, &str)]) {
+        let service = Service::new(&ServeConfig::default());
+        for &(request, pinned) in pins {
+            for cache in ["miss", "hit", "hit"] {
+                let body = pinnable_body(service.handle(&get(request)));
+                let flight = if cache == "miss" { ",\"flight\":\"leader\"" } else { "" };
+                let expected = pinned.replace("CACHE", cache).replace("FLIGHT", flight);
+                assert_eq!(body, expected, "{request} ({cache})");
+            }
+        }
+    }
+
     /// Full `200` bodies of the schema-cell routes, byte for byte: a
     /// simulation and an MDP-replay scenario cell, Figure 4 and a frontier
-    /// shard with and without an improving cartel. Each request answers a
-    /// miss (its timing-only `solve_ms` stripped) and then a hit with the
-    /// same fields.
+    /// shard with and without an improving cartel.
     #[test]
     fn cell_route_bodies_are_pinned() {
         const PINS: [(&str, &str); 5] = [
@@ -1078,19 +1126,124 @@ mod tests {
                  \"base_terminal\":1},\"cache\":\"CACHE\",\"preloaded\":false}",
             ),
         ];
+        assert_pinned(&PINS);
+    }
+
+    /// Full `200` bodies of the table, policy and EB-game routes, byte for
+    /// byte, as the cache-hit path must keep answering them.
+    #[test]
+    fn table_route_bodies_are_pinned() {
+        const PINS: [(&str, &str); 5] = [
+            (
+                "/v1/table2?alpha=0.25&ratio=1:1",
+                "{\"table\":\"table2\",\"key\":\"s1 b:g=1:1 a=25%\",\"fingerprint\":\
+                 \"0e319714069d9e6e\",\"utility\":\"u1\",\"value\":0.2623747130450597,\
+                 \"value_bits\":\"3fd0cabf4ef4dbcf\",\"alpha\":0.25,\"beta\":0.375,\
+                 \"gamma\":0.375,\"setting\":1,\"cache\":\"CACHE\",\"preloaded\":false,\
+                 \"states\":211FLIGHT}",
+            ),
+            (
+                "/v1/table3?alpha=0.1&ratio=1:2",
+                "{\"table\":\"table3\",\"key\":\"s1 b:g=1:2 a=10%\",\"fingerprint\":\
+                 \"f179e5d14be82af6\",\"utility\":\"u2\",\"value\":0.2229952622060337,\
+                 \"value_bits\":\"3fcc8b1bd72b3efb\",\"alpha\":0.1,\"beta\":0.3,\"gamma\":0.6,\
+                 \"setting\":1,\"cache\":\"CACHE\",\"preloaded\":false,\"states\":211FLIGHT}",
+            ),
+            (
+                "/v1/table4?alpha=0.01&ratio=1:1",
+                "{\"table\":\"table4\",\"key\":\"s1 b:g=1:1 a=1%\",\"fingerprint\":\
+                 \"94ec1cee7a82a050\",\"utility\":\"u3\",\"value\":1.76747239453125,\
+                 \"value_bits\":\"3ffc479122318330\",\"alpha\":0.01,\"beta\":0.495,\
+                 \"gamma\":0.495,\"setting\":1,\"cache\":\"CACHE\",\"preloaded\":false,\
+                 \"states\":211FLIGHT}",
+            ),
+            (
+                "/v1/policy?alpha=0.25&ratio=1:1",
+                "{\"table\":\"table2\",\"key\":\"s1 b:g=1:1 a=25%\",\"fingerprint\":\
+                 \"d727fd0e62f8b5f3\",\"utility\":\"u1\",\"value\":0.2623747130450597,\
+                 \"policy\":{\"base_action\":\"OnChain2\",\"on_chain1\":51,\"on_chain2\":159,\
+                 \"waits\":0,\"with_stronger_group\":159,\"phase1_fork_states\":210},\
+                 \"cache\":\"CACHE\"}",
+            ),
+            (
+                "/v1/games/eb?powers=0.1,0.2,0.3,0.4",
+                "{\"key\":\"eb powers=0.1,0.2,0.3,0.4\",\"fingerprint\":\"0d60154c131bf945\",\
+                 \"miners\":4,\"nash_equilibria\":2,\"coalition_bound\":\"exact\",\
+                 \"min_flipping_coalition\":2,\"greedy_coalition_power\":0.7,\
+                 \"cache\":\"CACHE\",\"preloaded\":false}",
+            ),
+        ];
+        assert_pinned(&PINS);
+    }
+
+    /// Two alphas whose keys round to the same `a=20.00000000000001%` share
+    /// one cached cell, but every reply echoes its own request's alpha,
+    /// beta and gamma, whichever alpha rendered the cell's first hit.
+    #[test]
+    fn alpha_alias_replies_echo_their_own_inputs() {
+        const HEAD: &str = "{\"table\":\"table3\",\"key\":\"s1 b:g=1:1 a=20.00000000000001%\",\
+                            \"fingerprint\":\"c9d87e8886976519\",\"utility\":\"u2\",\
+                            \"value\":0.5939263572410609,\"value_bits\":\"3fe30171d912a60c\",";
+        const ONE: &str = "\"alpha\":0.2000000000000001,\"beta\":0.39999999999999997,\
+                           \"gamma\":0.39999999999999997,";
+        const TWO: &str = "\"alpha\":0.20000000000000012,\"beta\":0.3999999999999999,\
+                           \"gamma\":0.3999999999999999,";
         let service = Service::new(&ServeConfig::default());
-        for (request, pinned) in PINS {
-            for cache in ["miss", "hit"] {
-                let resp = service.handle(&get(request));
-                assert_eq!(resp.status, 200, "{request}");
-                let body = String::from_utf8(resp.body).unwrap();
-                let body = match body.find(",\"solve_ms\":") {
-                    Some(at) if cache == "miss" => format!("{}}}", &body[..at]),
-                    _ => body,
-                };
-                assert_eq!(body, pinned.replace("CACHE", cache), "{request} ({cache})");
-            }
+        for (alpha, echo, cache) in [
+            ("0.2000000000000001", ONE, "miss"),
+            ("0.2000000000000001", ONE, "hit"),
+            ("0.20000000000000012", TWO, "hit"),
+            ("0.20000000000000012", TWO, "hit"),
+            ("0.2000000000000001", ONE, "hit"),
+            ("0.2000000000000001", ONE, "hit"),
+        ] {
+            let request = format!("/v1/table3?alpha={alpha}&ratio=1:1");
+            let flight = if cache == "miss" { ",\"flight\":\"leader\"" } else { "" };
+            let tail = format!(
+                "\"setting\":1,\"cache\":\"{cache}\",\"preloaded\":false,\"states\":211{flight}}}"
+            );
+            let body = pinnable_body(service.handle(&get(&request)));
+            assert_eq!(body, format!("{HEAD}{echo}{tail}"), "{request} ({cache})");
         }
+    }
+
+    /// A hot cell's reply is rendered on its first hit only; the metrics
+    /// report the renders next to the hits.
+    #[test]
+    fn hit_renders_once_per_cell() {
+        let service = Service::new(&ServeConfig::default());
+        let req = get("/v1/table2?alpha=0.25&ratio=1:1");
+        assert_eq!(service.handle(&req).status, 200);
+        let first = service.handle(&req).body;
+        for _ in 0..1_000 {
+            assert_eq!(service.handle(&req).body, first);
+        }
+        // ordering: point-in-time stat reads
+        assert_eq!(service.metrics.cache_hits.load(Ordering::Relaxed), 1_001);
+        assert_eq!(service.metrics.hit_renders.load(Ordering::Relaxed), 1);
+        assert_eq!(service.cache().stored_replies(), 1);
+        let text = String::from_utf8(service.handle(&get("/metrics")).body).unwrap();
+        assert!(text.contains("serve_hit_renders_total 1\n"), "{text}");
+        let json = String::from_utf8(service.handle(&get("/metrics?format=json")).body).unwrap();
+        assert!(json.contains("\"serve_hit_renders_total\":1,"), "{json}");
+    }
+
+    /// Only `200` hit replies are stored: a malformed cached cell answers
+    /// 500 on every hit, rendered each time, and a shed stores nothing.
+    #[test]
+    fn error_replies_are_never_stored() {
+        let service = Service::new(&ServeConfig { queue_cap: 0, ..ServeConfig::default() });
+        let req = get("/v1/table2?alpha=0.25&ratio=1:1");
+        let spec = parse_table_params(&req, Table::T2).unwrap();
+        let malformed = CachedCell { vals: Vec::new(), solve_ms: 0.0, states: 0, preloaded: true };
+        service.cache().insert(cell_fingerprint(&spec.key, &spec.token), Arc::new(malformed));
+        for _ in 0..3 {
+            assert_eq!(service.handle(&req).status, 500);
+        }
+        assert_eq!(service.handle(&get("/v1/table2?alpha=0.3&ratio=1:1")).status, 429);
+        assert_eq!(service.cache().stored_replies(), 0);
+        // ordering: point-in-time stat read
+        assert_eq!(service.metrics.hit_renders.load(Ordering::Relaxed), 3);
     }
 
     #[test]

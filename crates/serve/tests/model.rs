@@ -12,7 +12,9 @@
 //!   notification would surface as a model deadlock);
 //! * **leader panics propagate**: followers observe a `Failed` outcome
 //!   rather than parking forever, and the panic does not poison the
-//!   registry for later requests.
+//!   registry for later requests;
+//! * **stored replies die with their cells**: a hit is never answered with
+//!   a reply stored for an evicted or replaced cell.
 #![cfg(bvc_check)]
 
 use bvc_check::sync::Arc;
@@ -46,14 +48,14 @@ fn single_flight_has_exactly_one_leader() {
     let report = explore(&model_config(), || {
         let cache = Arc::new(SolveCache::new(8, 1, 4));
         let c2 = Arc::clone(&cache);
-        let t = bvc_check::thread::spawn(move || match c2.get_or_solve(7, || Ok(cell(7.0))) {
+        let t = bvc_check::thread::spawn(move || match c2.get_or_solve(7, &[], || Ok(cell(7.0))) {
             Fetched::Solved { cell, leader } => (cell.vals[0], leader),
-            Fetched::Hit(cell) => (cell.vals[0], false),
+            Fetched::Hit { cell, .. } => (cell.vals[0], false),
             other => panic!("unexpected outcome {other:?}"),
         });
-        let here = match cache.get_or_solve(7, || Ok(cell(7.0))) {
+        let here = match cache.get_or_solve(7, &[], || Ok(cell(7.0))) {
             Fetched::Solved { cell, leader } => (cell.vals[0], leader),
-            Fetched::Hit(cell) => (cell.vals[0], false),
+            Fetched::Hit { cell, .. } => (cell.vals[0], false),
             other => panic!("unexpected outcome {other:?}"),
         };
         let there = t.join().unwrap();
@@ -76,7 +78,7 @@ fn leader_panic_releases_followers_and_retries() {
         let cache = Arc::new(SolveCache::new(8, 1, 4));
         let c2 = Arc::clone(&cache);
         let t = bvc_check::thread::spawn(move || {
-            match c2.get_or_solve(9, || -> Result<CachedCell, bvc_mdp::MdpError> {
+            match c2.get_or_solve(9, &[], || -> Result<CachedCell, bvc_mdp::MdpError> {
                 panic!("solver exploded")
             }) {
                 Fetched::Failed { failure: SolveFailure::Panicked(msg), .. } => {
@@ -85,7 +87,7 @@ fn leader_panic_releases_followers_and_retries() {
                 other => panic!("unexpected outcome {other:?}"),
             }
         });
-        match cache.get_or_solve(9, || -> Result<CachedCell, bvc_mdp::MdpError> {
+        match cache.get_or_solve(9, &[], || -> Result<CachedCell, bvc_mdp::MdpError> {
             panic!("solver exploded")
         }) {
             Fetched::Failed { failure: SolveFailure::Panicked(msg), .. } => {
@@ -96,7 +98,7 @@ fn leader_panic_releases_followers_and_retries() {
         t.join().unwrap();
         // Failures are not cached and the flight is deregistered: a
         // retry runs the solver again and succeeds.
-        match cache.get_or_solve(9, || Ok(cell(9.0))) {
+        match cache.get_or_solve(9, &[], || Ok(cell(9.0))) {
             Fetched::Solved { cell, leader: true } => assert_eq!(cell.vals[0], 9.0),
             other => panic!("retry after panic failed: {other:?}"),
         }
@@ -114,19 +116,67 @@ fn admission_gate_sheds_and_restores() {
         let cache = Arc::new(SolveCache::new(8, 1, 1));
         let c2 = Arc::clone(&cache);
         let t = bvc_check::thread::spawn(move || {
-            matches!(c2.get_or_solve(1, || Ok(cell(1.0))), Fetched::Shed)
+            matches!(c2.get_or_solve(1, &[], || Ok(cell(1.0))), Fetched::Shed)
         });
-        let here_shed = matches!(cache.get_or_solve(2, || Ok(cell(2.0))), Fetched::Shed);
+        let here_shed = matches!(cache.get_or_solve(2, &[], || Ok(cell(2.0))), Fetched::Shed);
         let there_shed = t.join().unwrap();
         assert!(!(here_shed && there_shed), "both requests shed with a free slot");
         // Every admission ticket was returned: a later cold request for a
         // third fingerprint must be admitted.
-        match cache.get_or_solve(3, || Ok(cell(3.0))) {
+        match cache.get_or_solve(3, &[], || Ok(cell(3.0))) {
             Fetched::Solved { .. } => {}
             other => panic!("admission ticket leaked: {other:?}"),
         }
     });
     assert_exhaustive_pass(&report, "admission gate");
+}
+
+/// The reply a request gets, rendered the way `Service::cached_cell` does:
+/// a hit's stored reply, or else a render that the first hit stores.
+fn reply(cache: &SolveCache, fp: u64) -> (Vec<u8>, Vec<u8>) {
+    let render = |cell: &CachedCell| format!("{}", cell.vals[0]).into_bytes();
+    match cache.get_or_solve(fp, &[], || Ok(cell(70.0))) {
+        Fetched::Hit { cell, reply: Some(body) } => (body, render(&cell)),
+        Fetched::Hit { cell, reply: None } => {
+            let body = render(&cell);
+            cache.store_reply(fp, &cell, &[], &body);
+            (body.clone(), body)
+        }
+        Fetched::Solved { cell, .. } => (render(&cell), render(&cell)),
+        other => panic!("unexpected outcome {other:?}"),
+    }
+}
+
+/// Two workers take the first hit on one cell while a third, in the same
+/// one-cell shard, inserts another cell (evicting the first) and then
+/// replaces the first fingerprint with a new cell. Every reply equals a
+/// fresh render of the cell it was served for, and afterwards no stored
+/// reply outlives its cell, replaced or evicted.
+#[test]
+fn stored_replies_die_with_their_cells() {
+    let report = explore(&model_config(), || {
+        let cache = Arc::new(SolveCache::new(1, 1, 4));
+        cache.insert(7, Arc::new(cell(7.0)));
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let cache = Arc::clone(&cache);
+                bvc_check::thread::spawn(move || reply(&cache, 7))
+            })
+            .collect();
+        cache.insert(8, Arc::new(cell(8.0)));
+        cache.insert(7, Arc::new(cell(17.0)));
+        for worker in workers {
+            let (served, fresh) = worker.join().unwrap();
+            assert_eq!(served, fresh, "a hit was answered with another cell's reply");
+        }
+        assert!(cache.stored_replies() <= cache.len(), "a stored reply outlived its cell");
+        let (served, fresh) = reply(&cache, 7);
+        assert_eq!(served, fresh, "a stored reply outlived its cell");
+        // Cell 7 now has a stored reply; evicting it must drop the reply.
+        cache.insert(9, Arc::new(cell(9.0)));
+        assert_eq!(cache.stored_replies(), 0, "a stored reply outlived its evicted cell");
+    });
+    assert_exhaustive_pass(&report, "stored replies");
 }
 
 /// Deterministic replay smoke test on a deliberately broken invariant:
@@ -138,9 +188,9 @@ fn broken_invariant_found_and_replays() {
         let cache = Arc::new(SolveCache::new(8, 1, 4));
         let c2 = Arc::clone(&cache);
         let t = bvc_check::thread::spawn(move || {
-            let _ = c2.get_or_solve(7, || Ok(cell(7.0)));
+            let _ = c2.get_or_solve(7, &[], || Ok(cell(7.0)));
         });
-        let _ = cache.get_or_solve(7, || Ok(cell(7.0)));
+        let _ = cache.get_or_solve(7, &[], || Ok(cell(7.0)));
         t.join().unwrap();
         assert_eq!(cache.solves_started(), 2, "deliberately wrong invariant");
     };

@@ -104,7 +104,7 @@ cargo test -q --offline -p bvc-mdp --test explore_errors -- \
     explore_errors_match_explore_then_validate refill_errors_match_explore \
     refill_matches_explore_or_falls_back
 
-echo "==> cell-identity gate (solve token pin + cell keys + table-cell parsers + schema-cell outputs)"
+echo "==> cell-identity gate (solve token pin + cell keys + table-cell parsers + route bodies)"
 # Every journal fingerprint and serve cache key hashes the default solve
 # token and a cell key; a drift in either orphans old journals and turns
 # preloaded serve hits into misses. Re-run the pins so such a drift fails
@@ -113,9 +113,14 @@ echo "==> cell-identity gate (solve token pin + cell keys + table-cell parsers +
 # config (bit-equal alpha) or the same rejected parameter from all three.
 # The schema-cell contract (scenario, game-map and frontier cells, one
 # `Cell` impl each) holds serve's metric names to `bvc … --json`'s, in
-# order, and pins the routes' full response bodies.
+# order. The body pins hold every cached route's full response bodies,
+# miss → hit → hit, so a hit answered from the cell's stored reply is
+# byte-identical to a rendered one; the alias pin holds two alphas that
+# share one cell key to replies that each echo their own alpha, beta and
+# gamma.
 cargo test -q --offline -p bvc-cluster --lib -- solve_token_is_pinned keys_
-cargo test -q --offline -p bvc-serve --lib -- _key cell_route_bodies_are_pinned
+cargo test -q --offline -p bvc-serve --lib -- _key cell_route_bodies_are_pinned \
+    table_route_bodies_are_pinned alpha_alias_replies_echo_their_own_inputs
 cargo test -q --offline -p bvc-cli -- table_cell_parsers_agree cell_metric_keys_agree
 
 echo "==> decoder gate (journal lines, cluster frames, job specs, policy tables, chaos specs, HTTP requests)"
