@@ -251,6 +251,17 @@ mod tests {
         expand_one(COMPONENTS, s, |s, sink| expand(cfg, s, sink)).unwrap()
     }
 
+    /// The audit names the regeneration set the exact solves run on: at
+    /// the default cap, 80 of the 3,981 states (every BU model has 1).
+    #[test]
+    fn audit_names_the_regeneration_set() {
+        let m = BitcoinModel::build(BitcoinConfig::smds(0.25, 0.5)).unwrap();
+        let report = m.audit();
+        let check = report.check("regeneration").expect("the audit runs the check");
+        assert_eq!(check.status, bvc_mdp::AuditStatus::Pass);
+        assert!(check.detail.starts_with("|S| = 80 of 3981 states: "), "{}", check.detail);
+    }
+
     #[test]
     fn builds_and_validates() {
         let m = BitcoinModel::build(BitcoinConfig::selfish_mining(0.3, 0.5)).unwrap();

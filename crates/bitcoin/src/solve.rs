@@ -160,13 +160,17 @@ mod tests {
 
     /// Every Bitcoin action includes the next block's discovery, so no step
     /// returns to the start state (state 0) and every cycle avoids it: the
-    /// `u2` gain solve runs the RVI kernel, unlike the regenerative BU
-    /// models (`bvc-bu`'s test of the same name).
+    /// regeneration set is larger than `{0}`, and the `u2` gain solve is
+    /// one policy iteration over it, unlike the regenerative BU models
+    /// (`bvc-bu`'s test of the same name). Its value is its own policy's
+    /// exact rate.
     #[test]
-    fn u2_engine_follows_the_model_structure() {
+    fn u2_solve_follows_the_model_structure() {
         let m = BitcoinModel::build(BitcoinConfig::smds(0.25, 0.5)).unwrap();
+        assert!(bvc_mdp::solve::regeneration_set(m.mdp()).set.len() > 1);
         let sol = m.optimal_absolute_revenue(&SolveOptions::default()).unwrap();
-        assert_eq!(sol.engine, bvc_mdp::solve::ProbeEngine::Rvi);
         assert_eq!(sol.inner_solves, 1);
+        let (_, u2, _) = m.evaluate(&sol.policy).unwrap();
+        assert!((u2 - sol.value).abs() <= 1e-12, "{u2} vs {}", sol.value);
     }
 }

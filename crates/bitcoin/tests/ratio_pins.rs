@@ -1,8 +1,8 @@
 //! Value pins of the ratio solve on the Bitcoin selfish-mining models.
 //!
 //! Every cycle of these models avoids the start state, so `u1` runs the
-//! ratio solver's Dinkelbach loop over RVI solves (the BU models take exact
-//! renewal passes instead). The pinned values were recorded from the
+//! ratio solver's Dinkelbach loop over exact gain solves on the
+//! regeneration set (the BU models take one renewal pass per step instead). The pinned values were recorded from the
 //! earlier search on rho, which reported the midpoint of a bracket at most
 //! a tolerance wide around the crossing; the loop must land within half a
 //! tolerance of each. Its value must also be the returned policy's own
@@ -10,7 +10,6 @@
 
 use bvc_bitcoin::model::{RA, ROTHERS};
 use bvc_bitcoin::{BitcoinConfig, BitcoinModel, SolveOptions};
-use bvc_mdp::solve::ProbeEngine;
 
 /// `(gamma, [(alpha, u1 of the search on rho)])` at cap 24.
 const PINS: [(f64, [(f64, f64); 4]); 3] = [
@@ -52,7 +51,6 @@ fn u1_matches_the_search_on_rho_and_its_own_policy() {
             let cfg = BitcoinConfig { cap: 24, ..BitcoinConfig::selfish_mining(alpha, gamma) };
             let model = BitcoinModel::build(cfg).expect("model builds");
             let sol = model.optimal_relative_revenue(&opts).expect("solver converges");
-            assert_eq!(sol.engine, ProbeEngine::Rvi);
             let dev = (sol.value - pinned).abs();
             assert!(
                 dev <= 0.5 * opts.ratio_tolerance,

@@ -1,10 +1,10 @@
-//! Value pins of the RVI kernel on published table cells.
+//! Value pins of the Bitcoin baselines on published table cells.
 //!
-//! The Bitcoin baselines are the table cells still solved by relative value
-//! iteration: every cycle of their models avoids the start state, so the
-//! exact renewal engine does not apply (every BU cell uses it). Three
-//! Table 3 bottom-panel cells (`u2`) must sit at our reproduced values
-//! (three decimals, as `table3_bitcoin` prints them).
+//! Cycles of the Bitcoin models avoid the start state, so their gain solves
+//! run policy iteration over a regeneration set of 80 of the 3,981 states
+//! at cap 40 (every BU cell has the set `{0}`). Three Table 3 bottom-panel
+//! cells (`u2`) must sit at our reproduced values (three decimals, as
+//! `table3_bitcoin` prints them).
 
 use bvc_bitcoin::{BitcoinConfig, BitcoinModel, SolveOptions};
 

@@ -182,7 +182,7 @@ mod tests {
 
     /// The JSON report of the unreachable demo, byte for byte as
     /// `bvc audit --demo unreachable --json` printed it when `bvc-mdp`
-    /// rendered it.
+    /// rendered it, plus the `regeneration` check added since.
     #[test]
     fn json_report_is_pinned() {
         let report = audit_compiled(&demo_unreachable(), &AuditOptions::default());
@@ -207,6 +207,11 @@ mod tests {
                 "unichain",
                 "certified: state 0 is reachable from every state under every policy, \
                  so every policy has a single recurrent class",
+            ),
+            pass(
+                "regeneration",
+                "|S| = 1: every cycle passes state 0, so each exact solve step is one pass \
+                 over the cycle from it",
             ),
         ];
         let want = format!(

@@ -56,8 +56,8 @@ impl AttackModel {
 
     /// Maximum absolute revenue per block `u2` (Table 3): the long-run
     /// average of `R_A + R_DS` per block found in the network. The model is
-    /// regenerative at `BASE`, so the solve is an exact renewal one
-    /// ([`OptimalStrategy::engine`] is `Renewal`).
+    /// regenerative at `BASE`, so the solve is a few exact renewal passes
+    /// over the cycle from it.
     pub fn optimal_absolute_revenue(
         &self,
         opts: &SolveOptions,
@@ -110,7 +110,6 @@ mod tests {
     use super::*;
     use crate::config::{AttackConfig, IncentiveModel, Setting};
     use crate::model::AttackModel;
-    use bvc_mdp::solve::ProbeEngine;
 
     fn model(alpha: f64, ratio: (u32, u32), incentive: IncentiveModel) -> AttackModel {
         AttackModel::build(AttackConfig::with_ratio(alpha, ratio, Setting::One, incentive)).unwrap()
@@ -184,15 +183,15 @@ mod tests {
         assert_optimal_dispatches(&m, &sol);
     }
 
-    /// Every BU model is regenerative at `BASE` (see `bvc_mdp::solve::renewal`),
-    /// so the `u2` gain solve runs the exact renewal engine: one solve of a
-    /// few DP passes. The Bitcoin models keep RVI (`bvc-bitcoin`'s test of
-    /// the same name).
+    /// Every BU model is regenerative at `BASE`: its regeneration set is
+    /// `{0}` (see `bvc_mdp::solve::renewal`), so the `u2` gain solve is one
+    /// solve of a few renewal passes. The Bitcoin models have a larger set
+    /// (`bvc-bitcoin`'s test of the same name).
     #[test]
-    fn u2_engine_follows_the_model_structure() {
+    fn u2_solve_follows_the_model_structure() {
         let m = model(0.10, (1, 1), IncentiveModel::non_compliant_default());
+        assert_eq!(bvc_mdp::solve::regeneration_set(m.mdp()).set, [0]);
         let sol = m.optimal_absolute_revenue(&SolveOptions::default()).unwrap();
-        assert_eq!(sol.engine, ProbeEngine::Renewal);
         assert_eq!(sol.inner_solves, 1);
         assert!((2..=10).contains(&sol.inner_iterations), "{} passes", sol.inner_iterations);
     }
@@ -209,7 +208,6 @@ mod tests {
             .optimal_orphan_rate(&SolveOptions::default())
             .unwrap();
         for sol in [u1, u3] {
-            assert_eq!(sol.engine, ProbeEngine::Renewal);
             assert_eq!(sol.inner_solves, 1);
             assert!((2..=6).contains(&sol.inner_iterations), "{} passes", sol.inner_iterations);
         }

@@ -37,6 +37,16 @@ fn table2_setting1_model_is_certified_clean() {
     assert!(report.gate().is_ok());
 }
 
+/// The audit names the regeneration set the exact solves run on: state 0
+/// alone on a BU model (the Bitcoin models have hundreds of states in it).
+#[test]
+fn audit_names_the_regeneration_set() {
+    let report = setting1_model(0.25, (1, 1), IncentiveModel::CompliantProfitDriven).audit();
+    let check = report.check("regeneration").expect("the audit runs the check");
+    assert_eq!(check.status, AuditStatus::Pass);
+    assert!(check.detail.starts_with("|S| = 1: "), "{}", check.detail);
+}
+
 /// The honest policy of a certified model induces a single recurrent class.
 #[test]
 fn honest_policy_is_unichain_on_certified_model() {

@@ -7,9 +7,10 @@
 //! "optimization" of the compiled kernels perturbs any of them, tier-1
 //! fails here rather than in a table diff nobody reads.
 //!
-//! BU solves run exact renewal passes, not RVI — the ratio solves of
-//! Tables 2 and 4 and the `u2` gain solves of Table 3 alike. The pins of
-//! cells RVI still solves live with the Bitcoin Table 3 cells
+//! BU solves run exact renewal passes over the cycle from `BASE` — the
+//! ratio solves of Tables 2 and 4 and the `u2` gain solves of Table 3
+//! alike. The pins of the cells solved by policy iteration over a larger
+//! regeneration set live with the Bitcoin Table 3 cells
 //! (`bvc-bitcoin/tests/table3_pins.rs`).
 //!
 //! Tolerance is 5e-4: the paper prints four decimals and states a solver

@@ -17,8 +17,9 @@
 //!   probabilities or rewards.
 //! * **Graph analysis** — Tarjan SCC over the full transition graph and
 //!   over policy-closed subgraphs, maximal end-component (MEC)
-//!   decomposition, forward reachability from a start state, and
-//!   absorbing-state detection.
+//!   decomposition, forward reachability from a start state,
+//!   absorbing-state detection, and the size of the regeneration set the
+//!   exact solvers run on (`regeneration`, informational).
 //! * **A structured [`AuditReport`]** — per-check pass/warn/fail with
 //!   offending state/arm ids, rendered as text (`bvc audit --json` renders
 //!   it as JSON), and convertible
@@ -55,6 +56,7 @@ use std::fmt;
 use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
 use crate::model::{Mdp, Policy, StateId, Transition, PROB_SUM_TOLERANCE};
+use crate::solve::renewal::regeneration_set;
 
 /// Outcome of a single audit check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -237,6 +239,7 @@ pub fn audit_compiled(c: &CompiledMdp, opts: &AuditOptions) -> AuditReport {
     if structural {
         let graph = AuditGraph::from_compiled(c);
         graph_checks(&graph, opts, &mut report.checks);
+        report.checks.push(regeneration_check(c));
     } else {
         skip_graph_checks(&mut report.checks);
     }
@@ -767,13 +770,36 @@ impl PredIndex {
 /// Placeholder results when structural failures make graph analysis
 /// meaningless.
 fn skip_graph_checks(checks: &mut Vec<CheckResult>) {
-    for name in ["reachable", "absorbing", "end-components", "unichain"] {
+    for name in ["reachable", "absorbing", "end-components", "unichain", "regeneration"] {
         checks.push(CheckResult::warn(
             name,
             "skipped: structural failures prevent graph analysis",
             Vec::new(),
         ));
     }
+}
+
+/// The regeneration set `S` the exact solvers run on
+/// ([`regeneration_set`]): its size, and the cycle avoiding state 0 that
+/// makes it larger than `{0}`. Informational; it always passes.
+fn regeneration_check(c: &CompiledMdp) -> CheckResult {
+    let reg = regeneration_set(c);
+    let k = reg.set.len();
+    CheckResult::pass(
+        "regeneration",
+        match &reg.avoiding_cycle {
+            None => "|S| = 1: every cycle passes state 0, so each exact solve step is one pass \
+                     over the cycle from it"
+                .to_string(),
+            Some(cycle) => format!(
+                "|S| = {k} of {} states: a {}-state cycle through state {} avoids state 0, \
+                 so each exact evaluation factors a {k}x{k} system",
+                c.num_states(),
+                cycle.states.len(),
+                cycle.states[0]
+            ),
+        },
+    )
 }
 
 /// Reachability, absorbing states, MEC decomposition, unichain verdict.

@@ -30,10 +30,8 @@
 //! Solvers then run branch-light passes over flat slices. Reward vectors are
 //! collapsed to scalars **once per sweep** by [`CompiledMdp::scalarize`]
 //! (per-arm *expected* immediate reward, since every solver only ever needs
-//! `Σ_t p_t · ⟨w, r_t⟩`), and the ratio solver's per-probe
-//! re-scalarization is a fused multiply-add over two precomputed arrays
-//! ([`CompiledMdp::combine_scalarized_into`]) — it never re-reads the
-//! `rewards` buffer.
+//! `Σ_t p_t · ⟨w, r_t⟩`), and the ratio solver re-scalarizes each step
+//! from two precomputed arrays: it never re-reads the `rewards` buffer.
 
 use std::sync::{Arc, OnceLock};
 
@@ -69,7 +67,7 @@ pub(crate) struct Structure {
     tr_offsets: Vec<u32>,
     /// Destination state of every transition. Length `num_transitions`.
     next: Vec<u32>,
-    /// [`regeneration_order`](crate::solve::renewal::regeneration_order)
+    /// [`regeneration_set`](crate::solve::renewal::regeneration_set)
     /// of this graph, found on first use: a pure function of the arrays
     /// above, so every model sharing them shares it.
     regeneration: OnceLock<Regeneration>,
@@ -515,19 +513,6 @@ impl CompiledMdp {
         out
     }
 
-    /// The ratio solver's per-probe re-scalarization, in place:
-    /// `out[a] = exp_num[a] − ρ · exp_den[a]`. Scalarization is linear in
-    /// the objective, so once the two component arrays exist, moving ρ costs
-    /// O(arms) and never touches the `rewards` buffer again.
-    #[inline]
-    pub fn combine_scalarized_into(exp_num: &[f64], exp_den: &[f64], rho: f64, out: &mut [f64]) {
-        debug_assert_eq!(exp_num.len(), exp_den.len());
-        debug_assert_eq!(exp_num.len(), out.len());
-        for ((o, n), d) in out.iter_mut().zip(exp_num).zip(exp_den) {
-            *o = n - rho * d;
-        }
-    }
-
     /// Expected *per-component* immediate reward of every arm, arm-major
     /// strided (`out[a * k + c]`): the form the exact policy evaluator needs
     /// to accumulate component rates without re-reading per-transition
@@ -704,21 +689,11 @@ mod tests {
         let (mut exp_num, mut exp_den) = (Vec::new(), Vec::new());
         c.scalarize_into(&n, &mut exp_num);
         c.scalarize_into(&d, &mut exp_den);
-        let mut direct = vec![0.0; c.num_arms()];
-        CompiledMdp::combine_scalarized_into(&exp_num, &exp_den, rho, &mut direct);
+        let direct: Vec<f64> = exp_num.iter().zip(&exp_den).map(|(n, d)| n - rho * d).collect();
         let via_objective = c.scalarize(&n.minus_scaled(&d, rho));
         for (a, b) in direct.iter().zip(&via_objective) {
             assert!((a - b).abs() < 1e-15, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn combine_scalarized_is_in_place_fma() {
-        let exp_num = [1.0, 2.0, 3.0];
-        let exp_den = [0.5, 0.0, 2.0];
-        let mut out = [0.0; 3];
-        CompiledMdp::combine_scalarized_into(&exp_num, &exp_den, 2.0, &mut out);
-        assert_eq!(out, [0.0, 2.0, -1.0]);
     }
 
     #[test]

@@ -99,9 +99,8 @@ pub enum MdpError {
     /// A ratio objective is unbounded: some policy accrues numerator
     /// reward at a positive rate while its denominator rate is zero.
     UnboundedRatio {
-        /// The ρ at which the solver gave up: the search's last bracket end
-        /// (RVI engine), or the ρ of the renewal loop's pass that found a
-        /// zero-denominator policy.
+        /// The ρ of the Dinkelbach step that found a zero-denominator
+        /// policy (the reference bisection's last bracket end).
         reached: f64,
     },
     /// An objective weight vector has the wrong number of components.
@@ -122,8 +121,8 @@ pub enum MdpError {
         /// Length the model requires.
         expected: usize,
     },
-    /// A numeric solver option is outside its valid range (e.g. an
-    /// aperiodicity mixing weight not in `[0, 1)`).
+    /// A numeric option is outside its valid range (e.g. a sweep cell index
+    /// past its grid).
     BadOption {
         /// Which option is out of range.
         what: &'static str,
@@ -153,6 +152,15 @@ pub enum MdpError {
     NotRegenerative {
         /// The cycle that avoids state 0.
         witness: AvoidingCycle,
+    },
+    /// The chain a policy induces has more than one recurrent class, so its
+    /// long-run rates depend on where it starts: the semi-Markov system on
+    /// the model's regeneration set (see [`crate::solve::renewal`]) is
+    /// singular.
+    MultichainPolicy {
+        /// The state of the regeneration set at whose column elimination
+        /// found no pivot.
+        state: usize,
     },
 }
 
@@ -232,6 +240,11 @@ impl fmt::Display for MdpError {
                 f,
                 "state 0 is not a regeneration state: the cycle through states {:?} avoids it",
                 witness.states
+            ),
+            MdpError::MultichainPolicy { state } => write!(
+                f,
+                "the policy's chain has more than one recurrent class (its system on the \
+                 regeneration set is singular at state {state})"
             ),
         }
     }

@@ -18,20 +18,21 @@
 //!   and each state's arms go straight into the CSR arrays, so building a
 //!   model allocates only the model.
 //! * [`solve::relative_value_iteration`] — undiscounted average-reward
-//!   solving (the paper's "undiscounted average reward MDP"): exact
-//!   ([`solve::renewal`]) when state 0 is a regeneration state, relative
-//!   value iteration otherwise.
+//!   solving (the paper's "undiscounted average reward MDP"), exactly, by
+//!   renewal over a regeneration set ([`solve::renewal`]): a set of states
+//!   every cycle passes, `{0}` on the BU models. Its name predates the
+//!   exact engine; relative value iteration survives only as the test
+//!   oracle in [`solve::reference`].
 //! * [`solve::maximize_ratio`] — maximizes `E[N]/E[D]` objectives such as
-//!   *relative revenue* (Eq. 1 of the paper) by one Dinkelbach loop: each
-//!   step an exact pass over the cycle from state 0 ([`solve::renewal`])
-//!   when it is a regeneration state, else an RVI solve of the transformed
-//!   rewards and an evaluation of its greedy policy.
+//!   *relative revenue* (Eq. 1 of the paper) by one Dinkelbach loop whose
+//!   steps are exact: one pass over the cycle from state 0 when it alone is
+//!   a regeneration set, else one exact gain solve by policy iteration.
 //! * [`solve::evaluate_policy`] — long-run component rates of a fixed
 //!   policy, for reporting every utility of one optimal strategy and for
-//!   Monte Carlo cross-validation: exact by one pass over the cycle from
-//!   state 0 when it is a regeneration state, else by a damped power method
-//!   (to a 1e-12 L1 step). [`solve::first_passage`] gives a fixed policy's
-//!   exact first-passage probabilities and times within that cycle.
+//!   Monte Carlo cross-validation: exact, from the expected visits per
+//!   excursion between entries into the regeneration set.
+//!   [`solve::first_passage`] gives a fixed policy's exact first-passage
+//!   probabilities and times within the cycle from state 0.
 //!
 //! ## Quick example
 //!
@@ -49,7 +50,8 @@
 //! let m = CompiledMdp::compile(&m).unwrap();
 //! let sol = relative_value_iteration(&m, &Objective::new(vec![1.0]),
 //!                                     &RviOptions::default()).unwrap();
-//! assert!((sol.gain - 0.3).abs() < 1e-6);
+//! // Exact: one renewal pass over the one-state cycle.
+//! assert_eq!(sol.gain, 0.3);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -6,47 +6,38 @@
 //! gain reported by [`crate::solve::rvi`] must equal the scalarized
 //! component rates of the policy it returns.
 //!
-//! [`evaluate_policy`] dispatches once on
-//! [`regeneration_order`], like the gain and ratio solves:
+//! [`evaluate_policy`] is exact on every model, by the
+//! [`renewal`](crate::solve::renewal) passes over its regeneration set `S`:
+//! the stationary law is the expected visits of every state per excursion
+//! between entries into `S`, from one forward pass seeded with the embedded
+//! chain's law on `S`, over their sum.
 //!
-//! * On a regenerative model (every BU model) one forward pass in that
-//!   order gives each state's expected visits per cycle from state 0, and
-//!   by the renewal-reward theorem the stationary law is those visits over
-//!   their sum, the expected cycle length. The law and the rates are exact
-//!   up to rounding.
-//! * Otherwise (the Bitcoin models, the random test models) the law comes
-//!   from a damped power method run until the L1 change of the iterate
-//!   falls below `TOLERANCE` (1e-12). That bounds the step, not the error,
-//!   so these rates are only accurate to about the tolerance over the
-//!   chain's spectral gap.
+//! * When state 0 alone is that set (every BU model), the seed is state 0
+//!   itself and the pass is one cycle from state 0 back to it: the
+//!   renewal-reward theorem.
+//! * Otherwise (the Bitcoin models, random test models) one forward pass
+//!   from each state of `S` gives the embedded chain, whose law an LU solve
+//!   finds; a policy whose chain has more than one recurrent class is
+//!   [`MdpError::MultichainPolicy`].
 //!
-//! Both paths share one rate loop over the per-arm expected component
+//! The rates are one loop over the law and the per-arm expected component
 //! rewards ([`CompiledMdp::expected_component_rewards`]).
 
 use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
 use crate::model::Policy;
-use crate::solve::renewal::regeneration_order;
-
-/// The power method stops when the L1 change of the stationary iterate
-/// falls below this.
-pub(crate) const TOLERANCE: f64 = 1e-12;
-/// Iteration budget of the power method.
-pub(crate) const MAX_ITERATIONS: usize = 5_000_000;
-/// Damping weight: each step applies `pi <- (1-d) * pi P + d * pi`, the
-/// aperiodicity transform for Markov chains.
-pub(crate) const DAMPING: f64 = 0.05;
+use crate::solve::renewal::{chosen_arms, regeneration_set, stationary_law};
 
 /// Result of [`evaluate_policy`].
 #[derive(Debug, Clone)]
 pub struct PolicyEvaluation {
     /// Stationary distribution of the policy-induced Markov chain
-    /// (unichain assumed; this is the chain's unique stationary law).
+    /// (unichain; this is the chain's unique stationary law).
     pub stationary: Vec<f64>,
     /// Long-run average accumulation per step of every reward component.
     pub component_rates: Vec<f64>,
-    /// Passes over the states: 1 for the exact pass, else the power
-    /// method's iterations.
+    /// Passes over the states: 1 when state 0 alone is a regeneration set,
+    /// else one per state of the set and one for the law.
     pub iterations: usize,
 }
 
@@ -60,9 +51,10 @@ impl PolicyEvaluation {
     /// Convenience: the ratio of two linear functionals of the rates, with
     /// `0/0` defined as `0` (the convention for "never attacks" policies).
     /// Denominator rates below `1e-9` — far under anything meaningful for
-    /// per-step rates but comfortably above the transient residue the
-    /// damped power method can leave on unreachable states — count as
-    /// zero.
+    /// per-step rates — count as zero. A zero rate need not come out as an
+    /// exact zero: the law on a set larger than `{0}` is an LU solve's,
+    /// which leaves rounding-level mass on states the chain never returns
+    /// to, and the cut-off keeps such a residue from reading as a ratio.
     pub fn ratio(&self, num_weights: &[f64], den_weights: &[f64]) -> f64 {
         let n = self.rate(num_weights);
         let d = self.rate(den_weights);
@@ -75,12 +67,12 @@ impl PolicyEvaluation {
 }
 
 /// Computes the stationary distribution and per-component accumulation rates
-/// of the Markov chain induced by `policy`: exactly on a regenerative model,
-/// else by the damped power method (see the module docs).
+/// of the Markov chain induced by `policy`, exactly (see the module docs).
 ///
-/// The chain is assumed unichain (single recurrent class); the paper's
-/// models satisfy this because every strategy returns to the base state in a
-/// bounded number of steps.
+/// The chain must be unichain (single recurrent class); the paper's models
+/// satisfy this because every strategy returns to the base state in a
+/// bounded number of steps. A multichain policy is
+/// [`MdpError::MultichainPolicy`].
 pub fn evaluate_policy(
     compiled: &CompiledMdp,
     policy: &Policy,
@@ -88,18 +80,13 @@ pub fn evaluate_policy(
     compiled.validate_policy(policy)?;
     let n = compiled.num_states();
     // Resolve the policy to one global arm per state, once.
-    let chosen: Vec<usize> = (0..n).map(|s| compiled.policy_arm(policy, s)).collect();
-
-    let (mut pi, iterations) = match regeneration_order(compiled) {
-        Ok(order) => (cycle_visits(compiled, order, &chosen), 1),
-        Err(_) => power_method(compiled, &chosen)?,
+    let chosen = chosen_arms(compiled, policy);
+    let reg = regeneration_set(compiled);
+    let pi = stationary_law(compiled, reg, &chosen)?;
+    let iterations = match reg.set.len() {
+        1 => 1,
+        k => k + 1,
     };
-    // Visits per cycle to a law, or renormalize the power method's iterate
-    // against accumulated floating-point drift.
-    let total: f64 = pi.iter().sum();
-    for x in pi.iter_mut() {
-        *x /= total;
-    }
 
     let k = compiled.reward_components();
     let exp_comp = compiled.expected_component_rewards();
@@ -113,66 +100,6 @@ pub fn evaluate_policy(
     }
 
     Ok(PolicyEvaluation { stationary: pi, component_rates: rates, iterations })
-}
-
-/// The expected visits to every state in one cycle from state 0 back to it
-/// (state 0's own is 1), on a model with regeneration order `order`: one
-/// forward pass, since each state's visits only come from states before it
-/// and a return to state 0 ends the cycle.
-fn cycle_visits(compiled: &CompiledMdp, order: &[u32], chosen: &[usize]) -> Vec<f64> {
-    let mut visits = vec![0.0f64; compiled.num_states()];
-    visits[0] = 1.0;
-    for &s in order {
-        let mass = visits[s as usize];
-        if mass <= 0.0 {
-            continue;
-        }
-        let (probs, nexts) = compiled.arm_transitions(chosen[s as usize]);
-        for (p, &to) in probs.iter().zip(nexts) {
-            if to != 0 {
-                visits[to as usize] += mass * p;
-            }
-        }
-    }
-    visits
-}
-
-/// The damped power method from the uniform law, scattering mass along the
-/// chosen arms' flat transition slices; returns the last iterate and the
-/// iterations it took.
-fn power_method(compiled: &CompiledMdp, chosen: &[usize]) -> Result<(Vec<f64>, usize), MdpError> {
-    let n = compiled.num_states();
-    let mut pi = vec![1.0 / n as f64; n];
-    let mut pi_next = vec![0.0f64; n];
-    let d = DAMPING;
-    let mut delta = f64::INFINITY;
-    for iter in 1..=MAX_ITERATIONS {
-        for x in pi_next.iter_mut() {
-            *x = 0.0;
-        }
-        for s in 0..n {
-            let mass = pi[s];
-            if mass <= 0.0 {
-                continue;
-            }
-            let (probs, nexts) = compiled.arm_transitions(chosen[s]);
-            let spread = (1.0 - d) * mass;
-            for (p, &to) in probs.iter().zip(nexts) {
-                pi_next[to as usize] += spread * p;
-            }
-            pi_next[s] += d * mass;
-        }
-        delta = pi.iter().zip(&pi_next).map(|(a, b)| (a - b).abs()).sum();
-        std::mem::swap(&mut pi, &mut pi_next);
-        if delta < TOLERANCE {
-            return Ok((pi, iter));
-        }
-    }
-    Err(MdpError::NoConvergence {
-        solver: "evaluate_policy",
-        iterations: MAX_ITERATIONS,
-        residual: delta,
-    })
 }
 
 #[cfg(test)]
@@ -217,18 +144,20 @@ mod tests {
         assert_eq!(ev.component_rates, vec![2.0]);
     }
 
-    /// The cycle 1 → 2 → 1 avoids state 0, so the power method runs; the
-    /// damping makes it converge on the periodic chain.
+    /// The cycle 1 → 2 → 1 avoids state 0, so the law comes from the
+    /// 2 × 2 system on `S = {0, 1}`: exact on the periodic chain, state 0
+    /// transient.
     #[test]
-    fn periodic_chain_converges_with_damping() {
+    fn periodic_chain_is_evaluated_exactly() {
         let mut m = Mdp::new(1);
         let s: Vec<_> = (0..3).map(|_| m.add_state()).collect();
         m.add_action(s[0], 0, vec![Transition::new(s[1], 1.0, vec![0.0])]);
         m.add_action(s[1], 0, vec![Transition::new(s[2], 1.0, vec![1.0])]);
         m.add_action(s[2], 0, vec![Transition::new(s[1], 1.0, vec![3.0])]);
         let ev = evaluate_policy(&CompiledMdp::of(&m), &Policy::zeros(3)).unwrap();
-        assert!(ev.iterations > 1);
-        assert!((ev.component_rates[0] - 2.0).abs() < 1e-9);
+        assert_eq!(ev.iterations, 3);
+        assert_eq!(ev.stationary, vec![0.0, 0.5, 0.5]);
+        assert_eq!(ev.component_rates, vec![2.0]);
     }
 
     #[test]
@@ -240,7 +169,7 @@ mod tests {
         assert_eq!(ev.ratio(&[1.0, 0.0], &[0.0, 1.0]), 0.0);
     }
 
-    /// The rate of the RVI-optimal policy must equal the RVI gain.
+    /// The rate of the gain-optimal policy equals the gain.
     #[test]
     fn agrees_with_rvi_gain() {
         let mut m = Mdp::new(1);
@@ -253,6 +182,6 @@ mod tests {
         let sol =
             relative_value_iteration(&CompiledMdp::of(&m), &obj, &RviOptions::default()).unwrap();
         let ev = evaluate_policy(&CompiledMdp::of(&m), &sol.policy).unwrap();
-        assert!((ev.rate(&obj.weights) - sol.gain).abs() < 1e-6);
+        assert!((ev.rate(&obj.weights) - sol.gain).abs() < 1e-15);
     }
 }

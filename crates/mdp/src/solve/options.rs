@@ -1,5 +1,5 @@
 //! The solve contract every attack model shares: one precision and budget
-//! options type, its mapping onto the RVI and ratio solvers, the opt-in
+//! options type, its mapping onto the gain and ratio solvers, the opt-in
 //! pre-solve audit gate, and the optimal-value result.
 //!
 //! The BU and Bitcoin model crates re-export [`SolveOptions`] and
@@ -12,26 +12,26 @@ use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
 use crate::model::Policy;
 
-use super::{ProbeEngine, RatioOptions, RatioSolution, RviOptions, RviSolution};
+use super::{RatioOptions, RatioSolution, RviOptions, RviSolution};
 
 /// Numeric precision options for the model-level `optimal_*` solves.
 #[derive(Debug, Clone)]
 pub struct SolveOptions {
-    /// Outer tolerance for ratio objectives (`u1`, `u3`). The paper states a
-    /// maximum error of `1e-4`.
+    /// Outer tolerance for ratio objectives (`u1`, `u3`): their values are
+    /// the crossing of a tenth of it (see [`crate::solve::ratio`]). The
+    /// paper states a maximum error of `1e-4`.
     pub ratio_tolerance: f64,
-    /// Inner average-reward tolerance of the RVI engine (also used directly
-    /// for `u2` on models it solves; renewal solves are exact).
+    /// Retired: every gain solve is exact. Kept because bvcbench's builders
+    /// copy it and [`SolveOptions::fingerprint_token`] prints it.
     pub gain_tolerance: f64,
-    /// Iteration budget of the inner RVI engine; exhausting it is
-    /// [`MdpError::NoConvergence`]. The renewal engine (every BU cell) runs
-    /// exact passes and does not use it.
+    /// Retired: every solve ends in finitely many passes. Kept like
+    /// `gain_tolerance`.
     pub max_iterations: usize,
-    /// Aperiodicity mixing weight of the inner RVI engine, in `[0, 1)`.
-    /// Checked on every solve; the renewal engine does not use it.
+    /// Retired: no solve runs an aperiodicity transform. Kept like
+    /// `gain_tolerance`.
     pub aperiodicity_tau: f64,
     /// Wall-clock deadline / cooperative cancellation, threaded through to
-    /// every inner solver iteration. Unlimited by default.
+    /// every pass of the solvers. Unlimited by default.
     pub budget: SolveBudget,
     /// When set, run the static precondition audit ([`crate::audit`])
     /// before solving and refuse to solve a model that fails any check
@@ -62,8 +62,8 @@ impl Default for SolveOptions {
 }
 
 impl SolveOptions {
-    /// The inner average-reward solver options these map to (used directly
-    /// for gain objectives such as `u2`).
+    /// The average-reward solver options these map to (used directly for
+    /// gain objectives such as `u2`).
     pub fn rvi_options(&self) -> RviOptions {
         RviOptions {
             tolerance: self.gain_tolerance,
@@ -89,10 +89,12 @@ impl SolveOptions {
         Ok(())
     }
 
-    /// A stable token identifying every numeric knob that can change a
+    /// A stable token identifying every numeric knob that could change a
     /// solver's *result* (budgets and deadlines are excluded: they change
     /// whether a cell solves, never its value). Checkpoint journals key
-    /// cell fingerprints off this so stale results are re-solved.
+    /// cell fingerprints off this so stale results are re-solved. It still
+    /// prints the retired knobs, so existing journals and cache keys keep
+    /// matching.
     pub fn fingerprint_token(&self) -> String {
         format!(
             "rt={:016x};gt={:016x};mi={};tau={:016x}",
@@ -114,15 +116,11 @@ pub struct OptimalStrategy {
     /// A policy attaining it (action indices per MDP state; the model
     /// crates map them back to their domain actions).
     pub policy: Policy,
-    /// The engine that solved it: [`ProbeEngine::Renewal`] on regenerative
-    /// models (every BU model) and [`ProbeEngine::Rvi`] otherwise, for a
-    /// gain or a ratio objective alike.
-    pub engine: ProbeEngine,
-    /// Inner solves: 1, except for a ratio objective on the RVI engine,
-    /// where it counts the RVI solves, one per Dinkelbach step.
+    /// Inner solves: 1, except for a ratio objective on a model whose
+    /// regeneration set is larger than state 0, where it counts the exact
+    /// gain solves, one per Dinkelbach step.
     pub inner_solves: usize,
-    /// Inner work summed over them: RVI iterations, or DP passes on the
-    /// renewal engine.
+    /// Inner work summed over them: backward passes and LU evaluations.
     pub inner_iterations: usize,
 }
 
@@ -131,7 +129,6 @@ impl From<RatioSolution> for OptimalStrategy {
         OptimalStrategy {
             value: sol.value,
             policy: sol.policy,
-            engine: sol.engine,
             inner_solves: sol.inner_solves,
             inner_iterations: sol.inner_iterations,
         }
@@ -143,7 +140,6 @@ impl From<RviSolution> for OptimalStrategy {
         OptimalStrategy {
             value: sol.gain,
             policy: sol.policy,
-            engine: sol.engine,
             inner_solves: 1,
             inner_iterations: sol.iterations,
         }

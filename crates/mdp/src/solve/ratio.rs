@@ -23,62 +23,41 @@
 //! the value is `max_π (N − eps·L) / D` over per-step rates, `L` counting
 //! steps, since `g(rho) > eps` holds iff some policy has
 //! `avg(N) − eps − rho·avg(D) > 0`. It lies below `rho*` by about
-//! `eps / avg(D)`. [`RatioSolution::engine`] names the engine that found it.
+//! `eps / avg(D)`.
 //!
-//! ## One Dinkelbach loop, two passes
+//! ## One Dinkelbach loop
 //!
-//! Both engines maximize that ratio by Dinkelbach's method, in one loop
-//! (`dinkelbach_from_zero`). A pass at `rho` replaces the policy by one
-//! greedy for `N − eps − rho·D` and returns that policy's own `A` (its
+//! The ratio is maximized by Dinkelbach's method, in one loop
+//! (`dinkelbach_from_zero`). A step at `rho` replaces the policy by one
+//! optimal for `N − eps − rho·D` and returns that policy's own `A` (its
 //! `N − eps·L`) and `B` (its `D`); `A / B` is the next `rho`. The first
-//! pass is at `rho = 0`: the value is 0 when `A ≤ 0` there, and a policy
+//! step is at `rho = 0`: the value is 0 when `A ≤ 0` there, and a policy
 //! with `A > 0` and `B ≤ 0` makes the ratio unbounded
-//! ([`MdpError::UnboundedRatio`]). The loop stops once a pass leaves the
+//! ([`MdpError::UnboundedRatio`]). The loop stops once a step leaves the
 //! policy unchanged or does not raise the ratio, and returns the last
-//! greedy policy's `A / B`: on either engine the value is the returned
-//! policy's own `(N − eps·L) / D`, so that policy's `N / D` is at least the
-//! value. Each engine supplies only its pass:
+//! policy's `A / B`: the value is the returned policy's own
+//! `(N − eps·L) / D`, so that policy's `N / D` is at least the value.
 //!
-//! * **Renewal.** When state 0 is a regeneration state — with the edges
-//!   into it removed, the state graph of every arm is acyclic, which every
-//!   BU attack model satisfies with state 0 = `BASE` — every rate is a
-//!   ratio of sums over one cycle from state 0. A pass is one exact
-//!   backward DP pass over a topological order
-//!   ([`renewal`](crate::solve::renewal)), `A` and `B` summed over the
-//!   cycle, so the value is exact up to rounding. Only
-//!   [`RatioOptions::tolerance`] (through `eps`) and the budget of
-//!   [`RatioOptions::rvi`] (checked once per pass) apply on this path.
-//! * **RVI.** Models with a cycle that avoids state 0 (the Bitcoin models,
-//!   the random test models): a pass is one RVI solve of the per-arm
-//!   rewards `num − eps − rho·den`, warm-started from the previous pass's
-//!   bias, and an evaluation of its greedy policy ([`evaluate_policy`]):
-//!   `A` and `B` are that policy's per-step rates of `N − eps` and `D`.
-//!   RVI's gain tolerance bounds how far the greedy policy falls short, so
-//!   the value lies within about `RviOptions::tolerance / avg(D)` below the
-//!   crossing.
+//! Each step is exact ([`renewal`](crate::solve::renewal)). On the BU
+//! models, where state 0 alone is a regeneration set, a step is one
+//! backward pass over the cycle from state 0, `A` and `B` summed over the
+//! cycle. On the others (the Bitcoin models, random test models) a step
+//! is one exact gain solve of `N − eps − rho·D` by policy iteration,
+//! warm-started from the previous step's policy, and `A` and `B` are that
+//! policy's per-step rates from its exact stationary law. Only
+//! [`RatioOptions::tolerance`] (through `eps`) and the budget of
+//! [`RatioOptions::rvi`] (checked once per pass) apply.
 //!
-//! The check ([`regeneration_order`](crate::solve::renewal::regeneration_order))
-//! and the validation of `aperiodicity_tau` and the warm start's length run
-//! in the same place that picks the engine of a plain gain solve
-//! ([`relative_value_iteration_compiled`](crate::solve::rvi::relative_value_iteration_compiled)).
-//!
-//! ## The fast path
-//!
-//! Both functionals are scalarized **once** per solve. Scalarization is
-//! linear in the objective, so the per-arm expected rewards of
-//! `w_rho − eps` are `(exp_num[a] − eps) − rho · exp_den[a]`: an RVI pass
-//! re-scalarizes *in place* with one O(arms) vector combine
-//! ([`CompiledMdp::combine_scalarized_into`]), and the renewal passes read
-//! each arm's two rewards as they go; neither re-reads the per-transition
-//! reward buffer. Every RVI solve runs in one persistent set of buffers,
-//! warm-started from the previous pass's bias vector.
+//! Both functionals are scalarized **once** per solve: the passes read each
+//! arm's two rewards as they go, and a gain step re-scalarizes `N − eps −
+//! rho·D` in one O(arms) loop; neither re-reads the per-transition reward
+//! buffer.
 
 use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
 use crate::model::{Objective, Policy};
-use crate::solve::eval::evaluate_policy;
-use crate::solve::renewal::{optimal_ratio, CycleWeights};
-use crate::solve::rvi::{rvi_probe, ArmRewards, GainEngine, RviOptions};
+use crate::solve::renewal::{CycleWeights, Passes};
+use crate::solve::rvi::{check_warm_start, RviOptions};
 
 /// Options for [`maximize_ratio`].
 #[derive(Debug, Clone)]
@@ -88,9 +67,8 @@ pub struct RatioOptions {
     /// docs). The paper's stated precision is `1e-4`; we default one decade
     /// tighter.
     pub tolerance: f64,
-    /// Inner average-reward solver options. Warm starts are managed
-    /// internally across RVI passes; any user-provided warm start seeds only
-    /// the first. The renewal passes use only the budget.
+    /// Inner average-reward solver options: the solves read only the
+    /// budget (and check a warm start's length).
     pub rvi: RviOptions,
     /// Retired: the Dinkelbach loop starts at `rho = 0` and needs no
     /// bracket. Kept until bvcbench's builders drop it (ROADMAP item 3).
@@ -106,32 +84,18 @@ impl Default for RatioOptions {
 /// Result of [`maximize_ratio`].
 #[derive(Debug, Clone)]
 pub struct RatioSolution {
-    /// The maximal ratio `E[N]/E[D]` (within tolerance; see the module
-    /// docs for the exact contract).
+    /// The maximal ratio `E[N]/E[D]` (see the module docs for the exact
+    /// contract).
     pub value: f64,
-    /// The last greedy policy of the Dinkelbach loop, whose own
+    /// The last policy of the Dinkelbach loop, whose own
     /// `(N − eps·L) / D` is the value, so its `N / D` is at least the value.
     pub policy: Policy,
-    /// Number of inner solves: RVI solves (one per Dinkelbach step) on the
-    /// RVI engine, `1` (the one loop of exact passes) on the renewal engine.
+    /// Number of inner solves: `1` (the one loop of passes) when state 0
+    /// alone is a regeneration set, else one gain solve per Dinkelbach step.
     pub inner_solves: usize,
-    /// Work summed over all inner solves: relative value iterations on the
-    /// RVI engine, backward DP passes on the renewal engine.
+    /// Work summed over all inner solves: backward passes and LU
+    /// evaluations.
     pub inner_iterations: usize,
-    /// Which engine solved the model.
-    pub engine: ProbeEngine,
-}
-
-/// The engine behind an optimal gain or ratio: a ratio solve (see the
-/// module docs), or a plain gain solve
-/// ([`relative_value_iteration_compiled`](crate::solve::rvi::relative_value_iteration_compiled)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeEngine {
-    /// Exact renewal-cycle DP passes: state 0 is a regeneration state.
-    Renewal,
-    /// Warm-started relative value iteration (a ratio solve runs one per
-    /// Dinkelbach step).
-    Rvi,
 }
 
 /// The gain level `eps` whose crossing a ratio solve reports. The inner
@@ -142,9 +106,9 @@ pub(crate) fn crossing_level(opts: &RatioOptions) -> f64 {
     opts.tolerance * 0.1
 }
 
-/// The Dinkelbach loop of a ratio solve (see the module docs) over one
-/// engine's `pass`: `pass(rho)` leaves a greedy policy for `N − eps − rho·D`
-/// in the engine's policy buffer and returns that policy's `(A, B)` and
+/// The Dinkelbach loop of a ratio solve (see the module docs) over its
+/// steps: `pass(rho)` leaves a policy optimal for `N − eps − rho·D` in the
+/// caller's policy buffer and returns that policy's `(A, B)` and
 /// whether the pass changed the policy. A first pass at `rho = 0`, then
 /// [`dinkelbach`] from that policy's ratio; 0 when the first pass has
 /// `A ≤ 0`.
@@ -201,82 +165,26 @@ pub fn maximize_ratio(
     maximize_ratio_compiled(mdp, numerator, denominator, opts)
 }
 
-/// [`maximize_ratio`] without the objective arity checks. The engine is
-/// chosen here, once per solve (see the module docs).
+/// [`maximize_ratio`] without the objective arity checks.
 pub fn maximize_ratio_compiled(
     compiled: &CompiledMdp,
     numerator: &Objective,
     denominator: &Objective,
     opts: &RatioOptions,
 ) -> Result<RatioSolution, MdpError> {
-    let eps = crossing_level(opts);
-    let n = compiled.num_states();
-    let engine = GainEngine::select(compiled, &opts.rvi)?;
-
-    // Scalarize both functionals once; every rho after this is a vector
-    // combine over these two arrays (the renewal passes read each arm's
-    // entries as they go).
+    check_warm_start(compiled, &opts.rvi)?;
+    // Scalarize both functionals once (see the module docs).
     let mut exp_num = Vec::new();
     let mut exp_den = Vec::new();
     compiled.scalarize_into(numerator, &mut exp_num);
     compiled.scalarize_into(denominator, &mut exp_den);
 
-    let mut policy = Policy::zeros(n);
-    let mut inner_iterations = 0usize;
-    if let GainEngine::Renewal(order) = engine {
-        let weights = CycleWeights { num: &exp_num, shift: eps, den: Some(&exp_den) };
-        let value = optimal_ratio(
-            compiled,
-            order,
-            weights,
-            &mut vec![0.0; n],
-            &mut vec![0.0; n],
-            &mut policy,
-            &opts.rvi.budget,
-            &mut inner_iterations,
-        )?;
-        return Ok(RatioSolution {
-            value,
-            policy,
-            inner_solves: 1,
-            inner_iterations,
-            engine: ProbeEngine::Renewal,
-        });
-    }
-
-    // The RVI pass: `h` carries the bias across passes; nearby rho values
-    // have nearby bias vectors, so each solve converges in a fraction of a
-    // cold start's iterations. `eps` is folded into the numerator once.
-    let shifted: Vec<f64> = exp_num.iter().map(|r| r - eps).collect();
-    let mut exp_w = Vec::new();
-    let mut h: Vec<f64> = opts.rvi.warm_start.clone().unwrap_or_else(|| vec![0.0; n]);
-    let mut h_next = vec![0.0f64; n];
-    let mut greedy = Policy::zeros(n);
-    let mut inner_solves = 0usize;
-    let value = dinkelbach_from_zero(|rho| {
-        rvi_probe(
-            compiled,
-            ArmRewards { num: &shifted, den: &exp_den, rho },
-            &mut exp_w,
-            &mut h,
-            &mut h_next,
-            &mut greedy,
-            &opts.rvi,
-            &mut inner_iterations,
-        )?;
-        inner_solves += 1;
-        let changed = greedy != policy;
-        policy.clone_from(&greedy);
-        let law = evaluate_policy(compiled, &policy)?.stationary;
-        let (mut a, mut b) = (0.0, 0.0);
-        for (s, mass) in law.into_iter().enumerate() {
-            let arm = compiled.policy_arm(&policy, s);
-            a += mass * shifted[arm];
-            b += mass * exp_den[arm];
-        }
-        Ok((a, b, changed))
-    })?;
-    Ok(RatioSolution { value, policy, inner_solves, inner_iterations, engine: ProbeEngine::Rvi })
+    let mut policy = Policy::zeros(compiled.num_states());
+    let mut inner_solves = 0;
+    let mut passes = Passes::new(compiled, &opts.rvi.budget);
+    let weights = CycleWeights { num: &exp_num, shift: crossing_level(opts), den: Some(&exp_den) };
+    let value = passes.optimal_ratio(weights, &mut policy, &mut inner_solves)?;
+    Ok(RatioSolution { value, policy, inner_solves, inner_iterations: passes.count })
 }
 
 #[cfg(test)]
@@ -329,8 +237,8 @@ mod tests {
     }
 
     /// State 0 steps to state 1 for free; state 1's self-loop pays
-    /// `loop_reward`: a cycle avoiding state 0, so the ratio solve runs its
-    /// passes by RVI.
+    /// `loop_reward`: a cycle avoiding state 0, so the ratio solve's steps
+    /// are exact gain solves on `S = {0, 1}`.
     fn cyclic_loop(loop_reward: [f64; 2]) -> CompiledMdp {
         let mut m = Mdp::new(2);
         let a = m.add_state();
@@ -340,27 +248,27 @@ mod tests {
         CompiledMdp::of(&m)
     }
 
-    /// A ratio above 1 on the RVI engine (the loop has no bracket to
-    /// outgrow), and the same ratio on the renewal engine.
+    /// A ratio above 1 (the loop has no bracket to outgrow) with a set
+    /// larger than `{0}`, and the same ratio on `S = {0}`; both are the
+    /// crossing exactly.
     #[test]
-    fn ratio_above_one_on_both_engines() {
+    fn ratio_above_one_on_both_kinds_of_set() {
         let n = Objective::component(0, 2);
         let d = Objective::component(1, 2);
         let opts = RatioOptions::default();
         let sol = maximize_ratio(&cyclic_loop([5.0, 1.0]), &n, &d, &opts).unwrap();
-        assert_eq!(sol.engine, ProbeEngine::Rvi);
-        assert!((sol.value - 5.0).abs() < 1e-4, "value {}", sol.value);
+        assert_eq!(sol.value, 5.0 - crossing_level(&opts));
 
         let mut m = Mdp::new(2);
         let s = m.add_state();
         m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![5.0, 1.0])]);
         let sol = maximize_ratio(&CompiledMdp::of(&m), &n, &d, &opts).unwrap();
-        assert_eq!(sol.engine, ProbeEngine::Renewal);
         assert_eq!(sol.value, 5.0 - crossing_level(&opts));
     }
 
     /// A policy with a positive numerator and a zero denominator makes the
-    /// ratio unbounded, on either engine: both see it in the first pass.
+    /// ratio unbounded, on either kind of set: both see it in the first
+    /// step.
     #[test]
     fn zero_denominator_is_an_unbounded_ratio() {
         let n = Objective::component(0, 2);
@@ -407,25 +315,6 @@ mod tests {
         assert_eq!(err, MdpError::Shape { what: "warm start", found: 3, expected: 1 });
     }
 
-    /// A bad `aperiodicity_tau` is rejected on the renewal engine too, which
-    /// never reads it: both engines share one input contract.
-    #[test]
-    fn bad_tau_is_a_structured_error() {
-        let mut m = Mdp::new(2);
-        let s = m.add_state();
-        m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![1.0, 2.0])]);
-        let mut opts = RatioOptions::default();
-        opts.rvi.aperiodicity_tau = 1.0;
-        let err = maximize_ratio(
-            &CompiledMdp::of(&m),
-            &Objective::component(0, 2),
-            &Objective::component(1, 2),
-            &opts,
-        )
-        .unwrap_err();
-        assert_eq!(err, MdpError::BadOption { what: "aperiodicity_tau", value: 1.0 });
-    }
-
     /// The budget threads through `RatioOptions::rvi` into every inner
     /// solve, so a raised cancel flag aborts the whole loop.
     #[test]
@@ -448,10 +337,11 @@ mod tests {
         assert!(err.is_cancellation(), "{err:?}");
     }
 
-    /// The probe engine follows the model's structure: renewal passes when
-    /// every cycle runs through state 0, RVI when one avoids it.
+    /// A ratio solve takes one loop of passes when every cycle runs through
+    /// state 0, and one exact gain solve per Dinkelbach step when one
+    /// avoids it; the values agree.
     #[test]
-    fn engine_follows_the_model_structure() {
+    fn inner_solves_follow_the_model_structure() {
         let n = Objective::component(0, 2);
         let d = Objective::component(1, 2);
         let mut m = Mdp::new(2);
@@ -461,13 +351,13 @@ mod tests {
         m.add_action(b, 0, vec![Transition::new(a, 1.0, vec![0.0, 1.0])]);
         let regenerative =
             maximize_ratio(&CompiledMdp::of(&m), &n, &d, &RatioOptions::default()).unwrap();
-        assert_eq!(regenerative.engine, ProbeEngine::Renewal);
+        assert_eq!(regenerative.inner_solves, 1);
         m.add_action(b, 1, vec![Transition::new(b, 1.0, vec![0.2, 1.0])]);
         let cyclic =
             maximize_ratio(&CompiledMdp::of(&m), &n, &d, &RatioOptions::default()).unwrap();
-        assert_eq!(cyclic.engine, ProbeEngine::Rvi);
+        assert!(cyclic.inner_solves >= 2, "{} inner solves", cyclic.inner_solves);
         assert!((regenerative.value - 0.5).abs() < 1e-4, "value {}", regenerative.value);
-        assert!((cyclic.value - 0.5).abs() < 1e-4, "value {}", cyclic.value);
+        assert_eq!(cyclic.value, regenerative.value);
     }
 
     /// The compiled entry point reuses one compilation across two different

@@ -1,17 +1,17 @@
-//! Reference solvers: plain, unoptimized implementations of RVI, a ratio
-//! solve by bisection on rho and fixed-policy evaluation, kept as oracles
-//! for the production solvers in [`rvi`](crate::solve::rvi),
-//! [`ratio`](crate::solve::ratio) and [`eval`](crate::solve::eval). Their
-//! one job is differential testing:
+//! Reference solvers: plain, unoptimized implementations of relative value
+//! iteration (RVI), a ratio solve by bisection on rho and a power-method
+//! fixed-policy evaluation, kept as oracles for the exact production solvers
+//! in [`rvi`](crate::solve::rvi), [`ratio`](crate::solve::ratio) and
+//! [`eval`](crate::solve::eval). They are the only iterative solvers left,
+//! and their one job is differential testing:
 //! the property tests assert that production and reference solvers agree
 //! on gains, biases, rates and ratios to tight tolerances on randomly
 //! generated models, and `bvc-bu`'s `table2_pins` holds the α = 10% Table 2
 //! column to [`maximize_ratio_reference`] within the ratio tolerance.
 //!
 //! They read the same [`CompiledMdp`] as the production solvers, but
-//! naively: always plain RVI (never the renewal engine or the vectorized,
-//! warm-started kernel), a transition-by-transition walk per
-//! Bellman backup, and a full re-scalarization of every transition's reward
+//! naively and by other methods: plain RVI to a tolerance (never the
+//! renewal passes), a transition-by-transition walk per Bellman backup, and a full re-scalarization of every transition's reward
 //! vector for each probe of the bisection, which shares no search code
 //! with the production Dinkelbach loop. Do not "optimize" these —
 //! their value is precisely that they stay simple.
@@ -19,9 +19,18 @@
 use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
 use crate::model::{Objective, Policy};
-use crate::solve::eval::{PolicyEvaluation, DAMPING, MAX_ITERATIONS, TOLERANCE};
-use crate::solve::ratio::{crossing_level, ProbeEngine, RatioOptions, RatioSolution};
+use crate::solve::eval::PolicyEvaluation;
+use crate::solve::ratio::{crossing_level, RatioOptions, RatioSolution};
 use crate::solve::rvi::{RviOptions, RviSolution};
+
+/// The reference power method stops when the L1 change of the stationary
+/// iterate falls below this.
+const TOLERANCE: f64 = 1e-12;
+/// Iteration budget of the reference power method.
+const MAX_ITERATIONS: usize = 5_000_000;
+/// Damping weight: each step applies `pi <- (1-d) * pi P + d * pi`, the
+/// aperiodicity transform for Markov chains.
+const DAMPING: f64 = 0.05;
 
 /// Reference relative value iteration (see
 /// [`relative_value_iteration`](crate::solve::rvi::relative_value_iteration)).
@@ -81,13 +90,7 @@ pub fn relative_value_iteration_reference(
 
         if span_hi - span_lo < opts.tolerance * (1.0 - tau) {
             let gain = 0.5 * (span_lo + span_hi) / (1.0 - tau);
-            return Ok(RviSolution {
-                gain,
-                bias: h,
-                policy,
-                iterations: iter + 1,
-                engine: ProbeEngine::Rvi,
-            });
+            return Ok(RviSolution { gain, bias: h, policy, iterations: iter + 1 });
         }
     }
     Err(MdpError::NoConvergence {
@@ -216,5 +219,5 @@ pub fn maximize_ratio_reference(
     } else {
         0.0
     };
-    Ok(RatioSolution { value, policy, inner_solves, inner_iterations, engine: ProbeEngine::Rvi })
+    Ok(RatioSolution { value, policy, inner_solves, inner_iterations })
 }

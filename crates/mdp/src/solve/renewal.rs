@@ -1,55 +1,54 @@
-//! Exact average-reward and ratio solves on regenerative models.
+//! Exact average-reward and ratio solves, fixed-policy evaluation and first
+//! passages on every model: renewal over a regeneration set.
 //!
-//! State 0 is a *regeneration state* of a model when, with the edges into
-//! state 0 removed, the state graph of all arms together (so of every
-//! policy at once) is acyclic. Every path then returns to state 0 within
-//! `n` steps under every stationary policy, and by the renewal-reward
-//! theorem every long-run rate of a policy is a ratio of sums over one
-//! cycle from state 0 back to it.
+//! [`regeneration_set`] finds, once per graph, a set `S` of states that
+//! every cycle of the state graph of all arms together (so of every policy
+//! at once) passes: state 0 and those targets of a depth-first search's back
+//! edges from state 0 that some cycle needs. With the edges into `S`
+//! removed the graph is acyclic, and [`Regeneration::order`] is a
+//! topological order of it. Every BU attack model has `S = {0}` (state 0 =
+//! `BASE`); the Bitcoin models (Sapirshtein et al.'s) have 80 of their 3,981
+//! states in `S` at cap 40.
 //!
-//! Both solves here maximize such a cycle ratio `A(π) / B(π)` over
-//! stationary policies, where each step adds an arm's per-arm weights to
-//! the cycle sums:
+//! Under a fixed policy, an *excursion* from a state runs until the chain
+//! enters `S`. One pass over the order gives each excursion's expected
+//! reward `r`, length `τ` and entry law `P_S` into `S` exactly, since each
+//! state only reads states the pass has finished. The policy's gain `g` and
+//! its bias `h` on `S` then solve the semi-Markov system
 //!
 //! ```text
-//! gain solve:  A = E_0[reward until the return to 0],  B = E_0[steps]
-//! ratio solve: A = E_0[N − ε per step],                 B = E_0[D]
+//! h(i) = r(i) − g·τ(i) + Σ_j P_S(i, j)·h(j)   for i in S,   h(0) = 0.
 //! ```
 //!
-//! A fixed policy's `A` and `B` come out of one backward pass over a
-//! topological order, exactly: each state's sums only read successors the
-//! pass has already finished, and a return to state 0 ends the cycle. The
-//! maximum is found by Dinkelbach's method: a backward pass at `ρ` picks,
-//! state by state, the arm maximizing `A − ρ·B` (first wins ties) and
-//! carries that greedy policy's own `A` and `B`; their ratio at state 0 is
-//! the next `ρ`. `ρ` never decreases, and once the greedy policy stops
-//! changing it is optimal (the policy-iteration argument on the cycle
-//! MDP). Each pass is exact backward induction on an acyclic graph, so the
-//! greedy policy attains `max_π A(π) − ρ·B(π)` exactly.
+//! * **`S = {0}`** (every BU model): the system is `g = r(0) / τ(0)`, the
+//!   renewal-reward theorem over one cycle from state 0 back to it. A
+//!   backward pass gives both sums, so evaluation costs nothing beyond the
+//!   pass.
+//! * **`|S| > 1`**: the `|S| × |S|` system is solved by LU with partial
+//!   pivoting. It is singular exactly when the embedded chain on `S` has
+//!   more than one recurrent class, which is
+//!   [`MdpError::MultichainPolicy`], not a NaN.
 //!
-//! * `optimal_gain` (Table 3's `u2`, through
-//!   [`relative_value_iteration_compiled`]) starts from the incoming
-//!   policy's own gain, one evaluation pass, and reports the policy's bias
-//!   `A(s) − g·B(s)`.
-//! * `optimal_ratio` (Table 2's `u1` and Table 4's `u3`, through
-//!   [`maximize_ratio_compiled`]) starts with a greedy pass at `ρ = 0`.
-//!   Its value is `max_π (N − ε·L) / D` with `ε` = the ratio solver's
-//!   crossing level (a tenth of its tolerance): exactly where the optimal
-//!   gain of `N − ρ·D` crosses `ε`, since `g(ρ) > ε` holds iff some policy
-//!   has `N − ε·L − ρ·D > 0`. The loop itself is the ratio solver's, shared
-//!   with its RVI engine; only the passes here are renewal's.
+//! Improvement is one greedy backward pass with `h` fixed on `S`: each state
+//! takes the arm maximizing `r − λ·τ` plus the value of where it leads
+//! (first wins ties). That is Howard's policy iteration on the semi-Markov
+//! decision process over `S`: every evaluation is exact, and it ends in
+//! finitely many steps, once a pass changes no choice or raises no state of
+//! `S` beyond rounding (`TIE`).
 //!
-//! A fixed policy's first passages come out of one such backward pass too:
-//! [`first_passage`] carries, for each state, the probability of entering a
-//! target set before a stop set or the return to state 0, and the expected
-//! steps until the first of those (the episode metrics of `bvc-bu`).
+//! A gain solve (Table 3's `u2`, through
+//! [`relative_value_iteration_compiled`]) on `S = {0}` is Dinkelbach's loop
+//! on the cycle ratio, a greedy pass carrying its policy's own cycle sums;
+//! on a larger set it is that policy iteration. A ratio solve (`u1`, `u3`,
+//! through [`maximize_ratio_compiled`]) is the ratio solver's Dinkelbach
+//! loop, each step one greedy pass on `S = {0}` or one policy iteration.
 //!
-//! [`regeneration_order`] is the precondition check. It is a pure function
-//! of the graph, computed once per graph and shared by every model
-//! re-weighted from it ([`refill`](crate::indexer::refill)). One dispatch
-//! in [`rvi`](crate::solve::rvi) reads it once per solve, and one in
-//! [`evaluate_policy`](crate::solve::eval::evaluate_policy) once per
-//! evaluation.
+//! The stationary law ([`evaluate_policy`](crate::solve::eval::evaluate_policy))
+//! is one forward pass seeded with the embedded chain's law on `S`: the
+//! expected visits of every state per excursion. [`first_passage`] carries,
+//! on a model with `S = {0}`, the probability of entering a target set
+//! before a stop set or the return to state 0, and the expected steps until
+//! the first of those (the episode metrics of `bvc-bu`).
 //!
 //! [`relative_value_iteration_compiled`]: crate::solve::rvi::relative_value_iteration_compiled
 //! [`maximize_ratio_compiled`]: crate::solve::ratio::maximize_ratio_compiled
@@ -58,56 +57,133 @@ use crate::budget::SolveBudget;
 use crate::compiled::CompiledMdp;
 use crate::error::MdpError;
 use crate::model::Policy;
+use crate::solve::lu::Lu;
 use crate::solve::ratio::{dinkelbach, dinkelbach_from_zero};
+use std::ops::Range;
 
 /// Name the budget and error paths report for this solver.
 const SOLVER: &str = "renewal";
 
+/// The slot of a state outside the regeneration set.
+const OUTSIDE: u32 = u32::MAX;
+
+/// An improvement of a state of `S` by at most this fraction of the
+/// magnitudes it is computed from is rounding, not progress: it stops the
+/// policy iteration on a set larger than `{0}`.
+const TIE: f64 = 1e-12;
+
 /// A cycle of a model's state graph that avoids state 0: the witness that
-/// state 0 is not a regeneration state. Each state steps to the next by a
-/// transition of one of its arms, and the last steps back to the first.
+/// state 0 is not a regeneration state on its own. Each state steps to the
+/// next by a transition of one of its arms, and the last steps back to the
+/// first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AvoidingCycle {
     /// The states on the cycle, in the order a path walks them; never 0.
     pub states: Vec<u32>,
 }
 
-/// What [`regeneration_order`] finds, memoized once per graph.
-pub(crate) type Regeneration = Result<Vec<u32>, AvoidingCycle>;
-
-/// A topological order of all states with state 0 first, ignoring edges
-/// into state 0, or a cycle that avoids state 0 when there is none (so
-/// state 0 is not a regeneration state).
-///
-/// Computed on the first call for a graph (Kahn's algorithm over every
-/// transition of every arm, O(states + transitions)) and shared after that
-/// by every model on the same structure arrays.
-pub fn regeneration_order(compiled: &CompiledMdp) -> Result<&[u32], &AvoidingCycle> {
-    compiled.structure().regeneration().get_or_init(|| find_order(compiled)).as_deref()
+/// A model's regeneration set and pass order (see the module docs), found
+/// once per graph by [`regeneration_set`].
+#[derive(Debug)]
+pub struct Regeneration {
+    /// The regeneration set `S`, ascending: state 0 and the targets of the
+    /// search's back edges that some cycle needs.
+    pub set: Vec<u32>,
+    /// Every state, in a topological order of the state graph without the
+    /// edges into `S` that starts with `S`.
+    pub order: Vec<u32>,
+    /// The cycle closed by the search's first back edge to a state other
+    /// than 0: present exactly when `S` is larger than `{0}`.
+    pub avoiding_cycle: Option<AvoidingCycle>,
+    /// Each state's index in `set`, or [`OUTSIDE`].
+    slot: Vec<u32>,
 }
 
-/// [`regeneration_order`] without the memo.
-fn find_order(compiled: &CompiledMdp) -> Regeneration {
+/// The regeneration set of `compiled`'s graph and its pass order.
+///
+/// Computed on the first call for a graph (a depth-first search from state
+/// 0, then from every state it did not reach; one search per back-edge
+/// target other than 0 to drop those no cycle needs; Kahn's algorithm over
+/// the graph without the edges into `S`) and shared after that by every
+/// model on the same structure arrays. On `S = {0}` the order is Kahn's over
+/// the graph without the edges into state 0, sources in index order.
+pub fn regeneration_set(compiled: &CompiledMdp) -> &Regeneration {
+    compiled.structure().regeneration().get_or_init(|| find_set(compiled))
+}
+
+/// [`regeneration_set`] without the memo.
+fn find_set(compiled: &CompiledMdp) -> Regeneration {
     let n = compiled.num_states();
     let (arm_offsets, tr_offsets) = compiled.raw_offsets();
     let next = compiled.raw_next();
     // A state's arms, and so their transitions, are contiguous in CSR order.
-    let successors = |s: usize| {
-        let t0 = tr_offsets[arm_offsets[s] as usize] as usize;
-        let t1 = tr_offsets[arm_offsets[s + 1] as usize] as usize;
-        next[t0..t1].iter().filter(|&&to| to != 0)
+    let edges = |s: usize| {
+        tr_offsets[arm_offsets[s] as usize] as usize
+            ..tr_offsets[arm_offsets[s + 1] as usize] as usize
     };
+    // Depth-first search with an explicit stack of (state, next edge);
+    // `open` marks the states on the stack, `seen` every state entered, and
+    // `slot` the members of `S` until they are numbered.
+    let (mut seen, mut open, mut slot) = (vec![false; n], vec![false; n], vec![OUTSIDE; n]);
+    slot[0] = 0;
+    let mut avoiding_cycle = None;
+    let mut stack: Vec<(u32, usize)> = Vec::new();
+    for root in 0..n {
+        if seen[root] {
+            continue;
+        }
+        seen[root] = true;
+        open[root] = true;
+        stack.push((root as u32, edges(root).start));
+        while let Some(top) = stack.last_mut() {
+            let s = top.0 as usize;
+            let e = top.1;
+            if e == edges(s).end {
+                open[s] = false;
+                stack.pop();
+                continue;
+            }
+            top.1 += 1;
+            let to = next[e] as usize;
+            if open[to] {
+                // A back edge: `to` is on the stack, so the stack from `to`
+                // up is a cycle, and one avoiding state 0 unless `to` is 0.
+                slot[to] = 0;
+                if to != 0 && avoiding_cycle.is_none() {
+                    let from = stack.iter().position(|&(v, _)| v as usize == to).unwrap_or(0);
+                    let states = stack[from..].iter().map(|e| e.0).collect();
+                    avoiding_cycle = Some(AvoidingCycle { states });
+                }
+            } else if !seen[to] {
+                seen[to] = true;
+                open[to] = true;
+                stack.push((to as u32, edges(to).start));
+            }
+        }
+    }
+    // Every cycle holds a back edge, so the targets cut every cycle, but
+    // often more of them than needed.
+    if avoiding_cycle.is_some() {
+        drop_unneeded_targets(next, edges, &mut slot);
+    }
+    // Without the edges into `S` the graph is acyclic and Kahn's algorithm
+    // orders every state. `order` doubles as its FIFO queue, `S` first: its
+    // states have no counted in-edges.
+    let set: Vec<u32> = (0..n as u32).filter(|&s| slot[s as usize] != OUTSIDE).collect();
+    for (j, &s) in set.iter().enumerate() {
+        slot[s as usize] = j as u32;
+    }
+    let outside = |to: &&u32| slot[**to as usize] == OUTSIDE;
     let mut in_degree = vec![0u32; n];
-    for &to in next.iter().filter(|&&to| to != 0) {
+    for &to in next.iter().filter(outside) {
         in_degree[to as usize] += 1;
     }
-    // `order` doubles as Kahn's FIFO queue; state 0 has no counted in-edges,
-    // so it is enqueued first.
-    let mut order: Vec<u32> = (0..n as u32).filter(|&s| in_degree[s as usize] == 0).collect();
+    let mut order = set.clone();
+    order.extend((0..n as u32).filter(|&s| in_degree[s as usize] == 0 && outside(&&s)));
     let mut head = 0;
     while let Some(&s) = order.get(head) {
         head += 1;
-        for &to in successors(s as usize) {
+        for &to in next[edges(s as usize)].iter().filter(outside) {
             let d = &mut in_degree[to as usize];
             *d -= 1;
             if *d == 0 {
@@ -115,30 +191,48 @@ fn find_order(compiled: &CompiledMdp) -> Regeneration {
             }
         }
     }
-    // A state is ordered once its count of in-edges reaches zero.
-    let left = |s: usize| in_degree[s] > 0;
-    let Some(mut s) = (0..n).find(|&s| left(s)) else {
-        return Ok(order);
-    };
-    // The states left over keep an in-edge from another left-over state:
-    // the edge from a finished state was counted off when it finished.
-    // Walking such edges backwards from any of them must repeat a state.
-    let mut pred = vec![0u32; n];
-    for s in (0..n).filter(|&s| left(s)) {
-        for &to in successors(s) {
-            pred[to as usize] = s as u32;
+    debug_assert_eq!(order.len(), n, "the graph without the edges into S is acyclic");
+    Regeneration { set, order, avoiding_cycle, slot }
+}
+
+/// Drops from the back-edge targets marked in `slot` each that lies on no
+/// cycle through the states outside the set, last state first (state 0
+/// stays): a backward search from it over predecessors outside the set
+/// does not come back to it. Every cycle still passes the set. On the
+/// cap-40 Bitcoin model 208 targets shrink to 80; searching backward reads
+/// a few times fewer states there than searching forward.
+fn drop_unneeded_targets(next: &[u32], edges: impl Fn(usize) -> Range<usize>, slot: &mut [u32]) {
+    let n = slot.len();
+    let mut pred = vec![Vec::new(); n];
+    for s in 0..n {
+        for &to in &next[edges(s)] {
+            pred[to as usize].push(s as u32);
         }
     }
-    let mut step_of = vec![usize::MAX; n];
-    let mut walk = Vec::new();
-    while step_of[s] == usize::MAX {
-        step_of[s] = walk.len();
-        walk.push(s as u32);
-        s = pred[s] as usize;
+    // `stamp` marks the states each search entered.
+    let (mut stamp, mut todo) = (vec![OUTSIDE; n], Vec::new());
+    for c in (1..n).rev() {
+        if slot[c] == OUTSIDE {
+            continue;
+        }
+        stamp[c] = c as u32;
+        todo.clear();
+        todo.push(c);
+        let mut on_cycle = false;
+        while let (false, Some(s)) = (on_cycle, todo.pop()) {
+            for &from in &pred[s] {
+                let from = from as usize;
+                on_cycle |= from == c;
+                if slot[from] == OUTSIDE && stamp[from] != c as u32 {
+                    stamp[from] = c as u32;
+                    todo.push(from);
+                }
+            }
+        }
+        if !on_cycle {
+            slot[c] = OUTSIDE;
+        }
     }
-    let mut states = walk.split_off(step_of[s]);
-    states.reverse();
-    Err(AvoidingCycle { states })
 }
 
 /// What [`first_passage`] finds for every state.
@@ -155,12 +249,13 @@ pub struct FirstPassage {
 /// The first passage of the chain `policy` induces into the states marked
 /// in `target`, cut at the states marked in `stop` and at the return to
 /// state 0, from every state: one exact backward pass in reverse
-/// [`regeneration_order`]. State 0's own entry starts a cycle, so it reads
+/// [`Regeneration::order`]. State 0's own entry starts a cycle, so it reads
 /// its successors like any other unmarked state; a target mark wins over a
 /// stop mark.
 ///
 /// A mask whose length is not the state count is an [`MdpError::Shape`]
-/// error, and a model with no order an [`MdpError::NotRegenerative`] one.
+/// error, and a model whose regeneration set is larger than `{0}` an
+/// [`MdpError::NotRegenerative`] one.
 pub fn first_passage(
     compiled: &CompiledMdp,
     policy: &Policy,
@@ -174,12 +269,14 @@ pub fn first_passage(
             return Err(MdpError::Shape { what, found: mask.len(), expected: n });
         }
     }
-    let order = regeneration_order(compiled)
-        .map_err(|witness| MdpError::NotRegenerative { witness: witness.clone() })?;
+    let reg = regeneration_set(compiled);
+    if let Some(witness) = &reg.avoiding_cycle {
+        return Err(MdpError::NotRegenerative { witness: witness.clone() });
+    }
     let (mut hit, mut steps) = (vec![0.0; n], vec![0.0; n]);
     // State 0 comes first in the order, so it is finished last: until then
     // its zero entries stand for the return that ends the cycle.
-    for &s in order.iter().rev() {
+    for &s in reg.order.iter().rev() {
         let s = s as usize;
         if target[s] {
             hit[s] = 1.0;
@@ -196,128 +293,355 @@ pub fn first_passage(
     Ok(FirstPassage { hit, steps })
 }
 
-/// The per-arm weights a step adds to the two cycle sums: arm `a` adds
+/// The stationary law of the chain the arms `chosen` (one per state)
+/// induce, exactly; a multichain chain is [`MdpError::MultichainPolicy`].
+pub(crate) fn stationary_law(
+    compiled: &CompiledMdp,
+    reg: &Regeneration,
+    chosen: &[usize],
+) -> Result<Vec<f64>, MdpError> {
+    let seed = match reg.set.len() {
+        1 => vec![1.0],
+        _ => Embedded::new(compiled, reg, chosen, None)?.entry_law(),
+    };
+    Ok(law_from(compiled, reg, chosen, &seed))
+}
+
+/// The expected visits of every state per excursion from the law `seed`
+/// on `S`, over their sum: one forward pass over the order, each state's
+/// visits only coming from states before it and an entry into `S` ending
+/// the excursion.
+fn law_from(
+    compiled: &CompiledMdp,
+    reg: &Regeneration,
+    chosen: &[usize],
+    seed: &[f64],
+) -> Vec<f64> {
+    let mut visits = vec![0.0; compiled.num_states()];
+    for (&s, &mass) in reg.set.iter().zip(seed) {
+        visits[s as usize] = mass;
+    }
+    for &s in &reg.order {
+        let mass = visits[s as usize];
+        if mass <= 0.0 {
+            continue;
+        }
+        let (probs, nexts) = compiled.arm_transitions(chosen[s as usize]);
+        for (p, &to) in probs.iter().zip(nexts) {
+            if reg.slot[to as usize] == OUTSIDE {
+                visits[to as usize] += mass * p;
+            }
+        }
+    }
+    let total: f64 = visits.iter().sum();
+    for x in visits.iter_mut() {
+        *x /= total;
+    }
+    visits
+}
+
+/// The semi-Markov system of one policy on a regeneration set larger than
+/// `{0}`, factored: row `i` holds the expected length `τ(i)` of the
+/// excursion from `S`'s `i`-th state in column 0 (the gain's) and
+/// `δ(i, j) − P_S(i, j)` in the columns `j ≥ 1` (the bias's, `h(0) = 0`).
+struct Embedded {
+    lu: Lu,
+    /// The excursions' expected rewards `r`, when the system was built with
+    /// per-arm rewards.
+    reward: Vec<f64>,
+}
+
+impl Embedded {
+    /// One forward pass from each state of `S` under the arms `chosen`,
+    /// then the LU factorization. A singular system is
+    /// [`MdpError::MultichainPolicy`].
+    fn new(
+        compiled: &CompiledMdp,
+        reg: &Regeneration,
+        chosen: &[usize],
+        exp_reward: Option<&[f64]>,
+    ) -> Result<Self, MdpError> {
+        let k = reg.set.len();
+        let mut m = vec![0.0; k * k];
+        let mut reward = vec![0.0; k];
+        let mut visits = vec![0.0; compiled.num_states()];
+        for (i, (&s, row)) in reg.set.iter().zip(m.chunks_exact_mut(k)).enumerate() {
+            // Each state passes its visits on and is left at zero; the pass
+            // ends when no state holds any (`pending` counts those that do).
+            visits[s as usize] = 1.0;
+            let (mut pending, mut steps, mut r) = (1usize, 0.0, 0.0);
+            for &s in &reg.order {
+                let mass = visits[s as usize];
+                if mass <= 0.0 {
+                    continue;
+                }
+                visits[s as usize] = 0.0;
+                let arm = chosen[s as usize];
+                steps += mass;
+                r += exp_reward.map_or(0.0, |w| mass * w[arm]);
+                let (probs, nexts) = compiled.arm_transitions(arm);
+                for (p, &to) in probs.iter().zip(nexts) {
+                    match reg.slot[to as usize] {
+                        OUTSIDE => {
+                            let v = &mut visits[to as usize];
+                            pending += usize::from(*v <= 0.0);
+                            *v += mass * p;
+                        }
+                        j => row[j as usize] -= mass * p,
+                    }
+                }
+                pending -= 1;
+                if pending == 0 {
+                    break;
+                }
+            }
+            row[i] += 1.0;
+            row[0] = steps;
+            reward[i] = r;
+        }
+        let lu = Lu::factor(m, k)
+            .map_err(|column| MdpError::MultichainPolicy { state: reg.set[column] as usize })?;
+        Ok(Embedded { lu, reward })
+    }
+
+    /// The gain `g` and the bias `h` on `S` (`h(0) = 0`).
+    fn gain_and_bias(&self) -> (f64, Vec<f64>) {
+        let mut x = self.reward.clone();
+        self.lu.solve(&mut x);
+        let gain = x[0];
+        x[0] = 0.0;
+        (gain, x)
+    }
+
+    /// The embedded chain's stationary law on `S` over its mean excursion
+    /// length: the seed of [`law_from`].
+    fn entry_law(&self) -> Vec<f64> {
+        let mut x = vec![0.0; self.reward.len()];
+        x[0] = 1.0;
+        self.lu.solve_transposed(&mut x);
+        x
+    }
+}
+
+/// The per-arm weights a step adds to the two excursion sums: arm `a` adds
 /// `num[a] − shift` to `A`, and `den[a]` to `B`, or one step when `den` is
 /// `None`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CycleWeights<'a> {
     /// Expected numerator reward per arm.
-    pub num: &'a [f64],
+    pub(crate) num: &'a [f64],
     /// Subtracted from every arm's numerator: the ratio solve's `ε`.
-    pub shift: f64,
+    pub(crate) shift: f64,
     /// Expected denominator reward per arm; `None` counts steps.
-    pub den: Option<&'a [f64]>,
+    pub(crate) den: Option<&'a [f64]>,
 }
 
-/// The exact optimal gain of the per-arm expected rewards `exp_reward` on a
-/// model with regeneration order `order` (from [`regeneration_order`]).
-///
-/// Warm starts from the incoming `policy`, whose gain one evaluation pass
-/// finds first, and leaves an optimal policy in it. `reward` and `length`
-/// are scratch buffers with one entry per state; they end holding that
-/// policy's cycle reward and length from each state other than 0. Every
-/// pass adds one to `passes` and checks `budget` first.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn optimal_gain(
-    compiled: &CompiledMdp,
-    order: &[u32],
-    exp_reward: &[f64],
-    reward: &mut [f64],
-    length: &mut [f64],
-    policy: &mut Policy,
-    budget: &SolveBudget,
-    passes: &mut usize,
-) -> Result<f64, MdpError> {
-    let weights = CycleWeights { num: exp_reward, shift: 0.0, den: None };
-    let mut pass = |rho: Option<f64>| {
-        budget.check(SOLVER, *passes)?;
-        *passes += 1;
-        Ok(backward_pass(compiled, order, weights, rho, policy, reward, length))
-    };
-    let (r, l, _) = pass(None)?;
-    dinkelbach(r / l, |rho| pass(Some(rho)))
+/// One solve's passes over a model: its regeneration set, the budget
+/// checked before every pass and evaluation, their buffers and their count.
+pub(crate) struct Passes<'m> {
+    compiled: &'m CompiledMdp,
+    reg: &'m Regeneration,
+    budget: &'m SolveBudget,
+    /// Every state's excursion sums `A` and `B` under the last pass's
+    /// policy; the entries of `S` hold the values the pass read there.
+    a: Vec<f64>,
+    b: Vec<f64>,
+    /// The sums of `S`'s states, by slot.
+    at_set: Vec<(f64, f64)>,
+    /// Passes and evaluations run.
+    pub(crate) count: usize,
 }
 
-/// The exact `max_π A(π) / B(π)` of `weights` over stationary policies, or
-/// `0` when no policy has `A > 0`, on a model with regeneration order
-/// `order`: the ratio solver's Dinkelbach loop over backward passes.
-///
-/// Starts with a greedy pass at `ρ = 0` and leaves the last greedy policy
-/// in `policy`; the value is that policy's own `A / B`. A policy with
-/// `A > 0` and `B = 0` makes the ratio unbounded
-/// ([`MdpError::UnboundedRatio`]). `a` and `b` are scratch buffers with
-/// one entry per state. Every pass adds one to `passes` and checks
-/// `budget` first.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn optimal_ratio(
-    compiled: &CompiledMdp,
-    order: &[u32],
-    weights: CycleWeights<'_>,
-    a: &mut [f64],
-    b: &mut [f64],
-    policy: &mut Policy,
-    budget: &SolveBudget,
-    passes: &mut usize,
-) -> Result<f64, MdpError> {
-    dinkelbach_from_zero(|rho| {
-        budget.check(SOLVER, *passes)?;
-        *passes += 1;
-        Ok(backward_pass(compiled, order, weights, Some(rho), policy, a, b))
-    })
-}
+impl<'m> Passes<'m> {
+    pub(crate) fn new(compiled: &'m CompiledMdp, budget: &'m SolveBudget) -> Self {
+        let reg = regeneration_set(compiled);
+        let n = compiled.num_states();
+        let at_set = vec![(0.0, 0.0); reg.set.len()];
+        Passes { compiled, reg, budget, a: vec![0.0; n], b: vec![0.0; n], at_set, count: 0 }
+    }
 
-/// One backward pass in reverse `order`. With `rho = None` it evaluates
-/// `policy`; with `Some(ρ)` it replaces `policy` by the arms maximizing
-/// `A − ρ·B` (first wins ties). Either way it stores the resulting policy's
-/// cycle sums `A` and `B` for every state but 0, and returns state 0's
-/// `(A, B)` and whether any choice changed.
-fn backward_pass(
-    compiled: &CompiledMdp,
-    order: &[u32],
-    CycleWeights { num, shift, den }: CycleWeights<'_>,
-    rho: Option<f64>,
-    policy: &mut Policy,
-    sum_a: &mut [f64],
-    sum_b: &mut [f64],
-) -> (f64, f64, bool) {
-    let (arm_offsets, tr_offsets) = compiled.raw_offsets();
-    let (next, prob) = (compiled.raw_next(), compiled.raw_prob());
-    // A return to state 0 ends the cycle: its entries stay zero, and state
-    // 0's own sums are returned instead of stored.
-    sum_a[0] = 0.0;
-    sum_b[0] = 0.0;
-    let lambda = rho.unwrap_or(0.0);
-    let mut changed = false;
-    let mut base = (0.0, 0.0);
-    for &s in order.iter().rev() {
-        let s = s as usize;
-        let a0 = arm_offsets[s] as usize;
-        let arms = match rho {
-            Some(_) => a0..arm_offsets[s + 1] as usize,
-            None => a0 + policy.choices[s]..a0 + policy.choices[s] + 1,
-        };
-        let (mut best, mut best_arm, mut best_ab) = (f64::NEG_INFINITY, a0, (0.0, 0.0));
-        for arm in arms {
-            let t = tr_offsets[arm] as usize..tr_offsets[arm + 1] as usize;
-            let (mut a, mut b) = (num[arm] - shift, den.map_or(1.0, |d| d[arm]));
-            for (p, &to) in prob[t.clone()].iter().zip(&next[t]) {
-                a += p * sum_a[to as usize];
-                b += p * sum_b[to as usize];
-            }
-            let q = a - lambda * b;
-            if q > best {
-                (best, best_arm, best_ab) = (q, arm, (a, b));
-            }
-        }
-        changed |= policy.choices[s] != best_arm - a0;
-        policy.choices[s] = best_arm - a0;
-        if s == 0 {
-            base = best_ab;
+    /// Checks the budget, then counts one pass or evaluation.
+    fn tick(&mut self) -> Result<(), MdpError> {
+        self.budget.check(SOLVER, self.count)?;
+        self.count += 1;
+        Ok(())
+    }
+
+    /// The exact optimal gain of the per-arm expected rewards `exp_reward`
+    /// and the bias of the optimal policy it leaves in `policy` (`bias[0] =
+    /// 0`), warm-started from the incoming `policy`.
+    pub(crate) fn optimal_gain(
+        &mut self,
+        exp_reward: &[f64],
+        policy: &mut Policy,
+    ) -> Result<(f64, Vec<f64>), MdpError> {
+        let weights = CycleWeights { num: exp_reward, shift: 0.0, den: None };
+        let gain = if self.reg.set.len() == 1 {
+            self.pass(weights, None, &[0.0], policy)?;
+            let (r, l) = self.at_set[0];
+            dinkelbach(r / l, |rho| {
+                let changed = self.pass(weights, Some(rho), &[0.0], policy)?;
+                Ok((self.at_set[0].0, self.at_set[0].1, changed))
+            })?
         } else {
-            (sum_a[s], sum_b[s]) = best_ab;
+            let (gain, h, _) = self.howard(exp_reward, policy)?;
+            // One evaluating pass leaves the final policy's sums against
+            // its own `h`.
+            self.pass(weights, None, &h, policy)?;
+            gain
+        };
+        // The passes left the policy's excursion values in `a` and lengths
+        // in `b` (`h` and 0 on `S`). Its bias is their difference at the
+        // gain.
+        for (r, l) in self.a.iter_mut().zip(&self.b) {
+            *r -= gain * l;
+        }
+        Ok((gain, std::mem::take(&mut self.a)))
+    }
+
+    /// Howard's policy iteration for the gain of the per-arm expected
+    /// rewards `exp_reward` on a regeneration set larger than `{0}`, from the
+    /// incoming `policy`: an LU evaluation, then a greedy pass at the gain
+    /// with `h` fixed on `S` and an evaluation of its policy, until a pass
+    /// changes nothing or raises no state of `S` by more than [`TIE`] of
+    /// the values it compares. Returns the final policy's gain, its bias on
+    /// `S` and its system.
+    fn howard(
+        &mut self,
+        exp_reward: &[f64],
+        policy: &mut Policy,
+    ) -> Result<(f64, Vec<f64>, Embedded), MdpError> {
+        let weights = CycleWeights { num: exp_reward, shift: 0.0, den: None };
+        let evaluate = |passes: &mut Self, policy: &Policy| {
+            passes.tick()?;
+            let chosen = chosen_arms(passes.compiled, policy);
+            let system = Embedded::new(passes.compiled, passes.reg, &chosen, Some(exp_reward))?;
+            let (gain, h) = system.gain_and_bias();
+            Ok::<_, MdpError>((gain, h, system))
+        };
+        let (mut gain, mut h, mut system) = evaluate(self, policy)?;
+        loop {
+            if !self.pass(weights, Some(gain), &h, policy)? {
+                return Ok((gain, h, system));
+            }
+            // Each state of `S` improves by its greedy value less its bias.
+            let scale = h.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+            let progress = self.at_set.iter().zip(&h).any(|(&(a, b), &hi)| {
+                a - gain * b - hi > TIE * (a.abs() + (gain * b).abs() + scale)
+            });
+            (gain, h, system) = evaluate(self, policy)?;
+            if !progress {
+                return Ok((gain, h, system));
+            }
         }
     }
-    (base.0, base.1, changed)
+
+    /// The exact `max_π A(π) / B(π)` over stationary policies, `A` and `B`
+    /// summing `weights`, or `0` when no policy has `A > 0`: the ratio
+    /// solver's Dinkelbach loop, from `ρ = 0`.
+    ///
+    /// On `S = {0}` each step is one greedy backward pass over the cycle
+    /// sums, and `inner_solves` is 1; on a larger set each step is one
+    /// policy iteration on `num − shift − ρ·den`, warm-started from the
+    /// last step's policy and counted in `inner_solves`, and that policy's
+    /// rates from its stationary law. The last policy is left in `policy`,
+    /// and the value is its own `A / B`. A policy with `A > 0` and `B = 0`
+    /// makes the ratio unbounded ([`MdpError::UnboundedRatio`]).
+    pub(crate) fn optimal_ratio(
+        &mut self,
+        weights: CycleWeights<'_>,
+        policy: &mut Policy,
+        inner_solves: &mut usize,
+    ) -> Result<f64, MdpError> {
+        if self.reg.set.len() == 1 {
+            *inner_solves = 1;
+            return dinkelbach_from_zero(|rho| {
+                let changed = self.pass(weights, Some(rho), &[0.0], policy)?;
+                Ok((self.at_set[0].0, self.at_set[0].1, changed))
+            });
+        }
+        let CycleWeights { num, shift, den } = weights;
+        let den = |arm: usize| den.map_or(1.0, |d| d[arm]);
+        let mut w = vec![0.0; num.len()];
+        dinkelbach_from_zero(|rho| {
+            for (arm, x) in w.iter_mut().enumerate() {
+                *x = num[arm] - shift - rho * den(arm);
+            }
+            let before = policy.clone();
+            let (_, _, system) = self.howard(&w, policy)?;
+            *inner_solves += 1;
+            let chosen = chosen_arms(self.compiled, policy);
+            let law = law_from(self.compiled, self.reg, &chosen, &system.entry_law());
+            let (mut sum_a, mut sum_b) = (0.0, 0.0);
+            for (mass, &arm) in law.iter().zip(&chosen) {
+                sum_a += mass * (num[arm] - shift);
+                sum_b += mass * den(arm);
+            }
+            Ok((sum_a, sum_b, *policy != before))
+        })
+    }
+
+    /// One backward pass in reverse order, after the budget check. With
+    /// `rho = None` it evaluates `policy`; with `Some(λ)` it replaces
+    /// `policy` by the arms maximizing `A − λ·B` (first wins ties). An entry
+    /// into `S` ends the excursion: its state contributes its fixed value
+    /// from `h_set` (by slot) to `A` and nothing to `B`. The pass stores the
+    /// resulting policy's `A` and `B` for every state outside `S` and in
+    /// `at_set` for each state of `S`, and returns whether a choice changed.
+    fn pass(
+        &mut self,
+        CycleWeights { num, shift, den }: CycleWeights<'_>,
+        rho: Option<f64>,
+        h_set: &[f64],
+        policy: &mut Policy,
+    ) -> Result<bool, MdpError> {
+        self.tick()?;
+        let (arm_offsets, tr_offsets) = self.compiled.raw_offsets();
+        let (next, prob) = (self.compiled.raw_next(), self.compiled.raw_prob());
+        let (reg, sum_a, sum_b, at_set) =
+            (self.reg, &mut self.a[..], &mut self.b[..], &mut self.at_set[..]);
+        for (&s, &h) in reg.set.iter().zip(h_set) {
+            sum_a[s as usize] = h;
+            sum_b[s as usize] = 0.0;
+        }
+        let lambda = rho.unwrap_or(0.0);
+        let mut changed = false;
+        // The order starts with `S`, so its states come last and keep their
+        // fixed values for every state that reads them.
+        for (i, &s) in reg.order.iter().enumerate().rev() {
+            let s = s as usize;
+            let a0 = arm_offsets[s] as usize;
+            let arms = match rho {
+                Some(_) => a0..arm_offsets[s + 1] as usize,
+                None => a0 + policy.choices[s]..a0 + policy.choices[s] + 1,
+            };
+            let (mut best, mut best_arm, mut best_ab) = (f64::NEG_INFINITY, a0, (0.0, 0.0));
+            for arm in arms {
+                let t = tr_offsets[arm] as usize..tr_offsets[arm + 1] as usize;
+                let (mut a, mut b) = (num[arm] - shift, den.map_or(1.0, |d| d[arm]));
+                for (p, &to) in prob[t.clone()].iter().zip(&next[t]) {
+                    a += p * sum_a[to as usize];
+                    b += p * sum_b[to as usize];
+                }
+                let q = a - lambda * b;
+                if q > best {
+                    (best, best_arm, best_ab) = (q, arm, (a, b));
+                }
+            }
+            changed |= policy.choices[s] != best_arm - a0;
+            policy.choices[s] = best_arm - a0;
+            match at_set.get_mut(i) {
+                Some(at) => *at = best_ab,
+                None => (sum_a[s], sum_b[s]) = best_ab,
+            }
+        }
+        Ok(changed)
+    }
+}
+
+/// The global arm `policy` takes in every state.
+pub(crate) fn chosen_arms(compiled: &CompiledMdp, policy: &Policy) -> Vec<usize> {
+    (0..compiled.num_states()).map(|s| compiled.policy_arm(policy, s)).collect()
 }
 
 #[cfg(test)]
@@ -336,7 +660,7 @@ mod tests {
     /// the last back to the first, is a transition of some arm, and state
     /// 0 is never on it.
     fn assert_avoiding_cycle(c: &CompiledMdp) -> Vec<u32> {
-        let cycle = &regeneration_order(c).expect_err("no order").states;
+        let cycle = &regeneration_set(c).avoiding_cycle.as_ref().expect("a cycle avoids 0").states;
         assert!(!cycle.is_empty() && !cycle.contains(&0), "cycle {cycle:?}");
         for (i, &from) in cycle.iter().enumerate() {
             let to = cycle[(i + 1) % cycle.len()] as usize;
@@ -348,7 +672,8 @@ mod tests {
         cycle.clone()
     }
 
-    /// 0 → 1 → 2 → 0 plus a shortcut 0 → 2: ordered, state 0 first.
+    /// 0 → 1 → 2 → 0 plus a shortcut 0 → 2: `S = {0}`, ordered, state 0
+    /// first.
     #[test]
     fn orders_a_regenerative_model_with_state_zero_first() {
         let mut m = Mdp::new(1);
@@ -357,13 +682,18 @@ mod tests {
         m.add_action(s[0], 1, vec![Transition::new(s[2], 1.0, vec![0.0])]);
         m.add_action(s[1], 0, vec![Transition::new(s[2], 1.0, vec![0.0])]);
         m.add_action(s[2], 0, vec![Transition::new(s[0], 1.0, vec![0.0])]);
-        assert_eq!(regeneration_order(&compile(&m)), Ok(&[0, 1, 2][..]));
+        let c = compile(&m);
+        let reg = regeneration_set(&c);
+        assert_eq!(
+            (&reg.set[..], &reg.order[..], &reg.avoiding_cycle),
+            (&[0][..], &[0, 1, 2][..], &None)
+        );
     }
 
-    /// 1 ⇄ 2 avoids state 0 (on a second arm of state 1 only): no order,
-    /// and that cycle is the witness.
+    /// 1 ⇄ 2 avoids state 0 (on a second arm of state 1 only): state 1
+    /// joins the set, and that cycle is the witness.
     #[test]
-    fn a_cycle_avoiding_state_zero_has_no_order() {
+    fn a_cycle_avoiding_state_zero_grows_the_set() {
         let mut m = Mdp::new(1);
         let s: Vec<_> = (0..4).map(|_| m.add_state()).collect();
         m.add_action(s[0], 0, vec![Transition::new(s[1], 1.0, vec![0.0])]);
@@ -380,9 +710,13 @@ mod tests {
             vec![Transition::new(s[1], 0.5, vec![0.0]), Transition::new(s[3], 0.5, vec![0.0])],
         );
         m.add_action(s[3], 0, vec![Transition::new(s[0], 1.0, vec![0.0])]);
-        let mut cycle = assert_avoiding_cycle(&compile(&m));
+        let c = compile(&m);
+        let mut cycle = assert_avoiding_cycle(&c);
         cycle.sort_unstable();
         assert_eq!(cycle, vec![1, 2]);
+        // Without the edges into {0, 1} the graph is acyclic: 2 before 3.
+        let reg = regeneration_set(&c);
+        assert_eq!((&reg.set[..], &reg.order[..]), (&[0, 1][..], &[0, 1, 2, 3][..]));
 
         // A self-loop on a state other than 0 is such a cycle too.
         let mut m = Mdp::new(1);
@@ -394,11 +728,35 @@ mod tests {
             0,
             vec![Transition::new(b, 0.5, vec![0.0]), Transition::new(a, 0.5, vec![0.0])],
         );
-        assert_eq!(assert_avoiding_cycle(&compile(&m)), vec![1]);
+        let c = compile(&m);
+        assert_eq!(assert_avoiding_cycle(&c), vec![1]);
+        assert_eq!(regeneration_set(&c).set, [0, 1]);
+    }
+
+    /// 0 → 1 → 2, then 2 → 1 or 2 → 3 → 2: the search closes 1 → 2 → 1 and
+    /// 2 → 3 → 2 with back edges into 1 and 2, but state 2 alone cuts both
+    /// cycles, so state 1 leaves the set.
+    #[test]
+    fn targets_no_cycle_needs_leave_the_set() {
+        let mut m = Mdp::new(1);
+        let s: Vec<_> = (0..4).map(|_| m.add_state()).collect();
+        m.add_action(s[0], 0, vec![Transition::new(s[1], 1.0, vec![0.0])]);
+        m.add_action(s[1], 0, vec![Transition::new(s[2], 1.0, vec![0.0])]);
+        m.add_action(s[1], 1, vec![Transition::new(s[0], 1.0, vec![0.0])]);
+        m.add_action(
+            s[2],
+            0,
+            vec![Transition::new(s[1], 0.5, vec![0.0]), Transition::new(s[3], 0.5, vec![0.0])],
+        );
+        m.add_action(s[3], 0, vec![Transition::new(s[2], 1.0, vec![0.0])]);
+        let c = compile(&m);
+        assert_eq!(assert_avoiding_cycle(&c), vec![1, 2]);
+        let reg = regeneration_set(&c);
+        assert_eq!((&reg.set[..], &reg.order[..]), (&[0, 2][..], &[0, 2, 1, 3][..]));
     }
 
     /// On a model with a cycle avoiding state 0 the first passage is not
-    /// one backward pass: the error carries the cycle `regeneration_order`
+    /// one backward pass: the error carries the cycle `regeneration_set`
     /// found. Masks of the wrong length are shape errors.
     #[test]
     fn first_passage_needs_an_order_and_full_masks() {
@@ -468,15 +826,15 @@ mod tests {
     #[test]
     fn the_order_is_memoized_per_graph() {
         let explored = explore(1, [0u32], chain(1.0)).unwrap();
-        let order = regeneration_order(&explored.mdp).unwrap();
-        assert_eq!(order, &[0, 1, 2, 3]);
+        let reg = regeneration_set(&explored.mdp);
+        assert_eq!(reg.order, &[0, 1, 2, 3]);
         let refilled = refill(&explored.graph(), 1, chain(2.0)).unwrap().unwrap();
         assert!(refilled.mdp.shares_structure(&explored.mdp));
-        assert!(std::ptr::eq(regeneration_order(&refilled.mdp).unwrap(), order));
+        assert!(std::ptr::eq(regeneration_set(&refilled.mdp), reg));
         let fresh = explore(1, [0u32], chain(2.0)).unwrap();
-        let own = regeneration_order(&fresh.mdp).unwrap();
-        assert_eq!(own, order);
-        assert!(!std::ptr::eq(own, order));
+        let own = regeneration_set(&fresh.mdp);
+        assert_eq!(own.order, reg.order);
+        assert!(!std::ptr::eq(own, reg));
     }
 
     /// State 0 chooses between three cycles: a self-loop paying 1 (gain 1),
@@ -498,35 +856,32 @@ mod tests {
         compile(&m)
     }
 
+    /// Solves the gain of component 0 with `optimal_gain`, warm-started
+    /// from `policy`: the gain, the passes and the bias.
+    fn gain(
+        c: &CompiledMdp,
+        policy: &mut Policy,
+        budget: &SolveBudget,
+    ) -> Result<(f64, usize, Vec<f64>), MdpError> {
+        let exp_reward = c.scalarize(&crate::model::Objective::new(vec![1.0]));
+        let mut passes = Passes::new(c, budget);
+        let (gain, bias) = passes.optimal_gain(&exp_reward, policy)?;
+        Ok((gain, passes.count, bias))
+    }
+
     #[test]
     fn optimal_gain_is_the_best_cycle_ratio() {
         let c = three_cycles();
-        let order = regeneration_order(&c).unwrap();
-        let exp_reward = c.scalarize(&crate::model::Objective::new(vec![1.0]));
-        let (mut reward, mut length) = (vec![0.0; 11], vec![0.0; 11]);
         let mut policy = Policy::zeros(11);
         let budget = SolveBudget::unlimited();
-        let mut solve = |policy: &mut Policy| {
-            let mut passes = 0;
-            let gain = optimal_gain(
-                &c,
-                order,
-                &exp_reward,
-                &mut reward,
-                &mut length,
-                policy,
-                &budget,
-                &mut passes,
-            )
-            .unwrap();
-            (gain, passes)
-        };
         // Evaluate the self-loop, step to the long cycle, step to the short
         // one, confirm it.
-        assert_eq!(solve(&mut policy), (1.3, 4));
+        let (g, passes, _) = gain(&c, &mut policy, &budget).unwrap();
+        assert_eq!((g, passes), (1.3, 4));
         assert_eq!(policy.choices[0], 2);
         // Warm started from the optimum: evaluate, then one unchanged pass.
-        assert_eq!(solve(&mut policy), (1.3, 2));
+        let (g, passes, _) = gain(&c, &mut policy, &budget).unwrap();
+        assert_eq!((g, passes), (1.3, 2));
     }
 
     /// The ratio loop on [`three_cycles`] with a denominator of one per
@@ -536,24 +891,16 @@ mod tests {
     #[test]
     fn optimal_ratio_runs_dinkelbach_from_zero() {
         let c = three_cycles();
-        let order = regeneration_order(&c).unwrap();
         let num = c.scalarize(&crate::model::Objective::new(vec![1.0]));
         let den = vec![1.0; c.num_arms()];
         let budget = SolveBudget::unlimited();
         let solve = |shift: f64| {
+            let (mut policy, mut inner) = (Policy::zeros(11), 0);
+            let mut passes = Passes::new(&c, &budget);
             let weights = CycleWeights { num: &num, shift, den: Some(&den) };
-            let (mut policy, mut passes) = (Policy::zeros(11), 0);
-            let value = optimal_ratio(
-                &c,
-                order,
-                weights,
-                &mut [0.0; 11],
-                &mut [0.0; 11],
-                &mut policy,
-                &budget,
-                &mut passes,
-            );
-            (value, policy.choices[0], passes)
+            let value = passes.optimal_ratio(weights, &mut policy, &mut inner);
+            assert_eq!(inner, 1);
+            (value, policy.choices[0], passes.count)
         };
         assert_eq!(solve(0.0), (Ok(1.3), 2, 3));
         assert_eq!(solve(0.25), (Ok(1.3 - 0.25), 2, 3));
@@ -563,25 +910,49 @@ mod tests {
         assert_eq!(solve(1.5).2, 1);
     }
 
+    /// State 0 steps to state 1, which chooses between a 1-reward
+    /// self-loop and the 2-cycle 1 → 2 → 1 paying 2 and 3; state 2 may also
+    /// return to 0. Both cycles avoid state 0, so `S = {0, 1}` and every
+    /// step solves the 2 × 2 system: the exact gain 2.5 of the 2-cycle,
+    /// and the bias solving `g + h(s) = r + h(next)`.
+    #[test]
+    fn policy_iteration_on_a_larger_set_is_exact() {
+        let mut m = Mdp::new(1);
+        let s: Vec<_> = (0..3).map(|_| m.add_state()).collect();
+        m.add_action(s[0], 0, vec![Transition::new(s[1], 1.0, vec![0.0])]);
+        m.add_action(s[1], 0, vec![Transition::new(s[1], 1.0, vec![1.0])]);
+        m.add_action(s[1], 1, vec![Transition::new(s[2], 1.0, vec![2.0])]);
+        m.add_action(s[2], 0, vec![Transition::new(s[1], 1.0, vec![3.0])]);
+        m.add_action(s[2], 1, vec![Transition::new(s[0], 1.0, vec![0.0])]);
+        let c = compile(&m);
+        assert_eq!(regeneration_set(&c).set, [0, 1]);
+        let mut policy = Policy::zeros(3);
+        let (g, _, bias) = gain(&c, &mut policy, &SolveBudget::unlimited()).unwrap();
+        assert_eq!(g, 2.5);
+        assert_eq!(policy.choices, vec![0, 1, 0]);
+        assert_eq!(bias, vec![0.0, 2.5, 3.0]);
+    }
+
+    /// A policy whose chain has two recurrent classes makes the system on
+    /// the set singular: a structured error from the solve and from the
+    /// evaluation, not a NaN.
+    #[test]
+    fn a_multichain_policy_is_a_structured_error() {
+        let c = crate::audit::demo_multichain();
+        assert_eq!(regeneration_set(&c).set, [0, 1, 2]);
+        let err = gain(&c, &mut Policy::zeros(3), &SolveBudget::unlimited()).unwrap_err();
+        assert_eq!(err, MdpError::MultichainPolicy { state: 2 });
+        let err = crate::solve::eval::evaluate_policy(&c, &Policy::zeros(3)).unwrap_err();
+        assert_eq!(err, MdpError::MultichainPolicy { state: 2 });
+    }
+
     #[test]
     fn cancel_flag_aborts_the_passes() {
         let mut m = Mdp::new(1);
         let s = m.add_state();
         m.add_action(s, 0, vec![Transition::new(s, 1.0, vec![1.0])]);
-        let c = compile(&m);
-        let order = regeneration_order(&c).unwrap();
         let budget = SolveBudget::unlimited().with_cancel(Arc::new(AtomicBool::new(true)));
-        let err = optimal_gain(
-            &c,
-            order,
-            &[1.0],
-            &mut [0.0],
-            &mut [0.0],
-            &mut Policy::zeros(1),
-            &budget,
-            &mut 0,
-        )
-        .unwrap_err();
+        let err = gain(&compile(&m), &mut Policy::zeros(1), &budget).unwrap_err();
         assert_eq!(err, MdpError::Cancelled { solver: SOLVER, iterations: 0 });
     }
 }

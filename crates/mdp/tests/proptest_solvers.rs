@@ -5,21 +5,21 @@
 //! jumping to state 0), which guarantees the unichain assumption the
 //! average-reward solvers rely on.
 //!
-//! The average-reward solves (gain solves and ratio solves) pick their
-//! engine from the model's structure: exact renewal passes when state 0 is
-//! a regeneration state, RVI otherwise (a ratio solve then runs its
-//! Dinkelbach loop over RVI solves). Tests that pin one engine draw from a generator that
-//! guarantees its structure: [`random_cyclic_model`] (a cycle avoids state
-//! 0: RVI) or [`RandomModel::build_regenerative`] (no such cycle:
-//! renewal). The RVI kernel's own tests all draw from
-//! [`random_cyclic_model`]; the exact-evaluation tests (fixed-policy
-//! evaluation and first passages in one pass) draw regenerative models.
+//! Every solve is exact, by renewal over the model's regeneration set: one
+//! pass per step when state 0 alone is that set, policy iteration with an
+//! LU evaluation per step when a cycle avoids state 0 (a ratio solve then
+//! runs its Dinkelbach loop over exact gain solves). Tests that pin one
+//! kind of set draw from a generator that guarantees it:
+//! [`random_cyclic_model`] (a cycle avoids state 0) or
+//! [`RandomModel::build_regenerative`] (none does). The oracles are an
+//! enumeration of every deterministic policy, each evaluated by a dense
+//! solve, and the plain iterative solvers of `bvc_mdp::solve::reference`.
 
 use bvc_mdp::solve::{
-    evaluate_policy, first_passage, maximize_ratio, relative_value_iteration, ProbeEngine,
+    evaluate_policy, first_passage, maximize_ratio, regeneration_set, relative_value_iteration,
     RatioOptions, RviOptions,
 };
-use bvc_mdp::{CompiledMdp, Mdp, Objective, Transition};
+use bvc_mdp::{CompiledMdp, Mdp, MdpError, Objective, Transition};
 use proptest::prelude::*;
 
 /// Raw (target, weight, reward) transition triples of one action; weights
@@ -77,7 +77,8 @@ fn random_model() -> impl Strategy<Value = RandomModel> {
 }
 
 /// [`random_model`] with a self-loop added to the first arm of state 1, so
-/// some cycle always avoids state 0 and the ratio solver's passes run RVI.
+/// some cycle always avoids state 0 and the regeneration set is larger
+/// than `{0}`.
 fn random_cyclic_model() -> impl Strategy<Value = RandomModel> {
     random_model().prop_map(|mut model| {
         model.actions[1][0].push((1, 1, [0, 0]));
@@ -187,39 +188,139 @@ fn all_policies(m: &CompiledMdp) -> Vec<bvc_mdp::Policy> {
     }
 }
 
+/// The exact stationary law of the chain `policy` induces on `m`: a dense
+/// solve of `πP = π` with `Σπ = 1` (the last balance equation replaced by
+/// the normalization).
+fn dense_stationary(m: &CompiledMdp, policy: &bvc_mdp::Policy) -> Vec<f64> {
+    let n = m.num_states();
+    // Row `t` of the system is the balance of state `t`: Σ_s π(s)·(P(s,t) − δ).
+    let mut a: Vec<Vec<f64>> =
+        (0..n).map(|t| (0..n).map(|s| if s == t { -1.0 } else { 0.0 }).collect()).collect();
+    let arms = (0..n).map(|s| (s, m.policy_arm(policy, s)));
+    for (s, (to, prob, _)) in arms.flat_map(|(s, arm)| m.transitions(arm).map(move |t| (s, t))) {
+        a[to][s] += prob;
+    }
+    let mut b = vec![0.0; n];
+    a[n - 1] = vec![1.0; n];
+    b[n - 1] = 1.0;
+    dense_solve(a, b)
+}
+
+/// The exact long-run rate of every reward component under `policy`, from
+/// [`dense_stationary`].
+fn dense_rates(m: &CompiledMdp, policy: &bvc_mdp::Policy) -> [f64; 2] {
+    let law = dense_stationary(m, policy);
+    let mut rates = [0.0; 2];
+    for (s, mass) in law.iter().enumerate() {
+        for (_, prob, reward) in m.transitions(m.policy_arm(policy, s)) {
+            rates[0] += mass * prob * reward[0];
+            rates[1] += mass * prob * reward[1];
+        }
+    }
+    rates
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The gain reported by RVI equals the exact long-run rate of the policy
-    /// it returns — i.e. the solver's certificate is self-consistent.
+    /// On models with a cycle avoiding state 0, `evaluate_policy` solves
+    /// the system on the regeneration set: its law and rates equal a dense
+    /// solve of `πP = π` to 1e-12, for every deterministic policy.
     #[test]
-    fn rvi_gain_matches_policy_evaluation(model in random_cyclic_model()) {
+    fn eval_matches_dense_stationary_solve(model in random_cyclic_model()) {
+        let m = model.build();
+        prop_assert!(regeneration_set(&m).set.len() > 1);
+        for policy in all_policies(&m) {
+            let ev = evaluate_policy(&m, &policy).unwrap();
+            let law = dense_stationary(&m, &policy);
+            for (a, b) in ev.stationary.iter().zip(&law) {
+                prop_assert!((a - b).abs() <= 1e-12, "stationary: {} vs dense {}", a, b);
+            }
+            for (a, b) in ev.component_rates.iter().zip(dense_rates(&m, &policy)) {
+                prop_assert!((a - b).abs() <= 1e-12, "rate: {} vs dense {}", a, b);
+            }
+        }
+    }
+
+    /// The gain equals the exact long-run rate of the policy it returns
+    /// (`evaluate_policy`), to 1e-12. The bias solves that policy's
+    /// average-reward equations `g + h(s) = r(s, π(s)) + Σ p·h` with
+    /// `h(0) = 0`, to 1e-9, on every state inside and outside the set.
+    #[test]
+    fn gain_matches_policy_evaluation(model in random_cyclic_model()) {
         let m = model.build();
         let obj = Objective::new(vec![1.0, 0.5]);
         let sol = relative_value_iteration(&m, &obj, &RviOptions::default()).unwrap();
         let ev = evaluate_policy(&m, &sol.policy).unwrap();
-        prop_assert!((ev.rate(&obj.weights) - sol.gain).abs() < 1e-5,
+        prop_assert!((ev.rate(&obj.weights) - sol.gain).abs() <= 1e-12,
             "gain {} vs evaluated {}", sol.gain, ev.rate(&obj.weights));
+
+        prop_assert_eq!(sol.bias[0], 0.0);
+        for s in 0..m.num_states() {
+            let rhs: f64 = m
+                .transitions(m.policy_arm(&sol.policy, s))
+                .map(|(to, prob, reward)| prob * (obj.scalarize(reward) + sol.bias[to]))
+                .sum();
+            prop_assert!((sol.gain + sol.bias[s] - rhs).abs() <= 1e-9,
+                "state {}: g + h = {} vs r + Ph = {}", s, sol.gain + sol.bias[s], rhs);
+        }
     }
 
-    /// RVI's policy is at least as good as every deterministic stationary
-    /// policy (≤ 5 states with ≤ 2 arms: at most 32, all enumerated). With
-    /// `rvi_gain_matches_policy_evaluation` this shows RVI's gain is the best
-    /// policy's rate.
+    /// The gain is the best rate over every deterministic stationary policy
+    /// (≤ 5 states with ≤ 2 arms: at most 32, all enumerated, each by a
+    /// dense solve), to 1e-12.
     #[test]
-    fn rvi_dominates_enumerated_policies(model in random_cyclic_model()) {
+    fn gain_equals_the_enumerated_optimum(model in random_cyclic_model()) {
         let m = model.build();
         let obj = Objective::new(vec![1.0, 0.0]);
         let sol = relative_value_iteration(&m, &obj, &RviOptions::default()).unwrap();
         let policies = all_policies(&m);
         let count: usize = (0..m.num_states()).map(|s| m.num_arms_of(s)).product();
         prop_assert_eq!(policies.len(), count);
-        for policy in &policies {
-            let ev = evaluate_policy(&m, policy).unwrap();
-            prop_assert!(ev.rate(&obj.weights) <= sol.gain + 1e-5,
-                "policy {:?} beats optimal: {} > {}", policy.choices,
-                ev.rate(&obj.weights), sol.gain);
+        let best = policies
+            .iter()
+            .map(|p| dense_rates(&m, p)[0])
+            .fold(f64::NEG_INFINITY, f64::max);
+        prop_assert!((sol.gain - best).abs() <= 1e-12,
+            "gain {} vs enumerated best {}", sol.gain, best);
+    }
+
+    /// A policy whose chain has two recurrent classes (state 0 jumps into
+    /// one of two closed rings) is a structured error from the evaluation
+    /// and from a gain solve on a model whose every policy is multichain.
+    #[test]
+    fn multichain_policy_is_a_structured_error(
+        left in 1usize..4,
+        right in 1usize..4,
+        split in 1u32..9,
+    ) {
+        let n = 1 + left + right;
+        let mut mdp = Mdp::new(2);
+        for _ in 0..n {
+            mdp.add_state();
         }
+        let p = f64::from(split) / 10.0;
+        mdp.add_action(0, 0, vec![
+            Transition::new(1, p, vec![0.0, 0.0]),
+            Transition::new(1 + left, 1.0 - p, vec![0.0, 0.0]),
+        ]);
+        for (start, len) in [(1, left), (1 + left, right)] {
+            for i in 0..len {
+                let to = start + (i + 1) % len;
+                mdp.add_action(start + i, 0, vec![Transition::new(to, 1.0, vec![1.0, 1.0])]);
+            }
+        }
+        let m = CompiledMdp::compile(&mdp).unwrap();
+        let policy = bvc_mdp::Policy::zeros(n);
+        prop_assert!(matches!(
+            evaluate_policy(&m, &policy),
+            Err(MdpError::MultichainPolicy { .. })
+        ));
+        let obj = Objective::new(vec![1.0, 0.0]);
+        prop_assert!(matches!(
+            relative_value_iteration(&m, &obj, &RviOptions::default()),
+            Err(MdpError::MultichainPolicy { .. })
+        ));
     }
 
     /// The ratio solver's reported value matches the exact ratio of the
@@ -259,15 +360,13 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Differential tests: the production solvers against the plain reference
-// implementations (`bvc_mdp::solve::reference`), which read the same CSR
-// model. RVI and evaluation run the same algorithms on both paths, with the
-// same warm-start and tie-breaking rules — only the kernels differ — so
-// they agree to near machine precision, far tighter than the solver
-// tolerances themselves. The reference ratio solve is a plain bisection on
-// rho instead of the Dinkelbach loop, so ratios agree within the ratio
-// tolerance. The `*_matches_nested` test names date from when the
-// reference solvers read the nested builder layout.
+// Differential tests: the exact production solvers against the plain
+// iterative reference implementations (`bvc_mdp::solve::reference`), which
+// read the same CSR model: RVI to its tolerance, a power method to a 1e-12
+// L1 step, and a bisection on rho. Gains agree within RVI's tolerance,
+// ratios within the ratio tolerance, evaluations to 1e-9. The
+// `*_matches_nested` test name dates from when the reference solvers read
+// the nested builder layout.
 // ---------------------------------------------------------------------------
 
 use bvc_mdp::solve::reference::{
@@ -277,22 +376,20 @@ use bvc_mdp::solve::reference::{
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Production RVI and reference RVI return the same gain, bias and
-    /// policy.
+    /// The exact gain lies within the reference RVI's tolerance of its
+    /// gain, and the reference's policy is no better than the exact one.
     #[test]
-    fn compiled_rvi_matches_nested(model in random_cyclic_model()) {
+    fn gain_matches_reference_rvi(model in random_cyclic_model()) {
         let m = model.build();
         let obj = Objective::new(vec![1.0, 0.5]);
         let opts = RviOptions::default();
-        let fast = relative_value_iteration(&m, &obj, &opts).unwrap();
-        let slow = relative_value_iteration_reference(&m, &obj, &opts).unwrap();
-        prop_assert_eq!(fast.engine, ProbeEngine::Rvi);
-        prop_assert!((fast.gain - slow.gain).abs() < 1e-9,
-            "gain: compiled {} vs reference {}", fast.gain, slow.gain);
-        prop_assert_eq!(&fast.policy.choices, &slow.policy.choices);
-        for (a, b) in fast.bias.iter().zip(&slow.bias) {
-            prop_assert!((a - b).abs() < 1e-9, "bias: compiled {} vs reference {}", a, b);
-        }
+        let exact = relative_value_iteration(&m, &obj, &opts).unwrap();
+        let reference = relative_value_iteration_reference(&m, &obj, &opts).unwrap();
+        prop_assert!((exact.gain - reference.gain).abs() <= opts.tolerance,
+            "gain: exact {} vs reference {}", exact.gain, reference.gain);
+        let theirs = evaluate_policy(&m, &reference.policy).unwrap().rate(&obj.weights);
+        prop_assert!(theirs <= exact.gain + 1e-12,
+            "reference policy's rate {} beats the exact gain {}", theirs, exact.gain);
     }
 
     /// Production and reference fixed-policy evaluation agree on the stationary
@@ -312,12 +409,12 @@ proptest! {
     }
 
     /// On models with a cycle avoiding state 0 the ratio solve runs its
-    /// Dinkelbach loop over RVI solves. Its value lies within the tolerance
-    /// of the reference bisection on rho, and when positive it is the
-    /// returned policy's own evaluated `(N − eps) / D` per step (`eps` a
-    /// tenth of the tolerance), not a bracket midpoint.
+    /// Dinkelbach loop over exact gain solves. Its value lies within the
+    /// tolerance of the reference bisection on rho, and when positive it is
+    /// the returned policy's own evaluated `(N − eps) / D` per step (`eps` a
+    /// tenth of the tolerance) to 1e-12, not a bracket midpoint.
     #[test]
-    fn rvi_ratio_matches_bisection_reference(model in random_cyclic_model()) {
+    fn ratio_matches_bisection_reference(model in random_cyclic_model()) {
         let m = model.build();
         let num = Objective::component(0, 2);
         let den = Objective::new(vec![0.0, 1.0]);
@@ -327,13 +424,12 @@ proptest! {
         let slow = maximize_ratio_reference(&m, &num, &den, &opts);
         match (fast, slow) {
             (Ok(f), Ok(s)) => {
-                prop_assert_eq!(f.engine, ProbeEngine::Rvi);
                 prop_assert!((f.value - s.value).abs() <= opts.tolerance,
                     "ratio: Dinkelbach {} vs bisection {}", f.value, s.value);
                 if f.value > 0.0 {
                     let ev = evaluate_policy(&m, &f.policy).unwrap();
                     let own = (ev.rate(&num.weights) - eps) / ev.rate(&den.weights);
-                    prop_assert!((f.value - own).abs() <= 1e-9,
+                    prop_assert!((f.value - own).abs() <= 1e-12,
                         "value {} vs its policy's own {}", f.value, own);
                 }
             }
@@ -345,6 +441,37 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On models with a cycle avoiding state 0 the ratio value is exactly
+    /// the crossing: the best `(N − eps) / D` over every deterministic
+    /// policy, each rate from a dense solve (`eps` a tenth of the
+    /// tolerance, per step), or 0 when none is positive, to 1e-12. A model
+    /// where some policy earns `N` with no `D` must be reported unbounded.
+    #[test]
+    fn ratio_equals_the_enumerated_crossing_on_cyclic_models(model in random_cyclic_model()) {
+        let m = model.build();
+        let num = Objective::component(0, 2);
+        let den = Objective::new(vec![0.0, 1.0]);
+        let opts = RatioOptions::default();
+        let eps = opts.tolerance * 0.1;
+        let rates: Vec<[f64; 2]> = all_policies(&m).iter().map(|p| dense_rates(&m, p)).collect();
+        match maximize_ratio(&m, &num, &den, &opts) {
+            Ok(sol) => {
+                let best = rates
+                    .iter()
+                    .filter(|[_, d]| *d > 1e-12)
+                    .map(|[n, d]| (n - eps) / d)
+                    .fold(0.0, f64::max);
+                prop_assert!((sol.value - best).abs() <= 1e-12 * best.max(1.0),
+                    "ratio {} vs enumerated crossing {}", sol.value, best);
+            }
+            Err(MdpError::UnboundedRatio { .. }) => {
+                prop_assert!(rates.iter().any(|[n, d]| *d <= 1e-12 && *n > eps),
+                    "unbounded, but every policy earning N pays D");
+            }
+            Err(e) => prop_assert!(false, "ratio solve failed: {}", e),
+        }
+    }
 
     /// On regenerative models (≤ 5 states, ≤ 2 arms) the renewal loop finds
     /// the best ratio over every deterministic policy, each evaluated
@@ -361,7 +488,7 @@ proptest! {
         let den = Objective::component(1, 2);
         let opts = RatioOptions::default();
         let sol = maximize_ratio(&m, &num, &den, &opts).unwrap();
-        prop_assert_eq!(sol.engine, ProbeEngine::Renewal);
+        prop_assert_eq!(&regeneration_set(&m).set, &[0]);
 
         let best = all_policies(&m)
             .iter()
@@ -398,7 +525,7 @@ proptest! {
         let opts = RatioOptions::default();
         let eps = opts.tolerance * 0.1;
         let sol = maximize_ratio(&m, &num, &den, &opts).unwrap();
-        prop_assert_eq!(sol.engine, ProbeEngine::Renewal);
+        prop_assert_eq!(&regeneration_set(&m).set, &[0]);
         prop_assert_eq!(sol.inner_solves, 1);
 
         let best = all_policies(&m)
@@ -419,8 +546,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// On regenerative models a gain solve runs the renewal engine and its
-    /// gain is exact: equal (to rounding) to the best gain over every
+    /// On regenerative models a gain solve runs renewal passes over the
+    /// cycle from state 0 and its gain is exact: equal (to rounding) to the best gain over every
     /// deterministic policy, each evaluated exactly over one cycle, and to
     /// the returned policy's own; within 1e-6 of reference RVI (whose
     /// tolerance is 1e-7). The bias solves the policy's average-reward
@@ -430,7 +557,7 @@ proptest! {
         let m = model.build_regenerative();
         let obj = Objective::new(vec![1.0, -0.25]);
         let sol = relative_value_iteration(&m, &obj, &RviOptions::default()).unwrap();
-        prop_assert_eq!(sol.engine, ProbeEngine::Renewal);
+        prop_assert_eq!(&regeneration_set(&m).set, &[0]);
 
         let best = all_policies(&m)
             .iter()

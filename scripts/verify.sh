@@ -38,53 +38,64 @@ RUSTFLAGS="--cfg bvc_check" CARGO_TARGET_DIR=target/check \
 
 echo "==> table pins (Table 2 and Bitcoin Table 3 cells at their reproduced values)"
 # Explicitly re-run the published-cell pins, so a solver regression names
-# this gate instead of drowning in the full workspace test list above. The
-# Bitcoin Table 3 pin is the one that reaches the RVI kernel from a table
-# cell: every BU cell solves by exact renewal passes, the Bitcoin models by
-# RVI.
+# this gate instead of drowning in the full workspace test list above. Every
+# solve is exact: BU cells by renewal passes over the cycle from state 0,
+# the Bitcoin cells by policy iteration over a regeneration set of 80 of
+# 3,981 states at cap 40, so the Bitcoin Table 3 pin is the table cell that reaches the LU
+# evaluation.
 cargo test -q --offline -p bvc-bu --test table2_pins
 cargo test -q --offline -p bvc-bitcoin --test table3_pins
 
 echo "==> ratio gate (Dinkelbach loop vs reference bisection and enumeration; Table 2 vs reference; Bitcoin u1 pins)"
-# Every ratio solve is one Dinkelbach loop. On models with a cycle avoiding
-# state 0 (RVI passes) its value must lie within the tolerance of the plain
-# reference bisection on rho (`solve::reference`, which reads the same CSR
-# model and shares no search code) and equal the returned policy's own
-# evaluated (N - eps) / D to 1e-9. On regenerative models (exact renewal
-# passes) the value must be within the tolerance of the best enumerated
-# policy and equal, to 1e-12, the enumerated crossing max (N - eps*L) / D.
+# Every ratio solve is one Dinkelbach loop of exact steps. On models with a
+# cycle avoiding state 0 (gain solves by policy iteration) its value must
+# lie within the tolerance of the plain reference bisection on rho
+# (`solve::reference`, RVI probes on the same CSR model, no shared search
+# code), equal the returned policy's own evaluated (N - eps) / D to 1e-12,
+# and equal the enumerated crossing max (N - eps) / D over every policy
+# (dense-solve rates) to 1e-12. On regenerative models (renewal passes)
+# the value must be within the tolerance of the best enumerated policy and
+# equal, to 1e-12, the enumerated crossing max (N - eps*L) / D.
 cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
-    rvi_ratio_matches_bisection_reference \
+    ratio_matches_bisection_reference ratio_equals_the_enumerated_crossing_on_cyclic_models \
     renewal_ratio_matches_policy_enumeration renewal_ratio_equals_the_enumerated_crossing
 # The same reference bisection on real cells: the six α = 10% Table 2
 # cells, production (renewal loop) within the ratio tolerance of the
 # reference (RVI probes).
 cargo test -q --offline -p bvc-bu --test table2_pins -- \
     table2_alpha10_column_matches_reference_solver
-# The RVI passes on real cells: twelve Bitcoin u1 cells within half a
-# tolerance of the values the earlier search on rho gave, each equal to
-# its own policy's (N - eps) / D to 1e-9.
+# The policy-iteration steps on real cells: twelve Bitcoin u1 cells within
+# half a tolerance of the values the earlier search on rho gave, each equal
+# to its own policy's (N - eps) / D to 1e-9.
 cargo test -q --offline -p bvc-bitcoin --test ratio_pins
 
-echo "==> gain-oracle gate (RVI gain vs every enumerated policy, reference RVI and renewal)"
-# RVI's gain must be the best deterministic policy's rate: no enumerated
-# policy beats it (all of them, at most 32 per random model) and its own
-# policy attains it. RVI must also match the plain reference RVI, and on
-# regenerative models the renewal gain must match RVI and enumeration.
+echo "==> gain-oracle gate (exact gain and bias vs every enumerated policy, its own policy and reference RVI)"
+# The gain must be the best deterministic policy's rate: equal to the
+# enumerated optimum (all policies, at most 32 per random model, each by a
+# dense solve) and to its own policy's evaluated rate, both to 1e-12, and
+# within reference RVI's tolerance of RVI's gain, on models with a cycle
+# avoiding state 0, with the bias solving its policy's average-reward
+# equations to 1e-9; on regenerative models the renewal gain and bias must
+# match enumeration, reference RVI and those equations likewise.
 cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
-    rvi_gain_matches_policy_evaluation rvi_dominates_enumerated_policies \
-    compiled_rvi_matches_nested renewal_gain_matches_rvi_and_enumeration
+    gain_matches_policy_evaluation gain_equals_the_enumerated_optimum \
+    gain_matches_reference_rvi renewal_gain_matches_rvi_and_enumeration
 
-echo "==> exact-evaluation gate (one-pass policy evaluation and first passages vs references; real-cell pins)"
-# On regenerative models (every BU model) fixed-policy evaluation is one
-# forward pass and a first passage one backward pass, with no iteration:
-# the stationary law and rates must equal the reference power method's to
-# 1e-9, and the first-passage probabilities and steps a dense linear
-# solve's to 1e-12. On the paper's cells, every Table 3 optimal policy must
-# evaluate to its solved u2 within 1e-12, honest Table 2 policies to
-# u1 = u2 = alpha within 1e-15, and the ablation-ad episode metrics must
-# hold the values the iterative solvers found to 1e-9 relative.
+echo "==> exact-evaluation gate (exact policy evaluation and first passages vs dense solves and references; real-cell pins)"
+# Fixed-policy evaluation is exact on every model: one forward pass on
+# regenerative models (every BU model), an LU solve on the regeneration set
+# plus one forward pass otherwise; a first passage is one backward pass.
+# The stationary law and rates must equal a dense solve of pi P = pi to
+# 1e-12 on models with a cycle avoiding state 0 and the reference power
+# method's to 1e-9 on regenerative ones, a multichain policy must be the
+# structured MultichainPolicy error, and first-passage probabilities and
+# steps must equal a dense linear solve's to 1e-12. On the paper's cells,
+# every Table 3 optimal policy must evaluate to its solved u2 within
+# 1e-12, honest Table 2 policies to u1 = u2 = alpha within 1e-15, and the
+# ablation-ad episode metrics must hold the values the iterative solvers
+# found to 1e-9 relative.
 cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
+    eval_matches_dense_stationary_solve multichain_policy_is_a_structured_error \
     exact_eval_matches_reference first_passage_matches_dense_solve
 cargo test -q --offline -p bvc-cluster --test exact_evaluation
 
