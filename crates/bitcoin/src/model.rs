@@ -6,7 +6,9 @@
 //! when the common ancestor of the two chains advances past them (locked)
 //! or when they land strictly off the winning chain (orphaned).
 
-use bvc_mdp::{explore, ActionOutcomes, Expansion, Explored, MdpError};
+use std::cell::RefCell;
+
+use bvc_mdp::{explore_keyed, ActionOutcomes, Expansion, Explored, GraphSlot, MdpError};
 
 use crate::state::{Fork, SmAction, SmState};
 
@@ -195,11 +197,30 @@ pub struct BitcoinModel {
     explored: Explored<SmState>,
 }
 
+/// What fixes a model's graph: the truncation bound alone. Every other
+/// field only weights it — `expand` writes every outcome of an available
+/// action, even one of probability zero (`γ = 0` or `γ = 1` in a match), so
+/// no parameter drops an event or a state.
+type GraphKey = u8;
+
+thread_local! {
+    /// The graph of the last model built on this thread, under its key.
+    static LAST_GRAPH: GraphSlot<GraphKey, SmState> = const { RefCell::new(None) };
+}
+
 impl BitcoinModel {
     /// Builds the reachable state space from the start state.
+    ///
+    /// A build with the same cap as the last one on this thread re-weights
+    /// that build's graph ([`bvc_mdp::refill`]) instead of exploring it
+    /// again, and shares its regeneration set; the model is the same bit
+    /// for bit.
     pub fn build(cfg: BitcoinConfig) -> Result<Self, MdpError> {
         cfg.validate();
-        let explored = explore(COMPONENTS, [SmState::START], |s, sink| expand(&cfg, s, sink))?;
+        let explored =
+            explore_keyed(&LAST_GRAPH, cfg.cap, COMPONENTS, [SmState::START], |s, sink| {
+                expand(&cfg, s, sink)
+            })?;
         let model = BitcoinModel { cfg, explored };
         debug_assert!(
             model.audit().passed(),

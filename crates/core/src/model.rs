@@ -24,7 +24,7 @@
 
 use std::cell::RefCell;
 
-use bvc_mdp::{explore_reusing, Expansion, Explored, Graph, MdpError};
+use bvc_mdp::{explore_keyed, Expansion, Explored, GraphSlot, MdpError};
 
 use crate::config::{AttackConfig, IncentiveModel, Setting};
 use crate::rewards::{COMPONENTS, DS, OA, OOTHERS, RA, ROTHERS};
@@ -36,27 +36,42 @@ type Reward = [f64; COMPONENTS];
 /// The empty reward.
 const ZERO: Reward = [0.0; COMPONENTS];
 
-/// One raw event: successor, probability, reward.
-type Event = (AttackState, f64, Reward);
-
-/// The raw events of one action — at most three, one per miner.
-struct Events {
+/// One action's merged row: at most three outcomes, one per miner, each a
+/// successor with its probability and reward. Parallel arrays filled in
+/// place: a row of tuples returned by value cost a 176-byte copy per arm.
+struct Row {
     len: usize,
-    buf: [Event; 3],
+    next: [AttackState; 3],
+    prob: [f64; 3],
+    reward: [Reward; 3],
 }
 
-impl Events {
+impl Row {
     fn new() -> Self {
-        Events { len: 0, buf: [(AttackState::BASE, 0.0, ZERO); 3] }
+        Row { len: 0, next: [AttackState::BASE; 3], prob: [0.0; 3], reward: [ZERO; 3] }
     }
 
+    /// Adds one event to the row. An event of probability zero is dropped;
+    /// one whose successor is already in the row is merged into that
+    /// outcome — probabilities add and rewards become the
+    /// probability-weighted average, conditioned on the merged event — so
+    /// the outcomes keep the order of each successor's first event. This
+    /// is the exact "merged row" form of the paper's Table 1.
     fn push(&mut self, (next, reward): (AttackState, Reward), prob: f64) {
-        self.buf[self.len] = (next, prob, reward);
-        self.len += 1;
-    }
-
-    fn as_slice(&self) -> &[Event] {
-        &self.buf[..self.len]
+        if prob == 0.0 {
+            return;
+        }
+        if let Some(i) = self.next[..self.len].iter().position(|n| *n == next) {
+            let total = self.prob[i] + prob;
+            for (acc, x) in self.reward[i].iter_mut().zip(&reward) {
+                *acc = (*acc * self.prob[i] + x * prob) / total;
+            }
+            self.prob[i] = total;
+        } else {
+            let i = self.len;
+            (self.next[i], self.prob[i], self.reward[i]) = (next, prob, reward);
+            self.len += 1;
+        }
     }
 }
 
@@ -143,48 +158,28 @@ fn common_grow(s: AttackState, alice: bool) -> (AttackState, Reward) {
     (AttackState::base(dec_r(s.r, 1)), reward)
 }
 
-/// Merges events with the same successor into single transitions with
-/// probability-weighted rewards — the exact "merged row" form of the paper's
-/// Table 1. Works in place: the merged rows keep the order of each
-/// successor's first event, and zero-probability events are dropped.
-fn merge(events: &mut Events) {
-    let mut len = 0;
-    for i in 0..events.len {
-        let (next, p, r) = events.buf[i];
-        if p == 0.0 {
-            continue;
-        }
-        if let Some(slot) = events.buf[..len].iter_mut().find(|(n, _, _)| *n == next) {
-            // Weighted average of rewards, conditioned on the merged event.
-            let total = slot.1 + p;
-            for (acc, x) in slot.2.iter_mut().zip(&r) {
-                *acc = (*acc * slot.1 + x * p) / total;
-            }
-            slot.1 = total;
-        } else {
-            events.buf[len] = (next, p, r);
-            len += 1;
-        }
-    }
-    events.len = len;
-}
-
-/// Enumerates the raw events of one action in one state.
-fn action_events(cfg: &AttackConfig, s: AttackState, action: Action) -> Events {
+/// Writes `action`'s merged row of state `s` into `sink` as its next arm,
+/// pushing the action's events into a [`Row`] as they are enumerated.
+fn write_arm(
+    cfg: &AttackConfig,
+    s: AttackState,
+    action: Action,
+    sink: &mut Expansion<AttackState>,
+) {
     let (alpha, beta, gamma) = (cfg.alpha, cfg.beta, cfg.gamma);
-    let mut ev = Events::new();
+    let mut row = Row::new();
     if !s.forked() {
         // Common chain. OnChain2 means Alice tries to mine the fork block.
         match action {
             Action::OnChain1 => {
-                ev.push(common_grow(s, true), alpha);
-                ev.push(common_grow(s, false), beta + gamma);
+                row.push(common_grow(s, true), alpha);
+                row.push(common_grow(s, false), beta + gamma);
             }
             Action::OnChain2 => {
-                ev.push((AttackState { l2: 1, a2: 1, ..s }, ZERO), alpha);
-                ev.push(common_grow(s, false), beta + gamma);
+                row.push((AttackState { l2: 1, a2: 1, ..s }, ZERO), alpha);
+                row.push(common_grow(s, false), beta + gamma);
             }
-            Action::Wait => ev.push(common_grow(s, false), 1.0),
+            Action::Wait => row.push(common_grow(s, false), 1.0),
         }
     } else {
         // Forked. Which compliant miner works on which chain depends on the
@@ -198,34 +193,31 @@ fn action_events(cfg: &AttackConfig, s: AttackState, action: Action) -> Events {
                 } else {
                     chain2_grow(cfg, s, true)
                 };
-                ev.push(alice, alpha);
-                ev.push(chain1_grow(cfg, s, false), p_c1);
-                ev.push(chain2_grow(cfg, s, false), p_c2);
+                row.push(alice, alpha);
+                row.push(chain1_grow(cfg, s, false), p_c1);
+                row.push(chain2_grow(cfg, s, false), p_c2);
             }
             Action::Wait => {
                 let total = p_c1 + p_c2;
-                ev.push(chain1_grow(cfg, s, false), p_c1 / total);
-                ev.push(chain2_grow(cfg, s, false), p_c2 / total);
+                row.push(chain1_grow(cfg, s, false), p_c1 / total);
+                row.push(chain2_grow(cfg, s, false), p_c2 / total);
             }
         }
     }
-    ev
+    let mut arm = sink.action(action.label());
+    for i in 0..row.len {
+        arm.outcome(row.next[i], row.prob[i], &row.reward[i]);
+    }
 }
 
-/// Expands one state into its actions (merged rows), written into `sink`.
+/// Expands one state into its actions, written into `sink` one merged row
+/// (see `Row::push`) per action: `OnChain1`, `OnChain2`, then `Wait` where
+/// the incentive model allows it.
 pub fn expand(cfg: &AttackConfig, s: &AttackState, sink: &mut Expansion<AttackState>) {
-    let actions: &[Action] = if cfg.incentive.allows_wait() {
-        &[Action::OnChain1, Action::OnChain2, Action::Wait]
-    } else {
-        &[Action::OnChain1, Action::OnChain2]
-    };
-    for &action in actions {
-        let mut events = action_events(cfg, *s, action);
-        merge(&mut events);
-        let mut arm = sink.action(action.label());
-        for (next, p, r) in events.as_slice() {
-            arm.outcome(*next, *p, r);
-        }
+    write_arm(cfg, *s, Action::OnChain1, sink);
+    write_arm(cfg, *s, Action::OnChain2, sink);
+    if cfg.incentive.allows_wait() {
+        write_arm(cfg, *s, Action::Wait, sink);
     }
 }
 
@@ -246,8 +238,7 @@ fn graph_key(cfg: &AttackConfig) -> GraphKey {
 
 thread_local! {
     /// The graph of the last model built on this thread, under its key.
-    static LAST_GRAPH: RefCell<Option<(GraphKey, Graph<AttackState>)>> =
-        const { RefCell::new(None) };
+    static LAST_GRAPH: GraphSlot<GraphKey, AttackState> = const { RefCell::new(None) };
 }
 
 impl AttackModel {
@@ -259,17 +250,13 @@ impl AttackModel {
     /// same bit for bit.
     pub fn build(cfg: AttackConfig) -> Result<Self, MdpError> {
         cfg.validate();
-        let key = graph_key(&cfg);
-        // Taking the slot drops a graph of another key before exploring, so
-        // a thread never holds two graphs at once.
-        let cached = LAST_GRAPH.with(|slot| slot.take()).filter(|(k, _)| *k == key);
-        let explored = explore_reusing(
-            cached.as_ref().map(|(_, graph)| graph),
+        let explored = explore_keyed(
+            &LAST_GRAPH,
+            graph_key(&cfg),
             COMPONENTS,
             [AttackState::BASE],
             |s, sink| expand(&cfg, s, sink),
         )?;
-        LAST_GRAPH.with(|slot| slot.replace(Some((key, explored.graph()))));
         let model = AttackModel { cfg, explored };
         debug_assert!(
             model.audit().passed(),
@@ -472,9 +459,12 @@ mod tests {
         c.beta = 0.5;
         c.gamma = 0.3;
         let s = AttackState { l1: 0, l2: 1, a1: 0, a2: 1, r: 50 };
-        let ev = action_events(&c, s, Action::OnChain1);
-        let ev = ev.as_slice();
-        // Events: Alice on C1 (α), Carol on C1 (γ), Bob on C2 (β).
+        let rows = bvc_mdp::expand_one(COMPONENTS, &s, |s, sink| expand(&c, s, sink)).unwrap();
+        let (_, ev) = rows
+            .iter()
+            .find(|(label, _)| *label == Action::OnChain1.label())
+            .expect("OnChain1 arm");
+        // Outcomes: Alice on C1 (α), Carol on C1 (γ), Bob on C2 (β).
         let c1_other = ev
             .iter()
             .find(|(n, _, _)| n.l1 == 1 && n.a1 == 0 && n.l2 == 1)

@@ -21,11 +21,13 @@
 //! as it expands the state, [`refill`](crate::indexer::refill) writes only
 //! the weights of a graph explored before, and [`CompiledMdp::compile`]
 //! copies a hand-written nested [`Mdp`] (the builder for small and random
-//! test models). Every writer runs the same checks on every arm as it
-//! appends it — nonnegative finite probabilities summing to one, targets in
-//! range, rewards of the declared arity and finite, at least one action per
-//! state — and reports the first failure in (state, action, transition)
-//! order.
+//! test models). Every writer runs the same checks on every arm —
+//! nonnegative finite probabilities summing to one, targets in range,
+//! rewards of the declared arity and finite, at least one action per state
+//! — and reports the first failure in (state, action, transition) order;
+//! `explore` and `compile` as they append each arm, `refill` in flat
+//! passes over its finished weights, falling back to the ordered check
+//! only to name an error.
 //!
 //! Solvers then run branch-light passes over flat slices. Reward vectors are
 //! collapsed to scalars **once per sweep** by [`CompiledMdp::scalarize`]
@@ -161,10 +163,49 @@ impl Structure {
         self.tr_offsets[arm] as usize..self.tr_offsets[arm + 1] as usize
     }
 
-    /// Destination states of global arm `arm`'s transitions.
+    /// State `s`'s stored arms as slices: their labels, their transition
+    /// offsets (one more than the arms, absolute) and the targets of all
+    /// their transitions.
     #[inline]
-    pub(crate) fn targets(&self, arm: usize) -> &[u32] {
-        &self.next[self.transition_range(arm)]
+    pub(crate) fn state_arms(&self, s: StateId) -> (&[u32], &[u32], &[u32]) {
+        let arms = self.arm_range(s);
+        let offsets = &self.tr_offsets[arms.start..=arms.end];
+        let targets = &self.next[offsets[0] as usize..offsets[offsets.len() - 1] as usize];
+        (&self.arm_labels[arms], offsets, targets)
+    }
+
+    /// The first failed weight check of a model on this graph whose
+    /// rewards all have arity `k`, as [`Structure::push_arm`] would report
+    /// it: the first malformed arm in (state, action) order.
+    ///
+    /// Flat passes over the whole buffers run first — every probability
+    /// nonnegative and finite, every reward finite, every arm's serial sum
+    /// within tolerance — since they are what a well-formed model needs,
+    /// and a re-weighting build is 1.15–1.2× slower with the ordered check
+    /// in their place (EXPERIMENTS.md §11.15). Only when one fails does the
+    /// ordered per-arm check run, to name the first error.
+    pub(crate) fn weights_error(
+        &self,
+        k: usize,
+        prob: &[f64],
+        rewards: &[f64],
+    ) -> Option<MdpError> {
+        debug_assert_eq!(prob.len(), self.next.len());
+        debug_assert_eq!(rewards.len(), prob.len() * k);
+        let sums_ok = !self.tr_offsets.windows(2).any(|w| {
+            sum_bad(prob[w[0] as usize..w[1] as usize].iter().fold(0.0, |sum, p| sum + p))
+        });
+        let (probs_finite, least_prob) = scan(prob);
+        if sums_ok && probs_finite && least_prob >= 0.0 && scan(rewards).0 {
+            return None;
+        }
+        (0..self.sizes().0).find_map(|s| {
+            self.arm_range(s).enumerate().find_map(|(a, arm)| {
+                let weights =
+                    self.transition_range(arm).map(|t| (prob[t], &rewards[t * k..(t + 1) * k]));
+                arm_weights_error((s, a), k, weights)
+            })
+        })
     }
 
     /// The memo of this graph's regeneration order.
@@ -180,6 +221,32 @@ fn weight_ok(prob: f64, reward: &[f64], k: usize) -> bool {
     (0.0..f64::INFINITY).contains(&prob)
         && reward.len() == k
         && reward.iter().all(|r| r.is_finite())
+}
+
+/// Whether every value is finite, and the least of them (`+∞` for none):
+/// one branch-free pass in four independent lanes, so it vectorizes. A
+/// lane adds `x · 0` per value, which is `±0` for a finite `x` and NaN for
+/// an infinite or NaN one.
+fn scan(values: &[f64]) -> (bool, f64) {
+    // A select, not `f64::min`: NaN is the other lane's to catch, and the
+    // select is one `minpd`.
+    fn lane((nan, least): &mut (f64, f64), x: f64) {
+        *nan += x * 0.0;
+        *least = if x < *least { x } else { *least };
+    }
+    let mut lanes = [(0.0f64, f64::INFINITY); 4];
+    let chunks = values.chunks_exact(4);
+    let rest = chunks.remainder();
+    for chunk in chunks {
+        for (acc, &x) in lanes.iter_mut().zip(chunk) {
+            lane(acc, x);
+        }
+    }
+    for (acc, &x) in lanes.iter_mut().zip(rest) {
+        lane(acc, x);
+    }
+    let finite = lanes.iter().all(|&(nan, _)| nan == 0.0);
+    (finite, lanes.iter().fold(f64::INFINITY, |least, &(_, x)| least.min(x)))
 }
 
 /// The first failed check of one transition, in the order they run:
@@ -210,7 +277,7 @@ fn transition_error(
 /// The first failed check of one arm's `(probability, reward)` weights, in
 /// [`Structure::push_arm`]'s order, for an arm whose targets are known to
 /// be in range.
-pub(crate) fn arm_weights_error<'r>(
+fn arm_weights_error<'r>(
     (state, action): (StateId, ActionId),
     k: usize,
     weights: impl IntoIterator<Item = (f64, &'r [f64])>,
@@ -225,13 +292,15 @@ pub(crate) fn arm_weights_error<'r>(
     sum_error((state, action), sum)
 }
 
+/// Whether an arm's probability sum fails [`sum_error`].
+#[inline]
+fn sum_bad(sum: f64) -> bool {
+    (sum - 1.0).abs() > PROB_SUM_TOLERANCE
+}
+
 /// The probability-sum check that closes every arm.
 fn sum_error((state, action): (StateId, ActionId), sum: f64) -> Option<MdpError> {
-    ((sum - 1.0).abs() > PROB_SUM_TOLERANCE).then_some(MdpError::BadProbabilitySum {
-        state,
-        action,
-        sum,
-    })
+    sum_bad(sum).then_some(MdpError::BadProbabilitySum { state, action, sum })
 }
 
 /// What [`CompiledMdp::compile`] accepts: a nested builder model, which it
@@ -477,33 +546,41 @@ impl CompiledMdp {
     }
 
     /// Scalarizes the model under `objective`: the *expected immediate
-    /// scalar reward* of every arm, `out[a] = Σ_t p_t · ⟨w, r_t⟩`.
+    /// scalar reward* of every arm, `out[a] = Σ_t p_t · ⟨w, r_t⟩`, each
+    /// dot product and each sum accumulated serially in component and CSR
+    /// order from `+0.0`.
     ///
     /// This is the only form any solver consumes (every Bellman backup
     /// weights rewards by transition probability), so collapsing the strided
     /// reward buffer happens exactly once per sweep, outside all hot loops.
+    ///
+    /// Components of weight zero (`0.0` or `-0.0`) are skipped, and the
+    /// result is the dense dot product's bit for bit: every stored reward is
+    /// finite, so a skipped term `r · 0` is `±0`, and adding `±0` leaves any
+    /// partial sum unchanged as long as that sum is not `-0.0` — which it
+    /// never is, since it starts at `+0.0` and round-to-nearest gives `-0.0`
+    /// only for a sum of two `-0.0`s.
     pub fn scalarize_into(&self, objective: &Objective, out: &mut Vec<f64>) {
         let w = &objective.weights;
         debug_assert_eq!(w.len(), self.reward_components, "objective arity mismatch");
+        let terms: Vec<(usize, f64)> =
+            w.iter().copied().enumerate().filter(|&(_, wc)| wc != 0.0).collect();
+        // Every transition in CSR order, with its reward components (`max`:
+        // `chunks_exact` refuses 0, and a model of no components has none).
+        let mut transitions =
+            self.prob.iter().zip(self.rewards.chunks_exact(self.reward_components.max(1)));
         out.clear();
-        out.extend((0..self.num_arms()).map(|arm| self.scalarize_arm(arm, w)));
-    }
-
-    /// Expected immediate scalar reward of one arm under weights `w`:
-    /// `Σ_t p_t · ⟨w, r_t⟩`, accumulated serially in CSR order.
-    #[inline]
-    fn scalarize_arm(&self, arm: usize, w: &[f64]) -> f64 {
-        let k = self.reward_components;
-        let mut acc = 0.0;
-        for t in self.transition_range(arm) {
-            let r = &self.rewards[t * k..(t + 1) * k];
-            let mut dot = 0.0;
-            for (rc, wc) in r.iter().zip(w) {
-                dot += rc * wc;
+        out.extend(self.structure.tr_offsets.windows(2).map(|arm| {
+            let mut acc = 0.0;
+            for (p, r) in transitions.by_ref().take((arm[1] - arm[0]) as usize) {
+                let mut dot = 0.0;
+                for &(c, wc) in &terms {
+                    dot += r[c] * wc;
+                }
+                acc += p * dot;
             }
-            acc += self.prob[t] * dot;
-        }
-        acc
+            acc
+        }));
     }
 
     /// Allocating convenience wrapper for [`CompiledMdp::scalarize_into`].

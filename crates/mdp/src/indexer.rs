@@ -18,20 +18,28 @@
 //! CSR structure arrays, both behind `Arc`s), and [`refill`] builds the
 //! model of another parameter point on it: it calls `expand` on every
 //! stored state in id order and writes only the weights, with no hashing
-//! and no interning. Every arm label, arm count, outcome count and typed
-//! successor is compared with the stored one; any difference means the
-//! graph is not the caller's, and `refill` returns `None` rather than a
-//! model. [`explore_reusing`] then explores afresh and counts the fallback
-//! ([`refill_fallbacks`]); a caller whose key fixes the graph should never
-//! see one.
+//! and no interning. Per state, the arm count, the labels, the arm
+//! boundaries and the typed successors are compared with the stored ones,
+//! the successors as one slice against the state's range of the stored
+//! targets; any difference means the graph is not the caller's, and
+//! `refill` returns `None` rather than a model. [`explore_reusing`] then
+//! explores afresh and counts the fallback ([`refill_fallbacks`]); a caller
+//! whose key fixes the graph should never see one.
+//!
+//! `refill` checks the weights once they are all written, in flat passes
+//! over the finished probability and reward buffers: probabilities
+//! nonnegative and finite, rewards finite, each arm's serial sum within
+//! tolerance. Only when a pass fails does it run the ordered per-arm check
+//! the writers run, so the error it reports is still [`explore`]'s first.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::LocalKey;
 
-use crate::compiled::{arm_weights_error, CompiledMdp, Structure};
+use crate::compiled::{CompiledMdp, Structure};
 use crate::error::MdpError;
 use crate::model::{ActionId, StateId};
 
@@ -94,6 +102,14 @@ impl<S: Clone + Eq + Hash> StateIndexer<S> {
     /// Creates an empty indexer.
     pub fn new() -> Self {
         StateIndexer { forward: HashMap::default(), backward: Vec::new() }
+    }
+
+    /// An empty indexer with room for `states` states.
+    fn with_capacity(states: usize) -> Self {
+        StateIndexer {
+            forward: HashMap::with_capacity_and_hasher(states, Default::default()),
+            backward: Vec::with_capacity(states),
+        }
     }
 
     /// Interns `state`, returning its index and whether it was new.
@@ -198,6 +214,7 @@ impl<S> Expansion<S> {
     /// Opens the next action, with domain label `label` (carried into
     /// [`CompiledMdp::label`]). Its outcomes are written through the
     /// returned handle, so no outcome can exist without an action.
+    #[inline]
     pub fn action(&mut self, label: usize) -> ActionOutcomes<'_, S> {
         self.arms.push((label, self.next.len()));
         ActionOutcomes { sink: self }
@@ -210,6 +227,26 @@ impl<S> Expansion<S> {
             }
             None => Ok(()),
         }
+    }
+
+    /// Whether the state just expanded wrote exactly the stored arms
+    /// `(labels, transition offsets, targets)` of
+    /// [`Structure::state_arms`]: the same arm count, labels and arm
+    /// boundaries, and successors equal to the typed `states` the targets
+    /// name.
+    fn reproduces(&self, (labels, offsets, targets): (&[u32], &[u32], &[u32]), states: &[S]) -> bool
+    where
+        S: Eq,
+    {
+        let base = offsets[0];
+        self.arms.len() == labels.len()
+            && self.next.len() == targets.len()
+            && self.arms.iter().zip(labels.iter().zip(offsets)).all(
+                |(&(label, first), (&stored, &offset))| {
+                    label == stored as usize && first == (offset - base) as usize
+                },
+            )
+            && self.next.iter().zip(targets).all(|(next, &to)| *next == states[to as usize])
     }
 
     /// Action `i`'s label and its outcomes with their reward slices.
@@ -235,6 +272,7 @@ pub struct ActionOutcomes<'a, S> {
 impl<S> ActionOutcomes<'_, S> {
     /// Records that the action leads to `next` with probability `prob`,
     /// accruing `reward` (one value per reward component).
+    #[inline]
     pub fn outcome(&mut self, next: S, prob: f64, reward: &[f64]) {
         let sink = &mut *self.sink;
         if reward.len() != sink.components {
@@ -328,12 +366,13 @@ pub fn refill_fallbacks() -> u64 {
 /// interned states and structure arrays.
 ///
 /// Returns `None` when the expansion does not reproduce the graph: an arm
-/// count, arm label, outcome count or typed successor differs from the
+/// count, arm label, arm boundary or typed successor differs from the
 /// stored one. Otherwise the result is exactly what [`explore`] from the
 /// graph's start states would return — the same model bit for bit, or the
 /// same error: a reward of the wrong arity as soon as its state is
 /// expanded, else the first failed `explore` check in (state, action,
-/// transition) order.
+/// transition) order (see the module docs for how the weights are
+/// checked).
 pub fn refill<S, F>(
     graph: &Graph<S>,
     reward_components: usize,
@@ -345,36 +384,18 @@ where
 {
     let Graph { structure, indexer } = graph;
     let mut sink = Expansion::with_capacity(reward_components, structure.sizes().2);
-    let mut first_error = None;
     for id in 0..indexer.len() {
         sink.clear();
         expand(indexer.state(id), &mut sink);
         if let Err(e) = sink.check_arity(id) {
             return Some(Err(e));
         }
-        let arms = structure.arm_range(id);
-        if sink.arms.len() != arms.len() {
+        if !sink.reproduces(structure.state_arms(id), &indexer.backward) {
             return None;
-        }
-        for (a, arm) in arms.enumerate() {
-            let (label, outcomes) = sink.arm(a);
-            let stored = structure.targets(arm);
-            if label != structure.arm_label(arm)
-                || outcomes.len() != stored.len()
-                || outcomes
-                    .zip(stored)
-                    .any(|((next, _, _), &to)| next != indexer.state(to as usize))
-            {
-                return None;
-            }
-            if first_error.is_none() {
-                let weights = sink.arm(a).1.map(|(_, prob, reward)| (prob, reward));
-                first_error = arm_weights_error((id, a), reward_components, weights);
-            }
         }
         sink.keep();
     }
-    Some(match first_error {
+    Some(match structure.weights_error(reward_components, &sink.prob, &sink.rewards) {
         Some(e) => Err(e),
         None => {
             let mdp = CompiledMdp::from_parts(
@@ -412,6 +433,35 @@ where
     explore(reward_components, start, expand)
 }
 
+/// A thread's last graph under the key that fixes it: the slot a model
+/// declares in a `thread_local!` for [`explore_keyed`].
+pub type GraphSlot<K, S> = RefCell<Option<(K, Graph<S>)>>;
+
+/// [`explore_reusing`] of the graph in `slot` when it was stored under
+/// `key`; the built model's graph then replaces it. `key` must fix the
+/// graph (every state, arm and successor), or the build falls back, which
+/// is counted. The result is always what [`explore`] returns.
+pub fn explore_keyed<K, S, F>(
+    slot: &'static LocalKey<GraphSlot<K, S>>,
+    key: K,
+    reward_components: usize,
+    start: impl IntoIterator<Item = S>,
+    expand: F,
+) -> Result<Explored<S>, MdpError>
+where
+    K: PartialEq,
+    S: Clone + Eq + Hash,
+    F: FnMut(&S, &mut Expansion<S>),
+{
+    // Taking the slot drops a graph of another key before exploring, so a
+    // thread never holds two graphs at once.
+    let cached = slot.with(|slot| slot.take()).filter(|(k, _)| *k == key);
+    let explored =
+        explore_reusing(cached.as_ref().map(|(_, graph)| graph), reward_components, start, expand)?;
+    slot.with(|slot| slot.replace(Some((key, explored.graph()))));
+    Ok(explored)
+}
+
 /// Builds a [`CompiledMdp`] by breadth-first expansion from `start` states.
 ///
 /// `expand` is called exactly once per reachable state and must open at
@@ -434,7 +484,6 @@ where
     S: Clone + Eq + Hash,
     F: FnMut(&S, &mut Expansion<S>),
 {
-    let mut indexer = StateIndexer::new();
     // Sweeps build similar models one after another, so reserving the last
     // build's sizes allocates each array about once, at its final size, and
     // the allocator can hand back the pages the previous model freed. Grown
@@ -442,6 +491,7 @@ where
     // pages: over Table 3's setting-2 cells that was ~100k page faults and
     // 0.3 s of system time in a 1.0 s run. Capacity never changes a model.
     let capacity = LAST_BUILD.with(Cell::get);
+    let mut indexer = StateIndexer::with_capacity(capacity.0);
     let mut structure = Structure::with_capacity(capacity);
     let mut sink = Expansion::with_capacity(reward_components, capacity.2);
     for s in start {

@@ -74,8 +74,8 @@ pub use budget::SolveBudget;
 pub use compiled::{Compile, CompiledMdp};
 pub use error::MdpError;
 pub use indexer::{
-    expand_one, explore, explore_reusing, refill, refill_fallbacks, ActionOutcomes,
-    CollectedAction, Expansion, Explored, Graph, StateIndexer,
+    expand_one, explore, explore_keyed, explore_reusing, refill, refill_fallbacks, ActionOutcomes,
+    CollectedAction, Expansion, Explored, Graph, GraphSlot, StateIndexer,
 };
 pub use model::{ActionId, Mdp, Objective, Policy, StateId, Transition};
 pub use policy_table::{PolicyTable, PolicyTableError};

@@ -140,6 +140,70 @@ fn explore_errors_match_explore_then_validate() {
     assert!(matches!(none, Err(MdpError::Empty)));
 }
 
+/// A bad sum at state 1 and a NaN reward at state 3: both flat passes over
+/// the weights fail, and the sum, first in state order, is reported.
+fn case_sum_then_nan_reward(s: &u32, x: &mut Expansion<u32>) {
+    match s {
+        1 => x.action(0).outcome(2, 0.5, &[1.0]),
+        3 => x.action(0).outcome(0, 1.0, &[f64::NAN]),
+        _ => step(*s, x),
+    }
+}
+
+/// State 1's second arm has a negative probability, then a NaN one: the
+/// negative one, first in transition order, is reported.
+fn case_nan_after_negative(s: &u32, x: &mut Expansion<u32>) {
+    step(*s, x);
+    if *s == 1 {
+        let mut arm = x.action(1);
+        arm.outcome(2, -0.5, &[0.0]);
+        arm.outcome(3, f64::NAN, &[0.0]);
+    }
+}
+
+fn case_inf_reward(s: &u32, x: &mut Expansion<u32>) {
+    if *s == 3 {
+        x.action(0).outcome(0, 1.0, &[f64::INFINITY]);
+    } else {
+        step(*s, x);
+    }
+}
+
+/// `refill` checks the weights of a reproduced graph in flat passes over
+/// the finished buffers, and only when one fails runs the ordered per-arm
+/// check that names the error. These cases fail more than one pass, or one
+/// pass for a reason the ordered check names differently, so only that
+/// check reports `explore`'s error.
+#[test]
+fn refill_fallback_names_explores_first_error() {
+    let cases: [(&str, Expand, Expand, &str); 3] = [
+        (
+            "bad sum, then a NaN reward",
+            step_ok,
+            case_sum_then_nan_reward,
+            "BadProbabilitySum { state: 1, action: 0, sum: 0.5 }",
+        ),
+        (
+            "NaN after a negative probability",
+            twin_prob,
+            case_nan_after_negative,
+            "NegativeProbability { state: 1, action: 1, prob: -0.5 }",
+        ),
+        (
+            "infinite reward",
+            step_ok,
+            case_inf_reward,
+            "NonFiniteReward { state: 3, action: 0, component: 0, value: inf }",
+        ),
+    ];
+    for (name, twin, expand, expected) in cases {
+        assert_eq!(outcome_text(explore(1, [0u32], expand)), expected, "case {name}: explore");
+        let graph = explore(1, [0u32], twin).expect("twins are well-formed").graph();
+        let refilled = refill(&graph, 1, expand).expect("the graph is the expansion's own");
+        assert_eq!(outcome_text(refilled), expected, "case {name}: refill");
+    }
+}
+
 fn step_ok(s: &u32, x: &mut Expansion<u32>) {
     step(*s, x);
 }

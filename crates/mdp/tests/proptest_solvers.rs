@@ -692,3 +692,77 @@ proptest! {
         }
     }
 }
+
+/// Reward components [`scalarize_into_matches_the_dense_dot`] draws from:
+/// signed zeros, values that cancel each other exactly, inexact ones whose
+/// sums depend on their order, a subnormal pair.
+const REWARD_PALETTE: [f64; 10] =
+    [0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 1.0 / 3.0, -3.0, 1e-310, -1e-310];
+
+/// Objective weights it draws from: both zeros three times over, so most
+/// objectives skip components, as the BU objectives do.
+const WEIGHT_PALETTE: [f64; 10] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.7, -2.5];
+
+/// `Σ_t p_t · ⟨w, r_t⟩` per arm over every component, the sums taken
+/// serially in component and CSR order from `+0.0`: the dense product
+/// [`CompiledMdp::scalarize_into`] must reproduce bit for bit.
+fn dense_scalarize(m: &CompiledMdp, w: &[f64]) -> Vec<f64> {
+    (0..m.num_arms())
+        .map(|arm| {
+            let mut acc = 0.0;
+            for (_, prob, reward) in m.transitions(arm) {
+                let mut dot = 0.0;
+                for (r, wc) in reward.iter().zip(w) {
+                    dot += r * wc;
+                }
+                acc += prob * dot;
+            }
+            acc
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Skipping zero weights is exact: on random five-component models
+    /// whose rewards hold negatives, signed zeros and cancelling terms, and
+    /// objectives with weights of `0.0` and `-0.0`, `scalarize_into` equals
+    /// the dense serial dot product bit for bit, arm by arm.
+    #[test]
+    fn scalarize_into_matches_the_dense_dot(
+        arms in proptest::collection::vec(
+            proptest::collection::vec((0usize..4, 1u32..10, proptest::collection::vec(0usize..10, 5..6)), 1..4),
+            1..12,
+        ),
+        weights in proptest::collection::vec(0usize..10, 5..6),
+    ) {
+        // Every state opens with a zero-reward self-loop, so none is left
+        // without an arm.
+        let mut mdp = Mdp::new(5);
+        for s in 0..4 {
+            mdp.add_state();
+            mdp.add_action(s, 99, vec![Transition::new(s, 1.0, vec![0.0; 5])]);
+        }
+        for (i, raw) in arms.iter().enumerate() {
+            let total: f64 = raw.iter().map(|(_, w, _)| f64::from(*w)).sum();
+            let transitions = raw
+                .iter()
+                .map(|(to, w, reward)| {
+                    let reward = reward.iter().map(|&k| REWARD_PALETTE[k]).collect();
+                    Transition::new(*to, f64::from(*w) / total, reward)
+                })
+                .collect();
+            mdp.add_action(i % 4, i, transitions);
+        }
+        let m = CompiledMdp::compile(&mdp).expect("random models are well-formed");
+        let w: Vec<f64> = weights.iter().map(|&k| WEIGHT_PALETTE[k]).collect();
+        let mut got = Vec::new();
+        m.scalarize_into(&Objective::new(w.clone()), &mut got);
+        let want = dense_scalarize(&m, &w);
+        prop_assert_eq!(got.len(), want.len());
+        for (arm, (g, d)) in got.iter().zip(&want).enumerate() {
+            prop_assert!(g.to_bits() == d.to_bits(), "arm {}: sparse {:e} vs dense {:e} under {:?}", arm, g, d, w);
+        }
+    }
+}

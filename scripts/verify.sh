@@ -99,21 +99,31 @@ cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
     exact_eval_matches_reference first_passage_matches_dense_solve
 cargo test -q --offline -p bvc-cluster --test exact_evaluation
 
-echo "==> model-build gate (pinned model fingerprints + Table 1 generator rows + writer errors)"
+echo "==> model-build gate (pinned model fingerprints + Table 1 generator rows + writer errors + sparse scalarization)"
 # Every BU and Bitcoin model of the pinned grids must hash to the recorded
 # fingerprint (same states, ids, transitions and reward bits) and pass the
 # audit's CSR-layout check, the BU generator must still reproduce the
 # corrected Table 1 row by row, and explore's CSR writer must report every
-# malformed expansion with the error explore-then-validate returned. BU
-# builds re-weight the thread's last graph of the same key: every model of
-# both grids, built forward and reversed, must equal a cold explore with no
-# refill fallback, and refill must return explore's model or error, or no
-# model when the expansion's graph differs.
+# malformed expansion with the error explore-then-validate returned. BU and
+# Bitcoin builds re-weight the thread's last graph of the same key: every
+# model of both BU grids and of the Bitcoin grid, built forward and
+# reversed, must equal a cold explore with no refill fallback, and refill
+# must return explore's model or error, or no model when the expansion's
+# graph differs. refill checks the weights in flat passes and names an
+# error only through the ordered per-arm check, so
+# refill_fallback_names_explores_first_error holds that check to explore's
+# first error where several passes fail (a bad sum before a NaN reward, a
+# NaN probability after a negative one) or an infinite reward. The sparse
+# scalarization skips zero weights; scalarize_into_matches_the_dense_dot
+# holds it to the dense serial dot product bit for bit on random models
+# with signed zeros, cancelling terms and zero weights.
 cargo test -q --offline -p bvc-bu -p bvc-bitcoin --test model_fingerprint
 cargo test -q --offline -p bvc-bu --lib table1
 cargo test -q --offline -p bvc-mdp --test explore_errors -- \
     explore_errors_match_explore_then_validate refill_errors_match_explore \
-    refill_matches_explore_or_falls_back
+    refill_matches_explore_or_falls_back refill_fallback_names_explores_first_error
+cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
+    scalarize_into_matches_the_dense_dot
 
 echo "==> cell-identity gate (solve token pin + cell keys + table-cell parsers + route bodies)"
 # Every journal fingerprint and serve cache key hashes the default solve
