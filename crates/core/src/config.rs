@@ -311,6 +311,20 @@ impl AttackConfig {
         key
     }
 
+    /// The double-spend payout for orphaning `k` blocks of the losing chain
+    /// in one resolution: `(k - threshold) * rds` when `k > threshold`,
+    /// else zero. The MDP's rewards and the chain replay's settlement both
+    /// read it.
+    #[inline]
+    pub fn ds_payout(&self, k: u8) -> f64 {
+        match self.incentive {
+            IncentiveModel::NonCompliantProfitDriven { rds, threshold } if k > threshold => {
+                f64::from(k - threshold) * rds
+            }
+            _ => 0.0,
+        }
+    }
+
     /// Whether this configuration satisfies the paper's standing assumption
     /// `α ≤ min(β, γ)` (the tables only report such cells).
     pub fn satisfies_power_assumption(&self) -> bool {

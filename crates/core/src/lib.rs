@@ -50,8 +50,6 @@ pub use bvc_mdp::solve::{OptimalStrategy, SolveOptions};
 pub use config::{parse_ratio, AttackConfig, IncentiveModel, Setting, Utility};
 pub use model::{expand, AttackModel};
 pub use multi_eb::{EbGroup, MultiEbScenario, SplitOutcome};
-pub use policy_view::{
-    policy_table, render_phase1_map, state_actions, summarize, PolicySummary, StateAction,
-};
+pub use policy_view::{render_phase1_map, state_actions, summarize, PolicySummary, StateAction};
 pub use solve::UtilityReport;
 pub use state::{Action, AttackState};

@@ -26,7 +26,7 @@ use std::cell::RefCell;
 
 use bvc_mdp::{explore_keyed, Expansion, Explored, GraphSlot, MdpError};
 
-use crate::config::{AttackConfig, IncentiveModel, Setting};
+use crate::config::{AttackConfig, Setting};
 use crate::rewards::{COMPONENTS, DS, OA, OOTHERS, RA, ROTHERS};
 use crate::state::{Action, AttackState};
 
@@ -75,17 +75,6 @@ impl Row {
     }
 }
 
-/// The double-spend payout for orphaning `k` blocks of the losing chain in
-/// one resolution: `(k - threshold) * rds` when `k > threshold`, else zero.
-fn ds_payout(cfg: &AttackConfig, k: u8) -> f64 {
-    match cfg.incentive {
-        IncentiveModel::NonCompliantProfitDriven { rds, threshold } if k > threshold => {
-            f64::from(k - threshold) * rds
-        }
-        _ => 0.0,
-    }
-}
-
 /// Decrement the sticky-gate countdown by `n` locked non-excessive blocks.
 /// In phase 1 (`r = 0`) the countdown is absent and stays zero.
 fn dec_r(r: u16, n: u16) -> u16 {
@@ -104,7 +93,7 @@ fn chain1_grow(cfg: &AttackConfig, s: AttackState, alice: bool) -> (AttackState,
         reward[ROTHERS] = f64::from(l1 - a1);
         reward[OA] = f64::from(s.a2);
         reward[OOTHERS] = f64::from(s.l2 - s.a2);
-        reward[DS] = ds_payout(cfg, s.l2);
+        reward[DS] = cfg.ds_payout(s.l2);
         // Locked Chain-1 blocks are non-excessive: in phase 2 they advance
         // Bob's gate-closure countdown.
         (AttackState::base(dec_r(s.r, u16::from(l1))), reward)
@@ -129,7 +118,7 @@ fn chain2_grow(cfg: &AttackConfig, s: AttackState, alice: bool) -> (AttackState,
         reward[ROTHERS] = f64::from(l2 - a2);
         reward[OA] = f64::from(s.a1);
         reward[OOTHERS] = f64::from(s.l1 - s.a1);
-        reward[DS] = ds_payout(cfg, s.l1);
+        reward[DS] = cfg.ds_payout(s.l1);
         let next = if s.phase2() {
             // Phase-2 fork resolved for Chain 2: Carol's gate opens too —
             // phase 3, which the model collapses back to the base state.

@@ -7,7 +7,7 @@
 //! kind of statement: per-state action maps, per-phase summaries, and the
 //! side-preference statistics the §5.1.2 claim is about.
 
-use bvc_mdp::{Policy, PolicyTable, PolicyTableError};
+use bvc_mdp::Policy;
 
 use crate::model::AttackModel;
 use crate::state::{Action, AttackState};
@@ -52,20 +52,6 @@ pub fn state_actions(model: &AttackModel, policy: &Policy) -> Vec<StateAction> {
             action: Action::from_label(policy.label(model.mdp(), id)),
         })
         .collect()
-}
-
-/// Exports `policy` as a serializable [`PolicyTable`] keyed by each attack
-/// state's display form `"(l1, l2, a1, a2, r)"`.
-///
-/// The display form is injective over the state space (it prints the full
-/// 5-tuple), so the only possible errors are structural and indicate a bug
-/// in the model's state enumeration. Consumers look actions up with
-/// `table.action_of(&state.to_string())` and decode the label through
-/// [`Action::from_label`]; the table's canonical text form
-/// ([`PolicyTable::encode`]) is what the simulator and `/v1/policy`
-/// transport across process boundaries.
-pub fn policy_table(model: &AttackModel, policy: &Policy) -> Result<PolicyTable, PolicyTableError> {
-    PolicyTable::from_policy(model.mdp(), policy, |id| model.state(id).to_string())
 }
 
 /// Summarizes a policy; see [`PolicySummary`].
@@ -151,26 +137,14 @@ mod tests {
         .unwrap()
     }
 
-    /// The action table of a *solved* cell round-trips through the text
-    /// encoding and agrees with the raw policy state-by-state.
+    /// Every label of a *solved* cell's policy decodes to a domain action.
     #[test]
-    fn policy_table_roundtrips_solved_cell() {
+    fn solved_policy_labels_decode_to_actions() {
         let m = model(0.25, (1, 1));
         let sol = m.optimal_relative_revenue(&SolveOptions::default()).unwrap();
-        let table = policy_table(&m, &sol.policy).unwrap();
-        assert_eq!(table.len(), m.num_states());
-        let back = PolicyTable::decode(&table.encode()).unwrap();
-        assert_eq!(back, table);
         for id in 0..m.num_states() {
-            let state = m.state(id);
-            let expect = sol.policy.label(m.mdp(), id);
-            assert_eq!(
-                back.action_of(&state.to_string()),
-                Some(expect),
-                "table disagrees with policy at {state}"
-            );
-            // And the label decodes to a domain action.
-            let _ = Action::from_label(expect);
+            let label = sol.policy.label(m.mdp(), id);
+            assert_eq!(Action::from_label(label).label(), label, "state {}", m.state(id));
         }
     }
 

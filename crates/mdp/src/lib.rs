@@ -63,7 +63,6 @@ pub mod compiled;
 pub mod error;
 pub mod indexer;
 pub mod model;
-pub mod policy_table;
 pub mod solve;
 
 pub use audit::{
@@ -78,4 +77,3 @@ pub use indexer::{
     CollectedAction, Expansion, Explored, Graph, GraphSlot, StateIndexer,
 };
 pub use model::{ActionId, Mdp, Objective, Policy, StateId, Transition};
-pub use policy_table::{PolicyTable, PolicyTableError};

@@ -1,7 +1,7 @@
 //! Runs one scenario cell: either a discrete-event network simulation
 //! ([`bvc_sim::Simulation`]) for honest / lead-k attacker specs, or the
-//! chain-faithful [`NetworkReplay`] of a freshly solved MDP policy for
-//! [`AttackerSpec::Mdp`] cells.
+//! chain-faithful [`bvc_sim::AttackReplay`] of a freshly solved MDP policy
+//! for [`AttackerSpec::Mdp`] cells.
 //!
 //! Both paths return the same fixed-arity metric vector
 //! ([`METRIC_ARITY`] values) so scenario cells journal through the sweep
@@ -9,13 +9,14 @@
 //! sub-seeds of [`ScenarioSpec::cell_seed`] in a fixed order, so a cell's
 //! metrics are bit-identical wherever and whenever it runs.
 
-use bvc_bu::{policy_table, AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions};
+use bvc_bu::{AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions};
 use bvc_chain::{BuRizunRule, BuSourceCodeRule, ByteSize};
 use bvc_chaos::SplitMix64;
 use bvc_mdp::MdpError;
-use bvc_sim::{DelayModel, HonestStrategy, LeadKStrategy, MinerSpec, SimReport, Simulation};
+use bvc_sim::{
+    AttackReplay, DelayModel, HonestStrategy, LeadKStrategy, MinerSpec, SimReport, Simulation,
+};
 
-use crate::replay::NetworkReplay;
 use crate::spec::{AttackerSpec, DelaySpec, RuleKind, ScenarioSpec};
 
 /// Length of the metric vector every scenario cell produces.
@@ -201,9 +202,8 @@ fn run_simulation(spec: &ScenarioSpec, engine_seed: u64, delay_seed: u64) -> Vec
     ]
 }
 
-/// The MDP-replay path: solve the Table 2 setting-1 cell, export its
-/// optimal policy as a [`bvc_mdp::PolicyTable`], and replay it on the
-/// N-node network.
+/// The MDP-replay path: solve the Table 2 setting-1 cell and replay its
+/// optimal policy on the N-node network, in lockstep with the MDP.
 fn run_mdp_replay(
     spec: &ScenarioSpec,
     alpha: f64,
@@ -229,10 +229,6 @@ fn run_mdp_replay(
     ))?;
     let sol = model.optimal_relative_revenue(opts)?;
     let exact = model.evaluate(&sol.policy)?;
-    let table = policy_table(&model, &sol.policy).map_err(|e| MdpError::AuditFailed {
-        check: "scenario-policy-table",
-        detail: e.to_string(),
-    })?;
     let weights = spec.hash.weights(n_compliant);
     let mut small_weights = Vec::new();
     let mut large_weights = Vec::new();
@@ -244,7 +240,7 @@ fn run_mdp_replay(
         }
     }
     let mut replay =
-        NetworkReplay::new(&model, &table, &small_weights, &large_weights, engine_seed);
+        AttackReplay::new(&model, &sol.policy, &small_weights, &large_weights, engine_seed);
     let report = replay.run(spec.blocks as usize);
     let u1 = report.u1();
     Ok(vec![u1, exact.u1, (u1 - exact.u1).abs(), report.ra, report.rothers, report.steps as f64])
@@ -352,6 +348,30 @@ mod tests {
         assert_eq!(m.len(), METRIC_ARITY);
         assert!(m[2] < 0.02, "simulated u1 {} vs exact {} (|diff| {})", m[0], m[1], m[2]);
         assert!(m[1] > 0.25, "optimal policy must beat honest at alpha 0.25");
+    }
+
+    /// The grid's MDP-replay cell, pinned bit for bit: `u1` simulated and
+    /// exact, their difference, both locked-block tallies and the steps. A
+    /// change to the replay's random stream or arithmetic moves them.
+    #[test]
+    fn grid_mdp_cell_is_pinned() {
+        let spec = crate::grid::grid_specs()
+            .into_iter()
+            .find(|s| matches!(s.attacker, AttackerSpec::Mdp { .. }))
+            .unwrap();
+        let m = run_scenario(&spec, &SolveOptions::default()).unwrap();
+        assert_eq!(
+            bits(&m),
+            [
+                0x3fd1_7847_41cf_6d62,
+                0x3fd0_cac4_8b5f_cf9e,
+                0x3f85_b056_cdf3_b880,
+                0x40b1_0a00_0000_0000,
+                0x40c6_b100_0000_0000,
+                0x40d3_8800_0000_0000,
+            ],
+            "{m:?}"
+        );
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //!   worker count.
 //! * [`run_scenario`] — executes a cell: honest / lead-k cells through
 //!   the discrete-event engine (`bvc_sim::Simulation`), MDP cells through
-//!   [`NetworkReplay`], which replays the freshly solved optimal policy
-//!   (exported as a `bvc_mdp::PolicyTable`, the production artifact) on an
-//!   N-node chain world and measures the realized relative revenue.
+//!   `bvc_sim::AttackReplay`, which replays the freshly solved optimal
+//!   policy on an N-node chain world, checks every step's successor
+//!   against the policy's MDP row, and measures the realized relative
+//!   revenue.
 //! * [`grid_specs`] / [`crossval_cells`] — the canonical workloads the
 //!   cluster job registry exposes as `scenario-grid` and
 //!   `scenario-crossval`, giving scenario cells sharding, journaling,
@@ -38,7 +39,6 @@
 
 pub mod engine;
 pub mod grid;
-pub mod replay;
 pub mod spec;
 
 pub use engine::{large_assignment, run_scenario, METRIC_ARITY};
@@ -46,5 +46,4 @@ pub use grid::{
     crossval_cells, crossval_tolerance, grid_specs, CROSSVAL_BLOCKS, CROSSVAL_NODES, CROSSVAL_REPS,
     CROSSVAL_SETTINGS, GRID_SEED,
 };
-pub use replay::NetworkReplay;
 pub use spec::{AttackerSpec, DelaySpec, HashDist, RuleKind, ScenarioSpec};

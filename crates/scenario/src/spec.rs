@@ -107,8 +107,8 @@ pub enum AttackerSpec {
         k: u32,
     },
     /// The optimal MDP policy for Table 2's setting-1 cell
-    /// `(alpha, ratio)`, decoded from the solved cell's action table and
-    /// replayed on the network (see `NetworkReplay`).
+    /// `(alpha, ratio)`, replayed on the network (see
+    /// `bvc_sim::AttackReplay`).
     Mdp {
         /// Attacker's hash-rate share.
         alpha: f64,
@@ -547,7 +547,7 @@ impl ScenarioSpec {
                 }
                 // The chain-faithful replay is defined exactly for the
                 // paper's setting-1 semantics: no propagation delay, no
-                // sticky gate (see NetworkReplay docs).
+                // sticky gate (see the `bvc_sim::attack` docs).
                 if self.delay != DelaySpec::Zero {
                     return Err("MDP replay requires delay=zero (paper's threat model)".into());
                 }

@@ -7,11 +7,13 @@
 //!   pluggable [`strategy::MinerStrategy`] implementations. Used for
 //!   Stone-style fork-frequency experiments (§2.3 of the paper) and for
 //!   exploring BU behaviour outside the paper's zero-delay model.
-//! * [`attack::AttackReplay`] — the paper's three-miner attack replayed on
-//!   a *real* block tree with real BU node views, driven by an optimal
-//!   policy computed by [`bvc_bu`]. Cross-validates the MDP against the
-//!   chain substrate: the measured utilities must match the exact MDP
-//!   evaluation.
+//! * [`attack::AttackReplay`] — the paper's attack replayed on a *real*
+//!   block tree with real BU node views, driven by a policy computed by
+//!   [`bvc_bu`]. Bob and Carol are groups of one or more nodes (one each
+//!   is the paper's three-miner world). Cross-validates the MDP against
+//!   the chain substrate: every step's successor state must be in the
+//!   MDP row of its state and action ([`attack::successor_id`]), and the
+//!   measured utilities must match the exact MDP evaluation.
 //!
 //! ## Example: honest mining never forks without delays
 //!
@@ -37,7 +39,7 @@ pub mod engine;
 pub mod events;
 pub mod strategy;
 
-pub use attack::{AttackReplay, ReplayReport, ALICE, BOB, CAROL};
+pub use attack::{AttackReplay, ReplayReport, ALICE};
 pub use engine::{DelayModel, MinerSpec, Reorg, SimReport, Simulation};
 pub use events::{Event, EventQueue};
 pub use strategy::{

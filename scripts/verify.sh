@@ -125,6 +125,19 @@ cargo test -q --offline -p bvc-mdp --test explore_errors -- \
 cargo test -q --offline -p bvc-mdp --test proptest_solvers -- \
     scalarize_into_matches_the_dense_dot
 
+echo "==> replay lockstep gate (every chain-replay step lands in its MDP row; grid replay cell pinned)"
+# The chain replay (bvc_sim::attack, one replay for the three-miner and the
+# N-node worlds) derives the MDP state from real BU node views after every
+# block and panics unless it is a destination of the policy's arm in the
+# previous state; successor_id's unit test holds the check to accepting
+# exactly the row's successors. The consistency tests run long replays of
+# optimal policies through it, and the scenario grid's MDP-replay cell is
+# pinned bit for bit, so a silent change to the replay's stream fails here.
+cargo test -q --offline -p bvc-sim --lib -- attack::
+cargo test -q --offline -p bvc --test chain_model_consistency
+cargo test -q --offline -p bvc-scenario --lib -- grid_mdp_cell_is_pinned \
+    mdp_replay_cell_matches_exact_u1
+
 echo "==> cell-identity gate (solve token pin + cell keys + table-cell parsers + route bodies)"
 # Every journal fingerprint and serve cache key hashes the default solve
 # token and a cell key; a drift in either orphans old journals and turns
@@ -144,17 +157,16 @@ cargo test -q --offline -p bvc-serve --lib -- _key cell_route_bodies_are_pinned 
     table_route_bodies_are_pinned alpha_alias_replies_echo_their_own_inputs
 cargo test -q --offline -p bvc-cli -- table_cell_parsers_agree cell_metric_keys_agree
 
-echo "==> decoder gate (journal lines, cluster frames, job specs, policy tables, chaos specs, HTTP requests)"
+echo "==> decoder gate (journal lines, cluster frames, job specs, chaos specs, HTTP requests)"
 # Every decoder of bytes that arrive from outside the process (a journal
-# torn by a crash, a frame or job spec off the socket, a policy table, a
-# --chaos or BVC_CHAOS fault plan, an HTTP request stream) runs over every
+# torn by a crash, a frame or job spec off the socket, a --chaos or
+# BVC_CHAOS fault plan, an HTTP request stream) runs over every
 # proper prefix and every single-byte delimiter replacement of valid
 # encodings (`proptest::mutate`): each must return a value or an error,
 # never panic, and no torn journal line may parse.
 cargo test -q --offline -p bvc-journal --lib -- journal_line_mutants_never_panic
 cargo test -q --offline -p bvc-cluster --lib -- frame_mutants_never_panic \
     decode_never_panics_on_truncated_or_corrupted_wire
-cargo test -q --offline -p bvc-mdp --lib -- decode_mutants_never_panic
 cargo test -q --offline -p bvc-chaos --lib -- plan_mutants_never_panic
 cargo test -q --offline -p bvc-serve --lib -- request_mutants_never_panic
 

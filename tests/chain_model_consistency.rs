@@ -52,7 +52,7 @@ fn two_monte_carlo_channels_agree_on_honest() {
     let rates = path.component_rates();
     let mdp_u1 = rates[0] / (rates[0] + rates[1]);
 
-    let mut replay = AttackReplay::new(&model, &policy, 78);
+    let mut replay = AttackReplay::new(&model, &policy, &[1.0], &[1.0], 78);
     let chain = replay.run(100_000);
 
     assert!((mdp_u1 - 0.3).abs() < 0.01, "MDP-MC u1 {mdp_u1}");
@@ -73,15 +73,15 @@ fn optimal_policy_end_to_end() {
     .unwrap();
     let sol = model.optimal_absolute_revenue(&SolveOptions::default()).unwrap();
     let exact = model.evaluate(&sol.policy).unwrap();
-    let mut replay = AttackReplay::new(&model, &sol.policy, 5150);
+    let mut replay = AttackReplay::new(&model, &sol.policy, &[1.0], &[1.0], 5150);
     let report = replay.run(300_000);
     assert!((report.u2() - exact.u2).abs() < 0.02, "chain {} vs exact {}", report.u2(), exact.u2);
     assert!((report.u1() - exact.u1).abs() < 0.02, "chain {} vs exact {}", report.u1(), exact.u1);
 }
 
-/// Every state the chain replay visits must be reachable in the MDP — run
-/// a long replay under a policy that forks aggressively and rely on the
-/// replay's internal unreachable-state panic.
+/// Every step of the chain replay must land in the MDP row of its state
+/// and action — run a long replay under a policy that forks aggressively
+/// and rely on the replay's lockstep panic.
 #[test]
 fn chain_replay_stays_within_mdp_state_space() {
     let model = AttackModel::build(AttackConfig::with_ratio(
@@ -92,7 +92,7 @@ fn chain_replay_stays_within_mdp_state_space() {
     ))
     .unwrap();
     let sol = model.optimal_orphan_rate(&SolveOptions::default()).unwrap();
-    let mut replay = AttackReplay::new(&model, &sol.policy, 99);
-    let report = replay.run(150_000); // panics internally on any unmapped state
+    let mut replay = AttackReplay::new(&model, &sol.policy, &[1.0], &[1.0], 99);
+    let report = replay.run(150_000); // panics on any step outside the MDP row
     assert!(report.oothers > 0.0, "the optimal non-profit policy must orphan blocks");
 }
