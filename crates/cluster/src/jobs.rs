@@ -11,7 +11,14 @@
 //!
 //! [`workload`] names each binary's full cell list (with its config
 //! token) so `bvc cluster coordinate --workload <name>` can run any table
-//! without the binary.
+//! without the binary. Each workload is one entry of the registry
+//! (`WORKLOADS`). The sweep-only kinds (Table 3's Bitcoin panel, the
+//! ablations, the cross-validations, the strategy printouts and Stone's
+//! scenarios) are *rows*: cell `i` of a fixed parameter list, which the
+//! entry keys, solves and sends as `tag;i` ([`JobSpec::Row`]). The table,
+//! scenario-grid and game cells carry their full parameters instead,
+//! because serve, the CLI and the scaling binaries build them from
+//! arbitrary values.
 
 use bvc_bu::{
     rewards, AttackConfig, AttackModel, AttackState, IncentiveModel, Setting, SolveOptions, Utility,
@@ -22,7 +29,9 @@ use bvc_journal::{f64_from_hex, f64_to_hex, Cell};
 use bvc_mdp::solve::{sample_path, XorShift64};
 use bvc_mdp::MdpError;
 use bvc_scenario::ScenarioSpec;
-use bvc_sim::{AttackReplay, DelayModel, HonestStrategy, MinerSpec, Simulation, SplitterStrategy};
+use bvc_sim::{
+    AttackReplay, DelayModel, HonestStrategy, MinerSpec, ReplayReport, Simulation, SplitterStrategy,
+};
 
 use crate::cell::CellContext;
 
@@ -65,6 +74,17 @@ pub const TB_GAMMAS: [f64; 2] = [0.5, 1.0];
 /// Extra demo cells rendered under the Bitcoin-SMDS grid: `(alpha, gamma)`.
 pub const TB_DEMOS: [(f64, f64); 2] = [(0.05, 0.5), (0.05, 1.0)];
 
+/// Bitcoin-SMDS cell `i` as `(alpha, gamma)`: the grid gamma-major, then
+/// the demo cells.
+fn tb_cell(i: usize) -> (f64, f64) {
+    let grid = TB_ALPHAS.len() * TB_GAMMAS.len();
+    if i < grid {
+        (TB_ALPHAS[i % TB_ALPHAS.len()], TB_GAMMAS[i / TB_ALPHAS.len()])
+    } else {
+        TB_DEMOS[i - grid]
+    }
+}
+
 /// Table 4 rows: `beta:gamma` ratios, in paper order.
 pub const T4_RATIOS: [(u32, u32); 9] =
     [(4, 1), (3, 1), (2, 1), (3, 2), (1, 1), (2, 3), (1, 2), (1, 3), (1, 4)];
@@ -86,37 +106,33 @@ pub type CrossvalSpec = (f64, (u32, u32), IncentiveModel);
 
 /// The cross-validation cells, in binary order (MC seeds are keyed by the
 /// cell's index in this list).
-pub fn crossval_specs() -> Vec<CrossvalSpec> {
-    vec![
-        (0.25, (1, 1), IncentiveModel::CompliantProfitDriven),
-        (0.10, (1, 1), IncentiveModel::non_compliant_default()),
-        (0.10, (1, 2), IncentiveModel::non_compliant_default()),
-        (0.05, (1, 1), IncentiveModel::NonProfitDriven),
-        (0.01, (2, 3), IncentiveModel::NonProfitDriven),
-    ]
-}
+pub const CROSSVAL_SPECS: [CrossvalSpec; 5] = [
+    (0.25, (1, 1), IncentiveModel::CompliantProfitDriven),
+    (0.10, (1, 1), IncentiveModel::non_compliant_default()),
+    (0.10, (1, 2), IncentiveModel::non_compliant_default()),
+    (0.05, (1, 1), IncentiveModel::NonProfitDriven),
+    (0.01, (2, 3), IncentiveModel::NonProfitDriven),
+];
 
 /// One strategy-printout cell: `(title, alpha, ratio, incentive)`.
 pub type StrategySpec = (&'static str, f64, (u32, u32), IncentiveModel);
 
 /// The strategy-printout cells, in binary order.
-pub fn strategy_specs() -> Vec<StrategySpec> {
-    vec![
-        (
-            "compliant & profit-driven (Table 2 cell)",
-            0.25,
-            (1, 1),
-            IncentiveModel::CompliantProfitDriven,
-        ),
-        (
-            "non-compliant & profit-driven (Table 3 cell)",
-            0.10,
-            (1, 2),
-            IncentiveModel::non_compliant_default(),
-        ),
-        ("non-profit-driven (Table 4 cell)", 0.01, (2, 3), IncentiveModel::NonProfitDriven),
-    ]
-}
+pub const STRATEGY_SPECS: [StrategySpec; 3] = [
+    (
+        "compliant & profit-driven (Table 2 cell)",
+        0.25,
+        (1, 1),
+        IncentiveModel::CompliantProfitDriven,
+    ),
+    (
+        "non-compliant & profit-driven (Table 3 cell)",
+        0.10,
+        (1, 2),
+        IncentiveModel::non_compliant_default(),
+    ),
+    ("non-profit-driven (Table 4 cell)", 0.01, (2, 3), IncentiveModel::NonProfitDriven),
+];
 
 /// The model of a Table 2/3/4 cell: `key` names this configuration and
 /// `solve` builds it.
@@ -160,13 +176,6 @@ pub enum JobSpec {
         /// Paper setting (1 or 2).
         setting: u8,
     },
-    /// Bitcoin SMDS comparison cell (absolute revenue).
-    Table3Bitcoin {
-        /// Attacker power.
-        alpha: f64,
-        /// Tie-breaking weight.
-        gamma: f64,
-    },
     /// Table 4: non-profit-driven orphan rate `u3` at `alpha = 1%`.
     Table4 {
         /// `beta:gamma` compliant split.
@@ -174,30 +183,15 @@ pub enum JobSpec {
         /// Paper setting (1 or 2).
         setting: u8,
     },
-    /// Ablation `AD` sweep row (packs six metrics).
-    AblationAd {
-        /// The swept attack-depth parameter.
-        ad: u8,
-    },
-    /// Ablation sticky-gate-length sweep row (packs `[u2, u3]`).
-    AblationGate {
-        /// The swept gate length in blocks.
-        gate: u16,
-    },
-    /// Cross-validation cell (exact vs MDP-MC vs chain-MC).
-    Crossval {
-        /// Index into [`crossval_specs`] (also the MC seed key).
+    /// Cell `index` of a sweep-only workload, whose registry entry holds
+    /// its key, wire tag and solver. [`workload`] and [`JobSpec::decode`]
+    /// make rows only with `index` below the workload's cell count; `key`,
+    /// `encode` and `solve` panic on any other row.
+    Row {
+        /// The workload's registry name (see [`WORKLOAD_NAMES`]).
+        workload: &'static str,
+        /// The cell's position in the workload.
         index: usize,
-    },
-    /// Strategy printout cell (value + packed policy choices).
-    Strategies {
-        /// Index into [`strategy_specs`].
-        index: usize,
-    },
-    /// Stone-comparison Monte Carlo scenario.
-    StoneSim {
-        /// Scenario id (1, 2, or 3).
-        scenario: u8,
     },
     /// One BU network scenario cell (the `bvc-scenario` engine); the spec
     /// is self-contained, so the cell carries its full parameterization
@@ -205,12 +199,6 @@ pub enum JobSpec {
     Scenario {
         /// The scenario cell.
         spec: ScenarioSpec,
-    },
-    /// One scenario cross-validation replication (MDP policy replayed on
-    /// an N-node network).
-    ScenarioCrossval {
-        /// Index into [`bvc_scenario::crossval_cells`].
-        index: usize,
     },
     /// One §5 equilibrium-map cell (the `bvc-gamesweep` engine); like
     /// scenario cells, the spec is self-contained on the wire.
@@ -239,49 +227,20 @@ impl JobSpec {
                 table_config(*alpha, *ratio, *setting, IncentiveModel::non_compliant_default())
                     .cell_key(*ratio)
             }
-            JobSpec::Table3Bitcoin { alpha, gamma } => {
-                format!("smds a={}% tie={}%", alpha * 100.0, gamma * 100.0)
-            }
             JobSpec::Table4 { ratio, setting } => {
                 table_config(0.01, *ratio, *setting, IncentiveModel::NonProfitDriven)
                     .cell_key(*ratio)
             }
-            JobSpec::AblationAd { ad } => format!("AD={ad}"),
-            JobSpec::AblationGate { gate } => format!("gate={gate}"),
-            JobSpec::Crossval { index } => match crossval_specs().get(*index) {
-                Some((alpha, ratio, incentive)) => format!(
-                    "#{index} {} alpha={}%, beta:gamma={}:{}",
-                    incentive.utility().name(),
-                    alpha * 100.0,
-                    ratio.0,
-                    ratio.1
-                ),
-                None => format!("#{index} invalid"),
-            },
-            JobSpec::Strategies { index } => match strategy_specs().get(*index) {
-                Some((_, alpha, (b, g), incentive)) => {
-                    format!("{incentive:?} a={}% b:g={b}:{g}", alpha * 100.0)
-                }
-                None => format!("strategies#{index} invalid"),
-            },
-            JobSpec::StoneSim { scenario } => format!("scenario{scenario}"),
+            JobSpec::Row { workload, index } => (rows(workload).key)(*index),
             JobSpec::Scenario { spec } => spec.key(),
-            JobSpec::ScenarioCrossval { index } => {
-                match bvc_scenario::crossval_cells().get(*index) {
-                    Some(cell) => {
-                        let rep = index % bvc_scenario::CROSSVAL_REPS;
-                        format!("#{index} {} rep={rep}", cell.key())
-                    }
-                    None => format!("#{index} invalid"),
-                }
-            }
             JobSpec::Game { spec } => spec.key(),
             JobSpec::GameFrontier { spec } => spec.key(),
         }
     }
 
     /// Encodes the spec for the wire (`;`-separated, `f64`s as hex bit
-    /// patterns so the worker reconstructs the exact parameter).
+    /// patterns so the worker reconstructs the exact parameter; a row is
+    /// its workload's tag and its index).
     pub fn encode(&self) -> String {
         match self {
             JobSpec::Table2 { alpha, ratio, setting } => {
@@ -290,23 +249,16 @@ impl JobSpec {
             JobSpec::Table3 { alpha, ratio, setting } => {
                 format!("t3;{};{};{};{setting}", f64_to_hex(*alpha), ratio.0, ratio.1)
             }
-            JobSpec::Table3Bitcoin { alpha, gamma } => {
-                format!("tb;{};{}", f64_to_hex(*alpha), f64_to_hex(*gamma))
-            }
             JobSpec::Table4 { ratio, setting } => format!("t4;{};{};{setting}", ratio.0, ratio.1),
-            JobSpec::AblationAd { ad } => format!("aa;{ad}"),
-            JobSpec::AblationGate { gate } => format!("ag;{gate}"),
-            JobSpec::Crossval { index } => format!("cv;{index}"),
-            JobSpec::Strategies { index } => format!("st;{index}"),
-            JobSpec::StoneSim { scenario } => format!("ss;{scenario}"),
+            JobSpec::Row { workload, index } => format!("{};{index}", rows(workload).tag),
             JobSpec::Scenario { spec } => spec.encode(),
-            JobSpec::ScenarioCrossval { index } => format!("sx;{index}"),
             JobSpec::Game { spec } => spec.encode(),
             JobSpec::GameFrontier { spec } => spec.encode(),
         }
     }
 
-    /// Decodes a wire spec; `None` on any malformation.
+    /// Decodes a wire spec; `None` on any malformation, an unknown tag, or
+    /// a row index at or past its workload's cell count.
     pub fn decode(text: &str) -> Option<JobSpec> {
         let parts: Vec<&str> = text.split(';').collect();
         let ratio =
@@ -330,18 +282,14 @@ impl JobSpec {
                 ratio: ratio(b, g)?,
                 setting: s.parse().ok()?,
             }),
-            ["tb", a, g] => {
-                Some(JobSpec::Table3Bitcoin { alpha: f64_from_hex(a)?, gamma: f64_from_hex(g)? })
-            }
             ["t4", b, g, s] => {
                 Some(JobSpec::Table4 { ratio: ratio(b, g)?, setting: s.parse().ok()? })
             }
-            ["aa", ad] => Some(JobSpec::AblationAd { ad: ad.parse().ok()? }),
-            ["ag", gate] => Some(JobSpec::AblationGate { gate: gate.parse().ok()? }),
-            ["cv", i] => Some(JobSpec::Crossval { index: i.parse().ok()? }),
-            ["st", i] => Some(JobSpec::Strategies { index: i.parse().ok()? }),
-            ["ss", s] => Some(JobSpec::StoneSim { scenario: s.parse().ok()? }),
-            ["sx", i] => Some(JobSpec::ScenarioCrossval { index: i.parse().ok()? }),
+            [tag, index] => {
+                let (workload, rows) = row_workloads().find(|(_, rows)| rows.tag == *tag)?;
+                let index = index.parse().ok().filter(|&i| i < rows.len)?;
+                Some(JobSpec::Row { workload, index })
+            }
             _ => None,
         }
     }
@@ -359,55 +307,12 @@ impl JobSpec {
                 table_config(*alpha, *ratio, *setting, IncentiveModel::non_compliant_default()),
                 ctx,
             ),
-            JobSpec::Table3Bitcoin { alpha, gamma } => {
-                let model = bvc_bitcoin::BitcoinModel::build(bvc_bitcoin::BitcoinConfig::smds(
-                    *alpha, *gamma,
-                ))?;
-                Ok(vec![model.optimal_absolute_revenue(&ctx.solve_options())?.value])
-            }
             JobSpec::Table4 { ratio, setting } => solve_table_cell(
                 table_config(0.01, *ratio, *setting, IncentiveModel::NonProfitDriven),
                 ctx,
             ),
-            JobSpec::AblationAd { ad } => ablation_ad_row(*ad, ctx),
-            JobSpec::AblationGate { gate } => ablation_gate_row(*gate, ctx),
-            JobSpec::Crossval { index } => {
-                let specs = crossval_specs();
-                let Some(spec) = specs.get(*index) else {
-                    return Err(MdpError::BadOption {
-                        what: "crossval cell index",
-                        value: *index as f64,
-                    });
-                };
-                crossval_cell(*index, spec, ctx)
-            }
-            JobSpec::Strategies { index } => {
-                let specs = strategy_specs();
-                let Some((_, alpha, ratio, incentive)) = specs.get(*index) else {
-                    return Err(MdpError::BadOption {
-                        what: "strategies cell index",
-                        value: *index as f64,
-                    });
-                };
-                let cfg = AttackConfig::with_ratio(*alpha, *ratio, Setting::One, *incentive);
-                let sol = AttackModel::build(cfg)?.optimal(&ctx.solve_options())?;
-                let mut packed = Vec::with_capacity(1 + sol.policy.choices.len());
-                packed.push(sol.value);
-                packed.extend(sol.policy.choices.iter().map(|&c| c as f64));
-                Ok(packed)
-            }
-            JobSpec::StoneSim { scenario } => Ok(stone_simulate(*scenario)),
+            JobSpec::Row { workload, index } => (rows(workload).solve)(*index, ctx),
             JobSpec::Scenario { spec } => spec.solve(&ctx.solve_options()),
-            JobSpec::ScenarioCrossval { index } => {
-                let cells = bvc_scenario::crossval_cells();
-                let Some(cell) = cells.get(*index) else {
-                    return Err(MdpError::BadOption {
-                        what: "scenario crossval cell index",
-                        value: *index as f64,
-                    });
-                };
-                cell.solve(&ctx.solve_options())
-            }
             JobSpec::Game { spec } => spec.solve(&ctx.solve_options()),
             JobSpec::GameFrontier { spec } => spec.solve(&ctx.solve_options()),
         }
@@ -423,17 +328,18 @@ fn solve_table_cell(cfg: AttackConfig, ctx: &CellContext) -> Result<Vec<f64>, Md
     Ok(vec![AttackModel::build(cfg)?.optimal(&ctx.solve_options())?.value])
 }
 
-fn ablation_config(
+/// An ablation model at `alpha = 10%` with the swept `AD` and gate length.
+fn ablation_model(
     ad: u8,
     gate: u16,
     ratio: (u32, u32),
     setting: Setting,
     incentive: IncentiveModel,
-) -> AttackConfig {
+) -> Result<AttackModel, MdpError> {
     let mut cfg = AttackConfig::with_ratio(0.10, ratio, setting, incentive);
     cfg.ad = ad;
     cfg.gate_blocks = gate;
-    cfg
+    AttackModel::build(cfg)
 }
 
 /// One AD-sweep row packed for the journal:
@@ -441,41 +347,20 @@ fn ablation_config(
 /// optimal policy never opens the gate stores `NaN` for `gate_time`.
 fn ablation_ad_row(ad: u8, ctx: &CellContext) -> Result<Vec<f64>, MdpError> {
     let opts = ctx.solve_options();
-    let m2 = AttackModel::build(ablation_config(
-        ad,
-        144,
-        (1, 1),
-        Setting::One,
-        IncentiveModel::non_compliant_default(),
-    ))?;
+    let setting1 = |incentive| ablation_model(ad, 144, (1, 1), Setting::One, incentive);
+    let m2 = setting1(IncentiveModel::non_compliant_default())?;
     let s2 = m2.optimal_absolute_revenue(&opts)?;
     // Fork frequency under the optimal u2 policy: rate of leaving the
     // base state via Alice's fork block.
     let report = m2.evaluate(&s2.policy)?;
     let orphan_rate = report.rates[rewards::OA] + report.rates[rewards::OOTHERS];
-    let m3 = AttackModel::build(ablation_config(
-        ad,
-        144,
-        (1, 1),
-        Setting::One,
-        IncentiveModel::NonProfitDriven,
-    ))?;
-    let s3 = m3.optimal_orphan_rate(&opts)?;
-    let m1 = AttackModel::build(ablation_config(
-        ad,
-        144,
-        (1, 1),
-        Setting::One,
-        IncentiveModel::CompliantProfitDriven,
-    ))?;
-    let s1 = m1.optimal_relative_revenue(&opts)?;
+    let s3 = setting1(IncentiveModel::NonProfitDriven)?.optimal_orphan_rate(&opts)?;
+    let s1 = setting1(IncentiveModel::CompliantProfitDriven)?.optimal_relative_revenue(&opts)?;
     // Episode metrics under the u2-optimal policy: how likely a fork
     // reaches double-spend depth, and how quickly the attacker opens a
     // sticky gate in setting 2 (a short gate keeps the sweep fast).
     let deep_fork = m2.fork_depth_probability(&s2.policy, 4)?;
-    let gate_cfg =
-        ablation_config(ad, 24, (1, 1), Setting::Two, IncentiveModel::non_compliant_default());
-    let mg = AttackModel::build(gate_cfg)?;
+    let mg = ablation_model(ad, 24, (1, 1), Setting::Two, IncentiveModel::non_compliant_default())?;
     let sg = mg.optimal_absolute_revenue(&opts)?;
     let gate_time = mg.expected_blocks_to_gate_trigger(&sg.policy)?;
     Ok(vec![s2.value, s3.value, s1.value, orphan_rate, deep_fork, gate_time.unwrap_or(f64::NAN)])
@@ -484,72 +369,57 @@ fn ablation_ad_row(ad: u8, ctx: &CellContext) -> Result<Vec<f64>, MdpError> {
 /// One sticky-gate-length row packed for the journal: `[u2, u3]` at the
 /// asymmetric 1:2 ratio in setting 2.
 fn ablation_gate_row(gate: u16, ctx: &CellContext) -> Result<Vec<f64>, MdpError> {
-    let sopts = ctx.solve_options();
-    let m2 = AttackModel::build(ablation_config(
-        6,
-        gate,
-        (1, 2),
-        Setting::Two,
-        IncentiveModel::non_compliant_default(),
-    ))?;
-    let u2 = m2.optimal_absolute_revenue(&sopts)?.value;
-    let m3 = AttackModel::build(ablation_config(
-        6,
-        gate,
-        (1, 2),
-        Setting::Two,
-        IncentiveModel::NonProfitDriven,
-    ))?;
-    let u3 = m3.optimal_orphan_rate(&sopts)?.value;
-    Ok(vec![u2, u3])
+    let opts = ctx.solve_options();
+    let model = |incentive| ablation_model(6, gate, (1, 2), Setting::Two, incentive);
+    let u2 = model(IncentiveModel::non_compliant_default())?.optimal_absolute_revenue(&opts)?;
+    let u3 = model(IncentiveModel::NonProfitDriven)?.optimal_orphan_rate(&opts)?;
+    Ok(vec![u2.value, u3.value])
+}
+
+/// One strategy-printout cell packed for the journal: the optimal value,
+/// then the optimal policy's choice per state.
+fn strategy_cell(i: usize, ctx: &CellContext) -> Result<Vec<f64>, MdpError> {
+    let (_, alpha, ratio, incentive) = STRATEGY_SPECS[i];
+    let cfg = AttackConfig::with_ratio(alpha, ratio, Setting::One, incentive);
+    let sol = AttackModel::build(cfg)?.optimal(&ctx.solve_options())?;
+    let mut packed = Vec::with_capacity(1 + sol.policy.choices.len());
+    packed.push(sol.value);
+    packed.extend(sol.policy.choices.iter().map(|&c| c as f64));
+    Ok(packed)
 }
 
 /// Computes all three estimators for one cross-validation cell and
 /// cross-checks them. Returns `[exact, mdp_mc, chain_mc]`; panics
 /// (isolated to this cell) when the estimators disagree beyond sampling
 /// error.
-fn crossval_cell(i: usize, spec: &CrossvalSpec, ctx: &CellContext) -> Result<Vec<f64>, MdpError> {
-    let (alpha, ratio, incentive) = spec;
-    let cfg = AttackConfig::with_ratio(*alpha, *ratio, Setting::One, *incentive);
+fn crossval_cell(i: usize, ctx: &CellContext) -> Result<Vec<f64>, MdpError> {
+    let (alpha, ratio, incentive) = CROSSVAL_SPECS[i];
+    let cfg = AttackConfig::with_ratio(alpha, ratio, Setting::One, incentive);
     let model = AttackModel::build(cfg)?;
     let sol = model.optimal(&ctx.solve_options())?;
-    let utility = incentive.utility();
+    let pick = |(u1, u2, u3): (f64, f64, f64)| match incentive.utility() {
+        Utility::U1 => u1,
+        Utility::U2 => u2,
+        Utility::U3 => u3,
+    };
+    let replayed = |r: ReplayReport| pick((r.u1(), r.u2(), r.u3()));
 
     let exact = model.evaluate(&sol.policy)?;
-    let exact_v = match utility {
-        Utility::U1 => exact.u1,
-        Utility::U2 => exact.u2,
-        Utility::U3 => exact.u3,
-    };
+    let exact_v = pick((exact.u1, exact.u2, exact.u3));
 
-    // Monte Carlo through the MDP transitions.
+    // Monte Carlo through the MDP transitions, tallied like a replay.
     let base =
         model.id_of(&AttackState::BASE).unwrap_or_else(|| panic!("base state must be reachable"));
     let mut rng = XorShift64::new(1000 + i as u64);
     let path = sample_path(model.mdp(), &sol.policy, base, CROSSVAL_STEPS, &mut rng)?;
     let t = path.component_totals;
-    let (ra, ro, oa, oo, ds) = (t[0], t[1], t[2], t[3], t[4]);
-    let mdp_mc = match utility {
-        Utility::U1 => ra / (ra + ro),
-        Utility::U2 => (ra + ds) / CROSSVAL_STEPS as f64,
-        Utility::U3 => {
-            if ra + oa == 0.0 {
-                0.0
-            } else {
-                oo / (ra + oa)
-            }
-        }
-    };
+    let (ra, rothers, oa, oothers, ds) = (t[0], t[1], t[2], t[3], t[4]);
+    let mdp_mc = replayed(ReplayReport { steps: CROSSVAL_STEPS, ra, rothers, oa, oothers, ds });
 
     // Monte Carlo on the real chain substrate.
     // One node per compliant group: the three-miner world.
     let mut replay = AttackReplay::new(&model, &sol.policy, &[1.0], &[1.0], 2000 + i as u64);
-    let report = replay.run(CROSSVAL_STEPS);
-    let chain_mc = match utility {
-        Utility::U1 => report.u1(),
-        Utility::U2 => report.u2(),
-        Utility::U3 => report.u3(),
-    };
+    let chain_mc = replayed(replay.run(CROSSVAL_STEPS));
 
     assert!(
         (mdp_mc - exact_v).abs() < 0.02 && (chain_mc - exact_v).abs() < 0.05,
@@ -562,42 +432,29 @@ fn stone_honest(power: f64, eb: ByteSize, mg: ByteSize) -> MinerSpec<BuRizunRule
     MinerSpec { power, rule: BuRizunRule::new(eb, 6), strategy: Box::new(HonestStrategy { mg }) }
 }
 
-/// Miner line-ups are rebuilt inside the cell (strategies are boxed trait
+/// The miner line-up and seed of Stone scenario `i + 1`: a 10% miner and
+/// two 45% miners. The last accepts 16 MB blocks from scenario 2 on, and
+/// in scenario 3 the first splits the network with adaptive block sizes.
+/// Line-ups are rebuilt inside the cell (strategies are boxed trait
 /// objects, so the specs themselves cannot cross the journal).
-fn stone_miners(scenario: u8) -> (Vec<MinerSpec<BuRizunRule>>, u64) {
-    let mb1 = ByteSize::mb(1);
-    let eb_c = ByteSize::mb(16);
-    match scenario {
-        1 => (
-            vec![
-                stone_honest(0.1, mb1, mb1),
-                stone_honest(0.45, mb1, mb1),
-                stone_honest(0.45, mb1, mb1),
-            ],
-            101,
-        ),
-        2 => (
-            vec![
-                stone_honest(0.1, mb1, mb1),
-                stone_honest(0.45, mb1, mb1),
-                stone_honest(0.45, eb_c, mb1),
-            ],
-            202,
-        ),
-        _ => {
-            let attacker = MinerSpec {
-                power: 0.1,
-                rule: BuRizunRule::new(eb_c, 6),
-                strategy: Box::new(SplitterStrategy::against(eb_c, mb1, 6, mb1)),
-            };
-            (vec![attacker, stone_honest(0.45, mb1, mb1), stone_honest(0.45, eb_c, mb1)], 303)
-        }
-    }
+fn stone_miners(i: usize) -> (Vec<MinerSpec<BuRizunRule>>, u64) {
+    let (mb1, eb_c) = (ByteSize::mb(1), ByteSize::mb(16));
+    let first = match i {
+        0 | 1 => stone_honest(0.1, mb1, mb1),
+        _ => MinerSpec {
+            power: 0.1,
+            rule: BuRizunRule::new(eb_c, 6),
+            strategy: Box::new(SplitterStrategy::against(eb_c, mb1, 6, mb1)),
+        },
+    };
+    let last_eb = if i == 0 { mb1 } else { eb_c };
+    let miners = vec![first, stone_honest(0.45, mb1, mb1), stone_honest(0.45, last_eb, mb1)];
+    (miners, 101 * (i as u64 + 1))
 }
 
 /// Journal packing: `[blocks_mined, on_chain, reorgs, max_depth, share]`.
-fn stone_simulate(scenario: u8) -> Vec<f64> {
-    let (miners, seed) = stone_miners(scenario);
+fn stone_simulate(i: usize) -> Vec<f64> {
+    let (miners, seed) = stone_miners(i);
     let n = miners.len();
     let mut sim = Simulation::new(miners, DelayModel::Zero, seed);
     let report = sim.run(STONE_BLOCKS);
@@ -663,21 +520,6 @@ pub fn table3_jobs(setting: u8) -> Vec<JobSpec> {
     jobs
 }
 
-/// Bitcoin-SMDS comparison cells: the grid (gamma-major) then the demo
-/// cells.
-pub fn table3_bitcoin_jobs() -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for &gamma in &TB_GAMMAS {
-        for &alpha in &TB_ALPHAS {
-            jobs.push(JobSpec::Table3Bitcoin { alpha, gamma });
-        }
-    }
-    for &(alpha, gamma) in &TB_DEMOS {
-        jobs.push(JobSpec::Table3Bitcoin { alpha, gamma });
-    }
-    jobs
-}
-
 /// Table 4 cells: each ratio in both settings.
 pub fn table4_jobs() -> Vec<JobSpec> {
     let mut jobs = Vec::new();
@@ -695,86 +537,180 @@ fn solve_token() -> String {
     SolveOptions::default().fingerprint_token()
 }
 
-/// Builds one workload's config token and cells.
-type WorkloadBuilder = fn() -> (String, Vec<JobSpec>);
+/// One registry workload.
+struct Entry {
+    /// Registry name.
+    name: &'static str,
+    /// Builds the config token mixed into the cells' fingerprints.
+    token: fn() -> String,
+    /// The cells.
+    cells: Cells,
+}
 
-/// The workload registry: every name with its builder, in listing order.
-const WORKLOADS: [(&str, WorkloadBuilder); 15] = [
-    ("table2-setting1", || (solve_token(), table2_setting1_jobs())),
-    ("table2-setting2", || (solve_token(), table2_setting2_jobs())),
-    ("table3-setting1", || (solve_token(), table3_jobs(1))),
-    ("table3-setting2", || (solve_token(), table3_jobs(2))),
-    // `exact`: the Bitcoin values moved (by < 1e-7) when their solves
-    // became exact, so journal lines written by the earlier iterative
-    // solver miss by design.
-    ("table3-bitcoin", || (format!("{};exact", solve_token()), table3_bitcoin_jobs())),
-    ("table4", || (solve_token(), table4_jobs())),
-    ("ablation-ad", || {
-        (solve_token(), ABLATION_ADS.iter().map(|&ad| JobSpec::AblationAd { ad }).collect())
-    }),
-    ("ablation-gate", || {
-        (solve_token(), ABLATION_GATES.iter().map(|&gate| JobSpec::AblationGate { gate }).collect())
-    }),
-    // `replay=net`: the chain-MC column moved when the three-miner replay
-    // became the N-node replay with one node per group (another random
-    // stream), so journal lines written before it miss by design.
-    ("crossval", || {
-        (
-            format!("{};steps={CROSSVAL_STEPS};replay=net", solve_token()),
-            (0..crossval_specs().len()).map(|index| JobSpec::Crossval { index }).collect(),
-        )
-    }),
-    ("strategies", || {
-        (
-            solve_token(),
-            (0..strategy_specs().len()).map(|index| JobSpec::Strategies { index }).collect(),
-        )
-    }),
-    ("stone-sim", || {
-        (
-            format!("stone;blocks={STONE_BLOCKS}"),
-            [1u8, 2, 3].iter().map(|&scenario| JobSpec::StoneSim { scenario }).collect(),
-        )
-    }),
-    ("scenario-grid", || {
-        (
-            // Simulation cells carry every parameter in their key; the
-            // solver token still matters for the embedded MDP cell.
-            format!("{};scn-grid", solve_token()),
-            bvc_scenario::grid_specs().into_iter().map(|spec| JobSpec::Scenario { spec }).collect(),
-        )
-    }),
-    ("scenario-crossval", || {
-        (
+/// How a registry workload lists its cells.
+enum Cells {
+    /// Cells that carry their full parameters: tables, scenario grid, games.
+    Jobs(fn() -> Vec<JobSpec>),
+    /// Sweep-only rows ([`JobSpec::Row`]).
+    Rows(Rows),
+}
+
+/// A sweep-only workload's cells: cell `i` of a fixed parameter list.
+struct Rows {
+    /// Wire tag; cell `i` crosses the wire as `tag;i`.
+    tag: &'static str,
+    /// Number of cells.
+    len: usize,
+    /// The journal key of cell `i`.
+    key: fn(usize) -> String,
+    /// Solves cell `i`: the owning binary's solver calls and value packing.
+    solve: fn(usize, &CellContext) -> Result<Vec<f64>, MdpError>,
+}
+
+/// The workload registry, in listing order.
+const WORKLOADS: &[Entry] = &[
+    Entry { name: "table2-setting1", token: solve_token, cells: Cells::Jobs(table2_setting1_jobs) },
+    Entry { name: "table2-setting2", token: solve_token, cells: Cells::Jobs(table2_setting2_jobs) },
+    Entry { name: "table3-setting1", token: solve_token, cells: Cells::Jobs(|| table3_jobs(1)) },
+    Entry { name: "table3-setting2", token: solve_token, cells: Cells::Jobs(|| table3_jobs(2)) },
+    Entry {
+        name: "table3-bitcoin",
+        // `exact`: the Bitcoin values moved (by < 1e-7) when their solves
+        // became exact, so journal lines written by the earlier iterative
+        // solver miss by design.
+        token: || format!("{};exact", solve_token()),
+        cells: Cells::Rows(Rows {
+            tag: "tb",
+            len: TB_ALPHAS.len() * TB_GAMMAS.len() + TB_DEMOS.len(),
+            key: |i| {
+                let (alpha, gamma) = tb_cell(i);
+                format!("smds a={}% tie={}%", alpha * 100.0, gamma * 100.0)
+            },
+            solve: |i, ctx| {
+                let (alpha, gamma) = tb_cell(i);
+                let model = bvc_bitcoin::BitcoinModel::build(bvc_bitcoin::BitcoinConfig::smds(
+                    alpha, gamma,
+                ))?;
+                Ok(vec![model.optimal_absolute_revenue(&ctx.solve_options())?.value])
+            },
+        }),
+    },
+    Entry { name: "table4", token: solve_token, cells: Cells::Jobs(table4_jobs) },
+    Entry {
+        name: "ablation-ad",
+        token: solve_token,
+        cells: Cells::Rows(Rows {
+            tag: "aa",
+            len: ABLATION_ADS.len(),
+            key: |i| format!("AD={}", ABLATION_ADS[i]),
+            solve: |i, ctx| ablation_ad_row(ABLATION_ADS[i], ctx),
+        }),
+    },
+    Entry {
+        name: "ablation-gate",
+        token: solve_token,
+        cells: Cells::Rows(Rows {
+            tag: "ag",
+            len: ABLATION_GATES.len(),
+            key: |i| format!("gate={}", ABLATION_GATES[i]),
+            solve: |i, ctx| ablation_gate_row(ABLATION_GATES[i], ctx),
+        }),
+    },
+    Entry {
+        name: "crossval",
+        // `replay=net`: the chain-MC column moved when the three-miner
+        // replay became the N-node replay with one node per group (another
+        // random stream), so journal lines written before it miss by design.
+        token: || format!("{};steps={CROSSVAL_STEPS};replay=net", solve_token()),
+        cells: Cells::Rows(Rows {
+            tag: "cv",
+            len: CROSSVAL_SPECS.len(),
+            key: |i| {
+                let (alpha, ratio, incentive) = CROSSVAL_SPECS[i];
+                let utility = incentive.utility().name();
+                format!(
+                    "#{i} {utility} alpha={}%, beta:gamma={}:{}",
+                    alpha * 100.0,
+                    ratio.0,
+                    ratio.1
+                )
+            },
+            solve: crossval_cell,
+        }),
+    },
+    Entry {
+        name: "strategies",
+        token: solve_token,
+        cells: Cells::Rows(Rows {
+            tag: "st",
+            len: STRATEGY_SPECS.len(),
+            key: |i| {
+                let (_, alpha, (b, g), incentive) = STRATEGY_SPECS[i];
+                format!("{incentive:?} a={}% b:g={b}:{g}", alpha * 100.0)
+            },
+            solve: strategy_cell,
+        }),
+    },
+    Entry {
+        name: "stone-sim",
+        token: || format!("stone;blocks={STONE_BLOCKS}"),
+        cells: Cells::Rows(Rows {
+            tag: "ss",
+            len: 3,
+            key: |i| format!("scenario{}", i + 1),
+            solve: |i, _| Ok(stone_simulate(i)),
+        }),
+    },
+    Entry {
+        name: "scenario-grid",
+        // Simulation cells carry every parameter in their key; the solver
+        // token still matters for the embedded MDP cell.
+        token: || format!("{};scn-grid", solve_token()),
+        cells: Cells::Jobs(|| {
+            bvc_scenario::grid_specs().into_iter().map(|spec| JobSpec::Scenario { spec }).collect()
+        }),
+    },
+    Entry {
+        name: "scenario-crossval",
+        token: || {
             format!(
                 "{};scn-xval blocks={} reps={}",
                 solve_token(),
                 bvc_scenario::CROSSVAL_BLOCKS,
                 bvc_scenario::CROSSVAL_REPS
-            ),
-            (0..bvc_scenario::crossval_cells().len())
-                .map(|index| JobSpec::ScenarioCrossval { index })
-                .collect(),
-        )
-    }),
-    ("games-grid", || {
-        (
-            GameSpec::config_token(),
+            )
+        },
+        cells: Cells::Rows(Rows {
+            tag: "sx",
+            // `bvc_scenario::crossval_cells()`: settings × replications.
+            len: bvc_scenario::CROSSVAL_SETTINGS.len() * bvc_scenario::CROSSVAL_REPS,
+            key: |i| {
+                let cell = &bvc_scenario::crossval_cells()[i];
+                format!("#{i} {} rep={}", cell.key(), i % bvc_scenario::CROSSVAL_REPS)
+            },
+            solve: |i, ctx| bvc_scenario::crossval_cells()[i].solve(&ctx.solve_options()),
+        }),
+    },
+    Entry {
+        name: "games-grid",
+        token: GameSpec::config_token,
+        cells: Cells::Jobs(|| {
             bvc_gamesweep::games_grid_specs()
                 .into_iter()
                 .map(|spec| JobSpec::Game { spec })
-                .collect(),
-        )
-    }),
-    ("games-frontier", || {
-        (
-            FrontierSpec::config_token(),
+                .collect()
+        }),
+    },
+    Entry {
+        name: "games-frontier",
+        token: FrontierSpec::config_token,
+        cells: Cells::Jobs(|| {
             bvc_gamesweep::frontier_cells()
                 .into_iter()
                 .map(|spec| JobSpec::GameFrontier { spec })
-                .collect(),
-        )
-    }),
+                .collect()
+        }),
+    },
 ];
 
 /// Every named workload the registry can build.
@@ -782,23 +718,47 @@ pub const WORKLOAD_NAMES: [&str; WORKLOADS.len()] = {
     let mut names = [""; WORKLOADS.len()];
     let mut i = 0;
     while i < WORKLOADS.len() {
-        names[i] = WORKLOADS[i].0;
+        names[i] = WORKLOADS[i].name;
         i += 1;
     }
     names
 };
 
+/// The sweep-only workloads' names and rows, in registry order.
+fn row_workloads() -> impl Iterator<Item = (&'static str, &'static Rows)> {
+    WORKLOADS.iter().filter_map(|entry| match &entry.cells {
+        Cells::Rows(rows) => Some((entry.name, rows)),
+        Cells::Jobs(_) => None,
+    })
+}
+
+/// The rows of the sweep-only workload `name`.
+fn rows(name: &str) -> &'static Rows {
+    row_workloads()
+        .find_map(|(registered, rows)| (registered == name).then_some(rows))
+        .unwrap_or_else(|| panic!("{name:?} is not a sweep-only workload"))
+}
+
 /// Builds a named workload; `None` for unknown names (see
 /// [`WORKLOAD_NAMES`]).
 pub fn workload(name: &str) -> Option<Workload> {
-    let &(name, build) = WORKLOADS.iter().find(|(registered, _)| *registered == name)?;
-    let (config_token, jobs) = build();
-    Some(Workload { name, config_token, jobs })
+    let entry = WORKLOADS.iter().find(|entry| entry.name == name)?;
+    let jobs = match &entry.cells {
+        Cells::Jobs(build) => build(),
+        Cells::Rows(rows) => {
+            (0..rows.len).map(|index| JobSpec::Row { workload: entry.name, index }).collect()
+        }
+    };
+    Some(Workload { name: entry.name, config_token: (entry.token)(), jobs })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn row(workload: &'static str, index: usize) -> JobSpec {
+        JobSpec::Row { workload, index }
+    }
 
     #[test]
     fn every_workload_builds_and_specs_roundtrip() {
@@ -837,6 +797,43 @@ mod tests {
         assert_eq!(bvc_bitcoin::SolveOptions::default().fingerprint_token(), TOKEN);
     }
 
+    /// Every workload's cell identities, pinned: `fnv1a64` over the
+    /// little-endian `cell_fingerprint(key, config_token)` of each cell, in
+    /// order. A changed literal means old journals and cache entries of
+    /// that workload miss.
+    #[test]
+    fn workload_fingerprints_are_pinned() {
+        const PINS: [(&str, u64); 15] = [
+            ("table2-setting1", 0x99dd92301174f7f9),
+            ("table2-setting2", 0xd8ffca4b9b48e7e5),
+            ("table3-setting1", 0x3b74d47a921b5d17),
+            ("table3-setting2", 0x7a437955675efed5),
+            ("table3-bitcoin", 0x8b7d3db4358c6127),
+            ("table4", 0xc42ee1fa35ba9bae),
+            ("ablation-ad", 0xa3dde7d3b88d9edc),
+            ("ablation-gate", 0x4f3fdfc39e6f7cd3),
+            ("crossval", 0xbb041da89db5637d),
+            ("strategies", 0x7f823379f1501604),
+            ("stone-sim", 0xfae7026505c3fada),
+            ("scenario-grid", 0x2c5581782d6f07d0),
+            ("scenario-crossval", 0xc513c2186330f409),
+            ("games-grid", 0xa9359c391d1010af),
+            ("games-frontier", 0x015465b8a02f27fd),
+        ];
+        assert_eq!(PINS.map(|(name, _)| name), WORKLOAD_NAMES);
+        for (name, pin) in PINS {
+            let w = workload(name).unwrap();
+            let bytes: Vec<u8> = w
+                .jobs
+                .iter()
+                .flat_map(|job| {
+                    bvc_journal::cell_fingerprint(&job.key(), &w.config_token).to_le_bytes()
+                })
+                .collect();
+            assert_eq!(bvc_journal::fnv1a64(&bytes), pin, "{name}");
+        }
+    }
+
     #[test]
     fn keys_match_the_binaries_exact_format() {
         assert_eq!(
@@ -847,12 +844,13 @@ mod tests {
             JobSpec::Table3 { alpha: 0.025, ratio: (4, 1), setting: 2 }.key(),
             "s2 b:g=4:1 a=2.5%"
         );
-        assert_eq!(JobSpec::Table3Bitcoin { alpha: 0.05, gamma: 0.5 }.key(), "smds a=5% tie=50%");
+        assert_eq!(row("table3-bitcoin", 8).key(), "smds a=5% tie=50%");
+        assert_eq!(row("table3-bitcoin", 5).key(), "smds a=15% tie=100%");
         assert_eq!(JobSpec::Table4 { ratio: (2, 3), setting: 2 }.key(), "s2 b:g=2:3 a=1%");
-        assert_eq!(JobSpec::AblationAd { ad: 6 }.key(), "AD=6");
-        assert_eq!(JobSpec::AblationGate { gate: 144 }.key(), "gate=144");
-        assert_eq!(JobSpec::StoneSim { scenario: 3 }.key(), "scenario3");
-        assert_eq!(JobSpec::Crossval { index: 0 }.key(), "#0 u1 alpha=25%, beta:gamma=1:1");
+        assert_eq!(row("ablation-ad", 3).key(), "AD=6");
+        assert_eq!(row("ablation-gate", 3).key(), "gate=144");
+        assert_eq!(row("stone-sim", 2).key(), "scenario3");
+        assert_eq!(row("crossval", 0).key(), "#0 u1 alpha=25%, beta:gamma=1:1");
     }
 
     /// Off-grid Table 2 alphas keep distinct keys: the rounded percent is
@@ -893,6 +891,10 @@ mod tests {
         assert_eq!(workload("stone-sim").unwrap().jobs.len(), 3);
         assert_eq!(workload("scenario-grid").unwrap().jobs.len(), 13);
         assert_eq!(workload("scenario-crossval").unwrap().jobs.len(), 20);
+        assert_eq!(
+            workload("scenario-crossval").unwrap().jobs.len(),
+            bvc_scenario::crossval_cells().len()
+        );
         assert_eq!(workload("games-grid").unwrap().jobs.len(), 18);
         assert_eq!(workload("games-frontier").unwrap().jobs.len(), 26);
     }
@@ -905,12 +907,11 @@ mod tests {
             assert!(wire.starts_with("sc;"), "scenario wire tag: {wire}");
             assert_eq!(JobSpec::decode(&wire).as_ref(), Some(job));
         }
-        let xval = JobSpec::ScenarioCrossval { index: 3 };
+        let xval = row("scenario-crossval", 3);
         assert_eq!(JobSpec::decode("sx;3"), Some(xval.clone()));
         assert!(xval.key().contains("rep=3"), "{}", xval.key());
-        // Out-of-range crossval indices decode but fail to solve, like
-        // the other indexed cell kinds.
-        assert!(JobSpec::decode("sx;999").is_some());
+        // A row index past the workload's cells does not decode.
+        assert_eq!(JobSpec::decode("sx;999"), None);
     }
 
     #[test]
@@ -959,7 +960,22 @@ mod tests {
 
     #[test]
     fn undecodable_specs_return_none() {
-        for junk in ["", "zz;1", "t2;nothex;1;1;1", "t2;3fb999999999999a;1;1", "cv;x"] {
+        for junk in [
+            "",
+            "zz;1",
+            "t2;nothex;1;1;1",
+            "t2;3fb999999999999a;1;1",
+            "cv;x",
+            "cv;-1",
+            "cv;5",
+            "sx;20",
+            "tb;10",
+            "aa;7",
+            "ag;5",
+            "st;3",
+            "ss;3",
+            "aa;1;2",
+        ] {
             assert!(JobSpec::decode(junk).is_none(), "accepted junk: {junk:?}");
         }
     }

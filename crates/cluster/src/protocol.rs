@@ -26,8 +26,8 @@
 use bvc_journal::json::{FlatJson, JsonObject};
 use bvc_journal::{f64_from_hex, f64_to_hex};
 
-/// Protocol version; bumped on any incompatible frame change.
-pub const PROTO_VERSION: u32 = 4;
+/// Protocol version; bumped on any incompatible frame or job-spec change.
+pub const PROTO_VERSION: u32 = 5;
 
 /// The sweep-wide execution configuration the coordinator pushes to every
 /// worker right after `hello`. Carrying the deadline and injection lists

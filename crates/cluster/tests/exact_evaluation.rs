@@ -8,7 +8,9 @@
 
 use bvc_bu::{AttackConfig, AttackModel, IncentiveModel, Setting, SolveOptions};
 use bvc_cluster::cell::CellContext;
-use bvc_cluster::jobs::{table2_setting1_jobs, table2_setting2_jobs, table3_jobs, JobSpec};
+use bvc_cluster::jobs::{
+    table2_setting1_jobs, table2_setting2_jobs, table3_jobs, JobSpec, ABLATION_ADS,
+};
 use bvc_mdp::SolveBudget;
 
 fn setting(s: u8) -> Setting {
@@ -84,8 +86,9 @@ const ABLATION_EPISODES: [(u8, f64, f64); 7] = [
 #[test]
 fn ablation_episode_metrics_match_the_iterative_values() {
     let ctx = CellContext { budget: SolveBudget::unlimited(), audit: false };
-    for (ad, deep_fork, gate_time) in ABLATION_EPISODES {
-        let row = JobSpec::AblationAd { ad }.solve(&ctx).unwrap();
+    for (index, (ad, deep_fork, gate_time)) in ABLATION_EPISODES.into_iter().enumerate() {
+        assert_eq!(ABLATION_ADS[index], ad);
+        let row = JobSpec::Row { workload: "ablation-ad", index }.solve(&ctx).unwrap();
         for (name, got, want) in
             [("deep_fork", row[4], deep_fork), ("gate_time", row[5], gate_time)]
         {

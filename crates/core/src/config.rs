@@ -51,7 +51,7 @@ pub enum IncentiveModel {
 impl IncentiveModel {
     /// The paper's double-spending parameterization: `R_DS` worth ten block
     /// rewards, merchants shipping after four confirmations.
-    pub fn non_compliant_default() -> Self {
+    pub const fn non_compliant_default() -> Self {
         IncentiveModel::NonCompliantProfitDriven { rds: 10.0, threshold: 3 }
     }
 

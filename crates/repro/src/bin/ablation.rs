@@ -10,6 +10,9 @@
 //!   gives more phase-2/phase-3 exposure per trigger, a shorter one lets
 //!   the attacker split the network more often.
 //!
+//! The cells are the `ablation-ad` and `ablation-gate` rows of the job
+//! registry (`bvc_cluster::jobs`).
+//!
 //! Run: `cargo run --release -p bvc-repro --bin ablation`
 //!
 //! Accepts the standard sweep-runner flags (see `bvc_repro::sweep`); exits

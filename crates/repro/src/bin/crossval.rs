@@ -9,6 +9,9 @@
 //! All three must agree within sampling error; this closes the loop between
 //! the analytic model and the chain semantics.
 //!
+//! The cells are the `crossval` rows of the job registry
+//! (`bvc_cluster::jobs`); the row index keys the MC seeds.
+//!
 //! Run: `cargo run --release -p bvc-repro --bin crossval`
 //!
 //! Each cell runs isolated in the sweep runner: a disagreement panics that
@@ -16,7 +19,7 @@
 //! nonzero. Accepts the standard sweep-runner flags (see
 //! `bvc_repro::sweep`).
 
-use bvc_cluster::jobs::{crossval_specs, CROSSVAL_STEPS};
+use bvc_cluster::jobs::{CROSSVAL_SPECS, CROSSVAL_STEPS};
 use bvc_repro::sweep::{run_workload, SweepOptions};
 
 fn main() {
@@ -24,13 +27,10 @@ fn main() {
 
     println!("MDP <-> chain-substrate cross-validation ({CROSSVAL_STEPS} sampled blocks per run)");
     println!();
-    // The cell bodies (and the index-keyed MC seeds) live in the job
-    // registry, so a cluster worker replays exactly this binary's solves.
-    let specs = crossval_specs();
     let (_, report) = run_workload("crossval", &opts);
 
     println!("{:<42} {:>9} {:>9} {:>9}", "cell", "exact", "MDP-MC", "chain-MC");
-    for (i, (alpha, ratio, incentive)) in specs.iter().enumerate() {
+    for (i, (alpha, ratio, incentive)) in CROSSVAL_SPECS.iter().enumerate() {
         let which = incentive.utility().name();
         let label = format!("{which} alpha={}%, beta:gamma={}:{}", alpha * 100.0, ratio.0, ratio.1);
         match report.value(i) {

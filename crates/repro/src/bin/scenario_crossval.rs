@@ -11,6 +11,9 @@
 //! model's three miners is exact, so a miss beyond sampling error means a
 //! bug in the network engine, the policy export, or the MDP itself.
 //!
+//! The replications are the `scenario-crossval` rows of the job registry
+//! (`bvc_cluster::jobs`), in `bvc_scenario::crossval_cells()` order.
+//!
 //! Run: `cargo run --release -p bvc-repro --bin scenario_crossval`
 //!
 //! Accepts the standard sweep-runner flags (see `bvc_repro::sweep`), so

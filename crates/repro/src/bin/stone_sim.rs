@@ -12,6 +12,9 @@
 //! 3. a 10% attacker adaptively injecting `EB_C`-sized blocks
 //!    (the Cryptoconomy splitter) — persistent forking.
 //!
+//! The scenarios are the `stone-sim` rows of the job registry
+//! (`bvc_cluster::jobs`), which holds their miner line-ups and seeds.
+//!
 //! Run: `cargo run --release -p bvc-repro --bin stone_sim`
 //!
 //! Each scenario runs as an isolated sweep cell (the summary statistics are
@@ -51,8 +54,6 @@ fn main() {
         "scenario 2 (Stone): heterogeneous EBs (1 MB / 16 MB), static 1 MB blocks",
         "scenario 3 (paper): 10% attacker with adaptive block sizes",
     ];
-    // The miner line-ups and seeds live in the job registry
-    // (`stone_simulate`), so a cluster worker replays the same Monte Carlo.
     let (_, report) = run_workload("stone-sim", &opts);
 
     for (i, label) in scenarios.iter().enumerate() {

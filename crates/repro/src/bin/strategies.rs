@@ -6,6 +6,9 @@
 //! For each incentive model: the base-state decision, the phase-1 action
 //! map over `(l1, l2, a1, a2)` states, and side-preference statistics.
 //!
+//! The solves are the `strategies` rows of the job registry
+//! (`bvc_cluster::jobs`); the binary keeps only the rendering.
+//!
 //! Run: `cargo run --release -p bvc-repro --bin strategies`
 //!
 //! The three solves run through the sweep runner (isolation + optional
@@ -14,7 +17,7 @@
 //! sweep-runner flags (see `bvc_repro::sweep`).
 
 use bvc_bu::{render_phase1_map, summarize, AttackConfig, AttackModel, IncentiveModel, Setting};
-use bvc_cluster::jobs::{strategy_specs, StrategySpec};
+use bvc_cluster::jobs::{StrategySpec, STRATEGY_SPECS};
 use bvc_mdp::Policy;
 use bvc_repro::sweep::{run_workload, SweepOptions};
 
@@ -57,12 +60,9 @@ fn render(spec: &StrategySpec, packed: &[f64]) {
 fn main() {
     let (opts, _) = SweepOptions::from_cli_or_exit(std::env::args().skip(1), &[]);
 
-    // Solve bodies live in the job registry; the binary keeps only the
-    // rendering (which needs the deterministic model rebuild anyway).
-    let specs = strategy_specs();
     let (_, report) = run_workload("strategies", &opts);
 
-    for (i, spec) in specs.iter().enumerate() {
+    for (i, spec) in STRATEGY_SPECS.iter().enumerate() {
         match report.value(i) {
             Some(packed) => render(spec, packed),
             None => {

@@ -3,6 +3,9 @@
 //! Zohar, as modified by the paper: four confirmations, `R_DS` worth ten
 //! block rewards).
 //!
+//! The cells are the `table3-bitcoin` rows of the job registry
+//! (`bvc_cluster::jobs`): the γ-major grid, then two demo cells.
+//!
 //! Run: `cargo run --release -p bvc-repro --bin table3_bitcoin`
 //!
 //! Accepts the standard sweep-runner flags (see `bvc_repro::sweep`); exits
@@ -18,9 +21,6 @@ const PAPER: [[f64; 4]; 2] = [[0.1, 0.15, 0.2, 0.38], [0.11, 0.18, 0.30, 0.52]];
 fn main() {
     let (opts, _) = SweepOptions::from_cli_or_exit(std::env::args().skip(1), &[]);
 
-    // The job registry enumerates the γ-major grid plus the two
-    // honest-degeneration demo cells, which ride along as extra sweep
-    // cells so they inherit the same isolation and checkpointing.
     let (_, report) = run_workload("table3-bitcoin", &opts);
 
     let cells: Vec<Vec<GridEntry>> = (0..2)

@@ -26,7 +26,7 @@
 
 use std::fmt::Write as _;
 use std::ops::ControlFlow;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -78,6 +78,9 @@ pub struct SweepReport {
     pub cells: Vec<CellResult>,
     /// Wall-clock time of the whole sweep.
     pub wall: Duration,
+    /// Journal lines a local sweep gave up appending after three tries;
+    /// those cells re-solve on resume.
+    pub journal_dropped: usize,
 }
 
 impl SweepReport {
@@ -127,7 +130,7 @@ impl SweepReport {
     /// runs (replay counts legitimately differ between a clean run and a
     /// resumed one).
     pub fn summary(&self) -> String {
-        format!(
+        let mut line = format!(
             "# sweep {}: {} cells | solved {} ({} replayed) | failed {} | skipped {} | wall {:.2}s",
             self.label,
             self.cells.len(),
@@ -136,7 +139,11 @@ impl SweepReport {
             self.failed(),
             self.skipped(),
             self.wall.as_secs_f64(),
-        )
+        );
+        if self.journal_dropped > 0 {
+            let _ = write!(line, " | journal lines dropped {}", self.journal_dropped);
+        }
+        line
     }
 
     /// Multi-line legend describing every failed/skipped cell, empty when
@@ -424,7 +431,8 @@ impl SweepOptions {
 ///
 /// The returned report has one entry per input, in input order, regardless
 /// of how many cells failed. `run_sweep` itself never panics on cell
-/// failures.
+/// failures; a journal path it cannot recover or open prints the path and
+/// the OS error and exits 2.
 pub fn run_sweep<Inp, K, F>(
     label: &str,
     inputs: &[Inp],
@@ -450,8 +458,7 @@ where
         // Crash recovery: truncate any torn tail (a crash mid-append) back
         // to the last complete line before replaying, so the re-appended
         // line lands at the same byte offset an uninterrupted run used.
-        let journal = recover_journal(path)
-            .unwrap_or_else(|e| panic!("cannot recover journal {}: {e}", path.display()));
+        let journal = recover_journal(path).unwrap_or_else(|e| journal_error(path, e));
         if journal.truncated_bytes > 0 {
             eprintln!(
                 "sweep {label}: journal {}: truncated {} byte(s) of torn tail",
@@ -478,8 +485,9 @@ where
     let journal = opts.journal.as_ref().map(|path| {
         Mutex::new(JournalOrder {
             writer: JournalWriter::append_to(path, opts.durability)
-                .unwrap_or_else(|e| panic!("cannot open journal {}: {e}", path.display())),
+                .unwrap_or_else(|e| journal_error(path, e)),
             cursor: 0,
+            dropped: 0,
             lines: (0..pending.len()).map(|_| None).collect(),
         })
     });
@@ -544,9 +552,11 @@ where
     // boundary are only flushed, not fsynced — close the window here. Every
     // line is written by now: claims are made in order, so the cells never
     // claimed (fail-fast) are a suffix of `pending` with nothing after them.
-    if let Some(journal) = journal {
-        let _ = journal.into_inner().unwrap_or_else(|e| e.into_inner()).writer.sync();
-    }
+    let journal_dropped = journal.map_or(0, |journal| {
+        let mut journal = journal.into_inner().unwrap_or_else(|e| e.into_inner());
+        let _ = journal.writer.sync();
+        journal.dropped
+    });
 
     let cells = slots
         .into_iter()
@@ -562,7 +572,14 @@ where
         })
         .collect();
 
-    SweepReport { label: label.to_string(), cells, wall: started.elapsed() }
+    SweepReport { label: label.to_string(), cells, wall: started.elapsed(), journal_dropped }
+}
+
+/// An unusable journal path (a directory, an unreadable file) is an
+/// infrastructure failure: print the path and the OS error and exit 2.
+fn journal_error(path: &Path, e: std::io::Error) -> ! {
+    eprintln!("error: journal {}: {e}", path.display());
+    std::process::exit(2);
 }
 
 /// The journal of one [`run_sweep`] and its reorder buffer: lines are
@@ -576,6 +593,8 @@ struct JournalOrder {
     /// Per pending cell: `None` until it finishes, then its line, or
     /// `Some(None)` when it has none (a skip).
     lines: Vec<Option<Option<String>>>,
+    /// Lines given up after three failed appends.
+    dropped: usize,
 }
 
 impl JournalOrder {
@@ -589,11 +608,10 @@ impl JournalOrder {
             // A failed append rolled the file back to the previous line
             // boundary, so a retry re-appends the identical bytes. Give a
             // transiently faulted disk a few chances; a line lost past
-            // that degrades to re-solving this cell on resume.
-            for _ in 0..3 {
-                if self.writer.append_line(&line).is_ok() {
-                    break;
-                }
+            // that is counted in the report, and its cell re-solves on
+            // resume.
+            if !(0..3).any(|_| self.writer.append_line(&line).is_ok()) {
+                self.dropped += 1;
             }
         }
     }
@@ -659,7 +677,9 @@ fn run_coordinated(
     for line in report.stats.lines() {
         eprintln!("# {line}");
     }
-    Ok(SweepReport { label: report.label, cells: report.cells, wall: report.wall })
+    // The coordinator counts its own journal retries in its stats.
+    let (label, cells, wall) = (report.label, report.cells, report.wall);
+    Ok(SweepReport { label, cells, wall, journal_dropped: 0 })
 }
 
 #[cfg(test)]

@@ -11,7 +11,9 @@
 //! 3. a torn journal append inside a run is rolled back to the previous
 //!    line boundary and retried by the reorder cursor, preserving
 //!    identity without restarting anything;
-//! 4. the same chaos seed reproduces the same injected-fault schedule.
+//! 4. a local sweep whose every journal append tears counts the lines it
+//!    gives up on;
+//! 5. the same chaos seed reproduces the same injected-fault schedule.
 //!
 //! The chaos controller is process-global, so every test serializes on
 //! one lock and resets the plan on entry and exit.
@@ -206,6 +208,33 @@ fn torn_journal_append_self_heals_within_the_run() {
         "the torn append was detected and retried:\n{}",
         report.stats
     );
+}
+
+#[test]
+fn local_sweep_counts_the_journal_lines_it_gives_up() {
+    let _guard = lock();
+    let wl = stone();
+
+    // Every append tears: each line is tried three times, rolled back
+    // each time, then dropped and counted.
+    bvc_chaos::install_spec("seed=1,torn_write=1").expect("valid plan");
+    let path = tmp_path("torn-every-append");
+    let opts = SweepOptions {
+        journal: Some(path.clone()),
+        threads: Some(1),
+        config_token: wl.config_token.clone(),
+        ..SweepOptions::default()
+    };
+    let report = run_jobs(wl.name, &wl.jobs, &opts);
+    bvc_chaos::reset();
+    let bytes = std::fs::read(&path).expect("journal created");
+    std::fs::remove_file(&path).ok();
+
+    assert_eq!(report.solved(), wl.jobs.len(), "{}", report.failure_legend());
+    assert!(bytes.is_empty(), "every torn append was rolled back: {bytes:?}");
+    assert_eq!(report.journal_dropped, wl.jobs.len());
+    let summary = report.summary();
+    assert!(summary.ends_with(&format!(" | journal lines dropped {}", wl.jobs.len())), "{summary}");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! The repro binaries exit 2 with a message on an argument they do not
-//! take or a seconds value no `Duration` holds, before any cell runs,
-//! instead of ignoring it or panicking.
+//! take, a seconds value no `Duration` holds, or a journal path they
+//! cannot use, before any cell runs, instead of ignoring it or panicking.
 
 use std::process::Command;
 
@@ -54,4 +54,19 @@ fn bad_seconds_exit_2_without_a_panic() {
         assert!(stderr.contains(flag) && stderr.contains(value), "{flag} {value}: {stderr}");
         assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
     }
+}
+
+#[test]
+fn unusable_journal_path_exits_2_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("bvc-flags-journal-dir-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let path = dir.to_str().expect("UTF-8 temp path");
+    let (code, stderr) = run(
+        env!("CARGO_BIN_EXE_table2"),
+        &["--setting1-only", "--threads", "1", "--journal", path],
+    );
+    std::fs::remove_dir(&dir).ok();
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains(path), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -142,7 +142,8 @@ echo "==> cell-identity gate (solve token pin + cell keys + table-cell parsers +
 # Every journal fingerprint and serve cache key hashes the default solve
 # token and a cell key; a drift in either orphans old journals and turns
 # preloaded serve hits into misses. Re-run the pins so such a drift fails
-# under this name. The table-cell contract runs one parameter table through
+# under this name; the workload pin folds every registry workload's cell
+# fingerprints into one literal per workload. The table-cell contract runs one parameter table through
 # serve's GET query and POST body parsers and `bvc solve`'s flags: the same
 # config (bit-equal alpha) or the same rejected parameter from all three.
 # The schema-cell contract (scenario, game-map and frontier cells, one
@@ -152,7 +153,8 @@ echo "==> cell-identity gate (solve token pin + cell keys + table-cell parsers +
 # byte-identical to a rendered one; the alias pin holds two alphas that
 # share one cell key to replies that each echo their own alpha, beta and
 # gamma.
-cargo test -q --offline -p bvc-cluster --lib -- solve_token_is_pinned keys_
+cargo test -q --offline -p bvc-cluster --lib -- solve_token_is_pinned keys_ \
+    workload_fingerprints_are_pinned
 cargo test -q --offline -p bvc-serve --lib -- _key cell_route_bodies_are_pinned \
     table_route_bodies_are_pinned alpha_alias_replies_echo_their_own_inputs
 cargo test -q --offline -p bvc-cli -- table_cell_parsers_agree cell_metric_keys_agree
