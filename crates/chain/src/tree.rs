@@ -29,6 +29,15 @@ impl BlockTree {
         BlockTree { blocks: vec![genesis], children: vec![Vec::new()] }
     }
 
+    /// Drops every block but genesis, keeping the arena's allocations: the
+    /// tree then equals [`BlockTree::new`]'s, and the next block appended
+    /// gets the id and height a fresh tree would give it.
+    pub fn reset(&mut self) {
+        self.blocks.truncate(1);
+        self.children.truncate(1);
+        self.children[0].clear();
+    }
+
     /// Appends a block on `parent` and returns its id.
     ///
     /// # Panics

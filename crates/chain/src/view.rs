@@ -32,6 +32,15 @@ impl<R: ValidityRule> NodeView<R> {
         NodeView { rule, received: Vec::new(), best: BlockId::GENESIS, best_height: 0 }
     }
 
+    /// Forgets every received block, keeping the rule and the received
+    /// list's allocation: the view then equals a fresh one's, to be used
+    /// over a tree that was [`BlockTree::reset`].
+    pub fn reset(&mut self) {
+        self.received.clear();
+        self.best = BlockId::GENESIS;
+        self.best_height = 0;
+    }
+
     /// The node's validity rule.
     pub fn rule(&self) -> &R {
         &self.rule
@@ -194,6 +203,42 @@ mod tests {
         let incremental = view.accepted_tip();
         view.recompute(&tree);
         assert_eq!(view.accepted_tip(), incremental);
+    }
+
+    /// A reset tree and view are a fresh pair: only genesis, nothing
+    /// received, and the next block gets a fresh tree's id and height.
+    #[test]
+    fn reset_equals_a_fresh_tree_and_view() {
+        let mut tree = BlockTree::new();
+        let mut view = NodeView::new(BuRizunRule::new(EB_B, 2));
+        let a = tree.extend(BlockId::GENESIS, small(), MinerId(0));
+        let e = tree.extend(a, EB_C, MinerId(1));
+        let f = tree.extend(e, small(), MinerId(1));
+        for b in [a, e, f] {
+            view.receive(&tree, b);
+        }
+        assert_eq!(view.accepted_tip(), f);
+
+        tree.reset();
+        view.reset();
+        assert_eq!(tree.len(), 1);
+        assert!(tree.is_empty());
+        assert_eq!(tree.children(BlockId::GENESIS), &[]);
+        assert_eq!(tree.tips(), vec![BlockId::GENESIS]);
+        assert_eq!(view.accepted_tip(), BlockId::GENESIS);
+        assert_eq!(view.accepted_height(), 0);
+        assert!(view.received().is_empty());
+
+        let mut fresh = BlockTree::new();
+        let want = fresh.extend(BlockId::GENESIS, EB_C, MinerId(2));
+        let got = tree.extend(BlockId::GENESIS, EB_C, MinerId(2));
+        assert_eq!((got, tree.height(got)), (want, fresh.height(want)));
+        assert_eq!(tree.children(BlockId::GENESIS), &[got]);
+        assert_eq!(tree.children(got), &[]);
+        // The view judges the new block as a fresh view would: excessive
+        // for Bob's EB, so his tip stays at genesis.
+        assert!(!view.receive(&tree, got));
+        assert_eq!(view.accepted_tip(), BlockId::GENESIS);
     }
 
     #[test]

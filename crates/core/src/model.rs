@@ -36,45 +36,6 @@ type Reward = [f64; COMPONENTS];
 /// The empty reward.
 const ZERO: Reward = [0.0; COMPONENTS];
 
-/// One action's merged row: at most three outcomes, one per miner, each a
-/// successor with its probability and reward. Parallel arrays filled in
-/// place: a row of tuples returned by value cost a 176-byte copy per arm.
-struct Row {
-    len: usize,
-    next: [AttackState; 3],
-    prob: [f64; 3],
-    reward: [Reward; 3],
-}
-
-impl Row {
-    fn new() -> Self {
-        Row { len: 0, next: [AttackState::BASE; 3], prob: [0.0; 3], reward: [ZERO; 3] }
-    }
-
-    /// Adds one event to the row. An event of probability zero is dropped;
-    /// one whose successor is already in the row is merged into that
-    /// outcome — probabilities add and rewards become the
-    /// probability-weighted average, conditioned on the merged event — so
-    /// the outcomes keep the order of each successor's first event. This
-    /// is the exact "merged row" form of the paper's Table 1.
-    fn push(&mut self, (next, reward): (AttackState, Reward), prob: f64) {
-        if prob == 0.0 {
-            return;
-        }
-        if let Some(i) = self.next[..self.len].iter().position(|n| *n == next) {
-            let total = self.prob[i] + prob;
-            for (acc, x) in self.reward[i].iter_mut().zip(&reward) {
-                *acc = (*acc * self.prob[i] + x * prob) / total;
-            }
-            self.prob[i] = total;
-        } else {
-            let i = self.len;
-            (self.next[i], self.prob[i], self.reward[i]) = (next, prob, reward);
-            self.len += 1;
-        }
-    }
-}
-
 /// Decrement the sticky-gate countdown by `n` locked non-excessive blocks.
 /// In phase 1 (`r = 0`) the countdown is absent and stays zero.
 fn dec_r(r: u16, n: u16) -> u16 {
@@ -147,8 +108,10 @@ fn common_grow(s: AttackState, alice: bool) -> (AttackState, Reward) {
     (AttackState::base(dec_r(s.r, 1)), reward)
 }
 
-/// Writes `action`'s merged row of state `s` into `sink` as its next arm,
-/// pushing the action's events into a [`Row`] as they are enumerated.
+/// Writes `action`'s merged row of state `s` into `sink` as its next arm:
+/// each event is merged into the arm as it is enumerated
+/// ([`bvc_mdp::ActionOutcomes::merge`]), and an event of probability zero
+/// is dropped. This is the exact "merged row" form of the paper's Table 1.
 fn write_arm(
     cfg: &AttackConfig,
     s: AttackState,
@@ -156,19 +119,24 @@ fn write_arm(
     sink: &mut Expansion<AttackState>,
 ) {
     let (alpha, beta, gamma) = (cfg.alpha, cfg.beta, cfg.gamma);
-    let mut row = Row::new();
+    let mut arm = sink.action(action.label());
+    let mut push = |(next, reward): (AttackState, Reward), prob: f64| {
+        if prob != 0.0 {
+            arm.merge(next, prob, &reward);
+        }
+    };
     if !s.forked() {
         // Common chain. OnChain2 means Alice tries to mine the fork block.
         match action {
             Action::OnChain1 => {
-                row.push(common_grow(s, true), alpha);
-                row.push(common_grow(s, false), beta + gamma);
+                push(common_grow(s, true), alpha);
+                push(common_grow(s, false), beta + gamma);
             }
             Action::OnChain2 => {
-                row.push((AttackState { l2: 1, a2: 1, ..s }, ZERO), alpha);
-                row.push(common_grow(s, false), beta + gamma);
+                push((AttackState { l2: 1, a2: 1, ..s }, ZERO), alpha);
+                push(common_grow(s, false), beta + gamma);
             }
-            Action::Wait => row.push(common_grow(s, false), 1.0),
+            Action::Wait => push(common_grow(s, false), 1.0),
         }
     } else {
         // Forked. Which compliant miner works on which chain depends on the
@@ -182,25 +150,21 @@ fn write_arm(
                 } else {
                     chain2_grow(cfg, s, true)
                 };
-                row.push(alice, alpha);
-                row.push(chain1_grow(cfg, s, false), p_c1);
-                row.push(chain2_grow(cfg, s, false), p_c2);
+                push(alice, alpha);
+                push(chain1_grow(cfg, s, false), p_c1);
+                push(chain2_grow(cfg, s, false), p_c2);
             }
             Action::Wait => {
                 let total = p_c1 + p_c2;
-                row.push(chain1_grow(cfg, s, false), p_c1 / total);
-                row.push(chain2_grow(cfg, s, false), p_c2 / total);
+                push(chain1_grow(cfg, s, false), p_c1 / total);
+                push(chain2_grow(cfg, s, false), p_c2 / total);
             }
         }
-    }
-    let mut arm = sink.action(action.label());
-    for i in 0..row.len {
-        arm.outcome(row.next[i], row.prob[i], &row.reward[i]);
     }
 }
 
 /// Expands one state into its actions, written into `sink` one merged row
-/// (see `Row::push`) per action: `OnChain1`, `OnChain2`, then `Wait` where
+/// (see `write_arm`) per action: `OnChain1`, `OnChain2`, then `Wait` where
 /// the incentive model allows it.
 pub fn expand(cfg: &AttackConfig, s: &AttackState, sink: &mut Expansion<AttackState>) {
     write_arm(cfg, *s, Action::OnChain1, sink);

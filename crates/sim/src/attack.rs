@@ -286,14 +286,11 @@ impl<'a> AttackReplay<'a> {
         // buried excessive blocks stay valid forever and future validity
         // depends only on blocks above the agreement — so pruning settled
         // history is behaviour-preserving and keeps every view update
-        // O(fork length) instead of O(chain length).
-        self.tree = BlockTree::new();
-        let ad = u64::from(self.model.config().ad);
-        for n in &mut self.small {
-            n.view = NodeView::new(BuRizunRule::without_sticky_gate(self.eb_b, ad));
-        }
-        for n in &mut self.large {
-            n.view = NodeView::new(BuRizunRule::without_sticky_gate(self.eb_c, ad));
+        // O(fork length) instead of O(chain length). The tree and views are
+        // reset in place, keeping their allocations; the rules stay.
+        self.tree.reset();
+        for n in self.small.iter_mut().chain(&mut self.large) {
+            n.view.reset();
         }
         self.last_agreed = BlockId::GENESIS;
     }

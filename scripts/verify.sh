@@ -133,6 +133,9 @@ echo "==> replay lockstep gate (every chain-replay step lands in its MDP row; gr
 # exactly the row's successors. The consistency tests run long replays of
 # optimal policies through it, and the scenario grid's MDP-replay cell is
 # pinned bit for bit, so a silent change to the replay's stream fails here.
+# At every agreement the replay resets its block tree and node views in
+# place; the chain test holds a reset pair equal to a fresh one.
+cargo test -q --offline -p bvc-chain --lib -- reset_equals_a_fresh_tree_and_view
 cargo test -q --offline -p bvc-sim --lib -- attack::
 cargo test -q --offline -p bvc --test chain_model_consistency
 cargo test -q --offline -p bvc-scenario --lib -- grid_mdp_cell_is_pinned \
@@ -179,18 +182,21 @@ echo "==> benchmark self-tests (exact counts repeat, decomposition is bit-exact)
 cargo test -q --release --offline --manifest-path bvcbench/Cargo.toml
 
 if [[ "${1:-}" != "--no-smoke" ]]; then
-    echo "==> graph-reuse determinism diff (Table 3 grid, --threads 1 vs --threads 2)"
+    echo "==> graph-reuse determinism diff (Table 3 and Table 4 grids, --threads 1 vs --threads 2)"
     # Each sweep thread re-weights its own last graph, so which cells hit
     # the cache depends on the thread count; the journals (every value's
-    # full f64 bits) must not.
+    # full f64 bits) must not. Table 4's 18 cells use two graph keys, so
+    # its threads mix exploring and re-weighting builds.
     jdir=$(mktemp -d)
-    target/release/table3 --threads 1 --journal "$jdir/one.jnl" > /dev/null
-    target/release/table3 --threads 2 --journal "$jdir/two.jnl" > /dev/null
-    if ! cmp "$jdir/one.jnl" "$jdir/two.jnl"; then
-        echo "VERIFY FAILED: table3 journal at --threads 2 diverged from --threads 1" >&2
-        rm -rf "$jdir"
-        exit 1
-    fi
+    for table in table3 table4; do
+        target/release/$table --threads 1 --journal "$jdir/$table-one.jnl" > /dev/null
+        target/release/$table --threads 2 --journal "$jdir/$table-two.jnl" > /dev/null
+        if ! cmp "$jdir/$table-one.jnl" "$jdir/$table-two.jnl"; then
+            echo "VERIFY FAILED: $table journal at --threads 2 diverged from --threads 1" >&2
+            rm -rf "$jdir"
+            exit 1
+        fi
+    done
     rm -rf "$jdir"
 
     echo "==> sweep-runner fault-injection smoke (panic/no-conv/resume)"
